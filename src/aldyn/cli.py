@@ -803,10 +803,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.fn(args)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ParseError as e:
+    except ValueError as e:  # every bad-input error type subclasses ValueError
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     elapsed_ms = (time.perf_counter() - start) * 1000

@@ -182,24 +182,9 @@ def flow_nilpotent(
     series truncates on every polynomial.
     """
     _check_flow_precondition(delta, cutoff)
-    ext = delta.gens.extended(t_name)
-    embed = {
-        name: Poly.generator(ext, name) for name in delta.gens.names
-    }
-    t = Poly.generator(ext, t_name)
-    out = Poly.zero(ext)
-    term = f
-    k = 0
-    factorial = 1
-    t_power = Poly.one(ext)
-    while not term.is_zero():
-        out = out + term.substitute(embed).scale(Fraction(1, factorial)) * t_power
-        term = apply(delta, term)
-        k += 1
-        factorial *= k
-        t_power = t_power * t
-        if k > _FLOW_SAFETY_CAP:
-            raise NonTruncatingFlow("series did not truncate (safety cap hit)")
+    out, exact = flow_series_truncated(delta, f, _FLOW_SAFETY_CAP, t_name)
+    if not exact:
+        raise NonTruncatingFlow("series did not truncate (safety cap hit)")
     return out
 
 

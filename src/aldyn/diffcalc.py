@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .matrices import Mat
-from .quantum import commutator
+from .quantum import commutator, commutator_columns
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational
 
 
@@ -435,7 +435,6 @@ def lie_derivative(x_coeffs: Sequence[GaussRational], w: KForm) -> KForm:
 class ExactnessReport:
     index: int
     trace_of_unit_value: int     # alpha^j(X_j) = identity has trace N != 0
-    commutators_traceless: bool  # every dA value is a commutator
     solvable: bool               # the linear system dA = alpha^j
 
     @property
@@ -454,24 +453,6 @@ def exactness_obstruction(basis: DerivationBasis, j: int) -> ExactnessReport:
     if not 0 <= j < basis.dim:
         raise ValueError("index out of range")
     # Unknown A (n^2 entries); equations [A, X_k] = delta^j_k * identity.
-    rows: list[list[GaussRational]] = []
-    rhs: list[GaussRational] = []
-    for k in range(basis.dim):
-        xk = basis.generators[k].entries
-        target = Mat.identity(n) if k == j else Mat.zero(n)
-        for r in range(n):
-            for c_col in range(n):
-                row = [GR_ZERO] * (n * n)
-                for m in range(n):
-                    # (A X_k)_{rc} - (X_k A)_{rc}
-                    row[r * n + m] = row[r * n + m] + xk[m][c_col]
-                    row[m * n + c_col] = row[m * n + c_col] - xk[r][m]
-                rows.append(row)
-                rhs.append(target.entries[r][c_col])
-    sol = linalg.solve(rows, rhs)
-    return ExactnessReport(
-        index=j,
-        trace_of_unit_value=n,
-        commutators_traceless=True,
-        solvable=sol is not None,
-    )
+    target = {(j, r, r): GR_ONE for r in range(n)}
+    sol = linalg.solve_columns(commutator_columns(basis.generators), target)
+    return ExactnessReport(index=j, trace_of_unit_value=n, solvable=sol is not None)

@@ -1,143 +1,42 @@
 """Exact linear algebra over the field Q(i).
 
-Dense Gauss-Jordan elimination for the small systems (commutants, kernel
-computations, ansatz solves) and a sparse incremental eliminator for the
-large-but-sparse biderivation system.  No tolerances anywhere: rank
-decisions are exact.
+One elimination algorithm, `SparseEliminator`: rows arrive as
+{column: coefficient} dicts and are reduced incrementally, pivoting on the
+smallest column.  Back-substitution then gives the reduced row-echelon
+form, which is unique for a fixed column order, so solutions and kernel
+bases do not depend on the order the rows came in.  `solve_columns` puts
+one unknown per sparse column in front of it for the ansatz solvers; the
+dense-matrix helpers (`rref`, `rank`, `nullspace`, `solve`, ...) drop zero
+entries and call it too.  No tolerances anywhere: rank decisions are exact.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .scalars import GR_ONE, GR_ZERO, GaussRational
 
 Row = list[GaussRational]
 Matrix = list[Row]
-
-
-def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = GR_ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def rank(matrix: Matrix) -> int:
-    return len(rref(matrix)[1])
-
-
-def nullspace(matrix: Matrix, ncols: int | None = None) -> list[Row]:
-    """Basis of the right kernel; each vector has 1 in its free column."""
-    if not matrix:
-        if ncols is None:
-            return []
-        return [
-            [GR_ONE if i == j else GR_ZERO for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    ncols = len(matrix[0])
-    red, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [GR_ZERO] * ncols
-        v[fc] = GR_ONE
-        for r_i, pc in enumerate(pivots):
-            v[pc] = -red[r_i][fc]
-        basis.append(v)
-    return basis
-
-
-def solve(matrix: Matrix, rhs: Row) -> Row | None:
-    """One solution of A x = b, or None when the system is inconsistent."""
-    if not matrix:
-        return [] if all(x.is_zero() for x in rhs) else None
-    ncols = len(matrix[0])
-    aug = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [GR_ZERO] * ncols
-    for r_i, pc in enumerate(pivots):
-        x[pc] = red[r_i][ncols]
-    return x
-
-
-def in_span(vectors: Sequence[Row], v: Row) -> bool:
-    """Exact membership of v in span(vectors)."""
-    if all(x.is_zero() for x in v):
-        return True
-    if not vectors:
-        return False
-    base = [list(w) for w in vectors]
-    return rank(base) == rank(base + [list(v)])
-
-
-def span_equal(a: Sequence[Row], b: Sequence[Row]) -> bool:
-    ra = rank([list(v) for v in a])
-    rb = rank([list(v) for v in b])
-    rab = rank([list(v) for v in a] + [list(v) for v in b])
-    return ra == rb == rab
-
-
-def independent_subset(vectors: Sequence[Row]) -> list[int]:
-    """Indices of a maximal linearly independent subset, greedily from the front."""
-    chosen: list[Row] = []
-    idx = []
-    for i, v in enumerate(vectors):
-        if not in_span(chosen, v):
-            chosen.append(list(v))
-            idx.append(i)
-    return idx
-
-
-def coordinates_in_basis(basis: Sequence[Row], v: Row) -> Row | None:
-    """Coefficients x with sum_j x_j basis_j = v, or None if v not in span."""
-    if not basis:
-        return [] if all(c.is_zero() for c in v) else None
-    cols = len(v)
-    matrix = [[basis[j][i] for j in range(len(basis))] for i in range(cols)]
-    return solve(matrix, list(v))
+SparseRow = dict[int, GaussRational]
 
 
 class SparseEliminator:
-    """Incremental exact elimination for sparse homogeneous systems.
+    """Incremental exact elimination for sparse systems.
 
     Rows arrive as {column: coefficient} dicts; each is reduced against the
-    pivot rows seen so far and kept (normalized) if independent.  After all
-    rows are in, `kernel_basis` reconstructs the nullspace.
+    pivot rows seen so far and kept (normalized) if independent.  For an
+    inhomogeneous system the right-hand side goes in column `ncols`: pivots
+    are taken at the smallest column, so a pivot there means the system is
+    inconsistent.  After all rows are in, `kernel_basis` gives the
+    nullspace and `solve` one solution.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: dict[int, dict[int, GaussRational]] = {}
+        self.pivot_rows: dict[int, SparseRow] = {}
 
-    def add_row(self, row: dict[int, GaussRational]) -> None:
+    def add_row(self, row: Mapping[int, GaussRational]) -> None:
         row = {c: v for c, v in row.items() if not v.is_zero()}
         while row:
             lead = min(row)
@@ -157,17 +56,15 @@ class SparseEliminator:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def kernel_basis(self) -> list[dict[int, GaussRational]]:
-        """Nullspace vectors as sparse dicts, one per free column."""
-        # Back-substitute to full reduced form first.
-        cols_order = sorted(self.pivot_rows, reverse=True)
-        for lead in cols_order:
+    def _back_substitute(self) -> None:
+        """Clear every pivot column from the other pivot rows (full RREF)."""
+        for lead in sorted(self.pivot_rows, reverse=True):
             row = self.pivot_rows[lead]
-            for other_lead, other in list(self.pivot_rows.items()):
+            for other_lead, other in self.pivot_rows.items():
                 if other_lead >= lead:
                     continue
                 f = other.get(lead)
-                if f is None or f.is_zero():
+                if f is None:
                     continue
                 for c, v in row.items():
                     nv = other.get(c, GR_ZERO) - f * v
@@ -175,15 +72,122 @@ class SparseEliminator:
                         other.pop(c, None)
                     else:
                         other[c] = nv
-        pivot_cols = set(self.pivot_rows)
+
+    def kernel_basis(self) -> list[SparseRow]:
+        """Nullspace vectors as sparse dicts, one per free column, with a 1
+        in that column."""
+        self._back_substitute()
         basis = []
         for fc in range(self.ncols):
-            if fc in pivot_cols:
+            if fc in self.pivot_rows:
                 continue
             vec = {fc: GR_ONE}
             for lead, row in self.pivot_rows.items():
                 coeff = row.get(fc)
-                if coeff is not None and not coeff.is_zero():
+                if coeff is not None:
                     vec[lead] = -coeff
             basis.append(vec)
         return basis
+
+    def solve(self) -> SparseRow | None:
+        """One solution of the rows read as [A | b] with b in column
+        `ncols`, free variables at 0; None when the system is inconsistent."""
+        if self.ncols in self.pivot_rows:
+            return None
+        self._back_substitute()
+        return {
+            lead: row[self.ncols]
+            for lead, row in self.pivot_rows.items()
+            if self.ncols in row
+        }
+
+
+def _dense(vec: Mapping[int, GaussRational], ncols: int) -> Row:
+    return [vec.get(c, GR_ZERO) for c in range(ncols)]
+
+
+def _eliminate(matrix: Sequence[Row], ncols: int) -> SparseEliminator:
+    elim = SparseEliminator(ncols)
+    for row in matrix:
+        elim.add_row(dict(enumerate(row)))
+    return elim
+
+
+def solve_columns(
+    columns: Sequence[Mapping[Hashable, GaussRational]],
+    target: Mapping[Hashable, GaussRational] | None,
+) -> Row | list[Row] | None:
+    """Exact solve of sum_j x_j columns[j] = target.
+
+    Each unknown is a sparse column {equation_key: coefficient}; the
+    solvers key equations by (component, exps).  With a target, returns one
+    solution (free unknowns at 0) or None when there is none; with target
+    None, returns a basis of the kernel, one vector per free unknown with a
+    1 there.
+    """
+    ncols = len(columns)
+    rows: dict[Hashable, SparseRow] = {}
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            rows.setdefault(key, {})[j] = v
+    for key, v in (target or {}).items():
+        rows.setdefault(key, {})[ncols] = v
+    elim = SparseEliminator(ncols)
+    for row in rows.values():
+        elim.add_row(row)
+    if target is None:
+        return [_dense(v, ncols) for v in elim.kernel_basis()]
+    sol = elim.solve()
+    return None if sol is None else _dense(sol, ncols)
+
+
+def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row-echelon form; returns (rref_rows, pivot_columns)."""
+    ncols = len(matrix[0]) if matrix else 0
+    elim = _eliminate(matrix, ncols)
+    elim._back_substitute()
+    pivots = sorted(elim.pivot_rows)
+    return [_dense(elim.pivot_rows[c], ncols) for c in pivots], pivots
+
+
+def rank(matrix: Matrix) -> int:
+    return _eliminate(matrix, len(matrix[0]) if matrix else 0).rank()
+
+
+def nullspace(matrix: Matrix, ncols: int | None = None) -> list[Row]:
+    """Basis of the right kernel; each vector has 1 in its free column."""
+    if matrix:
+        ncols = len(matrix[0])
+    elif ncols is None:
+        return []
+    return [_dense(v, ncols) for v in _eliminate(matrix, ncols).kernel_basis()]
+
+
+def solve(matrix: Matrix, rhs: Row) -> Row | None:
+    """One solution of A x = b, or None when the system is inconsistent."""
+    if not matrix:
+        return [] if all(x.is_zero() for x in rhs) else None
+    ncols = len(matrix[0])
+    elim = SparseEliminator(ncols)
+    for row, b in zip(matrix, rhs):
+        elim.add_row({**dict(enumerate(row)), ncols: b})
+    sol = elim.solve()
+    return None if sol is None else _dense(sol, ncols)
+
+
+def in_span(vectors: Sequence[Row], v: Row) -> bool:
+    """Exact membership of v in span(vectors)."""
+    elim = _eliminate(vectors, len(v))
+    r = elim.rank()
+    elim.add_row(dict(enumerate(v)))
+    return elim.rank() == r
+
+
+def span_equal(a: Sequence[Row], b: Sequence[Row]) -> bool:
+    ra, rb = rank(list(a)), rank(list(b))
+    return ra == rb == rank(list(a) + list(b))
+
+
+def coordinates_in_basis(basis: Sequence[Row], v: Row) -> Row | None:
+    """Coefficients x with sum_j x_j basis_j = v, or None if v not in span."""
+    return solve_columns([dict(enumerate(b)) for b in basis], dict(enumerate(v)))

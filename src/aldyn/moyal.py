@@ -18,7 +18,7 @@ from typing import Sequence
 from . import linalg
 from .derivations import PolyDerivation, apply
 from .poisson import PoissonTensor, bracket
-from .poly import GeneratorSet, Poly
+from .poly import GeneratorSet, Poly, monomials
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, Scalar
 
 
@@ -183,18 +183,7 @@ def inner_star_derivation(ctx: StarAlgebraContext, x: Poly) -> StarDerivation:
 
 def s_space_basis(gens: GeneratorSet) -> list[Poly]:
     """Monomial basis of P0 + P1 + P2 (graded-lex order); 15 elements on R^4."""
-    n = len(gens)
-    exps = []
-    for total in range(3):
-        def rec(prefix, remaining, pos):
-            if pos == n:
-                if remaining == 0:
-                    exps.append(tuple(prefix))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + [e], remaining - e, pos + 1)
-        rec([], total, 0)
-    return [Poly(gens, {e: Scalar.one()}) for e in exps]
+    return [Poly(gens, {e: Scalar.one()}) for e in monomials(len(gens), 2)]
 
 
 @dataclass

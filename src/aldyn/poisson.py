@@ -4,7 +4,8 @@ The bracket is {f,g} = Lambda^{ab} d_a f d_b g; only the a < b components
 are stored, antisymmetry fills in the rest.  Includes the Jacobi cyclic-sum
 verifier, Hamiltonian vector fields, Lie-Poisson tensors for 3d Lie
 algebras with Casimir checks, and the bounded-degree inverse searches
-(given a dynamics, find a Hamiltonian or a tensor by exact linear solves).
+(given a dynamics, find a Hamiltonian or a tensor by one exact sparse
+solve over the monomial coefficients, ``linalg.solve_columns``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .derivations import PolyDerivation
-from .poly import GeneratorMismatch, GeneratorSet, Poly
-from .scalars import GR_ZERO, GaussRational, Scalar
+from .poly import GeneratorMismatch, GeneratorSet, Poly, coefficient_column, monomials
+from .scalars import Scalar
 
 DEFAULT_INVERSE_DEGREE_CAP = 6
 
@@ -236,30 +237,6 @@ def casimir_check(tensor: PoissonTensor, c: Poly) -> CasimirReport:
     return CasimirReport(True)
 
 
-def _monomial_basis(gens: GeneratorSet, degree_cap: int) -> list[tuple]:
-    """All exponent tuples of total degree <= cap, graded-lex order."""
-    n = len(gens)
-    out: list[tuple] = []
-
-    def rec(prefix: list[int], remaining: int, pos: int):
-        if pos == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], degree_cap, 0)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
-
-
-def _poly_to_coeff_map(p: Poly) -> dict[tuple, GaussRational]:
-    out = {}
-    for exps, c in p.terms.items():
-        out[exps] = c.constant()
-    return out
-
-
 def find_hamiltonian(
     tensor: PoissonTensor,
     delta: PolyDerivation,
@@ -273,44 +250,22 @@ def find_hamiltonian(
     gens = tensor.gens
     if delta.gens != gens:
         raise GeneratorMismatch("dynamics over a different generator set")
-    basis = _monomial_basis(gens, degree_cap)
-    col_of = {m: j for j, m in enumerate(basis)}
-    # For each generator a and basis monomial m: the polynomial {x^a, m}.
-    rows: dict[tuple[int, tuple], list[GaussRational]] = {}
-    def row_for(a: int, exps: tuple) -> list[GaussRational]:
-        key = (a, exps)
-        if key not in rows:
-            rows[key] = [GR_ZERO] * len(basis)
-        return rows[key]
-
-    for j, m in enumerate(basis):
+    basis = monomials(len(gens), degree_cap)
+    # Unknown j is the coefficient of basis[j]; its column holds {x^a, m}.
+    columns = []
+    for m in basis:
         mono = Poly(gens, {m: Scalar.one()})
-        for a, name in enumerate(gens.names):
-            br = bracket(tensor, Poly.generator(gens, name), mono)
-            if not br.is_theta_free():
-                raise ValueError("inverse search requires theta-free tensors")
-            for exps, c in _poly_to_coeff_map(br).items():
-                row_for(a, exps)[j] = row_for(a, exps)[j] + c
-    # Right-hand side from the dynamics components.
-    rhs_map: dict[tuple[int, tuple], GaussRational] = {}
-    for a, name in enumerate(gens.names):
-        img = delta.images[name]
-        if not img.is_theta_free():
-            raise ValueError("inverse search requires theta-free dynamics")
-        for exps, c in _poly_to_coeff_map(img).items():
-            rhs_map[(a, exps)] = c
-            row_for(a, exps)  # make sure the equation exists
-    keys = sorted(rows)
-    matrix = [rows[k] for k in keys]
-    rhs = [rhs_map.get(k, GR_ZERO) for k in keys]
-    sol = linalg.solve(matrix, rhs)
+        brackets = [bracket(tensor, Poly.generator(gens, name), mono) for name in gens.names]
+        if not all(br.is_theta_free() for br in brackets):
+            raise ValueError("inverse search requires theta-free tensors")
+        columns.append(coefficient_column(brackets))
+    images = [delta.images[name] for name in gens.names]
+    if not all(img.is_theta_free() for img in images):
+        raise ValueError("inverse search requires theta-free dynamics")
+    sol = linalg.solve_columns(columns, coefficient_column(images))
     if sol is None:
         return None
-    terms = {}
-    for j, m in enumerate(basis):
-        if not sol[j].is_zero():
-            terms[m] = Scalar.from_gauss(sol[j])
-    return Poly(gens, terms)
+    return Poly.from_coefficients(gens, basis, sol)
 
 
 def find_poisson_tensor(
@@ -325,50 +280,29 @@ def find_poisson_tensor(
     gens = delta.gens
     if h.gens != gens:
         raise GeneratorMismatch("Hamiltonian over a different generator set")
-    n = len(gens)
-    basis = _monomial_basis(gens, degree_cap)
-    pairs = list(combinations(range(n), 2))
-    ncols = len(pairs) * len(basis)
-    rows: dict[tuple[int, tuple], list[GaussRational]] = {}
-
-    def row_for(a: int, exps: tuple) -> list[GaussRational]:
-        key = (a, exps)
-        if key not in rows:
-            rows[key] = [GR_ZERO] * ncols
-        return rows[key]
-
-    partials = [_poly_to_coeff_map(h.partial(name)) for name in gens.names]
-    for pi, (a, b) in enumerate(pairs):
-        for j, m in enumerate(basis):
-            col = pi * len(basis) + j
-            # {x^a, .}: + m * d_b H ; {x^b, .}: - m * d_a H
-            for exps_h, c in partials[b].items():
-                exps = tuple(x + y for x, y in zip(m, exps_h))
-                row_for(a, exps)[col] = row_for(a, exps)[col] + c
-            for exps_h, c in partials[a].items():
-                exps = tuple(x + y for x, y in zip(m, exps_h))
-                row_for(b, exps)[col] = row_for(b, exps)[col] - c
-    rhs_map: dict[tuple[int, tuple], GaussRational] = {}
-    for a, name in enumerate(gens.names):
-        for exps, c in _poly_to_coeff_map(delta.images[name]).items():
-            rhs_map[(a, exps)] = c
-            row_for(a, exps)
-    keys = sorted(rows)
-    matrix = [rows[k] for k in keys]
-    rhs = [rhs_map.get(k, GR_ZERO) for k in keys]
-    sol = linalg.solve(matrix, rhs)
+    basis = monomials(len(gens), degree_cap)
+    pairs = list(combinations(range(len(gens)), 2))
+    partials = [coefficient_column([h.partial(name)]) for name in gens.names]
+    # Unknown (pair a<b, m) is the coefficient of m in Lambda^{ab}; it adds
+    # m d_b H to component a and -m d_a H to component b.
+    columns = []
+    for a, b in pairs:
+        for m in basis:
+            col = {}
+            for (_, exps), c in partials[b].items():
+                col[(a, tuple(x + y for x, y in zip(m, exps)))] = c
+            for (_, exps), c in partials[a].items():
+                col[(b, tuple(x + y for x, y in zip(m, exps)))] = -c
+            columns.append(col)
+    target = coefficient_column([delta.images[name] for name in gens.names])
+    sol = linalg.solve_columns(columns, target)
     if sol is None:
         return None
-    comps = {}
-    for pi, (a, b) in enumerate(pairs):
-        terms = {}
-        for j, m in enumerate(basis):
-            c = sol[pi * len(basis) + j]
-            if not c.is_zero():
-                terms[m] = Scalar.from_gauss(c)
-        poly = Poly(gens, terms)
-        if not poly.is_zero():
-            comps[(a, b)] = poly
+    nb = len(basis)
+    comps = {
+        pair: Poly.from_coefficients(gens, basis, sol[pi * nb : (pi + 1) * nb])
+        for pi, pair in enumerate(pairs)
+    }
     tensor = PoissonTensor(gens, comps)
     if not jacobi_check(tensor).ok:
         return None

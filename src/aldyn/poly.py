@@ -127,6 +127,26 @@ def _grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
+def monomials(n: int, cap: int) -> list[tuple]:
+    """All exponent tuples of n generators with total degree <= cap, in
+    graded-lex order (the order of ``Poly.sorted_terms``)."""
+    out: list[tuple] = [()]
+    for _ in range(n):
+        out = [e + (k,) for e in out for k in range(cap - sum(e) + 1)]
+    return sorted(out, key=_grlex_key)
+
+
+def coefficient_column(components: Sequence[Poly]) -> dict[tuple, GaussRational]:
+    """{(component, exps): coefficient} over theta-free polynomials: the
+    column of one unknown, or the target, of a linear system on polynomial
+    coefficients (see ``linalg.solve_columns``)."""
+    return {
+        (a, exps): c.constant()
+        for a, p in enumerate(components)
+        for exps, c in p.terms.items()
+    }
+
+
 class Poly:
     """Sparse polynomial with Scalar coefficients over a GeneratorSet."""
 
@@ -184,6 +204,13 @@ class Poly:
         for name, e in powers.items():
             exps[gens.index(name)] = e
         return Poly(gens, {tuple(exps): coeff if coeff is not None else Scalar.one()})
+
+    @staticmethod
+    def from_coefficients(
+        gens: GeneratorSet, monos: Sequence[tuple], coeffs: Sequence[GaussRational]
+    ) -> "Poly":
+        """sum_j coeffs[j] x^monos[j]: a solution vector read back as a Poly."""
+        return Poly(gens, {m: Scalar.from_gauss(c) for m, c in zip(monos, coeffs)})
 
     # -- ring operations ---------------------------------------------
 
@@ -328,18 +355,6 @@ class Poly:
             total = total + v
         return total
 
-    def evaluate_numeric(
-        self, point: Mapping[str, complex], theta_value: complex = 0.0
-    ) -> complex:
-        total = complex(0)
-        for exps, c in self.terms.items():
-            v = c.evaluate(theta_value)
-            for name, e in zip(self.gens.names, exps):
-                if e:
-                    v *= complex(point[name]) ** e
-            total += v
-        return total
-
     # -- queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -440,22 +455,3 @@ class Poly:
             prev = terms.get(exps)
             terms[exps] = c if prev is None else prev + c
         return Poly(gens, terms)
-
-
-# Shared operation-style entry points (thin wrappers over the methods, so the
-# functional names used elsewhere in the package read like the math).
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def partial_derivative(f: Poly, gen: str) -> Poly:
-    return f.partial(gen)
-
-
-def theta_limit(f: Poly) -> Poly:
-    return f.theta_limit()

@@ -117,6 +117,27 @@ class MatrixSubspace:
         return MatrixSubspace([Mat.from_json(m) for m in data])
 
 
+def commutator_columns(mats: Sequence[Mat]) -> list[dict]:
+    """Columns of the linear map f -> ([f, mats[t]])_t on Mat_n.
+
+    One column per entry f_{pq} (row-major), keyed by (t, i, j) for entry
+    (i, j) of [E_pq, mats[t]] = E_pq m - m E_pq.
+    """
+    n = mats[0].n
+    columns = []
+    for p in range(n):
+        for q in range(n):
+            col: dict[tuple[int, int, int], GaussRational] = {}
+            for t, m in enumerate(mats):
+                e = m.entries
+                for j in range(n):
+                    col[(t, p, j)] = e[q][j]
+                for i in range(n):
+                    col[(t, i, q)] = col.get((t, i, q), GR_ZERO) - e[i][p]
+            columns.append(col)
+    return columns
+
+
 def commutant(space: MatrixSubspace) -> MatrixSubspace:
     """All f with [f, b] = 0 for every basis b, by an exact linear solve.
 
@@ -124,22 +145,12 @@ def commutant(space: MatrixSubspace) -> MatrixSubspace:
     products and commutators by construction (verified by the caller's
     tests, cheap to re-check via is_product_closed).
     """
-    n = space.n
-    rows: list[list[GaussRational]] = []
-    for b in space.basis:
-        bn = b.entries
-        # (f b - b f)_{ij} = sum_k f_{ik} b_{kj} - b_{ik} f_{kj} = 0
-        for i in range(n):
-            for j in range(n):
-                row = [GR_ZERO] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = row[i * n + k] + bn[k][j]
-                    row[k * n + j] = row[k * n + j] - bn[i][k]
-                rows.append(row)
-    kernel = linalg.nullspace(rows, ncols=n * n)
+    kernel = linalg.solve_columns(commutator_columns(space.basis), None)
     if not kernel:
         raise RuntimeError("commutant is never empty (identity commutes)")
-    return MatrixSubspace([Mat.unflatten(v, n) for v in kernel], check_independent=False)
+    return MatrixSubspace(
+        [Mat.unflatten(v, space.n) for v in kernel], check_independent=False
+    )
 
 
 @dataclass

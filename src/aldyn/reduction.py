@@ -6,9 +6,11 @@ rejection), reduction along a polynomial map, polynomial connections dual
 to the spanning fields, and the split delta = delta^D + delta' with the
 commuting-decomposition verdict.
 
-Every existence question is answered by an exact linear solve over
-bounded-degree polynomial coefficients; when the ansatz fails without a
-pointwise certificate the honest answer is "inconclusive", never a guess.
+Every existence question is answered by an exact sparse linear solve
+(``linalg.solve_columns``) over bounded-degree polynomial coefficients,
+one column per unknown coefficient and one equation per (component,
+monomial); when the ansatz fails without a pointwise certificate the
+honest answer is "inconclusive", never a guess.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .derivations import PolyDerivation, apply, commutator_der
-from .poly import GeneratorMismatch, GeneratorSet, Poly
-from .scalars import GR_ONE, GR_ZERO, GaussRational, Scalar
+from .poly import GeneratorMismatch, GeneratorSet, Poly, coefficient_column, monomials
+from .scalars import GR_ONE, GaussRational, Scalar
 
 DEFAULT_ANSATZ_CAP = 4
 
@@ -29,22 +31,6 @@ def _require_theta_free(*polys: Poly):
     for p in polys:
         if not p.is_theta_free():
             raise ValueError("reduction solvers require theta-free polynomials")
-
-
-def _monomials(gens: GeneratorSet, cap: int) -> list[tuple]:
-    n = len(gens)
-    out: list[tuple] = []
-
-    def rec(prefix, remaining, pos):
-        if pos == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], cap, 0)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
 
 
 class Distribution:
@@ -97,31 +83,13 @@ def invariant_subalgebra(
     if degree_cap < 0:
         raise ValueError("degree cap must be >= 0")
     gens = dist.gens
-    monos = _monomials(gens, degree_cap)
-    rows: dict[tuple[int, tuple], list[GaussRational]] = {}
-
-    def row_for(j_field: int, exps: tuple) -> list[GaussRational]:
-        key = (j_field, exps)
-        if key not in rows:
-            rows[key] = [GR_ZERO] * len(monos)
-        return rows[key]
-
-    for jm, m in enumerate(monos):
-        mono = Poly(gens, {m: Scalar.one()})
-        for jf, y in enumerate(dist.fields):
-            img = apply(y, mono)
-            for exps, c in img.terms.items():
-                r = row_for(jf, exps)
-                r[jm] = r[jm] + c.constant()
-    matrix = [rows[k] for k in sorted(rows)]
-    kernel = linalg.nullspace(matrix, ncols=len(monos))
-    basis = []
-    for vec in kernel:
-        terms = {}
-        for j, c in enumerate(vec):
-            if not c.is_zero():
-                terms[monos[j]] = Scalar.from_gauss(c)
-        basis.append(Poly(gens, terms))
+    monos = monomials(len(gens), degree_cap)
+    columns = [
+        coefficient_column([apply(y, Poly(gens, {m: Scalar.one()})) for y in dist.fields])
+        for m in monos
+    ]
+    kernel = linalg.solve_columns(columns, None)
+    basis = [Poly.from_coefficients(gens, monos, vec) for vec in kernel]
     basis.sort(key=lambda p: (p.total_degree(), sorted(p.terms)))
     return basis
 
@@ -134,47 +102,24 @@ def express_in_fields(
     """Polynomial coefficients h^k (degree <= cap) with target = h^k Y_k."""
     gens = target.gens
     _require_theta_free(*target.images.values())
-    monos = _monomials(gens, ansatz_cap)
-    ncols = len(fields) * len(monos)
-    rows: dict[tuple[int, tuple], list[GaussRational]] = {}
-
-    def row_for(a: int, exps: tuple) -> list[GaussRational]:
-        key = (a, exps)
-        if key not in rows:
-            rows[key] = [GR_ZERO] * ncols
-        return rows[key]
-
-    for k, y in enumerate(fields):
-        for jm, m in enumerate(monos):
-            colid = k * len(monos) + jm
-            for a, name in enumerate(gens.names):
-                comp = y.images[name]
-                if comp.is_zero():
-                    continue
-                prod = Poly(gens, {m: Scalar.one()}) * comp
-                for exps, c in prod.terms.items():
-                    r = row_for(a, exps)
-                    r[colid] = r[colid] + c.constant()
-    rhs_map = {}
-    for a, name in enumerate(gens.names):
-        for exps, c in target.images[name].terms.items():
-            rhs_map[(a, exps)] = c.constant()
-            row_for(a, exps)
-    keys = sorted(rows)
-    matrix = [rows[k] for k in keys]
-    rhs = [rhs_map.get(k, GR_ZERO) for k in keys]
-    sol = linalg.solve(matrix, rhs)
+    monos = monomials(len(gens), ansatz_cap)
+    # Unknown (k, m) is the coefficient of m in h^k; its column is m Y_k.
+    columns = [
+        coefficient_column(
+            [Poly(gens, {m: Scalar.one()}) * y.images[name] for name in gens.names]
+        )
+        for y in fields
+        for m in monos
+    ]
+    target_column = coefficient_column([target.images[name] for name in gens.names])
+    sol = linalg.solve_columns(columns, target_column)
     if sol is None:
         return None
-    out = []
-    for k in range(len(fields)):
-        terms = {}
-        for jm, m in enumerate(monos):
-            c = sol[k * len(monos) + jm]
-            if not c.is_zero():
-                terms[m] = Scalar.from_gauss(c)
-        out.append(Poly(gens, terms))
-    return out
+    nm = len(monos)
+    return [
+        Poly.from_coefficients(gens, monos, sol[k * nm : (k + 1) * nm])
+        for k in range(len(fields))
+    ]
 
 
 _SAMPLE_SEEDS = (
@@ -288,44 +233,21 @@ def f_related_reduce(
     if f_map.gens != gens:
         raise GeneratorMismatch("map over a different generator set")
     target = f_map.target_gens()
-    monos = _monomials(target, ansatz_cap)
+    monos = monomials(len(target), ansatz_cap)
     # Composed basis: each target monomial m' becomes prod_j (F^j)^{m'_j}.
-    composed = []
+    columns = []
     for m in monos:
         p = Poly.one(gens)
         for j, e in enumerate(m):
             if e:
                 p = p * f_map.components[j] ** e
-        composed.append(p)
+        columns.append(coefficient_column([p]))
     images = {}
     for i, fc in enumerate(f_map.components):
-        g_target = apply(delta, fc)
-        rows: dict[tuple, list[GaussRational]] = {}
-
-        def row_for(exps: tuple) -> list[GaussRational]:
-            if exps not in rows:
-                rows[exps] = [GR_ZERO] * len(monos)
-            return rows[exps]
-
-        for jm, comp in enumerate(composed):
-            for exps, c in comp.terms.items():
-                r = row_for(exps)
-                r[jm] = r[jm] + c.constant()
-        rhs_map = {}
-        for exps, c in g_target.terms.items():
-            rhs_map[exps] = c.constant()
-            row_for(exps)
-        keys = sorted(rows)
-        matrix = [rows[k] for k in keys]
-        rhs = [rhs_map.get(k, GR_ZERO) for k in keys]
-        sol = linalg.solve(matrix, rhs)
+        sol = linalg.solve_columns(columns, coefficient_column([apply(delta, fc)]))
         if sol is None:
             return None
-        terms = {}
-        for jm, m in enumerate(monos):
-            if not sol[jm].is_zero():
-                terms[m] = Scalar.from_gauss(sol[jm])
-        images[target.names[i]] = Poly(target, terms)
+        images[target.names[i]] = Poly.from_coefficients(target, monos, sol)
     return PolyDerivation(target, images)
 
 
@@ -386,50 +308,29 @@ def find_connection(
     degree <= cap, one exact linear system per form.
     """
     gens = dist.gens
-    monos = _monomials(gens, degree_cap)
+    monos = monomials(len(gens), degree_cap)
+    # Unknown (a, m) is the coefficient of m in alpha_a; its column holds
+    # m Y_j^a in equation (j, exps).
+    columns = [
+        coefficient_column(
+            [Poly(gens, {m: Scalar.one()}) * y.images[name] for y in dist.fields]
+        )
+        for name in gens.names
+        for m in monos
+    ]
+    zero_exps = (0,) * len(gens)
+    nm = len(monos)
     forms = []
     for k in range(dist.rank):
-        ncols = len(gens) * len(monos)
-        rows: dict[tuple[int, tuple], list[GaussRational]] = {}
-
-        def row_for(j_field: int, exps: tuple) -> list[GaussRational]:
-            key = (j_field, exps)
-            if key not in rows:
-                rows[key] = [GR_ZERO] * ncols
-            return rows[key]
-
-        for a, name in enumerate(gens.names):
-            for jm, m in enumerate(monos):
-                colid = a * len(monos) + jm
-                for jf, y in enumerate(dist.fields):
-                    comp = y.images[name]
-                    if comp.is_zero():
-                        continue
-                    prod = Poly(gens, {m: Scalar.one()}) * comp
-                    for exps, c in prod.terms.items():
-                        r = row_for(jf, exps)
-                        r[colid] = r[colid] + c.constant()
-        rhs_map = {}
-        zero_exps = (0,) * len(gens)
-        for jf in range(dist.rank):
-            if jf == k:
-                rhs_map[(jf, zero_exps)] = GR_ONE
-            row_for(jf, zero_exps)
-        keys = sorted(rows)
-        matrix = [rows[key] for key in keys]
-        rhs = [rhs_map.get(key, GR_ZERO) for key in keys]
-        sol = linalg.solve(matrix, rhs)
+        sol = linalg.solve_columns(columns, {(k, zero_exps): GR_ONE})
         if sol is None:
             return None
-        form = {}
-        for a, name in enumerate(gens.names):
-            terms = {}
-            for jm, m in enumerate(monos):
-                c = sol[a * len(monos) + jm]
-                if not c.is_zero():
-                    terms[m] = Scalar.from_gauss(c)
-            form[name] = Poly(gens, terms)
-        forms.append(form)
+        forms.append(
+            {
+                name: Poly.from_coefficients(gens, monos, sol[a * nm : (a + 1) * nm])
+                for a, name in enumerate(gens.names)
+            }
+        )
     return ConnectionP(dist, forms)
 
 

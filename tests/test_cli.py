@@ -1,9 +1,14 @@
 """CLI: dispatch, exit codes, JSON round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aldyn
 from aldyn.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, main
 from aldyn.derivations import PolyDerivation
 from aldyn.matrices import Mat
@@ -312,6 +317,35 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "evolve", "--h", '{"n": 2}', "--a", '{"n": 2}', "--t", "1")
         assert code == EXIT_BAD_INPUT
         assert "/h" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "--derivation", "oscillator", "--f", "q", "--mode", "nilpotent"],
+            ["biderivation", "--n", "5"],
+            ["star", "--f", "q", "--g", "p", "--theta", "abc"],
+            ["flow", "--derivation", "free", "--f", "q", "--t", "x"],
+            ["blocksplit", "--h", json.dumps(Mat.from_rows([[1, 1], [1, 0]]).to_json()), "--k", "1"],
+            [
+                "evolve",
+                "--h", json.dumps(Mat.from_rows([[0, 1], [2, 0]]).to_json()),
+                "--a", json.dumps(Mat.from_rows([[1, 0], [0, -1]]).to_json()),
+                "--t", "0.5",
+            ],
+        ],
+        ids=["flow-nilpotent-oscillator", "biderivation-n5", "star-theta-abc",
+             "flow-t-x", "blocksplit-not-block", "evolve-not-hermitian"],
+    )
+    def test_malformed_invocation_exits_bad_input(self, argv):
+        """A bad input must exit 2 in a fresh process, never crash as 1."""
+        src = str(Path(aldyn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "aldyn.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

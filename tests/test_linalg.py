@@ -1,7 +1,10 @@
-"""Exact linear algebra: dense elimination and the sparse eliminator."""
+"""Exact linear algebra: the sparse eliminator and its dense front ends."""
 
 import random
 from fractions import Fraction
+
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from aldyn import linalg
 from aldyn.linalg import SparseEliminator
@@ -69,34 +72,71 @@ def test_coordinates_in_basis():
     assert linalg.coordinates_in_basis([[g(1), g(0)]], [g(0), g(1)]) is None
 
 
-def test_sparse_eliminator_matches_dense_nullspace():
+def _to_sympy(x: GaussRational):
+    return QQ_I(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator))
+
+
+def _sympy_matrix(rows, ncols):
+    return DomainMatrix(
+        [[_to_sympy(r.get(c, GR_ZERO)) for c in range(ncols)] for r in rows],
+        (len(rows), ncols),
+        QQ_I,
+    )
+
+
+def _random_sparse_system(rng):
+    nrows, ncols = rng.randint(1, 12), rng.randint(1, 10)
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for _ in range(rng.randint(1, 3)):
+            row[rng.randrange(ncols)] = random_gauss(rng, 2)
+        rows.append({c: v for c, v in row.items() if not v.is_zero()})
+    return rows, ncols
+
+
+def test_eliminator_matches_sympy_homogeneous():
+    """Rank and kernel of the one elimination engine against sympy's
+    DomainMatrix over QQ_I, an independent exact implementation."""
     rng = random.Random(99)
-    for trial in range(10):
-        ncols = 8
-        nrows = 12
-        dense = []
+    for _ in range(40):
+        rows, ncols = _random_sparse_system(rng)
         elim = SparseEliminator(ncols)
-        for _ in range(nrows):
-            row = [GR_ZERO] * ncols
-            sparse = {}
-            for _ in range(rng.randint(1, 3)):
-                c = rng.randrange(ncols)
-                v = random_gauss(rng, 2)
-                row[c] = row[c] + v
-                if not row[c].is_zero():
-                    sparse[c] = row[c]
-                else:
-                    sparse.pop(c, None)
-            dense.append(row)
-            elim.add_row(dict(sparse))
-        dense_kernel = linalg.nullspace(dense, ncols=ncols)
-        assert elim.rank() == linalg.rank(dense)
-        sparse_kernel = elim.kernel_basis()
-        assert len(sparse_kernel) == len(dense_kernel)
-        # every sparse kernel vector annihilates every dense row
-        for vec in sparse_kernel:
-            for row in dense:
-                s = GR_ZERO
-                for c, v in vec.items():
-                    s = s + row[c] * v
-                assert s.is_zero()
+        for row in rows:
+            elim.add_row(row)
+        a = _sympy_matrix(rows, ncols)
+        assert elim.rank() == a.rank()
+        kernel = elim.kernel_basis()
+        assert len(kernel) == ncols - a.rank()
+        for vec in kernel:
+            product = a * _sympy_matrix([vec], ncols).transpose()
+            assert product.is_zero_matrix
+
+
+def test_solve_columns_matches_sympy_inhomogeneous():
+    """Solvability of A x = b against the rank test rank [A | b] = rank A in
+    sympy, and A x = b for every solution returned."""
+    rng = random.Random(7)
+    solvable_seen = unsolvable_seen = 0
+    for trial in range(40):
+        rows, ncols = _random_sparse_system(rng)
+        if trial % 2:  # half the targets are A x0, so consistent by construction
+            x0 = [random_gauss(rng, 2) for _ in range(ncols)]
+            b = [sum((v * x0[c] for c, v in row.items()), GR_ZERO) for row in rows]
+        else:
+            b = [random_gauss(rng, 2) for _ in rows]
+        columns = [
+            {i: row[c] for i, row in enumerate(rows) if c in row} for c in range(ncols)
+        ]
+        x = linalg.solve_columns(columns, dict(enumerate(b)))
+        a = _sympy_matrix(rows, ncols)
+        augmented = a.hstack(_sympy_matrix([{0: v} for v in b], 1))
+        solvable = augmented.rank() == a.rank()
+        assert (x is not None) == solvable
+        if x is None:
+            unsolvable_seen += 1
+            continue
+        solvable_seen += 1
+        residual = a * _sympy_matrix([dict(enumerate(x))], ncols).transpose()
+        assert residual == _sympy_matrix([{0: v} for v in b], 1)
+    assert solvable_seen and unsolvable_seen
