@@ -96,13 +96,12 @@ class DerivationBasis:
 
         Since X(A) = [A, X_matrix], the operator bracket corresponds to the
         reversed matrix commutator: [X_k, X_l] = ad-style derivation of
-        [M_l, M_k].
+        [M_l, M_k].  Only k < l is solved for; (l, k) is the exact negative,
+        as [M_k, M_l] = -[M_l, M_k].
         """
         structure: dict[tuple[int, int], list[tuple[int, GaussRational]]] = {}
         for k in range(self.dim):
-            for l in range(self.dim):
-                if k == l:
-                    continue
+            for l in range(k + 1, self.dim):
                 m = commutator(self.generators[l], self.generators[k])
                 coords = self.coordinates(m)
                 entry = [
@@ -110,6 +109,7 @@ class DerivationBasis:
                 ]
                 if entry:
                     structure[(k, l)] = entry
+                    structure[(l, k)] = [(j, -c) for j, c in entry]
         return structure
 
     def act(self, j: int, a: Mat) -> Mat:

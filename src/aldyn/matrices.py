@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, fraction_from_str
 
 
 class Mat:
@@ -191,19 +191,16 @@ class Mat:
 
     @staticmethod
     def from_json(data: Mapping) -> "Mat":
-        entries = []
-        for row in data["entries"]:
-            out_row = []
-            for cell in row:
-                re, im = cell["re"], cell["im"]
-                if isinstance(re, str) or isinstance(im, str):
-                    out_row.append(GaussRational.from_json(cell))
-                else:
-                    out_row.append(
-                        GaussRational.of(Fraction(float(re)), Fraction(float(im)))
-                    )
-            entries.append(out_row)
-        m = Mat(entries)
+        def part(x) -> Fraction:
+            # "p/q" strings are exact; JSON numbers embed as exact dyadics.
+            return fraction_from_str(x) if isinstance(x, str) else Fraction(float(x))
+
+        m = Mat(
+            [
+                [GaussRational(part(cell["re"]), part(cell["im"])) for cell in row]
+                for row in data["entries"]
+            ]
+        )
         if m.n != int(data["n"]):
             raise ValueError("matrix size field does not match the entries")
         return m

@@ -10,6 +10,7 @@ all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .scalars import GaussRational, RationalLike, Scalar
@@ -147,8 +148,22 @@ def coefficient_column(components: Sequence[Poly]) -> dict[tuple, GaussRational]
     }
 
 
+def _poly(gens: GeneratorSet, terms: dict[tuple, Scalar]) -> "Poly":
+    """A Poly that owns ``terms`` as given: int exponent tuples valid for
+    ``gens`` and no zero coefficient (the ring operations' results)."""
+    p = object.__new__(Poly)
+    p.gens = gens
+    p.terms = terms
+    return p
+
+
 class Poly:
-    """Sparse polynomial with Scalar coefficients over a GeneratorSet."""
+    """Sparse polynomial with Scalar coefficients over a GeneratorSet.
+
+    The public constructor validates and cleans its terms; the ring
+    operations build their results with the trusted ``_poly``, since sums,
+    products and derivatives of valid terms are valid.
+    """
 
     __slots__ = ("gens", "terms")
 
@@ -219,33 +234,31 @@ class Poly:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             s = out.get(exps)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(exps, None)
-            else:
+            if s is None:
+                out[exps] = c
+                continue
+            s = s + c
+            if s.terms:
                 out[exps] = s
-        return Poly(self.gens, out)
+            else:
+                del out[exps]
+        return _poly(self.gens, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.gens, {e: -c for e, c in self.terms.items()})
+        return _poly(self.gens, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         _check_same_gens(self, other)
         out: dict[tuple, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
+                e = tuple(map(add, e1, e2))
                 s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.gens, out)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return _poly(self.gens, {e: c for e, c in out.items() if c.terms})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -264,7 +277,10 @@ class Poly:
             c = Scalar.of(c)
         elif isinstance(c, GaussRational):
             c = Scalar.from_gauss(c)
-        return Poly(self.gens, {e: v * c for e, v in self.terms.items()})
+        if c.is_zero():
+            return _poly(self.gens, {})
+        # Q(i)[theta] has no zero divisors, so no product vanishes.
+        return _poly(self.gens, {e: v * c for e, v in self.terms.items()})
 
     # -- calculus -----------------------------------------------------
 
@@ -276,24 +292,19 @@ class Poly:
         """
         i = self.gens.index(name)
         angle = self.gens.kinds[i] == "angle-phase"
+        # Distinct terms with k != 0 map to distinct terms, and a nonzero
+        # coefficient times the nonzero k (or i*k) stays nonzero, so
+        # nothing is merged or dropped.
         out: dict[tuple, Scalar] = {}
         for exps, c in self.terms.items():
             k = exps[i]
             if k == 0:
                 continue
             if angle:
-                new_exps = exps
-                new_c = c * Scalar.of(0, k)
+                out[exps] = c.scale(GaussRational(0, k))
             else:
-                new_exps = exps[:i] + (k - 1,) + exps[i + 1 :]
-                new_c = c * Scalar.of(k)
-            s = out.get(new_exps)
-            s = new_c if s is None else s + new_c
-            if s.is_zero():
-                out.pop(new_exps, None)
-            else:
-                out[new_exps] = s
-        return Poly(self.gens, out)
+                out[exps[:i] + (k - 1,) + exps[i + 1 :]] = c.scale(GaussRational(k))
+        return _poly(self.gens, out)
 
     def theta_limit(self) -> "Poly":
         """Keep only the theta**0 part of every coefficient."""

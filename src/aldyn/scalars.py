@@ -1,18 +1,33 @@
 """Exact coefficient arithmetic: Gaussian rationals and theta-graded scalars.
 
 A ``GaussRational`` is an element of Q(i): a complex number with rational
-real and imaginary parts.  A ``Scalar`` is a polynomial in the central
-deformation symbol ``theta`` with GaussRational coefficients, i.e. an
-element of Q(i)[theta].  Both are immutable; all arithmetic is exact.
+real and imaginary parts.  It is stored as three plain ints,
+``(re_num + im_num*i) / den``, over one common denominator, with
+``den > 0`` and ``gcd(re_num, im_num, den) == 1``, so every value has one
+representation and equality is a comparison of the triples.  ``.re`` and
+``.im`` give the parts as ``Fraction``s.  Every arithmetic result passes
+through one normaliser, ``_norm``, which skips the gcd when the
+denominator is 1; ``_new`` builds a value from a triple that is already
+normalised.
+
+A ``Scalar`` is a polynomial in the central deformation symbol ``theta``
+with GaussRational coefficients, i.e. an element of Q(i)[theta].  Its ring
+operations build their results through the trusted constructor
+``_scalar``, which skips the validation of the public ``__init__``: the
+operands are already valid, and Q(i) is a field, so only sums can cancel.
+
+Both types are treated as immutable; all arithmetic is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _gcd, lcm as _lcm
 from typing import Mapping, Union
 
 RationalLike = Union[int, Fraction]
+
+_object_new = object.__new__
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -37,22 +52,56 @@ def fraction_from_str(s: str) -> Fraction:
     return Fraction(str(s))
 
 
-@dataclass(frozen=True)
+def _new(re_num: int, im_num: int, den: int) -> "GaussRational":
+    """A GaussRational from a triple that is already normalised."""
+    x = _object_new(GaussRational)
+    x.re_num = re_num
+    x.im_num = im_num
+    x.den = den
+    return x
+
+
+def _norm(re_num: int, im_num: int, den: int) -> "GaussRational":
+    """(re_num + im_num*i) / den in lowest terms; ``den`` must be > 0."""
+    if den != 1:
+        g = _gcd(re_num, im_num, den)
+        if g != 1:
+            re_num //= g
+            im_num //= g
+            den //= g
+    return _new(re_num, im_num, den)
+
+
 class GaussRational:
     """An exact complex rational a + b*i with a, b in Q."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re_num", "im_num", "den")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+        if type(re) is int and type(im) is int:
+            self.re_num, self.im_num, self.den = re, im, 1
+            return
+        re, im = _as_fraction(re), _as_fraction(im)
+        # Both parts are in lowest terms, so over the lcm of their
+        # denominators the triple is too.
+        den = _lcm(re.denominator, im.denominator)
+        self.re_num = re.numerator * (den // re.denominator)
+        self.im_num = im.numerator * (den // im.denominator)
+        self.den = den
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def of(re: RationalLike, im: RationalLike = 0) -> "GaussRational":
-        return GaussRational(_as_fraction(re), _as_fraction(im))
+        return GaussRational(re, im)
 
     @staticmethod
     def from_complex(z: complex) -> "GaussRational":
@@ -62,35 +111,46 @@ class GaussRational:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
+        d = self.den
+        if d == other.den:
+            return _norm(self.re_num + other.re_num, self.im_num + other.im_num, d)
+        e = other.den
+        return _norm(
+            self.re_num * e + other.re_num * d, self.im_num * e + other.im_num * d, d * e
+        )
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
+        d = self.den
+        if d == other.den:
+            return _norm(self.re_num - other.re_num, self.im_num - other.im_num, d)
+        e = other.den
+        return _norm(
+            self.re_num * e - other.re_num * d, self.im_num * e - other.im_num * d, d * e
+        )
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _new(-self.re_num, -self.im_num, self.den)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re_num, self.im_num, other.re_num, other.im_num
+        return _norm(a * c - b * d, a * d + b * c, self.den * other.den)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
-        n = other.re * other.re + other.im * other.im
+        # (a + bi)/s / ((c + di)/t) = (a + bi)(c - di) t / (s (c^2 + d^2))
+        a, b, c, d = self.re_num, self.im_num, other.re_num, other.im_num
+        n = c * c + d * d
         if n == 0:
             raise ZeroDivisionError("division by zero GaussRational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        t = other.den
+        return _norm((a * c + b * d) * t, (b * c - a * d) * t, self.den * n)
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _new(self.re_num, -self.im_num, self.den)
 
     def scale(self, r: RationalLike) -> "GaussRational":
         r = _as_fraction(r)
-        return GaussRational(self.re * r, self.im * r)
+        p = r.numerator
+        return _norm(self.re_num * p, self.im_num * p, self.den * r.denominator)
 
     def __pow__(self, k: int) -> "GaussRational":
         if k < 0:
@@ -104,25 +164,46 @@ class GaussRational:
             k >>= 1
         return out
 
+    # -- comparison --------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussRational:
+            return NotImplemented
+        return (
+            self.re_num == other.re_num
+            and self.im_num == other.im_num
+            and self.den == other.den
+        )
+
+    def __hash__(self) -> int:
+        # The hash of the (re, im) pair of Fractions, so that set and dict
+        # orders do not depend on the representation.
+        return hash((self.re, self.im))
+
     # -- queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re_num and not self.im_num
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as is float(Fraction).
+        return complex(self.re_num / self.den, self.im_num / self.den)
+
+    def __repr__(self) -> str:
+        return f"GaussRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return fraction_to_str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return fraction_to_str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{fraction_to_str(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({fraction_to_str(self.re)}{sign}{fraction_to_str(abs(self.im))}*i)"
+            return f"{fraction_to_str(im)}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({fraction_to_str(re)}{sign}{fraction_to_str(abs(im))}*i)"
 
     # -- json --------------------------------------------------------
 
@@ -135,8 +216,16 @@ class GaussRational:
 
 
 GR_ZERO = GaussRational()
-GR_ONE = GaussRational(Fraction(1))
-GR_I = GaussRational(Fraction(0), Fraction(1))
+GR_ONE = GaussRational(1)
+GR_I = GaussRational(0, 1)
+
+
+def _scalar(terms: dict[int, GaussRational]) -> "Scalar":
+    """A Scalar that owns ``terms`` as given: non-negative int exponents and
+    no zero coefficient (the ring operations' results)."""
+    s = _object_new(Scalar)
+    s.terms = terms
+    return s
 
 
 class Scalar:
@@ -189,33 +278,42 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, GR_ZERO) + c
+            s = out.get(k)
+            if s is None:
+                out[k] = c
+                continue
+            s = s + c
             if s.is_zero():
-                out.pop(k, None)
+                del out[k]
             else:
                 out[k] = s
-        return Scalar(out)
+        return _scalar(out)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar({k: -c for k, c in self.terms.items()})
+        return _scalar({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        t1, t2 = self.terms, other.terms
+        if len(t1) == 1 and len(t2) == 1:
+            # A product of nonzero elements of a field is nonzero.
+            ((k1, c1),) = t1.items()
+            ((k2, c2),) = t2.items()
+            return _scalar({k1 + k2: c1 * c2})
         out: dict[int, GaussRational] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, c1 in t1.items():
+            for k2, c2 in t2.items():
                 k = k1 + k2
-                s = out.get(k, GR_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return Scalar(out)
+                s = out.get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+        return _scalar({k: c for k, c in out.items() if not c.is_zero()})
 
     def scale(self, c: GaussRational) -> "Scalar":
-        return Scalar({k: v * c for k, v in self.terms.items()})
+        if c.is_zero():
+            return _scalar({})
+        return _scalar({k: v * c for k, v in self.terms.items()})
 
     def divide_theta(self, power: int = 1) -> "Scalar":
         """Exact division by theta**power; raises if not divisible."""

@@ -1,6 +1,7 @@
 """CLI: dispatch, exit codes, JSON round trips, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,32 @@ class TestQuantumCommands:
         )
         assert code == EXIT_OK
         assert payload["result"]["matrix"]["n"] == 2
+
+    EVOLVE_STIFF = (
+        "--h", json.dumps(Mat.from_rows([[50, 1], [1, -50]]).to_json()),
+        "--a", json.dumps(Mat.from_rows([[0, 1], [1, 0]]).to_json()),
+        "--t", "0.1",
+    )
+
+    def test_evolve_self_check_scales_with_norms(self, capsys):
+        # A correct evolution whose central-difference truncation error,
+        # dt^2 (2|H|)^3 |A| / 6 ~ 1.7e-7, is large because |H| is: the bound
+        # scales with the norms, and the line prints the bound used.
+        from aldyn.cli import _central_difference_bound
+
+        code, out, _ = run_cli(capsys, "evolve", *self.EVOLVE_STIFF)
+        assert code == EXIT_OK
+        bound = _central_difference_bound(math.sqrt(2501), 1.0, 1e-6)
+        line = next(l for l in out.splitlines() if "derivative error" in l)
+        assert line.endswith(f"(<= {bound:.2e})")
+
+    def test_evolve_self_check_rejects_wrong_evolution(self, capsys, monkeypatch):
+        import aldyn.cli as cli
+
+        real = cli.evolve
+        monkeypatch.setattr(cli, "evolve", lambda a, h, t: real(a, h, -t))
+        code, _, _ = run_cli(capsys, "evolve", *self.EVOLVE_STIFF)
+        assert code == EXIT_FAIL
 
     def test_commutant(self, capsys):
         space = json.dumps(

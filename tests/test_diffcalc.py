@@ -65,6 +65,23 @@ class TestBasis:
             for j, c in entry:
                 assert flipped.get(j) == -c
 
+    @pytest.mark.parametrize("basis", [B2, B3], ids=["N2", "N3"])
+    def test_structure_matches_full_double_loop(self, basis):
+        # Only k < l is solved for; every ordered pair must agree with a
+        # direct expansion of [M_l, M_k].
+        full = {}
+        for k in range(basis.dim):
+            for l in range(basis.dim):
+                if k == l:
+                    continue
+                coords = basis.coordinates(
+                    commutator(basis.generators[l], basis.generators[k])
+                )
+                entry = [(j, c) for j, c in enumerate(coords) if not c.is_zero()]
+                if entry:
+                    full[(k, l)] = entry
+        assert basis.structure == full
+
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
             DerivationBasis(B2.generators[:2])

@@ -327,6 +327,15 @@ class TestMatJson:
         back = Mat.from_json(m.to_json(float_form=True))
         assert back == m
 
+    def test_mixed_cell_parses_each_part(self):
+        # A float part is its exact dyadic value even next to a string part.
+        cell = {"re": "1/3", "im": 0.1}
+        m = Mat.from_json({"n": 1, "entries": [[cell]]})
+        assert m.entries[0][0] == GaussRational(Fraction(1, 3), Fraction(0.1))
+        assert m.entries[0][0].im != Fraction(1, 10)
+        swapped = Mat.from_json({"n": 1, "entries": [[{"re": 0.1, "im": "-2/7"}]]})
+        assert swapped.entries[0][0] == GaussRational(Fraction(0.1), Fraction(-2, 7))
+
     def test_subspace_round_trip(self):
         space = MatrixSubspace.block_algebra(3, 1)
         back = MatrixSubspace.from_json(space.to_json())
