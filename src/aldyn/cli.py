@@ -26,7 +26,7 @@ from .derivations import (
     flow_nilpotent,
     nilpotency_order,
 )
-from .diffcalc import KForm, contract, exterior_d, lie_derivative, wedge
+from .diffcalc import DerivationBasis, KForm, contract, exterior_d, lie_derivative, wedge
 from .matrices import Mat
 from .moyal import StarAlgebraContext, star, star_commutator
 from .parsing import ParseError, parse_poly
@@ -562,8 +562,12 @@ def cmd_connection(args) -> Report:
     )
 
 
-def _load_form(spec: str, path: str) -> KForm:
-    return _decode(path, KForm.from_json, _load_json_arg(spec, path))
+def _load_form(spec: str, path: str, basis: DerivationBasis | None = None) -> KForm:
+    """A form from JSON; with a basis given, the form must name the same n."""
+    data = _load_json_arg(spec, path)
+    if basis is not None and _decode(path, lambda: int(data["n"])) != basis.n:
+        raise InputError(f"{path}: forms over different algebras")
+    return _decode(path, KForm.from_json, data, basis)
 
 
 def cmd_dform(args) -> Report:
@@ -580,10 +584,7 @@ def cmd_dform(args) -> Report:
 
 def cmd_wedge(args) -> Report:
     w1 = _load_form(args.form1, "/form1")
-    w2 = _load_form(args.form2, "/form2")
-    if w1.basis.n != w2.basis.n:
-        raise InputError("/form2: forms over different algebras")
-    w = wedge(w1, KForm.from_json(w2.to_json(), w1.basis))
+    w = wedge(w1, _load_form(args.form2, "/form2", w1.basis))
     return Report("ok", {"form": w.to_json()}, [], [f"wedge has degree {w.degree}"])
 
 

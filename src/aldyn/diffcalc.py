@@ -1,11 +1,21 @@
 """Derivation-based differential calculus on B(C^N).
 
-Forms of degree k are alternating multilinear maps on a fixed basis of
-inner derivations, with values in the matrix algebra; only coefficients on
-strictly increasing index tuples are stored.  The exterior derivative is
-the graded two-sum formula (single-field action plus bracket insertions),
-the wedge is the permutation sum with the 1/(j! j'!) normalization, and
-the contraction/Lie-derivative pair gives a Cartan calculus.
+A k-form is the sparse sum  sum_I A_I alpha^I  over strictly increasing
+index tuples I, with matrix coefficients A_I and alpha^I the wedge of the
+dual 1-forms alpha^i (alpha^i(X_j) = delta^i_j 1); `KForm.coeffs` maps I to
+A_I.  Every sign comes from one rule, `_sort_sign`: the sign of the
+permutation that sorts an index tuple, or None when an index repeats.
+
+  wedge      (A alpha^I) ^ (B alpha^J) = AB alpha^{I+J}
+  d          d(A alpha^I) = sum_j X_j(A) alpha^j ^ alpha^I + A d(alpha^I),
+             d(alpha^m) = -sum_{a<b} c^m_ab alpha^a ^ alpha^b, expanded by
+             the graded Leibniz rule over the factors of alpha^I
+  contract   i_X alpha^I = sum_p (-1)^p X^{i_p} alpha^{I without i_p}
+  evaluate   w(X_1, ..., X_k) = i_{X_k} ... i_{X_1} w
+
+This d is the Chevalley-Eilenberg differential of the derivation-based
+calculus (Dubois-Violette, Kerner & Madore), with d(d w) = 0, and the
+contraction/Lie-derivative pair gives a Cartan calculus.
 
 The basis derivations act as A -> [A, X_j]; their Lie bracket is the
 operator commutator, whose structure constants therefore come from
@@ -15,14 +25,12 @@ expanding [X_l, X_k] (note the order) in the matrix basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
 from . import linalg
 from .matrices import Mat
 from .quantum import commutator, commutator_columns
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational
+from .scalars import GR_I, GR_ONE, GaussRational
 
 
 def gell_mann_basis(n: int) -> list[Mat]:
@@ -52,7 +60,7 @@ class DerivationBasis:
     condition stays non-degenerate.
     """
 
-    __slots__ = ("n", "generators", "_coord_matrix", "structure")
+    __slots__ = ("n", "generators", "_coord_matrix", "structure", "_d_alpha")
 
     def __init__(self, generators: Sequence[Mat]):
         generators = list(generators)
@@ -73,6 +81,14 @@ class DerivationBasis:
         self.generators = generators
         self._coord_matrix = vectors
         self.structure = self._structure_constants()
+        # d(alpha^m) as its terms (a, b, -c^m_ab), a < b, of alpha^a ^ alpha^b
+        self._d_alpha: list[list[tuple[int, int, GaussRational]]] = [
+            [] for _ in generators
+        ]
+        for (a, b), entry in self.structure.items():
+            if a < b:
+                for m, c in entry:
+                    self._d_alpha[m].append((a, b, -c))
 
     @staticmethod
     def gell_mann(n: int) -> "DerivationBasis":
@@ -116,30 +132,25 @@ class DerivationBasis:
         """X_j(A) = [A, X_j]."""
         return commutator(a, self.generators[j])
 
-    def act_field(self, coeffs: Sequence[GaussRational], a: Mat) -> Mat:
-        out = Mat.zero(self.n)
-        for j, c in enumerate(coeffs):
-            if not c.is_zero():
-                out = out + self.act(j, a).scale(c)
-        return out
+
+def _sort_sign(idx: tuple) -> tuple[tuple, int] | None:
+    """The sorted tuple and the sign of its sorting permutation, or None when
+    an index repeats: alpha^idx = sign * alpha^sorted, and alpha^i ^ alpha^i = 0."""
+    sign = 1
+    for p, a in enumerate(idx):
+        for b in idx[p + 1 :]:
+            if a == b:
+                return None
+            if a > b:
+                sign = -sign
+    return tuple(sorted(idx)), sign
 
 
-def _det(rows: list[list[GaussRational]]) -> GaussRational:
-    k = len(rows)
-    if k == 0:
-        return GR_ONE
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = GR_ZERO
-    for j in range(k):
-        if rows[0][j].is_zero():
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _add(out: dict, idx: tuple, sign: int, value: Mat) -> None:
+    """out[idx] += sign * value; the KForm constructor drops zero sums."""
+    term = value if sign > 0 else -value
+    s = out.get(idx)
+    out[idx] = term if s is None else s + term
 
 
 class KForm:
@@ -200,12 +211,7 @@ class KForm:
         self._compat(other)
         out = dict(self.coeffs)
         for idx, v in other.coeffs.items():
-            s = out.get(idx)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            _add(out, idx, 1, v)
         return KForm(self.basis, self.degree, out)
 
     def __sub__(self, other: "KForm") -> "KForm":
@@ -253,28 +259,21 @@ class KForm:
         idx = tuple(idx)
         if len(idx) != self.degree:
             raise ValueError("wrong number of fields")
-        if len(set(idx)) != len(idx):
-            return Mat.zero(self.basis.n)
-        order = sorted(range(len(idx)), key=lambda r: idx[r])
-        sign = _permutation_sign(order)
-        v = self.coeffs.get(tuple(sorted(idx)))
+        sorted_sign = _sort_sign(idx)
+        v = self.coeffs.get(sorted_sign[0]) if sorted_sign else None
         if v is None:
             return Mat.zero(self.basis.n)
-        return v if sign == 1 else v.scale(-GR_ONE)
+        return v if sorted_sign[1] > 0 else -v
 
     def evaluate(self, fields: Sequence[Sequence[GaussRational]]) -> Mat:
-        """Multilinear alternating evaluation on fields given in basis coordinates."""
+        """Multilinear alternating evaluation on fields given in basis
+        coordinates: contract the fields in order, w(X, ...) = (i_X w)(...)."""
         if len(fields) != self.degree:
             raise ValueError("wrong number of fields")
-        if self.degree == 0:
-            return self.as_matrix()
-        out = Mat.zero(self.basis.n)
-        for idx, v in self.coeffs.items():
-            rows = [[fields[r][i] for i in idx] for r in range(self.degree)]
-            d = _det(rows)
-            if not d.is_zero():
-                out = out + v.scale(d)
-        return out
+        w = self
+        for x in fields:
+            w = contract(x, w)
+        return w.as_matrix()
 
     def to_json(self) -> dict:
         return {
@@ -298,129 +297,59 @@ class KForm:
         return KForm(basis, int(data["degree"]), coeffs)
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def wedge(w1: KForm, w2: KForm) -> KForm:
-    """Permutation-sum wedge with the 1/(j! j'!) factor.
+    """(A alpha^I) ^ (B alpha^J) = AB alpha^{I+J}, summed over stored terms.
 
     Values multiply in the algebra, so the result is not graded-commutative
-    in general.
+    in general; a degree-0 operand acts as left or right multiplication.
     """
     if w1.basis.generators != w2.basis.generators:
         raise ValueError("forms over different derivation bases")
-    j, jp = w1.degree, w2.degree
-    basis = w1.basis
-    if j == 0:
-        return w2.left_mul(w1.as_matrix())
-    if jp == 0:
-        return w1.right_mul(w2.as_matrix())
-    norm = GaussRational.of(
-        Fraction(1, _factorial(j) * _factorial(jp))
-    )
     out: dict[tuple, Mat] = {}
-    for idx in combinations(range(basis.dim), j + jp):
-        total = Mat.zero(basis.n)
-        for perm in permutations(range(j + jp)):
-            sign = _permutation_sign(perm)
-            left = w1.value([idx[perm[r]] for r in range(j)])
-            if left.is_zero():
-                continue
-            right = w2.value([idx[perm[j + r]] for r in range(jp)])
-            if right.is_zero():
-                continue
-            term = left @ right
-            total = total + (term if sign == 1 else term.scale(-GR_ONE))
-        if not total.is_zero():
-            out[idx] = total.scale(norm)
-    return KForm(basis, j + jp, out)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    for i, a in w1.coeffs.items():
+        for j, b in w2.coeffs.items():
+            sorted_sign = _sort_sign(i + j)
+            if sorted_sign:
+                _add(out, *sorted_sign, a @ b)
+    return KForm(w1.basis, w1.degree + w2.degree, out)
 
 
 def exterior_d(w: KForm) -> KForm:
-    """Graded differential: field actions plus bracket insertions.
+    """d(A alpha^I) = sum_j X_j(A) alpha^j ^ alpha^I + A d(alpha^I).
 
-    (d w)(X_0..X_k) = sum_r (-1)^r X_r(w(..no r..))
-                    + sum_{r<s} (-1)^{r+s} w([X_r,X_s], ..no r,s..),
-    with the bracket of basis derivations expanded through the structure
-    constants.  Satisfies d(d w) = 0.
+    d(alpha^I) replaces the factor alpha^m at position p by
+    (-1)^p d(alpha^m) = (-1)^p sum (-c^m_ab) alpha^a ^ alpha^b (a < b),
+    the structure constants c of [X_a, X_b] = c^m_ab X_m.  Equal to the
+    two-sum formula on fields (field actions plus bracket insertions);
+    satisfies d(d w) = 0.
     """
     basis = w.basis
-    k = w.degree
     out: dict[tuple, Mat] = {}
-    for idx in combinations(range(basis.dim), k + 1):
-        total = Mat.zero(basis.n)
-        for r in range(k + 1):
-            rest = idx[:r] + idx[r + 1 :]
-            val = w.value(rest)
-            if not val.is_zero():
-                term = basis.act(idx[r], val)
-                if not term.is_zero():
-                    total = total + (term if r % 2 == 0 else term.scale(-GR_ONE))
-        for r in range(k + 1):
-            for s in range(r + 1, k + 1):
-                entry = basis.structure.get((idx[r], idx[s]))
-                if not entry:
-                    continue
-                rest = tuple(
-                    idx[m] for m in range(k + 1) if m != r and m != s
-                )
-                acc = Mat.zero(basis.n)
-                hit = False
-                for jb, c in entry:
-                    val = w.value((jb,) + rest)
-                    if not val.is_zero():
-                        acc = acc + val.scale(c)
-                        hit = True
-                if hit and not acc.is_zero():
-                    total = total + (
-                        acc if (r + s) % 2 == 0 else acc.scale(-GR_ONE)
-                    )
-        if not total.is_zero():
-            out[idx] = total
-    return KForm(basis, k + 1, out)
+    for idx, v in w.coeffs.items():
+        for j in range(basis.dim):
+            sorted_sign = _sort_sign((j,) + idx)
+            if sorted_sign:
+                _add(out, *sorted_sign, basis.act(j, v))
+        for p, m in enumerate(idx):
+            for a, b, c in basis._d_alpha[m]:
+                sorted_sign = _sort_sign(idx[:p] + (a, b) + idx[p + 1 :])
+                if sorted_sign:
+                    key, sign = sorted_sign
+                    _add(out, key, sign if p % 2 == 0 else -sign, v.scale(c))
+    return KForm(basis, w.degree + 1, out)
 
 
 def contract(x_coeffs: Sequence[GaussRational], w: KForm) -> KForm:
     """Interior product i_X along a derivation given in basis coordinates."""
     if w.degree == 0:
         raise ValueError("cannot contract a degree-0 form")
-    basis = w.basis
     out: dict[tuple, Mat] = {}
     for idx, v in w.coeffs.items():
         for pos, i in enumerate(idx):
             c = x_coeffs[i]
-            if c.is_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = v.scale(c if pos % 2 == 0 else -c)
-            s = out.get(rest)
-            s = term if s is None else s + term
-            if s.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-    return KForm(basis, w.degree - 1, out)
+            if not c.is_zero():
+                _add(out, idx[:pos] + idx[pos + 1 :], -1 if pos % 2 else 1, v.scale(c))
+    return KForm(w.basis, w.degree - 1, out)
 
 
 def lie_derivative(x_coeffs: Sequence[GaussRational], w: KForm) -> KForm:

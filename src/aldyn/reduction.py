@@ -423,7 +423,7 @@ def split_dynamics(
 
 
 @dataclass
-class InvarianceReport:
+class SubalgebraInvarianceReport:
     ok: bool
     witness: Poly | None = None
 
@@ -432,11 +432,11 @@ def invariance_of_subalgebra(
     delta: PolyDerivation,
     basis: Sequence[Poly],
     dist: Distribution,
-) -> InvarianceReport:
+) -> SubalgebraInvarianceReport:
     """Is delta(f) still annihilated by every Y_j, for each basis f?"""
     for f in basis:
         g = apply(delta, f)
         for y in dist.fields:
             if not apply(y, g).is_zero():
-                return InvarianceReport(False, f)
-    return InvarianceReport(True)
+                return SubalgebraInvarianceReport(False, f)
+    return SubalgebraInvarianceReport(True)

@@ -303,6 +303,21 @@ class TestFormCommands:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "n, drop_n", [(3, False), (2, True)], ids=["N2-with-N3", "form2-without-n"]
+    )
+    def test_wedge_form2_must_share_the_algebra(self, capsys, n, drop_n):
+        from aldyn.diffcalc import DerivationBasis, KForm
+
+        form2 = KForm.dual_form(DerivationBasis.gell_mann(n), 1).to_json()
+        if drop_n:
+            del form2["n"]
+        code, _, err = run_cli(
+            capsys, "wedge", "--form1", self.form_json(), "--form2", json.dumps(form2)
+        )
+        assert code == EXIT_BAD_INPUT
+        assert "/form2" in err and "Traceback" not in err
+
     def test_contract(self, capsys):
         code, payload, _ = run_json(
             capsys, "contract", "--x", "1,0,0", "--form", self.form_json()

@@ -1,6 +1,7 @@
 """Derivation-based calculus on B(C^N): forms, d, wedge, contraction, Lie."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,10 +20,11 @@ from aldyn.matrices import Mat
 from aldyn.quantum import commutator
 from aldyn.scalars import GR_ONE, GR_ZERO, GaussRational
 
-from conftest import random_mat
+from conftest import random_gauss, random_mat
 
 B2 = DerivationBasis.gell_mann(2)
 B3 = DerivationBasis.gell_mann(3)
+B4 = DerivationBasis.gell_mann(4)
 
 
 def unit_field(basis: DerivationBasis, j: int):
@@ -35,6 +37,100 @@ def random_form(basis: DerivationBasis, degree: int, rng: random.Random, terms: 
     for _ in range(terms):
         coeffs[tuples[rng.randrange(len(tuples))]] = random_mat(rng, basis.n, span=2)
     return KForm(basis, degree, coeffs)
+
+
+# -- reference implementations ----------------------------------------------
+# The earlier field-by-field definitions, kept as independent oracles for the
+# sparse sum-of-terms code: the wedge as the permutation sum with the
+# 1/(j! j'!) factor, d as the two-sum formula on every (k+1)-subset of the
+# basis, and evaluation as a cofactor determinant per stored term.
+
+
+def ref_permutation_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def ref_value(w: KForm, idx) -> Mat:
+    idx = tuple(idx)
+    if len(set(idx)) != len(idx):
+        return Mat.zero(w.basis.n)
+    v = w.coeffs.get(tuple(sorted(idx)))
+    if v is None:
+        return Mat.zero(w.basis.n)
+    sign = ref_permutation_sign(sorted(range(len(idx)), key=lambda r: idx[r]))
+    return v if sign == 1 else v.scale(-GR_ONE)
+
+
+def ref_wedge(w1: KForm, w2: KForm) -> KForm:
+    j, jp = w1.degree, w2.degree
+    basis = w1.basis
+    if j == 0:
+        return w2.left_mul(w1.as_matrix())
+    if jp == 0:
+        return w1.right_mul(w2.as_matrix())
+    norm = GaussRational.of(Fraction(1, math.factorial(j) * math.factorial(jp)))
+    out = {}
+    for idx in itertools.combinations(range(basis.dim), j + jp):
+        total = Mat.zero(basis.n)
+        for perm in itertools.permutations(range(j + jp)):
+            left = ref_value(w1, [idx[perm[r]] for r in range(j)])
+            right = ref_value(w2, [idx[perm[j + r]] for r in range(jp)])
+            term = left @ right
+            total = total + (term if ref_permutation_sign(perm) == 1 else -term)
+        out[idx] = total.scale(norm)
+    return KForm(basis, j + jp, out)
+
+
+def ref_exterior_d(w: KForm) -> KForm:
+    """(d w)(X_0..X_k) = sum_r (-1)^r X_r(w(..no r..))
+    + sum_{r<s} (-1)^{r+s} w([X_r, X_s], ..no r, s..)."""
+    basis = w.basis
+    k = w.degree
+    out = {}
+    for idx in itertools.combinations(range(basis.dim), k + 1):
+        total = Mat.zero(basis.n)
+        for r in range(k + 1):
+            term = basis.act(idx[r], ref_value(w, idx[:r] + idx[r + 1 :]))
+            total = total + (term if r % 2 == 0 else -term)
+        for r in range(k + 1):
+            for s in range(r + 1, k + 1):
+                rest = tuple(idx[m] for m in range(k + 1) if m not in (r, s))
+                for jb, c in basis.structure.get((idx[r], idx[s]), []):
+                    term = ref_value(w, (jb,) + rest).scale(c)
+                    total = total + (term if (r + s) % 2 == 0 else -term)
+        out[idx] = total
+    return KForm(basis, k + 1, out)
+
+
+def ref_det(rows) -> GaussRational:
+    if not rows:
+        return GR_ONE
+    total = GR_ZERO
+    for j in range(len(rows)):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * ref_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def ref_evaluate(w: KForm, fields) -> Mat:
+    out = Mat.zero(w.basis.n)
+    for idx, v in w.coeffs.items():
+        out = out + v.scale(ref_det([[x[i] for i in idx] for x in fields]))
+    return out
 
 
 class TestBasis:
@@ -266,6 +362,55 @@ class TestLieDerivative:
             w = random_form(B2, degree, rng, terms=2)
             x = [GaussRational.of(2), GaussRational.of(-1), GaussRational.of(Fraction(1, 3))]
             assert lie_derivative(x, exterior_d(w)) == exterior_d(lie_derivative(x, w))
+
+
+class TestAgainstReference:
+    """The sparse sum-of-terms code equals the field-by-field definitions."""
+
+    @pytest.mark.parametrize("basis", [B2, B3], ids=["N2", "N3"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_exterior_d(self, basis, degree):
+        rng = random.Random(90 + 10 * basis.n + degree)
+        for _ in range(3):
+            w = random_form(basis, degree, rng)
+            assert exterior_d(w) == ref_exterior_d(w)
+
+    @pytest.mark.parametrize("basis", [B2, B3], ids=["N2", "N3"])
+    def test_wedge(self, basis):
+        rng = random.Random(100 + basis.n)
+        for deg1 in range(4):
+            for deg2 in range(4 - deg1):
+                for _ in range(2):
+                    w1 = random_form(basis, deg1, rng, terms=2)
+                    w2 = random_form(basis, deg2, rng, terms=2)
+                    assert wedge(w1, w2) == ref_wedge(w1, w2), (deg1, deg2)
+
+    @pytest.mark.parametrize("basis", [B2, B3, B4], ids=["N2", "N3", "N4"])
+    def test_dual_forms(self, basis):
+        duals = [KForm.dual_form(basis, j) for j in range(basis.dim)]
+        for alpha in duals:
+            assert exterior_d(alpha) == ref_exterior_d(alpha)
+        for alpha in duals[:4]:
+            for beta in duals:
+                assert wedge(alpha, beta) == ref_wedge(alpha, beta)
+
+    @pytest.mark.parametrize("basis", [B2, B3], ids=["N2", "N3"])
+    def test_evaluate(self, basis):
+        rng = random.Random(110 + basis.n)
+        for degree in range(4):
+            for _ in range(3):
+                w = random_form(basis, degree, rng)
+                fields = [
+                    [random_gauss(rng) for _ in range(basis.dim)] for _ in range(degree)
+                ]
+                assert w.evaluate(fields) == ref_evaluate(w, fields)
+
+    @pytest.mark.parametrize("basis", [B2, B3], ids=["N2", "N3"])
+    def test_value_on_every_ordering(self, basis):
+        rng = random.Random(120 + basis.n)
+        w = random_form(basis, 3, rng)
+        for idx in itertools.product(range(basis.dim), repeat=3):
+            assert w.value(idx) == ref_value(w, idx)
 
 
 class TestExactness:
