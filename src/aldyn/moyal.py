@@ -1,11 +1,25 @@
 """Moyal star product on polynomial symbols, exact in theta.
 
-The product is the bidifferential exponential sum_k (i theta/2)^k / k!
-D_k(f,g), with D_k the k-fold power of Lambda^{ab} d_a (x) d_b for the
-constant canonical pairing; on polynomials the sum is finite and the
-theta-grading is exact.  The star commutator, inner star derivations,
-the degree<=2 bracket space on R^4, and the product-ambiguity check for
-linear dynamics live here too.
+For a constant pairing with inverse Lambda the product is the
+bidifferential exponential f*g = sum_k (i theta/2)^k / k! D_k(f, g), where
+D_k is the k-th power of Lambda^{ab} d_a (x) d_b.  Grouped by derivative
+multi-indices (A, B), A counting the derivatives of f in each generator and
+B those of g, the order-k term is
+
+    sum_{|A| = |B| = k} w_AB (d^A f)(d^B g),
+    w_AB = (i theta/2)^k sum_m prod_e lam_e^{m_e} / m_e!,
+
+the inner sum running over the multisets m of Lambda entries e = (a, b)
+that lead to (A, B).  ``star`` builds the weights order by order (each
+step appends one Lambda entry and merges equal keys), so every distinct
+pair of derivatives is multiplied once.  The products run on one integer
+kernel: each factor is cleared to Gaussian integers over one common
+denominator, the weights over another, and the [re, im] sums are
+normalised once per output term.  On polynomials the sum is finite and
+the theta-grading is exact; the star commutator keeps twice the odd
+orders, since D_k(g, f) = (-1)^k D_k(f, g) for an antisymmetric Lambda.
+Inner star derivations, the degree<=2 bracket space on R^4, and the
+product-ambiguity check for linear dynamics live here too.
 """
 
 from __future__ import annotations
@@ -13,13 +27,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Sequence
 
 from . import linalg
 from .derivations import PolyDerivation, apply
 from .poisson import PoissonTensor, bracket
-from .poly import GeneratorSet, Poly, monomials
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, Scalar
+from .poly import GeneratorSet, Poly, _poly, monomials
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, Scalar, _norm, _scalar
 
 
 class SymplecticPairing:
@@ -33,24 +49,29 @@ class SymplecticPairing:
             raise ValueError("pairing needs an even number of generators")
         self.omega = tuple(tuple(row) for row in omega)
         for a in range(n):
-            for b in range(n):
+            for b in range(a, n):
                 if not (self.omega[a][b] + self.omega[b][a]).is_zero():
                     raise ValueError("pairing must be antisymmetric")
         lam = self._invert()
         self.lam = lam
 
     def _invert(self) -> tuple:
+        """Lambda = omega^{-1} from one elimination of [omega | -I].
+
+        The kernel of [omega | -I] is {(Lambda z, z)}, so the kernel vector
+        with a 1 in column n + j holds column j of Lambda in its first n
+        entries.  Pivots sit at the smallest columns, so omega has rank n
+        exactly when no pivot lands in the -I block.  Lambda omega = 1
+        holds exactly when omega Lambda = 1.
+        """
         n = len(self.omega)
-        cols = []
-        for c in range(n):
-            rhs = [GR_ONE if r == c else GR_ZERO for r in range(n)]
-            # solve omega^T x = e_c so that (x^T omega) = e_c^T; with
-            # antisymmetry this yields Lambda with Lambda omega = 1.
-            sol = linalg.solve([list(row) for row in zip(*self.omega)], rhs)
-            if sol is None:
-                raise ValueError("pairing is degenerate")
-            cols.append(sol)
-        return tuple(tuple(cols[r][c] for c in range(n)) for r in range(n))
+        elim = linalg.SparseEliminator(2 * n)
+        for r, row in enumerate(self.omega):
+            elim.add_row({**dict(enumerate(row)), n + r: -GR_ONE})
+        if any(lead >= n for lead in elim.pivot_rows):
+            raise ValueError("pairing is degenerate")
+        cols = elim.kernel_basis()
+        return tuple(tuple(cols[c].get(r, GR_ZERO) for c in range(n)) for r in range(n))
 
     @staticmethod
     def canonical(n_pairs: int) -> "SymplecticPairing":
@@ -106,50 +127,105 @@ def _check_star_input(ctx: StarAlgebraContext, f: Poly):
         raise ValueError("polynomial over a different generator set")
 
 
+def _flatten(f: Poly) -> tuple[list, int]:
+    """f's terms as (exps, theta power, re, im) Gaussian integers over one
+    common denominator, and that denominator."""
+    den = lcm(*(c.den for s in f.terms.values() for c in s.terms.values()))
+    return [
+        (exps, k, c.re_num * (den // c.den), c.im_num * (den // c.den))
+        for exps, s in f.terms.items()
+        for k, c in s.terms.items()
+    ], den
+
+
+def _derived(cache: dict, a_idx: tuple, a: int) -> tuple[tuple, list]:
+    """The multi-index a_idx + e_a and the flattened terms of that derivative,
+    one partial in generator a away from the cached d^{a_idx}."""
+    raised = a_idx[:a] + (a_idx[a] + 1,) + a_idx[a + 1 :]
+    terms = cache.get(raised)
+    if terms is None:
+        terms = cache[raised] = [
+            (e[:a] + (e[a] - 1,) + e[a + 1 :], k, re * e[a], im * e[a])
+            for e, k, re, im in cache[a_idx]
+            if e[a]
+        ]
+    return raised, terms
+
+
+def _moyal_sum(ctx: StarAlgebraContext, f: Poly, g: Poly, odd_only: bool) -> Poly:
+    """sum_k (i theta/2)^k / k! D_k(f, g) over all k, or twice the sum over
+    odd k (the star commutator)."""
+    _check_star_input(ctx, f)
+    _check_star_input(ctx, g)
+    zero = (0,) * len(ctx.gens)
+    f_terms, f_den = _flatten(f)
+    g_terms, g_den = _flatten(g)
+    d_f, d_g = {zero: f_terms}, {zero: g_terms}
+    # level: (A, B) -> w_AB / theta^k at order k.  A step appends one
+    # Lambda entry and divides by the new k; equal keys merge, and a key is
+    # dropped once d^A f or d^B g vanishes, since its extensions vanish too.
+    level = {(zero, zero): GR_ONE} if f_terms and g_terms else {}
+    weighted = []
+    k = 0
+    while level:
+        if not odd_only or k % 2:
+            weighted.extend((a_idx, b_idx, k, w) for (a_idx, b_idx), w in level.items())
+        nxt: dict[tuple, GaussRational] = {}
+        for (a_idx, b_idx), w in level.items():
+            for a, b, lam in ctx._lam_entries:
+                a_raised, df = _derived(d_f, a_idx, a)
+                if not df:
+                    continue
+                b_raised, dg = _derived(d_g, b_idx, b)
+                if not dg:
+                    continue
+                key = (a_raised, b_raised)
+                s = nxt.get(key)
+                nxt[key] = w * lam if s is None else s + w * lam
+        k += 1
+        step = GaussRational(0, Fraction(1, 2 * k))  # (i/2) / k
+        level = {key: w * step for key, w in nxt.items() if not w.is_zero()}
+    # One product per key, all over the common denominator of the weights.
+    w_den = lcm(*(w.den for *_, w in weighted))
+    factor = 2 if odd_only else 1
+    acc: dict[tuple, list[int]] = {}
+    for a_idx, b_idx, k, w in weighted:
+        m = w_den // w.den * factor
+        wr, wi = w.re_num * m, w.im_num * m
+        dg = d_g[b_idx]
+        for e1, t1, r, i in d_f[a_idx]:
+            r1, i1, t1 = wr * r - wi * i, wr * i + wi * r, t1 + k
+            for e2, t2, r2, i2 in dg:
+                key = (tuple(map(add, e1, e2)), t1 + t2)
+                s = acc.get(key)
+                if s is None:
+                    acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+                else:
+                    s[0] += r1 * r2 - i1 * i2
+                    s[1] += r1 * i2 + i1 * r2
+    den = f_den * g_den * w_den
+    out: dict[tuple, dict[int, GaussRational]] = {}
+    for (exps, k), (re, im) in acc.items():
+        if re or im:
+            out.setdefault(exps, {})[k] = _norm(re, im, den)
+    return _poly(ctx.gens, {exps: _scalar(t) for exps, t in out.items()})
+
+
 def star(ctx: StarAlgebraContext, f: Poly, g: Poly) -> Poly:
     """Exact Moyal product: sum_k (i theta / 2)^k (1/k!) D_k(f, g).
 
-    D_k is computed by iterating the bidifferential operator
-    Lambda^{ab} d_a (x) d_b on a list of tensor-product summands; the
-    iteration stops when every summand has been differentiated to zero,
-    which happens past min(deg f, deg g).
+    Summed over derivative multi-indices (see the module docstring): the
+    weight of each pair (A, B) is merged over every sequence of Lambda
+    entries that leads to it, and (d^A f)(d^B g) is multiplied once, in
+    Gaussian integers over one common denominator.
     """
-    _check_star_input(ctx, f)
-    _check_star_input(ctx, g)
-    names = ctx.gens.names
-    out = Poly.zero(ctx.gens)
-    pairs: list[tuple[Poly, Poly]] = [(f, g)]
-    k = 0
-    factorial = 1
-    half_i = GaussRational(Fraction(0), Fraction(1, 2))  # i/2
-    while pairs:
-        weight = Scalar.from_gauss(half_i**k, theta_power=k).scale(
-            GaussRational.of(Fraction(1, factorial))
-        )
-        level = Poly.zero(ctx.gens)
-        for u, v in pairs:
-            level = level + u * v
-        if not level.is_zero():
-            out = out + level.scale(weight)
-        next_pairs = []
-        for u, v in pairs:
-            for a, b, lam in ctx._lam_entries:
-                du = u.partial(names[a])
-                if du.is_zero():
-                    continue
-                dv = v.partial(names[b])
-                if dv.is_zero():
-                    continue
-                next_pairs.append((du.scale(lam), dv))
-        pairs = next_pairs
-        k += 1
-        factorial *= k
-    return out
+    return _moyal_sum(ctx, f, g, odd_only=False)
 
 
 def star_commutator(ctx: StarAlgebraContext, f: Poly, g: Poly) -> Poly:
-    """[f, g]_theta = f*g - g*f; only odd theta-orders survive."""
-    return star(ctx, f, g) - star(ctx, g, f)
+    """[f, g]_theta = f*g - g*f: twice the odd theta-orders of f*g, since
+    D_k(g, f) = (-1)^k D_k(f, g) for an antisymmetric Lambda."""
+    return _moyal_sum(ctx, f, g, odd_only=True)
 
 
 class StarDerivation:

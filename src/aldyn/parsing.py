@@ -9,9 +9,9 @@ Grammar (whitespace-insensitive):
     atom   := RATIONAL | NAME | '(' expr ')'
 
 ``i`` and ``theta`` are reserved scalar symbols; rational literals look
-like ``3`` or ``1/2``.  Every other name must be a generator of the
-supplied set.  Caret powers must be integers (negative only on
-angle-phase generators).
+like ``3`` or ``1/2``, with a nonzero denominator.  Every other name must
+be a generator of the supplied set.  Caret powers must be integers
+(negative only on angle-phase generators).
 """
 
 from __future__ import annotations
@@ -152,7 +152,11 @@ class _Parser:
     def _atom(self) -> Poly:
         kind, value, pos = self.toks.next()
         if kind == "num":
-            return Poly.constant(self.gens, Scalar.of(Fraction(value)))
+            try:
+                c = Fraction(value)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {value!r}", pos) from None
+            return Poly.constant(self.gens, Scalar.of(c))
         if kind == "name":
             if value == "i":
                 return Poly.constant(self.gens, Scalar.i())

@@ -116,6 +116,14 @@ class TestStarCommands:
         assert code == EXIT_OK
         assert payload["result"]["text"] == "i*theta"
 
+    def test_starcomm_rechecks_against_two_products(self, capsys):
+        code, payload, _ = run_json(capsys, "starcomm", "--f", "q^3*p + q", "--g", "p^3 - q*p")
+        assert code == EXIT_OK
+        assert (
+            "one-pass commutator equals f*g - g*f from two star products: pass"
+            in payload["verification"]
+        )
+
     def test_theta_substitution(self, capsys):
         code, payload, _ = run_json(
             capsys, "star", "--f", "q", "--g", "p", "--theta", "2"
@@ -360,6 +368,13 @@ class TestErrorHandling:
         assert code == EXIT_BAD_INPUT
         assert "/h" in err
 
+    def test_zero_denominator_in_json_is_bad_input(self, capsys):
+        h = {"n": 2, "entries": [[{"re": "1/0", "im": "0"}, {"re": "0", "im": "0"}]] * 2}
+        a = json.dumps(Mat.from_rows([[1, 0], [0, -1]]).to_json())
+        code, _, err = run_cli(capsys, "evolve", "--h", json.dumps(h), "--a", a, "--t", "1")
+        assert code == EXIT_BAD_INPUT
+        assert "/h" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -374,9 +389,15 @@ class TestErrorHandling:
                 "--a", json.dumps(Mat.from_rows([[1, 0], [0, -1]]).to_json()),
                 "--t", "0.5",
             ],
+            ["star", "--f", "q", "--g", "p", "--theta", "1/0"],
+            ["starcomm", "--f", "q", "--g", "p", "--theta", "1/0"],
+            ["flow", "--derivation", "free", "--f", "q", "--t", "1/0"],
+            ["star", "--f", "1/0", "--g", "p"],
         ],
         ids=["flow-nilpotent-oscillator", "biderivation-n5", "star-theta-abc",
-             "flow-t-x", "blocksplit-not-block", "evolve-not-hermitian"],
+             "flow-t-x", "blocksplit-not-block", "evolve-not-hermitian",
+             "star-theta-zero-denominator", "starcomm-theta-zero-denominator",
+             "flow-t-zero-denominator", "star-literal-zero-denominator"],
     )
     def test_malformed_invocation_exits_bad_input(self, argv):
         """A bad input must exit 2 in a fresh process, never crash as 1."""

@@ -1,8 +1,11 @@
 """Star product: exactness in theta, brackets, inner derivations, ambiguity.
 
-The one-dimensional oracle below expands the k-th bidifferential term by
-its explicit binomial formula (alternating mixed partials), independently
-of the production implementation's operator-power iteration.
+Two oracles share no code with the production multi-index sum.  The
+one-dimensional oracle expands the k-th bidifferential term by its explicit
+binomial formula (alternating mixed partials).  The tensor-summand oracle
+is the earlier implementation: it applies Lambda^{ab} d_a (x) d_b k times
+to a list of (u, v) pairs, one pair per sequence of Lambda entries, and
+never merges equal derivative pairs; it holds for any constant pairing.
 """
 
 import random
@@ -14,6 +17,7 @@ import pytest
 from aldyn.derivations import PolyDerivation, apply
 from aldyn.moyal import (
     StarAlgebraContext,
+    SymplecticPairing,
     inner_star_derivation,
     s_space_basis,
     s_space_check,
@@ -25,7 +29,7 @@ from aldyn.poisson import bracket
 from aldyn.poly import GeneratorSet, Poly
 from aldyn.scalars import GaussRational, Scalar
 
-from conftest import random_poly
+from conftest import random_gauss, random_poly
 
 CTX = StarAlgebraContext.canonical(1)
 GENS = CTX.gens
@@ -63,6 +67,77 @@ def _fact(k: int) -> int:
     out = 1
     for i in range(2, k + 1):
         out *= i
+    return out
+
+
+def star_tensor_oracle(ctx: StarAlgebraContext, f: Poly, g: Poly) -> Poly:
+    """sum_k (i theta/2)^k / k! D_k(f, g) with D_k expanded summand by summand."""
+    names = ctx.gens.names
+    lam = ctx.pairing.lam
+    entries = [
+        (a, b, lam[a][b])
+        for a in range(len(names))
+        for b in range(len(names))
+        if not lam[a][b].is_zero()
+    ]
+    out = Poly.zero(ctx.gens)
+    pairs = [(f, g)]
+    k = 0
+    factorial = 1
+    half_i = GaussRational(Fraction(0), Fraction(1, 2))
+    while pairs:
+        weight = Scalar.from_gauss(half_i**k, theta_power=k).scale(
+            GaussRational.of(Fraction(1, factorial))
+        )
+        level = Poly.zero(ctx.gens)
+        for u, v in pairs:
+            level = level + u * v
+        if not level.is_zero():
+            out = out + level.scale(weight)
+        next_pairs = []
+        for u, v in pairs:
+            for a, b, c in entries:
+                du = u.partial(names[a])
+                if du.is_zero():
+                    continue
+                dv = v.partial(names[b])
+                if dv.is_zero():
+                    continue
+                next_pairs.append((du.scale(c), dv))
+        pairs = next_pairs
+        k += 1
+        factorial *= k
+    return out
+
+
+def random_pairing_context(rng: random.Random, n_pairs: int) -> StarAlgebraContext:
+    """A dense random antisymmetric invertible pairing over Q(i)."""
+    n = 2 * n_pairs
+    while True:
+        omega = [[GaussRational.of(0)] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                c = random_gauss(rng, 3)
+                omega[a][b], omega[b][a] = c, -c
+        try:
+            pairing = SymplecticPairing(omega)
+        except ValueError:
+            continue
+        return StarAlgebraContext(GeneratorSet.phase_space(n_pairs), pairing)
+
+
+def tall_poly(gens: GeneratorSet, rng: random.Random, degree: int, terms: int) -> Poly:
+    """Coefficients with six-digit numerators over four-digit denominators."""
+    out = Poly.zero(gens)
+    for _ in range(terms):
+        exps = [0] * len(gens)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(len(gens))] += 1
+        c = GaussRational.of(
+            Fraction(rng.randint(-999_999, 999_999), rng.randint(1000, 9999)),
+            Fraction(rng.randint(-999_999, 999_999), rng.randint(1000, 9999)),
+        )
+        out = out + Poly(gens, {tuple(exps): Scalar.from_gauss(c, rng.randint(0, 1))})
     return out
 
 
@@ -141,6 +216,108 @@ class TestStar:
             for k in range(alt.max_theta_power() + 1):
                 if k % 2 == 0:
                     assert alt.theta_graded_part(k).is_zero()
+
+
+class TestAgainstTensorSummandOracle:
+    """The multi-index sum equals the summand-by-summand expansion exactly."""
+
+    @pytest.mark.parametrize("n_pairs,degree", [(1, 5), (2, 4), (3, 3)])
+    def test_canonical(self, n_pairs, degree):
+        ctx = StarAlgebraContext.canonical(n_pairs)
+        rng = random.Random(40 + n_pairs)
+        for _ in range(6):
+            f = random_poly(ctx.gens, rng, degree=degree, terms=5)
+            g = random_poly(ctx.gens, rng, degree=degree, terms=5)
+            assert star(ctx, f, g) == star_tensor_oracle(ctx, f, g)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_theta_carrying_coefficients(self, n_pairs):
+        ctx = StarAlgebraContext.canonical(n_pairs)
+        rng = random.Random(50 + n_pairs)
+        for _ in range(6):
+            f = random_poly(ctx.gens, rng, degree=4, terms=4, theta_max=2)
+            g = random_poly(ctx.gens, rng, degree=4, terms=4, theta_max=2)
+            assert star(ctx, f, g) == star_tensor_oracle(ctx, f, g)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_tall_coefficients(self, n_pairs):
+        ctx = StarAlgebraContext.canonical(n_pairs)
+        rng = random.Random(60 + n_pairs)
+        for _ in range(4):
+            f = tall_poly(ctx.gens, rng, degree=4, terms=5)
+            g = tall_poly(ctx.gens, rng, degree=4, terms=5)
+            assert star(ctx, f, g) == star_tensor_oracle(ctx, f, g)
+
+    def test_zero_and_constant_operands(self):
+        rng = random.Random(70)
+        for ctx in (CTX, CTX4):
+            f = random_poly(ctx.gens, rng, degree=4, terms=4, theta_max=1)
+            zero = Poly.zero(ctx.gens)
+            c = Poly.constant(ctx.gens, Scalar.of(Fraction(3, 7), -2, theta_power=1))
+            for a, b in ((zero, f), (f, zero), (zero, zero), (c, f), (f, c), (c, c)):
+                assert star(ctx, a, b) == star_tensor_oracle(ctx, a, b)
+            assert star(ctx, zero, f).is_zero()
+            assert star(ctx, c, f) == f * c
+
+    @pytest.mark.parametrize("n_pairs,degree", [(1, 4), (2, 3)])
+    def test_non_canonical_pairings(self, n_pairs, degree):
+        rng = random.Random(80 + n_pairs)
+        for _ in range(6):
+            ctx = random_pairing_context(rng, n_pairs)
+            f = random_poly(ctx.gens, rng, degree=degree, terms=3, theta_max=1)
+            g = random_poly(ctx.gens, rng, degree=degree, terms=3)
+            assert star(ctx, f, g) == star_tensor_oracle(ctx, f, g)
+
+    def test_commutator_is_oracle_difference(self):
+        rng = random.Random(90)
+        contexts = [CTX, CTX4, StarAlgebraContext.canonical(3)]
+        contexts += [random_pairing_context(rng, 1), random_pairing_context(rng, 2)]
+        for ctx in contexts:
+            for _ in range(3):
+                f = random_poly(ctx.gens, rng, degree=3, terms=3, theta_max=1)
+                g = random_poly(ctx.gens, rng, degree=3, terms=3, theta_max=1)
+                expected = star_tensor_oracle(ctx, f, g) - star_tensor_oracle(ctx, g, f)
+                assert star_commutator(ctx, f, g) == expected
+
+    def test_non_canonical_associativity(self):
+        rng = random.Random(91)
+        ctx = random_pairing_context(rng, 2)
+        for _ in range(3):
+            f, g, h = (random_poly(ctx.gens, rng, degree=2, terms=3) for _ in range(3))
+            assert star(ctx, f, star(ctx, g, h)) == star(ctx, star(ctx, f, g), h)
+
+
+class TestSymplecticPairing:
+    def test_inverse_on_both_sides(self):
+        rng = random.Random(95)
+        for n_pairs in (1, 2, 3):
+            ctx = random_pairing_context(rng, n_pairs)
+            omega, lam = ctx.pairing.omega, ctx.pairing.lam
+            n = 2 * n_pairs
+            for a in range(n):
+                for b in range(n):
+                    one = GaussRational.of(int(a == b))
+                    left = sum((lam[a][k] * omega[k][b] for k in range(n)), GaussRational.of(0))
+                    right = sum((omega[a][k] * lam[k][b] for k in range(n)), GaussRational.of(0))
+                    assert left == right == one
+
+    def test_canonical_lambda(self):
+        lam = SymplecticPairing.canonical(2).lam
+        one = GaussRational.of(1)
+        for a in range(4):
+            for b in range(4):
+                expected = one if b == a + 2 else -one if a == b + 2 else GaussRational.of(0)
+                assert lam[a][b] == expected
+
+    def test_degenerate_pairing_is_rejected(self):
+        z, one = GaussRational.of(0), GaussRational.of(1)
+        # omega = [[J, J], [J, J]] with J = [[0, 1], [-1, 0]] has rank 2
+        j = [[z, one], [-one, z]]
+        omega = [j[0] + j[0], j[1] + j[1], j[0] + j[0], j[1] + j[1]]
+        with pytest.raises(ValueError, match="degenerate"):
+            SymplecticPairing(omega)
+        with pytest.raises(ValueError, match="degenerate"):
+            SymplecticPairing([[z, z], [z, z]])
 
 
 class TestStarCommutator:

@@ -74,6 +74,13 @@ def test_syntax_errors():
             parse_poly(bad, GENS)
 
 
+def test_zero_denominator():
+    for bad in ("1/0", "q + 3/00", "(q - 0/0)*p"):
+        with pytest.raises(ParseError) as err:
+            parse_poly(bad, GENS)
+        assert "zero denominator" in str(err.value)
+
+
 def test_round_trips_through_str():
     for text in ("q^2*p + 1/2", "q*p - i*theta", "p^3 - 2*q"):
         poly = parse_poly(text, GENS)
