@@ -444,13 +444,7 @@ def cmd_blocksplit(args) -> Report:
 def cmd_biderivation(args) -> Report:
     sols = biderivation_solver(args.n)
     cvec = commutator_bracket_vector(args.n)
-    in_span = False
-    if len(sols) == 1:
-        keys = sorted(set(sols[0]) | set(cvec))
-        from .scalars import GR_ZERO
-
-        rows = [[sols[0].get(k, GR_ZERO), cvec.get(k, GR_ZERO)] for k in keys]
-        in_span = linalg.rank(rows) == 1
+    in_span = len(sols) == 1 and linalg.Span([sols[0], cvec]).dim == 1
     return Report(
         "ok",
         {"n": args.n, "dimension": len(sols), "spanned_by_commutator": in_span},

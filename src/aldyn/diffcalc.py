@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from . import linalg
+from .linalg import Span, solve_columns
 from .matrices import Mat
 from .quantum import commutator, commutator_columns
 from .scalars import GR_I, GR_ONE, GaussRational
@@ -60,7 +60,7 @@ class DerivationBasis:
     condition stays non-degenerate.
     """
 
-    __slots__ = ("n", "generators", "_coord_matrix", "structure", "_d_alpha")
+    __slots__ = ("n", "generators", "_span", "structure", "_d_alpha")
 
     def __init__(self, generators: Sequence[Mat]):
         generators = list(generators)
@@ -74,12 +74,12 @@ class DerivationBasis:
                 raise ValueError("mixed matrix sizes")
             if not g.trace().is_zero():
                 raise ValueError("basis generators must be traceless")
-        vectors = [g.flatten() for g in generators]
-        if linalg.rank(vectors) != len(generators):
+        span = Span([g.flatten() for g in generators])
+        if span.dim != len(generators):
             raise ValueError("basis generators must be linearly independent")
         self.n = n
         self.generators = generators
-        self._coord_matrix = vectors
+        self._span = span
         self.structure = self._structure_constants()
         # d(alpha^m) as its terms (a, b, -c^m_ab), a < b, of alpha^a ^ alpha^b
         self._d_alpha: list[list[tuple[int, int, GaussRational]]] = [
@@ -100,9 +100,7 @@ class DerivationBasis:
 
     def coordinates(self, m: Mat) -> list[GaussRational]:
         """Coefficients of the traceless part of m in the basis."""
-        coords = linalg.coordinates_in_basis(
-            self._coord_matrix, m.traceless_part().flatten()
-        )
+        coords = self._span.coordinates(m.traceless_part().flatten())
         if coords is None:
             raise RuntimeError("traceless basis failed to span")
         return coords
@@ -383,5 +381,5 @@ def exactness_obstruction(basis: DerivationBasis, j: int) -> ExactnessReport:
         raise ValueError("index out of range")
     # Unknown A (n^2 entries); equations [A, X_k] = delta^j_k * identity.
     target = {(j, r, r): GR_ONE for r in range(n)}
-    sol = linalg.solve_columns(commutator_columns(basis.generators), target)
+    sol = solve_columns(commutator_columns(basis.generators), target)
     return ExactnessReport(index=j, trace_of_unit_value=n, solvable=sol is not None)

@@ -1,13 +1,17 @@
 """Exact linear algebra over the field Q(i).
 
 One elimination algorithm, `SparseEliminator`: rows arrive as
-{column: coefficient} dicts and are reduced incrementally, pivoting on the
-smallest column.  Back-substitution then gives the reduced row-echelon
-form, which is unique for a fixed column order, so solutions and kernel
-bases do not depend on the order the rows came in.  `solve_columns` puts
-one unknown per sparse column in front of it for the ansatz solvers; the
-dense-matrix helpers (`rref`, `rank`, `nullspace`, `solve`, ...) drop zero
-entries and call it too.  No tolerances anywhere: rank decisions are exact.
+{column: coefficient} dicts and `reduce` subtracts pivot rows from them,
+pivoting on the smallest column; `add_row` keeps the residual as a new
+pivot row.  Back-substitution then gives the reduced row-echelon form,
+which is unique for a fixed column order, so solutions and kernel bases do
+not depend on the order the rows came in.  Two front ends sit on it:
+
+  solve_columns  one unknown per sparse column, for the ansatz solvers
+  Span           a spanning set eliminated once, answering dim, contains
+                 and coordinates for any number of vectors
+
+No tolerances anywhere: rank decisions are exact.
 """
 
 from __future__ import annotations
@@ -17,8 +21,18 @@ from typing import Hashable, Mapping, Sequence
 from .scalars import GR_ONE, GR_ZERO, GaussRational
 
 Row = list[GaussRational]
-Matrix = list[Row]
 SparseRow = dict[int, GaussRational]
+Vector = Mapping[Hashable, GaussRational] | Sequence[GaussRational]
+
+
+def _subtract(row: dict, f: GaussRational, pivot: Mapping) -> None:
+    """row -= f * pivot in place, dropping entries that cancel."""
+    for c, v in pivot.items():
+        nv = row.get(c, GR_ZERO) - f * v
+        if nv.is_zero():
+            row.pop(c, None)
+        else:
+            row[c] = nv
 
 
 class SparseEliminator:
@@ -36,22 +50,26 @@ class SparseEliminator:
         self.ncols = ncols
         self.pivot_rows: dict[int, SparseRow] = {}
 
-    def add_row(self, row: Mapping[int, GaussRational]) -> None:
+    def reduce(self, row: Mapping[int, GaussRational]) -> SparseRow:
+        """A copy of `row` minus multiples of the pivot rows, reduced until
+        its smallest column has no pivot (empty when `row` is in the span
+        of the pivot rows)."""
         row = {c: v for c, v in row.items() if not v.is_zero()}
+        pivot_rows = self.pivot_rows
         while row:
             lead = min(row)
-            pivot = self.pivot_rows.get(lead)
+            pivot = pivot_rows.get(lead)
             if pivot is None:
-                inv = GR_ONE / row[lead]
-                self.pivot_rows[lead] = {c: v * inv for c, v in row.items()}
-                return
-            f = row[lead]
-            for c, v in pivot.items():
-                nv = row.get(c, GR_ZERO) - f * v
-                if nv.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
+                break
+            _subtract(row, row[lead], pivot)
+        return row
+
+    def add_row(self, row: Mapping[int, GaussRational]) -> None:
+        row = self.reduce(row)
+        if row:
+            lead = min(row)
+            inv = GR_ONE / row[lead]
+            self.pivot_rows[lead] = {c: v * inv for c, v in row.items()}
 
     def rank(self) -> int:
         return len(self.pivot_rows)
@@ -61,17 +79,8 @@ class SparseEliminator:
         for lead in sorted(self.pivot_rows, reverse=True):
             row = self.pivot_rows[lead]
             for other_lead, other in self.pivot_rows.items():
-                if other_lead >= lead:
-                    continue
-                f = other.get(lead)
-                if f is None:
-                    continue
-                for c, v in row.items():
-                    nv = other.get(c, GR_ZERO) - f * v
-                    if nv.is_zero():
-                        other.pop(c, None)
-                    else:
-                        other[c] = nv
+                if other_lead < lead and lead in other:
+                    _subtract(other, other[lead], row)
 
     def kernel_basis(self) -> list[SparseRow]:
         """Nullspace vectors as sparse dicts, one per free column, with a 1
@@ -106,11 +115,63 @@ def _dense(vec: Mapping[int, GaussRational], ncols: int) -> Row:
     return [vec.get(c, GR_ZERO) for c in range(ncols)]
 
 
-def _eliminate(matrix: Sequence[Row], ncols: int) -> SparseEliminator:
-    elim = SparseEliminator(ncols)
-    for row in matrix:
-        elim.add_row(dict(enumerate(row)))
-    return elim
+def _nonzero(v: Vector) -> dict[Hashable, GaussRational]:
+    items = v.items() if isinstance(v, Mapping) else enumerate(v)
+    return {k: x for k, x in items if not x.is_zero()}
+
+
+class Span:
+    """span(w_0, ..., w_{m-1}) over Q(i), eliminated once.
+
+    A vector is a sequence of entries or a sparse {key: entry} mapping;
+    zero and dependent vectors are allowed.  Each w_j is stored as the row
+    [w_j | e_j]: its entries in one column per key that occurs (ncols of
+    them), a tag 1 in column ncols + j.  Every row the eliminator holds is then a combination of
+    these, with entry part sum_j tag_j w_j.  Reducing [v | 0] leaves a
+    residual r with entry part v + sum_j r_tag_j w_j; as pivots are taken
+    at the smallest column, v is in the span exactly when no entry column
+    is left in r, and then -r_tag are coordinates of v.
+    """
+
+    def __init__(self, vectors: Sequence[Vector]):
+        entries = [_nonzero(w) for w in vectors]
+        self._cols: dict[Hashable, int] = {}
+        for e in entries:
+            for key in e:
+                self._cols.setdefault(key, len(self._cols))
+        ncols = self._ncols = len(self._cols)
+        self._size = len(entries)
+        self._elim = SparseEliminator(ncols + self._size)
+        for j, e in enumerate(entries):
+            row = {self._cols[k]: x for k, x in e.items()}
+            row[ncols + j] = GR_ONE
+            self._elim.add_row(row)
+        self.dim = sum(1 for lead in self._elim.pivot_rows if lead < ncols)
+
+    def _tags(self, v: Vector) -> SparseRow | None:
+        """The tag part of the residual of [v | 0], or None when v is not
+        in the span."""
+        row = {}
+        for key, x in _nonzero(v).items():
+            c = self._cols.get(key)
+            if c is None:  # no spanning vector has an entry there
+                return None
+            row[c] = x
+        residual = self._elim.reduce(row)
+        if residual and min(residual) < self._ncols:
+            return None
+        return residual
+
+    def contains(self, v: Vector) -> bool:
+        return self._tags(v) is not None
+
+    def coordinates(self, v: Vector) -> Row | None:
+        """Coefficients x with sum_j x_j w_j = v, or None if v is not in
+        the span; unique when the spanning vectors are independent."""
+        tags = self._tags(v)
+        if tags is None:
+            return None
+        return [-tags.get(self._ncols + j, GR_ZERO) for j in range(self._size)]
 
 
 def solve_columns(
@@ -139,55 +200,3 @@ def solve_columns(
         return [_dense(v, ncols) for v in elim.kernel_basis()]
     sol = elim.solve()
     return None if sol is None else _dense(sol, ncols)
-
-
-def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form; returns (rref_rows, pivot_columns)."""
-    ncols = len(matrix[0]) if matrix else 0
-    elim = _eliminate(matrix, ncols)
-    elim._back_substitute()
-    pivots = sorted(elim.pivot_rows)
-    return [_dense(elim.pivot_rows[c], ncols) for c in pivots], pivots
-
-
-def rank(matrix: Matrix) -> int:
-    return _eliminate(matrix, len(matrix[0]) if matrix else 0).rank()
-
-
-def nullspace(matrix: Matrix, ncols: int | None = None) -> list[Row]:
-    """Basis of the right kernel; each vector has 1 in its free column."""
-    if matrix:
-        ncols = len(matrix[0])
-    elif ncols is None:
-        return []
-    return [_dense(v, ncols) for v in _eliminate(matrix, ncols).kernel_basis()]
-
-
-def solve(matrix: Matrix, rhs: Row) -> Row | None:
-    """One solution of A x = b, or None when the system is inconsistent."""
-    if not matrix:
-        return [] if all(x.is_zero() for x in rhs) else None
-    ncols = len(matrix[0])
-    elim = SparseEliminator(ncols)
-    for row, b in zip(matrix, rhs):
-        elim.add_row({**dict(enumerate(row)), ncols: b})
-    sol = elim.solve()
-    return None if sol is None else _dense(sol, ncols)
-
-
-def in_span(vectors: Sequence[Row], v: Row) -> bool:
-    """Exact membership of v in span(vectors)."""
-    elim = _eliminate(vectors, len(v))
-    r = elim.rank()
-    elim.add_row(dict(enumerate(v)))
-    return elim.rank() == r
-
-
-def span_equal(a: Sequence[Row], b: Sequence[Row]) -> bool:
-    ra, rb = rank(list(a)), rank(list(b))
-    return ra == rb == rank(list(a) + list(b))
-
-
-def coordinates_in_basis(basis: Sequence[Row], v: Row) -> Row | None:
-    """Coefficients x with sum_j x_j basis_j = v, or None if v not in span."""
-    return solve_columns([dict(enumerate(b)) for b in basis], dict(enumerate(v)))

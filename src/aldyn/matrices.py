@@ -31,18 +31,7 @@ class Mat:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Mat":
-        def conv(x):
-            if isinstance(x, GaussRational):
-                return x
-            if isinstance(x, (int, Fraction)):
-                return GaussRational.of(Fraction(x))
-            if isinstance(x, complex):
-                return GaussRational.from_complex(x)
-            if isinstance(x, float):
-                return GaussRational.of(Fraction(x))
-            raise TypeError(f"cannot interpret entry {x!r}")
-
-        return Mat([[conv(x) for x in row] for row in rows])
+        return Mat([[GaussRational.coerce(x) for x in row] for row in rows])
 
     @staticmethod
     def zero(n: int) -> "Mat":
@@ -65,7 +54,7 @@ class Mat:
         n = len(values)
         m = [[GR_ZERO] * n for _ in range(n)]
         for i, v in enumerate(values):
-            m[i][i] = v if isinstance(v, GaussRational) else GaussRational.of(Fraction(v))
+            m[i][i] = GaussRational.coerce(v)
         return Mat(m)
 
     # -- arithmetic --------------------------------------------------
@@ -108,8 +97,7 @@ class Mat:
         return Mat(out)
 
     def scale(self, c: GaussRational | int | Fraction) -> "Mat":
-        if not isinstance(c, GaussRational):
-            c = GaussRational.of(Fraction(c))
+        c = GaussRational.coerce(c)
         return Mat([[a * c for a in row] for row in self.entries])
 
     def _check(self, other: "Mat"):

@@ -370,7 +370,7 @@ def wigner_ambiguity_check(
     """
     gens = ctx.gens
     n = len(gens)
-    cm = [[_to_gauss(c[a][b]) for b in range(n)] for a in range(n)]
+    cm = [[GaussRational.coerce(c[a][b]) for b in range(n)] for a in range(n)]
     delta = PolyDerivation.from_linear_map(gens, cm)
     rng = random.Random(seed)
     test_pairs = [
@@ -408,15 +408,3 @@ def wigner_ambiguity_check(
         star_leibniz=symplectic and star_ok,
         witness=witness,
     )
-
-
-def _to_gauss(entry) -> GaussRational:
-    if isinstance(entry, GaussRational):
-        return entry
-    if isinstance(entry, (int, Fraction)):
-        return GaussRational.of(Fraction(entry))
-    if isinstance(entry, complex):
-        return GaussRational.from_complex(entry)
-    if isinstance(entry, float):
-        return GaussRational.of(Fraction(entry))
-    raise TypeError(f"cannot interpret matrix entry {entry!r}")

@@ -181,9 +181,8 @@ def normalizer_check(
             continue
         # Ansatz failed: look for a pointwise certificate.
         for point in _sample_points(dist.gens):
-            span = [_value_vector(f, point) for f in dist.fields]
-            target = _value_vector(b, point)
-            if not linalg.in_span(span, target):
+            values = linalg.Span([_value_vector(f, point) for f in dist.fields])
+            if not values.contains(_value_vector(b, point)):
                 return NormalizerReport(
                     "non-member",
                     witness={

@@ -108,6 +108,19 @@ class GaussRational:
         """Exact embedding of a float complex (floats are dyadic rationals)."""
         return GaussRational(Fraction(float(z.real)), Fraction(float(z.imag)))
 
+    @staticmethod
+    def coerce(x) -> "GaussRational":
+        """x itself, or the exact value of an int, Fraction, float or complex."""
+        if isinstance(x, GaussRational):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return GaussRational.of(Fraction(x))
+        if isinstance(x, complex):
+            return GaussRational.from_complex(x)
+        if isinstance(x, float):
+            return GaussRational.of(Fraction(x))
+        raise TypeError(f"cannot interpret entry {x!r}")
+
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "GaussRational") -> "GaussRational":

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from aldyn import linalg
+from aldyn.linalg import Span
 from aldyn.derivations import (
     PolyDerivation,
     apply,
@@ -250,7 +250,7 @@ def test_criterion_08_commutant_correctness():
         basis = []
         while len(basis) < dim:
             m = random_mat(rng, 3, span=2)
-            if not linalg.in_span([b.flatten() for b in basis], m.flatten()):
+            if not Span([b.flatten() for b in basis]).contains(m.flatten()):
                 basis.append(m)
         space = MatrixSubspace(basis)
         double = commutant(commutant(space))
@@ -271,7 +271,7 @@ def test_criterion_09_biderivation_uniqueness():
             cvec = commutator_bracket_vector(n)
             keys = sorted(set(sols[0]) | set(cvec))
             rows = [[sols[0].get(kk, GR_ZERO), cvec.get(kk, GR_ZERO)] for kk in keys]
-            ok = ok and linalg.rank(rows) == 1
+            ok = ok and Span(rows).dim == 1
     elapsed = time.perf_counter() - start
     report(9, "biderivation space is the commutator line on Mat_2 and Mat_3", ok, elapsed)
     assert ok

@@ -380,6 +380,8 @@ class TestErrorHandling:
         [
             ["flow", "--derivation", "oscillator", "--f", "q", "--mode", "nilpotent"],
             ["biderivation", "--n", "5"],
+            ["biderivation", "--n", "-1"],
+            ["biderivation", "--n", "0"],
             ["star", "--f", "q", "--g", "p", "--theta", "abc"],
             ["flow", "--derivation", "free", "--f", "q", "--t", "x"],
             ["blocksplit", "--h", json.dumps(Mat.from_rows([[1, 1], [1, 0]]).to_json()), "--k", "1"],
@@ -394,7 +396,8 @@ class TestErrorHandling:
             ["flow", "--derivation", "free", "--f", "q", "--t", "1/0"],
             ["star", "--f", "1/0", "--g", "p"],
         ],
-        ids=["flow-nilpotent-oscillator", "biderivation-n5", "star-theta-abc",
+        ids=["flow-nilpotent-oscillator", "biderivation-n5", "biderivation-n-1",
+             "biderivation-n0", "star-theta-abc",
              "flow-t-x", "blocksplit-not-block", "evolve-not-hermitian",
              "star-theta-zero-denominator", "starcomm-theta-zero-denominator",
              "flow-t-zero-denominator", "star-literal-zero-denominator"],
@@ -409,6 +412,32 @@ class TestErrorHandling:
         )
         assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+_DQ_JSON = PolyDerivation(GENS, {"q": Poly.one(GENS)}).to_json()
+_REDUCE_INPUT = json.dumps({"dynamics": json.loads(FREE_JSON), "distribution": [_DQ_JSON]})
+# Each invocation reaches the code that reads its last option.
+INTEGER_OPTIONS = {
+    "biderivation-n": ["biderivation", "--n"],
+    "demo-maurer-cartan-n": ["demo", "maurer-cartan", "--n"],
+    "star-pairs": ["star", "--f", "q", "--g", "p", "--pairs"],
+    "starcomm-pairs": ["starcomm", "--f", "q", "--g", "p", "--pairs"],
+    "blocksplit-k": ["blocksplit", "--h", json.dumps(Mat.diag([1, 2, 3]).to_json()), "--k"],
+    "nilpotency-cutoff": ["nilpotency", "--derivation", "free", "--cutoff"],
+    "connection-degree-cap": ["connection", "--distribution", json.dumps([_DQ_JSON]), "--degree-cap"],
+    "reduce-degree-cap": ["reduce", "--input", _REDUCE_INPUT, "--degree-cap"],
+    "reduce-ansatz-cap": ["reduce", "--input", _REDUCE_INPUT, "--ansatz-cap"],
+    "frelate-ansatz-cap": ["frelate", "--dynamics", "euler", "--map", "q*p", "--ansatz-cap"],
+}
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1"])
+@pytest.mark.parametrize("option", sorted(INTEGER_OPTIONS))
+def test_integer_options_keep_the_exit_code_contract(capsys, option, value):
+    """Every integer option at -1, 0 and 1 ends in a contract exit code;
+    an exception escaping main would fail the test."""
+    code, _, err = run_cli(capsys, *INTEGER_OPTIONS[option], value, "--json")
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT, EXIT_INCONCLUSIVE), err
 
 
 class TestDeterminism:

@@ -16,6 +16,7 @@ from aldyn.diffcalc import (
     lie_derivative,
     wedge,
 )
+from aldyn.linalg import solve_columns
 from aldyn.matrices import Mat
 from aldyn.quantum import commutator
 from aldyn.scalars import GR_ONE, GR_ZERO, GaussRational
@@ -177,6 +178,22 @@ class TestBasis:
                 if entry:
                     full[(k, l)] = entry
         assert basis.structure == full
+
+    @pytest.mark.parametrize("basis", [B2, B3, B4], ids=["N2", "N3", "N4"])
+    def test_structure_matches_one_solve_per_commutator(self, basis):
+        # The basis eliminates its generators once; the reference solves
+        # the whole coordinate system again for every commutator.
+        columns = [dict(enumerate(g.flatten())) for g in basis.generators]
+        expected = {}
+        for k in range(basis.dim):
+            for l in range(k + 1, basis.dim):
+                m = commutator(basis.generators[l], basis.generators[k])
+                coords = solve_columns(columns, dict(enumerate(m.traceless_part().flatten())))
+                entry = [(j, c) for j, c in enumerate(coords) if not c.is_zero()]
+                if entry:
+                    expected[(k, l)] = entry
+                    expected[(l, k)] = [(j, -c) for j, c in entry]
+        assert basis.structure == expected
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):

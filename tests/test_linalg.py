@@ -1,4 +1,4 @@
-"""Exact linear algebra: the sparse eliminator and its dense front ends."""
+"""Exact linear algebra: the sparse eliminator, Span and solve_columns."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from aldyn import linalg
-from aldyn.linalg import SparseEliminator
+from aldyn.linalg import SparseEliminator, Span
 from aldyn.scalars import GR_ZERO, GaussRational
 
 from conftest import random_gauss
@@ -17,17 +17,35 @@ def g(x, y=0):
     return GaussRational.of(Fraction(x), Fraction(y))
 
 
+def _columns(m):
+    """The columns of a dense matrix as sparse dicts keyed by row."""
+    ncols = len(m[0]) if m else 0
+    return [{i: row[c] for i, row in enumerate(m)} for c in range(ncols)]
+
+
+def test_linalg_exports_one_eliminator_and_two_front_ends():
+    defined = {
+        k for k, v in vars(linalg).items()
+        if not k.startswith("_") and getattr(v, "__module__", None) == "aldyn.linalg"
+    }
+    assert defined == {"SparseEliminator", "Span", "solve_columns"}
+
+
 def test_rref_identity():
     m = [[g(1), g(0)], [g(0), g(1)]]
-    red, pivots = linalg.rref(m)
+    elim = SparseEliminator(2)
+    for row in m:
+        elim.add_row(dict(enumerate(row)))
+    assert elim.kernel_basis() == []  # back-substitutes to the full RREF
+    pivots = sorted(elim.pivot_rows)
     assert pivots == [0, 1]
-    assert red == m
+    assert [[elim.pivot_rows[p].get(c, GR_ZERO) for c in range(2)] for p in pivots] == m
 
 
 def test_rank_and_nullspace():
     m = [[g(1), g(2), g(3)], [g(2), g(4), g(6)]]
-    assert linalg.rank(m) == 1
-    kernel = linalg.nullspace(m)
+    assert Span(m).dim == 1
+    kernel = linalg.solve_columns(_columns(m), None)
     assert len(kernel) == 2
     for v in kernel:
         for row in m:
@@ -38,38 +56,39 @@ def test_rank_and_nullspace():
 
 
 def test_nullspace_of_empty_matrix():
-    basis = linalg.nullspace([], ncols=3)
+    basis = linalg.solve_columns([{}, {}, {}], None)
     assert len(basis) == 3
 
 
 def test_solve_consistent_and_inconsistent():
     m = [[g(1), g(1)], [g(0), g(1)]]
-    x = linalg.solve(m, [g(3), g(1)])
+    x = linalg.solve_columns(_columns(m), dict(enumerate([g(3), g(1)])))
     assert x == [g(2), g(1)]
     m2 = [[g(1), g(0)], [g(1), g(0)]]
-    assert linalg.solve(m2, [g(1), g(2)]) is None
+    assert linalg.solve_columns(_columns(m2), dict(enumerate([g(1), g(2)]))) is None
 
 
 def test_solve_complex_entries():
     i = GaussRational.of(0, 1)
     m = [[i, g(0)], [g(0), g(2)]]
-    x = linalg.solve(m, [g(1), i])
+    x = linalg.solve_columns(_columns(m), dict(enumerate([g(1), i])))
     assert x is not None
     assert x[0] == -i and x[1] == GaussRational.of(0, Fraction(1, 2))
 
 
 def test_in_span_and_span_equal():
     v1, v2 = [g(1), g(0)], [g(0), g(1)]
-    assert linalg.in_span([v1, v2], [g(5), g(-3)])
-    assert not linalg.in_span([v1], [g(0), g(1)])
-    assert linalg.span_equal([v1, v2], [[g(1), g(1)], [g(1), g(-1)]])
+    assert Span([v1, v2]).contains([g(5), g(-3)])
+    assert not Span([v1]).contains([g(0), g(1)])
+    a, b = [v1, v2], [[g(1), g(1)], [g(1), g(-1)]]
+    assert Span(a).dim == Span(b).dim == Span(a + b).dim
 
 
 def test_coordinates_in_basis():
     basis = [[g(1), g(1)], [g(0), g(1)]]
-    coords = linalg.coordinates_in_basis(basis, [g(2), g(5)])
+    coords = Span(basis).coordinates([g(2), g(5)])
     assert coords == [g(2), g(3)]
-    assert linalg.coordinates_in_basis([[g(1), g(0)]], [g(0), g(1)]) is None
+    assert Span([[g(1), g(0)]]).coordinates([g(0), g(1)]) is None
 
 
 def _to_sympy(x: GaussRational):
@@ -140,3 +159,52 @@ def test_solve_columns_matches_sympy_inhomogeneous():
         residual = a * _sympy_matrix([dict(enumerate(x))], ncols).transpose()
         assert residual == _sympy_matrix([{0: v} for v in b], 1)
     assert solvable_seen and unsolvable_seen
+
+
+def _combination(coeffs, vectors, ncols):
+    """sum_j coeffs[j] vectors[j] as a dense {column: value} dict."""
+    out = {c: GR_ZERO for c in range(ncols)}
+    for a, w in zip(coeffs, vectors):
+        for c, x in w.items():
+            out[c] = out[c] + a * x
+    return out
+
+
+def test_span_matches_sympy_rank_membership_coordinates():
+    """Span against sympy's QQ_I ranks: dim is rank A, contains(v) is
+    rank [A; v] == rank A, and every coordinate vector rebuilds v exactly.
+    The spanning sets include zero and dependent vectors, and odd trials
+    key the vectors by tuples instead of passing dense sequences."""
+    rng = random.Random(23)
+    members = strangers = 0
+    for trial in range(40):
+        rows, ncols = _random_sparse_system(rng)
+        some = rows[: rng.randint(1, len(rows))]
+        rows = rows + [{}, _combination([random_gauss(rng, 2) for _ in some], some, ncols)]
+        rng.shuffle(rows)
+        a = _sympy_matrix(rows, ncols)
+        targets = [
+            _combination([random_gauss(rng, 2) for _ in rows], rows, ncols) for _ in range(3)
+        ] + [
+            {c: random_gauss(rng, 2) for c in rng.sample(range(ncols), rng.randint(0, ncols))}
+            for _ in range(3)
+        ]
+        if trial % 2:
+            form = lambda w: {(c, "e"): x for c, x in w.items()}
+        else:
+            form = lambda w: [w.get(c, GR_ZERO) for c in range(ncols)]
+        span = Span([form(w) for w in rows])
+        assert span.dim == a.rank()
+        for v in targets:
+            inside = a.vstack(_sympy_matrix([v], ncols)).rank() == a.rank()
+            assert span.contains(form(v)) == inside
+            coords = span.coordinates(form(v))
+            assert (coords is not None) == inside
+            if coords is None:
+                strangers += 1
+                continue
+            members += 1
+            assert len(coords) == len(rows)
+            rebuilt = _combination(coords, rows, ncols)
+            assert all(rebuilt[c] == v.get(c, GR_ZERO) for c in range(ncols))
+    assert members and strangers

@@ -20,7 +20,7 @@ from aldyn.quantum import (
     heisenberg_derivative,
     invariance_check,
 )
-from aldyn import linalg
+from aldyn.linalg import Span
 from aldyn.scalars import GR_ZERO, GaussRational
 
 from conftest import random_hermitian, random_mat
@@ -219,9 +219,7 @@ class TestCommutant:
             candidates = []
             while len(candidates) < dim:
                 m = random_mat(rng, 3, span=2)
-                if not linalg.in_span(
-                    [c.flatten() for c in candidates], m.flatten()
-                ):
+                if not Span([c.flatten() for c in candidates]).contains(m.flatten()):
                     candidates.append(m)
             space = MatrixSubspace(candidates)
             double = commutant(commutant(space))
@@ -244,7 +242,7 @@ class TestInvariance:
         assert not rep.ok
         assert rep.witness is not None
         vectors = [b.flatten() for b in MatrixSubspace.block_algebra(4, 2).basis]
-        assert not linalg.in_span(vectors, commutator(rep.witness, h).flatten())
+        assert not Span(vectors).contains(commutator(rep.witness, h).flatten())
 
     def test_identity_hamiltonian_passes_any_subspace(self):
         rng = random.Random(55)
@@ -306,7 +304,7 @@ class TestBiderivations:
         rows = [
             [sols[0].get(k, GR_ZERO), cvec.get(k, GR_ZERO)] for k in keys
         ]
-        assert linalg.rank(rows) == 1
+        assert Span(rows).dim == 1
 
     def test_commutator_satisfies_both_leibniz_rules(self):
         rng = random.Random(58)
