@@ -1,5 +1,9 @@
 """Command-line front end: every operation behind a subcommand with JSON I/O.
 
+Each subcommand, and each demo under `demo <name>`, takes only the options
+its handler reads; `--json` / `--text` are the one pair every subcommand
+shares, and an option a subcommand does not take is malformed input.
+
 Exit codes: 0 for ok, 1 for a mathematical failure (a check that did not
 hold), 2 for malformed input, 3 for an inconclusive ansatz.  With --json
 the payload is canonical (sorted keys, fixed separators) and runs are
@@ -9,6 +13,7 @@ byte-for-byte reproducible; wall time is only ever printed in text mode.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -20,6 +25,7 @@ import numpy as np
 from . import linalg
 from .demos import DEMOS
 from .derivations import (
+    NonTruncatingFlow,
     PolyDerivation,
     apply,
     flow_linear,
@@ -63,12 +69,8 @@ from .reduction import (
     normalizer_check,
     split_dynamics,
 )
+from .report import EXIT_BAD_INPUT, Report
 from .scalars import GaussRational, Scalar
-
-EXIT_OK = 0
-EXIT_FAIL = 1
-EXIT_BAD_INPUT = 2
-EXIT_INCONCLUSIVE = 3
 
 
 class InputError(ValueError):
@@ -154,10 +156,10 @@ def _parse_expr(text: str, gens: GeneratorSet, path: str) -> Poly:
         raise InputError(f"{path}: {e}") from e
 
 
-def _poly_float_json(p: Poly, theta: float = 0.0) -> dict:
+def _poly_float_json(p: Poly) -> dict:
     terms = []
     for exps, c in p.sorted_terms():
-        z = c.evaluate(theta)
+        z = c.evaluate(0.0)
         terms.append({"exps": list(exps), "re": z.real, "im": z.imag})
     return {"generators": list(p.gens.names), "terms": terms}
 
@@ -171,17 +173,12 @@ def _matrix_float_json(arr: np.ndarray) -> dict:
     }
 
 
-class Report:
-    def __init__(self, status: str, result: dict, verification=None, lines=None):
-        self.status = status
-        self.result = result
-        self.verification = list(verification or [])
-        self.lines = list(lines or [])
-
-    def exit_code(self) -> int:
-        return {"ok": EXIT_OK, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}[
-            self.status
-        ]
+def _poly_result(r: Poly, theta: str | None) -> dict:
+    """The payload of a polynomial result, with `--theta` substituted if given."""
+    result = {"poly": r.to_json(), "text": str(r)}
+    if theta is not None:
+        result["theta_substituted"] = r.substitute_theta(_rational(theta, "/theta")).to_json()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +192,9 @@ def cmd_bracket(args) -> Report:
     g = _parse_expr(args.g, tensor.gens, "/g")
     r = bracket(tensor, f, g)
     anti = bracket(tensor, g, f) == -r
-    result = {"poly": r.to_json(), "text": str(r)}
-    if args.theta is not None:
-        result["theta_substituted"] = r.substitute_theta(
-            _rational(args.theta, "/theta")
-        ).to_json()
     return Report(
         "ok" if anti else "fail",
-        result,
+        _poly_result(r, args.theta),
         [f"antisymmetry re-check: {'pass' if anti else 'fail'}"],
         [f"{{f, g}} = {r}"],
     )
@@ -248,14 +240,9 @@ def cmd_star(args) -> Report:
     g = _parse_expr(args.g, ctx.gens, "/g")
     r = star(ctx, f, g)
     limit_ok = r.theta_limit() == (f * g).theta_limit()
-    result = {"poly": r.to_json(), "text": str(r)}
-    if args.theta is not None:
-        result["theta_substituted"] = r.substitute_theta(
-            _rational(args.theta, "/theta")
-        ).to_json()
     return Report(
         "ok" if limit_ok else "fail",
-        result,
+        _poly_result(r, args.theta),
         [f"theta -> 0 limit equals the pointwise product: {'pass' if limit_ok else 'fail'}"],
         [f"f * g = {r}"],
     )
@@ -273,15 +260,10 @@ def cmd_starcomm(args) -> Report:
     if f.is_theta_free() and g.is_theta_free():
         pb = bracket(ctx.poisson_tensor(), f, g)
         leading_ok = r.theta_graded_part(1) == pb.scale(Scalar.i()).theta_graded_part(0)
-    result = {"poly": r.to_json(), "text": str(r)}
-    if args.theta is not None:
-        result["theta_substituted"] = r.substitute_theta(
-            _rational(args.theta, "/theta")
-        ).to_json()
     ok = two_products and leading_ok
     return Report(
         "ok" if ok else "fail",
-        result,
+        _poly_result(r, args.theta),
         [
             "one-pass commutator equals f*g - g*f from two star products: "
             + ("pass" if two_products else "fail"),
@@ -294,13 +276,14 @@ def cmd_starcomm(args) -> Report:
 def cmd_flow(args) -> Report:
     d = _load_derivation(args.derivation)
     f = _parse_expr(args.f, d.gens, "/f")
-    mode = args.mode
-    if mode == "auto":
-        mode = "nilpotent" if nilpotency_order(d) is not None and all(
-            img.total_degree() <= 1 for img in d.images.values()
-        ) else "linear"
-    if mode == "nilpotent":
-        flow = flow_nilpotent(d, f)
+    flow = None
+    if args.mode != "linear":
+        try:
+            flow = flow_nilpotent(d, f)
+        except NonTruncatingFlow:
+            if args.mode == "nilpotent":
+                raise
+    if flow is not None:
         if args.t is not None:
             images = {n: Poly.generator(d.gens, n) for n in d.gens.names}
             images["t"] = Poly.constant(d.gens, Scalar.of(_rational(args.t, "/t")))
@@ -646,26 +629,8 @@ def cmd_casimir(args) -> Report:
 
 
 def cmd_demo(args) -> Report:
-    if args.name not in DEMOS:
-        raise InputError(f"/name: unknown demo {args.name!r}; choose from {sorted(DEMOS)}")
-    t = None if args.t is None else _rational(args.t, "/t")
-    kwargs = {}
-    if args.name == "free":
-        kwargs = {"t": args.t, "observable": args.observable}
-    elif args.name == "oscillator":
-        kwargs = {"tol": args.tol}
-        if t is not None:
-            kwargs["t"] = float(t)
-    elif args.name == "action-angle":
-        kwargs = {"action": args.action, "angle": args.theta0}
-        if t is not None:
-            kwargs["t"] = float(t)
-    elif args.name == "block-reduction":
-        kwargs = {"tol": args.tol}
-    elif args.name == "maurer-cartan":
-        kwargs = {"n": args.n}
-    result = DEMOS[args.name](**kwargs)
-    return Report(result.status, result.payload, result.verification, result.lines)
+    demo, options = DEMOS[args.name]
+    return demo(**{name: getattr(args, name) for name in options})
 
 
 # ---------------------------------------------------------------------------
@@ -674,131 +639,81 @@ def cmd_demo(args) -> Report:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    default_cap = int(os.environ.get("ALDYN_DEGREE_CAP", "4"))
+    # The format flags default to SUPPRESS so that a nested demo parser does
+    # not reset a --json given before the demo name.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--degree-cap", type=int, default=default_cap)
-    common.add_argument("--ansatz-cap", type=int, default=default_cap)
-    common.add_argument("--tol", type=float, default=1e-10)
-    common.add_argument("--theta", default=None, help="rational value substituted for theta")
     fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="as_json", action="store_true")
-    fmt.add_argument("--text", dest="as_json", action="store_false")
-    common.set_defaults(as_json=False)
+    fmt.add_argument("--json", dest="as_json", action="store_true", default=argparse.SUPPRESS)
+    fmt.add_argument("--text", dest="as_json", action="store_false", default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="aldyn",
         description="exact-arithmetic engine for algebraic dynamics",
     )
+    parser.set_defaults(as_json=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bracket", parents=[common])
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.set_defaults(fn=cmd_bracket)
+    def add(name: str, fn, *required: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common])
+        for flag in required:
+            p.add_argument(flag, required=True)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("jacobi", parents=[common])
-    p.add_argument("--tensor", required=True)
-    p.set_defaults(fn=cmd_jacobi)
+    default_cap = int(os.environ.get("ALDYN_DEGREE_CAP", "4"))
+    theta_help = "rational value substituted for theta"
 
-    p = sub.add_parser("hamfield", parents=[common])
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--h", required=True)
-    p.set_defaults(fn=cmd_hamfield)
+    add("bracket", cmd_bracket, "--tensor", "--f", "--g").add_argument("--theta", help=theta_help)
+    add("jacobi", cmd_jacobi, "--tensor")
+    add("hamfield", cmd_hamfield, "--tensor", "--h")
+    for name, fn in (("star", cmd_star), ("starcomm", cmd_starcomm)):
+        p = add(name, fn, "--f", "--g")
+        p.add_argument("--pairs", type=int, default=1)
+        p.add_argument("--theta", help=theta_help)
 
-    p = sub.add_parser("star", parents=[common])
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--pairs", type=int, default=1)
-    p.set_defaults(fn=cmd_star)
-
-    p = sub.add_parser("starcomm", parents=[common])
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--pairs", type=int, default=1)
-    p.set_defaults(fn=cmd_starcomm)
-
-    p = sub.add_parser("flow", parents=[common])
+    p = add("flow", cmd_flow, "--f")
     p.add_argument("--derivation", required=True, help="preset name or derivation JSON")
-    p.add_argument("--f", required=True)
     p.add_argument("--t", default=None)
     p.add_argument("--mode", choices=("auto", "nilpotent", "linear"), default="auto")
-    p.set_defaults(fn=cmd_flow)
 
-    p = sub.add_parser("nilpotency", parents=[common])
-    p.add_argument("--derivation", required=True)
-    p.add_argument("--cutoff", type=int, default=16)
-    p.set_defaults(fn=cmd_nilpotency)
+    add("nilpotency", cmd_nilpotency, "--derivation").add_argument(
+        "--cutoff", type=int, default=16
+    )
 
-    p = sub.add_parser("evolve", parents=[common])
-    p.add_argument("--h", required=True)
-    p.add_argument("--a", required=True)
+    p = add("evolve", cmd_evolve, "--h", "--a")
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(fn=cmd_evolve)
+    p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("commutant", parents=[common])
-    p.add_argument("--subspace", required=True)
-    p.set_defaults(fn=cmd_commutant)
+    add("commutant", cmd_commutant, "--subspace")
+    add("invariance", cmd_invariance, "--h", "--subspace")
+    add("blocksplit", cmd_blocksplit, "--h").add_argument("--k", type=int, required=True)
+    add("biderivation", cmd_biderivation).add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("invariance", parents=[common])
-    p.add_argument("--h", required=True)
-    p.add_argument("--subspace", required=True)
-    p.set_defaults(fn=cmd_invariance)
+    p = add("reduce", cmd_reduce, "--input")
+    p.add_argument("--degree-cap", type=int, default=default_cap)
+    p.add_argument("--ansatz-cap", type=int, default=default_cap)
 
-    p = sub.add_parser("blocksplit", parents=[common])
-    p.add_argument("--h", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=cmd_blocksplit)
-
-    p = sub.add_parser("biderivation", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_biderivation)
-
-    p = sub.add_parser("reduce", parents=[common])
-    p.add_argument("--input", required=True)
-    p.set_defaults(fn=cmd_reduce)
-
-    p = sub.add_parser("frelate", parents=[common])
-    p.add_argument("--dynamics", required=True)
+    p = add("frelate", cmd_frelate, "--dynamics")
     p.add_argument("--map", required=True, help="semicolon-separated component expressions")
-    p.set_defaults(fn=cmd_frelate)
+    p.add_argument("--ansatz-cap", type=int, default=default_cap)
 
-    p = sub.add_parser("connection", parents=[common])
-    p.add_argument("--distribution", required=True)
-    p.set_defaults(fn=cmd_connection)
+    add("connection", cmd_connection, "--distribution").add_argument(
+        "--degree-cap", type=int, default=default_cap
+    )
+    add("dform", cmd_dform, "--form")
+    add("wedge", cmd_wedge, "--form1", "--form2")
+    for name, fn in (("contract", cmd_contract), ("lieder", cmd_lieder)):
+        add(name, fn, "--form").add_argument(
+            "--x", required=True, help="comma-separated basis coefficients"
+        )
+    add("casimir", cmd_casimir, "--tensor", "--c")
 
-    p = sub.add_parser("dform", parents=[common])
-    p.add_argument("--form", required=True)
-    p.set_defaults(fn=cmd_dform)
-
-    p = sub.add_parser("wedge", parents=[common])
-    p.add_argument("--form1", required=True)
-    p.add_argument("--form2", required=True)
-    p.set_defaults(fn=cmd_wedge)
-
-    p = sub.add_parser("contract", parents=[common])
-    p.add_argument("--x", required=True, help="comma-separated basis coefficients")
-    p.add_argument("--form", required=True)
-    p.set_defaults(fn=cmd_contract)
-
-    p = sub.add_parser("lieder", parents=[common])
-    p.add_argument("--x", required=True)
-    p.add_argument("--form", required=True)
-    p.set_defaults(fn=cmd_lieder)
-
-    p = sub.add_parser("casimir", parents=[common])
-    p.add_argument("--tensor", required=True)
-    p.add_argument("--c", required=True)
-    p.set_defaults(fn=cmd_casimir)
-
-    p = sub.add_parser("demo", parents=[common])
-    p.add_argument("name", choices=sorted(DEMOS))
-    p.add_argument("--t", default=None)
-    p.add_argument("--observable", default="q")
-    p.add_argument("--action", type=float, default=1.0, help="action value I")
-    p.add_argument("--theta0", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=2)
-    p.set_defaults(fn=cmd_demo)
+    demos = add("demo", cmd_demo).add_subparsers(dest="name", required=True)
+    for name, (demo, options) in DEMOS.items():
+        p = demos.add_parser(name, parents=[common], help=demo.__doc__)
+        params = inspect.signature(demo).parameters
+        for option, type_ in options.items():
+            p.add_argument(f"--{option}", type=type_, default=params[option].default)
 
     return parser
 

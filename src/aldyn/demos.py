@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -35,18 +35,33 @@ from .quantum import (
     evolve,
     invariance_check,
 )
+from .report import Report
 from .scalars import Scalar
 
-
-@dataclass
-class DemoResult:
-    status: str  # "ok" | "fail"
-    payload: dict
-    verification: list[str] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)
+# name -> (demo, {parameter: argparse type}).  Each listed parameter is the
+# option --<parameter> of `aldyn demo <name>`, with the parameter's default.
+DEMOS: dict[str, tuple[Callable[..., Report], dict[str, Callable]]] = {}
 
 
-def demo_free(t: str | None = "2", observable: str = "q") -> DemoResult:
+def _demo(name: str, **options: Callable):
+    def register(fn):
+        DEMOS[name] = (fn, options)
+        return fn
+
+    return register
+
+
+def rational(text: str) -> str:
+    """A rational option value such as "3" or "-1/2", checked and kept as typed."""
+    try:
+        Fraction(text)
+    except ZeroDivisionError as e:
+        raise ValueError(f"zero denominator in {text!r}") from e
+    return text
+
+
+@_demo("free", t=rational, observable=str)
+def demo_free(t: str | None = None, observable: str = "q") -> Report:
     """Free dynamics: order-2 nilpotent generator, exact truncating flow."""
     gens = GeneratorSet.phase_space(1)
     q, p = Poly.generator(gens, "q"), Poly.generator(gens, "p")
@@ -72,9 +87,8 @@ def demo_free(t: str | None = "2", observable: str = "q") -> DemoResult:
     checks.append("d/dt at 0 equals the derivation: " + ("pass" if der_ok else "fail"))
     result_poly = flow
     if t is not None:
-        tval = Fraction(t)
         images = {n: Poly.generator(gens, n) for n in gens.names}
-        images["t"] = Poly.constant(gens, Scalar.of(tval))
+        images["t"] = Poly.constant(gens, Scalar.of(Fraction(t)))
         result_poly = flow.substitute(images)
     payload = {
         "nilpotency_order": order,
@@ -88,16 +102,16 @@ def demo_free(t: str | None = "2", observable: str = "q") -> DemoResult:
     ]
     if t is not None:
         lines.append(f"at t = {t}: {result_poly}")
-    return DemoResult("ok" if ok else "fail", payload, checks, lines)
+    return Report("ok" if ok else "fail", payload, checks, lines)
 
 
-def demo_oscillator(t: float | None = None, tol: float = 1e-10) -> DemoResult:
+@_demo("oscillator", t=rational, tol=float)
+def demo_oscillator(t: str | None = None, tol: float = 1e-10) -> Report:
     """Harmonic oscillator at omega = 1: rotation flow, conserved energy."""
     gens = GeneratorSet.phase_space(1)
     q, p = Poly.generator(gens, "q"), Poly.generator(gens, "p")
     osc = PolyDerivation(gens, {"q": p, "p": -q})
-    if t is None:
-        t = math.pi / 2
+    t = math.pi / 2 if t is None else float(Fraction(t))
     order = nilpotency_order(osc)
     flow_q = flow_linear(osc, t, q)
     flow_p = flow_linear(osc, t, p)
@@ -133,21 +147,23 @@ def demo_oscillator(t: float | None = None, tol: float = 1e-10) -> DemoResult:
         f"q -> {mat[0][0].real:.6f} q + {mat[0][1].real:.6f} p",
         f"p -> {mat[1][0].real:.6f} q + {mat[1][1].real:.6f} p",
     ]
-    return DemoResult("ok" if ok else "fail", payload, checks, lines)
+    return Report("ok" if ok else "fail", payload, checks, lines)
 
 
+@_demo("action-angle", t=rational, action=float, theta0=float)
 def demo_action_angle(
-    action: float = 1.0, angle: float = 0.0, t: float = math.pi, tol: float = 1e-12
-) -> DemoResult:
+    t: str | None = None, action: float = 1.0, theta0: float = 0.0, tol: float = 1e-12
+) -> Report:
     """Angle-phase flow u(t) = e^{i(tI + theta0)}, closed form vs series."""
-    closed = flow_action_angle([action], [angle], t)[0]
-    series = flow_action_angle_series([action], [angle], t, terms=40)[0]
+    t = math.pi if t is None else float(Fraction(t))
+    closed = flow_action_angle([action], [theta0], t)[0]
+    series = flow_action_angle_series([action], [theta0], t, terms=40)[0]
     err = abs(closed - series)
     mod_err = abs(abs(closed) - 1.0)
     ok = err < tol and mod_err < tol
     payload = {
         "I": action,
-        "theta0": angle,
+        "theta0": theta0,
         "t": t,
         "u": [closed.real, closed.imag],
         "series_error": err,
@@ -160,7 +176,7 @@ def demo_action_angle(
     lines = [
         f"u(t) = exp(i (t I + theta0)) = {closed.real:.6f} + {closed.imag:.6f} i",
     ]
-    return DemoResult("ok" if ok else "fail", payload, checks, lines)
+    return Report("ok" if ok else "fail", payload, checks, lines)
 
 
 def _seeded_block_hamiltonian(n: int, k: int, seed: int = 11) -> Mat:
@@ -179,9 +195,10 @@ def _seeded_block_hamiltonian(n: int, k: int, seed: int = 11) -> Mat:
     return Mat.from_rows(rows)
 
 
+@_demo("block-reduction", tol=float)
 def demo_block_reduction(
     n: int = 4, k: int = 2, tol: float = 1e-10, seed: int = 11
-) -> DemoResult:
+) -> Report:
     """Quantum block reduction: invariance, split, and evolution in the block."""
     h = _seeded_block_hamiltonian(n, k, seed)
     u_space = MatrixSubspace.block_algebra(n, k)
@@ -235,10 +252,11 @@ def demo_block_reduction(
         "ad_H preserves the block algebra; any off-block entry breaks it",
         "delta_H = delta_H_U + delta_H_F with commuting parts",
     ]
-    return DemoResult("ok" if ok else "fail", payload, checks, lines)
+    return Report("ok" if ok else "fail", payload, checks, lines)
 
 
-def demo_s_space() -> DemoResult:
+@_demo("s-space")
+def demo_s_space() -> Report:
     """Degree<=2 polynomials on R^4: both brackets agree up to i theta."""
     ctx = StarAlgebraContext.canonical(2)
     report = s_space_check(ctx)
@@ -254,10 +272,11 @@ def demo_s_space() -> DemoResult:
         f"basis of degree<=2 polynomials on R^4: {report.dimension} elements",
         "star commutator = i theta Poisson bracket, exactly, on every pair",
     ]
-    return DemoResult("ok" if report.ok else "fail", payload, checks, lines)
+    return Report("ok" if report.ok else "fail", payload, checks, lines)
 
 
-def demo_wigner() -> DemoResult:
+@_demo("wigner")
+def demo_wigner() -> Report:
     """Linear dynamics that cannot see whether the product commutes."""
     ctx = StarAlgebraContext.canonical(1)
     cases = {
@@ -280,10 +299,11 @@ def demo_wigner() -> DemoResult:
         "free and oscillator dynamics extend to derivations of both products;",
         "the Euler dynamics fails the symplectic condition and is pointwise-only",
     ]
-    return DemoResult("ok" if ok else "fail", payload, checks, lines)
+    return Report("ok" if ok else "fail", payload, checks, lines)
 
 
-def demo_maurer_cartan(n: int = 2) -> DemoResult:
+@_demo("maurer-cartan", n=int)
+def demo_maurer_cartan(n: int = 2) -> Report:
     """Dual frame of the derivation basis: d alpha + alpha o bracket = 0."""
     basis = DerivationBasis.gell_mann(n)
     mc_ok = True
@@ -321,15 +341,5 @@ def demo_maurer_cartan(n: int = 2) -> DemoResult:
         "the dual 1-forms obey the structure-constant differential identity",
         "and none of them is exact (commutators are traceless, the unit is not)",
     ]
-    return DemoResult("ok" if ok else "fail", payload, checks, lines)
+    return Report("ok" if ok else "fail", payload, checks, lines)
 
-
-DEMOS = {
-    "free": demo_free,
-    "oscillator": demo_oscillator,
-    "action-angle": demo_action_angle,
-    "block-reduction": demo_block_reduction,
-    "s-space": demo_s_space,
-    "wigner": demo_wigner,
-    "maurer-cartan": demo_maurer_cartan,
-}

@@ -222,12 +222,10 @@ def flow_map(
     cutoff: int = DEFAULT_NILPOTENCY_CUTOFF,
 ) -> FlowResult:
     """FlowResult with the exact flow of every generator."""
-    images = {}
-    order = 0
-    for name in delta.gens.names:
-        img = flow_nilpotent(delta, Poly.generator(delta.gens, name), t_name, cutoff)
-        images[name] = img
-        order = max(order, img.degree_in(t_name))
+    images = {
+        name: flow_nilpotent(delta, Poly.generator(delta.gens, name), t_name, cutoff)
+        for name in delta.gens.names
+    }
     return FlowResult(images=images, t_name=t_name, truncation_order="exact")
 
 

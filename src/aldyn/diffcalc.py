@@ -364,10 +364,6 @@ class ExactnessReport:
     trace_of_unit_value: int     # alpha^j(X_j) = identity has trace N != 0
     solvable: bool               # the linear system dA = alpha^j
 
-    @property
-    def exact(self) -> bool:
-        return self.solvable
-
 
 def exactness_obstruction(basis: DerivationBasis, j: int) -> ExactnessReport:
     """Certificate that the dual form alpha^j is not exact.

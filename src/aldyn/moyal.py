@@ -247,11 +247,6 @@ class StarDerivation:
         comm = star_commutator(self.ctx, self.x, f)
         return comm.divide_theta().scale(Scalar.i())
 
-    def generator_images(self) -> dict[str, Poly]:
-        return {
-            n: self(Poly.generator(self.ctx.gens, n)) for n in self.ctx.gens.names
-        }
-
 
 def inner_star_derivation(ctx: StarAlgebraContext, x: Poly) -> StarDerivation:
     return StarDerivation(ctx, x)

@@ -50,6 +50,8 @@ class GeneratorSet:
     @staticmethod
     def phase_space(n_pairs: int) -> "GeneratorSet":
         """Canonical (q1..qN, p1..pN) set; for N = 1 the names are q, p."""
+        if n_pairs < 1:
+            raise ValueError("phase space needs at least one pair")
         if n_pairs == 1:
             return GeneratorSet(("q", "p"), ("position", "momentum"))
         names = tuple(f"q{a+1}" for a in range(n_pairs)) + tuple(
@@ -61,6 +63,8 @@ class GeneratorSet:
     @staticmethod
     def action_angle(n_pairs: int) -> "GeneratorSet":
         """Angle-phase generators u1..uN with action variables I1..IN."""
+        if n_pairs < 1:
+            raise ValueError("action-angle set needs at least one pair")
         if n_pairs == 1:
             return GeneratorSet(("u", "I"), ("angle-phase", "plain"))
         names = tuple(f"u{a+1}" for a in range(n_pairs)) + tuple(
@@ -131,6 +135,8 @@ def _grlex_key(exps: tuple) -> tuple:
 def monomials(n: int, cap: int) -> list[tuple]:
     """All exponent tuples of n generators with total degree <= cap, in
     graded-lex order (the order of ``Poly.sorted_terms``)."""
+    if cap < 0:
+        raise ValueError("degree cap must be >= 0")
     out: list[tuple] = [()]
     for _ in range(n):
         out = [e + (k,) for e in out for k in range(cap - sum(e) + 1)]
@@ -377,9 +383,6 @@ class Poly:
             exps[self.gens.index(name)] = e
         return self.terms.get(tuple(exps), Scalar.zero())
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * len(self.gens), Scalar.zero())
-
     def total_degree(self) -> int:
         """Max term degree (sum of exponents); 0 for the zero polynomial."""
         if not self.terms:
@@ -388,12 +391,6 @@ class Poly:
 
     def is_theta_free(self) -> bool:
         return all(c.is_theta_free() for c in self.terms.values())
-
-    def degree_in(self, name: str) -> int:
-        i = self.gens.index(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
 
     def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
         """Terms in graded-lexicographic order (canonical)."""

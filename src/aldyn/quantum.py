@@ -26,12 +26,11 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return a @ b - b @ a
 
 
-def _require_hermitian(h: Mat | np.ndarray):
-    if isinstance(h, Mat):
-        if h.is_hermitian():
-            return
-        h = h.to_numpy()  # float-sourced entries get the numeric tolerance
-    if not np.allclose(h, h.conj().T, atol=HERMITIAN_FLOAT_TOL, rtol=0.0):
+def _require_hermitian(h: Mat):
+    if h.is_hermitian():
+        return
+    hn = h.to_numpy()  # float-sourced entries get the numeric tolerance
+    if not np.allclose(hn, hn.conj().T, atol=HERMITIAN_FLOAT_TOL, rtol=0.0):
         raise ValueError("Hamiltonian must be Hermitian")
 
 
@@ -41,15 +40,13 @@ def heisenberg_derivative(a: Mat, h: Mat) -> Mat:
     return commutator(a, h).scale(-GR_I)
 
 
-def evolve(a: Mat | np.ndarray, h: Mat | np.ndarray, t: float) -> np.ndarray:
+def evolve(a: Mat, h: Mat, t: float) -> np.ndarray:
     """Heisenberg evolution a(t) = e^{i t H} a e^{-i t H} (floating point)."""
     _require_hermitian(h)
-    hn = h.to_numpy() if isinstance(h, Mat) else np.asarray(h, dtype=complex)
-    an = a.to_numpy() if isinstance(a, Mat) else np.asarray(a, dtype=complex)
-    w, v = np.linalg.eigh(hn)
+    w, v = np.linalg.eigh(h.to_numpy())
     phase = np.exp(1j * t * w)
     u = (v * phase) @ v.conj().T          # e^{itH}
-    return u @ an @ u.conj().T
+    return u @ a.to_numpy() @ u.conj().T
 
 
 class MatrixSubspace:

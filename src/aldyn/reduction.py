@@ -80,8 +80,6 @@ def invariant_subalgebra(
     Exact kernel computation on the monomial coefficient space; basis
     vectors are normalized with leading coefficient one.
     """
-    if degree_cap < 0:
-        raise ValueError("degree cap must be >= 0")
     gens = dist.gens
     monos = monomials(len(gens), degree_cap)
     columns = [
@@ -153,10 +151,6 @@ class NormalizerReport:
     status: str  # "member" | "non-member" | "inconclusive"
     coefficients: list[list[Poly]] | None = None  # h_j^k per field j
     witness: dict | None = None
-
-    @property
-    def is_member(self) -> bool:
-        return self.status == "member"
 
 
 def normalizer_check(

@@ -1,8 +1,12 @@
 """CLI: dispatch, exit codes, JSON round trips, determinism."""
 
+import argparse
+import ast
+import inspect
 import json
 import math
 import os
+import textwrap
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +14,12 @@ from pathlib import Path
 import pytest
 
 import aldyn
-from aldyn.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, main
+from aldyn.cli import _build_parser, main
+from aldyn.demos import DEMOS
 from aldyn.derivations import PolyDerivation
 from aldyn.matrices import Mat
 from aldyn.poly import GeneratorSet, Poly
+from aldyn.report import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +45,8 @@ def derivation_json(images: dict) -> str:
 
 
 FREE_JSON = derivation_json({"q": Poly.generator(GENS, "p")})
+_DQ_JSON = PolyDerivation(GENS, {"q": Poly.one(GENS)}).to_json()
+_REDUCE_INPUT = json.dumps({"dynamics": json.loads(FREE_JSON), "distribution": [_DQ_JSON]})
 
 
 class TestBracketCommands:
@@ -395,12 +403,22 @@ class TestErrorHandling:
             ["starcomm", "--f", "q", "--g", "p", "--theta", "1/0"],
             ["flow", "--derivation", "free", "--f", "q", "--t", "1/0"],
             ["star", "--f", "1/0", "--g", "p"],
+            ["connection", "--distribution", json.dumps([_DQ_JSON]), "--degree-cap", "-1"],
+            ["reduce", "--input", _REDUCE_INPUT, "--ansatz-cap", "-1"],
+            ["frelate", "--dynamics", "euler", "--map", "q*p", "--ansatz-cap", "-1"],
+            ["star", "--f", "q", "--g", "p", "--pairs", "0"],
+            ["star", "--f", "q", "--g", "p", "--pairs", "-1"],
+            ["starcomm", "--f", "q", "--g", "p", "--pairs", "0"],
+            ["starcomm", "--f", "q", "--g", "p", "--pairs", "-1"],
         ],
         ids=["flow-nilpotent-oscillator", "biderivation-n5", "biderivation-n-1",
              "biderivation-n0", "star-theta-abc",
              "flow-t-x", "blocksplit-not-block", "evolve-not-hermitian",
              "star-theta-zero-denominator", "starcomm-theta-zero-denominator",
-             "flow-t-zero-denominator", "star-literal-zero-denominator"],
+             "flow-t-zero-denominator", "star-literal-zero-denominator",
+             "connection-degree-cap-negative", "reduce-ansatz-cap-negative",
+             "frelate-ansatz-cap-negative", "star-pairs-0", "star-pairs-negative",
+             "starcomm-pairs-0", "starcomm-pairs-negative"],
     )
     def test_malformed_invocation_exits_bad_input(self, argv):
         """A bad input must exit 2 in a fresh process, never crash as 1."""
@@ -414,8 +432,67 @@ class TestErrorHandling:
         assert "Traceback" not in proc.stderr
 
 
-_DQ_JSON = PolyDerivation(GENS, {"q": Poly.one(GENS)}).to_json()
-_REDUCE_INPUT = json.dumps({"dynamics": json.loads(FREE_JSON), "distribution": [_DQ_JSON]})
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jacobi", "--tensor", "su2", "--theta", "1/2"],
+            ["bracket", "--tensor", "canonical2", "--f", "q", "--g", "p", "--tol", "1"],
+            ["star", "--f", "q", "--g", "p", "--degree-cap", "2"],
+            ["connection", "--distribution", "[]", "--ansatz-cap", "2"],
+            ["demo", "action-angle", "--tol", "1e-30"],
+            ["demo", "free", "--n", "3"],
+        ],
+        ids=["jacobi-theta", "bracket-tol", "star-degree-cap", "connection-ansatz-cap",
+             "demo-action-angle-tol", "demo-free-n"],
+    )
+    def test_unread_flag_exits_bad_input(self, capsys, argv):
+        """A flag the subcommand or demo does not read is malformed input."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    """Destinations of the options a parser declares, beyond -h and --json/--text."""
+    return {a.dest for a in parser._actions if a.option_strings and a.dest not in ("help", "as_json")}
+
+
+def _function_ast(fn) -> ast.FunctionDef:
+    return ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+
+
+def test_every_declared_option_is_read():
+    """A subcommand handler reads each of its options as args.<dest>; a demo
+    reads each of its options as the parameter of that name."""
+    unread = []
+    for command, parser in _subparsers(_build_parser()).items():
+        handler = _function_ast(parser.get_default("fn"))
+        read = {
+            node.attr
+            for node in ast.walk(handler)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        unread += [f"{command} {dest}" for dest in sorted(_options(parser) - read)]
+    for name, parser in _subparsers(_subparsers(_build_parser())["demo"]).items():
+        body = _function_ast(DEMOS[name][0]).body
+        read = {
+            node.id
+            for stmt in body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"demo {name} {dest}" for dest in sorted(_options(parser) - read)]
+    assert unread == []
+
+
 # Each invocation reaches the code that reads its last option.
 INTEGER_OPTIONS = {
     "biderivation-n": ["biderivation", "--n"],
