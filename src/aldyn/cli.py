@@ -4,10 +4,13 @@ Each subcommand, and each demo under `demo <name>`, takes only the options
 its handler reads; `--json` / `--text` are the one pair every subcommand
 shares, and an option a subcommand does not take is malformed input.
 
-Exit codes: 0 for ok, 1 for a mathematical failure (a check that did not
-hold), 2 for malformed input, 3 for an inconclusive ansatz.  With --json
-the payload is canonical (sorted keys, fixed separators) and runs are
-byte-for-byte reproducible; wall time is only ever printed in text mode.
+Each handler returns a `report.Report` built from the checks that decide
+it; the status, and with it the exit code, is read off those checks.  Exit
+codes: 0 for ok, 1 for a mathematical failure (a check that did not hold),
+2 for malformed input, 3 for an inconclusive ansatz.  With --json the
+payload is canonical (sorted keys, fixed separators), strict JSON (float
+options must be finite) and byte-for-byte reproducible; wall time is only
+ever printed in text mode.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .demos import DEMOS
+from .demos import DEMOS, finite_float
 from .derivations import (
     NonTruncatingFlow,
     PolyDerivation,
@@ -159,7 +162,7 @@ def _parse_expr(text: str, gens: GeneratorSet, path: str) -> Poly:
 def _poly_float_json(p: Poly) -> dict:
     terms = []
     for exps, c in p.sorted_terms():
-        z = c.evaluate(0.0)
+        z = c.constant().to_complex()
         terms.append({"exps": list(exps), "re": z.real, "im": z.imag})
     return {"generators": list(p.gens.names), "terms": terms}
 
@@ -191,28 +194,26 @@ def cmd_bracket(args) -> Report:
     f = _parse_expr(args.f, tensor.gens, "/f")
     g = _parse_expr(args.g, tensor.gens, "/g")
     r = bracket(tensor, f, g)
-    anti = bracket(tensor, g, f) == -r
     return Report(
-        "ok" if anti else "fail",
         _poly_result(r, args.theta),
-        [f"antisymmetry re-check: {'pass' if anti else 'fail'}"],
-        [f"{{f, g}} = {r}"],
+        {"antisymmetry re-check": bracket(tensor, g, f) == -r},
+        lines=[f"{{f, g}} = {r}"],
     )
 
 
 def cmd_jacobi(args) -> Report:
     tensor = _load_tensor(args.tensor)
     rep = jacobi_check(tensor)
+    checks = {"cyclic sum vanishes on all triples": rep.ok}
     if rep.ok:
-        return Report("ok", {"jacobi": True}, ["cyclic sum vanished on all triples"],
-                      ["Jacobi identity holds"])
+        return Report({"jacobi": True}, checks, lines=["Jacobi identity holds"])
     return Report(
-        "fail",
         {
             "jacobi": False,
             "witness": list(rep.witness),
             "residual": rep.residual.to_json(),
         },
+        checks,
         [f"witness triple {rep.witness}, residual {rep.residual}"],
         [f"Jacobi fails on triple {rep.witness}: residual {rep.residual}"],
     )
@@ -225,12 +226,10 @@ def cmd_hamfield(args) -> Report:
     probe = Poly.one(tensor.gens)
     for name in tensor.gens.names:
         probe = probe * (Poly.generator(tensor.gens, name) + Poly.one(tensor.gens))
-    ok = apply(d, probe) == bracket(tensor, probe, h)
     return Report(
-        "ok" if ok else "fail",
         {"derivation": d.to_json()},
-        [f"apply(result, f) = {{f, H}} on a probe: {'pass' if ok else 'fail'}"],
-        [f"Hamiltonian field: {d}"],
+        {"apply(result, f) = {f, H} on a probe": apply(d, probe) == bracket(tensor, probe, h)},
+        lines=[f"Hamiltonian field: {d}"],
     )
 
 
@@ -239,12 +238,11 @@ def cmd_star(args) -> Report:
     f = _parse_expr(args.f, ctx.gens, "/f")
     g = _parse_expr(args.g, ctx.gens, "/g")
     r = star(ctx, f, g)
-    limit_ok = r.theta_limit() == (f * g).theta_limit()
+    limit_ok = r.theta_graded_part(0) == (f * g).theta_graded_part(0)
     return Report(
-        "ok" if limit_ok else "fail",
         _poly_result(r, args.theta),
-        [f"theta -> 0 limit equals the pointwise product: {'pass' if limit_ok else 'fail'}"],
-        [f"f * g = {r}"],
+        {"theta -> 0 limit equals the pointwise product": limit_ok},
+        lines=[f"f * g = {r}"],
     )
 
 
@@ -253,23 +251,20 @@ def cmd_starcomm(args) -> Report:
     f = _parse_expr(args.f, ctx.gens, "/f")
     g = _parse_expr(args.g, ctx.gens, "/g")
     r = star_commutator(ctx, f, g)
-    # The one-pass commutator keeps only the odd orders; the two full
-    # products agree with it only if their even orders cancel.
-    two_products = r == star(ctx, f, g) - star(ctx, g, f)
     leading_ok = True
     if f.is_theta_free() and g.is_theta_free():
         pb = bracket(ctx.poisson_tensor(), f, g)
         leading_ok = r.theta_graded_part(1) == pb.scale(Scalar.i()).theta_graded_part(0)
-    ok = two_products and leading_ok
     return Report(
-        "ok" if ok else "fail",
         _poly_result(r, args.theta),
-        [
-            "one-pass commutator equals f*g - g*f from two star products: "
-            + ("pass" if two_products else "fail"),
-            f"theta^1 coefficient is i{{f,g}}: {'pass' if leading_ok else 'fail'}",
-        ],
-        [f"[f, g]_theta = {r}"],
+        {
+            # The one-pass commutator keeps only the odd orders; the two full
+            # products agree with it only if their even orders cancel.
+            "one-pass commutator equals f*g - g*f from two star products":
+                r == star(ctx, f, g) - star(ctx, g, f),
+            "theta^1 coefficient is i{f,g}": leading_ok,
+        },
+        lines=[f"[f, g]_theta = {r}"],
     )
 
 
@@ -284,30 +279,26 @@ def cmd_flow(args) -> Report:
             if args.mode == "nilpotent":
                 raise
     if flow is not None:
+        images = {n: Poly.generator(d.gens, n) for n in d.gens.names}
+        at_zero_ok = flow.substitute(images | {"t": Poly.zero(d.gens)}) == f
         if args.t is not None:
-            images = {n: Poly.generator(d.gens, n) for n in d.gens.names}
             images["t"] = Poly.constant(d.gens, Scalar.of(_rational(args.t, "/t")))
             flow = flow.substitute(images)
-        at_zero_ok = True
-        if args.t is None:
-            images0 = {n: Poly.generator(d.gens, n) for n in d.gens.names}
-            images0["t"] = Poly.zero(d.gens)
-            at_zero_ok = flow.substitute(images0) == f
         return Report(
-            "ok" if at_zero_ok else "fail",
             {"mode": "nilpotent", "poly": flow.to_json(), "text": str(flow)},
-            [f"flow at t = 0 returns the observable: {'pass' if at_zero_ok else 'fail'}"],
-            [f"e^(t d) f = {flow}"],
+            {"flow at t = 0 returns the observable": at_zero_ok},
+            lines=[f"e^(t d) f = {flow}"],
         )
     if args.t is None:
         raise InputError("/t: linear flow needs a numeric --t")
+    if not f.is_theta_free():
+        raise InputError("/f: linear flow needs a theta-free observable")
     t = float(_rational(args.t, "/t"))
     flow = flow_linear(d, t, f)
     return Report(
-        "ok",
         {"mode": "linear", "t": t, "poly_float": _poly_float_json(flow)},
-        ["matrix exponential evaluated by eigendecomposition"],
-        [f"e^(t d) f has {len(flow.terms)} terms at t = {t}"],
+        notes=["matrix exponential evaluated in floating point"],
+        lines=[f"e^(t d) f has {len(flow.terms)} terms at t = {t}"],
     )
 
 
@@ -323,7 +314,7 @@ def cmd_nilpotency(args) -> Report:
         if order is not None
         else f"not nilpotent within cutoff {args.cutoff}"
     )
-    return Report("ok", payload, [], [line])
+    return Report(payload, lines=[line])
 
 
 _FD_SAFETY = 10.0
@@ -354,15 +345,14 @@ def cmd_evolve(args) -> Report:
     norm_err = abs(
         float(np.linalg.norm(result)) - float(np.linalg.norm(a.to_numpy()))
     )
-    ok = fd_err <= fd_bound and norm_err < args.tol
     return Report(
-        "ok" if ok else "fail",
         {"matrix": _matrix_float_json(result), "t": t},
-        [
-            f"finite-difference Heisenberg derivative error {fd_err:.2e} (<= {fd_bound:.2e})",
-            f"Frobenius norm drift {norm_err:.2e} (< tol)",
-        ],
-        [f"evolved {a.n}x{a.n} observable to t = {t}"],
+        {
+            f"finite-difference Heisenberg derivative error {fd_err:.2e} (<= {fd_bound:.2e})":
+                fd_err <= fd_bound,
+            f"Frobenius norm drift {norm_err:.2e} (< tol)": norm_err < args.tol,
+        },
+        lines=[f"evolved {a.n}x{a.n} observable to t = {t}"],
     )
 
 
@@ -371,12 +361,13 @@ def cmd_commutant(args) -> Report:
         "/subspace", MatrixSubspace.from_json, _load_json_arg(args.subspace, "/subspace")
     )
     result = commutant(space)
-    closed = result.is_product_closed() and result.is_commutator_closed()
     return Report(
-        "ok" if closed else "fail",
         {"dimension": result.dimension(), "basis": result.to_json()},
-        [f"commutant closed under product and commutator: {'pass' if closed else 'fail'}"],
-        [f"commutant dimension: {result.dimension()}"],
+        {
+            "commutant closed under product and commutator":
+                result.is_product_closed() and result.is_commutator_closed(),
+        },
+        lines=[f"commutant dimension: {result.dimension()}"],
     )
 
 
@@ -386,11 +377,12 @@ def cmd_invariance(args) -> Report:
         "/subspace", MatrixSubspace.from_json, _load_json_arg(args.subspace, "/subspace")
     )
     rep = invariance_check(h, space)
+    checks = {"ad_H preserves the subspace": rep.ok}
     if rep.ok:
-        return Report("ok", {"invariant": True}, [], ["ad_H preserves the subspace"])
+        return Report({"invariant": True}, checks, lines=["ad_H preserves the subspace"])
     return Report(
-        "fail",
         {"invariant": False, "witness": rep.witness.to_json()},
+        checks,
         ["witness basis element leaves the span under ad_H"],
         ["ad_H does not preserve the subspace"],
     )
@@ -407,20 +399,15 @@ def cmd_blocksplit(args) -> Report:
     )
     resummed = (du(probe) + df(probe)) == commutator(probe, h)
     commuting = du.commutes_with(df)
-    ok = resummed and commuting
     return Report(
-        "ok" if ok else "fail",
         {
             "generator_top": du.x.to_json(),
             "generator_bottom": df.x.to_json(),
             "resums": resummed,
             "commute": commuting,
         },
-        [
-            f"split re-sums to ad_H on a probe: {'pass' if resummed else 'fail'}",
-            f"parts commute exactly: {'pass' if commuting else 'fail'}",
-        ],
-        ["split ad_H into commuting block derivations"],
+        {"split re-sums to ad_H on a probe": resummed, "parts commute exactly": commuting},
+        lines=["split ad_H into commuting block derivations"],
     )
 
 
@@ -429,10 +416,9 @@ def cmd_biderivation(args) -> Report:
     cvec = commutator_bracket_vector(args.n)
     in_span = len(sols) == 1 and linalg.Span([sols[0], cvec]).dim == 1
     return Report(
-        "ok",
         {"n": args.n, "dimension": len(sols), "spanned_by_commutator": in_span},
-        [f"solution space dimension {len(sols)}"],
-        [
+        notes=[f"solution space dimension {len(sols)}"],
+        lines=[
             f"bilinear Leibniz brackets on Mat_{args.n}: dimension {len(sols)}, "
             + ("spanned by the commutator" if in_span else "see payload"),
         ],
@@ -473,19 +459,19 @@ def cmd_reduce(args) -> Report:
         + ", ".join(str(b) for b in basis),
         f"normalizer membership: {norm.status}",
     ]
-    notes = []
+    member = {"member": True, "non-member": False}.get(norm.status)
+    checks = {"dynamics normalizes the distribution": member}
     if norm.status == "non-member":
         payload["witness"] = norm.witness
-        return Report("fail", payload, notes, lines)
-    if norm.status == "inconclusive":
-        return Report("inconclusive", payload, notes, lines)
+    if not member:
+        return Report(payload, checks, lines=lines)
     split = split_dynamics(delta, dist, connection, args.ansatz_cap)
     if split.status != "ok":
         payload["split"] = {"status": split.status, "note": split.note}
         lines.append(f"split: {split.note}")
-        return Report("inconclusive", payload, notes, lines)
+        checks[f"polynomial connection within degree cap {args.ansatz_cap}"] = None
+        return Report(payload, checks, lines=lines)
     inv = invariance_of_subalgebra(delta, basis, dist)
-    resum = (split.delta_d + split.delta_prime) == delta
     payload["split"] = {
         "status": "ok",
         "case": split.case,
@@ -494,17 +480,13 @@ def cmd_reduce(args) -> Report:
         "commuting": split.commuting,
     }
     payload["subalgebra_invariant_under_dynamics"] = inv.ok
-    notes.extend(
-        [
-            f"split re-sums exactly: {'pass' if resum else 'fail'}",
-            f"invariant subalgebra preserved by the dynamics: {'pass' if inv.ok else 'fail'}",
-        ]
-    )
+    checks["split re-sums exactly"] = (split.delta_d + split.delta_prime) == delta
+    checks["invariant subalgebra preserved by the dynamics"] = inv.ok
     lines.append(
         f"split: delta_D = {split.delta_d}; delta' = {split.delta_prime}; "
         f"case: {split.case}"
     )
-    return Report("ok" if resum and inv.ok else "fail", payload, notes, lines)
+    return Report(payload, checks, lines=lines)
 
 
 def cmd_frelate(args) -> Report:
@@ -517,16 +499,14 @@ def cmd_frelate(args) -> Report:
     reduced = f_related_reduce(delta, fmap, args.ansatz_cap)
     if reduced is None:
         return Report(
-            "inconclusive",
             {"reducible": False},
-            [f"no polynomial push-forward within degree cap {args.ansatz_cap}"],
-            ["not reducible within the ansatz cap"],
+            {f"polynomial push-forward within degree cap {args.ansatz_cap}": None},
+            lines=["not reducible within the ansatz cap"],
         )
     return Report(
-        "ok",
         {"reducible": True, "reduced": reduced.to_json()},
-        ["delta(F^i) expressed through the map components exactly"],
-        [f"reduced dynamics: {reduced}"],
+        notes=["delta(F^i) expressed through the map components exactly"],
+        lines=[f"reduced dynamics: {reduced}"],
     )
 
 
@@ -539,20 +519,15 @@ def cmd_connection(args) -> Report:
     conn = find_connection(dist, args.degree_cap)
     if conn is None:
         return Report(
-            "inconclusive",
             {"found": False},
-            [f"no polynomial connection within degree cap {args.degree_cap}"],
-            ["no polynomial connection within the degree cap"],
+            {f"polynomial connection within degree cap {args.degree_cap}": None},
+            lines=["no polynomial connection within the degree cap"],
         )
-    x_probe = dist.fields[0]
-    idem = connection_apply(conn, connection_apply(conn, x_probe)) == connection_apply(
-        conn, x_probe
-    )
+    projected = connection_apply(conn, dist.fields[0])
     return Report(
-        "ok" if idem else "fail",
         {"found": True, "forms": conn.to_json()},
-        [f"idempotence on a probe field: {'pass' if idem else 'fail'}"],
-        ["found a dual family of polynomial 1-forms"],
+        {"idempotence on a probe field": connection_apply(conn, projected) == projected},
+        lines=["found a dual family of polynomial 1-forms"],
     )
 
 
@@ -567,19 +542,17 @@ def _load_form(spec: str, path: str, basis: DerivationBasis | None = None) -> KF
 def cmd_dform(args) -> Report:
     w = _load_form(args.form, "/form")
     dw = exterior_d(w)
-    dd_zero = exterior_d(dw).is_zero()
     return Report(
-        "ok" if dd_zero else "fail",
         {"form": dw.to_json()},
-        [f"d(d form) = 0: {'pass' if dd_zero else 'fail'}"],
-        [f"exterior derivative has degree {dw.degree}"],
+        {"d(d form) = 0": exterior_d(dw).is_zero()},
+        lines=[f"exterior derivative has degree {dw.degree}"],
     )
 
 
 def cmd_wedge(args) -> Report:
     w1 = _load_form(args.form1, "/form1")
     w = wedge(w1, _load_form(args.form2, "/form2", w1.basis))
-    return Report("ok", {"form": w.to_json()}, [], [f"wedge has degree {w.degree}"])
+    return Report({"form": w.to_json()}, lines=[f"wedge has degree {w.degree}"])
 
 
 def _parse_coeff_vector(text: str, dim: int, path: str) -> list[GaussRational]:
@@ -593,36 +566,36 @@ def cmd_contract(args) -> Report:
     w = _load_form(args.form, "/form")
     x = _parse_coeff_vector(args.x, w.basis.dim, "/x")
     r = contract(x, w)
-    return Report("ok", {"form": r.to_json()}, [], [f"contraction has degree {r.degree}"])
+    return Report({"form": r.to_json()}, lines=[f"contraction has degree {r.degree}"])
 
 
 def cmd_lieder(args) -> Report:
     w = _load_form(args.form, "/form")
     x = _parse_coeff_vector(args.x, w.basis.dim, "/x")
     r = lie_derivative(x, w)
-    notes = []
+    checks = {}
     if w.degree == 0:
         # L_X A = [A, sum_j x_j X_j]
         gen = Mat.zero(w.basis.n)
         for j, c in enumerate(x):
             if not c.is_zero():
                 gen = gen + w.basis.generators[j].scale(c)
-        ok = r.as_matrix() == commutator(w.as_matrix(), gen)
-        notes.append(f"degree-0 Lie derivative equals [A, X]: {'pass' if ok else 'fail'}")
-        if not ok:
-            return Report("fail", {"form": r.to_json()}, notes, [])
-    return Report("ok", {"form": r.to_json()}, notes, [f"Lie derivative has degree {r.degree}"])
+        checks["degree-0 Lie derivative equals [A, X]"] = (
+            r.as_matrix() == commutator(w.as_matrix(), gen)
+        )
+    return Report({"form": r.to_json()}, checks, lines=[f"Lie derivative has degree {r.degree}"])
 
 
 def cmd_casimir(args) -> Report:
     tensor = _load_tensor(args.tensor)
     c = _parse_expr(args.c, tensor.gens, "/c")
     rep = casimir_check(tensor, c)
+    checks = {"brackets with all generators vanish": rep.ok}
     if rep.ok:
-        return Report("ok", {"casimir": True}, [], ["brackets with all generators vanish"])
+        return Report({"casimir": True}, checks, lines=["brackets with all generators vanish"])
     return Report(
-        "fail",
         {"casimir": False, "witness": rep.witness, "residual": rep.residual.to_json()},
+        checks,
         [f"witness generator {rep.witness}: bracket = {rep.residual}"],
         [f"not a Casimir: {{{rep.witness}, C}} = {rep.residual}"],
     )
@@ -660,7 +633,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    default_cap = int(os.environ.get("ALDYN_DEGREE_CAP", "4"))
+    # A string default goes through the option's type only when that
+    # subcommand runs, so a malformed value is that subcommand's bad input.
+    default_cap = os.environ.get("ALDYN_DEGREE_CAP", "4")
     theta_help = "rational value substituted for theta"
 
     add("bracket", cmd_bracket, "--tensor", "--f", "--g").add_argument("--theta", help=theta_help)
@@ -681,8 +656,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("evolve", cmd_evolve, "--h", "--a")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--t", type=finite_float, required=True)
+    p.add_argument("--tol", type=finite_float, default=1e-10)
 
     add("commutant", cmd_commutant, "--subspace")
     add("invariance", cmd_invariance, "--h", "--subspace")

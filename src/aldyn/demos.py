@@ -60,6 +60,14 @@ def rational(text: str) -> str:
     return text
 
 
+def finite_float(text: str) -> float:
+    """A float option value that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 @_demo("free", t=rational, observable=str)
 def demo_free(t: str | None = None, observable: str = "q") -> Report:
     """Free dynamics: order-2 nilpotent generator, exact truncating flow."""
@@ -69,22 +77,18 @@ def demo_free(t: str | None = None, observable: str = "q") -> Report:
     order = nilpotency_order(free)
     f = parse_poly(observable, gens)
     flow = flow_nilpotent(free, f)
-    checks = []
-    ok = order == 2
-    checks.append(f"nilpotency order on generators = {order}")
-    # automorphism property on a product, exact
-    lhs = flow_nilpotent(free, q * q)
-    rhs = flow_nilpotent(free, q) * flow_nilpotent(free, q)
-    ok = ok and lhs == rhs
-    checks.append("flow is an automorphism on q*q: " + ("pass" if lhs == rhs else "fail"))
     # derivative at t = 0 recovers the derivation
     d_at_0 = flow.partial("t").substitute(
         {n: Poly.generator(gens, n) for n in gens.names}
         | {"t": Poly.zero(gens)}
     )
-    der_ok = d_at_0 == apply(free, f)
-    ok = ok and der_ok
-    checks.append("d/dt at 0 equals the derivation: " + ("pass" if der_ok else "fail"))
+    checks = {
+        f"nilpotency order on generators = {order}": order == 2,
+        # automorphism property on a product, exact
+        "flow is an automorphism on q*q":
+            flow_nilpotent(free, q * q) == flow_nilpotent(free, q) * flow_nilpotent(free, q),
+        "d/dt at 0 equals the derivation": d_at_0 == apply(free, f),
+    }
     result_poly = flow
     if t is not None:
         images = {n: Poly.generator(gens, n) for n in gens.names}
@@ -102,10 +106,10 @@ def demo_free(t: str | None = None, observable: str = "q") -> Report:
     ]
     if t is not None:
         lines.append(f"at t = {t}: {result_poly}")
-    return Report("ok" if ok else "fail", payload, checks, lines)
+    return Report(payload, checks, lines=lines)
 
 
-@_demo("oscillator", t=rational, tol=float)
+@_demo("oscillator", t=rational, tol=finite_float)
 def demo_oscillator(t: str | None = None, tol: float = 1e-10) -> Report:
     """Harmonic oscillator at omega = 1: rotation flow, conserved energy."""
     gens = GeneratorSet.phase_space(1)
@@ -130,12 +134,11 @@ def demo_oscillator(t: str | None = None, tol: float = 1e-10) -> Report:
     conserved = bracket(PoissonTensor.canonical(1), h, h).is_zero() and apply(
         osc, h
     ).is_zero()
-    ok = order is None and rot_err < tol and conserved
-    checks = [
-        "not nilpotent within cutoff: " + ("pass" if order is None else "fail"),
-        f"flow matrix matches rotation by t (max err {rot_err:.2e})",
-        "energy (q^2+p^2)/2 conserved exactly: " + ("pass" if conserved else "fail"),
-    ]
+    checks = {
+        "not nilpotent within cutoff": order is None,
+        f"flow matrix matches rotation by t (max err {rot_err:.2e})": rot_err < tol,
+        "energy (q^2+p^2)/2 conserved exactly": conserved,
+    }
     payload = {
         "t": t,
         "flow_matrix": [[[z.real, z.imag] for z in row] for row in mat],
@@ -147,10 +150,10 @@ def demo_oscillator(t: str | None = None, tol: float = 1e-10) -> Report:
         f"q -> {mat[0][0].real:.6f} q + {mat[0][1].real:.6f} p",
         f"p -> {mat[1][0].real:.6f} q + {mat[1][1].real:.6f} p",
     ]
-    return Report("ok" if ok else "fail", payload, checks, lines)
+    return Report(payload, checks, lines=lines)
 
 
-@_demo("action-angle", t=rational, action=float, theta0=float)
+@_demo("action-angle", t=rational, action=finite_float, theta0=finite_float)
 def demo_action_angle(
     t: str | None = None, action: float = 1.0, theta0: float = 0.0, tol: float = 1e-12
 ) -> Report:
@@ -160,7 +163,6 @@ def demo_action_angle(
     series = flow_action_angle_series([action], [theta0], t, terms=40)[0]
     err = abs(closed - series)
     mod_err = abs(abs(closed) - 1.0)
-    ok = err < tol and mod_err < tol
     payload = {
         "I": action,
         "theta0": theta0,
@@ -169,14 +171,14 @@ def demo_action_angle(
         "series_error": err,
         "modulus_error": mod_err,
     }
-    checks = [
-        f"40-term series agrees with closed form (err {err:.2e})",
-        f"|u(t)| = 1 (err {mod_err:.2e})",
-    ]
+    checks = {
+        f"40-term series agrees with closed form (err {err:.2e})": err < tol,
+        f"|u(t)| = 1 (err {mod_err:.2e})": mod_err < tol,
+    }
     lines = [
         f"u(t) = exp(i (t I + theta0)) = {closed.real:.6f} + {closed.imag:.6f} i",
     ]
-    return Report("ok" if ok else "fail", payload, checks, lines)
+    return Report(payload, checks, lines=lines)
 
 
 def _seeded_block_hamiltonian(n: int, k: int, seed: int = 11) -> Mat:
@@ -195,7 +197,7 @@ def _seeded_block_hamiltonian(n: int, k: int, seed: int = 11) -> Mat:
     return Mat.from_rows(rows)
 
 
-@_demo("block-reduction", tol=float)
+@_demo("block-reduction", tol=finite_float)
 def demo_block_reduction(
     n: int = 4, k: int = 2, tol: float = 1e-10, seed: int = 11
 ) -> Report:
@@ -227,16 +229,13 @@ def demo_block_reduction(
             coeffs, residuals, *_ = np.linalg.lstsq(basis_vecs, evolved, rcond=None)
             residual = float(np.linalg.norm(basis_vecs @ coeffs - evolved))
             max_residual = max(max_residual, residual)
-    ok = inv.ok and perturb_ok and resummed and commuting and max_residual < tol
-    checks = [
-        "invariance of the block algebra under ad_H: " + ("pass" if inv.ok else "fail"),
-        "every single off-block entry breaks invariance: "
-        + ("pass" if perturb_ok else "fail"),
-        "block split re-sums to ad_H exactly: " + ("pass" if resummed else "fail"),
-        "the two block derivations commute exactly: "
-        + ("pass" if commuting else "fail"),
-        f"evolution keeps the block span (max residual {max_residual:.2e})",
-    ]
+    checks = {
+        "invariance of the block algebra under ad_H": inv.ok,
+        "every single off-block entry breaks invariance": perturb_ok,
+        "block split re-sums to ad_H exactly": resummed,
+        "the two block derivations commute exactly": commuting,
+        f"evolution keeps the block span (max residual {max_residual:.2e})": max_residual < tol,
+    }
     payload = {
         "n": n,
         "k": k,
@@ -252,7 +251,7 @@ def demo_block_reduction(
         "ad_H preserves the block algebra; any off-block entry breaks it",
         "delta_H = delta_H_U + delta_H_F with commuting parts",
     ]
-    return Report("ok" if ok else "fail", payload, checks, lines)
+    return Report(payload, checks, lines=lines)
 
 
 @_demo("s-space")
@@ -260,19 +259,16 @@ def demo_s_space() -> Report:
     """Degree<=2 polynomials on R^4: both brackets agree up to i theta."""
     ctx = StarAlgebraContext.canonical(2)
     report = s_space_check(ctx)
-    payload = report.to_json()
-    checks = [
-        f"dimension = {report.dimension}",
-        "closed under the Poisson bracket: " + ("pass" if report.closed_poisson else "fail"),
-        "closed under the star commutator: " + ("pass" if report.closed_star else "fail"),
-        "[f,g]_theta = i theta {f,g} on all pairs: "
-        + ("pass" if report.all_equal else "fail"),
-    ]
+    checks = {
+        "closed under the Poisson bracket": report.closed_poisson,
+        "closed under the star commutator": report.closed_star,
+        "[f,g]_theta = i theta {f,g} on all pairs": report.all_equal,
+    }
     lines = [
         f"basis of degree<=2 polynomials on R^4: {report.dimension} elements",
         "star commutator = i theta Poisson bracket, exactly, on every pair",
     ]
-    return Report("ok" if report.ok else "fail", payload, checks, lines)
+    return Report(report.to_json(), checks, [f"dimension = {report.dimension}"], lines)
 
 
 @_demo("wigner")
@@ -286,20 +282,17 @@ def demo_wigner() -> Report:
     }
     reports = {name: wigner_ambiguity_check(ctx, c) for name, c in cases.items()}
     expected_star = {"free": True, "oscillator": True, "euler": False}
-    ok = all(r.pointwise_leibniz for r in reports.values()) and all(
-        reports[k].star_leibniz == expected_star[k] for k in cases
-    )
     payload = {name: r.to_json() for name, r in reports.items()}
-    checks = [
+    checks = {
         f"{name}: pointwise {r.pointwise_leibniz}, symplectic {r.symplectic_condition}, "
-        f"star {r.star_leibniz}"
+        f"star {r.star_leibniz}": r.pointwise_leibniz and r.star_leibniz == expected_star[name]
         for name, r in reports.items()
-    ]
+    }
     lines = [
         "free and oscillator dynamics extend to derivations of both products;",
         "the Euler dynamics fails the symplectic condition and is pointwise-only",
     ]
-    return Report("ok" if ok else "fail", payload, checks, lines)
+    return Report(payload, checks, lines=lines)
 
 
 @_demo("maurer-cartan", n=int)
@@ -323,7 +316,6 @@ def demo_maurer_cartan(n: int = 2) -> Report:
                     mc_ok = False
     obstructions = [exactness_obstruction(basis, j) for j in range(basis.dim)]
     none_exact = all(not rep.solvable for rep in obstructions)
-    ok = mc_ok and none_exact
     payload = {
         "n": n,
         "basis_dim": basis.dim,
@@ -331,15 +323,14 @@ def demo_maurer_cartan(n: int = 2) -> Report:
         "dual_forms_not_exact": none_exact,
         "unit_trace": n,
     }
-    checks = [
-        "d alpha^j (X_k, X_l) = -alpha^j([X_k, X_l]) for all j,k,l: "
-        + ("pass" if mc_ok else "fail"),
-        "dA = alpha^j has no solution for any j: " + ("pass" if none_exact else "fail"),
-    ]
+    checks = {
+        "d alpha^j (X_k, X_l) = -alpha^j([X_k, X_l]) for all j,k,l": mc_ok,
+        "dA = alpha^j has no solution for any j": none_exact,
+    }
     lines = [
         f"derivation basis of B(C^{n}): {basis.dim} generators",
         "the dual 1-forms obey the structure-constant differential identity",
         "and none of them is exact (commutators are traceless, the unit is not)",
     ]
-    return Report("ok" if ok else "fail", payload, checks, lines)
+    return Report(payload, checks, lines=lines)
 

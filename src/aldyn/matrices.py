@@ -160,22 +160,10 @@ class Mat:
             [[a.to_complex() for a in row] for row in self.entries], dtype=complex
         )
 
-    @staticmethod
-    def from_numpy(arr: np.ndarray) -> "Mat":
-        """Exact embedding of a float matrix (floats are dyadic rationals)."""
-        return Mat.from_rows([[complex(x) for x in row] for row in np.asarray(arr)])
-
     # -- json --------------------------------------------------------
 
-    def to_json(self, float_form: bool = False) -> dict:
-        if float_form:
-            entries = [
-                [{"re": float(a.re), "im": float(a.im)} for a in row]
-                for row in self.entries
-            ]
-        else:
-            entries = [[a.to_json() for a in row] for row in self.entries]
-        return {"n": self.n, "entries": entries}
+    def to_json(self) -> dict:
+        return {"n": self.n, "entries": [[a.to_json() for a in row] for row in self.entries]}
 
     @staticmethod
     def from_json(data: Mapping) -> "Mat":

@@ -128,20 +128,6 @@ class LieAlgebra3d:
         c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
         return LieAlgebra3d.from_constants(c)
 
-    def jacobi_holds(self) -> bool:
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(3):
-                        s = Fraction(0)
-                        for m in range(3):
-                            s += self.c[j][k][m] * self.c[i][m][l]
-                            s += self.c[k][i][m] * self.c[j][m][l]
-                            s += self.c[i][j][m] * self.c[k][m][l]
-                        if s != 0:
-                            return False
-        return True
-
     def to_json(self) -> dict:
         return {"c": [[[str(x) for x in row] for row in plane] for plane in self.c]}
 
@@ -206,8 +192,6 @@ def conserved_check(tensor: PoissonTensor, h: Poly, f: Poly) -> bool:
 
 def lie_poisson(algebra: LieAlgebra3d) -> PoissonTensor:
     """Linear tensor on the dual: {x_i, x_j} = c[i][j][k] x_k."""
-    if not algebra.jacobi_holds():
-        raise ValueError("structure constants violate the Jacobi identity")
     gens = GeneratorSet.plain(("x", "y", "z"))
     comps = {}
     for i in range(3):
@@ -218,7 +202,10 @@ def lie_poisson(algebra: LieAlgebra3d) -> PoissonTensor:
                 if coeff:
                     poly = poly + Poly.generator(gens, gens.names[k]).scale(coeff)
             comps[(i, j)] = poly
-    return PoissonTensor(gens, comps)
+    tensor = PoissonTensor(gens, comps)
+    if not jacobi_check(tensor).ok:
+        raise ValueError("structure constants violate the Jacobi identity")
+    return tensor
 
 
 @dataclass

@@ -312,15 +312,6 @@ class Poly:
                 out[exps[:i] + (k - 1,) + exps[i + 1 :]] = c.scale(GaussRational(k))
         return _poly(self.gens, out)
 
-    def theta_limit(self) -> "Poly":
-        """Keep only the theta**0 part of every coefficient."""
-        out = {}
-        for exps, c in self.terms.items():
-            c0 = c.theta_free_part()
-            if not c0.is_zero():
-                out[exps] = c0
-        return Poly(self.gens, out)
-
     def divide_theta(self, power: int = 1) -> "Poly":
         """Exact division of every coefficient by theta**power."""
         return Poly(

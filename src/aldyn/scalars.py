@@ -345,11 +345,6 @@ class Scalar:
     def theta_coefficient(self, power: int) -> GaussRational:
         return self.terms.get(power, GR_ZERO)
 
-    def theta_free_part(self) -> "Scalar":
-        """The theta**0 term only (the theta -> 0 limit)."""
-        c = self.terms.get(0)
-        return Scalar({0: c}) if c is not None else Scalar()
-
     def max_theta_power(self) -> int:
         return max(self.terms) if self.terms else 0
 
@@ -361,12 +356,6 @@ class Scalar:
         if not self.is_theta_free():
             raise ValueError("scalar has theta-dependence")
         return self.terms.get(0, GR_ZERO)
-
-    def evaluate(self, theta_value: complex) -> complex:
-        return sum(
-            (c.to_complex() * theta_value**k for k, c in self.terms.items()),
-            start=complex(0),
-        )
 
     def substitute_theta(self, value: Fraction) -> "Scalar":
         """Exact substitution theta -> rational value; result is theta-free."""

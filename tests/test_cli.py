@@ -19,7 +19,7 @@ from aldyn.demos import DEMOS
 from aldyn.derivations import PolyDerivation
 from aldyn.matrices import Mat
 from aldyn.poly import GeneratorSet, Poly
-from aldyn.report import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK
+from aldyn.report import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, Report
 
 
 def run_cli(capsys, *argv):
@@ -28,9 +28,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def run_json(capsys, *argv):
+    """Run with --json; the payload must be strict JSON (no NaN or Infinity)."""
     code, out, err = run_cli(capsys, *argv, "--json")
-    return code, json.loads(out) if out else None, err
+    return code, json.loads(out, parse_constant=_reject_constant) if out else None, err
 
 
 GENS = GeneratorSet.phase_space(1)
@@ -47,6 +52,25 @@ def derivation_json(images: dict) -> str:
 FREE_JSON = derivation_json({"q": Poly.generator(GENS, "p")})
 _DQ_JSON = PolyDerivation(GENS, {"q": Poly.one(GENS)}).to_json()
 _REDUCE_INPUT = json.dumps({"dynamics": json.loads(FREE_JSON), "distribution": [_DQ_JSON]})
+_XYZ = [{"name": "x"}, {"name": "y"}, {"name": "z"}]
+# {x, y} = z, {y, z} = y: the cyclic sum on (x, y, z) is z.
+JACOBI_FAILING_TENSOR = json.dumps({
+    "dim": 3,
+    "generators": _XYZ,
+    "components": [
+        {
+            "a": a,
+            "b": b,
+            "poly": {
+                "generators": _XYZ,
+                "terms": [{"exps": exps, "coeff": [{"theta": 0, "re": "1", "im": "0"}]}],
+            },
+        }
+        for a, b, exps in ((0, 1, [0, 0, 1]), (1, 2, [0, 1, 0]))
+    ],
+})
+SIGMA_X = json.dumps(Mat.from_rows([[0, 1], [1, 0]]).to_json())
+SIGMA_Z = json.dumps(Mat.from_rows([[1, 0], [0, -1]]).to_json())
 
 
 class TestBracketCommands:
@@ -63,33 +87,7 @@ class TestBracketCommands:
         assert code == EXIT_OK and payload["result"]["jacobi"]
 
     def test_jacobi_fail_exit_code(self, capsys):
-        bad = {
-            "dim": 3,
-            "generators": [{"name": "x"}, {"name": "y"}, {"name": "z"}],
-            "components": [
-                {
-                    "a": 0,
-                    "b": 1,
-                    "poly": {
-                        "generators": [{"name": "x"}, {"name": "y"}, {"name": "z"}],
-                        "terms": [
-                            {"exps": [0, 0, 1], "coeff": [{"theta": 0, "re": "1", "im": "0"}]}
-                        ],
-                    },
-                },
-                {
-                    "a": 1,
-                    "b": 2,
-                    "poly": {
-                        "generators": [{"name": "x"}, {"name": "y"}, {"name": "z"}],
-                        "terms": [
-                            {"exps": [0, 1, 0], "coeff": [{"theta": 0, "re": "1", "im": "0"}]}
-                        ],
-                    },
-                },
-            ],
-        }
-        code, payload, _ = run_json(capsys, "jacobi", "--tensor", json.dumps(bad))
+        code, payload, _ = run_json(capsys, "jacobi", "--tensor", JACOBI_FAILING_TENSOR)
         assert code == EXIT_FAIL
         assert payload["result"]["witness"] == [0, 1, 2]
 
@@ -207,7 +205,7 @@ class TestQuantumCommands:
         assert code == EXIT_OK
         bound = _central_difference_bound(math.sqrt(2501), 1.0, 1e-6)
         line = next(l for l in out.splitlines() if "derivative error" in l)
-        assert line.endswith(f"(<= {bound:.2e})")
+        assert line.endswith(f"(<= {bound:.2e}): pass")
 
     def test_evolve_self_check_rejects_wrong_evolution(self, capsys, monkeypatch):
         import aldyn.cli as cli
@@ -410,6 +408,15 @@ class TestErrorHandling:
             ["star", "--f", "q", "--g", "p", "--pairs", "-1"],
             ["starcomm", "--f", "q", "--g", "p", "--pairs", "0"],
             ["starcomm", "--f", "q", "--g", "p", "--pairs", "-1"],
+            ["flow", "--derivation", "oscillator", "--f", "theta*q", "--t", "1", "--mode", "linear"],
+            ["evolve", "--h", SIGMA_X, "--a", SIGMA_Z, "--t", "nan"],
+            ["evolve", "--h", SIGMA_X, "--a", SIGMA_Z, "--t", "inf"],
+            ["evolve", "--h", SIGMA_X, "--a", SIGMA_Z, "--t=-inf"],
+            ["evolve", "--h", SIGMA_X, "--a", SIGMA_Z, "--t", "1", "--tol", "nan"],
+            ["demo", "action-angle", "--action", "inf"],
+            ["demo", "action-angle", "--theta0", "nan"],
+            ["demo", "oscillator", "--tol=-inf"],
+            ["demo", "block-reduction", "--tol", "nan"],
         ],
         ids=["flow-nilpotent-oscillator", "biderivation-n5", "biderivation-n-1",
              "biderivation-n0", "star-theta-abc",
@@ -418,17 +425,31 @@ class TestErrorHandling:
              "flow-t-zero-denominator", "star-literal-zero-denominator",
              "connection-degree-cap-negative", "reduce-ansatz-cap-negative",
              "frelate-ansatz-cap-negative", "star-pairs-0", "star-pairs-negative",
-             "starcomm-pairs-0", "starcomm-pairs-negative"],
+             "starcomm-pairs-0", "starcomm-pairs-negative", "flow-linear-theta",
+             "evolve-t-nan", "evolve-t-inf", "evolve-t-minus-inf", "evolve-tol-nan",
+             "demo-action-angle-action-inf", "demo-action-angle-theta0-nan",
+             "demo-oscillator-tol-minus-inf", "demo-block-reduction-tol-nan"],
     )
     def test_malformed_invocation_exits_bad_input(self, argv):
         """A bad input must exit 2 in a fresh process, never crash as 1."""
-        src = str(Path(aldyn.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "aldyn.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_fresh(argv)
         assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["frelate", "--dynamics", "euler", "--map", "q*p"], EXIT_BAD_INPUT),
+            (["connection", "--distribution", json.dumps([_DQ_JSON])], EXIT_BAD_INPUT),
+            (["jacobi", "--tensor", "su2"], EXIT_OK),
+        ],
+        ids=["frelate", "connection", "jacobi-reads-no-cap"],
+    )
+    def test_malformed_degree_cap_env(self, argv, code):
+        """A malformed ALDYN_DEGREE_CAP is bad input to the subcommands that
+        read a cap, and does not reach the others."""
+        proc = run_fresh(argv, ALDYN_DEGREE_CAP="x")
+        assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -451,6 +472,20 @@ class TestErrorHandling:
             main(argv)
         assert exc.value.code == EXIT_BAD_INPUT
         assert "Traceback" not in capsys.readouterr().err
+
+
+def run_fresh(argv, **env) -> subprocess.CompletedProcess:
+    """`python -m aldyn.cli argv` in a fresh process, with env added."""
+    src = str(Path(aldyn.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        **env,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "aldyn.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def _subparsers(parser: argparse.ArgumentParser) -> dict:
@@ -534,3 +569,64 @@ class TestDeterminism:
         )
         again = Poly.from_json(payload["result"]["poly"])
         assert again.to_json() == payload["result"]["poly"]
+
+
+DEMO_INVOCATIONS = {f"demo-{name}": ["demo", name] for name in DEMOS}
+README_INVOCATIONS = {
+    "bracket": ["bracket", "--tensor", "canonical2", "--f", "q^2", "--g", "p^2"],
+    "star": ["star", "--f", "q", "--g", "p"],
+    "starcomm": ["starcomm", "--f", "q", "--g", "p"],
+    "flow": ["flow", "--derivation", "free", "--f", "q", "--t", "2"],
+    "jacobi": ["jacobi", "--tensor", "su2"],
+    "casimir": ["casimir", "--tensor", "su2", "--c", "x^2 + y^2 + z^2"],
+    "evolve": ["evolve", "--h", SIGMA_X, "--a", SIGMA_Z, "--t", "0.5"],
+    "biderivation": ["biderivation", "--n", "3"],
+}
+_QDQ_JSON = PolyDerivation(GENS, {"q": Poly.generator(GENS, "q")}).to_json()
+_DP_JSON = PolyDerivation(GENS, {"p": Poly.one(GENS)}).to_json()
+FAILING_INVOCATIONS = {
+    "evolve-tol": ["evolve", "--h", SIGMA_X, "--a", SIGMA_Z, "--t", "0.5", "--tol", "1e-30"],
+    "demo-oscillator-tol": ["demo", "oscillator", "--tol", "1e-30"],
+    "casimir-x": ["casimir", "--tensor", "su2", "--c", "x"],
+    "jacobi-violated": ["jacobi", "--tensor", JACOBI_FAILING_TENSOR],
+    "reduce-non-member": [
+        "reduce", "--input",
+        json.dumps({"dynamics": json.loads(FREE_JSON), "distribution": [_DP_JSON]}),
+    ],
+}
+INCONCLUSIVE_INVOCATIONS = {
+    "frelate-cap": ["frelate", "--dynamics", "free", "--map", "q"],
+    "connection-cap": ["connection", "--distribution", json.dumps([_QDQ_JSON])],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        pytest.param(argv, status, id=name)
+        for status, invocations in (
+            ("ok", {**DEMO_INVOCATIONS, **README_INVOCATIONS}),
+            ("fail", FAILING_INVOCATIONS),
+            ("inconclusive", INCONCLUSIVE_INVOCATIONS),
+        )
+        for name, argv in invocations.items()
+    ],
+)
+def test_status_is_read_off_the_listed_checks(capsys, argv, status):
+    """"fail" exactly when a verification line ends in ": fail",
+    "inconclusive" exactly when none does and one ends in ": inconclusive".
+    run_json also holds every demo and README payload to strict JSON."""
+    code, payload, _ = run_json(capsys, *argv)
+    verdicts = {line.rsplit(": ", 1)[-1] for line in payload["verification"]}
+    derived = next((v for v in ("fail", "inconclusive") if v in verdicts), "ok")
+    assert payload["status"] == derived == status
+    assert code == {"ok": EXIT_OK, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}[status]
+
+
+def test_report_status_rule():
+    assert Report({}).status == "ok"
+    assert Report({}, {"a": True, "b": None}).status == "inconclusive"
+    assert Report({}, {"a": None, "b": False}).status == "fail"
+    report = Report({}, {"a": True, "b": None, "c": False}, notes=["n"])
+    assert report.verification == ["n", "a: pass", "b: inconclusive", "c: fail"]
+    assert report.exit_code() == EXIT_FAIL

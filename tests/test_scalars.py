@@ -60,7 +60,7 @@ def test_scalar_construction_drops_zeros():
 def test_scalar_theta_parts():
     s = Scalar.of(1) + Scalar.of(2, theta_power=1) + Scalar.of(0, 3, theta_power=2)
     assert s.theta_coefficient(1) == GaussRational.of(2)
-    assert s.theta_free_part() == Scalar.of(1)
+    assert s.theta_coefficient(0) == GaussRational.of(1)
     assert s.max_theta_power() == 2
     assert not s.is_theta_free()
     with pytest.raises(ValueError):
@@ -77,11 +77,6 @@ def test_scalar_divide_theta():
 def test_scalar_substitute_theta():
     s = Scalar.of(1) + Scalar.of(2, theta_power=1)
     assert s.substitute_theta(Fraction(1, 2)) == Scalar.of(2)
-
-
-def test_scalar_evaluate():
-    s = Scalar.of(1) + Scalar.of(0, 1, theta_power=1)  # 1 + i*theta
-    assert s.evaluate(2.0) == complex(1.0, 2.0)
 
 
 @settings(max_examples=50, deadline=None)
