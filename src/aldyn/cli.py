@@ -23,8 +23,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .demos import DEMOS, finite_float
 from .derivations import (
@@ -251,10 +249,10 @@ def cmd_starcomm(args) -> Report:
     f = _parse_expr(args.f, ctx.gens, "/f")
     g = _parse_expr(args.g, ctx.gens, "/g")
     r = star_commutator(ctx, f, g)
-    leading_ok = True
-    if f.is_theta_free() and g.is_theta_free():
-        pb = bracket(ctx.poisson_tensor(), f, g)
-        leading_ok = r.theta_graded_part(1) == pb.scale(Scalar.i()).theta_graded_part(0)
+    # [f, g]_* = i theta {f, g} + O(theta^3), so the theta^1 part of the
+    # commutator is i times the theta^0 part of the bracket, theta or not.
+    pb = bracket(ctx.poisson_tensor(), f, g)
+    leading_ok = r.theta_graded_part(1) == pb.scale(Scalar.i()).theta_graded_part(0)
     return Report(
         _poly_result(r, args.theta),
         {
@@ -325,11 +323,13 @@ def _central_difference_bound(h_norm: float, a_norm: float, dt: float) -> float:
     a(t) = e^{itH} a e^{-itH}: truncation dt^2/6 |a'''| with
     |a'''| <= (2|H|)^3 |a| (|ad_H| <= 2|H|), plus rounding eps |a| / dt,
     times a safety factor.  Norms are spectral."""
-    eps = float(np.finfo(float).eps)
+    eps = sys.float_info.epsilon
     return _FD_SAFETY * (dt**2 * (2 * h_norm) ** 3 * a_norm / 6 + eps * a_norm / dt)
 
 
 def cmd_evolve(args) -> Report:
+    import numpy as np
+
     h = _decode("/h", Mat.from_json, _load_json_arg(args.h, "/h"))
     a = _decode("/a", Mat.from_json, _load_json_arg(args.a, "/a"))
     t = args.t

@@ -11,8 +11,6 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .derivations import (
     PolyDerivation,
     apply,
@@ -202,6 +200,8 @@ def demo_block_reduction(
     n: int = 4, k: int = 2, tol: float = 1e-10, seed: int = 11
 ) -> Report:
     """Quantum block reduction: invariance, split, and evolution in the block."""
+    import numpy as np
+
     h = _seeded_block_hamiltonian(n, k, seed)
     u_space = MatrixSubspace.block_algebra(n, k)
     inv = invariance_check(h, u_space)

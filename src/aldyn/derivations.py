@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .poly import GeneratorMismatch, GeneratorSet, Poly
 from .scalars import GaussRational, Scalar
 
@@ -231,6 +229,8 @@ def flow_map(
 
 def linear_coefficient_matrix(delta: PolyDerivation) -> np.ndarray:
     """The matrix c with delta(x^a) = c^a_b x^b; errors if not linear."""
+    import numpy as np
+
     gens = delta.gens
     n = len(gens)
     c = np.zeros((n, n), dtype=complex)
@@ -250,6 +250,8 @@ def linear_coefficient_matrix(delta: PolyDerivation) -> np.ndarray:
 
 def _expm(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Matrix exponential by eigendecomposition, series fallback."""
+    import numpy as np
+
     try:
         w, v = np.linalg.eig(m)
         vi = np.linalg.inv(v)

@@ -1,4 +1,5 @@
-"""Exact square matrices over Q(i), with a numpy bridge for numerics.
+"""Exact square matrices over Q(i); `to_numpy`, the bridge for numerics,
+imports numpy on demand.
 
 All algebraic decisions (ranks, commutants, solver systems) run on exact
 Gaussian-rational entries; only exponentials go through floating point.
@@ -8,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, fraction_from_str
 
@@ -156,6 +155,8 @@ class Mat:
     # -- numerics ----------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[a.to_complex() for a in row] for row in self.entries], dtype=complex
         )

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .linalg import SparseEliminator, Span, solve_columns
 from .matrices import Mat, full_matrix_basis
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational
@@ -29,6 +27,8 @@ def commutator(a: Mat, b: Mat) -> Mat:
 def _require_hermitian(h: Mat):
     if h.is_hermitian():
         return
+    import numpy as np
+
     hn = h.to_numpy()  # float-sourced entries get the numeric tolerance
     if not np.allclose(hn, hn.conj().T, atol=HERMITIAN_FLOAT_TOL, rtol=0.0):
         raise ValueError("Hamiltonian must be Hermitian")
@@ -42,6 +42,8 @@ def heisenberg_derivative(a: Mat, h: Mat) -> Mat:
 
 def evolve(a: Mat, h: Mat, t: float) -> np.ndarray:
     """Heisenberg evolution a(t) = e^{i t H} a e^{-i t H} (floating point)."""
+    import numpy as np
+
     _require_hermitian(h)
     w, v = np.linalg.eigh(h.to_numpy())
     phase = np.exp(1j * t * w)

@@ -130,6 +130,34 @@ class TestStarCommands:
             in payload["verification"]
         )
 
+    THETA_CARRYING = [
+        ("theta*q^2", "p^2"),
+        ("q + theta*q^3*p", "p^3 + theta^2*q*p"),
+        ("theta*q^2*p + q", "theta^3*p^2 + q*p^2"),
+    ]
+
+    @pytest.mark.parametrize("f, g", THETA_CARRYING)
+    def test_starcomm_checks_theta_one_on_theta_carrying_operands(
+        self, capsys, monkeypatch, f, g
+    ):
+        """[f, g]_* = i theta {f, g} + O(theta^3) holds for any operands, so
+        the leading-order check runs, and can fail, when they carry theta."""
+        import aldyn.cli as cli
+        from aldyn.scalars import Scalar
+
+        code, payload, _ = run_json(capsys, "starcomm", "--f", f, "--g", g)
+        assert code == EXIT_OK
+        assert "theta^1 coefficient is i{f,g}: pass" in payload["verification"]
+
+        real = cli.star_commutator
+        monkeypatch.setattr(
+            cli, "star_commutator",
+            lambda ctx, a, b: real(ctx, a, b) + Poly.constant(ctx.gens, Scalar.theta()),
+        )
+        code, payload, _ = run_json(capsys, "starcomm", "--f", f, "--g", g)
+        assert code == EXIT_FAIL
+        assert "theta^1 coefficient is i{f,g}: fail" in payload["verification"]
+
     def test_theta_substitution(self, capsys):
         code, payload, _ = run_json(
             capsys, "star", "--f", "q", "--g", "p", "--theta", "2"
@@ -486,6 +514,95 @@ def run_fresh(argv, **env) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "aldyn.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_no_module_level_numpy_import():
+    """numpy is imported only inside the functions that compute in floats,
+    so importing aldyn, or running an exact subcommand, never loads it."""
+    top_level = []
+    for path in sorted(Path(aldyn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        nested = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "numpy" for n in names) and id(node) not in nested:
+                top_level.append(f"{path.name}:{node.lineno}")
+    assert top_level == []
+
+
+_NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+
+sys.modules["numpy"] = None  # every numpy import now raises ImportError
+import aldyn, aldyn.cli
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = aldyn.cli.main(argv)
+        except ImportError:
+            code = None
+    return [code, out.getvalue()]
+
+
+json.dump({name: run(argv) for name, argv in json.load(sys.stdin).items()}, sys.stdout)
+"""
+
+
+def test_exact_paths_run_with_numpy_blocked(capsys):
+    """One cold process in which numpy cannot be imported runs every exact
+    subcommand and demo to the same stdout as a normal run; the oscillator
+    demo, which needs numpy, shows that the block holds."""
+    from aldyn.diffcalc import DerivationBasis, KForm
+
+    form = json.dumps(KForm.dual_form(DerivationBasis.gell_mann(2), 0).to_json())
+    block = json.dumps([Mat.basis_elt(4, i, j).to_json() for i in range(2) for j in range(2)])
+    full = json.dumps([Mat.basis_elt(2, i, j).to_json() for i in range(2) for j in range(2)])
+    exact = {
+        "bracket": ["bracket", "--tensor", "canonical2", "--f", "q^2", "--g", "p^3"],
+        "star": ["star", "--f", "q^2", "--g", "p^2"],
+        "starcomm": ["starcomm", "--f", "q^3", "--g", "p^2"],
+        "flow": ["flow", "--derivation", "free", "--f", "q^2", "--t", "3/2"],
+        "hamfield": ["hamfield", "--tensor", "canonical2", "--h", "1/2*p^2"],
+        "jacobi": ["jacobi", "--tensor", "su2"],
+        "casimir": ["casimir", "--tensor", "su2", "--c", "x^2 + y^2 + z^2"],
+        "biderivation-n2": ["biderivation", "--n", "2"],
+        "biderivation-n3": ["biderivation", "--n", "3"],
+        "commutant": ["commutant", "--subspace", full],
+        **{f"demo-{name}": ["demo", name]
+           for name in ("free", "action-angle", "s-space", "wigner", "maurer-cartan")},
+        "reduce": ["reduce", "--input", _REDUCE_INPUT],
+        "dform": ["dform", "--form", form],
+        "invariance": ["invariance", "--h", json.dumps(Mat.diag([1, 2, 3, 4]).to_json()),
+                       "--subspace", block],
+        "blocksplit": ["blocksplit", "--h", json.dumps(Mat.diag([1, 2, 3]).to_json()), "--k", "1"],
+    }
+    exact = {name: [*argv, "--json"] for name, argv in exact.items()}
+    src = str(Path(aldyn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_BLOCKED],
+        input=json.dumps({**exact, "demo-oscillator": ["demo", "oscillator", "--json"]}),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    assert blocked.pop("demo-oscillator")[0] != EXIT_OK
+    expected = {name: list(run_cli(capsys, *argv)[:2]) for name, argv in exact.items()}
+    assert {name: run[0] for name, run in expected.items()} == dict.fromkeys(exact, EXIT_OK)
+    assert blocked == expected
 
 
 def _subparsers(parser: argparse.ArgumentParser) -> dict:
