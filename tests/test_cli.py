@@ -130,13 +130,14 @@ class TestStarCommands:
             in payload["verification"]
         )
 
-    THETA_CARRYING = [
-        ("theta*q^2", "p^2"),
-        ("q + theta*q^3*p", "p^3 + theta^2*q*p"),
-        ("theta*q^2*p + q", "theta^3*p^2 + q*p^2"),
-    ]
-
-    @pytest.mark.parametrize("f, g", THETA_CARRYING)
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            ("theta*q^2", "p^2"),
+            ("q + theta*q^3*p", "p^3 + theta^2*q*p"),
+            ("theta*q^2*p + q", "theta^3*p^2 + q*p^2"),
+        ],
+    )
     def test_starcomm_checks_theta_one_on_theta_carrying_operands(
         self, capsys, monkeypatch, f, g
     ):
@@ -502,8 +503,8 @@ class TestErrorHandling:
         assert "Traceback" not in capsys.readouterr().err
 
 
-def run_fresh(argv, **env) -> subprocess.CompletedProcess:
-    """`python -m aldyn.cli argv` in a fresh process, with env added."""
+def run_python(args, stdin=None, **env) -> subprocess.CompletedProcess:
+    """`python args` in a fresh process that imports this aldyn, with env added."""
     src = str(Path(aldyn.__file__).resolve().parents[1])
     env = {
         **os.environ,
@@ -511,9 +512,14 @@ def run_fresh(argv, **env) -> subprocess.CompletedProcess:
         "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
     }
     return subprocess.run(
-        [sys.executable, "-m", "aldyn.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *args],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def run_fresh(argv, **env) -> subprocess.CompletedProcess:
+    """`python -m aldyn.cli argv` in a fresh process, with env added."""
+    return run_python(["-m", "aldyn.cli", *argv], **env)
 
 
 def test_no_module_level_numpy_import():
@@ -590,12 +596,9 @@ def test_exact_paths_run_with_numpy_blocked(capsys):
         "blocksplit": ["blocksplit", "--h", json.dumps(Mat.diag([1, 2, 3]).to_json()), "--k", "1"],
     }
     exact = {name: [*argv, "--json"] for name, argv in exact.items()}
-    src = str(Path(aldyn.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_BLOCKED],
-        input=json.dumps({**exact, "demo-oscillator": ["demo", "oscillator", "--json"]}),
-        capture_output=True, text=True, env=env, timeout=120,
+    proc = run_python(
+        ["-c", _NUMPY_BLOCKED],
+        json.dumps({**exact, "demo-oscillator": ["demo", "oscillator", "--json"]}),
     )
     assert proc.returncode == 0, proc.stderr
     blocked = json.loads(proc.stdout)
