@@ -8,15 +8,12 @@ matrix algebras.
 """
 
 from .derivations import (
-    FlowResult,
     NonTruncatingFlow,
     PolyDerivation,
     apply,
     commutator_der,
     flow_action_angle,
-    flow_action_angle_series,
     flow_linear,
-    flow_map,
     flow_nilpotent,
     flow_series_truncated,
     nilpotency_order,
@@ -36,7 +33,6 @@ from .moyal import (
     StarAlgebraContext,
     StarDerivation,
     SymplecticPairing,
-    inner_star_derivation,
     s_space_basis,
     s_space_check,
     star,
@@ -88,7 +84,6 @@ __all__ = [
     "ConnectionP",
     "DerivationBasis",
     "Distribution",
-    "FlowResult",
     "GaussRational",
     "GeneratorMismatch",
     "GeneratorSet",
@@ -126,16 +121,13 @@ __all__ = [
     "find_hamiltonian",
     "find_poisson_tensor",
     "flow_action_angle",
-    "flow_action_angle_series",
     "flow_linear",
-    "flow_map",
     "flow_nilpotent",
     "flow_series_truncated",
     "full_matrix_basis",
     "gell_mann_basis",
     "hamiltonian_field",
     "heisenberg_derivative",
-    "inner_star_derivation",
     "invariance_check",
     "invariance_of_subalgebra",
     "invariant_subalgebra",

@@ -2,22 +2,23 @@
 
 A derivation is stored through its components delta^a on the generators
 (the vector-field picture); the action on arbitrary polynomials is the
-linear-Leibniz extension sum_a delta^a d_a.  Flows come in three exact or
-numeric flavors: truncating series for nilpotent derivations, matrix
-exponentials for linear ones, and pointwise evaluation for the
-angle-action case.
+linear-Leibniz extension sum_a delta^a d_a.  Flows come in three flavors:
+exact truncating series for nilpotent derivations, and, where only an
+exponential can give the answer, float matrix exponentials for linear
+derivations and pointwise values for the angle-phase case.  The
+angle-phase flow itself is decided exactly: delta'(u) = i I u and
+delta'(I) = 0 give e^{t delta'} u = e^{i t I} u.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .poly import GeneratorMismatch, GeneratorSet, Poly
-from .scalars import GaussRational, Scalar
+from .scalars import GaussRational, Scalar, to_float
 
 DEFAULT_NILPOTENCY_CUTOFF = 16
 _FLOW_SAFETY_CAP = 1000
@@ -119,15 +120,6 @@ class PolyDerivation:
         return PolyDerivation(gens, images)
 
 
-@dataclass
-class FlowResult:
-    """Exact flow of every generator, as polynomials in the time symbol."""
-
-    images: dict[str, Poly]
-    t_name: str
-    truncation_order: int | str  # highest t-power + 1, or "exact"
-
-
 def apply(delta: PolyDerivation, f: Poly) -> Poly:
     """Linear-Leibniz extension: sum_a delta^a d_a f."""
     if f.gens != delta.gens:
@@ -214,19 +206,6 @@ def flow_series_truncated(
     return out, term.is_zero()
 
 
-def flow_map(
-    delta: PolyDerivation,
-    t_name: str = "t",
-    cutoff: int = DEFAULT_NILPOTENCY_CUTOFF,
-) -> FlowResult:
-    """FlowResult with the exact flow of every generator."""
-    images = {
-        name: flow_nilpotent(delta, Poly.generator(delta.gens, name), t_name, cutoff)
-        for name in delta.gens.names
-    }
-    return FlowResult(images=images, t_name=t_name, truncation_order="exact")
-
-
 def linear_coefficient_matrix(delta: PolyDerivation) -> np.ndarray:
     """The matrix c with delta(x^a) = c^a_b x^b; errors if not linear."""
     import numpy as np
@@ -244,7 +223,7 @@ def linear_coefficient_matrix(delta: PolyDerivation) -> np.ndarray:
             if not coeff.is_theta_free():
                 raise ValueError("linear flow needs theta-free coefficients")
             b = next(i for i, e in enumerate(exps) if e == 1)
-            c[a, b] = coeff.constant().to_complex()
+            c[a, b] = coeff.constant().to_complex(f"image of {name!r}")
     return c
 
 
@@ -301,26 +280,14 @@ def flow_linear(delta: PolyDerivation, t: complex, f: Poly) -> Poly:
 def flow_action_angle(
     action: Sequence[float], angle: Sequence[float], t: float
 ) -> list[complex]:
-    """Values u^a(t) = exp(i (t I^a + theta^a)) of the angle-phase generators."""
+    """Values u^a(t) = exp(i (t I^a + theta^a)) of the angle-phase generators;
+    each phase t I^a + theta^a must be a finite float."""
     if len(action) != len(angle):
         raise ValueError("action and angle vectors must have equal length")
-    return [cmath.exp(1j * (t * i0 + th0)) for i0, th0 in zip(action, angle)]
-
-
-def flow_action_angle_series(
-    action: Sequence[float], angle: Sequence[float], t: float, terms: int = 40
-) -> list[complex]:
-    """Partial sums of e^{t delta'} u with delta'(u) = i I u, evaluated pointwise."""
-    out = []
-    for i0, th0 in zip(action, angle):
-        u0 = cmath.exp(1j * th0)
-        acc = complex(0)
-        coeff = complex(1)
-        for k in range(terms):
-            acc += coeff * u0
-            coeff *= (1j * i0 * t) / (k + 1)
-        out.append(acc)
-    return out
+    return [
+        cmath.exp(1j * to_float(t * i0 + th0, "t * I + theta0"))
+        for i0, th0 in zip(action, angle)
+    ]
 
 
 def commutator_der(d1: PolyDerivation, d2: PolyDerivation) -> PolyDerivation:

@@ -154,11 +154,17 @@ class Mat:
 
     # -- numerics ----------------------------------------------------
 
-    def to_numpy(self) -> np.ndarray:
+    def to_numpy(self, path: str = "") -> np.ndarray:
+        """The complex array; a ValueError names the JSON path under `path`
+        of an entry beyond the float range."""
         import numpy as np
 
         return np.array(
-            [[a.to_complex() for a in row] for row in self.entries], dtype=complex
+            [
+                [a.to_complex(f"{path}/entries/{i}/{j}") for j, a in enumerate(row)]
+                for i, row in enumerate(self.entries)
+            ],
+            dtype=complex,
         )
 
     # -- json --------------------------------------------------------

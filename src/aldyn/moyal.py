@@ -248,10 +248,6 @@ class StarDerivation:
         return comm.divide_theta().scale(Scalar.i())
 
 
-def inner_star_derivation(ctx: StarAlgebraContext, x: Poly) -> StarDerivation:
-    return StarDerivation(ctx, x)
-
-
 def s_space_basis(gens: GeneratorSet) -> list[Poly]:
     """Monomial basis of P0 + P1 + P2 (graded-lex order); 15 elements on R^4."""
     return [Poly(gens, {e: Scalar.one()}) for e in monomials(len(gens), 2)]

@@ -16,13 +16,15 @@ operations build their results through the trusted constructor
 ``_scalar``, which skips the validation of the public ``__init__``: the
 operands are already valid, and Q(i) is a field, so only sums can cancel.
 
-Both types are treated as immutable; all arithmetic is exact.
+Both types are treated as immutable; all arithmetic is exact.  A value
+that no finite float can hold leaves for floating point only as the
+ValueError of ``to_float``, which ``GaussRational.to_complex`` raises too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _gcd, lcm as _lcm
+from math import gcd as _gcd, isfinite as _isfinite, lcm as _lcm
 from typing import Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -36,6 +38,18 @@ def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def to_float(x: int | Fraction | float, where: str) -> float:
+    """The float nearest x, or a ValueError naming `where` (an option or a
+    JSON path) when x is beyond the float range or not finite."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = float("inf")
+    if not _isfinite(value):
+        raise ValueError(f"{where}: not a finite float")
+    return value
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -198,9 +212,14 @@ class GaussRational:
     def is_zero(self) -> bool:
         return not self.re_num and not self.im_num
 
-    def to_complex(self) -> complex:
+    def to_complex(self, where: str = "value") -> complex:
+        """The nearest complex float; a ValueError naming `where` if a part
+        is beyond the float range."""
         # int / int is correctly rounded, as is float(Fraction).
-        return complex(self.re_num / self.den, self.im_num / self.den)
+        try:
+            return complex(self.re_num / self.den, self.im_num / self.den)
+        except OverflowError:
+            return complex(to_float(self.re, f"{where}/re"), to_float(self.im, f"{where}/im"))
 
     def __repr__(self) -> str:
         return f"GaussRational(re={self.re!r}, im={self.im!r})"

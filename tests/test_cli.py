@@ -73,6 +73,15 @@ SIGMA_X = json.dumps(Mat.from_rows([[0, 1], [1, 0]]).to_json())
 SIGMA_Z = json.dumps(Mat.from_rows([[1, 0], [0, -1]]).to_json())
 
 
+def _matrix_cells(rows) -> str:
+    """A 2x2 matrix JSON from its (re, im) cells, given as written in JSON."""
+    return json.dumps({"n": 2, "entries": [[{"re": re, "im": im} for re, im in row] for row in rows]})
+
+
+# Exact "1/10" against the float 0.1 across the diagonal: not Hermitian.
+NEAR_HERMITIAN = _matrix_cells([[("1", "0"), ("1/10", "0")], [(0.1, 0), ("2", "0")]])
+
+
 class TestBracketCommands:
     def test_bracket(self, capsys):
         code, payload, _ = run_json(
@@ -270,6 +279,22 @@ class TestQuantumCommands:
         assert code == EXIT_OK
         assert payload["result"]["commute"] and payload["result"]["resums"]
 
+    def test_blocksplit_rejects_a_wrong_split(self, capsys, monkeypatch):
+        """The re-sum check compares the split with ad_H itself, so a wrong
+        bottom block fails it."""
+        import aldyn.cli
+        from aldyn.quantum import InnerDerivation, block_split
+
+        def wrong_bottom(h, k):
+            top, _ = block_split(h, k)
+            return top, InnerDerivation(Mat.diag([0, 0, 0, 1]))
+
+        monkeypatch.setattr(aldyn.cli, "block_split", wrong_bottom)
+        h = Mat.from_rows([[1, 2, 0, 0], [2, -1, 0, 0], [0, 0, 3, 1], [0, 0, 1, 4]])
+        code, payload, _ = run_json(capsys, "blocksplit", "--h", json.dumps(h.to_json()), "--k", "2")
+        assert code == EXIT_FAIL
+        assert payload["result"]["resums"] is False
+
     def test_biderivation(self, capsys):
         code, payload, _ = run_json(capsys, "biderivation", "--n", "2")
         assert code == EXIT_OK
@@ -446,6 +471,13 @@ class TestErrorHandling:
             ["demo", "action-angle", "--theta0", "nan"],
             ["demo", "oscillator", "--tol=-inf"],
             ["demo", "block-reduction", "--tol", "nan"],
+            ["demo", "action-angle", "--t", "1e400"],
+            ["demo", "action-angle", "--action", "1e308", "--t", "10"],
+            ["demo", "oscillator", "--t", "1e400"],
+            ["flow", "--derivation", "oscillator", "--f", "q", "--t", "1e400", "--mode", "linear"],
+            ["evolve", "--h", _matrix_cells([[("1e400", "0"), ("0", "0")], [("0", "0"), ("1", "0")]]),
+             "--a", SIGMA_Z, "--t", "1"],
+            ["evolve", "--h", NEAR_HERMITIAN, "--a", SIGMA_Z, "--t", "1"],
         ],
         ids=["flow-nilpotent-oscillator", "biderivation-n5", "biderivation-n-1",
              "biderivation-n0", "star-theta-abc",
@@ -457,7 +489,10 @@ class TestErrorHandling:
              "starcomm-pairs-0", "starcomm-pairs-negative", "flow-linear-theta",
              "evolve-t-nan", "evolve-t-inf", "evolve-t-minus-inf", "evolve-tol-nan",
              "demo-action-angle-action-inf", "demo-action-angle-theta0-nan",
-             "demo-oscillator-tol-minus-inf", "demo-block-reduction-tol-nan"],
+             "demo-oscillator-tol-minus-inf", "demo-block-reduction-tol-nan",
+             "demo-action-angle-t-overflow", "demo-action-angle-phase-overflow",
+             "demo-oscillator-t-overflow", "flow-linear-t-overflow",
+             "evolve-entry-overflow", "evolve-near-hermitian"],
     )
     def test_malformed_invocation_exits_bad_input(self, argv):
         """A bad input must exit 2 in a fresh process, never crash as 1."""
@@ -546,6 +581,9 @@ def test_no_module_level_numpy_import():
     assert top_level == []
 
 
+# The demos that evaluate an exponential in floats, and so need numpy.
+FLOAT_DEMOS = {"oscillator"}
+
 _NUMPY_BLOCKED = """
 import contextlib, io, json, sys
 
@@ -587,8 +625,7 @@ def test_exact_paths_run_with_numpy_blocked(capsys):
         "biderivation-n2": ["biderivation", "--n", "2"],
         "biderivation-n3": ["biderivation", "--n", "3"],
         "commutant": ["commutant", "--subspace", full],
-        **{f"demo-{name}": ["demo", name]
-           for name in ("free", "action-angle", "s-space", "wigner", "maurer-cartan")},
+        **{f"demo-{name}": ["demo", name] for name in DEMOS if name not in FLOAT_DEMOS},
         "reduce": ["reduce", "--input", _REDUCE_INPUT],
         "dform": ["dform", "--form", form],
         "invariance": ["invariance", "--h", json.dumps(Mat.diag([1, 2, 3, 4]).to_json()),
@@ -670,6 +707,20 @@ def test_integer_options_keep_the_exit_code_contract(capsys, option, value):
     an exception escaping main would fail the test."""
     code, _, err = run_cli(capsys, *INTEGER_OPTIONS[option], value, "--json")
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT, EXIT_INCONCLUSIVE), err
+
+
+class TestDemos:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--action", "3", "--theta0", "1"], ["--action", "1e10"]],
+        ids=["action-3-theta0-1", "action-1e10"],
+    )
+    def test_action_angle_at_a_large_phase(self, capsys, argv):
+        """The verdict is exact, so a large phase t I + theta0 still passes,
+        and the payload is strict JSON."""
+        code, payload, _ = run_json(capsys, "demo", "action-angle", *argv)
+        assert code == EXIT_OK
+        assert payload["result"]["modulus_error"] < 1e-12
 
 
 class TestDeterminism:

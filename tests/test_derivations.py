@@ -14,9 +14,7 @@ from aldyn.derivations import (
     apply,
     commutator_der,
     flow_action_angle,
-    flow_action_angle_series,
     flow_linear,
-    flow_map,
     flow_nilpotent,
     flow_series_truncated,
     nilpotency_order,
@@ -161,19 +159,6 @@ class TestTruncatedSeries:
         assert flow == q + t * p - (t**2 * q).scale(Fraction(1, 2))
 
 
-class TestFlowMap:
-    def test_time_zero_and_derivative(self):
-        result = flow_map(FREE)
-        ext = result.images["q"].gens
-        back0 = {n: Poly.generator(GENS, n) for n in GENS.names}
-        back0["t"] = Poly.zero(GENS)
-        for name in GENS.names:
-            img = result.images[name]
-            assert img.substitute(back0) == Poly.generator(GENS, name)
-            assert img.partial("t").substitute(back0) == FREE.images[name]
-        assert result.truncation_order == "exact"
-
-
 class TestFlowLinear:
     def test_oscillator_quarter_period(self):
         t = math.pi / 2
@@ -227,11 +212,21 @@ class TestActionAngle:
         (u,) = flow_action_angle([2.0], [theta0], 0.0)
         assert abs(u - cmath.exp(1j * theta0)) < 1e-15
 
-    def test_series_oracle(self):
+    def test_exact_eigen_equation(self):
+        """d(u) = i I u and d(I) = 0 on the angle-phase generator, so
+        d^k(u) = (i I)^k u and e^{t d} u = e^{i t I} u."""
+        gens = GeneratorSet.action_angle(1)
+        u, action = Poly.generator(gens, "u"), Poly.generator(gens, "I")
+        d = PolyDerivation(gens, {"u": action})
+        i_action = action.scale(Scalar.i())
+        assert apply(d, u) == i_action * u
+        assert apply(d, action).is_zero()
+        term, power = u, Poly.one(gens)
+        for _ in range(4):
+            term, power = apply(d, term), power * i_action
+            assert term == power * u
         (closed,) = flow_action_angle([1.0], [0.0], 1.0)
-        (series,) = flow_action_angle_series([1.0], [0.0], 1.0, terms=40)
         assert abs(closed - cmath.exp(1j)) < 1e-15
-        assert abs(closed - series) < 1e-12
 
     def test_unit_modulus(self):
         us = flow_action_angle([0.5, -2.0, 3.0], [0.1, 0.2, -0.3], 7.7)

@@ -17,8 +17,8 @@ import pytest
 from aldyn.derivations import PolyDerivation, apply
 from aldyn.moyal import (
     StarAlgebraContext,
+    StarDerivation,
     SymplecticPairing,
-    inner_star_derivation,
     s_space_basis,
     s_space_check,
     star,
@@ -354,7 +354,7 @@ class TestStarCommutator:
 
 class TestInnerStarDerivation:
     def test_momentum_generates_position_derivative(self):
-        d = inner_star_derivation(CTX, P)
+        d = StarDerivation(CTX, P)
         assert d(Q**2) == Q.scale(2)
         rng = random.Random(30)
         for _ in range(10):
@@ -362,19 +362,19 @@ class TestInnerStarDerivation:
             assert d(f) == f.partial("q")
 
     def test_position_generates_minus_momentum_derivative(self):
-        d = inner_star_derivation(CTX, Q)
+        d = StarDerivation(CTX, Q)
         rng = random.Random(31)
         for _ in range(10):
             f = random_poly(GENS, rng)
             assert d(f) == -f.partial("p")
 
     def test_constant_is_central(self):
-        d = inner_star_derivation(CTX, Poly.constant(GENS, Scalar.of(5)))
+        d = StarDerivation(CTX, Poly.constant(GENS, Scalar.of(5)))
         rng = random.Random(32)
         assert d(random_poly(GENS, rng)).is_zero()
 
     def test_dilation_generator(self):
-        d = inner_star_derivation(CTX, Q * P)
+        d = StarDerivation(CTX, Q * P)
         assert d(Q) == Q
         assert d(P) == -P
 
@@ -382,7 +382,7 @@ class TestInnerStarDerivation:
         rng = random.Random(33)
         for _ in range(8):
             x = random_poly(GENS, rng, degree=3, terms=3)
-            d = inner_star_derivation(CTX, x)
+            d = StarDerivation(CTX, x)
             f = random_poly(GENS, rng, degree=3, terms=2)
             g = random_poly(GENS, rng, degree=3, terms=2)
             lhs = d(star(CTX, f, g))

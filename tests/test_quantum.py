@@ -168,12 +168,21 @@ class TestEvolve:
             worst = max(worst, float(np.linalg.norm(basis_vecs @ coeffs - evolved)))
         assert worst > 1e-3
 
-    def test_float_hermitian_tolerance(self):
-        h = Mat.from_rows([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
-        evolve(Mat.identity(2), h, 0.1)  # within the 1e-12 entry tolerance
-        bad = Mat.from_rows([[1.0, 0.5 + 1e-9], [0.5, 2.0]])
+    def test_hermiticity_is_decided_exactly(self):
+        """Float entries embed exactly: the same float on both sides is
+        Hermitian, and any difference, however small, is not."""
+        h = Mat.from_rows([[1.0, 0.5], [0.5, 2.0]])
+        evolve(Mat.identity(2), h, 0.1)
+        for off in (0.5 + 1e-13, 0.5 + 1e-9):
+            with pytest.raises(ValueError):
+                evolve(Mat.identity(2), Mat.from_rows([[1.0, off], [0.5, 2.0]]), 0.1)
+        near = Mat.from_json({
+            "n": 2,
+            "entries": [[{"re": "1", "im": "0"}, {"re": "1/10", "im": "0"}],
+                        [{"re": 0.1, "im": 0}, {"re": "2", "im": "0"}]],
+        })
         with pytest.raises(ValueError):
-            evolve(Mat.identity(2), bad, 0.1)
+            heisenberg_derivative(Mat.identity(2), near)
 
 
 class TestCommutant:
