@@ -228,30 +228,37 @@ def linear_coefficient_matrix(delta: PolyDerivation) -> np.ndarray:
 
 
 def _expm(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Matrix exponential by eigendecomposition, series fallback."""
+    """Matrix exponential by eigendecomposition, series fallback; a
+    ValueError naming --t when m = t c or e^m is not a finite float matrix."""
     import numpy as np
 
-    try:
-        w, v = np.linalg.eig(m)
-        vi = np.linalg.inv(v)
-        out = (v * np.exp(w)) @ vi
-        if np.linalg.norm(v @ np.diag(w) @ vi - m) <= tol * max(1.0, np.linalg.norm(m)):
-            return out
-    except np.linalg.LinAlgError:
-        pass
-    # Scaling and squaring on the Taylor series (small dense matrices only).
-    norm = np.linalg.norm(m, ord=np.inf)
-    s = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
-    a = m / (2**s)
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, 40):
-        term = term @ a / k
-        out = out + term
-        if np.linalg.norm(term, ord=np.inf) < tol:
-            break
-    for _ in range(s):
-        out = out @ out
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(m, ord=np.inf))
+        if not math.isfinite(norm):
+            raise ValueError("--t: t c is beyond the float range")
+        out = None
+        try:
+            w, v = np.linalg.eig(m)
+            vi = np.linalg.inv(v)
+            if np.linalg.norm(v @ np.diag(w) @ vi - m) <= tol * max(1.0, np.linalg.norm(m)):
+                out = (v * np.exp(w)) @ vi
+        except np.linalg.LinAlgError:
+            pass
+        if out is None:
+            # Scaling and squaring on the Taylor series (small dense matrices only).
+            s = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
+            a = m * 0.5**s
+            out = np.eye(m.shape[0], dtype=complex)
+            term = np.eye(m.shape[0], dtype=complex)
+            for k in range(1, 40):
+                term = term @ a / k
+                out = out + term
+                if np.linalg.norm(term, ord=np.inf) < tol:
+                    break
+            for _ in range(s):
+                out = out @ out
+    if not np.isfinite(out).all():
+        raise ValueError("--t: e^(t c) is beyond the float range")
     return out
 
 

@@ -19,7 +19,9 @@ contraction/Lie-derivative pair gives a Cartan calculus.
 
 The basis derivations act as A -> [A, X_j]; their Lie bracket is the
 operator commutator, whose structure constants therefore come from
-expanding [X_l, X_k] (note the order) in the matrix basis.
+expanding [X_l, X_k] (note the order) in the matrix basis.  Each basis
+keeps the nonzero entries of every generator (at most N for a Gell-Mann
+matrix), and `act` builds [A, X_j] from them directly.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .linalg import Span, solve_columns
-from .matrices import Mat
+from .matrices import Mat, _mat
 from .quantum import commutator, commutator_columns
-from .scalars import GR_I, GR_ONE, GaussRational
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational
 
 
 def gell_mann_basis(n: int) -> list[Mat]:
@@ -60,7 +62,7 @@ class DerivationBasis:
     condition stays non-degenerate.
     """
 
-    __slots__ = ("n", "generators", "_span", "structure", "_d_alpha")
+    __slots__ = ("n", "generators", "_span", "_nonzero", "structure", "_d_alpha")
 
     def __init__(self, generators: Sequence[Mat]):
         generators = list(generators)
@@ -80,6 +82,16 @@ class DerivationBasis:
         self.n = n
         self.generators = generators
         self._span = span
+        # (l, k, g) for each nonzero entry g = X_j[l][k], per generator j
+        self._nonzero: list[list[tuple[int, int, GaussRational]]] = [
+            [
+                (l, k, x)
+                for l, row in enumerate(g.entries)
+                for k, x in enumerate(row)
+                if not x.is_zero()
+            ]
+            for g in generators
+        ]
         self.structure = self._structure_constants()
         # d(alpha^m) as its terms (a, b, -c^m_ab), a < b, of alpha^a ^ alpha^b
         self._d_alpha: list[list[tuple[int, int, GaussRational]]] = [
@@ -127,8 +139,22 @@ class DerivationBasis:
         return structure
 
     def act(self, j: int, a: Mat) -> Mat:
-        """X_j(A) = [A, X_j]."""
-        return commutator(a, self.generators[j])
+        """X_j(A) = [A, X_j], summed over the nonzero entries g = X_j[l][k]:
+        each adds A[i][l] g to entry (i, k) and subtracts g A[k][m] from
+        entry (l, m)."""
+        n = self.n
+        e = a.entries
+        out: list[list[GaussRational]] = [[GR_ZERO] * n for _ in range(n)]
+        for l, k, g in self._nonzero[j]:
+            for i in range(n):
+                x = e[i][l]
+                if x.re_num or x.im_num:
+                    out[i][k] = out[i][k] + x * g
+            row = out[l]
+            for m, x in enumerate(e[k]):
+                if x.re_num or x.im_num:
+                    row[m] = row[m] - g * x
+        return _mat(tuple(map(tuple, out)))
 
 
 def _sort_sign(idx: tuple) -> tuple[tuple, int] | None:

@@ -3,6 +3,13 @@ imports numpy on demand.
 
 All algebraic decisions (ranks, commutants, solver systems) run on exact
 Gaussian-rational entries; only exponentials go through floating point.
+
+A ``Mat`` holds its entries as a tuple of row tuples.  The public
+constructor copies and checks its input; every arithmetic result (``+``,
+``-``, negation, ``@``, ``scale``, ``conjugate_transpose``) is built by the
+trusted ``_mat``, which takes a square tuple of tuples as it is.  ``@``
+lists the nonzero entries of each row of the right factor once per
+product and multiplies only nonzero pairs.
 """
 
 from __future__ import annotations
@@ -11,6 +18,17 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, fraction_from_str
+
+_object_new = object.__new__
+
+
+def _mat(rows: tuple[tuple[GaussRational, ...], ...]) -> "Mat":
+    """A Mat that owns ``rows`` as given: a square tuple of tuples of
+    GaussRational (the arithmetic results)."""
+    m = _object_new(Mat)
+    m.n = len(rows)
+    m.entries = rows
+    return m
 
 
 class Mat:
@@ -34,12 +52,15 @@ class Mat:
 
     @staticmethod
     def zero(n: int) -> "Mat":
-        return Mat([[GR_ZERO] * n for _ in range(n)])
+        return _mat(((GR_ZERO,) * n,) * n)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(
-            [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
+        return _mat(
+            tuple(
+                tuple(GR_ONE if i == j else GR_ZERO for j in range(n))
+                for i in range(n)
+            )
         )
 
     @staticmethod
@@ -60,44 +81,47 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check(other)
-        return Mat(
-            [
-                [a + b for a, b in zip(r1, r2)]
+        return _mat(
+            tuple(
+                tuple([a + b for a, b in zip(r1, r2)])
                 for r1, r2 in zip(self.entries, other.entries)
-            ]
+            )
         )
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check(other)
-        return Mat(
-            [
-                [a - b for a, b in zip(r1, r2)]
+        return _mat(
+            tuple(
+                tuple([a - b for a, b in zip(r1, r2)])
                 for r1, r2 in zip(self.entries, other.entries)
-            ]
+            )
         )
 
     def __neg__(self) -> "Mat":
-        return Mat([[-a for a in row] for row in self.entries])
+        return _mat(tuple(tuple([-a for a in row]) for row in self.entries))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check(other)
         n = self.n
-        cols = list(zip(*other.entries))
+        # (k, b) for each nonzero b = other[j][k], per row j
+        right = [
+            [(k, b) for k, b in enumerate(row) if b.re_num or b.im_num]
+            for row in other.entries
+        ]
         out = []
         for row in self.entries:
-            out_row = []
-            for col in cols:
-                s = GR_ZERO
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        s = s + a * b
-                out_row.append(s)
-            out.append(out_row)
-        return Mat(out)
+            acc: list[GaussRational | None] = [None] * n
+            for a, nonzero in zip(row, right):
+                if nonzero and (a.re_num or a.im_num):
+                    for k, b in nonzero:
+                        s = acc[k]
+                        acc[k] = a * b if s is None else s + a * b
+            out.append(tuple([GR_ZERO if s is None else s for s in acc]))
+        return _mat(tuple(out))
 
     def scale(self, c: GaussRational | int | Fraction) -> "Mat":
         c = GaussRational.coerce(c)
-        return Mat([[a * c for a in row] for row in self.entries])
+        return _mat(tuple(tuple([a * c for a in row]) for row in self.entries))
 
     def _check(self, other: "Mat"):
         if self.n != other.n:
@@ -119,11 +143,8 @@ class Mat:
         return self - Mat.identity(self.n).scale(t)
 
     def conjugate_transpose(self) -> "Mat":
-        return Mat(
-            [
-                [self.entries[j][i].conjugate() for j in range(self.n)]
-                for i in range(self.n)
-            ]
+        return _mat(
+            tuple(tuple([a.conjugate() for a in col]) for col in zip(*self.entries))
         )
 
     def is_hermitian(self) -> bool:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .linalg import SparseEliminator, Span, solve_columns
 from .matrices import Mat, full_matrix_basis
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, to_float
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
@@ -36,11 +36,15 @@ def heisenberg_derivative(a: Mat, h: Mat) -> Mat:
 
 
 def evolve(a: Mat, h: Mat, t: float) -> np.ndarray:
-    """Heisenberg evolution a(t) = e^{i t H} a e^{-i t H} (floating point)."""
+    """Heisenberg evolution a(t) = e^{i t H} a e^{-i t H} (floating point);
+    a ValueError naming --t when a phase t w (w an eigenvalue of H) is not
+    a finite float."""
     import numpy as np
 
     _require_hermitian(h)
     w, v = np.linalg.eigh(h.to_numpy())
+    # Python float products overflow to inf without a numpy warning.
+    to_float(t * max(map(abs, w.tolist()), default=0.0), "--t (phase t * w)")
     phase = np.exp(1j * t * w)
     u = (v * phase) @ v.conj().T          # e^{itH}
     return u @ a.to_numpy() @ u.conj().T

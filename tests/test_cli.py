@@ -9,6 +9,7 @@ import os
 import textwrap
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -499,6 +500,29 @@ class TestErrorHandling:
         proc = run_fresh(argv)
         assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--h", json.dumps(Mat.from_rows([[10]]).to_json()),
+             "--a", json.dumps(Mat.from_rows([[1]]).to_json()), "--t", "1e308"],
+            ["demo", "oscillator", "--t", "1e300"],
+            ["flow", "--derivation", "oscillator", "--f", "q", "--t", "1e300", "--mode", "linear"],
+            ["flow", "--derivation", "oscillator", "--f", "q", "--t", "1e308", "--mode", "linear"],
+        ],
+        ids=["evolve-phase-overflow", "demo-oscillator-expm-overflow", "flow-linear-expm-overflow",
+             "flow-linear-expm-scaling-overflow"],
+    )
+    def test_overflowing_time_is_bad_input(self, capsys, argv, as_json):
+        """A finite time whose phase t w or exponential e^(t c) overflows is
+        bad input naming --t in both output modes, with no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("input error: --t")
 
     @pytest.mark.parametrize(
         "argv, code",

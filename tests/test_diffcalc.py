@@ -13,6 +13,7 @@ from aldyn.diffcalc import (
     contract,
     exactness_obstruction,
     exterior_d,
+    gell_mann_basis,
     lie_derivative,
     wedge,
 )
@@ -134,6 +135,20 @@ def ref_evaluate(w: KForm, fields) -> Mat:
     return out
 
 
+def recombined_gell_mann(n: int) -> list[Mat]:
+    """The traceless basis X'_j = sum_{i >= j} (i - j + 1) X_i of Gell-Mann
+    matrices X_i: a unit upper-triangular integer recombination, so still a
+    basis, whose first generators have no zero entry."""
+    gm = gell_mann_basis(n)
+    out = []
+    for j in range(len(gm)):
+        g = Mat.zero(n)
+        for i in range(j, len(gm)):
+            g = g + gm[i].scale(i - j + 1)
+        out.append(g)
+    return out
+
+
 class TestBasis:
     def test_dimensions(self):
         assert B2.dim == 3
@@ -194,6 +209,27 @@ class TestBasis:
                     expected[(k, l)] = entry
                     expected[(l, k)] = [(j, -c) for j, c in entry]
         assert basis.structure == expected
+
+    @pytest.mark.parametrize(
+        "basis",
+        [B2, B3, B4, DerivationBasis(recombined_gell_mann(3))],
+        ids=["N2", "N3", "N4", "N3-dense"],
+    )
+    def test_act_matches_commutator(self, basis):
+        # act sums over the stored nonzero generator entries; the oracle is
+        # the commutator of two full matrix products.
+        rng = random.Random(83 + basis.n)
+        n = basis.n
+        samples = [Mat.zero(n), Mat.identity(n), Mat.basis_elt(n, 0, n - 1)]
+        samples += [random_mat(rng, n) for _ in range(3)]
+        for j, g in enumerate(basis.generators):
+            for a in samples:
+                assert basis.act(j, a) == commutator(a, g)
+
+    def test_recombined_basis_is_dense(self):
+        # The non-Gell-Mann oracle case exercises full generators.
+        g = recombined_gell_mann(3)[0]
+        assert all(not x.is_zero() for row in g.entries for x in row)
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
