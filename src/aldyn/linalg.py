@@ -3,9 +3,9 @@
 One elimination algorithm, `SparseEliminator`: rows arrive as
 {column: coefficient} dicts and `reduce` subtracts pivot rows from them,
 pivoting on the smallest column; `add_row` keeps the residual as a new
-pivot row.  Back-substitution then gives the reduced row-echelon form,
-which is unique for a fixed column order, so solutions and kernel bases do
-not depend on the order the rows came in.  Two front ends sit on it:
+pivot row.  Back-substitution, indexed by column, gives the reduced
+row-echelon form, unique for a fixed column order, so solutions and kernel
+bases do not depend on the order the rows came in.  Two front ends:
 
   solve_columns  one unknown per sparse column, for the ansatz solvers
   Span           a spanning set eliminated once, answering dim, contains
@@ -75,12 +75,19 @@ class SparseEliminator:
         return len(self.pivot_rows)
 
     def _back_substitute(self) -> None:
-        """Clear every pivot column from the other pivot rows (full RREF)."""
-        for lead in sorted(self.pivot_rows, reverse=True):
-            row = self.pivot_rows[lead]
-            for other_lead, other in self.pivot_rows.items():
-                if other_lead < lead and lead in other:
-                    _subtract(other, other[lead], row)
+        """Clear every pivot column from the other pivot rows (full RREF).
+        In descending order, clearing column L adds only columns above L
+        that hold no pivot any more, so the rows holding each pivot column
+        are listed once, before the sweep."""
+        rows = self.pivot_rows
+        holders: dict[int, list[SparseRow]] = {lead: [] for lead in rows}
+        for lead, row in rows.items():
+            for c in row:
+                if c != lead and c in holders:
+                    holders[c].append(row)
+        for lead in sorted(holders, reverse=True):
+            for other in holders[lead]:
+                _subtract(other, other[lead], rows[lead])
 
     def kernel_basis(self) -> list[SparseRow]:
         """Nullspace vectors as sparse dicts, one per free column, with a 1

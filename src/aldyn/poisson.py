@@ -5,7 +5,7 @@ are stored, antisymmetry fills in the rest.  Includes the Jacobi cyclic-sum
 verifier, Hamiltonian vector fields, Lie-Poisson tensors for 3d Lie
 algebras with Casimir checks, and the bounded-degree inverse searches
 (given a dynamics, find a Hamiltonian or a tensor by one exact sparse
-solve over the monomial coefficients, ``linalg.solve_columns``).
+solve over the monomial coefficients, columns by exponent arithmetic).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .derivations import PolyDerivation
-from .poly import GeneratorMismatch, GeneratorSet, Poly, coefficient_column, monomials
-from .scalars import Scalar
+from .poly import GeneratorMismatch, GeneratorSet, Poly, monomials
+from .poly import coefficient_column, derivation_columns, shifted_columns
 
 DEFAULT_INVERSE_DEGREE_CAP = 6
 
@@ -237,19 +237,19 @@ def find_hamiltonian(
     gens = tensor.gens
     if delta.gens != gens:
         raise GeneratorMismatch("dynamics over a different generator set")
-    basis = monomials(len(gens), degree_cap)
-    # Unknown j is the coefficient of basis[j]; its column holds {x^a, m}.
-    columns = []
-    for m in basis:
-        mono = Poly(gens, {m: Scalar.one()})
-        brackets = [bracket(tensor, Poly.generator(gens, name), mono) for name in gens.names]
-        if not all(br.is_theta_free() for br in brackets):
-            raise ValueError("inverse search requires theta-free tensors")
-        columns.append(coefficient_column(brackets))
+    # {x^a, f} = Y_a(f) for the field Y_a^b = Lambda^{ab} d_a(x^a).
+    fields = [
+        [tensor.component(a, b) * Poly.generator(gens, na).partial(na) for b in range(len(gens))]
+        for a, na in enumerate(gens.names)
+    ]
+    if not all(y.is_theta_free() for field in fields for y in field):
+        raise ValueError("inverse search requires theta-free tensors")
     images = [delta.images[name] for name in gens.names]
     if not all(img.is_theta_free() for img in images):
         raise ValueError("inverse search requires theta-free dynamics")
-    sol = linalg.solve_columns(columns, coefficient_column(images))
+    # Unknown j is the coefficient of basis[j]; its column holds {x^a, x^m}.
+    basis = monomials(len(gens), degree_cap)
+    sol = linalg.solve_columns(derivation_columns(fields, basis), coefficient_column(images))
     if sol is None:
         return None
     return Poly.from_coefficients(gens, basis, sol)
@@ -269,18 +269,13 @@ def find_poisson_tensor(
         raise GeneratorMismatch("Hamiltonian over a different generator set")
     basis = monomials(len(gens), degree_cap)
     pairs = list(combinations(range(len(gens)), 2))
-    partials = [coefficient_column([h.partial(name)]) for name in gens.names]
     # Unknown (pair a<b, m) is the coefficient of m in Lambda^{ab}; it adds
     # m d_b H to component a and -m d_a H to component b.
     columns = []
     for a, b in pairs:
-        for m in basis:
-            col = {}
-            for (_, exps), c in partials[b].items():
-                col[(a, tuple(x + y for x, y in zip(m, exps)))] = c
-            for (_, exps), c in partials[a].items():
-                col[(b, tuple(x + y for x, y in zip(m, exps)))] = -c
-            columns.append(col)
+        comps = [Poly.zero(gens)] * len(gens)
+        comps[a], comps[b] = h.partial(gens.names[b]), -h.partial(gens.names[a])
+        columns += shifted_columns(comps, basis)
     target = coefficient_column([delta.images[name] for name in gens.names])
     sol = linalg.solve_columns(columns, target)
     if sol is None:

@@ -154,6 +154,38 @@ def coefficient_column(components: Sequence[Poly]) -> dict[tuple, GaussRational]
     }
 
 
+def derivation_columns(
+    fields: Sequence[Sequence[Poly]], monos: Sequence[tuple]
+) -> list[dict[tuple, GaussRational]]:
+    """For each monomial m, the column {(k, exps): coefficient} of
+    fields[k](x^m) = sum_b m_b Y_k^b x^(m - e_b), where fields[k][b] = Y_k^b
+    is theta-free.  For an angle-phase generator b the factor is i*m_b and
+    the exponent stays, as in ``Poly.partial``."""
+    images = [
+        (k, b, y.gens.kinds[b] == "angle-phase", list(coefficient_column([y]).items()))
+        for k, field in enumerate(fields) for b, y in enumerate(field) if y.terms
+    ]
+    columns = []
+    for m in monos:
+        col: dict[tuple, GaussRational] = {}
+        for k, b, angle, terms in images:
+            if m[b]:
+                f = GaussRational(0, m[b]) if angle else GaussRational(m[b])
+                base = m if angle else m[:b] + (m[b] - 1,) + m[b + 1 :]
+                for (_, e), c in terms:
+                    key = (k, tuple(map(add, base, e)))
+                    col[key] = col[key] + f * c if key in col else f * c
+        columns.append({key: v for key, v in col.items() if not v.is_zero()})
+    return columns
+
+
+def shifted_columns(polys: Sequence[Poly], monos: Sequence[tuple]) -> list[dict]:
+    """For each monomial m, the column of x^m * polys[k]: the exponents of
+    ``coefficient_column(polys)`` shifted by m."""
+    col = coefficient_column(polys).items()
+    return [{(k, tuple(map(add, m, e))): c for (k, e), c in col} for m in monos]
+
+
 def _poly(gens: GeneratorSet, terms: dict[tuple, Scalar]) -> "Poly":
     """A Poly that owns ``terms`` as given: int exponent tuples valid for
     ``gens`` and no zero coefficient (the ring operations' results)."""
@@ -231,7 +263,8 @@ class Poly:
         gens: GeneratorSet, monos: Sequence[tuple], coeffs: Sequence[GaussRational]
     ) -> "Poly":
         """sum_j coeffs[j] x^monos[j]: a solution vector read back as a Poly."""
-        return Poly(gens, {m: Scalar.from_gauss(c) for m, c in zip(monos, coeffs)})
+        terms = {m: Scalar.from_gauss(c) for m, c in zip(monos, coeffs) if not c.is_zero()}
+        return Poly(gens, terms)
 
     # -- ring operations ---------------------------------------------
 

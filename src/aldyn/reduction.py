@@ -8,9 +8,10 @@ commuting-decomposition verdict.
 
 Every existence question is answered by an exact sparse linear solve
 (``linalg.solve_columns``) over bounded-degree polynomial coefficients,
-one column per unknown coefficient and one equation per (component,
-monomial); when the ansatz fails without a pointwise certificate the
-honest answer is "inconclusive", never a guess.
+one equation per (component, monomial) and one column per unknown built
+by exponent arithmetic (``poly.derivation_columns``/``shifted_columns``);
+when the ansatz fails without a pointwise certificate the honest answer
+is "inconclusive", never a guess.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .derivations import PolyDerivation, apply, commutator_der
-from .poly import GeneratorMismatch, GeneratorSet, Poly, coefficient_column, monomials
-from .scalars import GR_ONE, GaussRational, Scalar
+from .poly import GeneratorMismatch, GeneratorSet, Poly, monomials
+from .poly import coefficient_column, derivation_columns, shifted_columns
+from .scalars import GR_ONE, GaussRational
 
 DEFAULT_ANSATZ_CAP = 4
 
@@ -82,10 +84,9 @@ def invariant_subalgebra(
     """
     gens = dist.gens
     monos = monomials(len(gens), degree_cap)
-    columns = [
-        coefficient_column([apply(y, Poly(gens, {m: Scalar.one()})) for y in dist.fields])
-        for m in monos
-    ]
+    columns = derivation_columns(
+        [[y.images[name] for name in gens.names] for y in dist.fields], monos
+    )
     kernel = linalg.solve_columns(columns, None)
     basis = [Poly.from_coefficients(gens, monos, vec) for vec in kernel]
     basis.sort(key=lambda p: (p.total_degree(), sorted(p.terms)))
@@ -102,13 +103,9 @@ def express_in_fields(
     _require_theta_free(*target.images.values())
     monos = monomials(len(gens), ansatz_cap)
     # Unknown (k, m) is the coefficient of m in h^k; its column is m Y_k.
-    columns = [
-        coefficient_column(
-            [Poly(gens, {m: Scalar.one()}) * y.images[name] for name in gens.names]
-        )
-        for y in fields
-        for m in monos
-    ]
+    columns = []
+    for y in fields:
+        columns += shifted_columns([y.images[name] for name in gens.names], monos)
     target_column = coefficient_column([target.images[name] for name in gens.names])
     sol = linalg.solve_columns(columns, target_column)
     if sol is None:
@@ -227,14 +224,13 @@ def f_related_reduce(
         raise GeneratorMismatch("map over a different generator set")
     target = f_map.target_gens()
     monos = monomials(len(target), ansatz_cap)
-    # Composed basis: each target monomial m' becomes prod_j (F^j)^{m'_j}.
-    columns = []
-    for m in monos:
-        p = Poly.one(gens)
-        for j, e in enumerate(m):
-            if e:
-                p = p * f_map.components[j] ** e
-        columns.append(coefficient_column([p]))
+    # Composed basis: each target monomial m' becomes prod_j (F^j)^{m'_j},
+    # built as the composed m' - e_j (listed before m') times one F^j.
+    composed = {monos[0]: Poly.one(gens)}
+    for m in monos[1:]:
+        j = next(j for j, e in enumerate(m) if e)
+        composed[m] = composed[m[:j] + (m[j] - 1,) + m[j + 1 :]] * f_map.components[j]
+    columns = [coefficient_column([p]) for p in composed.values()]
     images = {}
     for i, fc in enumerate(f_map.components):
         sol = linalg.solve_columns(columns, coefficient_column([apply(delta, fc)]))
@@ -304,13 +300,9 @@ def find_connection(
     monos = monomials(len(gens), degree_cap)
     # Unknown (a, m) is the coefficient of m in alpha_a; its column holds
     # m Y_j^a in equation (j, exps).
-    columns = [
-        coefficient_column(
-            [Poly(gens, {m: Scalar.one()}) * y.images[name] for y in dist.fields]
-        )
-        for name in gens.names
-        for m in monos
-    ]
+    columns = []
+    for name in gens.names:
+        columns += shifted_columns([y.images[name] for y in dist.fields], monos)
     zero_exps = (0,) * len(gens)
     nm = len(monos)
     forms = []

@@ -777,11 +777,13 @@ README_INVOCATIONS = {
     "evolve": ["evolve", "--h", SIGMA_X, "--a", SIGMA_Z, "--t", "0.5"],
     "biderivation": ["biderivation", "--n", "3"],
 }
+# A tolerance below the exponential's rounding no longer fails the float
+# rotation check: its bound adds 4 eps max(1, |t|) to --tol.
+ROUNDING_INVOCATIONS = {"demo-oscillator-tol": ["demo", "oscillator", "--tol", "1e-30"]}
 _QDQ_JSON = PolyDerivation(GENS, {"q": Poly.generator(GENS, "q")}).to_json()
 _DP_JSON = PolyDerivation(GENS, {"p": Poly.one(GENS)}).to_json()
 FAILING_INVOCATIONS = {
     "evolve-tol": ["evolve", "--h", SIGMA_X, "--a", SIGMA_Z, "--t", "0.5", "--tol", "1e-30"],
-    "demo-oscillator-tol": ["demo", "oscillator", "--tol", "1e-30"],
     "casimir-x": ["casimir", "--tensor", "su2", "--c", "x"],
     "jacobi-violated": ["jacobi", "--tensor", JACOBI_FAILING_TENSOR],
     "reduce-non-member": [
@@ -800,7 +802,7 @@ INCONCLUSIVE_INVOCATIONS = {
     [
         pytest.param(argv, status, id=name)
         for status, invocations in (
-            ("ok", {**DEMO_INVOCATIONS, **README_INVOCATIONS}),
+            ("ok", {**DEMO_INVOCATIONS, **README_INVOCATIONS, **ROUNDING_INVOCATIONS}),
             ("fail", FAILING_INVOCATIONS),
             ("inconclusive", INCONCLUSIVE_INVOCATIONS),
         )
@@ -816,6 +818,19 @@ def test_status_is_read_off_the_listed_checks(capsys, argv, status):
     derived = next((v for v in ("fail", "inconclusive") if v in verdicts), "ok")
     assert payload["status"] == derived == status
     assert code == {"ok": EXIT_OK, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}[status]
+
+
+@pytest.mark.parametrize("t, code", [("1e6", EXIT_OK), ("1e17", EXIT_INCONCLUSIVE)])
+def test_oscillator_rotation_bound_grows_with_t(capsys, t, code):
+    """The float rotation check allows --tol plus 4 eps max(1, |t|), the
+    growth of the exponential's rounding, and prints that bound; once the
+    bound reaches 1 the comparison decides nothing and reads inconclusive."""
+    got, payload, _ = run_json(capsys, "demo", "oscillator", "--t", t)
+    assert got == code
+    (label,) = [v for v in payload["verification"] if v.startswith("flow matrix")]
+    bound = float(label.split(", bound ", 1)[1].split(")", 1)[0])
+    assert bound == pytest.approx(1e-10 + 4 * sys.float_info.epsilon * float(t), rel=1e-2)
+    assert label.endswith(": pass" if code == EXIT_OK else ": inconclusive")
 
 
 def test_report_status_rule():

@@ -3,14 +3,17 @@
 import random
 from fractions import Fraction
 
+import pytest
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from aldyn import linalg
+from aldyn import linalg, quantum
 from aldyn.linalg import SparseEliminator, Span
+from aldyn.poisson import PoissonTensor, find_hamiltonian, hamiltonian_field
+from aldyn.poly import GeneratorSet
 from aldyn.scalars import GR_ZERO, GaussRational
 
-from conftest import random_gauss
+from conftest import random_gauss, random_poly
 
 
 def g(x, y=0):
@@ -208,3 +211,70 @@ def test_span_matches_sympy_rank_membership_coordinates():
             rebuilt = _combination(coords, rows, ncols)
             assert all(rebuilt[c] == v.get(c, GR_ZERO) for c in range(ncols))
     assert members and strangers
+
+
+# -- back-substitution against the quadratic sweep it replaced --------------
+
+
+def _quadratic_back_substitute(elim):
+    """The old sweep: for every pivot, scan every pivot row."""
+    for lead in sorted(elim.pivot_rows, reverse=True):
+        row = elim.pivot_rows[lead]
+        for other_lead, other in elim.pivot_rows.items():
+            if other_lead < lead and lead in other:
+                linalg._subtract(other, other[lead], row)
+
+
+def _layout(pivot_rows):
+    """Pivot rows with their entries in stored order."""
+    return [(lead, list(row.items())) for lead, row in pivot_rows.items()]
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every back-substitution runs on a copy with the quadratic sweep too,
+    and must leave identical pivot rows; yields the ranks swept."""
+    indexed = SparseEliminator._back_substitute
+    ranks = []
+
+    def both(self):
+        oracle = SparseEliminator(self.ncols)
+        oracle.pivot_rows = {lead: dict(row) for lead, row in self.pivot_rows.items()}
+        _quadratic_back_substitute(oracle)
+        indexed(self)
+        assert _layout(self.pivot_rows) == _layout(oracle.pivot_rows)
+        ranks.append(len(self.pivot_rows))
+
+    monkeypatch.setattr(SparseEliminator, "_back_substitute", both)
+    return ranks
+
+
+def test_indexed_back_substitution_on_random_systems(sweeps):
+    rng = random.Random(4141)
+    for trial in range(30):
+        ncols = rng.randint(5, 40)
+        elim = SparseEliminator(ncols)
+        for _ in range(rng.randint(3, 50)):
+            cols = rng.sample(range(ncols + trial % 2), rng.randint(1, min(5, ncols)))
+            elim.add_row({c: random_gauss(rng, 3) for c in cols})
+        if trial % 2:
+            elim.solve()
+        else:
+            elim.kernel_basis()
+    assert len(sweeps) >= 15 and max(sweeps) >= 20
+
+
+@pytest.mark.parametrize("n, rank", [(2, 63), (3, 728)])
+def test_indexed_back_substitution_on_biderivation_rows(sweeps, n, rank):
+    assert len(quantum.biderivation_solver(n)) == 1
+    assert sweeps == [rank]
+
+
+def test_indexed_back_substitution_on_hamiltonian_search(sweeps):
+    """The R^4 cap-6 system of find_hamiltonian: 210 unknowns."""
+    gens = GeneratorSet.phase_space(2)
+    tensor = PoissonTensor.canonical(2)
+    h = random_poly(gens, random.Random(6), degree=6, terms=8)
+    found = find_hamiltonian(tensor, hamiltonian_field(tensor, h), 6)
+    assert hamiltonian_field(tensor, found) == hamiltonian_field(tensor, h)
+    assert len(sweeps) == 1 and sweeps[0] > 100
