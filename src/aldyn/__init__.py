@@ -45,7 +45,6 @@ from .poisson import (
     PoissonTensor,
     bracket,
     casimir_check,
-    conserved_check,
     find_hamiltonian,
     find_poisson_tensor,
     hamiltonian_field,
@@ -111,7 +110,6 @@ __all__ = [
     "commutator",
     "commutator_der",
     "connection_apply",
-    "conserved_check",
     "contract",
     "evolve",
     "exactness_obstruction",

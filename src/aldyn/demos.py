@@ -17,6 +17,7 @@ from .derivations import (
     PolyDerivation,
     apply,
     flow_action_angle,
+    flow_at,
     flow_linear,
     flow_nilpotent,
     nilpotency_order,
@@ -68,10 +69,7 @@ def demo_free(t: str | None = None, observable: str = "q") -> Report:
     f = parse_poly(observable, gens)
     flow = flow_nilpotent(free, f)
     # derivative at t = 0 recovers the derivation
-    d_at_0 = flow.partial("t").substitute(
-        {n: Poly.generator(gens, n) for n in gens.names}
-        | {"t": Poly.zero(gens)}
-    )
+    d_at_0 = flow_at(flow.partial("t"), 0)
     checks = {
         f"nilpotency order on generators = {order}": order == 2,
         # automorphism property on a product, exact
@@ -79,11 +77,7 @@ def demo_free(t: str | None = None, observable: str = "q") -> Report:
             flow_nilpotent(free, q * q) == flow_nilpotent(free, q) * flow_nilpotent(free, q),
         "d/dt at 0 equals the derivation": d_at_0 == apply(free, f),
     }
-    result_poly = flow
-    if t is not None:
-        images = {n: Poly.generator(gens, n) for n in gens.names}
-        images["t"] = Poly.constant(gens, Scalar.of(Fraction(t)))
-        result_poly = flow.substitute(images)
+    result_poly = flow if t is None else flow_at(flow, Fraction(t))
     payload = {
         "nilpotency_order": order,
         "observable": observable,

@@ -1,8 +1,10 @@
 """Derivations of polynomial algebras and their exponential flows.
 
-A derivation is stored through its components delta^a on the generators
-(the vector-field picture); the action on arbitrary polynomials is the
-linear-Leibniz extension sum_a delta^a d_a.  Flows come in three flavors:
+A derivation is stored through its components delta^a along the
+coordinate partials d_a of ``Poly.partial`` (the vector-field picture); the
+action on arbitrary polynomials is the linear-Leibniz extension
+sum_a delta^a d_a.  For an angle-phase generator u = e^{i theta}, d_u is
+d/dtheta, so delta(u) = i u delta^u.  Flows come in three flavors:
 exact truncating series for nilpotent derivations, and, where only an
 exponential can give the answer, float matrix exponentials for linear
 derivations and pointwise values for the angle-phase case.  The
@@ -17,11 +19,10 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import GeneratorMismatch, GeneratorSet, Poly
-from .scalars import GaussRational, Scalar, to_float
+from .poly import GeneratorMismatch, GeneratorSet, Poly, _poly
+from .scalars import GaussRational, RationalLike, Scalar, to_float
 
 DEFAULT_NILPOTENCY_CUTOFF = 16
-_FLOW_SAFETY_CAP = 1000
 
 
 class NonTruncatingFlow(ValueError):
@@ -29,7 +30,10 @@ class NonTruncatingFlow(ValueError):
 
 
 class PolyDerivation:
-    """Derivation given by components on generators: delta = delta^a d_a."""
+    """Derivation given by its components: delta = delta^a d_a, with d_a
+    the ``Poly.partial`` of generator a.  ``images[a]`` is delta^a, which is
+    delta(x^a) except on an angle-phase generator u, where d_u = d/dtheta
+    and delta(u) = i u delta^u."""
 
     __slots__ = ("gens", "images")
 
@@ -124,14 +128,13 @@ def apply(delta: PolyDerivation, f: Poly) -> Poly:
     """Linear-Leibniz extension: sum_a delta^a d_a f."""
     if f.gens != delta.gens:
         raise GeneratorMismatch("polynomial over a different generator set")
-    out = Poly.zero(f.gens)
+    out = None
     for name, comp in delta.images.items():
-        if comp.is_zero():
-            continue
-        df = f.partial(name)
-        if not df.is_zero():
-            out = out + comp * df
-    return out
+        if comp.terms:
+            df = f.partial(name)
+            if df.terms:
+                out = comp * df if out is None else out + comp * df
+    return _poly(f.gens, {}) if out is None else out
 
 
 def nilpotency_order(
@@ -148,18 +151,6 @@ def nilpotency_order(
     return None
 
 
-def _check_flow_precondition(delta: PolyDerivation, cutoff: int):
-    if nilpotency_order(delta, cutoff) is None:
-        raise NonTruncatingFlow(
-            f"derivation is not nilpotent on generators within cutoff {cutoff}"
-        )
-    for name, img in delta.images.items():
-        if img.total_degree() > 1:
-            raise NonTruncatingFlow(
-                f"image of {name!r} has degree > 1; series may not truncate"
-            )
-
-
 def flow_nilpotent(
     delta: PolyDerivation,
     f: Poly,
@@ -168,14 +159,24 @@ def flow_nilpotent(
 ) -> Poly:
     """Exact e^{t delta} f as a polynomial in the generators and t.
 
-    Requires delta nilpotent on generators with degree <= 1 images, so the
-    series truncates on every polynomial.
+    If delta^k = 0 on every generator, then by Leibniz delta^N f = 0 once
+    N > (k - 1) deg f (deg summing the positive exponents of a term), so
+    the series stops there.  A locally nilpotent
+    derivation kills every unit, so a negative power of a generator that
+    delta moves never truncates.
     """
-    _check_flow_precondition(delta, cutoff)
-    out, exact = flow_series_truncated(delta, f, _FLOW_SAFETY_CAP, t_name)
-    if not exact:
-        raise NonTruncatingFlow("series did not truncate (safety cap hit)")
-    return out
+    k = nilpotency_order(delta, cutoff)
+    if k is None:
+        raise NonTruncatingFlow(
+            f"derivation is not nilpotent on generators within cutoff {cutoff}"
+        )
+    moved = [i for i, name in enumerate(delta.gens.names) if not delta.images[name].is_zero()]
+    if any(exps[i] < 0 for exps in f.terms for i in moved):
+        raise NonTruncatingFlow(
+            "a negative power of a generator the derivation moves never truncates"
+        )
+    degree = max((sum(e for e in exps if e > 0) for exps in f.terms), default=0)
+    return flow_series_truncated(delta, f, (k - 1) * degree, t_name)[0]
 
 
 def flow_series_truncated(
@@ -185,25 +186,35 @@ def flow_series_truncated(
 
     For derivations outside the guaranteed-truncation class this is the
     honest offering: the caller names the order and the second return value
-    says whether the series actually terminated within it.
+    says whether the series actually terminated within it.  The order-k
+    term t^k/k! delta^k f sits at t-exponent k, so no two orders share a
+    term and the sum is exponent arithmetic.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    ext = delta.gens.extended(t_name)
-    embed = {name: Poly.generator(ext, name) for name in delta.gens.names}
-    t = Poly.generator(ext, t_name)
-    out = Poly.zero(ext)
+    terms = {}
     term = f
     factorial = 1
-    t_power = Poly.one(ext)
     for k in range(order + 1):
         if term.is_zero():
-            return out, True
-        out = out + term.substitute(embed).scale(Fraction(1, factorial)) * t_power
+            break
+        inv = GaussRational(Fraction(1, factorial))
+        terms.update((exps + (k,), c.scale(inv)) for exps, c in term.terms.items())
         term = apply(delta, term)
         factorial *= k + 1
-        t_power = t_power * t
-    return out, term.is_zero()
+    return Poly(delta.gens.extended(t_name), terms), term.is_zero()
+
+
+def flow_at(flow: Poly, t: RationalLike) -> Poly:
+    """A flow from ``flow_series_truncated`` at the exact time t: the
+    term at t-exponent k (the last slot) gets the factor t^k."""
+    gens = GeneratorSet(flow.gens.names[:-1], flow.gens.kinds[:-1])
+    terms: dict[tuple, Scalar] = {}
+    for exps, c in flow.terms.items():
+        c = c.scale(GaussRational.of(Fraction(t) ** exps[-1]))
+        key = exps[:-1]
+        terms[key] = terms[key] + c if key in terms else c
+    return Poly(gens, terms)
 
 
 def linear_coefficient_matrix(delta: PolyDerivation) -> np.ndarray:
@@ -214,7 +225,7 @@ def linear_coefficient_matrix(delta: PolyDerivation) -> np.ndarray:
     n = len(gens)
     c = np.zeros((n, n), dtype=complex)
     for a, name in enumerate(gens.names):
-        img = delta.images[name]
+        img = apply(delta, Poly.generator(gens, name))
         for exps, coeff in img.terms.items():
             if sum(exps) != 1 or min(exps) < 0:
                 raise ValueError(

@@ -1,11 +1,15 @@
 """Poisson tensors with polynomial components, brackets and their checks.
 
-The bracket is {f,g} = Lambda^{ab} d_a f d_b g; only the a < b components
-are stored, antisymmetry fills in the rest.  Includes the Jacobi cyclic-sum
-verifier, Hamiltonian vector fields, Lie-Poisson tensors for 3d Lie
-algebras with Casimir checks, and the bounded-degree inverse searches
-(given a dynamics, find a Hamiltonian or a tensor by one exact sparse
-solve over the monomial coefficients, columns by exponent arithmetic).
+Only the a < b components of Lambda are stored, antisymmetry fills in the
+rest.  Everything else is read off one formula, the row fields
+Y_a = Lambda^{ab} d_b of the tensor (``PoissonTensor.rows``, derivations
+with components along ``Poly.partial``): the Hamiltonian field X_H has the
+components X_H^a = Y_a(H), the bracket is {f, g} = X_g(f), a Casimir has
+X_C = 0, and Jacobi is the cyclic sum Y_a(Lambda^{bc}) + Y_b(Lambda^{ca}) +
+Y_c(Lambda^{ab}).  Lie-Poisson tensors for 3d Lie algebras and the
+bounded-degree inverse searches (given a dynamics, find a Hamiltonian or a
+tensor by one exact sparse solve of Lambda^{ab} d_b H = delta^a over the
+monomial coefficients, columns by exponent arithmetic) complete the module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from . import linalg
-from .derivations import PolyDerivation
+from .derivations import PolyDerivation, apply
 from .poly import GeneratorMismatch, GeneratorSet, Poly, monomials
 from .poly import coefficient_column, derivation_columns, shifted_columns
 
@@ -24,9 +28,10 @@ DEFAULT_INVERSE_DEGREE_CAP = 6
 
 
 class PoissonTensor:
-    """Antisymmetric bivector with Poly components on a generator set."""
+    """Antisymmetric bivector with Poly components on a generator set;
+    ``rows[a]`` is the field Y_a = Lambda^{ab} d_b."""
 
-    __slots__ = ("gens", "components")
+    __slots__ = ("gens", "components", "rows")
 
     def __init__(self, gens: GeneratorSet, components: Mapping[tuple[int, int], Poly]):
         self.gens = gens
@@ -45,6 +50,11 @@ class PoissonTensor:
             else:
                 comp[(b, a)] = comp.get((b, a), Poly.zero(gens)) - poly
         self.components = {k: v for k, v in comp.items() if not v.is_zero()}
+        rows: list[dict[str, Poly]] = [{} for _ in gens.names]
+        for (a, b), poly in self.components.items():
+            rows[a][gens.names[b]] = poly
+            rows[b][gens.names[a]] = -poly
+        self.rows = tuple(PolyDerivation(gens, row) for row in rows)
 
     @property
     def dim(self) -> int:
@@ -52,11 +62,7 @@ class PoissonTensor:
 
     def component(self, a: int, b: int) -> Poly:
         """Lambda^{ab} with antisymmetry applied."""
-        if a == b:
-            return Poly.zero(self.gens)
-        if a < b:
-            return self.components.get((a, b), Poly.zero(self.gens))
-        return -self.components.get((b, a), Poly.zero(self.gens))
+        return self.rows[a].images[self.gens.names[b]]
 
     @staticmethod
     def canonical(n_pairs: int) -> "PoissonTensor":
@@ -137,18 +143,8 @@ class LieAlgebra3d:
 
 
 def bracket(tensor: PoissonTensor, f: Poly, g: Poly) -> Poly:
-    """{f,g} = Lambda^{ab} d_a f d_b g (sum over a < b with both signs)."""
-    if f.gens != tensor.gens or g.gens != tensor.gens:
-        raise GeneratorMismatch("polynomial over a different generator set")
-    out = Poly.zero(tensor.gens)
-    names = tensor.gens.names
-    for (a, b), comp in tensor.components.items():
-        fa, gb = f.partial(names[a]), g.partial(names[b])
-        fb, ga = f.partial(names[b]), g.partial(names[a])
-        term = fa * gb - fb * ga
-        if not term.is_zero():
-            out = out + comp * term
-    return out
+    """{f,g} = Lambda^{ab} d_a f d_b g = X_g(f)."""
+    return apply(hamiltonian_field(tensor, g), f)
 
 
 @dataclass
@@ -159,35 +155,21 @@ class JacobiReport:
 
 
 def jacobi_check(tensor: PoissonTensor) -> JacobiReport:
-    """Cyclic-sum polynomial identity over all index triples a < b < c."""
-    names = tensor.gens.names
-    n = tensor.dim
-    for a, b, c in combinations(range(n), 3):
-        residual = Poly.zero(tensor.gens)
-        for k in range(n):
-            for (i, j, l) in ((c, k, (a, b)), (a, k, (b, c)), (b, k, (c, a))):
-                lam = tensor.component(i, k)
-                if lam.is_zero():
-                    continue
-                d = tensor.component(*l).partial(names[k])
-                if not d.is_zero():
-                    residual = residual + lam * d
+    """The cyclic sum Y_a(Lambda^{bc}) + Y_b(Lambda^{ca}) + Y_c(Lambda^{ab})
+    over all index triples a < b < c; the first nonzero one is the witness."""
+    y, lam = tensor.rows, tensor.component
+    for a, b, c in combinations(range(tensor.dim), 3):
+        residual = apply(y[a], lam(b, c)) + apply(y[b], lam(c, a)) + apply(y[c], lam(a, b))
         if not residual.is_zero():
             return JacobiReport(False, (a, b, c), residual)
     return JacobiReport(True)
 
 
 def hamiltonian_field(tensor: PoissonTensor, h: Poly) -> PolyDerivation:
-    """The derivation f -> {f, H}, through its generator components."""
-    images = {}
-    for name in tensor.gens.names:
-        images[name] = bracket(tensor, Poly.generator(tensor.gens, name), h)
-    return PolyDerivation(tensor.gens, images)
-
-
-def conserved_check(tensor: PoissonTensor, h: Poly, f: Poly) -> bool:
-    """True iff {f, H} = 0 exactly."""
-    return bracket(tensor, f, h).is_zero()
+    """X_H = Lambda(dH), the derivation f -> {f, H}: X_H^a = Y_a(H)."""
+    return PolyDerivation(
+        tensor.gens, {name: apply(y, h) for name, y in zip(tensor.gens.names, tensor.rows)}
+    )
 
 
 def lie_poisson(algebra: LieAlgebra3d) -> PoissonTensor:
@@ -216,9 +198,9 @@ class CasimirReport:
 
 
 def casimir_check(tensor: PoissonTensor, c: Poly) -> CasimirReport:
-    """Pass iff {x^a, C} = 0 for every generator."""
-    for name in tensor.gens.names:
-        r = bracket(tensor, Poly.generator(tensor.gens, name), c)
+    """Pass iff X_C = 0, i.e. {x^a, C} = 0 for every generator; the witness
+    is the first generator with a nonzero component of X_C."""
+    for name, r in hamiltonian_field(tensor, c).images.items():
         if not r.is_zero():
             return CasimirReport(False, name, r)
     return CasimirReport(True)
@@ -229,7 +211,8 @@ def find_hamiltonian(
     delta: PolyDerivation,
     degree_cap: int = DEFAULT_INVERSE_DEGREE_CAP,
 ) -> Poly | None:
-    """Search H of degree <= cap with {x^a, H} = delta^a for all generators.
+    """Search H of degree <= cap with X_H = delta, i.e. Lambda^{ab} d_b H =
+    delta^a for all generators.
 
     Exact linear solve over the coefficient space; None when no polynomial
     Hamiltonian of that degree exists.  Inputs must be theta-free.
@@ -237,17 +220,13 @@ def find_hamiltonian(
     gens = tensor.gens
     if delta.gens != gens:
         raise GeneratorMismatch("dynamics over a different generator set")
-    # {x^a, f} = Y_a(f) for the field Y_a^b = Lambda^{ab} d_a(x^a).
-    fields = [
-        [tensor.component(a, b) * Poly.generator(gens, na).partial(na) for b in range(len(gens))]
-        for a, na in enumerate(gens.names)
-    ]
+    fields = [[y.images[name] for name in gens.names] for y in tensor.rows]
     if not all(y.is_theta_free() for field in fields for y in field):
         raise ValueError("inverse search requires theta-free tensors")
     images = [delta.images[name] for name in gens.names]
     if not all(img.is_theta_free() for img in images):
         raise ValueError("inverse search requires theta-free dynamics")
-    # Unknown j is the coefficient of basis[j]; its column holds {x^a, x^m}.
+    # Unknown j is the coefficient of basis[j]; its column holds Y_a(x^m).
     basis = monomials(len(gens), degree_cap)
     sol = linalg.solve_columns(derivation_columns(fields, basis), coefficient_column(images))
     if sol is None:

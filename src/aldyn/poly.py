@@ -89,6 +89,8 @@ class GeneratorSet:
         return name in self._index
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, GeneratorSet):
             return NotImplemented
         return self.names == other.names and self.kinds == other.kinds

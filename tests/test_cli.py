@@ -19,6 +19,7 @@ from aldyn.cli import _build_parser, main
 from aldyn.demos import DEMOS
 from aldyn.derivations import PolyDerivation
 from aldyn.matrices import Mat
+from aldyn.poisson import PoissonTensor
 from aldyn.poly import GeneratorSet, Poly
 from aldyn.report import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, Report
 
@@ -70,6 +71,9 @@ JACOBI_FAILING_TENSOR = json.dumps({
         for a, b, exps in ((0, 1, [0, 0, 1]), (1, 2, [0, 1, 0]))
     ],
 })
+AA = GeneratorSet.action_angle(1)
+# Lambda^{uI} = 1 on the action-angle pair (u, I).
+ACTION_ANGLE_TENSOR = json.dumps(PoissonTensor(AA, {(0, 1): Poly.one(AA)}).to_json())
 SIGMA_X = json.dumps(Mat.from_rows([[0, 1], [1, 0]]).to_json())
 SIGMA_Z = json.dumps(Mat.from_rows([[1, 0], [0, -1]]).to_json())
 
@@ -110,6 +114,19 @@ class TestBracketCommands:
         assert images["q"]["terms"] == [
             {"exps": [0, 1], "coeff": [{"theta": 0, "re": "1", "im": "0"}]}
         ]
+
+    def test_hamfield_on_action_angle(self, capsys):
+        """X_H for H = I^2 is 2I d/dtheta: the component along d_u is 2I."""
+        code, payload, _ = run_json(
+            capsys, "hamfield", "--tensor", ACTION_ANGLE_TENSOR, "--h", "I^2"
+        )
+        assert code == EXIT_OK
+        images = payload["result"]["derivation"]["images"]
+        assert images["u"]["terms"] == [
+            {"exps": [0, 1], "coeff": [{"theta": 0, "re": "2", "im": "0"}]}
+        ]
+        assert images["I"]["terms"] == []
+        assert payload["verification"] == ["X_H(H) = 0 exactly: pass"]
 
     def test_casimir(self, capsys):
         code, payload, _ = run_json(
@@ -187,6 +204,22 @@ class TestFlowCommands:
         )
         assert code == EXIT_OK
         assert payload["result"]["text"] == "2*p + q"
+
+    def test_quadratic_image_flows_exactly(self, capsys):
+        """delta(q) = p^2 is nilpotent of order 2, so q flows to q + t p^2."""
+        d = derivation_json({"q": Poly.generator(GENS, "p") ** 2})
+        code, payload, _ = run_json(capsys, "flow", "--derivation", d, "--f", "q")
+        assert code == EXIT_OK
+        assert payload["result"]["text"] == "q + p^2*t"
+        code, payload, _ = run_json(capsys, "flow", "--derivation", d, "--f", "q", "--t", "3")
+        assert payload["result"]["text"] == "q + 3*p^2"
+
+    def test_laurent_observable_flows(self, capsys):
+        """u^-2 I under d/dI keeps its negative power: u^-2 I + t u^-2."""
+        d = json.dumps(PolyDerivation(AA, {"I": Poly.one(AA)}).to_json())
+        code, payload, _ = run_json(capsys, "flow", "--derivation", d, "--f", "u^-2*I", "--t", "2")
+        assert code == EXIT_OK
+        assert payload["result"]["text"] == "2*u^-2 + u^-2*I"
 
     def test_linear_flow(self, capsys):
         code, payload, _ = run_json(
@@ -479,6 +512,17 @@ class TestErrorHandling:
             ["evolve", "--h", _matrix_cells([[("1e400", "0"), ("0", "0")], [("0", "0"), ("1", "0")]]),
              "--a", SIGMA_Z, "--t", "1"],
             ["evolve", "--h", NEAR_HERMITIAN, "--a", SIGMA_Z, "--t", "1"],
+            ["reduce", "--input", "5"],
+            ["reduce", "--input", json.dumps(
+                {"dynamics": json.loads(FREE_JSON), "distribution": [_DQ_JSON], "degree_cap": [1]})],
+            ["reduce", "--input", json.dumps(
+                {"dynamics": json.loads(FREE_JSON), "distribution": [_DQ_JSON], "connection": 5})],
+            ["reduce", "--input", json.dumps(
+                {"dynamics": json.loads(FREE_JSON), "distribution": [_DQ_JSON], "connection": [5]})],
+            ["reduce", "--input", json.dumps({"dynamics": json.loads(FREE_JSON), "distribution": 5})],
+            ["connection", "--distribution", "5"],
+            ["flow", "--derivation", '{"images": 5}', "--f", "q"],
+            ["jacobi", "--tensor", "5"],
         ],
         ids=["flow-nilpotent-oscillator", "biderivation-n5", "biderivation-n-1",
              "biderivation-n0", "star-theta-abc",
@@ -493,7 +537,10 @@ class TestErrorHandling:
              "demo-oscillator-tol-minus-inf", "demo-block-reduction-tol-nan",
              "demo-action-angle-t-overflow", "demo-action-angle-phase-overflow",
              "demo-oscillator-t-overflow", "flow-linear-t-overflow",
-             "evolve-entry-overflow", "evolve-near-hermitian"],
+             "evolve-entry-overflow", "evolve-near-hermitian",
+             "reduce-input-not-object", "reduce-degree-cap-list", "reduce-connection-number",
+             "reduce-connection-form-number", "reduce-distribution-number",
+             "connection-distribution-number", "flow-images-number", "jacobi-tensor-number"],
     )
     def test_malformed_invocation_exits_bad_input(self, argv):
         """A bad input must exit 2 in a fresh process, never crash as 1."""

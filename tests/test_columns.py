@@ -1,7 +1,8 @@
 """The ansatz column kernel against the Poly-built columns it replaced.
 
 The oracles build each column the old way, one Poly per monomial:
-``bracket`` for find_hamiltonian, ``apply`` for invariant_subalgebra and
+X_{x^m}^a = Lambda^{ab} d_b x^m for find_hamiltonian, ``bracket`` for the
+columns {x^a, x^m}, ``apply`` for invariant_subalgebra and
 ``Poly(m) * Y`` for express_in_fields, find_connection and
 find_poisson_tensor.  Columns and solver results must agree exactly, on
 angle-phase generators too.
@@ -87,6 +88,24 @@ def old_bracket_columns(tensor, monos):
     ]
 
 
+def old_field_columns(tensor, monos):
+    """The components of X_{x^m}, from Poly products and partials."""
+    gens = tensor.gens
+    return [
+        coefficient_column(
+            [
+                sum(
+                    (tensor.component(a, b) * _mono(gens, m).partial(nb)
+                     for b, nb in enumerate(gens.names)),
+                    Poly.zero(gens),
+                )
+                for a in range(len(gens))
+            ]
+        )
+        for m in monos
+    ]
+
+
 def old_apply_columns(fields, monos):
     gens = fields[0].gens
     return [coefficient_column([apply(y, _mono(gens, m)) for y in fields]) for m in monos]
@@ -101,7 +120,7 @@ def old_find_hamiltonian(tensor, delta, cap):
     gens = tensor.gens
     basis = monomials(len(gens), cap)
     target = coefficient_column([delta.images[n] for n in gens.names])
-    sol = linalg.solve_columns(old_bracket_columns(tensor, basis), target)
+    sol = linalg.solve_columns(old_field_columns(tensor, basis), target)
     return None if sol is None else Poly.from_coefficients(gens, basis, sol)
 
 
@@ -230,6 +249,22 @@ def test_bracket_columns_are_the_field_of_the_tensor(gens):
 
 
 @gen_sets
+def test_row_field_columns_are_hamiltonian_fields(gens):
+    """The rows Y_a = Lambda^{ab} d_b give the columns Y_a(x^m) = X_{x^m}^a."""
+    rng = random.Random(len(gens) * 29 + gens.kinds.count("angle-phase"))
+    monos = monomials(len(gens), 3)
+    for _ in range(3):
+        tensor = _random_tensor(gens, rng)
+        rows = [[y.images[n] for n in gens.names] for y in tensor.rows]
+        got = derivation_columns(rows, monos)
+        assert got == old_field_columns(tensor, monos)
+        assert got == [
+            coefficient_column(list(hamiltonian_field(tensor, _mono(gens, m)).images.values()))
+            for m in monos
+        ]
+
+
+@gen_sets
 def test_derivation_columns_match_apply(gens):
     rng = random.Random(len(gens) * 37 + gens.kinds.count("angle-phase"))
     monos = monomials(len(gens), 3)
@@ -260,6 +295,8 @@ def test_cancelling_terms_leave_no_entry():
 
 @gen_sets
 def test_find_hamiltonian_matches_bracket_oracle(gens):
+    """The oracle's columns are the Poly-built fields X_{x^m}, whose
+    components are the brackets {x^a, x^m} off the angle-phase generators."""
     rng = random.Random(len(gens) * 43 + gens.kinds.count("angle-phase"))
     for _ in range(2):
         tensor = _random_tensor(gens, rng)
@@ -289,8 +326,10 @@ def test_invariant_subalgebra_matches_apply_oracle(gens):
 def test_angle_rotation_invariants():
     """d/d(angle) on (u, I): u -> i u, so the invariants are the powers of I."""
     gens = GeneratorSet.action_angle(1)
+    rotation = PolyDerivation(gens, {"u": Poly.one(gens)})
     u = Poly.generator(gens, "u")
-    dist = Distribution([PolyDerivation(gens, {"u": u.scale(Scalar.i().constant())})])
+    assert apply(rotation, u) == u.scale(Scalar.i().constant())
+    dist = Distribution([rotation])
     got = invariant_subalgebra(dist, 3)
     assert got == old_invariant_subalgebra(dist, 3)
     assert got == [Poly.generator(gens, "I", k) for k in range(4)]

@@ -124,10 +124,52 @@ class TestFlowNilpotent:
         with pytest.raises(NonTruncatingFlow):
             flow_nilpotent(oscillator(), Q)
 
-    def test_high_degree_image_rejected(self):
+    def test_high_degree_image_truncates(self):
+        """delta(q) = p^2 is nilpotent of order 2 on the generators, so the
+        flow of q is q + t p^2 (no degree condition on the images)."""
         d = PolyDerivation(GENS, {"q": P**2})
+        flow = flow_nilpotent(d, Q)
+        q, p, t = (Poly.generator(flow.gens, n) for n in ("q", "p", "t"))
+        assert flow == q + t * p**2
+
+    def test_leibniz_bound_on_higher_degree(self):
+        """delta^k = 0 on generators kills delta^N f for N > (k - 1) deg f:
+        the flow equals the substitution q -> q + t p^2, p -> p + t."""
+        d = PolyDerivation(GENS, {"q": P**2, "p": Poly.one(GENS)})
+        rng = random.Random(6)
+        for _ in range(5):
+            f = random_poly(GENS, rng)
+            flow = flow_nilpotent(d, f)
+            q, p, t = (Poly.generator(flow.gens, n) for n in ("q", "p", "t"))
+            q_t = q + t * p**2 + t**2 * p + (t**3).scale(Fraction(1, 3))
+            assert flow == f.substitute({"q": q_t, "p": p + t})
+
+    def test_laurent_observable_flows(self):
+        """u^-2 I under d/dI: u is not moved, so its negative power stays."""
+        gens = GeneratorSet.action_angle(1)
+        u_inv2 = Poly.generator(gens, "u", -2)
+        d = PolyDerivation(gens, {"I": Poly.one(gens)})
+        flow = flow_nilpotent(d, u_inv2 * Poly.generator(gens, "I"))
+        ext = flow.gens
+        t, action = Poly.generator(ext, "t"), Poly.generator(ext, "I")
+        assert flow == Poly.generator(ext, "u", -2) * (action + t)
+        assert flow_series_truncated(d, u_inv2, order=0) == (
+            Poly.generator(ext, "u", -2), True
+        )
+
+    def test_negative_power_of_a_moved_generator_rejected(self):
+        """delta(u) = I, delta(I) = 0 is nilpotent on generators, but a
+        locally nilpotent derivation kills every unit, so u^-1 never
+        truncates."""
+        gens = GeneratorSet.action_angle(1)
+        action = Poly.generator(gens, "I")
+        # the component along d/dtheta: delta(u) = i u delta^u = I
+        u_inv = Poly.generator(gens, "u", -1)
+        d = PolyDerivation(gens, {"u": (action * u_inv).scale(-Scalar.i())})
+        assert apply(d, Poly.generator(gens, "u")) == action
+        assert nilpotency_order(d) == 2
         with pytest.raises(NonTruncatingFlow):
-            flow_nilpotent(d, Q)
+            flow_nilpotent(d, u_inv)
 
 
 class TestTruncatedSeries:
@@ -195,6 +237,16 @@ class TestFlowLinear:
                 a = once.terms.get(exps, Scalar.zero()).constant().to_complex()
                 b = twice.terms.get(exps, Scalar.zero()).constant().to_complex()
                 assert abs(a - b) < 1e-10
+
+    def test_angle_rotation(self):
+        """d/dtheta has the component 1 along d_u and moves u -> i u, so its
+        flow is u -> e^{it} u."""
+        gens = GeneratorSet.action_angle(1)
+        u = Poly.generator(gens, "u")
+        t = 0.7
+        flow = flow_linear(PolyDerivation(gens, {"u": Poly.one(gens)}), t, u)
+        assert set(flow.terms) == {(1, 0)}
+        assert abs(flow.coefficient({"u": 1}).constant().to_complex() - cmath.exp(1j * t)) < 1e-12
 
     def test_nonlinear_rejected(self):
         d = PolyDerivation(GENS, {"q": Q * P})
