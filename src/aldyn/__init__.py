@@ -32,7 +32,6 @@ from .matrices import Mat, full_matrix_basis, pauli
 from .moyal import (
     StarAlgebraContext,
     StarDerivation,
-    SymplecticPairing,
     s_space_basis,
     s_space_check,
     star,
@@ -100,7 +99,6 @@ __all__ = [
     "Scalar",
     "StarAlgebraContext",
     "StarDerivation",
-    "SymplecticPairing",
     "apply",
     "biderivation_solver",
     "block_split",

@@ -70,7 +70,6 @@ from .reduction import (
     find_connection,
     invariant_subalgebra,
     invariance_of_subalgebra,
-    normalizer_check,
     split_dynamics,
 )
 from .report import EXIT_BAD_INPUT, Report
@@ -108,7 +107,9 @@ def _rational(text: str, path: str) -> Fraction:
 def _decode(path: str, fn, *args):
     try:
         return fn(*args)
-    except (AttributeError, KeyError, ValueError, TypeError, ZeroDivisionError) as e:
+    except (
+        AttributeError, KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError
+    ) as e:
         raise InputError(f"{path}: {e}") from e
 
 
@@ -440,7 +441,8 @@ def cmd_reduce(args) -> Report:
         )
         connection = _decode("/input/connection", ConnectionP, dist, forms)
     basis = invariant_subalgebra(dist, cap)
-    norm = normalizer_check(delta, dist, args.ansatz_cap)
+    split = split_dynamics(delta, dist, connection, args.ansatz_cap)
+    norm = split.normalizer
     payload = {
         "invariant_basis": [b.to_json() for b in basis],
         "invariant_basis_text": [str(b) for b in basis],
@@ -457,7 +459,6 @@ def cmd_reduce(args) -> Report:
         payload["witness"] = norm.witness
     if not member:
         return Report(payload, checks, lines=lines)
-    split = split_dynamics(delta, dist, connection, args.ansatz_cap)
     if split.status != "ok":
         payload["split"] = {"status": split.status, "note": split.note}
         lines.append(f"split: {split.note}")
@@ -584,8 +585,8 @@ def cmd_casimir(args) -> Report:
     return Report(
         {"casimir": False, "witness": rep.witness, "residual": rep.residual.to_json()},
         checks,
-        [f"witness generator {rep.witness}: bracket = {rep.residual}"],
-        [f"not a Casimir: {{{rep.witness}, C}} = {rep.residual}"],
+        [f"witness generator {rep.witness}: X_C^{rep.witness} = {rep.residual}"],
+        [f"not a Casimir: X_C^{rep.witness} = {rep.residual}"],
     )
 
 

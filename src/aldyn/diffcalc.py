@@ -200,8 +200,8 @@ class KForm:
                     raise ValueError("index tuple length must equal the degree")
                 if list(idx) != sorted(idx) or len(set(idx)) != len(idx):
                     raise ValueError("only strictly increasing index tuples are stored")
-                if any(not 0 <= i < basis.dim for i in idx):
-                    raise ValueError("index out of range")
+                if any(not isinstance(i, int) or not 0 <= i < basis.dim for i in idx):
+                    raise ValueError("indices must be integers in range")
                 if value.n != basis.n:
                     raise ValueError("value size mismatch")
                 if not value.is_zero():

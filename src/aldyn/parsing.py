@@ -10,8 +10,9 @@ Grammar (whitespace-insensitive):
 
 ``i`` and ``theta`` are reserved scalar symbols; rational literals look
 like ``3`` or ``1/2``, with a nonzero denominator.  Every other name must
-be a generator of the supplied set.  Caret powers must be integers
-(negative only on angle-phase generators).
+be a generator of the supplied set.  Caret powers must be integers,
+negative only on a Laurent unit (one theta-free term on angle-phase
+generators, see ``Poly.__pow__``).
 """
 
 from __future__ import annotations
@@ -126,17 +127,10 @@ class _Parser:
         if kind == "op" and value == "^":
             self.toks.next()
             exp = self._signed_int()
-            if exp >= 0:
+            try:
                 return base**exp
-            # Negative powers only make sense on bare angle-phase generators.
-            if len(base.terms) == 1:
-                (exps, coeff), = base.terms.items()
-                if coeff == Scalar.one() and sum(1 for e in exps if e) == 1:
-                    idx = next(j for j, e in enumerate(exps) if e)
-                    if base.gens.kinds[idx] == "angle-phase":
-                        name = base.gens.names[idx]
-                        return Poly.generator(base.gens, name, power=exps[idx] * exp)
-            raise ParseError("negative powers need a single angle-phase generator", pos)
+            except ValueError as exc:
+                raise ParseError(str(exc), pos) from None
         return base
 
     def _signed_int(self) -> int:

@@ -37,6 +37,8 @@ class PoissonTensor:
         self.gens = gens
         comp: dict[tuple[int, int], Poly] = {}
         for (a, b), poly in components.items():
+            if not (0 <= a < len(gens) and 0 <= b < len(gens)):
+                raise ValueError(f"component index ({a}, {b}) out of range")
             if a == b:
                 if not poly.is_zero():
                     raise ValueError("diagonal components must vanish")

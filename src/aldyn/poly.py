@@ -302,8 +302,22 @@ class Poly:
         return _poly(self.gens, {e: c for e, c in out.items() if c.terms})
 
     def __pow__(self, k: int) -> "Poly":
+        """f^k; for k < 0, f must be a unit of the Laurent ring: one term
+        with a theta-free coefficient and exponents only on angle-phase
+        generators, so (c x^e)^k = c^k x^(k e)."""
         if k < 0:
-            raise ValueError("negative polynomial powers are not defined")
+            if len(self.terms) != 1:
+                raise ValueError("negative powers need a Laurent unit, a single term")
+            ((exps, c),) = self.terms.items()
+            if not c.is_theta_free() or any(
+                e and kind != "angle-phase" for e, kind in zip(exps, self.gens.kinds)
+            ):
+                raise ValueError(
+                    "negative powers need a Laurent unit: a theta-free coefficient "
+                    "and exponents only on angle-phase generators"
+                )
+            inv = Scalar.from_gauss(c.constant() ** k)
+            return _poly(self.gens, {tuple(e * k for e in exps): inv})
         out = Poly.one(self.gens)
         base = self
         while k:
@@ -365,8 +379,8 @@ class Poly:
         """Compose: replace each generator by the given polynomial.
 
         Every generator must be mapped; all images must share one generator
-        set, which becomes the result's.  Not available when the polynomial
-        has negative (Laurent) exponents.
+        set, which becomes the result's.  A negative exponent needs an image
+        that is a Laurent unit (see ``__pow__``).
         """
         if not images:
             raise ValueError("empty substitution")
@@ -380,8 +394,6 @@ class Poly:
         for exps, c in self.terms.items():
             term = Poly.constant(target, c)
             for name, e in zip(self.gens.names, exps):
-                if e < 0:
-                    raise ValueError("cannot substitute into Laurent exponents")
                 if e:
                     term = term * images[name] ** e
             out = out + term

@@ -338,7 +338,8 @@ def connection_apply(conn: ConnectionP, x: PolyDerivation) -> PolyDerivation:
 
 @dataclass
 class SplitResult:
-    status: str  # "ok" | "inconclusive"
+    status: str  # "ok" | "non-member" | "inconclusive"
+    normalizer: NormalizerReport
     delta_d: PolyDerivation | None = None
     delta_prime: PolyDerivation | None = None
     commuting: bool | None = None
@@ -354,18 +355,23 @@ def split_dynamics(
 ) -> SplitResult:
     """delta = delta^D + delta' via a connection, with the commuting verdict.
 
-    Requires delta in the normalizer of the distribution.  When delta is
-    itself a polynomial combination of the spanning fields, P(delta) =
-    delta for every admissible connection and no explicit one is needed;
-    otherwise a connection is taken from the caller or searched for, and
-    its absence within the cap is reported as inconclusive.
+    Needs delta in the normalizer of the distribution; the normalizer
+    report is returned with the split, and a non-member or uncertified
+    dynamics is the split's status.  When delta is itself a polynomial
+    combination of the spanning fields, P(delta) = delta for every
+    admissible connection and no explicit one is needed; otherwise a
+    connection is taken from the caller or searched for, and its absence
+    within the cap is reported as inconclusive.
     """
     report = normalizer_check(delta, dist, ansatz_cap)
     if report.status == "non-member":
-        raise ValueError("dynamics is not in the normalizer of the distribution")
+        return SplitResult(
+            "non-member", report, note="dynamics is not in the normalizer of the distribution"
+        )
     if report.status == "inconclusive":
         return SplitResult(
-            status="inconclusive",
+            "inconclusive",
+            report,
             note="normalizer membership not certified within the ansatz cap",
         )
     if connection is None:
@@ -373,7 +379,8 @@ def split_dynamics(
         if membership is not None:
             zero = PolyDerivation(delta.gens, {})
             return SplitResult(
-                status="ok",
+                "ok",
+                report,
                 delta_d=delta,
                 delta_prime=zero,
                 commuting=True,
@@ -384,8 +391,7 @@ def split_dynamics(
         connection = find_connection(dist, ansatz_cap)
         if connection is None:
             return SplitResult(
-                status="inconclusive",
-                note="no polynomial connection within the degree cap",
+                "inconclusive", report, note="no polynomial connection within the degree cap"
             )
     elif connection.dist.gens != delta.gens:
         raise GeneratorMismatch("connection over a different generator set")
@@ -399,7 +405,8 @@ def split_dynamics(
     else:
         case = "coupled"
     return SplitResult(
-        status="ok",
+        "ok",
+        report,
         delta_d=delta_d,
         delta_prime=delta_prime,
         commuting=commuting,

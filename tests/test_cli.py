@@ -2,9 +2,14 @@
 
 import argparse
 import ast
+import contextlib
+import copy
+import functools
 import inspect
+import io
 import json
 import math
+import operator
 import os
 import textwrap
 import subprocess
@@ -13,6 +18,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aldyn
 from aldyn.cli import _build_parser, main
@@ -53,6 +60,7 @@ def derivation_json(images: dict) -> str:
 
 FREE_JSON = derivation_json({"q": Poly.generator(GENS, "p")})
 _DQ_JSON = PolyDerivation(GENS, {"q": Poly.one(GENS)}).to_json()
+_DP_JSON = PolyDerivation(GENS, {"p": Poly.one(GENS)}).to_json()
 _REDUCE_INPUT = json.dumps({"dynamics": json.loads(FREE_JSON), "distribution": [_DQ_JSON]})
 _XYZ = [{"name": "x"}, {"name": "y"}, {"name": "z"}]
 # {x, y} = z, {y, z} = y: the cyclic sum on (x, y, z) is z.
@@ -137,6 +145,15 @@ class TestBracketCommands:
         assert code == EXIT_FAIL
         assert payload["result"]["witness"] == "y"
 
+    def test_casimir_witness_names_the_component(self, capsys):
+        """On an angle-phase witness the residual is X_C^u, not {u, C} = i u X_C^u."""
+        argv = ["casimir", "--tensor", ACTION_ANGLE_TENSOR, "--c", "I"]
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == EXIT_FAIL
+        assert payload["verification"][0] == "witness generator u: X_C^u = 1"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_FAIL and "not a Casimir: X_C^u = 1" in out
+
 
 class TestStarCommands:
     def test_star(self, capsys):
@@ -220,6 +237,23 @@ class TestFlowCommands:
         code, payload, _ = run_json(capsys, "flow", "--derivation", d, "--f", "u^-2*I", "--t", "2")
         assert code == EXIT_OK
         assert payload["result"]["text"] == "2*u^-2 + u^-2*I"
+
+    def test_laurent_unit_flows_linearly(self, capsys):
+        """d/dtheta on the action-angle pair rotates u^-1 to e^(-it) u^-1."""
+        d = json.dumps(PolyDerivation(AA, {"u": Poly.one(AA)}).to_json())
+        argv = ["flow", "--derivation", d, "--t", "1", "--mode", "linear"]
+        code, payload, _ = run_json(capsys, *argv, "--f", "u^-1")
+        assert code == EXIT_OK
+        (term,) = payload["result"]["poly_float"]["terms"]
+        assert term["exps"] == [-1, 0]
+        assert term["re"] == pytest.approx(math.cos(1), abs=1e-15)
+        assert term["im"] == pytest.approx(-math.sin(1), abs=1e-15)
+        code, _, err = run_cli(capsys, *argv, "--f", "(u + I)^-1")
+        assert code == EXIT_BAD_INPUT and "Laurent unit" in err
+        code, _, err = run_cli(
+            capsys, "flow", "--derivation", "oscillator", "--f", "q^-1", "--t", "1"
+        )
+        assert code == EXIT_BAD_INPUT and "Laurent unit" in err
 
     def test_linear_flow(self, capsys):
         code, payload, _ = run_json(
@@ -360,6 +394,27 @@ class TestReductionCommands:
         code, payload, _ = run_json(capsys, "reduce", "--input", json.dumps(payload_in))
         assert code == EXIT_FAIL
         assert payload["result"]["normalizer"] == "non-member"
+
+    @pytest.mark.parametrize("dist", [_DQ_JSON, _DP_JSON], ids=["member", "non-member"])
+    def test_reduce_runs_the_normalizer_ansatz_once(self, capsys, monkeypatch, dist):
+        import aldyn.cli as cli
+        import aldyn.reduction as reduction
+
+        calls = []
+        real = reduction.normalizer_check
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        # Also where the CLI might call it under its own name.
+        monkeypatch.setattr(reduction, "normalizer_check", counted)
+        monkeypatch.setattr(cli, "normalizer_check", counted, raising=False)
+        payload_in = {"dynamics": json.loads(FREE_JSON), "distribution": [dist]}
+        code, payload, _ = run_json(capsys, "reduce", "--input", json.dumps(payload_in))
+        assert code == (EXIT_OK if dist is _DQ_JSON else EXIT_FAIL)
+        assert len(calls) == 1
+        assert ("witness" in payload["result"]) is (dist is _DP_JSON)
 
     def test_frelate(self, capsys):
         code, payload, _ = run_json(
@@ -780,6 +835,123 @@ def test_integer_options_keep_the_exit_code_contract(capsys, option, value):
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT, EXIT_INCONCLUSIVE), err
 
 
+def _form_doc() -> dict:
+    from aldyn.diffcalc import DerivationBasis, KForm
+
+    return KForm.dual_form(DerivationBasis.gell_mann(2), 0).to_json()
+
+
+# Each entry point as (argv, {option: valid JSON document}); the fuzz breaks
+# one of the documents and passes the others as they are.
+_TENSOR_DOC = PoissonTensor.canonical(1).to_json()
+_FREE_DOC = json.loads(FREE_JSON)
+_SIGMA_X_DOC, _SIGMA_Z_DOC = json.loads(SIGMA_X), json.loads(SIGMA_Z)
+JSON_ENTRY_POINTS = {
+    "bracket": (["--f", "q", "--g", "p"], {"--tensor": _TENSOR_DOC}),
+    "jacobi": ([], {"--tensor": _TENSOR_DOC}),
+    "hamfield": (["--h", "q*p"], {"--tensor": _TENSOR_DOC}),
+    "casimir": (["--c", "q"], {"--tensor": _TENSOR_DOC}),
+    "flow": (["--f", "q", "--t", "1"], {"--derivation": _FREE_DOC}),
+    "nilpotency": ([], {"--derivation": _FREE_DOC}),
+    "evolve": (["--t", "0.5"], {"--h": _SIGMA_X_DOC, "--a": _SIGMA_Z_DOC}),
+    "commutant": ([], {"--subspace": [_SIGMA_Z_DOC]}),
+    "invariance": ([], {"--h": _SIGMA_Z_DOC, "--subspace": [_SIGMA_Z_DOC]}),
+    "blocksplit": (["--k", "1"], {"--h": _SIGMA_Z_DOC}),
+    "reduce": ([], {"--input": json.loads(_REDUCE_INPUT)}),
+    "frelate": (["--map", "p"], {"--dynamics": _FREE_DOC}),
+    "connection": ([], {"--distribution": [_DQ_JSON]}),
+    "dform": ([], {"--form": _form_doc()}),
+    "wedge": ([], {"--form1": _form_doc(), "--form2": _form_doc()}),
+    "contract": (["--x", "1,0,0"], {"--form": _form_doc()}),
+    "lieder": (["--x", "0,1,0"], {"--form": _form_doc()}),
+}
+
+# Small numbers only: a valid but huge exponent, size or cap is not
+# malformed, and it can exhaust time or memory.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.sampled_from([0.5, 2.5, float("inf"), float("nan")]),
+    st.sampled_from(["1/0", "", "q", "x", "1/2", "-1"]),
+    st.lists(st.integers(-1, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["n", "a", "re", "terms"]), st.integers(-1, 2), max_size=2),
+)
+
+
+def _paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _malformed_invocations(draw):
+    command = draw(st.sampled_from(sorted(JSON_ENTRY_POINTS)))
+    argv, docs = JSON_ENTRY_POINTS[command]
+    option = draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[option])
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        doc = draw(_JUNK)  # a wrong top-level type
+    else:
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if draw(st.booleans()):
+            del parent[path[-1]]  # a missing key or list entry
+        else:
+            parent[path[-1]] = draw(_JUNK)
+    texts = {opt: json.dumps(d) for opt, d in docs.items()}
+    texts[option] = json.dumps(doc)
+    return [command, *argv, *(arg for opt, text in texts.items() for arg in (opt, text))]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_malformed_invocations())
+def test_malformed_json_options_keep_the_exit_code_contract(argv):
+    """Broken JSON documents on every JSON option end in a contract exit code
+    with empty or strict-JSON stdout; no exception escapes main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--json"])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT, EXIT_INCONCLUSIVE), err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _tensor_with_indices(a: int, b: int) -> str:
+    doc = copy.deepcopy(_TENSOR_DOC)
+    doc["components"][0].update(a=a, b=b)
+    return json.dumps(doc)
+
+
+def _form_with_idx(idx) -> str:
+    doc = _form_doc()
+    doc["degree"] = 1
+    doc["coeffs"] = [{"idx": [idx], "value": _SIGMA_Z_DOC}]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jacobi", "--tensor", _tensor_with_indices(0, 4)],
+        ["jacobi", "--tensor", _tensor_with_indices(-1, 0)],
+        ["dform", "--form", _form_with_idx(0.5)],
+        ["blocksplit", "--k", "1", "--h", _matrix_cells([[(1, 0), (math.inf, 0)], [(0, 0), (0, 0)]])],
+        ["blocksplit", "--k", "1", "--h", json.dumps({**_SIGMA_Z_DOC, "n": float("inf")})],
+    ],
+    ids=["tensor-index-4", "tensor-index-minus-1", "form-index-float", "matrix-entry-infinity",
+         "matrix-n-infinity"],
+)
+def test_json_values_found_by_the_fuzz_are_bad_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_BAD_INPUT and out == "", err
+
+
 class TestDemos:
     @pytest.mark.parametrize(
         "argv",
@@ -828,7 +1000,6 @@ README_INVOCATIONS = {
 # rotation check: its bound adds 4 eps max(1, |t|) to --tol.
 ROUNDING_INVOCATIONS = {"demo-oscillator-tol": ["demo", "oscillator", "--tol", "1e-30"]}
 _QDQ_JSON = PolyDerivation(GENS, {"q": Poly.generator(GENS, "q")}).to_json()
-_DP_JSON = PolyDerivation(GENS, {"p": Poly.one(GENS)}).to_json()
 FAILING_INVOCATIONS = {
     "evolve-tol": ["evolve", "--h", SIGMA_X, "--a", SIGMA_Z, "--t", "0.5", "--tol", "1e-30"],
     "casimir-x": ["casimir", "--tensor", "su2", "--c", "x"],

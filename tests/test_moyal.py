@@ -5,7 +5,10 @@ one-dimensional oracle expands the k-th bidifferential term by its explicit
 binomial formula (alternating mixed partials).  The tensor-summand oracle
 is the earlier implementation: it applies Lambda^{ab} d_a (x) d_b k times
 to a list of (u, v) pairs, one pair per sequence of Lambda entries, and
-never merges equal derivative pairs; it holds for any constant pairing.
+never merges equal derivative pairs; it holds for any constant tensor,
+of any rank.  The Wigner oracle is the earlier sampled check: the
+pairing condition omega c + c^T omega = 0 and star-Leibniz on seeded
+random polynomial pairs.
 """
 
 import random
@@ -18,14 +21,13 @@ from aldyn.derivations import PolyDerivation, apply
 from aldyn.moyal import (
     StarAlgebraContext,
     StarDerivation,
-    SymplecticPairing,
     s_space_basis,
     s_space_check,
     star,
     star_commutator,
     wigner_ambiguity_check,
 )
-from aldyn.poisson import bracket
+from aldyn.poisson import LieAlgebra3d, PoissonTensor, bracket, lie_poisson
 from aldyn.poly import GeneratorSet, Poly
 from aldyn.scalars import GaussRational, Scalar
 
@@ -73,12 +75,12 @@ def _fact(k: int) -> int:
 def star_tensor_oracle(ctx: StarAlgebraContext, f: Poly, g: Poly) -> Poly:
     """sum_k (i theta/2)^k / k! D_k(f, g) with D_k expanded summand by summand."""
     names = ctx.gens.names
-    lam = ctx.pairing.lam
+    tensor = ctx.poisson_tensor()
     entries = [
-        (a, b, lam[a][b])
+        (a, b, tensor.component(a, b).terms[(0,) * len(names)])
         for a in range(len(names))
         for b in range(len(names))
-        if not lam[a][b].is_zero()
+        if not tensor.component(a, b).is_zero()
     ]
     out = Poly.zero(ctx.gens)
     pairs = [(f, g)]
@@ -110,20 +112,17 @@ def star_tensor_oracle(ctx: StarAlgebraContext, f: Poly, g: Poly) -> Poly:
     return out
 
 
+def constant_context(gens: GeneratorSet, entries: dict) -> StarAlgebraContext:
+    """The context of the constant tensor with Lambda^{ab} = entries[(a, b)]."""
+    comps = {ab: Poly.constant(gens, c) for ab, c in entries.items()}
+    return StarAlgebraContext(PoissonTensor(gens, comps))
+
+
 def random_pairing_context(rng: random.Random, n_pairs: int) -> StarAlgebraContext:
-    """A dense random antisymmetric invertible pairing over Q(i)."""
-    n = 2 * n_pairs
-    while True:
-        omega = [[GaussRational.of(0)] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                c = random_gauss(rng, 3)
-                omega[a][b], omega[b][a] = c, -c
-        try:
-            pairing = SymplecticPairing(omega)
-        except ValueError:
-            continue
-        return StarAlgebraContext(GeneratorSet.phase_space(n_pairs), pairing)
+    """A dense random constant tensor over Q(i) on the phase-space generators."""
+    gens = GeneratorSet.phase_space(n_pairs)
+    pairs = [(a, b) for a in range(len(gens)) for b in range(a + 1, len(gens))]
+    return constant_context(gens, {ab: random_gauss(rng, 3) for ab in pairs})
 
 
 def tall_poly(gens: GeneratorSet, rng: random.Random, degree: int, terms: int) -> Poly:
@@ -139,6 +138,68 @@ def tall_poly(gens: GeneratorSet, rng: random.Random, degree: int, terms: int) -
         )
         out = out + Poly(gens, {tuple(exps): Scalar.from_gauss(c, rng.randint(0, 1))})
     return out
+
+
+def _sample_poly(gens: GeneratorSet, rng: random.Random, degree: int, n_terms: int) -> Poly:
+    out = Poly.zero(gens)
+    for _ in range(n_terms):
+        exps = [0] * len(gens)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(len(gens))] += 1
+        c = GaussRational.of(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-2, 2)))
+        out = out + Poly(gens, {tuple(exps): Scalar.from_gauss(c)})
+    return out
+
+
+def sampled_wigner_oracle(ctx: StarAlgebraContext, c, samples: int = 8, seed: int = 7):
+    """(pointwise, symplectic, star) verdicts of the earlier sampled check on
+    a canonical context: omega c + c^T omega = 0 with the block pairing
+    omega = Lambda^{-1}, and both Leibniz rules on (q1, p1) plus seeded pairs."""
+    gens = ctx.gens
+    n = len(gens)
+    zero, one = GaussRational.of(0), GaussRational.of(1)
+    omega = [[zero] * n for _ in range(n)]
+    for a in range(n // 2):
+        omega[a][n // 2 + a], omega[n // 2 + a][a] = -one, one
+    cm = [[GaussRational.coerce(c[a][b]) for b in range(n)] for a in range(n)]
+    delta = PolyDerivation.from_linear_map(gens, cm)
+    rng = random.Random(seed)
+    pairs = [(Poly.generator(gens, gens.names[0]), Poly.generator(gens, gens.names[n // 2]))]
+    for _ in range(samples):
+        pairs.append((_sample_poly(gens, rng, 3, 3), _sample_poly(gens, rng, 3, 3)))
+    pointwise = all(
+        apply(delta, f * g) == apply(delta, f) * g + f * apply(delta, g) for f, g in pairs
+    )
+    symplectic = all(
+        sum((omega[a][k] * cm[k][b] + cm[k][a] * omega[k][b] for k in range(n)), zero).is_zero()
+        for a in range(n)
+        for b in range(n)
+    )
+    star_ok = all(
+        apply(delta, star(ctx, f, g))
+        == star(ctx, apply(delta, f), g) + star(ctx, f, apply(delta, g))
+        for f, g in pairs
+    )
+    return pointwise, symplectic, symplectic and star_ok
+
+
+def seeded_dynamics(rng: random.Random, n_pairs: int, kind: str) -> list:
+    """c = Lambda S with S symmetric preserves the canonical Lambda; "perturbed"
+    adds mu to one diagonal entry, which breaks it; "random" is dense."""
+    n = 2 * n_pairs
+    if kind == "random":
+        return [[random_gauss(rng, 2) for _ in range(n)] for _ in range(n)]
+    s = [[GaussRational.of(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            s[a][b] = s[b][a] = random_gauss(rng, 3)
+    # (Lambda S)^a_b: row q_a is row p_a of S, row p_a is minus row q_a
+    c = [list(s[n_pairs + a]) for a in range(n_pairs)]
+    c += [[-x for x in s[a]] for a in range(n_pairs)]
+    if kind == "perturbed":
+        i = rng.randrange(n)
+        c[i][i] = c[i][i] + GaussRational.of(rng.choice((-2, -1, 1, 2)))
+    return c
 
 
 I_THETA = Scalar.from_gauss(GaussRational.of(0, 1), theta_power=1)
@@ -178,7 +239,9 @@ class TestStar:
     def test_rejects_angle_phase(self):
         aa = GeneratorSet.action_angle(1)
         with pytest.raises(ValueError):
-            StarAlgebraContext(aa)
+            StarAlgebraContext(PoissonTensor(aa, {(0, 1): Poly.one(aa)}))
+        with pytest.raises(ValueError):
+            StarAlgebraContext(PoissonTensor(aa, {}))
 
     def test_associativity_r2(self):
         rng = random.Random(23)
@@ -287,37 +350,75 @@ class TestAgainstTensorSummandOracle:
             assert star(ctx, f, star(ctx, g, h)) == star(ctx, star(ctx, f, g), h)
 
 
-class TestSymplecticPairing:
-    def test_inverse_on_both_sides(self):
-        rng = random.Random(95)
-        for n_pairs in (1, 2, 3):
-            ctx = random_pairing_context(rng, n_pairs)
-            omega, lam = ctx.pairing.omega, ctx.pairing.lam
-            n = 2 * n_pairs
-            for a in range(n):
-                for b in range(n):
-                    one = GaussRational.of(int(a == b))
-                    left = sum((lam[a][k] * omega[k][b] for k in range(n)), GaussRational.of(0))
-                    right = sum((omega[a][k] * lam[k][b] for k in range(n)), GaussRational.of(0))
-                    assert left == right == one
-
+class TestContext:
     def test_canonical_lambda(self):
-        lam = SymplecticPairing.canonical(2).lam
-        one = GaussRational.of(1)
+        # [x^a, x^b]_* = i theta Lambda^{ab}, read off the context's entries
+        ctx = StarAlgebraContext.canonical(2)
+        x = [Poly.generator(ctx.gens, name) for name in ctx.gens.names]
         for a in range(4):
             for b in range(4):
-                expected = one if b == a + 2 else -one if a == b + 2 else GaussRational.of(0)
-                assert lam[a][b] == expected
+                lam = 1 if b == a + 2 else -1 if a == b + 2 else 0
+                expected = Poly.constant(ctx.gens, Scalar.of(0, lam, theta_power=1))
+                assert star_commutator(ctx, x[a], x[b]) == expected
 
-    def test_degenerate_pairing_is_rejected(self):
-        z, one = GaussRational.of(0), GaussRational.of(1)
-        # omega = [[J, J], [J, J]] with J = [[0, 1], [-1, 0]] has rank 2
-        j = [[z, one], [-one, z]]
-        omega = [j[0] + j[0], j[1] + j[1], j[0] + j[0], j[1] + j[1]]
-        with pytest.raises(ValueError, match="degenerate"):
-            SymplecticPairing(omega)
-        with pytest.raises(ValueError, match="degenerate"):
-            SymplecticPairing([[z, z], [z, z]])
+    def test_poisson_tensor_is_stored(self):
+        tensor = PoissonTensor.canonical(2)
+        ctx = StarAlgebraContext(tensor)
+        assert ctx.poisson_tensor() is tensor
+        assert CTX.poisson_tensor() is CTX.poisson_tensor()
+
+    def test_rejects_non_constant_components(self):
+        with pytest.raises(ValueError):
+            StarAlgebraContext(lie_poisson(LieAlgebra3d.su2()))
+        tensor = PoissonTensor.canonical(1)
+        q_lam = PoissonTensor(GENS, {(0, 1): Q * tensor.component(0, 1)})
+        with pytest.raises(ValueError):
+            StarAlgebraContext(q_lam)
+        with pytest.raises(ValueError):
+            constant_context(GENS, {(0, 1): Scalar.theta()})
+        with pytest.raises(ValueError):
+            constant_context(GENS, {(0, 1): Scalar.of(1) + Scalar.theta()})
+
+
+class TestDegenerateTensors:
+    """Constant tensors of any rank, also in odd dimension: the Moyal
+    product of a constant bivector is associative whatever its rank."""
+
+    def _check(self, ctx: StarAlgebraContext, seed: int):
+        rng = random.Random(seed)
+        for _ in range(4):
+            f, g, h = (
+                random_poly(ctx.gens, rng, degree=3, terms=3, theta_max=1)
+                for _ in range(3)
+            )
+            assert star(ctx, f, g) == star_tensor_oracle(ctx, f, g)
+            assert star(ctx, f, star(ctx, g, h)) == star(ctx, star(ctx, f, g), h)
+
+    def test_rank_two_on_r4(self):
+        # Lambda = u ^ v for two fixed vectors u, v: rank 2 on R^4
+        gens = GeneratorSet.phase_space(2)
+        u = [GaussRational.of(x) for x in (1, 2, 0, -1)]
+        v = [GaussRational.of(0), GaussRational.of(1), GaussRational.of(3), GaussRational.of(0, 1)]
+        entries = {
+            (a, b): u[a] * v[b] - u[b] * v[a] for a in range(4) for b in range(a + 1, 4)
+        }
+        self._check(constant_context(gens, entries), 100)
+
+    def test_odd_dimension(self):
+        gens = GeneratorSet.plain(("x", "y", "z"))
+        entries = {
+            (0, 1): GaussRational.of(1),
+            (0, 2): GaussRational.of(Fraction(-1, 2), 1),
+            (1, 2): GaussRational.of(3),
+        }
+        self._check(constant_context(gens, entries), 101)
+
+    def test_zero_tensor_is_pointwise(self):
+        gens = GeneratorSet.plain(("x", "y", "z"))
+        ctx = StarAlgebraContext(PoissonTensor(gens, {}))
+        rng = random.Random(102)
+        f, g = (random_poly(gens, rng, theta_max=1) for _ in range(2))
+        assert star(ctx, f, g) == f * g
 
 
 class TestStarCommutator:
@@ -451,3 +552,25 @@ class TestWignerAmbiguity:
         lhs = apply(euler, star(CTX, Q, P))
         rhs = star(CTX, apply(euler, Q), P) + star(CTX, Q, apply(euler, P))
         assert lhs != rhs
+
+
+class TestWignerAgainstSampledOracle:
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_verdicts_and_witness(self, n_pairs):
+        ctx = StarAlgebraContext.canonical(n_pairs)
+        rng = random.Random(110 + n_pairs)
+        for kind in ("preserving", "perturbed", "random"):
+            for _ in range(10):
+                c = seeded_dynamics(rng, n_pairs, kind)
+                rep = wigner_ambiguity_check(ctx, c)
+                verdicts = (rep.pointwise_leibniz, rep.symplectic_condition, rep.star_leibniz)
+                assert verdicts == sampled_wigner_oracle(ctx, c)
+                assert rep.star_leibniz is (kind == "preserving")
+                if rep.star_leibniz:
+                    assert rep.witness is None
+                    continue
+                # the witness pair fails star-Leibniz exactly
+                delta = PolyDerivation.from_linear_map(ctx.gens, c)
+                f, g = Poly.from_json(rep.witness["f"]), Poly.from_json(rep.witness["g"])
+                lhs = apply(delta, star(ctx, f, g))
+                assert lhs != star(ctx, apply(delta, f), g) + star(ctx, f, apply(delta, g))

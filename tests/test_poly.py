@@ -116,6 +116,38 @@ class TestThetaLimit:
         assert (f * g).theta_graded_part(0) == f.theta_graded_part(0) * g.theta_graded_part(0)
 
 
+AA = GeneratorSet.action_angle(2)
+U1, U2, I1 = (Poly.generator(AA, n) for n in ("u1", "u2", "I1"))
+
+
+class TestLaurentUnitPowers:
+    def test_inverse_of_a_unit(self):
+        unit = (U1**2 * U2).scale(GaussRational.of(2, -1))
+        inv = unit**-1
+        assert unit * inv == Poly.one(AA)
+        assert inv == (Poly.generator(AA, "u1", -2) * Poly.generator(AA, "u2", -1)).scale(
+            GaussRational.of(Fraction(2, 5), Fraction(1, 5))
+        )
+        assert unit**-3 == inv**3
+
+    @pytest.mark.parametrize(
+        "f",
+        [U1 + I1, U1 * I1, U1.scale(Scalar.theta()), Poly.zero(AA), Q],
+        ids=["two-terms", "plain-exponent", "theta-coefficient", "zero", "position"],
+    )
+    def test_non_units_are_rejected(self, f):
+        with pytest.raises(ValueError):
+            f**-1
+
+    def test_substitute_into_laurent_exponents(self):
+        f = Poly.generator(AA, "u1", -2) * I1
+        images = {n: Poly.generator(AA, n) for n in AA.names}
+        rotated = {**images, "u1": U1.scale(GaussRational.of(0, 1))}
+        assert f.substitute(rotated) == f.scale(-1)
+        with pytest.raises(ValueError):
+            f.substitute({**images, "u1": U1 + I1})
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys(GENS), polys(GENS), polys(GENS))
 def test_ring_axioms(f, g, h):

@@ -203,8 +203,11 @@ class TestSplit:
         assert "connection" in res.note
 
     def test_non_member_rejected(self):
-        with pytest.raises(ValueError):
-            split_dynamics(FREE, D_P)
+        res = split_dynamics(FREE, D_P)
+        assert res.status == "non-member"
+        assert res.normalizer.status == "non-member"
+        assert res.normalizer.witness is not None
+        assert res.delta_d is None and res.delta_prime is None
 
     def test_nontrivial_commuting_split(self):
         gens4 = GeneratorSet.phase_space(2)
