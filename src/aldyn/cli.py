@@ -73,7 +73,7 @@ from .reduction import (
     split_dynamics,
 )
 from .report import EXIT_BAD_INPUT, Report
-from .scalars import GaussRational, Scalar, to_float
+from .scalars import GaussRational, Scalar, json_int, to_float
 
 
 class InputError(ValueError):
@@ -431,7 +431,9 @@ def cmd_reduce(args) -> Report:
         raise InputError("/input: needs an object with 'dynamics' and 'distribution'")
     delta = _decode("/input/dynamics", PolyDerivation.from_json, data["dynamics"])
     dist = _load_distribution(data["distribution"], "/input/distribution")
-    cap = _decode("/input/degree_cap", int, data.get("degree_cap", args.degree_cap))
+    cap = _decode(
+        "/input/degree_cap", json_int, data.get("degree_cap", args.degree_cap), "degree_cap"
+    )
     connection = None
     if data.get("connection"):
         forms = _decode(
@@ -523,7 +525,7 @@ def cmd_connection(args) -> Report:
 def _load_form(spec: str, path: str, basis: DerivationBasis | None = None) -> KForm:
     """A form from JSON; with a basis given, the form must name the same n."""
     data = _load_json_arg(spec, path)
-    if basis is not None and _decode(path, lambda: int(data["n"])) != basis.n:
+    if basis is not None and _decode(path, lambda: json_int(data["n"], "n")) != basis.n:
         raise InputError(f"{path}: forms over different algebras")
     return _decode(path, KForm.from_json, data, basis)
 

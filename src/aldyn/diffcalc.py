@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 from .linalg import Span, solve_columns
 from .matrices import Mat, _mat
 from .quantum import commutator, commutator_columns
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, json_int
 
 
 def gell_mann_basis(n: int) -> list[Mat]:
@@ -128,8 +128,9 @@ class DerivationBasis:
         structure: dict[tuple[int, int], list[tuple[int, GaussRational]]] = {}
         for k in range(self.dim):
             for l in range(k + 1, self.dim):
+                # a commutator is traceless: its coordinates need no projection
                 m = commutator(self.generators[l], self.generators[k])
-                coords = self.coordinates(m)
+                coords = self._span.coordinates(m.flatten())
                 entry = [
                     (j, c) for j, c in enumerate(coords) if not c.is_zero()
                 ]
@@ -246,18 +247,6 @@ class KForm:
             self.basis, self.degree, {i: v.scale(c) for i, v in self.coeffs.items()}
         )
 
-    def left_mul(self, a: Mat) -> "KForm":
-        """The bimodule action A * omega."""
-        return KForm(
-            self.basis, self.degree, {i: a @ v for i, v in self.coeffs.items()}
-        )
-
-    def right_mul(self, a: Mat) -> "KForm":
-        """The bimodule action omega * A."""
-        return KForm(
-            self.basis, self.degree, {i: v @ a for i, v in self.coeffs.items()}
-        )
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -313,12 +302,12 @@ class KForm:
     @staticmethod
     def from_json(data: Mapping, basis: DerivationBasis | None = None) -> "KForm":
         if basis is None:
-            basis = DerivationBasis.gell_mann(int(data["n"]))
+            basis = DerivationBasis.gell_mann(json_int(data["n"], "n"))
         coeffs = {
             tuple(entry["idx"]): Mat.from_json(entry["value"])
             for entry in data["coeffs"]
         }
-        return KForm(basis, int(data["degree"]), coeffs)
+        return KForm(basis, json_int(data["degree"], "degree"), coeffs)
 
 
 def wedge(w1: KForm, w2: KForm) -> KForm:

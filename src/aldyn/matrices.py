@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, fraction_from_str
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, fraction_from_str, json_int
 
 _object_new = object.__new__
 
@@ -205,7 +205,7 @@ class Mat:
                 for row in data["entries"]
             ]
         )
-        if m.n != int(data["n"]):
+        if m.n != json_int(data["n"], "n"):
             raise ValueError("matrix size field does not match the entries")
         return m
 

@@ -19,7 +19,11 @@ step appends one Lambda entry and merges equal keys), so every distinct
 pair of derivatives is multiplied once.  The products run on one integer
 kernel: each factor is cleared to Gaussian integers over one common
 denominator, the weights over another, and the [re, im] sums are
-normalised once per output term.  On polynomials the sum is finite and
+normalised once per output term.  Each term is keyed by one packed int per
+exponent vector and theta power, one slot per generator above a slot for
+the theta power, each slot wide enough that no sum carries: the key of a
+product is the sum of its factors' keys, and a partial derivative
+subtracts one from a slot.  On polynomials the sum is finite and
 the theta-grading is exact; the star commutator keeps twice the odd
 orders, since D_k(g, f) = (-1)^k D_k(f, g) for an antisymmetric Lambda.
 Inner star derivations, the degree<=2 bracket space on R^4, and the
@@ -29,10 +33,9 @@ product-ambiguity check for linear dynamics live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import add
+from operator import lshift
 from typing import Sequence
 
 from .derivations import PolyDerivation, apply
@@ -82,27 +85,47 @@ def _check_star_input(ctx: StarAlgebraContext, f: Poly):
         raise ValueError("polynomial over a different generator set")
 
 
-def _flatten(f: Poly) -> tuple[list, int]:
-    """f's terms as (exps, theta power, re, im) Gaussian integers over one
-    common denominator, and that denominator."""
+def _slot_width(f: Poly, g: Poly) -> int:
+    """Bits per slot of a packed key.  With M the largest total degree plus
+    theta power over the terms of f and g, no slot of a product of
+    derivatives exceeds 2M, so no slot carries into the next: an exponent
+    is at most deg f + deg g, and k derivatives leave only terms of degree
+    at least k, so the theta power t_f + k + t_g is at most 2M too."""
+    m = 0  # plain loops: this runs for every product, monomial ones included
+    for p in (f, g):
+        for exps, s in p.terms.items():
+            d = sum(exps) + max(s.terms)
+            if d > m:
+                m = d
+    return (2 * m + 1).bit_length()
+
+
+def _flatten(f: Poly, shifts: list[int]) -> tuple[list, int]:
+    """f's terms as (packed key, re, im) Gaussian integers over one common
+    denominator, and that denominator.  The key of exps e and theta power k
+    is sum_a e_a << shifts[a] + k."""
     den = lcm(*(c.den for s in f.terms.values() for c in s.terms.values()))
-    return [
-        (exps, k, c.re_num * (den // c.den), c.im_num * (den // c.den))
-        for exps, s in f.terms.items()
-        for k, c in s.terms.items()
-    ], den
+    out = []
+    for exps, s in f.terms.items():
+        base = sum(map(lshift, exps, shifts))
+        for k, c in s.terms.items():
+            m = den // c.den
+            out.append((base + k, c.re_num * m, c.im_num * m))
+    return out, den
 
 
-def _derived(cache: dict, a_idx: tuple, a: int) -> tuple[tuple, list]:
+def _derived(cache: dict, a_idx: tuple, a: int, shift: int, mask: int) -> tuple[tuple, list]:
     """The multi-index a_idx + e_a and the flattened terms of that derivative,
-    one partial in generator a away from the cached d^{a_idx}."""
+    one partial in generator a (the slot at ``shift``) away from the cached
+    d^{a_idx}."""
     raised = a_idx[:a] + (a_idx[a] + 1,) + a_idx[a + 1 :]
     terms = cache.get(raised)
     if terms is None:
+        one = 1 << shift
         terms = cache[raised] = [
-            (e[:a] + (e[a] - 1,) + e[a + 1 :], k, re * e[a], im * e[a])
-            for e, k, re, im in cache[a_idx]
-            if e[a]
+            (key - one, re * e, im * e)
+            for key, re, im in cache[a_idx]
+            if (e := (key >> shift) & mask)
         ]
     return raised, terms
 
@@ -112,14 +135,20 @@ def _moyal_sum(ctx: StarAlgebraContext, f: Poly, g: Poly, odd_only: bool) -> Pol
     odd k (the star commutator)."""
     _check_star_input(ctx, f)
     _check_star_input(ctx, g)
-    zero = (0,) * len(ctx.gens)
-    f_terms, f_den = _flatten(f)
-    g_terms, g_den = _flatten(g)
+    if not f.terms or not g.terms:
+        return _poly(ctx.gens, {})
+    n = len(ctx.gens)
+    width = _slot_width(f, g)
+    mask = (1 << width) - 1
+    shifts = [width * (a + 1) for a in range(n)]
+    zero = (0,) * n
+    f_terms, f_den = _flatten(f, shifts)
+    g_terms, g_den = _flatten(g, shifts)
     d_f, d_g = {zero: f_terms}, {zero: g_terms}
     # level: (A, B) -> w_AB / theta^k at order k.  A step appends one
     # Lambda entry and divides by the new k; equal keys merge, and a key is
     # dropped once d^A f or d^B g vanishes, since its extensions vanish too.
-    level = {(zero, zero): GR_ONE} if f_terms and g_terms else {}
+    level = {(zero, zero): GR_ONE}
     weighted = []
     k = 0
     while level:
@@ -128,30 +157,31 @@ def _moyal_sum(ctx: StarAlgebraContext, f: Poly, g: Poly, odd_only: bool) -> Pol
         nxt: dict[tuple, GaussRational] = {}
         for (a_idx, b_idx), w in level.items():
             for a, b, lam in ctx._lam_entries:
-                a_raised, df = _derived(d_f, a_idx, a)
+                a_raised, df = _derived(d_f, a_idx, a, shifts[a], mask)
                 if not df:
                     continue
-                b_raised, dg = _derived(d_g, b_idx, b)
+                b_raised, dg = _derived(d_g, b_idx, b, shifts[b], mask)
                 if not dg:
                     continue
                 key = (a_raised, b_raised)
                 s = nxt.get(key)
                 nxt[key] = w * lam if s is None else s + w * lam
         k += 1
-        step = GaussRational(0, Fraction(1, 2 * k))  # (i/2) / k
+        step = _norm(0, 1, 2 * k)  # (i/2) / k
         level = {key: w * step for key, w in nxt.items() if not w.is_zero()}
-    # One product per key, all over the common denominator of the weights.
+    # One product per key, all over the common denominator of the weights;
+    # a product's key is the sum of its factors' keys, theta^k included.
     w_den = lcm(*(w.den for *_, w in weighted))
     factor = 2 if odd_only else 1
-    acc: dict[tuple, list[int]] = {}
+    acc: dict[int, list[int]] = {}
     for a_idx, b_idx, k, w in weighted:
         m = w_den // w.den * factor
         wr, wi = w.re_num * m, w.im_num * m
         dg = d_g[b_idx]
-        for e1, t1, r, i in d_f[a_idx]:
-            r1, i1, t1 = wr * r - wi * i, wr * i + wi * r, t1 + k
-            for e2, t2, r2, i2 in dg:
-                key = (tuple(map(add, e1, e2)), t1 + t2)
+        for p1, r, i in d_f[a_idx]:
+            r1, i1, p1 = wr * r - wi * i, wr * i + wi * r, p1 + k
+            for p2, r2, i2 in dg:
+                key = p1 + p2
                 s = acc.get(key)
                 if s is None:
                     acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
@@ -160,9 +190,10 @@ def _moyal_sum(ctx: StarAlgebraContext, f: Poly, g: Poly, odd_only: bool) -> Pol
                     s[1] += r1 * i2 + i1 * r2
     den = f_den * g_den * w_den
     out: dict[tuple, dict[int, GaussRational]] = {}
-    for (exps, k), (re, im) in acc.items():
+    for key, (re, im) in acc.items():
         if re or im:
-            out.setdefault(exps, {})[k] = _norm(re, im, den)
+            exps = tuple([key >> s & mask for s in shifts])
+            out.setdefault(exps, {})[key & mask] = _norm(re, im, den)
     return _poly(ctx.gens, {exps: _scalar(t) for exps, t in out.items()})
 
 
@@ -172,7 +203,8 @@ def star(ctx: StarAlgebraContext, f: Poly, g: Poly) -> Poly:
     Summed over derivative multi-indices (see the module docstring): the
     weight of each pair (A, B) is merged over every sequence of Lambda
     entries that leads to it, and (d^A f)(d^B g) is multiplied once, in
-    Gaussian integers over one common denominator.
+    Gaussian integers over one common denominator, keyed by one packed int
+    per exponent vector and theta power.
     """
     return _moyal_sum(ctx, f, g, odd_only=False)
 

@@ -23,6 +23,7 @@ from . import linalg
 from .derivations import PolyDerivation, apply
 from .poly import GeneratorMismatch, GeneratorSet, Poly, monomials
 from .poly import coefficient_column, derivation_columns, shifted_columns
+from .scalars import json_int
 
 DEFAULT_INVERSE_DEGREE_CAP = 6
 
@@ -90,10 +91,12 @@ class PoissonTensor:
         if "generators" in data:
             gens = GeneratorSet.from_json(data["generators"])
         else:
-            gens = GeneratorSet.plain([f"x{i+1}" for i in range(int(data["dim"]))])
+            dim = json_int(data["dim"], "dim")
+            gens = GeneratorSet.plain([f"x{i+1}" for i in range(dim)])
         comps = {}
         for entry in data["components"]:
-            comps[(int(entry["a"]), int(entry["b"]))] = Poly.from_json(entry["poly"])
+            a, b = json_int(entry["a"], "a"), json_int(entry["b"], "b")
+            comps[(a, b)] = Poly.from_json(entry["poly"])
         return PoissonTensor(gens, comps)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence
 
-from .scalars import GaussRational, RationalLike, Scalar
+from .scalars import GaussRational, RationalLike, Scalar, json_int
 
 GENERATOR_KINDS = ("plain", "position", "momentum", "angle-phase")
 
@@ -496,7 +496,7 @@ class Poly:
         gens = GeneratorSet.from_json(data["generators"])
         terms: dict[tuple, Scalar] = {}
         for entry in data["terms"]:
-            exps = tuple(int(e) for e in entry["exps"])
+            exps = tuple(json_int(e, "exps") for e in entry["exps"])
             c = Scalar.from_json(entry["coeff"])
             prev = terms.get(exps)
             terms[exps] = c if prev is None else prev + c

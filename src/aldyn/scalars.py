@@ -52,6 +52,17 @@ def to_float(x: int | Fraction | float, where: str) -> float:
     return value
 
 
+def json_int(x, where: str) -> int:
+    """An integer field of JSON input: an int, or a float with an integral
+    value.  Anything else, a fractional float or a boolean included, is a
+    ValueError naming `where` rather than a silently truncated int."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError(f"{where}: {x!r} is not an integer")
+
+
 def fraction_to_str(x: Fraction) -> str:
     """Serialize a Fraction as "p" or "p/q"."""
     if x.denominator == 1:
@@ -425,7 +436,7 @@ class Scalar:
         terms = {}
         for entry in data:
             c = GaussRational.from_json(entry)
-            k = int(entry.get("theta", 0))
+            k = json_int(entry.get("theta", 0), "theta")
             if not c.is_zero():
                 terms[k] = terms.get(k, GR_ZERO) + c
         return Scalar(terms)

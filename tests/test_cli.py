@@ -952,6 +952,89 @@ def test_json_values_found_by_the_fuzz_are_bad_input(capsys, argv):
     assert code == EXIT_BAD_INPUT and out == "", err
 
 
+def _edited(doc: dict, path: tuple, value) -> str:
+    doc = copy.deepcopy(doc)
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    return json.dumps(doc)
+
+
+_TERM_PATH = ("components", 0, "poly", "terms", 0)
+_FORM_DOC = _form_doc()
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["bracket", "--tensor", _edited(_TENSOR_DOC, ("components", 0, "a"), 0.5),
+          "--f", "q", "--g", "p"], "/tensor"),
+        (["bracket", "--tensor", _edited(_TENSOR_DOC, (*_TERM_PATH, "exps"), [0.9, 0]),
+          "--f", "q", "--g", "p"], "/tensor"),
+        (["jacobi", "--tensor", _edited(_TENSOR_DOC, (*_TERM_PATH, "coeff", 0, "theta"), 1.5)],
+         "/tensor"),
+        (["jacobi", "--tensor", json.dumps(
+            {"dim": 2.5, "components": [{"a": 0, "b": 1, "poly": {"generators": [
+                {"name": "x1"}, {"name": "x2"}], "terms": []}}]})], "/tensor"),
+        (["dform", "--form", _edited(_FORM_DOC, ("n",), 2.5)], "/form"),
+        (["dform", "--form", _edited(_FORM_DOC, ("degree",), 0.5)], "/form"),
+        (["wedge", "--form1", json.dumps(_FORM_DOC), "--form2", _edited(_FORM_DOC, ("n",), 2.5)],
+         "/form2"),
+        (["reduce", "--input", json.dumps({**json.loads(_REDUCE_INPUT), "degree_cap": 2.5})],
+         "/input/degree_cap"),
+    ],
+    ids=["tensor-index", "tensor-exps", "tensor-theta", "tensor-dim", "form-n", "form-degree",
+         "wedge-n", "reduce-degree-cap"],
+)
+def test_non_integral_json_numbers_are_bad_input(capsys, argv, where):
+    """A fractional number in an integer field is bad input naming its
+    JSON path, never an integer truncated towards zero."""
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_BAD_INPUT and out == "", err
+    assert where in err and "is not an integer" in err
+
+
+def test_integral_floats_are_integers(capsys):
+    argv = ["--f", "q", "--g", "p", "--json"]
+    doc = json.loads(_edited(_TENSOR_DOC, ("components", 0, "a"), 0.0))
+    doc["components"][0]["poly"]["terms"][0]["exps"] = [0.0, 0.0]
+    assert run_cli(capsys, "bracket", "--tensor", json.dumps(doc), *argv)[:2] == run_cli(
+        capsys, "bracket", "--tensor", json.dumps(_TENSOR_DOC), *argv
+    )[:2]
+
+
+# Keys whose values, and lists whose entries, JSON input gives as integers.
+_INTEGER_KEYS = {"a", "b", "n", "degree", "theta", "degree_cap"}
+_INTEGER_LISTS = {"exps", "idx"}
+
+
+@st.composite
+def _non_integral_invocations(draw):
+    command = draw(st.sampled_from(sorted(JSON_ENTRY_POINTS)))
+    argv, docs = JSON_ENTRY_POINTS[command]
+    docs = copy.deepcopy(docs)
+    if command == "reduce":
+        docs["--input"]["degree_cap"] = 1
+    fields = [
+        (opt, path)
+        for opt, doc in docs.items()
+        for path in _paths(doc)
+        if path and (path[-1] in _INTEGER_KEYS or (len(path) > 1 and path[-2] in _INTEGER_LISTS))
+    ]
+    option, path = draw(st.sampled_from(fields))
+    value = draw(st.floats().filter(lambda x: not x.is_integer()))
+    texts = {opt: json.dumps(d) for opt, d in docs.items()}
+    texts[option] = _edited(docs[option], path, value)
+    return [command, *argv, *(arg for opt, text in texts.items() for arg in (opt, text))]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_non_integral_invocations())
+def test_non_integral_numbers_in_integer_fields_are_bad_input(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--json"])
+    assert code == EXIT_BAD_INPUT and out.getvalue() == "", (argv, err.getvalue())
+
+
 class TestDemos:
     @pytest.mark.parametrize(
         "argv",

@@ -13,9 +13,12 @@ random polynomial pairs.
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aldyn.derivations import PolyDerivation, apply
 from aldyn.moyal import (
@@ -31,7 +34,7 @@ from aldyn.poisson import LieAlgebra3d, PoissonTensor, bracket, lie_poisson
 from aldyn.poly import GeneratorSet, Poly
 from aldyn.scalars import GaussRational, Scalar
 
-from conftest import random_gauss, random_poly
+from conftest import polys, random_gauss, random_poly
 
 CTX = StarAlgebraContext.canonical(1)
 GENS = CTX.gens
@@ -116,6 +119,28 @@ def constant_context(gens: GeneratorSet, entries: dict) -> StarAlgebraContext:
     """The context of the constant tensor with Lambda^{ab} = entries[(a, b)]."""
     comps = {ab: Poly.constant(gens, c) for ab, c in entries.items()}
     return StarAlgebraContext(PoissonTensor(gens, comps))
+
+
+def rank_two_context() -> StarAlgebraContext:
+    """Lambda = u ^ v for two fixed vectors u, v: rank 2 on R^4."""
+    gens = GeneratorSet.phase_space(2)
+    u = [GaussRational.of(x) for x in (1, 2, 0, -1)]
+    v = [GaussRational.of(0), GaussRational.of(1), GaussRational.of(3), GaussRational.of(0, 1)]
+    entries = {
+        (a, b): u[a] * v[b] - u[b] * v[a] for a in range(4) for b in range(a + 1, 4)
+    }
+    return constant_context(gens, entries)
+
+
+def odd_context() -> StarAlgebraContext:
+    """A constant tensor of rank 2 on R^3."""
+    gens = GeneratorSet.plain(("x", "y", "z"))
+    entries = {
+        (0, 1): GaussRational.of(1),
+        (0, 2): GaussRational.of(Fraction(-1, 2), 1),
+        (1, 2): GaussRational.of(3),
+    }
+    return constant_context(gens, entries)
 
 
 def random_pairing_context(rng: random.Random, n_pairs: int) -> StarAlgebraContext:
@@ -395,23 +420,10 @@ class TestDegenerateTensors:
             assert star(ctx, f, star(ctx, g, h)) == star(ctx, star(ctx, f, g), h)
 
     def test_rank_two_on_r4(self):
-        # Lambda = u ^ v for two fixed vectors u, v: rank 2 on R^4
-        gens = GeneratorSet.phase_space(2)
-        u = [GaussRational.of(x) for x in (1, 2, 0, -1)]
-        v = [GaussRational.of(0), GaussRational.of(1), GaussRational.of(3), GaussRational.of(0, 1)]
-        entries = {
-            (a, b): u[a] * v[b] - u[b] * v[a] for a in range(4) for b in range(a + 1, 4)
-        }
-        self._check(constant_context(gens, entries), 100)
+        self._check(rank_two_context(), 100)
 
     def test_odd_dimension(self):
-        gens = GeneratorSet.plain(("x", "y", "z"))
-        entries = {
-            (0, 1): GaussRational.of(1),
-            (0, 2): GaussRational.of(Fraction(-1, 2), 1),
-            (1, 2): GaussRational.of(3),
-        }
-        self._check(constant_context(gens, entries), 101)
+        self._check(odd_context(), 101)
 
     def test_zero_tensor_is_pointwise(self):
         gens = GeneratorSet.plain(("x", "y", "z"))
@@ -419,6 +431,108 @@ class TestDegenerateTensors:
         rng = random.Random(102)
         f, g = (random_poly(gens, rng, theta_max=1) for _ in range(2))
         assert star(ctx, f, g) == f * g
+
+
+def term(gens: GeneratorSet, exps, theta: int = 0, re=1, im=0) -> Poly:
+    return Poly(gens, {tuple(exps): Scalar.of(re, im, theta_power=theta)})
+
+
+def assert_star_and_commutator(ctx: StarAlgebraContext, f: Poly, g: Poly, oracle):
+    """star and star_commutator on (f, g) equal oracle(f, g) and its
+    antisymmetrisation."""
+    fg = oracle(f, g)
+    assert star(ctx, f, g) == fg
+    assert star_commutator(ctx, f, g) == fg - oracle(g, f)
+
+
+class TestPackedKeys:
+    """Terms are keyed by one packed int, (2M + 1).bit_length() bits per
+    slot, M the largest total degree plus theta power of either operand.
+    These inputs put slots at 2M, their largest value, on both sides of
+    each change of width."""
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 8, 15, 16, 31, 32])
+    def test_slots_at_the_width_bound(self, m):
+        # q^m q^m, p^m p^m and theta^m theta^m fill the q, p and theta
+        # slots to 2m; q^m * p^m differentiates m times
+        a = m // 2
+        f = (
+            term(GENS, (m, 0), re=3)
+            + term(GENS, (0, m), im=1)
+            + term(GENS, (0, 0), m, re=Fraction(1, 2))
+            + term(GENS, (a, m - a - 1), 1, re=-1, im=2)
+        )
+        g = (
+            term(GENS, (m, 0), re=-1)
+            + term(GENS, (0, m), re=2)
+            + term(GENS, (0, 0), m, im=-3)
+            + term(GENS, (m - a - 1, a), 1, re=Fraction(5, 3))
+        )
+        assert_star_and_commutator(CTX, f, g, star_oracle_1d)
+
+    def test_degree_64_operand(self):
+        f = term(GENS, (31, 33), re=2, im=-1)
+        g = term(GENS, (3, 2), 2) + term(GENS, (0, 1), im=1)
+        assert_star_and_commutator(CTX, f, g, star_oracle_1d)
+        assert_star_and_commutator(CTX, g, f, star_oracle_1d)
+
+    def test_theta_squared_constant_against_high_degree(self):
+        c = term(GENS, (0, 0), 2, re=2, im=Fraction(-1, 3))
+        f = term(GENS, (20, 11), 1) + term(GENS, (0, 31), re=-4) + Q
+        for a, b in ((c, f), (f, c)):
+            assert_star_and_commutator(CTX, a, b, star_oracle_1d)
+        assert star(CTX, c, f) == c * f
+        assert star_commutator(CTX, c, f).is_zero()
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [StarAlgebraContext.canonical(3), rank_two_context(), odd_context()],
+        ids=["R6", "rank-2-R4", "odd-R3"],
+    )
+    def test_other_tensors_at_the_width_bound(self, ctx):
+        # M = 7: x0^7 x0^7 and theta^7 theta^7 fill their slots to 14
+        n = len(ctx.gens)
+        first, last = [0] * n, [0] * n
+        first[0], last[-1] = 7, 7
+        mixed = [0] * n
+        mixed[0], mixed[1], mixed[-1] = 1, 2, 1
+        f = (
+            term(ctx.gens, first)
+            + term(ctx.gens, mixed, 2, re=Fraction(1, 2))
+            + term(ctx.gens, [0] * n, 7, im=1)
+        )
+        g = (
+            term(ctx.gens, last, re=-2)
+            + term(ctx.gens, first, im=3)
+            + term(ctx.gens, mixed[::-1], 1)
+            + term(ctx.gens, [0] * n, 7, re=2)
+        )
+        assert_star_and_commutator(ctx, f, g, partial(star_tensor_oracle, ctx))
+
+    def test_zero_operands(self):
+        rng = random.Random(103)
+        for ctx in (CTX, CTX4, StarAlgebraContext.canonical(3), odd_context()):
+            zero = Poly.zero(ctx.gens)
+            f = random_poly(ctx.gens, rng, degree=4, terms=3, theta_max=2)
+            for a, b in ((zero, f), (f, zero), (zero, zero)):
+                assert star(ctx, a, b).is_zero()
+                assert star_commutator(ctx, a, b).is_zero()
+                assert star_tensor_oracle(ctx, a, b).is_zero()
+
+
+@st.composite
+def _context_and_operands(draw):
+    ctx = draw(st.sampled_from([CTX, CTX4, odd_context()]))
+    degree = 5 if ctx is CTX else 3
+    f, g = (draw(polys(ctx.gens, degree=degree, max_terms=3, theta_max=3)) for _ in range(2))
+    return ctx, f, g
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_context_and_operands())
+def test_star_matches_oracle_on_theta_carrying_polys(args):
+    ctx, f, g = args
+    assert_star_and_commutator(ctx, f, g, partial(star_tensor_oracle, ctx))
 
 
 class TestStarCommutator:
