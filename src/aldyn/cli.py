@@ -48,7 +48,7 @@ from .poisson import (
     jacobi_check,
     lie_poisson,
 )
-from .poly import GeneratorSet, Poly
+from .poly import GeneratorSet, Poly, check_monomial_budget
 from .quantum import (
     InnerDerivation,
     MatrixSubspace,
@@ -434,6 +434,7 @@ def cmd_reduce(args) -> Report:
     cap = _decode(
         "/input/degree_cap", json_int, data.get("degree_cap", args.degree_cap), "degree_cap"
     )
+    _decode("/input/degree_cap", check_monomial_budget, len(delta.gens), cap)
     connection = None
     if data.get("connection"):
         forms = _decode(

@@ -19,20 +19,27 @@ contraction/Lie-derivative pair gives a Cartan calculus.
 
 The basis derivations act as A -> [A, X_j]; their Lie bracket is the
 operator commutator, whose structure constants therefore come from
-expanding [X_l, X_k] (note the order) in the matrix basis.  Each basis
-keeps the nonzero entries of every generator (at most N for a Gell-Mann
-matrix), and `act` builds [A, X_j] from them directly.
+expanding [X_l, X_k] (note the order) in the matrix basis.
+
+d runs in Gaussian integers over one common denominator.  Each basis keeps
+the nonzero entries of every generator (at most N for a Gell-Mann matrix)
+and the terms of every d(alpha^m), all scaled by the lcm of their
+denominators to (re, im) int pairs.  `exterior_d` brings the entries of
+every coefficient of its form over their own lcm, accumulates each output
+coefficient in two int lists of length N^2, and normalises each entry once
+over the product of the two denominators (form lcm x basis lcm).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import Span, solve_columns
 from .matrices import Mat, _mat
 from .quantum import commutator, commutator_columns
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, json_int
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, _norm, json_int
 
 
 def gell_mann_basis(n: int) -> list[Mat]:
@@ -62,7 +69,7 @@ class DerivationBasis:
     condition stays non-degenerate.
     """
 
-    __slots__ = ("n", "generators", "_span", "_nonzero", "structure", "_d_alpha")
+    __slots__ = ("n", "generators", "_span", "structure", "_den", "_gen_terms", "_d_alpha")
 
     def __init__(self, generators: Sequence[Mat]):
         generators = list(generators)
@@ -82,25 +89,35 @@ class DerivationBasis:
         self.n = n
         self.generators = generators
         self._span = span
-        # (l, k, g) for each nonzero entry g = X_j[l][k], per generator j
-        self._nonzero: list[list[tuple[int, int, GaussRational]]] = [
+        self.structure = self._structure_constants()
+        # (l, k, g) for each nonzero entry g = X_j[l][k], per generator j, and
+        # d(alpha^m) as its terms (a, b, -c^m_ab), a < b, of alpha^a ^ alpha^b
+        entries = [
             [
                 (l, k, x)
                 for l, row in enumerate(g.entries)
                 for k, x in enumerate(row)
-                if not x.is_zero()
+                if x.re_num or x.im_num
             ]
             for g in generators
         ]
-        self.structure = self._structure_constants()
-        # d(alpha^m) as its terms (a, b, -c^m_ab), a < b, of alpha^a ^ alpha^b
-        self._d_alpha: list[list[tuple[int, int, GaussRational]]] = [
-            [] for _ in generators
-        ]
+        d_alpha: list[list[tuple[int, int, GaussRational]]] = [[] for _ in generators]
         for (a, b), entry in self.structure.items():
             if a < b:
                 for m, c in entry:
-                    self._d_alpha[m].append((a, b, -c))
+                    d_alpha[m].append((a, b, -c))
+        # Both as (., ., re, im) Gaussian integers over one denominator.
+        den = lcm(*(x.den for terms in entries + d_alpha for *_, x in terms))
+
+        def scaled(terms):
+            return [
+                [(p, q, x.re_num * (den // x.den), x.im_num * (den // x.den)) for p, q, x in t]
+                for t in terms
+            ]
+
+        self._den = den
+        self._gen_terms = scaled(entries)
+        self._d_alpha = scaled(d_alpha)
 
     @staticmethod
     def gell_mann(n: int) -> "DerivationBasis":
@@ -109,13 +126,6 @@ class DerivationBasis:
     @property
     def dim(self) -> int:
         return len(self.generators)
-
-    def coordinates(self, m: Mat) -> list[GaussRational]:
-        """Coefficients of the traceless part of m in the basis."""
-        coords = self._span.coordinates(m.traceless_part().flatten())
-        if coords is None:
-            raise RuntimeError("traceless basis failed to span")
-        return coords
 
     def _structure_constants(self) -> dict:
         """c^j_{kl} with [X_k, X_l] = c^j_{kl} X_j as operators.
@@ -138,24 +148,6 @@ class DerivationBasis:
                     structure[(k, l)] = entry
                     structure[(l, k)] = [(j, -c) for j, c in entry]
         return structure
-
-    def act(self, j: int, a: Mat) -> Mat:
-        """X_j(A) = [A, X_j], summed over the nonzero entries g = X_j[l][k]:
-        each adds A[i][l] g to entry (i, k) and subtracts g A[k][m] from
-        entry (l, m)."""
-        n = self.n
-        e = a.entries
-        out: list[list[GaussRational]] = [[GR_ZERO] * n for _ in range(n)]
-        for l, k, g in self._nonzero[j]:
-            for i in range(n):
-                x = e[i][l]
-                if x.re_num or x.im_num:
-                    out[i][k] = out[i][k] + x * g
-            row = out[l]
-            for m, x in enumerate(e[k]):
-                if x.re_num or x.im_num:
-                    row[m] = row[m] - g * x
-        return _mat(tuple(map(tuple, out)))
 
 
 def _sort_sign(idx: tuple) -> tuple[tuple, int] | None:
@@ -335,20 +327,72 @@ def exterior_d(w: KForm) -> KForm:
     the structure constants c of [X_a, X_b] = c^m_ab X_m.  Equal to the
     two-sum formula on fields (field actions plus bracket insertions);
     satisfies d(d w) = 0.
+
+    Computed on ints: the entries of every A_I over their common
+    denominator, the basis terms over the basis denominator, and each
+    output entry normalised once over the product of the two.
     """
     basis = w.basis
-    out: dict[tuple, Mat] = {}
+    n = basis.n
+    den = lcm(*(x.den for v in w.coeffs.values() for row in v.entries for x in row))
+    # sorted key -> (re, im) numerators of its coefficient, row-major
+    acc: dict[tuple, tuple[list[int], list[int]]] = {}
+
+    def target(key: tuple) -> tuple[list[int], list[int]]:
+        s = acc.get(key)
+        if s is None:
+            s = acc[key] = ([0] * (n * n), [0] * (n * n))
+        return s
+
     for idx, v in w.coeffs.items():
-        for j in range(basis.dim):
+        # A's nonzero entries over den: all of them at their flat position,
+        # by column (with the row offset i n) and by row (with the column m)
+        flat, cols, rows = [], [[] for _ in range(n)], [[] for _ in range(n)]
+        for i, row in enumerate(v.entries):
+            for m, x in enumerate(row):
+                if x.re_num or x.im_num:
+                    f = den // x.den
+                    re, im = x.re_num * f, x.im_num * f
+                    flat.append((i * n + m, re, im))
+                    cols[m].append((i * n, re, im))
+                    rows[i].append((m, re, im))
+        # X_j(A) = [A, X_j]: each entry g = X_j[l][k] adds A[i][l] g to
+        # entry (i, k) and subtracts g A[k][m] from entry (l, m)
+        for j, terms in enumerate(basis._gen_terms):
             sorted_sign = _sort_sign((j,) + idx)
-            if sorted_sign:
-                _add(out, *sorted_sign, basis.act(j, v))
+            if not sorted_sign:
+                continue
+            key, sign = sorted_sign
+            out_re, out_im = target(key)
+            for l, k, gr, gi in terms:
+                if sign < 0:
+                    gr, gi = -gr, -gi
+                for i_n, ar, ai in cols[l]:
+                    out_re[i_n + k] += ar * gr - ai * gi
+                    out_im[i_n + k] += ar * gi + ai * gr
+                l_n = l * n
+                for m, ar, ai in rows[k]:
+                    out_re[l_n + m] -= gr * ar - gi * ai
+                    out_im[l_n + m] -= gr * ai + gi * ar
+        # A d(alpha^I)
         for p, m in enumerate(idx):
-            for a, b, c in basis._d_alpha[m]:
+            for a, b, cr, ci in basis._d_alpha[m]:
                 sorted_sign = _sort_sign(idx[:p] + (a, b) + idx[p + 1 :])
-                if sorted_sign:
-                    key, sign = sorted_sign
-                    _add(out, key, sign if p % 2 == 0 else -sign, v.scale(c))
+                if not sorted_sign:
+                    continue
+                key, sign = sorted_sign
+                if (sign if p % 2 == 0 else -sign) < 0:
+                    cr, ci = -cr, -ci
+                out_re, out_im = target(key)
+                for q, ar, ai in flat:
+                    out_re[q] += ar * cr - ai * ci
+                    out_im[q] += ar * ci + ai * cr
+    total = den * basis._den
+    out: dict[tuple, Mat] = {}
+    for key, (re, im) in acc.items():
+        if any(re) or any(im):
+            cells = [_norm(r, i, total) if r or i else GR_ZERO for r, i in zip(re, im)]
+            out[key] = _mat(tuple(tuple(cells[r : r + n]) for r in range(0, n * n, n)))
     return KForm(basis, w.degree + 1, out)
 
 

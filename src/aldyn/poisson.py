@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .derivations import PolyDerivation, apply
-from .poly import GeneratorMismatch, GeneratorSet, Poly, monomials
+from .poly import MAX_UNKNOWNS, GeneratorMismatch, GeneratorSet, Poly, monomials
 from .poly import coefficient_column, derivation_columns, shifted_columns
 from .scalars import json_int
 
@@ -88,10 +88,18 @@ class PoissonTensor:
 
     @staticmethod
     def from_json(data: Mapping) -> "PoissonTensor":
+        """``dim`` may be left out when ``generators`` is given; when both
+        are present they must agree."""
         if "generators" in data:
             gens = GeneratorSet.from_json(data["generators"])
+            if "dim" in data and json_int(data["dim"], "dim") != len(gens):
+                raise ValueError(f"dim: {data['dim']!r} does not match the {len(gens)} generators")
         else:
             dim = json_int(data["dim"], "dim")
+            if dim * dim > MAX_UNKNOWNS:
+                raise ValueError(
+                    f"dim: {data['dim']!r} exceeds the budget of {MAX_UNKNOWNS} row components"
+                )
             gens = GeneratorSet.plain([f"x{i+1}" for i in range(dim)])
         comps = {}
         for entry in data["components"]:

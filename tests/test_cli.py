@@ -454,6 +454,16 @@ class TestFormCommands:
         assert code == EXIT_OK
         assert payload["result"]["form"]["degree"] == 2
 
+    def test_dform_golden_output(self, capsys):
+        # d of an N = 3 degree-1 form with mixed rational entries, against
+        # stdout recorded from the GaussRational implementation of d: pins
+        # the normalisation of every entry and the key order.
+        golden = Path(__file__).parent / "golden"
+        form = (golden / "dform_n3_degree1_form.json").read_text()
+        code, out, _ = run_cli(capsys, "dform", "--form", form, "--json")
+        assert code == EXIT_OK
+        assert out == (golden / "dform_n3_degree1.out").read_text()
+
     def test_wedge(self, capsys):
         code, payload, _ = run_json(
             capsys, "wedge", "--form1", self.form_json(), "--form2", self.form_json()
@@ -992,6 +1002,56 @@ def test_non_integral_json_numbers_are_bad_input(capsys, argv, where):
     assert where in err and "is not an integer" in err
 
 
+@pytest.mark.parametrize("dim", [7, 2.5], ids=["dim-7", "dim-2.5"])
+def test_tensor_dim_must_match_generators(capsys, dim):
+    """With both keys present, `dim` is an integer equal to the number of
+    generators; a contradicting or fractional `dim` is bad input."""
+    tensor = _edited(_TENSOR_DOC, ("dim",), dim)
+    code, out, err = run_cli(capsys, "bracket", "--tensor", tensor, "--f", "q", "--g", "p", "--json")
+    assert code == EXIT_BAD_INPUT and out == "", err
+    assert "/tensor" in err and "dim" in err
+
+
+# main() in a fresh process whose address space is capped at 1 GiB (as by
+# `ulimit -v`), so a size check that fails cannot exhaust the machine.
+_MAIN_UNDER_ULIMIT = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from aldyn.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("size", [1000000, 1e308], ids=["1000000", "1e308"])
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (lambda v: ["reduce", "--input", json.dumps(
+            {**json.loads(_REDUCE_INPUT), "degree_cap": v})], "/input/degree_cap: "),
+        (lambda v: ["jacobi", "--tensor", json.dumps({"dim": v, "components": []})],
+         "/tensor: dim: "),
+    ],
+    ids=["reduce-degree-cap", "tensor-dim"],
+)
+def test_sizes_beyond_the_budget_are_bad_input(argv, where, size):
+    """A cap or size whose unknowns exceed `poly.MAX_UNKNOWNS` is refused
+    before anything is built: exit 2 naming the field, no MemoryError."""
+    proc = run_python(["-c", _MAIN_UNDER_ULIMIT, *argv(size), "--json"])
+    assert proc.returncode == EXIT_BAD_INPUT and proc.stdout == "", proc.stderr
+    assert where in proc.stderr and "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_sizes_within_the_budget_run(capsys):
+    code, _, err = run_cli(
+        capsys, "reduce", "--input", json.dumps({**json.loads(_REDUCE_INPUT), "degree_cap": 12}),
+        "--json",
+    )
+    assert code == EXIT_OK, err
+    code, _, err = run_cli(capsys, "jacobi", "--tensor", json.dumps({"dim": 4, "components": []}))
+    assert code == EXIT_OK, err
+
+
 def test_integral_floats_are_integers(capsys):
     argv = ["--f", "q", "--g", "p", "--json"]
     doc = json.loads(_edited(_TENSOR_DOC, ("components", 0, "a"), 0.0))
@@ -1002,7 +1062,7 @@ def test_integral_floats_are_integers(capsys):
 
 
 # Keys whose values, and lists whose entries, JSON input gives as integers.
-_INTEGER_KEYS = {"a", "b", "n", "degree", "theta", "degree_cap"}
+_INTEGER_KEYS = {"a", "b", "n", "dim", "degree", "theta", "degree_cap"}
 _INTEGER_LISTS = {"exps", "idx"}
 
 

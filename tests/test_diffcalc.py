@@ -41,6 +41,13 @@ def random_form(basis: DerivationBasis, degree: int, rng: random.Random, terms: 
     return KForm(basis, degree, coeffs)
 
 
+def assert_lowest_terms(w: KForm):
+    for v in w.coeffs.values():
+        for row in v.entries:
+            for x in row:
+                assert x.den > 0 and math.gcd(x.re_num, x.im_num, x.den) == 1, x
+
+
 # -- reference implementations ----------------------------------------------
 # The earlier field-by-field definitions, kept as independent oracles for the
 # sparse sum-of-terms code: the wedge as the permutation sum with the
@@ -101,7 +108,7 @@ def ref_exterior_d(w: KForm) -> KForm:
     for idx in itertools.combinations(range(basis.dim), k + 1):
         total = Mat.zero(basis.n)
         for r in range(k + 1):
-            term = basis.act(idx[r], ref_value(w, idx[:r] + idx[r + 1 :]))
+            term = commutator(ref_value(w, idx[:r] + idx[r + 1 :]), basis.generators[idx[r]])
             total = total + (term if r % 2 == 0 else -term)
         for r in range(k + 1):
             for s in range(r + 1, k + 1):
@@ -145,6 +152,16 @@ def recombined_gell_mann(n: int) -> list[Mat]:
     return out
 
 
+def rational_gell_mann(n: int) -> list[Mat]:
+    """Gell-Mann generators scaled by 1/(j + 2): a basis with non-integer
+    entries whose structure constants carry denominators."""
+    return [g.scale(GaussRational.of(Fraction(1, j + 2))) for j, g in enumerate(gell_mann_basis(n))]
+
+
+B3_DENSE = DerivationBasis(recombined_gell_mann(3))
+B3_RATIONAL = DerivationBasis(rational_gell_mann(3))
+
+
 class TestBasis:
     def test_dimensions(self):
         assert B2.dim == 3
@@ -159,12 +176,16 @@ class TestBasis:
         # [X_k, X_l](A) = X_k(X_l(A)) - X_l(X_k(A)) for X(A) = [A, X]
         rng = random.Random(71)
         a = random_mat(rng, 3)
+
+        def act(j, m):
+            return commutator(m, B3.generators[j])
+
         for k in range(B3.dim):
             for l in range(B3.dim):
-                lhs = B3.act(k, B3.act(l, a)) - B3.act(l, B3.act(k, a))
+                lhs = act(k, act(l, a)) - act(l, act(k, a))
                 rhs = Mat.zero(3)
                 for j, c in B3.structure.get((k, l), []):
-                    rhs = rhs + B3.act(j, a).scale(c)
+                    rhs = rhs + act(j, a).scale(c)
                 assert lhs == rhs
 
     def test_structure_antisymmetry(self):
@@ -177,14 +198,14 @@ class TestBasis:
     def test_structure_matches_full_double_loop(self, basis):
         # Only k < l is solved for; every ordered pair must agree with a
         # direct expansion of [M_l, M_k].
+        columns = [dict(enumerate(g.flatten())) for g in basis.generators]
         full = {}
         for k in range(basis.dim):
             for l in range(basis.dim):
                 if k == l:
                     continue
-                coords = basis.coordinates(
-                    commutator(basis.generators[l], basis.generators[k])
-                )
+                m = commutator(basis.generators[l], basis.generators[k])
+                coords = solve_columns(columns, dict(enumerate(m.flatten())))
                 entry = [(j, c) for j, c in enumerate(coords) if not c.is_zero()]
                 if entry:
                     full[(k, l)] = entry
@@ -207,20 +228,20 @@ class TestBasis:
         assert basis.structure == expected
 
     @pytest.mark.parametrize(
-        "basis",
-        [B2, B3, B4, DerivationBasis(recombined_gell_mann(3))],
-        ids=["N2", "N3", "N4", "N3-dense"],
+        "basis", [B2, B3, B4, B3_DENSE], ids=["N2", "N3", "N4", "N3-dense"]
     )
     def test_act_matches_commutator(self, basis):
-        # act sums over the stored nonzero generator entries; the oracle is
-        # the commutator of two full matrix products.
+        # X_k acts as A -> [A, X_k]: d of a 0-form A has the coefficient
+        # X_k(A) at alpha^k, built from the stored nonzero generator
+        # entries; the oracle is the commutator of two full matrix products.
         rng = random.Random(83 + basis.n)
         n = basis.n
         samples = [Mat.zero(n), Mat.identity(n), Mat.basis_elt(n, 0, n - 1)]
         samples += [random_mat(rng, n) for _ in range(3)]
-        for j, g in enumerate(basis.generators):
-            for a in samples:
-                assert basis.act(j, a) == commutator(a, g)
+        for a in samples:
+            da = exterior_d(KForm.from_matrix(basis, a))
+            for k, g in enumerate(basis.generators):
+                assert da.value((k,)) == commutator(a, g)
 
     def test_recombined_basis_is_dense(self):
         # The non-Gell-Mann oracle case exercises full generators.
@@ -426,6 +447,53 @@ class TestAgainstReference:
         for _ in range(3):
             w = random_form(basis, degree, rng)
             assert exterior_d(w) == ref_exterior_d(w)
+
+    @pytest.mark.parametrize("basis", [B3_DENSE, B3_RATIONAL], ids=["N3-dense", "N3-rational"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_exterior_d_on_other_bases(self, basis, degree):
+        # dense generators (basis lcm 1), and generators and structure
+        # constants with denominators (basis lcm 10080)
+        rng = random.Random(130 + degree)
+        for _ in range(2):
+            w = random_form(basis, degree, rng)
+            dw = exterior_d(w)
+            assert dw == ref_exterior_d(w)
+            assert_lowest_terms(dw)
+
+    @pytest.mark.parametrize(
+        "basis", [B3, B3_DENSE, B3_RATIONAL], ids=["N3", "N3-dense", "N3-rational"]
+    )
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_exterior_d_on_tall_coprime_entries(self, basis, degree):
+        # 40-bit numerators over pairwise coprime denominators: the common
+        # denominator of the form is their product, not any one of them.
+        rng = random.Random(140 + degree)
+        primes = iter([10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091,
+                       10093, 10099, 10103, 10111, 10133, 10139, 10141, 10151, 10159])
+        tuples = list(itertools.combinations(range(basis.dim), degree))
+        coeffs = {}
+        for idx in rng.sample(tuples, min(2, len(tuples))):
+            rows = [[GR_ZERO] * 3 for _ in range(3)]
+            for i, m in rng.sample(list(itertools.product(range(3), repeat=2)), 4):
+                q = next(primes)
+                rows[i][m] = GaussRational.of(
+                    Fraction(rng.randint(-2**40, 2**40), q), Fraction(rng.randint(-2**40, 2**40), q)
+                )
+            coeffs[idx] = Mat(rows)
+        w = KForm(basis, degree, coeffs)
+        dw = exterior_d(w)
+        assert dw == ref_exterior_d(w)
+        assert_lowest_terms(dw)
+        assert max(x.den for v in dw.coeffs.values() for row in v.entries for x in row) > 10**8
+
+    @pytest.mark.parametrize(
+        "basis", [B2, B3, B3_DENSE, B3_RATIONAL], ids=["N2", "N3", "N3-dense", "N3-rational"]
+    )
+    def test_exterior_d_of_zero_and_identity(self, basis):
+        for degree in range(4):
+            d0 = exterior_d(KForm.zero(basis, degree))
+            assert d0.degree == degree + 1 and d0.coeffs == {}
+        assert exterior_d(KForm.from_matrix(basis, Mat.identity(basis.n))).coeffs == {}
 
     @pytest.mark.parametrize("basis", [B2, B3], ids=["N2", "N3"])
     def test_wedge(self, basis):
