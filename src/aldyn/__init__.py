@@ -28,10 +28,9 @@ from .diffcalc import (
     lie_derivative,
     wedge,
 )
-from .matrices import Mat, full_matrix_basis, pauli
+from .matrices import Mat, full_matrix_basis
 from .moyal import (
     StarAlgebraContext,
-    StarDerivation,
     s_space_basis,
     s_space_check,
     star,
@@ -40,7 +39,6 @@ from .moyal import (
 )
 from .parsing import ParseError, parse_poly
 from .poisson import (
-    LieAlgebra3d,
     PoissonTensor,
     bracket,
     casimir_check,
@@ -65,7 +63,6 @@ from .quantum import (
 from .reduction import (
     ConnectionP,
     Distribution,
-    PolyMap,
     connection_apply,
     f_related_reduce,
     find_connection,
@@ -87,18 +84,15 @@ __all__ = [
     "GeneratorSet",
     "InnerDerivation",
     "KForm",
-    "LieAlgebra3d",
     "Mat",
     "MatrixSubspace",
     "NonTruncatingFlow",
     "ParseError",
     "Poly",
     "PolyDerivation",
-    "PolyMap",
     "PoissonTensor",
     "Scalar",
     "StarAlgebraContext",
-    "StarDerivation",
     "apply",
     "biderivation_solver",
     "block_split",
@@ -133,7 +127,6 @@ __all__ = [
     "nilpotency_order",
     "normalizer_check",
     "parse_poly",
-    "pauli",
     "s_space_basis",
     "s_space_check",
     "split_dynamics",

@@ -40,7 +40,9 @@ from .matrices import Mat
 from .moyal import StarAlgebraContext, star, star_commutator
 from .parsing import ParseError, parse_poly
 from .poisson import (
-    LieAlgebra3d,
+    ABELIAN,
+    HEISENBERG,
+    SU2,
     PoissonTensor,
     bracket,
     casimir_check,
@@ -48,7 +50,7 @@ from .poisson import (
     jacobi_check,
     lie_poisson,
 )
-from .poly import GeneratorSet, Poly, check_monomial_budget
+from .poly import GeneratorSet, Poly, check_budget, check_monomial_budget
 from .quantum import (
     InnerDerivation,
     MatrixSubspace,
@@ -64,7 +66,6 @@ from .quantum import (
 from .reduction import (
     ConnectionP,
     Distribution,
-    PolyMap,
     connection_apply,
     f_related_reduce,
     find_connection,
@@ -117,9 +118,9 @@ TENSOR_PRESETS = {
     "canonical2": lambda: PoissonTensor.canonical(1),
     "canonical4": lambda: PoissonTensor.canonical(2),
     "canonical6": lambda: PoissonTensor.canonical(3),
-    "su2": lambda: lie_poisson(LieAlgebra3d.su2()),
-    "heisenberg": lambda: lie_poisson(LieAlgebra3d.heisenberg()),
-    "abelian": lambda: lie_poisson(LieAlgebra3d.abelian()),
+    "su2": lambda: lie_poisson(SU2),
+    "heisenberg": lambda: lie_poisson(HEISENBERG),
+    "abelian": lambda: lie_poisson(ABELIAN),
 }
 
 
@@ -128,7 +129,7 @@ def _load_tensor(spec: str) -> PoissonTensor:
         return TENSOR_PRESETS[spec]()
     data = _load_json_arg(spec, "/tensor")
     if isinstance(data, dict) and "c" in data:
-        return _decode("/tensor", lambda d: lie_poisson(LieAlgebra3d.from_json(d)), data)
+        return _decode("/tensor", lie_poisson, data["c"])
     return _decode("/tensor", PoissonTensor.from_json, data)
 
 
@@ -240,10 +241,15 @@ def cmd_hamfield(args) -> Report:
     )
 
 
+def _star_operands(pairs: int, f: str, g: str) -> tuple[StarAlgebraContext, Poly, Poly]:
+    """The canonical context on `pairs` pairs, with f and g parsed over it."""
+    check_budget("--pairs", (2 * pairs) ** 2, "(2 pairs)^2 tensor components")
+    ctx = StarAlgebraContext.canonical(pairs)
+    return ctx, _parse_expr(f, ctx.gens, "/f"), _parse_expr(g, ctx.gens, "/g")
+
+
 def cmd_star(args) -> Report:
-    ctx = StarAlgebraContext.canonical(args.pairs)
-    f = _parse_expr(args.f, ctx.gens, "/f")
-    g = _parse_expr(args.g, ctx.gens, "/g")
+    ctx, f, g = _star_operands(args.pairs, args.f, args.g)
     r = star(ctx, f, g)
     limit_ok = r.theta_graded_part(0) == (f * g).theta_graded_part(0)
     return Report(
@@ -254,9 +260,7 @@ def cmd_star(args) -> Report:
 
 
 def cmd_starcomm(args) -> Report:
-    ctx = StarAlgebraContext.canonical(args.pairs)
-    f = _parse_expr(args.f, ctx.gens, "/f")
-    g = _parse_expr(args.g, ctx.gens, "/g")
+    ctx, f, g = _star_operands(args.pairs, args.f, args.g)
     r = star_commutator(ctx, f, g)
     # [f, g]_* = i theta {f, g} + O(theta^3), so the theta^1 part of the
     # commutator is i times the theta^0 part of the bracket, theta or not.
@@ -434,7 +438,8 @@ def cmd_reduce(args) -> Report:
     cap = _decode(
         "/input/degree_cap", json_int, data.get("degree_cap", args.degree_cap), "degree_cap"
     )
-    _decode("/input/degree_cap", check_monomial_budget, len(delta.gens), cap)
+    check_monomial_budget("/input/degree_cap", len(delta.gens), cap)
+    check_monomial_budget("--ansatz-cap", len(delta.gens), args.ansatz_cap)
     connection = None
     if data.get("connection"):
         forms = _decode(
@@ -491,8 +496,8 @@ def cmd_frelate(args) -> Report:
         _parse_expr(c.strip(), delta.gens, f"/map/{i}")
         for i, c in enumerate(args.map.split(";"))
     ]
-    fmap = PolyMap(comps)
-    reduced = f_related_reduce(delta, fmap, args.ansatz_cap)
+    check_monomial_budget("--ansatz-cap", len(comps), args.ansatz_cap)
+    reduced = f_related_reduce(delta, comps, args.ansatz_cap)
     if reduced is None:
         return Report(
             {"reducible": False},
@@ -508,6 +513,7 @@ def cmd_frelate(args) -> Report:
 
 def cmd_connection(args) -> Report:
     dist = _load_distribution(_load_json_arg(args.distribution, "/distribution"), "/distribution")
+    check_monomial_budget("--degree-cap", len(dist.gens), args.degree_cap)
     conn = find_connection(dist, args.degree_cap)
     if conn is None:
         return Report(

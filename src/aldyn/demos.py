@@ -27,7 +27,7 @@ from .matrices import Mat
 from .moyal import StarAlgebraContext, s_space_check, wigner_ambiguity_check
 from .parsing import parse_poly
 from .poisson import PoissonTensor, bracket
-from .poly import GeneratorSet, Poly
+from .poly import GeneratorSet, Poly, check_budget
 from .quantum import InnerDerivation, MatrixSubspace, block_split, invariance_check
 from .report import Report
 from .scalars import Scalar, to_float
@@ -274,6 +274,7 @@ def demo_wigner() -> Report:
 @_demo("maurer-cartan", n=int)
 def demo_maurer_cartan(n: int = 2) -> Report:
     """Dual frame of the derivation basis: d alpha + alpha o bracket = 0."""
+    check_budget("--n", n**4, "n^4 generator entries")
     basis = DerivationBasis.gell_mann(n)
     mc_ok = True
     for j in range(basis.dim):

@@ -38,6 +38,7 @@ from typing import Mapping, Sequence
 
 from .linalg import Span, solve_columns
 from .matrices import Mat, _mat
+from .poly import check_budget
 from .quantum import commutator, commutator_columns
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, _norm, json_int
 
@@ -204,10 +205,6 @@ class KForm:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def zero(basis: DerivationBasis, degree: int) -> "KForm":
-        return KForm(basis, degree)
-
-    @staticmethod
     def from_matrix(basis: DerivationBasis, a: Mat) -> "KForm":
         """Degree-0 form: just an algebra element."""
         return KForm(basis, 0, {(): a})
@@ -294,9 +291,11 @@ class KForm:
     @staticmethod
     def from_json(data: Mapping, basis: DerivationBasis | None = None) -> "KForm":
         if basis is None:
-            basis = DerivationBasis.gell_mann(json_int(data["n"], "n"))
+            n = json_int(data["n"], "n")
+            check_budget("n", n**4, "n^4 generator entries")
+            basis = DerivationBasis.gell_mann(n)
         coeffs = {
-            tuple(entry["idx"]): Mat.from_json(entry["value"])
+            tuple(json_int(i, "idx") for i in entry["idx"]): Mat.from_json(entry["value"])
             for entry in data["coeffs"]
         }
         return KForm(basis, json_int(data["degree"], "degree"), coeffs)
@@ -419,8 +418,6 @@ def lie_derivative(x_coeffs: Sequence[GaussRational], w: KForm) -> KForm:
 
 @dataclass
 class ExactnessReport:
-    index: int
-    trace_of_unit_value: int     # alpha^j(X_j) = identity has trace N != 0
     solvable: bool               # the linear system dA = alpha^j
 
 
@@ -437,4 +434,4 @@ def exactness_obstruction(basis: DerivationBasis, j: int) -> ExactnessReport:
     # Unknown A (n^2 entries); equations [A, X_k] = delta^j_k * identity.
     target = {(j, r, r): GR_ONE for r in range(n)}
     sol = solve_columns(commutator_columns(basis.generators), target)
-    return ExactnessReport(index=j, trace_of_unit_value=n, solvable=sol is not None)
+    return ExactnessReport(solvable=sol is not None)

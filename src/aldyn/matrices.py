@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, fraction_from_str, json_int
+from .scalars import GR_ONE, GR_ZERO, GaussRational, fraction_from_str, json_int, json_number
 
 _object_new = object.__new__
 
@@ -195,27 +195,20 @@ class Mat:
 
     @staticmethod
     def from_json(data: Mapping) -> "Mat":
-        def part(x) -> Fraction:
+        def part(cell, key: str) -> Fraction:
             # "p/q" strings are exact; JSON numbers embed as exact dyadics.
+            x = json_number(cell[key], key)
             return fraction_from_str(x) if isinstance(x, str) else Fraction(float(x))
 
         m = Mat(
             [
-                [GaussRational(part(cell["re"]), part(cell["im"])) for cell in row]
+                [GaussRational(part(cell, "re"), part(cell, "im")) for cell in row]
                 for row in data["entries"]
             ]
         )
         if m.n != json_int(data["n"], "n"):
             raise ValueError("matrix size field does not match the entries")
         return m
-
-
-def pauli() -> tuple[Mat, Mat, Mat]:
-    """(sigma_x, sigma_y, sigma_z) with exact entries."""
-    sx = Mat.from_rows([[0, 1], [1, 0]])
-    sy = Mat([[GR_ZERO, -GR_I], [GR_I, GR_ZERO]])
-    sz = Mat.from_rows([[1, 0], [0, -1]])
-    return sx, sy, sz
 
 
 def full_matrix_basis(n: int) -> list[Mat]:

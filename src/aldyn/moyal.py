@@ -26,8 +26,8 @@ product is the sum of its factors' keys, and a partial derivative
 subtracts one from a slot.  On polynomials the sum is finite and
 the theta-grading is exact; the star commutator keeps twice the odd
 orders, since D_k(g, f) = (-1)^k D_k(f, g) for an antisymmetric Lambda.
-Inner star derivations, the degree<=2 bracket space on R^4, and the
-product-ambiguity check for linear dynamics live here too.
+The degree<=2 bracket space on R^4 and the product-ambiguity check for
+linear dynamics live here too.
 """
 
 from __future__ import annotations
@@ -213,26 +213,6 @@ def star_commutator(ctx: StarAlgebraContext, f: Poly, g: Poly) -> Poly:
     """[f, g]_theta = f*g - g*f: twice the odd theta-orders of f*g, since
     D_k(g, f) = (-1)^k D_k(f, g) for an antisymmetric Lambda."""
     return _moyal_sum(ctx, f, g, odd_only=True)
-
-
-class StarDerivation:
-    """Inner derivation of the star product: f -> (i/theta) [X, f]_theta.
-
-    The commutator of polynomial symbols is always divisible by theta, so
-    the normalization is exact.  With X = p_a this reproduces d/dq_a on
-    every polynomial; with X = q_a it gives -d/dp_a.
-    """
-
-    __slots__ = ("ctx", "x")
-
-    def __init__(self, ctx: StarAlgebraContext, x: Poly):
-        _check_star_input(ctx, x)
-        self.ctx = ctx
-        self.x = x
-
-    def __call__(self, f: Poly) -> Poly:
-        comm = star_commutator(self.ctx, self.x, f)
-        return comm.divide_theta().scale(Scalar.i())
 
 
 def s_space_basis(gens: GeneratorSet) -> list[Poly]:

@@ -22,8 +22,6 @@ from fractions import Fraction
 from .poly import GeneratorSet, Poly
 from .scalars import Scalar
 
-RESERVED = ("i", "theta")
-
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):

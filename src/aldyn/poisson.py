@@ -6,7 +6,7 @@ Y_a = Lambda^{ab} d_b of the tensor (``PoissonTensor.rows``, derivations
 with components along ``Poly.partial``): the Hamiltonian field X_H has the
 components X_H^a = Y_a(H), the bracket is {f, g} = X_g(f), a Casimir has
 X_C = 0, and Jacobi is the cyclic sum Y_a(Lambda^{bc}) + Y_b(Lambda^{ca}) +
-Y_c(Lambda^{ab}).  Lie-Poisson tensors for 3d Lie algebras and the
+Y_c(Lambda^{ab}).  Lie-Poisson tensors read off 3d structure constants and the
 bounded-degree inverse searches (given a dynamics, find a Hamiltonian or a
 tensor by one exact sparse solve of Lambda^{ab} d_b H = delta^a over the
 monomial coefficients, columns by exponent arithmetic) complete the module.
@@ -21,9 +21,9 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .derivations import PolyDerivation, apply
-from .poly import MAX_UNKNOWNS, GeneratorMismatch, GeneratorSet, Poly, monomials
+from .poly import GeneratorMismatch, GeneratorSet, Poly, check_budget, monomials
 from .poly import coefficient_column, derivation_columns, shifted_columns
-from .scalars import json_int
+from .scalars import json_int, json_number
 
 DEFAULT_INVERSE_DEGREE_CAP = 6
 
@@ -96,63 +96,13 @@ class PoissonTensor:
                 raise ValueError(f"dim: {data['dim']!r} does not match the {len(gens)} generators")
         else:
             dim = json_int(data["dim"], "dim")
-            if dim * dim > MAX_UNKNOWNS:
-                raise ValueError(
-                    f"dim: {data['dim']!r} exceeds the budget of {MAX_UNKNOWNS} row components"
-                )
+            check_budget("dim", dim * dim, "dim^2 row components")
             gens = GeneratorSet.plain([f"x{i+1}" for i in range(dim)])
         comps = {}
         for entry in data["components"]:
             a, b = json_int(entry["a"], "a"), json_int(entry["b"], "b")
             comps[(a, b)] = Poly.from_json(entry["poly"])
         return PoissonTensor(gens, comps)
-
-
-@dataclass(frozen=True)
-class LieAlgebra3d:
-    """3d Lie algebra by structure constants: [x_i, x_j] = sum_k c[i][j][k] x_k."""
-
-    c: tuple  # c[i][j][k] as Fractions, antisymmetric in (i, j)
-
-    @staticmethod
-    def from_constants(c: Sequence[Sequence[Sequence]]) -> "LieAlgebra3d":
-        tc = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in c
-        )
-        if len(tc) != 3 or any(len(p) != 3 or any(len(r) != 3 for r in p) for p in tc):
-            raise ValueError("structure constants must be 3x3x3")
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    if tc[i][j][k] != -tc[j][i][k]:
-                        raise ValueError("structure constants not antisymmetric in (i,j)")
-        return LieAlgebra3d(tc)
-
-    @staticmethod
-    def su2() -> "LieAlgebra3d":
-        c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        c[0][1][2], c[1][0][2] = Fraction(1), Fraction(-1)
-        c[1][2][0], c[2][1][0] = Fraction(1), Fraction(-1)
-        c[2][0][1], c[0][2][1] = Fraction(1), Fraction(-1)
-        return LieAlgebra3d.from_constants(c)
-
-    @staticmethod
-    def heisenberg() -> "LieAlgebra3d":
-        c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        c[0][1][2], c[1][0][2] = Fraction(1), Fraction(-1)
-        return LieAlgebra3d.from_constants(c)
-
-    @staticmethod
-    def abelian() -> "LieAlgebra3d":
-        c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        return LieAlgebra3d.from_constants(c)
-
-    def to_json(self) -> dict:
-        return {"c": [[[str(x) for x in row] for row in plane] for plane in self.c]}
-
-    @staticmethod
-    def from_json(data: Mapping) -> "LieAlgebra3d":
-        return LieAlgebra3d.from_constants(data["c"])
 
 
 def bracket(tensor: PoissonTensor, f: Poly, g: Poly) -> Poly:
@@ -185,22 +135,47 @@ def hamiltonian_field(tensor: PoissonTensor, h: Poly) -> PolyDerivation:
     )
 
 
-def lie_poisson(algebra: LieAlgebra3d) -> PoissonTensor:
-    """Linear tensor on the dual: {x_i, x_j} = c[i][j][k] x_k."""
+def lie_poisson(c: Sequence[Sequence[Sequence]]) -> PoissonTensor:
+    """Linear tensor {x_i, x_j} = c[i][j][k] x_k on the generators x, y, z:
+    the dual of the 3d Lie algebra [x_i, x_j] = c[i][j][k] x_k.
+
+    Each c[i][j][k] is a rational: an int, a Fraction, a "p/q" string or a
+    float (its exact binary value); a boolean is refused.  c must be 3x3x3,
+    antisymmetric in (i, j) and satisfy Jacobi, else ValueError."""
+    c = tuple(
+        tuple(tuple(Fraction(json_number(x, "c")) for x in row) for row in plane)
+        for plane in c
+    )
+    if len(c) != 3 or any(len(p) != 3 or any(len(r) != 3 for r in p) for p in c):
+        raise ValueError("structure constants must be 3x3x3")
+    if any(c[i][j][k] != -c[j][i][k] for i in range(3) for j in range(3) for k in range(3)):
+        raise ValueError("structure constants not antisymmetric in (i,j)")
     gens = GeneratorSet.plain(("x", "y", "z"))
     comps = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            poly = Poly.zero(gens)
-            for k in range(3):
-                coeff = algebra.c[i][j][k]
-                if coeff:
-                    poly = poly + Poly.generator(gens, gens.names[k]).scale(coeff)
-            comps[(i, j)] = poly
+    for i, j in combinations(range(3), 2):
+        poly = Poly.zero(gens)
+        for k in range(3):
+            if c[i][j][k]:
+                poly = poly + Poly.generator(gens, gens.names[k]).scale(c[i][j][k])
+        comps[(i, j)] = poly
     tensor = PoissonTensor(gens, comps)
     if not jacobi_check(tensor).ok:
         raise ValueError("structure constants violate the Jacobi identity")
     return tensor
+
+
+# Structure constants c[i][j][k] of the preset 3d Lie algebras.
+SU2 = (
+    ((0, 0, 0), (0, 0, 1), (0, -1, 0)),
+    ((0, 0, -1), (0, 0, 0), (1, 0, 0)),
+    ((0, 1, 0), (-1, 0, 0), (0, 0, 0)),
+)
+HEISENBERG = (
+    ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
+    ((0, 0, -1), (0, 0, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+)
+ABELIAN = (((0, 0, 0),) * 3,) * 3
 
 
 @dataclass

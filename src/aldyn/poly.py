@@ -20,8 +20,10 @@ GENERATOR_KINDS = ("plain", "position", "momentum", "angle-phase")
 
 # Size budget for what input may ask to build: the most unknowns of one
 # ansatz component, C(n + cap, n) monomials of n generators up to total
-# degree cap, and the most row components, dim^2, of a Poisson tensor read
-# without generators.  Input sizes are compared with it before anything is
+# degree cap; the most row components, dim^2, of a Poisson tensor read
+# without generators or built on `pairs` canonical pairs (dim = 2 pairs);
+# and the most generator entries, n^4, of the Gell-Mann basis of Mat_n.
+# Input sizes are compared with it (``check_budget``) before anything is
 # built.  (`reduce` on R^2 at cap 300, C(302, 2) = 45,451 unknowns, peaked
 # at 174 MB RSS and 5.4 s under CPython 3.11 on x86-64.)
 MAX_UNKNOWNS = 50_000
@@ -88,9 +90,6 @@ class GeneratorSet:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def kind(self, name: str) -> str:
-        return self.kinds[self.index(name)]
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -143,13 +142,19 @@ def _grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
-def check_monomial_budget(n: int, cap: int) -> None:
-    """Raise a ValueError when ``monomials(n, cap)`` would list more than
-    MAX_UNKNOWNS exponent tuples."""
-    if cap > 0 and comb(n + cap, n) > MAX_UNKNOWNS:
-        raise ValueError(
-            f"C({n} + cap, {n}) unknowns per component exceed the budget of {MAX_UNKNOWNS}"
-        )
+def check_budget(where: str, size: int, what: str) -> None:
+    """Raise a ValueError naming ``where`` (an option or a JSON field) when
+    the ``size`` items that input asks to build, described by ``what``, are
+    more than MAX_UNKNOWNS."""
+    if size > MAX_UNKNOWNS:
+        raise ValueError(f"{where}: {what} exceed the budget of {MAX_UNKNOWNS}")
+
+
+def check_monomial_budget(where: str, n: int, cap: int) -> None:
+    """``check_budget`` for ``monomials(n, cap)``, the unknowns of one
+    ansatz component."""
+    if cap > 0:
+        check_budget(where, comb(n + cap, n), f"C({n} + cap, {n}) unknowns per component")
 
 
 def monomials(n: int, cap: int) -> list[tuple]:
@@ -268,15 +273,6 @@ class Poly:
             raise ValueError("negative powers need an angle-phase generator")
         exps = tuple(power if j == i else 0 for j in range(len(gens)))
         return Poly(gens, {exps: Scalar.one()})
-
-    @staticmethod
-    def monomial(
-        gens: GeneratorSet, powers: Mapping[str, int], coeff: Scalar | None = None
-    ) -> "Poly":
-        exps = [0] * len(gens)
-        for name, e in powers.items():
-            exps[gens.index(name)] = e
-        return Poly(gens, {tuple(exps): coeff if coeff is not None else Scalar.one()})
 
     @staticmethod
     def from_coefficients(
@@ -451,9 +447,6 @@ class Poly:
     def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
         """Terms in graded-lexicographic order (canonical)."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
-
-    def max_theta_power(self) -> int:
-        return max((c.max_theta_power() for c in self.terms.values()), default=0)
 
     def theta_graded_part(self, k: int) -> "Poly":
         """The polynomial of theta**k coefficients (theta stripped)."""

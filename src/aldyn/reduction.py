@@ -16,7 +16,7 @@ is "inconclusive", never a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -55,23 +55,6 @@ class Distribution:
     @property
     def rank(self) -> int:
         return len(self.fields)
-
-    def involutivity_report(self, ansatz_cap: int = DEFAULT_ANSATZ_CAP) -> dict:
-        """Is each [Y_i, Y_j] a polynomial combination of the Y_k (up to cap)?"""
-        failures = []
-        for i in range(len(self.fields)):
-            for j in range(i + 1, len(self.fields)):
-                c = commutator_der(self.fields[i], self.fields[j])
-                if express_in_fields(c, self.fields, ansatz_cap) is None:
-                    failures.append((i, j))
-        return {"involutive": not failures, "failures": failures}
-
-    def to_json(self) -> list:
-        return [f.to_json() for f in self.fields]
-
-    @staticmethod
-    def from_json(data) -> "Distribution":
-        return Distribution([PolyDerivation.from_json(d) for d in data])
 
 
 def invariant_subalgebra(
@@ -185,54 +168,37 @@ def normalizer_check(
     return NormalizerReport("member", coefficients=coeffs)
 
 
-@dataclass
-class PolyMap:
-    """Polynomial map F: M -> M', one component per target coordinate."""
-
-    components: list[Poly]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("map needs at least one component")
-        gens = self.components[0].gens
-        for c in self.components:
-            if c.gens != gens:
-                raise GeneratorMismatch("components over different generator sets")
-        _require_theta_free(*self.components)
-
-    @property
-    def gens(self) -> GeneratorSet:
-        return self.components[0].gens
-
-    def target_gens(self) -> GeneratorSet:
-        return GeneratorSet.plain([f"x{i+1}" for i in range(len(self.components))])
-
-
 def f_related_reduce(
     delta: PolyDerivation,
-    f_map: PolyMap,
+    components: Sequence[Poly],
     ansatz_cap: int = DEFAULT_ANSATZ_CAP,
 ) -> PolyDerivation | None:
-    """The pushed-forward dynamics on the image coordinates, if it exists.
+    """The pushed-forward dynamics along the polynomial map F whose
+    components F^1, ..., F^k are given, if it exists.
 
     Solves delta(F^i) = g_i(F^1, ..., F^k) exactly for polynomials g_i of
-    degree <= cap; returns the derivation x'^i -> g_i or None when some
-    component is not expressible within the cap.
+    degree <= cap; returns the derivation x_i -> g_i on the target
+    generators x1..xk, or None when some component is not expressible
+    within the cap.  The components must be theta-free and over the
+    generators of delta.
     """
+    if not components:
+        raise ValueError("map needs at least one component")
     gens = delta.gens
-    if f_map.gens != gens:
+    if any(c.gens != gens for c in components):
         raise GeneratorMismatch("map over a different generator set")
-    target = f_map.target_gens()
+    _require_theta_free(*components)
+    target = GeneratorSet.plain([f"x{i+1}" for i in range(len(components))])
     monos = monomials(len(target), ansatz_cap)
     # Composed basis: each target monomial m' becomes prod_j (F^j)^{m'_j},
     # built as the composed m' - e_j (listed before m') times one F^j.
     composed = {monos[0]: Poly.one(gens)}
     for m in monos[1:]:
         j = next(j for j, e in enumerate(m) if e)
-        composed[m] = composed[m[:j] + (m[j] - 1,) + m[j + 1 :]] * f_map.components[j]
+        composed[m] = composed[m[:j] + (m[j] - 1,) + m[j + 1 :]] * components[j]
     columns = [coefficient_column([p]) for p in composed.values()]
     images = {}
-    for i, fc in enumerate(f_map.components):
+    for i, fc in enumerate(components):
         sol = linalg.solve_columns(columns, coefficient_column([apply(delta, fc)]))
         if sol is None:
             return None

@@ -63,6 +63,14 @@ def json_int(x, where: str) -> int:
     raise ValueError(f"{where}: {x!r} is not an integer")
 
 
+def json_number(x, where: str):
+    """A rational field of JSON input, returned as given for its reader; a
+    boolean, which Python counts as an int, is a ValueError naming `where`."""
+    if isinstance(x, bool):
+        raise ValueError(f"{where}: {x!r} is not a rational")
+    return x
+
+
 def fraction_to_str(x: Fraction) -> str:
     """Serialize a Fraction as "p" or "p/q"."""
     if x.denominator == 1:
@@ -255,7 +263,10 @@ class GaussRational:
 
     @staticmethod
     def from_json(data: Mapping) -> "GaussRational":
-        return GaussRational(fraction_from_str(data["re"]), fraction_from_str(data["im"]))
+        return GaussRational(
+            fraction_from_str(json_number(data["re"], "re")),
+            fraction_from_str(json_number(data["im"], "im")),
+        )
 
 
 GR_ZERO = GaussRational()
@@ -374,9 +385,6 @@ class Scalar:
 
     def theta_coefficient(self, power: int) -> GaussRational:
         return self.terms.get(power, GR_ZERO)
-
-    def max_theta_power(self) -> int:
-        return max(self.terms) if self.terms else 0
 
     def is_theta_free(self) -> bool:
         return all(k == 0 for k in self.terms)

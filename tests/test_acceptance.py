@@ -38,7 +38,7 @@ from aldyn.moyal import (
     star_commutator,
     wigner_ambiguity_check,
 )
-from aldyn.poisson import LieAlgebra3d, PoissonTensor, bracket, lie_poisson
+from aldyn.poisson import SU2, PoissonTensor, bracket, lie_poisson
 from aldyn.poly import GeneratorSet, Poly
 from aldyn.quantum import (
     MatrixSubspace,
@@ -52,7 +52,6 @@ from aldyn.quantum import (
 )
 from aldyn.reduction import (
     Distribution,
-    PolyMap,
     f_related_reduce,
     invariant_subalgebra,
     split_dynamics,
@@ -90,7 +89,7 @@ def test_criterion_02_poisson_axioms():
     tensors = [
         (PoissonTensor.canonical(1), 70),
         (PoissonTensor.canonical(2), 70),
-        (lie_poisson(LieAlgebra3d.su2()), 60),
+        (lie_poisson(SU2), 60),
     ]
     ok = True
     for tensor, count in tensors:
@@ -290,18 +289,18 @@ def test_criterion_10_classical_reduction():
     ok = invariant_subalgebra(d_q, 2) == [Poly.one(GENS), P, P**2]
     res = split_dynamics(free, d_q)
     ok = ok and res.status == "ok" and res.delta_d == free and res.delta_prime.is_zero()
-    reduced = f_related_reduce(free, PolyMap([P]))
+    reduced = f_related_reduce(free, [P])
     ok = ok and reduced is not None and reduced.is_zero()
 
     # oscillator along the rotation field
     ok = ok and invariant_subalgebra(d_rot, 2) == [Poly.one(GENS), P**2 + Q**2]
     res = split_dynamics(osc, d_rot)
     ok = ok and res.status == "ok" and res.delta_prime.is_zero()
-    reduced = f_related_reduce(osc, PolyMap([Q**2 + P**2]))
+    reduced = f_related_reduce(osc, [Q**2 + P**2])
     ok = ok and reduced is not None and reduced.is_zero()
 
     # Euler along q d_q: the map reduces, the connection ansatz reports failure
-    reduced = f_related_reduce(euler, PolyMap([Q * P]))
+    reduced = f_related_reduce(euler, [Q * P])
     ok = ok and reduced is not None
     x1 = Poly.generator(reduced.gens, "x1")
     ok = ok and reduced.images["x1"] == x1.scale(2)

@@ -1,0 +1,127 @@
+"""Every public name in aldyn is read by the package itself, or it is
+documented library API.
+
+The scan walks the modules of `src/aldyn` (not `__init__.py`, which only
+re-exports) with `ast` and lists each public module-level function, class
+and constant, and each public method, property and field of a class.  A
+name counts as read when a line of `src/aldyn` outside its own definition
+loads it:
+
+- a module-level name, by name or as an attribute;
+- a static or class method, as `Class.name` (or `self.name` / `cls.name`);
+- any other member, as an attribute `.name` on any object.
+
+A demo registered with `@_demo` is read through `demos.DEMOS`.
+"""
+
+import ast
+from pathlib import Path
+
+import aldyn
+
+SRC = Path(aldyn.__file__).parent
+
+# Library API that only callers outside the package read.
+LIBRARY_API = {
+    "diffcalc.KForm.from_matrix",  # a degree-0 form from an algebra element
+    "diffcalc.KForm.evaluate",  # w(X_1, ..., X_k)
+    "quantum.MatrixSubspace.span_equals",  # criterion 08 compares commutants by span
+    "poisson.find_hamiltonian",  # the inverse searches that perfbench drives
+    "poisson.find_poisson_tensor",
+    "reduction.NormalizerReport.coefficients",  # the membership certificate perfbench reads
+}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _is_demo(node) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_demo"
+        for d in node.decorator_list
+    )
+
+
+def _is_static(node) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+        for d in node.decorator_list
+    )
+
+
+def _assigned_names(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, kind, node) of each public definition; kind is
+    "module", "static" or "member"."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if _public(node.name) and not _is_demo(node):
+                yield f"{module}.{node.name}", "module", node
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    names, kind = [sub.name], "static" if _is_static(sub) else "member"
+                elif isinstance(sub, (ast.Assign, ast.AnnAssign)):
+                    names, kind = _assigned_names(sub), "member"
+                else:
+                    continue
+                for name in filter(_public, names):
+                    yield f"{module}.{node.name}.{name}", kind, sub
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in filter(_public, _assigned_names(node)):
+                yield f"{module}.{name}", "module", node
+
+
+def _references(tree: ast.Module):
+    """(line, name, owner) for each load of a name or an attribute; owner
+    is the name an attribute is read from, if it is read from a name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.lineno, node.id, None
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            yield node.lineno, node.attr, owner
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name, None
+
+
+def _scan():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    refs = {module: list(_references(tree)) for module, tree in trees.items()}
+    defined, unread = set(), []
+    for module, tree in trees.items():
+        for qualname, kind, node in _definitions(module, tree):
+            defined.add(qualname)
+            name = qualname.rsplit(".", 1)[1]
+            owners = {qualname.split(".")[1], "self", "cls"}
+
+            def reads(ref_module, line, ref, owner):
+                if ref != name or (
+                    ref_module == module and node.lineno <= line <= node.end_lineno
+                ):
+                    return False
+                return kind != "static" or owner in owners
+
+            if not any(reads(m, *r) for m, rs in refs.items() for r in rs):
+                unread.append(qualname)
+    return defined, unread
+
+
+def test_every_public_name_is_read_or_library_api():
+    defined, unread = _scan()
+    assert sorted(set(unread) - LIBRARY_API) == []
+
+
+def test_library_api_names_exist():
+    defined, _ = _scan()
+    assert sorted(LIBRARY_API - defined) == []

@@ -26,7 +26,7 @@ from aldyn.cli import _build_parser, main
 from aldyn.demos import DEMOS
 from aldyn.derivations import PolyDerivation
 from aldyn.matrices import Mat
-from aldyn.poisson import PoissonTensor
+from aldyn.poisson import ABELIAN, HEISENBERG, SU2, PoissonTensor
 from aldyn.poly import GeneratorSet, Poly
 from aldyn.report import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, Report
 
@@ -153,6 +153,51 @@ class TestBracketCommands:
         assert payload["verification"][0] == "witness generator u: X_C^u = 1"
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_FAIL and "not a Casimir: X_C^u = 1" in out
+
+
+# Structure constants that break one of the checks of `lie_poisson`.
+_NOT_ANTISYMMETRIC = [[[0, 0, 0], [0, 0, 1], [0, 0, 0]], [[0] * 3] * 3, [[0] * 3] * 3]
+_BREAKS_JACOBI = [[list(r) for r in plane] for plane in HEISENBERG]  # {x,y} = z ...
+_BREAKS_JACOBI[1][2][1], _BREAKS_JACOBI[2][1][1] = 1, -1  # ... and {y,z} = y
+
+
+class TestStructureConstantsInput:
+    """`--tensor '{"c": [[[...]]]}'` reads c[i][j][k], [x_i, x_j] = c_ij^k x_k."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jacobi"],
+            ["casimir", "--c", "x^2 + y^2 + z^2"],
+            ["casimir", "--c", "z"],
+            ["bracket", "--f", "x^2*z", "--g", "y + z"],
+        ],
+        ids=["jacobi", "casimir-quadratic", "casimir-z", "bracket"],
+    )
+    @pytest.mark.parametrize(
+        "preset, c",
+        [("su2", SU2), ("heisenberg", HEISENBERG), ("abelian", ABELIAN)],
+        ids=["su2", "heisenberg", "abelian"],
+    )
+    def test_constants_give_the_preset_bytes(self, capsys, argv, preset, c):
+        command, *rest = argv
+        by_name = run_cli(capsys, command, "--tensor", preset, *rest, "--json")
+        by_constants = run_cli(capsys, command, "--tensor", json.dumps({"c": c}), *rest, "--json")
+        assert by_constants[:2] == by_name[:2]
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            (_NOT_ANTISYMMETRIC, "structure constants not antisymmetric in (i,j)"),
+            (_BREAKS_JACOBI, "structure constants violate the Jacobi identity"),
+            (SU2[:2], "structure constants must be 3x3x3"),
+        ],
+        ids=["not-antisymmetric", "breaks-jacobi", "shape-2x3x3"],
+    )
+    def test_bad_constants_are_bad_input(self, capsys, c, message):
+        code, out, err = run_cli(capsys, "jacobi", "--tensor", json.dumps({"c": c}), "--json")
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err == f"input error: /tensor: {message}\n"
 
 
 class TestStarCommands:
@@ -854,12 +899,15 @@ def _form_doc() -> dict:
 # Each entry point as (argv, {option: valid JSON document}); the fuzz breaks
 # one of the documents and passes the others as they are.
 _TENSOR_DOC = PoissonTensor.canonical(1).to_json()
+# hamfield takes its tensor as structure constants, the other tensor
+# commands as components.
+_SU2_DOC = {"c": [[[str(x) for x in row] for row in plane] for plane in SU2]}
 _FREE_DOC = json.loads(FREE_JSON)
 _SIGMA_X_DOC, _SIGMA_Z_DOC = json.loads(SIGMA_X), json.loads(SIGMA_Z)
 JSON_ENTRY_POINTS = {
     "bracket": (["--f", "q", "--g", "p"], {"--tensor": _TENSOR_DOC}),
     "jacobi": ([], {"--tensor": _TENSOR_DOC}),
-    "hamfield": (["--h", "q*p"], {"--tensor": _TENSOR_DOC}),
+    "hamfield": (["--h", "x*y"], {"--tensor": _SU2_DOC}),
     "casimir": (["--c", "q"], {"--tensor": _TENSOR_DOC}),
     "flow": (["--f", "q", "--t", "1"], {"--derivation": _FREE_DOC}),
     "nilpotency": ([], {"--derivation": _FREE_DOC}),
@@ -1042,6 +1090,42 @@ def test_sizes_beyond_the_budget_are_bad_input(argv, where, size):
     assert "Traceback" not in proc.stderr
 
 
+def _gell_mann_form(n: int) -> str:
+    return json.dumps({"degree": 0, "basis": "gell-mann", "n": n, "coeffs": []})
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["frelate", "--dynamics", "euler", "--map", "q*p", "--ansatz-cap", "100000000"],
+         "--ansatz-cap: "),
+        (["reduce", "--input", _REDUCE_INPUT, "--ansatz-cap", "100000000"], "--ansatz-cap: "),
+        (["connection", "--distribution", json.dumps([_DQ_JSON]), "--degree-cap", "100000000"],
+         "--degree-cap: "),
+        (["demo", "maurer-cartan", "--n", "100000"], "--n: "),
+        (["dform", "--form", _gell_mann_form(100000)], "/form: n: "),
+        (["wedge", "--form1", _gell_mann_form(100000), "--form2", _gell_mann_form(2)],
+         "/form1: n: "),
+        (["contract", "--form", _gell_mann_form(100000), "--x", "1"], "/form: n: "),
+        (["lieder", "--form", _gell_mann_form(100000), "--x", "1"], "/form: n: "),
+        (["star", "--f", "q1", "--g", "p1", "--pairs", "10000000"], "--pairs: "),
+        (["starcomm", "--f", "q1", "--g", "p1", "--pairs", "10000000"], "--pairs: "),
+    ],
+    ids=["frelate-ansatz-cap", "reduce-ansatz-cap", "connection-degree-cap",
+         "demo-maurer-cartan-n", "dform-n", "wedge-n", "contract-n", "lieder-n", "star-pairs",
+         "starcomm-pairs"],
+)
+def test_option_sizes_beyond_the_budget_are_bad_input(argv, where):
+    """Ansatz caps (C(n + cap, n) unknowns), a form's n (n^4 generator
+    entries) and star pairs ((2 pairs)^2 components) are compared with
+    `poly.MAX_UNKNOWNS` before anything is built: exit 2 naming the option
+    or JSON field, no MemoryError."""
+    proc = run_python(["-c", _MAIN_UNDER_ULIMIT, *argv, "--json"])
+    assert proc.returncode == EXIT_BAD_INPUT and proc.stdout == "", proc.stderr
+    assert where in proc.stderr and "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sizes_within_the_budget_run(capsys):
     code, _, err = run_cli(
         capsys, "reduce", "--input", json.dumps({**json.loads(_REDUCE_INPUT), "degree_cap": 12}),
@@ -1064,11 +1148,22 @@ def test_integral_floats_are_integers(capsys):
 # Keys whose values, and lists whose entries, JSON input gives as integers.
 _INTEGER_KEYS = {"a", "b", "n", "dim", "degree", "theta", "degree_cap"}
 _INTEGER_LISTS = {"exps", "idx"}
+# Keys whose values JSON input gives as rationals; the entries c[i][j][k]
+# of structure constants are rationals too.
+_RATIONAL_KEYS = {"re", "im"}
 
 
-@st.composite
-def _non_integral_invocations(draw):
-    command = draw(st.sampled_from(sorted(JSON_ENTRY_POINTS)))
+def _number_kind(path: tuple) -> str | None:
+    if path[-1] in _INTEGER_KEYS or (len(path) > 1 and path[-2] in _INTEGER_LISTS):
+        return "integer"
+    if path[-1] in _RATIONAL_KEYS or (path[:1] == ("c",) and len(path) == 4):
+        return "rational"
+    return None
+
+
+def _number_fields(command: str, kinds) -> tuple[list, dict, list]:
+    """A command's argv, documents and (option, path) of its number fields
+    of the given kinds."""
     argv, docs = JSON_ENTRY_POINTS[command]
     docs = copy.deepcopy(docs)
     if command == "reduce":
@@ -1077,22 +1172,60 @@ def _non_integral_invocations(draw):
         (opt, path)
         for opt, doc in docs.items()
         for path in _paths(doc)
-        if path and (path[-1] in _INTEGER_KEYS or (len(path) > 1 and path[-2] in _INTEGER_LISTS))
+        if path and _number_kind(path) in kinds
     ]
+    return argv, docs, fields
+
+
+@st.composite
+def _invalid_number_invocations(draw, values):
+    """Valid documents but for one number field, of a kind `values` maps to
+    the strategy that draws its value."""
+    commands = [c for c in sorted(JSON_ENTRY_POINTS) if _number_fields(c, values)[2]]
+    command = draw(st.sampled_from(commands))
+    argv, docs, fields = _number_fields(command, values)
     option, path = draw(st.sampled_from(fields))
-    value = draw(st.floats().filter(lambda x: not x.is_integer()))
+    value = draw(values[_number_kind(path)])
     texts = {opt: json.dumps(d) for opt, d in docs.items()}
     texts[option] = _edited(docs[option], path, value)
     return [command, *argv, *(arg for opt, text in texts.items() for arg in (opt, text))]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(_non_integral_invocations())
-def test_non_integral_numbers_in_integer_fields_are_bad_input(argv):
+def _assert_bad_input(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "--json"])
     assert code == EXIT_BAD_INPUT and out.getvalue() == "", (argv, err.getvalue())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_invalid_number_invocations({"integer": st.floats().filter(lambda x: not x.is_integer())}))
+def test_non_integral_numbers_in_integer_fields_are_bad_input(argv):
+    _assert_bad_input(argv)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_invalid_number_invocations({"integer": st.booleans(), "rational": st.booleans()}))
+def test_booleans_in_number_fields_are_bad_input(argv):
+    """JSON `true` is not the integer or the rational 1 (Python's bool is an int)."""
+    _assert_bad_input(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["commutant", "--subspace", '[{"n":1,"entries":[[{"re":true,"im":"0"}]]}]'],
+         "/subspace: re: "),
+        (["jacobi", "--tensor", _edited(_TENSOR_DOC, (*_TERM_PATH, "coeff", 0, "im"), False)],
+         "/tensor: im: "),
+        (["jacobi", "--tensor", json.dumps({"c": [[[True] * 3] * 3] * 3})], "/tensor: c: "),
+    ],
+    ids=["matrix-entry", "coefficient", "structure-constant"],
+)
+def test_json_booleans_are_not_rationals(capsys, argv, where):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert where in err and "is not a rational" in err
 
 
 class TestDemos:

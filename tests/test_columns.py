@@ -33,7 +33,6 @@ from aldyn.poly import (
 )
 from aldyn.reduction import (
     Distribution,
-    PolyMap,
     express_in_fields,
     f_related_reduce,
     find_connection,
@@ -204,18 +203,18 @@ def old_find_poisson_tensor(delta, h, cap):
     return tensor if jacobi_check(tensor).ok else None
 
 
-def old_f_related_reduce(delta, f_map, cap):
-    target = f_map.target_gens()
+def old_f_related_reduce(delta, components, cap):
+    target = GeneratorSet.plain([f"x{i+1}" for i in range(len(components))])
     monos = monomials(len(target), cap)
     columns = []
     for m in monos:
         p = Poly.one(delta.gens)
         for j, e in enumerate(m):
             if e:
-                p = p * f_map.components[j] ** e
+                p = p * components[j] ** e
         columns.append(coefficient_column([p]))
     images = {}
-    for i, fc in enumerate(f_map.components):
+    for i, fc in enumerate(components):
         sol = linalg.solve_columns(columns, coefficient_column([apply(delta, fc)]))
         if sol is None:
             return None
@@ -417,7 +416,7 @@ def test_f_related_reduce_matches_power_oracle(gens):
     """The Euler field (x -> x, and u -> -i on an angle-phase u, so that
     u^k -> k u^k) scales a homogeneous F^j by its degree: g_j = d_j x_j."""
     rng = random.Random(len(gens) * 67 + gens.kinds.count("angle-phase"))
-    f_map = PolyMap([_homogeneous(gens, rng, d) for d in (1, 2)])
+    components = [_homogeneous(gens, rng, d) for d in (1, 2)]
     euler = PolyDerivation(
         gens,
         {
@@ -425,12 +424,12 @@ def test_f_related_reduce_matches_power_oracle(gens):
             for n, k in zip(gens.names, gens.kinds)
         },
     )
-    got = f_related_reduce(euler, f_map, 3)
-    assert got is not None and got == old_f_related_reduce(euler, f_map, 3)
+    got = f_related_reduce(euler, components, 3)
+    assert got is not None and got == old_f_related_reduce(euler, components, 3)
     x1, x2 = (Poly.generator(got.gens, n) for n in got.gens.names)
     assert got.images == {"x1": x1, "x2": x2.scale(2)}
     other = _field(gens, rng)
-    assert f_related_reduce(other, f_map, 3) == old_f_related_reduce(other, f_map, 3)
+    assert f_related_reduce(other, components, 3) == old_f_related_reduce(other, components, 3)
 
 
 # -- theta -------------------------------------------------------------------------

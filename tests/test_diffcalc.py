@@ -491,7 +491,7 @@ class TestAgainstReference:
     )
     def test_exterior_d_of_zero_and_identity(self, basis):
         for degree in range(4):
-            d0 = exterior_d(KForm.zero(basis, degree))
+            d0 = exterior_d(KForm(basis, degree))
             assert d0.degree == degree + 1 and d0.coeffs == {}
         assert exterior_d(KForm.from_matrix(basis, Mat.identity(basis.n))).coeffs == {}
 
@@ -536,15 +536,11 @@ class TestAgainstReference:
 class TestExactness:
     def test_obstruction_on_b2(self):
         for j in range(B2.dim):
-            rep = exactness_obstruction(B2, j)
-            assert rep.trace_of_unit_value == 2
-            assert not rep.solvable
+            assert not exactness_obstruction(B2, j).solvable
 
     def test_obstruction_on_b3(self):
         for j in range(B3.dim):
-            rep = exactness_obstruction(B3, j)
-            assert rep.trace_of_unit_value == 3
-            assert not rep.solvable
+            assert not exactness_obstruction(B3, j).solvable
 
     def test_differentials_have_traceless_values(self):
         rng = random.Random(85)

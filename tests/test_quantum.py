@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aldyn.matrices import Mat, full_matrix_basis, pauli
+from aldyn.matrices import Mat, full_matrix_basis
 from aldyn.quantum import (
     InnerDerivation,
     MatrixSubspace,
@@ -22,11 +22,14 @@ from aldyn.quantum import (
 )
 from aldyn.cli import _matrix_float_json
 from aldyn.linalg import Span
-from aldyn.scalars import GR_ZERO, GaussRational
+from aldyn.scalars import GR_I, GR_ZERO, GaussRational
 
 from conftest import random_hermitian, random_mat
 
-SX, SY, SZ = pauli()
+# The Pauli matrices sigma_x, sigma_y, sigma_z with exact entries.
+SX = Mat.from_rows([[0, 1], [1, 0]])
+SY = Mat([[GR_ZERO, -GR_I], [GR_I, GR_ZERO]])
+SZ = Mat.from_rows([[1, 0], [0, -1]])
 
 
 class TestCommutator:

@@ -5,11 +5,10 @@ import random
 import pytest
 
 from aldyn.derivations import PolyDerivation, apply, commutator_der, flow_linear
-from aldyn.poly import GeneratorSet, Poly
+from aldyn.poly import GeneratorMismatch, GeneratorSet, Poly
 from aldyn.reduction import (
     ConnectionP,
     Distribution,
-    PolyMap,
     connection_apply,
     express_in_fields,
     f_related_reduce,
@@ -103,29 +102,43 @@ class TestNormalizer:
 
 class TestFRelated:
     def test_free_momentum_projection(self):
-        reduced = f_related_reduce(FREE, PolyMap([P]))
+        reduced = f_related_reduce(FREE, [P])
         assert reduced is not None
         assert reduced.is_zero()
 
     def test_oscillator_energy_projection(self):
-        reduced = f_related_reduce(OSC, PolyMap([Q**2 + P**2]))
+        reduced = f_related_reduce(OSC, [Q**2 + P**2])
         assert reduced is not None
         assert reduced.is_zero()
 
     def test_euler_dilation(self):
-        reduced = f_related_reduce(EULER, PolyMap([Q * P]))
+        reduced = f_related_reduce(EULER, [Q * P])
         assert reduced is not None
         x1 = Poly.generator(reduced.gens, "x1")
         assert reduced.images["x1"] == x1.scale(2)
 
     def test_not_reducible_case(self):
         # delta(q) = p is not a polynomial in F = q alone
-        reduced = f_related_reduce(FREE, PolyMap([Q]))
+        reduced = f_related_reduce(FREE, [Q])
         assert reduced is None
+
+    @pytest.mark.parametrize(
+        "components, error",
+        [
+            ([], ValueError),
+            ([Poly.generator(GeneratorSet.plain(["x"]), "x")], GeneratorMismatch),
+            ([Q.scale(Scalar.theta())], ValueError),
+        ],
+        ids=["empty", "other-generators", "theta"],
+    )
+    def test_map_is_checked(self, components, error):
+        """The map has components, over the dynamics' generators, theta-free."""
+        with pytest.raises(error):
+            f_related_reduce(FREE, components)
 
     def test_pushforward_identity_on_composites(self):
         # when it exists, delta(F) = g(F) exactly
-        reduced = f_related_reduce(EULER, PolyMap([Q * P]))
+        reduced = f_related_reduce(EULER, [Q * P])
         composed = reduced.images["x1"].substitute({"x1": Q * P})
         assert composed == apply(EULER, Q * P)
 
@@ -290,19 +303,3 @@ class TestExpressInFields:
     def test_unsolvable_within_cap(self):
         sol = express_in_fields(FREE, D_P.fields, 3)
         assert sol is None
-
-
-class TestInvolutivity:
-    def test_rotation_and_dilation_close(self):
-        dilation = PolyDerivation(GENS, {"q": Q, "p": P})
-        dist = Distribution([ROTATION, dilation])
-        rep = dist.involutivity_report(2)
-        assert rep["involutive"]
-
-    def test_non_involutive_pair_detected(self):
-        y1 = PolyDerivation(GENS, {"q": P})          # p d_q
-        y2 = PolyDerivation(GENS, {"p": Poly.one(GENS)})  # d_p
-        # [y1, y2] = -d_q is not in the polynomial span of {p d_q, d_p}
-        dist = Distribution([y1, y2])
-        rep = dist.involutivity_report(2)
-        assert not rep["involutive"]
