@@ -22,11 +22,11 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import linalg
 from .demos import DEMOS, finite_float
 from .derivations import (
+    DEFAULT_NILPOTENCY_CUTOFF,
     NonTruncatingFlow,
     PolyDerivation,
     apply,
@@ -74,7 +74,7 @@ from .reduction import (
     split_dynamics,
 )
 from .report import EXIT_BAD_INPUT, Report
-from .scalars import GaussRational, Scalar, json_int, to_float
+from .scalars import GaussRational, Scalar, json_int, rational, to_float
 
 
 class InputError(ValueError):
@@ -93,16 +93,6 @@ def _load_json_arg(text: str, path: str):
         return json.loads(raw)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON: {e}") from e
-
-
-def _rational(text: str, path: str) -> Fraction:
-    """A rational command-line value such as "3" or "-1/2"."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as e:
-        raise InputError(f"{path}: zero denominator in {text!r}") from e
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
 
 
 def _decode(path: str, fn, *args):
@@ -191,7 +181,7 @@ def _poly_result(r: Poly, theta: str | None) -> dict:
     """The payload of a polynomial result, with `--theta` substituted if given."""
     result = {"poly": r.to_json(), "text": str(r)}
     if theta is not None:
-        result["theta_substituted"] = r.substitute_theta(_rational(theta, "/theta")).to_json()
+        result["theta_substituted"] = r.substitute_theta(rational(theta, "/theta")).to_json()
     return result
 
 
@@ -292,7 +282,7 @@ def cmd_flow(args) -> Report:
     if flow is not None:
         at_zero_ok = flow_at(flow, 0) == f
         if args.t is not None:
-            flow = flow_at(flow, _rational(args.t, "/t"))
+            flow = flow_at(flow, rational(args.t, "/t"))
         return Report(
             {"mode": "nilpotent", "poly": flow.to_json(), "text": str(flow)},
             {"flow at t = 0 returns the observable": at_zero_ok},
@@ -302,7 +292,7 @@ def cmd_flow(args) -> Report:
         raise InputError("/t: linear flow needs a numeric --t")
     if not f.is_theta_free():
         raise InputError("/f: linear flow needs a theta-free observable")
-    t = to_float(_rational(args.t, "/t"), "/t")
+    t = to_float(rational(args.t, "/t"), "/t")
     flow = flow_linear(d, t, f)
     return Report(
         {"mode": "linear", "t": t, "poly_float": _poly_float_json(flow)},
@@ -557,7 +547,7 @@ def _parse_coeff_vector(text: str, dim: int, path: str) -> list[GaussRational]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dim:
         raise InputError(f"{path}: expected {dim} coefficients, got {len(parts)}")
-    return [GaussRational.of(_rational(p, path)) for p in parts]
+    return [GaussRational.of(rational(p, path)) for p in parts]
 
 
 def cmd_contract(args) -> Report:
@@ -650,7 +640,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("auto", "nilpotent", "linear"), default="auto")
 
     add("nilpotency", cmd_nilpotency, "--derivation").add_argument(
-        "--cutoff", type=int, default=16
+        "--cutoff", type=int, default=DEFAULT_NILPOTENCY_CUTOFF
     )
 
     p = add("evolve", cmd_evolve, "--h", "--a")

@@ -30,7 +30,7 @@ from .poisson import PoissonTensor, bracket
 from .poly import GeneratorSet, Poly, check_budget
 from .quantum import InnerDerivation, MatrixSubspace, block_split, invariance_check
 from .report import Report
-from .scalars import Scalar, to_float
+from .scalars import Scalar, rational as read_rational, to_float
 
 # name -> (demo, {parameter: argparse type}).  Each listed parameter is the
 # option --<parameter> of `aldyn demo <name>`, with the parameter's default.
@@ -47,10 +47,7 @@ def _demo(name: str, **options: Callable):
 
 def rational(text: str) -> str:
     """A rational option value such as "3" or "-1/2", checked and kept as typed."""
-    try:
-        Fraction(text)
-    except ZeroDivisionError as e:
-        raise ValueError(f"zero denominator in {text!r}") from e
+    read_rational(text, repr(text))
     return text
 
 
@@ -77,7 +74,7 @@ def demo_free(t: str | None = None, observable: str = "q") -> Report:
             flow_nilpotent(free, q * q) == flow_nilpotent(free, q) * flow_nilpotent(free, q),
         "d/dt at 0 equals the derivation": d_at_0 == apply(free, f),
     }
-    result_poly = flow if t is None else flow_at(flow, Fraction(t))
+    result_poly = flow if t is None else flow_at(flow, read_rational(t, "--t"))
     payload = {
         "nilpotency_order": order,
         "observable": observable,
@@ -99,7 +96,7 @@ def demo_oscillator(t: str | None = None, tol: float = 1e-10) -> Report:
     gens = GeneratorSet.phase_space(1)
     q, p = Poly.generator(gens, "q"), Poly.generator(gens, "p")
     osc = PolyDerivation(gens, {"q": p, "p": -q})
-    t = math.pi / 2 if t is None else to_float(Fraction(t), "--t")
+    t = math.pi / 2 if t is None else to_float(read_rational(t, "--t"), "--t")
     order = nilpotency_order(osc)
     flow_q = flow_linear(osc, t, q)
     flow_p = flow_linear(osc, t, p)
@@ -140,10 +137,12 @@ def demo_oscillator(t: str | None = None, tol: float = 1e-10) -> Report:
     return Report(payload, checks, lines=lines)
 
 
+# Bound on | |u(t)| - 1 | for the float value of the angle-phase flow.
+_MODULUS_TOL = 1e-12
+
+
 @_demo("action-angle", t=rational, action=finite_float, theta0=finite_float)
-def demo_action_angle(
-    t: str | None = None, action: float = 1.0, theta0: float = 0.0, tol: float = 1e-12
-) -> Report:
+def demo_action_angle(t: str | None = None, action: float = 1.0, theta0: float = 0.0) -> Report:
     """Angle-phase flow u(t) = e^{i(tI + theta0)} from its exact eigen-equation."""
     gens = GeneratorSet.action_angle(1)
     u, action_gen = Poly.generator(gens, "u"), Poly.generator(gens, "I")
@@ -151,7 +150,7 @@ def demo_action_angle(
     # d(u) = i I u with d(I) = 0 gives d^k(u) = (i I)^k u, so e^{t d} u = e^{i t I} u.
     eigen = apply(d, u) == (action_gen * u).scale(Scalar.i())
     conserved = apply(d, action_gen).is_zero()
-    t = math.pi if t is None else to_float(Fraction(t), "--t")
+    t = math.pi if t is None else to_float(read_rational(t, "--t"), "--t")
     closed = flow_action_angle([action], [theta0], t)[0]
     mod_err = abs(abs(closed) - 1.0)
     payload = {
@@ -164,7 +163,7 @@ def demo_action_angle(
     checks = {
         "d'(u) = i I u exactly": eigen,
         "d'(I) = 0 exactly": conserved,
-        f"|u(t)| = 1 (err {mod_err:.2e})": mod_err < tol,
+        f"|u(t)| = 1 (err {mod_err:.2e})": mod_err < _MODULUS_TOL,
     }
     lines = [
         f"u(t) = exp(i (t I + theta0)) = {closed.real:.6f} + {closed.imag:.6f} i",
@@ -172,8 +171,12 @@ def demo_action_angle(
     return Report(payload, checks, lines=lines)
 
 
-def _seeded_block_hamiltonian(n: int, k: int, seed: int = 11) -> Mat:
-    rng = random.Random(seed)
+# The block-reduction demo's fixed input: H on C^n with a k x k top block, seeded entries.
+_BLOCK_N, _BLOCK_K, _BLOCK_SEED = 4, 2, 11
+
+
+def _seeded_block_hamiltonian(n: int, k: int) -> Mat:
+    rng = random.Random(_BLOCK_SEED)
 
     def rand_frac():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -189,9 +192,10 @@ def _seeded_block_hamiltonian(n: int, k: int, seed: int = 11) -> Mat:
 
 
 @_demo("block-reduction")
-def demo_block_reduction(n: int = 4, k: int = 2, seed: int = 11) -> Report:
+def demo_block_reduction() -> Report:
     """Quantum block reduction: invariance and the split of ad_H, exactly."""
-    h = _seeded_block_hamiltonian(n, k, seed)
+    n, k = _BLOCK_N, _BLOCK_K
+    h = _seeded_block_hamiltonian(n, k)
     u_space = MatrixSubspace.block_algebra(n, k)
     inv = invariance_check(h, u_space)
     # any single off-diagonal entry must break invariance

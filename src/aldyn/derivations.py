@@ -56,21 +56,15 @@ class PolyDerivation:
     def from_linear_map(gens: GeneratorSet, c: Sequence[Sequence]) -> "PolyDerivation":
         """Degree-zero homogeneous derivation x^a -> c^a_b x^b.
 
-        Rows of c are indexed like the generators; entries may be int,
-        Fraction, GaussRational or Scalar.
+        Rows of c are indexed like the generators; each entry is read by
+        ``Scalar.coerce``.
         """
         n = len(gens)
         images = {}
         for a in range(n):
             img = Poly.zero(gens)
             for b in range(n):
-                entry = c[a][b]
-                if isinstance(entry, Scalar):
-                    coeff = entry
-                elif isinstance(entry, GaussRational):
-                    coeff = Scalar.from_gauss(entry)
-                else:
-                    coeff = Scalar.of(Fraction(entry))
+                coeff = Scalar.coerce(c[a][b])
                 if coeff.is_zero():
                     continue
                 img = img + Poly.generator(gens, gens.names[b]).scale(coeff)

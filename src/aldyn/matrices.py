@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational, fraction_from_str, json_int, json_number
+from .scalars import GR_ONE, GR_ZERO, GaussRational, json_int
 
 _object_new = object.__new__
 
@@ -195,17 +195,9 @@ class Mat:
 
     @staticmethod
     def from_json(data: Mapping) -> "Mat":
-        def part(cell, key: str) -> Fraction:
-            # "p/q" strings are exact; JSON numbers embed as exact dyadics.
-            x = json_number(cell[key], key)
-            return fraction_from_str(x) if isinstance(x, str) else Fraction(float(x))
-
-        m = Mat(
-            [
-                [GaussRational(part(cell, "re"), part(cell, "im")) for cell in row]
-                for row in data["entries"]
-            ]
-        )
+        """{"n": n, "entries": rows of {"re", "im"} cells}; each part is read
+        by ``scalars.rational``."""
+        m = Mat([[GaussRational.from_json(cell) for cell in row] for row in data["entries"]])
         if m.n != json_int(data["n"], "n"):
             raise ValueError("matrix size field does not match the entries")
         return m

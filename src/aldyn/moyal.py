@@ -315,8 +315,7 @@ def wigner_ambiguity_check(ctx: StarAlgebraContext, c: Sequence[Sequence]) -> Wi
     tensor = ctx.poisson_tensor()
     gens = ctx.gens
     n = len(gens)
-    cm = [[GaussRational.coerce(c[a][b]) for b in range(n)] for a in range(n)]
-    delta = PolyDerivation.from_linear_map(gens, cm)
+    delta = PolyDerivation.from_linear_map(gens, c)
     x = [Poly.generator(gens, name) for name in gens.names]
     dx = [apply(delta, xa) for xa in x]
     pairs = list(combinations(range(n), 2))

@@ -15,7 +15,6 @@ monomial coefficients, columns by exponent arithmetic) complete the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -23,7 +22,7 @@ from . import linalg
 from .derivations import PolyDerivation, apply
 from .poly import GeneratorMismatch, GeneratorSet, Poly, check_budget, monomials
 from .poly import coefficient_column, derivation_columns, shifted_columns
-from .scalars import json_int, json_number
+from .scalars import json_int, rational
 
 DEFAULT_INVERSE_DEGREE_CAP = 6
 
@@ -139,13 +138,9 @@ def lie_poisson(c: Sequence[Sequence[Sequence]]) -> PoissonTensor:
     """Linear tensor {x_i, x_j} = c[i][j][k] x_k on the generators x, y, z:
     the dual of the 3d Lie algebra [x_i, x_j] = c[i][j][k] x_k.
 
-    Each c[i][j][k] is a rational: an int, a Fraction, a "p/q" string or a
-    float (its exact binary value); a boolean is refused.  c must be 3x3x3,
+    Each c[i][j][k] is read by ``scalars.rational``.  c must be 3x3x3,
     antisymmetric in (i, j) and satisfy Jacobi, else ValueError."""
-    c = tuple(
-        tuple(tuple(Fraction(json_number(x, "c")) for x in row) for row in plane)
-        for plane in c
-    )
+    c = tuple(tuple(tuple(rational(x, "c") for x in row) for row in plane) for plane in c)
     if len(c) != 3 or any(len(p) != 3 or any(len(r) != 3 for r in p) for p in c):
         raise ValueError("structure constants must be 3x3x3")
     if any(c[i][j][k] != -c[j][i][k] for i in range(3) for j in range(3) for k in range(3)):

@@ -256,11 +256,7 @@ class Poly:
 
     @staticmethod
     def constant(gens: GeneratorSet, c: Scalar | GaussRational | RationalLike) -> "Poly":
-        if isinstance(c, (int, Fraction)):
-            c = Scalar.of(c)
-        elif isinstance(c, GaussRational):
-            c = Scalar.from_gauss(c)
-        return Poly(gens, {(0,) * len(gens): c})
+        return Poly(gens, {(0,) * len(gens): Scalar.coerce(c)})
 
     @staticmethod
     def one(gens: GeneratorSet) -> "Poly":
@@ -342,10 +338,7 @@ class Poly:
         return out
 
     def scale(self, c: Scalar | GaussRational | RationalLike) -> "Poly":
-        if isinstance(c, (int, Fraction)):
-            c = Scalar.of(c)
-        elif isinstance(c, GaussRational):
-            c = Scalar.from_gauss(c)
+        c = Scalar.coerce(c)
         if c.is_zero():
             return _poly(self.gens, {})
         # Q(i)[theta] has no zero divisors, so no product vanishes.

@@ -16,8 +16,10 @@ operations build their results through the trusted constructor
 ``_scalar``, which skips the validation of the public ``__init__``: the
 operands are already valid, and Q(i) is a field, so only sums can cancel.
 
-Both types are treated as immutable; all arithmetic is exact.  A value
-that no finite float can hold leaves for floating point only as the
+Every number from outside (JSON input, an option, a caller's int, float
+or string) becomes a rational through one reader, ``rational``.  Both
+types are treated as immutable; all arithmetic is exact.  A value that no
+finite float can hold leaves for floating point only as the
 ValueError of ``to_float``, which ``GaussRational.to_complex`` raises too.
 """
 
@@ -63,26 +65,22 @@ def json_int(x, where: str) -> int:
     raise ValueError(f"{where}: {x!r} is not an integer")
 
 
-def json_number(x, where: str):
-    """A rational field of JSON input, returned as given for its reader; a
-    boolean, which Python counts as an int, is a ValueError naming `where`."""
-    if isinstance(x, bool):
-        raise ValueError(f"{where}: {x!r} is not a rational")
-    return x
-
-
-def fraction_to_str(x: Fraction) -> str:
-    """Serialize a Fraction as "p" or "p/q"."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    """Parse "p" or "p/q" (also accepts plain ints for convenience)."""
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(str(s))
+def rational(x, where: str) -> Fraction:
+    """The one reader of an outside number as an exact rational: an int
+    (not a bool) exactly, a Fraction as it is, a string by its text ("p/q"
+    or a decimal) and a float by its exact binary value.  Any other value,
+    a non-finite float and a zero denominator are a ValueError naming
+    `where` (an option or a JSON path)."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{where}: zero denominator in {x!r}") from None
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{where}: {x!r} is not a rational")
 
 
 def _new(re_num: int, im_num: int, den: int) -> "GaussRational":
@@ -139,20 +137,16 @@ class GaussRational:
     @staticmethod
     def from_complex(z: complex) -> "GaussRational":
         """Exact embedding of a float complex (floats are dyadic rationals)."""
-        return GaussRational(Fraction(float(z.real)), Fraction(float(z.imag)))
+        return GaussRational(rational(z.real, "re"), rational(z.imag, "im"))
 
     @staticmethod
     def coerce(x) -> "GaussRational":
-        """x itself, or the exact value of an int, Fraction, float or complex."""
-        if isinstance(x, GaussRational):
+        """x itself, the exact value of a complex, or the real ``rational(x)``."""
+        if x.__class__ is GaussRational:
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRational.of(Fraction(x))
         if isinstance(x, complex):
             return GaussRational.from_complex(x)
-        if isinstance(x, float):
-            return GaussRational.of(Fraction(x))
-        raise TypeError(f"cannot interpret entry {x!r}")
+        return GaussRational(rational(x, "entry"))
 
     # -- arithmetic --------------------------------------------------
 
@@ -246,27 +240,25 @@ class GaussRational:
     def __str__(self) -> str:
         re, im = self.re, self.im
         if im == 0:
-            return fraction_to_str(re)
+            return str(re)
         if re == 0:
             if im == 1:
                 return "i"
             if im == -1:
                 return "-i"
-            return f"{fraction_to_str(im)}*i"
+            return f"{im}*i"
         sign = "+" if im > 0 else "-"
-        return f"({fraction_to_str(re)}{sign}{fraction_to_str(abs(im))}*i)"
+        return f"({re}{sign}{abs(im)}*i)"
 
     # -- json --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"re": fraction_to_str(self.re), "im": fraction_to_str(self.im)}
+        return {"re": str(self.re), "im": str(self.im)}
 
     @staticmethod
     def from_json(data: Mapping) -> "GaussRational":
-        return GaussRational(
-            fraction_from_str(json_number(data["re"], "re")),
-            fraction_from_str(json_number(data["im"], "im")),
-        )
+        """{"re": ..., "im": ...}, each part read by ``rational``."""
+        return GaussRational(rational(data["re"], "re"), rational(data["im"], "im"))
 
 
 GR_ZERO = GaussRational()
@@ -310,6 +302,13 @@ class Scalar:
     @staticmethod
     def from_gauss(c: GaussRational, theta_power: int = 0) -> "Scalar":
         return Scalar({theta_power: c})
+
+    @staticmethod
+    def coerce(c) -> "Scalar":
+        """c itself, or the constant of ``GaussRational.coerce(c)``."""
+        if c.__class__ is Scalar:
+            return c
+        return Scalar({0: GaussRational.coerce(c)})
 
     @staticmethod
     def zero() -> "Scalar":

@@ -392,6 +392,15 @@ class TestQuantumCommands:
         assert code == EXIT_OK
         assert payload["result"]["commute"] and payload["result"]["resums"]
 
+    def test_blocksplit_of_an_integer_beyond_the_float_range(self, capsys):
+        """A JSON integer entry is read exactly: diag(10^400, 0) splits into
+        the exact traceless part diag(10^400/2, -10^400/2)."""
+        h = _matrix_cells([[(10**400, 0), (0, 0)], [(0, 0), (0, 0)]])
+        code, payload, err = run_json(capsys, "blocksplit", "--h", h, "--k", "1")
+        assert code == EXIT_OK, err
+        half = 10**400 // 2
+        assert Mat.from_json(payload["result"]["generator_top"]) == Mat.diag([half, -half])
+
     def test_blocksplit_rejects_a_wrong_split(self, capsys, monkeypatch):
         """The re-sum check compares the split with ad_H itself, so a wrong
         bottom block fails it."""
@@ -1226,6 +1235,42 @@ def test_json_booleans_are_not_rationals(capsys, argv, where):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == EXIT_BAD_INPUT and out == ""
     assert where in err and "is not a rational" in err
+
+
+# Spellings of one rational: as an int, a string and a float; a float and
+# the string of its exact binary value; an int beyond 2^53 and its string.
+_SAME_RATIONALS = [
+    (2, "2", 2.0),
+    (0.1, "3602879701896397/36028797018963968"),
+    (9007199254740993, "9007199254740993"),
+]
+_RATIONAL_FIELDS = [
+    (command, option, path)
+    for command in sorted(JSON_ENTRY_POINTS)
+    for option, path in _number_fields(command, {"rational"})[2]
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, path",
+    _RATIONAL_FIELDS,
+    ids=[f"{c}{o}/{'/'.join(map(str, p))}" for c, o, p in _RATIONAL_FIELDS],
+)
+def test_every_rational_field_reads_one_value_the_same_way(command, option, path):
+    """Every rational field of JSON input reads a number by the one rule of
+    `scalars.rational`: the same exit code and byte-identical output for
+    every spelling of the same rational."""
+    argv, docs, _ = _number_fields(command, {"rational"})
+    texts = {opt: json.dumps(d) for opt, d in docs.items()}
+    for spellings in _SAME_RATIONALS:
+        runs = []
+        for value in spellings:
+            texts[option] = _edited(docs[option], path, value)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, *argv, *(a for o, t in texts.items() for a in (o, t)), "--json"])
+            runs.append((code, out.getvalue()))
+        assert all(run == runs[0] for run in runs), spellings
 
 
 class TestDemos:

@@ -347,6 +347,13 @@ class TestMatJson:
         swapped = Mat.from_json({"n": 1, "entries": [[{"re": 0.1, "im": "-2/7"}]]})
         assert swapped.entries[0][0] == GaussRational(Fraction(0.1), Fraction(-2, 7))
 
+    @pytest.mark.parametrize("x", [9007199254740993, 10**400], ids=["2^53+1", "10^400"])
+    def test_integer_entries_are_exact(self, x):
+        """A JSON integer is read exactly, neither rounded to the nearest
+        float nor refused beyond the float range."""
+        m = Mat.from_json({"n": 1, "entries": [[{"re": x, "im": -x}]]})
+        assert m.entries[0][0] == GaussRational(x, -x)
+
     def test_subspace_round_trip(self):
         space = MatrixSubspace.block_algebra(3, 1)
         back = MatrixSubspace.from_json(space.to_json())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aldyn.poly import GeneratorSet, Poly
-from aldyn.scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, Scalar
+from aldyn.scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, Scalar, rational
 
 from conftest import gauss_rationals, scalars
 
@@ -176,6 +176,34 @@ def test_gauss_matches_fraction_pair_oracle(x, y, r, k):
     z = complex(float(x[0]), float(x[1]))
     check_against(GaussRational.from_complex(z), (Fraction(z.real), Fraction(z.imag)))
     assert a.to_complex() == z
+
+
+@pytest.mark.parametrize(
+    "x, value",
+    [
+        (-7, Fraction(-7)),
+        (10**400, Fraction(10**400)),
+        (Fraction(5, 3), Fraction(5, 3)),
+        ("-3/4", Fraction(-3, 4)),
+        ("0.1", Fraction(1, 10)),
+        (0.1, Fraction(3602879701896397, 36028797018963968)),
+    ],
+    ids=["int", "10^400", "fraction", "string-p/q", "string-decimal", "float"],
+)
+def test_rational_reads_exactly(x, value):
+    """Ints, Fractions and strings by their value or text, floats by their
+    exact binary value."""
+    assert rational(x, "here") == value
+
+
+@pytest.mark.parametrize(
+    "x",
+    [True, float("inf"), float("nan"), "1/0", "abc", [1], None],
+    ids=["bool", "inf", "nan", "zero-denominator", "junk-string", "list", "none"],
+)
+def test_rational_refusals_name_where(x):
+    with pytest.raises(ValueError, match="^/some/path: "):
+        rational(x, "/some/path")
 
 
 def test_gauss_constructor_contract():
