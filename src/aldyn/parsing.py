@@ -17,10 +17,8 @@ generators, see ``Poly.__pow__``).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .poly import GeneratorSet, Poly
-from .scalars import Scalar
+from .scalars import Scalar, rational
 
 
 class ParseError(ValueError):
@@ -145,9 +143,9 @@ class _Parser:
         kind, value, pos = self.toks.next()
         if kind == "num":
             try:
-                c = Fraction(value)
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {value!r}", pos) from None
+                c = rational(value, "number")
+            except ValueError as exc:
+                raise ParseError(str(exc), pos) from None
             return Poly.constant(self.gens, Scalar.of(c))
         if kind == "name":
             if value == "i":

@@ -16,8 +16,9 @@ operations build their results through the trusted constructor
 ``_scalar``, which skips the validation of the public ``__init__``: the
 operands are already valid, and Q(i) is a field, so only sums can cancel.
 
-Every number from outside (JSON input, an option, a caller's int, float
-or string) becomes a rational through one reader, ``rational``.  Both
+Every number from outside (a JSON field, an option, a number in an
+inline polynomial, a caller's int or float) becomes a rational through
+one reader, ``rational``.  Both
 types are treated as immutable; all arithmetic is exact.  A value that no
 finite float can hold leaves for floating point only as the
 ValueError of ``to_float``, which ``GaussRational.to_complex`` raises too.
@@ -141,12 +142,18 @@ class GaussRational:
 
     @staticmethod
     def coerce(x) -> "GaussRational":
-        """x itself, the exact value of a complex, or the real ``rational(x)``."""
+        """x itself, or the exact value of an int, Fraction, float (read by
+        ``rational``) or complex.  A string is a TypeError: text is read
+        where it enters, by ``from_json`` or an option's reader."""
         if x.__class__ is GaussRational:
             return x
+        if type(x) is int:
+            return GaussRational(x)
+        if isinstance(x, (int, Fraction, float)):
+            return GaussRational(rational(x, "entry"))
         if isinstance(x, complex):
             return GaussRational.from_complex(x)
-        return GaussRational(rational(x, "entry"))
+        raise TypeError(f"cannot interpret entry {x!r}")
 
     # -- arithmetic --------------------------------------------------
 

@@ -1266,10 +1266,15 @@ def test_every_rational_field_reads_one_value_the_same_way(command, option, path
         runs = []
         for value in spellings:
             texts[option] = _edited(docs[option], path, value)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, *argv, *(a for o, t in texts.items() for a in (o, t)), "--json"])
-            runs.append((code, out.getvalue()))
+            runs.append((code, out.getvalue(), err.getvalue()))
+        # The value was read: the run printed its payload, or refused the
+        # document for what the value means (say, a non-Hermitian matrix).
+        code, stdout, stderr = runs[0]
+        assert stdout or (code == EXIT_BAD_INPUT and stderr), spellings
+        assert "is not a rational" not in stderr, spellings
         assert all(run == runs[0] for run in runs), spellings
 
 

@@ -206,6 +206,19 @@ def test_rational_refusals_name_where(x):
         rational(x, "/some/path")
 
 
+def test_coerce_reads_numbers_and_refuses_text():
+    """Internal coercion reads ints, Fractions, floats and complexes
+    exactly; text is read only at the input boundary."""
+    assert GaussRational.coerce(3) == GaussRational(3)
+    assert GaussRational.coerce(0.5) == GaussRational(Fraction(1, 2))
+    assert GaussRational.coerce(0.5j) == GaussRational(0, Fraction(1, 2))
+    assert Scalar.coerce(Fraction(-2, 3)) == Scalar.of(Fraction(-2, 3))
+    with pytest.raises(TypeError):
+        GaussRational.coerce("1/2")
+    with pytest.raises(TypeError):
+        Scalar.coerce("1/2")
+
+
 def test_gauss_constructor_contract():
     assert GaussRational() == GR_ZERO == GaussRational(0, Fraction(0))
     assert GaussRational(re=Fraction(2, 4), im=3) == GaussRational.of(Fraction(1, 2), 3)
