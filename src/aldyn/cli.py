@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 import time
 
 from . import linalg
-from .demos import DEMOS, finite_float
+from .demos import DEMOS, FLOAT_SAFETY, finite_float, rounding_bound
 from .derivations import (
     DEFAULT_NILPOTENCY_CUTOFF,
     NonTruncatingFlow,
@@ -64,6 +63,7 @@ from .quantum import (
     invariance_check,
 )
 from .reduction import (
+    DEFAULT_ANSATZ_CAP,
     ConnectionP,
     Distribution,
     connection_apply,
@@ -270,15 +270,13 @@ def cmd_starcomm(args) -> Report:
 
 
 def cmd_flow(args) -> Report:
+    """The exact series when it truncates, else the float linear flow."""
     d = _load_derivation(args.derivation)
     f = _parse_expr(args.f, d.gens, "/f")
-    flow = None
-    if args.mode != "linear":
-        try:
-            flow = flow_nilpotent(d, f)
-        except NonTruncatingFlow:
-            if args.mode == "nilpotent":
-                raise
+    try:
+        flow = flow_nilpotent(d, f)
+    except NonTruncatingFlow:
+        flow = None
     if flow is not None:
         at_zero_ok = flow_at(flow, 0) == f
         if args.t is not None:
@@ -316,16 +314,13 @@ def cmd_nilpotency(args) -> Report:
     return Report(payload, lines=[line])
 
 
-_FD_SAFETY = 10.0
-
-
 def _central_difference_bound(h_norm: float, a_norm: float, dt: float) -> float:
     """Error bound of the central difference (a(dt) - a(-dt)) / 2dt of
     a(t) = e^{itH} a e^{-itH}: truncation dt^2/6 |a'''| with
     |a'''| <= (2|H|)^3 |a| (|ad_H| <= 2|H|), plus rounding eps |a| / dt,
-    times a safety factor.  Norms are spectral."""
-    eps = sys.float_info.epsilon
-    return _FD_SAFETY * (dt**2 * (2 * h_norm) ** 3 * a_norm / 6 + eps * a_norm / dt)
+    times the safety factor of every float check.  Norms are spectral."""
+    truncation = FLOAT_SAFETY * dt**2 * (2 * h_norm) ** 3 * a_norm / 6
+    return truncation + rounding_bound(a_norm / dt)
 
 
 def cmd_evolve(args) -> Report:
@@ -344,13 +339,16 @@ def cmd_evolve(args) -> Report:
     fd_bound = _central_difference_bound(
         float(np.linalg.norm(hn, 2)), float(np.linalg.norm(an, 2)), dt
     )
-    norm_err = abs(float(np.linalg.norm(result)) - float(np.linalg.norm(an)))
+    a_frob = float(np.linalg.norm(an))
+    norm_err = abs(float(np.linalg.norm(result)) - a_frob)
+    # e^{itH} is unitary to rounding whatever t is, so the drift is n eps |a|_F.
+    norm_bound = rounding_bound(a.n * a_frob)
     return Report(
         {"matrix": _matrix_float_json(result), "t": t},
         {
             f"finite-difference Heisenberg derivative error {fd_err:.2e} (<= {fd_bound:.2e})":
                 fd_err <= fd_bound,
-            f"Frobenius norm drift {norm_err:.2e} (< tol)": norm_err < args.tol,
+            f"Frobenius norm drift {norm_err:.2e} (<= {norm_bound:.2e})": norm_err <= norm_bound,
         },
         lines=[f"evolved {a.n}x{a.n} observable to t = {t}"],
     )
@@ -423,12 +421,12 @@ def cmd_reduce(args) -> Report:
     data = _load_json_arg(args.input, "/input")
     if not isinstance(data, dict) or not {"dynamics", "distribution"} <= data.keys():
         raise InputError("/input: needs an object with 'dynamics' and 'distribution'")
+    unknown = sorted(data.keys() - {"dynamics", "distribution", "connection"})
+    if unknown:
+        raise InputError(f"/input/{unknown[0]}: unknown key")
     delta = _decode("/input/dynamics", PolyDerivation.from_json, data["dynamics"])
     dist = _load_distribution(data["distribution"], "/input/distribution")
-    cap = _decode(
-        "/input/degree_cap", json_int, data.get("degree_cap", args.degree_cap), "degree_cap"
-    )
-    check_monomial_budget("/input/degree_cap", len(delta.gens), cap)
+    check_monomial_budget("--degree-cap", len(delta.gens), args.degree_cap)
     check_monomial_budget("--ansatz-cap", len(delta.gens), args.ansatz_cap)
     connection = None
     if data.get("connection"):
@@ -438,7 +436,7 @@ def cmd_reduce(args) -> Report:
             data["connection"],
         )
         connection = _decode("/input/connection", ConnectionP, dist, forms)
-    basis = invariant_subalgebra(dist, cap)
+    basis = invariant_subalgebra(dist, args.degree_cap)
     split = split_dynamics(delta, dist, connection, args.ansatz_cap)
     norm = split.normalizer
     payload = {
@@ -447,7 +445,7 @@ def cmd_reduce(args) -> Report:
         "normalizer": norm.status,
     }
     lines = [
-        f"invariant subalgebra basis (degree <= {cap}): "
+        f"invariant subalgebra basis (degree <= {args.degree_cap}): "
         + ", ".join(str(b) for b in basis),
         f"normalizer membership: {norm.status}",
     ]
@@ -621,9 +619,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    # A string default goes through the option's type only when that
-    # subcommand runs, so a malformed value is that subcommand's bad input.
-    default_cap = os.environ.get("ALDYN_DEGREE_CAP", "4")
     theta_help = "rational value substituted for theta"
 
     add("bracket", cmd_bracket, "--tensor", "--f", "--g").add_argument("--theta", help=theta_help)
@@ -637,15 +632,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("flow", cmd_flow, "--f")
     p.add_argument("--derivation", required=True, help="preset name or derivation JSON")
     p.add_argument("--t", default=None)
-    p.add_argument("--mode", choices=("auto", "nilpotent", "linear"), default="auto")
 
     add("nilpotency", cmd_nilpotency, "--derivation").add_argument(
         "--cutoff", type=int, default=DEFAULT_NILPOTENCY_CUTOFF
     )
 
-    p = add("evolve", cmd_evolve, "--h", "--a")
-    p.add_argument("--t", type=finite_float, required=True)
-    p.add_argument("--tol", type=finite_float, default=1e-10)
+    add("evolve", cmd_evolve, "--h", "--a").add_argument("--t", type=finite_float, required=True)
 
     add("commutant", cmd_commutant, "--subspace")
     add("invariance", cmd_invariance, "--h", "--subspace")
@@ -653,15 +645,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add("biderivation", cmd_biderivation).add_argument("--n", type=int, required=True)
 
     p = add("reduce", cmd_reduce, "--input")
-    p.add_argument("--degree-cap", type=int, default=default_cap)
-    p.add_argument("--ansatz-cap", type=int, default=default_cap)
+    p.add_argument("--degree-cap", type=int, default=DEFAULT_ANSATZ_CAP)
+    p.add_argument("--ansatz-cap", type=int, default=DEFAULT_ANSATZ_CAP)
 
     p = add("frelate", cmd_frelate, "--dynamics")
     p.add_argument("--map", required=True, help="semicolon-separated component expressions")
-    p.add_argument("--ansatz-cap", type=int, default=default_cap)
+    p.add_argument("--ansatz-cap", type=int, default=DEFAULT_ANSATZ_CAP)
 
     add("connection", cmd_connection, "--distribution").add_argument(
-        "--degree-cap", type=int, default=default_cap
+        "--degree-cap", type=int, default=DEFAULT_ANSATZ_CAP
     )
     add("dform", cmd_dform, "--form")
     add("wedge", cmd_wedge, "--form1", "--form2")

@@ -145,12 +145,7 @@ def nilpotency_order(
     return None
 
 
-def flow_nilpotent(
-    delta: PolyDerivation,
-    f: Poly,
-    t_name: str = "t",
-    cutoff: int = DEFAULT_NILPOTENCY_CUTOFF,
-) -> Poly:
+def flow_nilpotent(delta: PolyDerivation, f: Poly) -> Poly:
     """Exact e^{t delta} f as a polynomial in the generators and t.
 
     If delta^k = 0 on every generator, then by Leibniz delta^N f = 0 once
@@ -159,10 +154,10 @@ def flow_nilpotent(
     derivation kills every unit, so a negative power of a generator that
     delta moves never truncates.
     """
-    k = nilpotency_order(delta, cutoff)
+    k = nilpotency_order(delta)
     if k is None:
         raise NonTruncatingFlow(
-            f"derivation is not nilpotent on generators within cutoff {cutoff}"
+            f"derivation is not nilpotent on generators within cutoff {DEFAULT_NILPOTENCY_CUTOFF}"
         )
     moved = [i for i, name in enumerate(delta.gens.names) if not delta.images[name].is_zero()]
     if any(exps[i] < 0 for exps in f.terms for i in moved):
@@ -170,13 +165,12 @@ def flow_nilpotent(
             "a negative power of a generator the derivation moves never truncates"
         )
     degree = max((sum(e for e in exps if e > 0) for exps in f.terms), default=0)
-    return flow_series_truncated(delta, f, (k - 1) * degree, t_name)[0]
+    return flow_series_truncated(delta, f, (k - 1) * degree)[0]
 
 
-def flow_series_truncated(
-    delta: PolyDerivation, f: Poly, order: int, t_name: str = "t"
-) -> tuple[Poly, bool]:
-    """Partial sum of the exponential series up to t**order.
+def flow_series_truncated(delta: PolyDerivation, f: Poly, order: int) -> tuple[Poly, bool]:
+    """Partial sum of the exponential series up to t**order, in the
+    generators of delta and one more, t.
 
     For derivations outside the guaranteed-truncation class this is the
     honest offering: the caller names the order and the second return value
@@ -196,7 +190,8 @@ def flow_series_truncated(
         terms.update((exps + (k,), c.scale(inv)) for exps, c in term.terms.items())
         term = apply(delta, term)
         factorial *= k + 1
-    return Poly(delta.gens.extended(t_name), terms), term.is_zero()
+    gens = GeneratorSet(delta.gens.names + ("t",), delta.gens.kinds + ("plain",))
+    return Poly(gens, terms), term.is_zero()
 
 
 def flow_at(flow: Poly, t: RationalLike) -> Poly:
@@ -232,7 +227,10 @@ def linear_coefficient_matrix(delta: PolyDerivation) -> np.ndarray:
     return c
 
 
-def _expm(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+_EXPM_TOL = 1e-12  # eigen-residual (relative) and last Taylor term of _expm
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by eigendecomposition, series fallback; a
     ValueError naming --t when m = t c or e^m is not a finite float matrix."""
     import numpy as np
@@ -245,7 +243,7 @@ def _expm(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         try:
             w, v = np.linalg.eig(m)
             vi = np.linalg.inv(v)
-            if np.linalg.norm(v @ np.diag(w) @ vi - m) <= tol * max(1.0, np.linalg.norm(m)):
+            if np.linalg.norm(v @ np.diag(w) @ vi - m) <= _EXPM_TOL * max(1.0, np.linalg.norm(m)):
                 out = (v * np.exp(w)) @ vi
         except np.linalg.LinAlgError:
             pass
@@ -258,7 +256,7 @@ def _expm(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
             for k in range(1, 40):
                 term = term @ a / k
                 out = out + term
-                if np.linalg.norm(term, ord=np.inf) < tol:
+                if np.linalg.norm(term, ord=np.inf) < _EXPM_TOL:
                     break
             for _ in range(s):
                 out = out @ out

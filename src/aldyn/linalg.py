@@ -71,9 +71,6 @@ class SparseEliminator:
             inv = GR_ONE / row[lead]
             self.pivot_rows[lead] = {c: v * inv for c, v in row.items()}
 
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
     def _back_substitute(self) -> None:
         """Clear every pivot column from the other pivot rows (full RREF).
         In descending order, clearing column L adds only columns above L

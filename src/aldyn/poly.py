@@ -109,12 +109,6 @@ class GeneratorSet:
     def __repr__(self) -> str:
         return f"GeneratorSet({list(self.names)})"
 
-    def extended(self, name: str, kind: str = "plain") -> "GeneratorSet":
-        """A new set with one extra generator appended (used for flow time)."""
-        if name in self:
-            raise ValueError(f"generator {name!r} already present")
-        return GeneratorSet(self.names + (name,), self.kinds + (kind,))
-
     def to_json(self) -> list:
         return [{"name": n, "kind": k} for n, k in zip(self.names, self.kinds)]
 

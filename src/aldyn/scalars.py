@@ -26,6 +26,8 @@ ValueError of ``to_float``, which ``GaussRational.to_complex`` raises too.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd as _gcd, isfinite as _isfinite, lcm as _lcm
 from typing import Mapping, Union
@@ -66,14 +68,24 @@ def json_int(x, where: str) -> int:
     raise ValueError(f"{where}: {x!r} is not an integer")
 
 
+# The exponent of a decimal string, as Fraction reads it.  Fraction builds
+# 10^|e| first, which takes seconds for "1e-10000000".
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def rational(x, where: str) -> Fraction:
     """The one reader of an outside number as an exact rational: an int
     (not a bool) exactly, a Fraction as it is, a string by its text ("p/q"
     or a decimal) and a float by its exact binary value.  Any other value,
-    a non-finite float and a zero denominator are a ValueError naming
-    `where` (an option or a JSON path)."""
+    a non-finite float, a zero denominator and a decimal exponent beyond
+    ``sys.get_int_max_str_digits()`` are a ValueError naming `where` (an
+    option or a JSON path)."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and (m := _EXPONENT.search(x)):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if len(m[1]) > limit or abs(int(m[1])) > limit:
+            raise ValueError(f"{where}: the exponent of {x!r} exceeds {limit}")
     if isinstance(x, (int, float, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)

@@ -186,9 +186,11 @@ def test_gauss_matches_fraction_pair_oracle(x, y, r, k):
         (Fraction(5, 3), Fraction(5, 3)),
         ("-3/4", Fraction(-3, 4)),
         ("0.1", Fraction(1, 10)),
+        ("1e-4300", Fraction(1, 10**4300)),
         (0.1, Fraction(3602879701896397, 36028797018963968)),
     ],
-    ids=["int", "10^400", "fraction", "string-p/q", "string-decimal", "float"],
+    ids=["int", "10^400", "fraction", "string-p/q", "string-decimal", "exponent-at-the-limit",
+         "float"],
 )
 def test_rational_reads_exactly(x, value):
     """Ints, Fractions and strings by their value or text, floats by their
@@ -198,8 +200,9 @@ def test_rational_reads_exactly(x, value):
 
 @pytest.mark.parametrize(
     "x",
-    [True, float("inf"), float("nan"), "1/0", "abc", [1], None],
-    ids=["bool", "inf", "nan", "zero-denominator", "junk-string", "list", "none"],
+    [True, float("inf"), float("nan"), "1/0", "abc", [1], None, "1E+4301", "1e-10000000"],
+    ids=["bool", "inf", "nan", "zero-denominator", "junk-string", "list", "none",
+         "exponent-beyond-the-limit", "exponent-of-ten-million"],
 )
 def test_rational_refusals_name_where(x):
     with pytest.raises(ValueError, match="^/some/path: "):
