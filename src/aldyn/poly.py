@@ -41,7 +41,7 @@ class GeneratorSet:
     def __init__(self, names: Sequence[str], kinds: Sequence[str] | None = None):
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise ValueError("generator names must be distinct")
+            raise ValueError(f"generator names must be distinct: {list(names)}")
         if kinds is None:
             kinds = ("plain",) * len(names)
         kinds = tuple(kinds)

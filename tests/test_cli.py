@@ -1130,7 +1130,7 @@ _MAIN_UNDER_ULIMIT = (
 )
 
 
-@pytest.mark.parametrize("size", [1000000, 1e308], ids=["1000000", "1e308"])
+@pytest.mark.parametrize("size", [1000000, 1e308], ids=["tensor-dim-1000000", "tensor-dim-1e308"])
 def test_sizes_beyond_the_budget_are_bad_input(size):
     """A tensor dim whose dim^2 components exceed `poly.MAX_UNKNOWNS` is
     refused before anything is built: exit 2 naming the field, no
