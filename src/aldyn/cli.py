@@ -93,6 +93,8 @@ def _load_json_arg(text: str, path: str):
         return json.loads(raw)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON: {e}") from e
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
 
 
 def _decode(path: str, fn, *args):
@@ -328,6 +330,8 @@ def cmd_evolve(args) -> Report:
 
     h = _decode("/h", Mat.from_json, _load_json_arg(args.h, "/h"))
     a = _decode("/a", Mat.from_json, _load_json_arg(args.a, "/a"))
+    if a.n != h.n:
+        raise InputError(f"/a: a {a.n}x{a.n} matrix, /h is {h.n}x{h.n}")
     hn, an = h.to_numpy("/h"), a.to_numpy("/a")
     t = args.t
     result = evolve(a, h, t)
@@ -374,6 +378,8 @@ def cmd_invariance(args) -> Report:
     space = _decode(
         "/subspace", MatrixSubspace.from_json, _load_json_arg(args.subspace, "/subspace")
     )
+    if h.n != space.n:
+        raise InputError(f"/h: a {h.n}x{h.n} matrix, /subspace holds {space.n}x{space.n} ones")
     rep = invariance_check(h, space)
     checks = {"ad_H preserves the subspace": rep.ok}
     if rep.ok:
@@ -406,7 +412,7 @@ def cmd_blocksplit(args) -> Report:
 def cmd_biderivation(args) -> Report:
     sols = biderivation_solver(args.n)
     cvec = commutator_bracket_vector(args.n)
-    in_span = len(sols) == 1 and linalg.Span([sols[0], cvec]).dim == 1
+    in_span = len(sols) == 1 and linalg.solve_columns(sols, [cvec]) != [None]
     return Report(
         {"n": args.n, "dimension": len(sols), "spanned_by_commutator": in_span},
         notes=[f"solution space dimension {len(sols)}"],

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Sequence
 
-from .linalg import Span, solve_columns
+from .linalg import solve_columns
 from .matrices import Mat, _mat
 from .poly import check_budget
-from .quantum import commutator, commutator_columns
+from .quantum import _vectors, commutator, commutator_columns
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, _norm, json_int
 
 
@@ -70,7 +70,7 @@ class DerivationBasis:
     condition stays non-degenerate.
     """
 
-    __slots__ = ("n", "generators", "_span", "structure", "_den", "_gen_terms", "_d_alpha")
+    __slots__ = ("n", "generators", "structure", "_den", "_gen_terms", "_d_alpha")
 
     def __init__(self, generators: Sequence[Mat]):
         generators = list(generators)
@@ -84,12 +84,10 @@ class DerivationBasis:
                 raise ValueError("mixed matrix sizes")
             if not g.trace().is_zero():
                 raise ValueError("basis generators must be traceless")
-        span = Span([g.flatten() for g in generators])
-        if span.dim != len(generators):
+        if solve_columns(_vectors(generators), None):
             raise ValueError("basis generators must be linearly independent")
         self.n = n
         self.generators = generators
-        self._span = span
         self.structure = self._structure_constants()
         # (l, k, g) for each nonzero entry g = X_j[l][k], per generator j, and
         # d(alpha^m) as its terms (a, b, -c^m_ab), a < b, of alpha^a ^ alpha^b
@@ -133,21 +131,19 @@ class DerivationBasis:
 
         Since X(A) = [A, X_matrix], the operator bracket corresponds to the
         reversed matrix commutator: [X_k, X_l] = ad-style derivation of
-        [M_l, M_k].  Only k < l is solved for; (l, k) is the exact negative,
-        as [M_k, M_l] = -[M_l, M_k].
+        [M_l, M_k].  Only k < l is solved for, all pairs in one solve;
+        (l, k) is the exact negative, as [M_k, M_l] = -[M_l, M_k].
         """
+        gens = self.generators
+        pairs = [(k, l) for k in range(self.dim) for l in range(k + 1, self.dim)]
+        # a commutator is traceless: its coordinates need no projection
+        brackets = _vectors([commutator(gens[l], gens[k]) for k, l in pairs])
         structure: dict[tuple[int, int], list[tuple[int, GaussRational]]] = {}
-        for k in range(self.dim):
-            for l in range(k + 1, self.dim):
-                # a commutator is traceless: its coordinates need no projection
-                m = commutator(self.generators[l], self.generators[k])
-                coords = self._span.coordinates(m.flatten())
-                entry = [
-                    (j, c) for j, c in enumerate(coords) if not c.is_zero()
-                ]
-                if entry:
-                    structure[(k, l)] = entry
-                    structure[(l, k)] = [(j, -c) for j, c in entry]
+        for (k, l), coords in zip(pairs, solve_columns(_vectors(gens), brackets)):
+            entry = [(j, c) for j, c in enumerate(coords) if not c.is_zero()]
+            if entry:
+                structure[(k, l)] = entry
+                structure[(l, k)] = [(j, -c) for j, c in entry]
         return structure
 
 
@@ -433,5 +429,5 @@ def exactness_obstruction(basis: DerivationBasis, j: int) -> ExactnessReport:
         raise ValueError("index out of range")
     # Unknown A (n^2 entries); equations [A, X_k] = delta^j_k * identity.
     target = {(j, r, r): GR_ONE for r in range(n)}
-    sol = solve_columns(commutator_columns(basis.generators), target)
+    [sol] = solve_columns(commutator_columns(basis.generators), [target])
     return ExactnessReport(solvable=sol is not None)

@@ -5,11 +5,12 @@ One elimination algorithm, `SparseEliminator`: rows arrive as
 pivoting on the smallest column; `add_row` keeps the residual as a new
 pivot row.  Back-substitution, indexed by column, gives the reduced
 row-echelon form, unique for a fixed column order, so solutions and kernel
-bases do not depend on the order the rows came in.  Two front ends:
+bases do not depend on the order the rows came in.
 
-  solve_columns  one unknown per sparse column, for the ansatz solvers
-  Span           a spanning set eliminated once, answering dim, contains
-                 and coordinates for any number of vectors
+One front end, `solve_columns`: one unknown per sparse column, any number
+of targets answered by one elimination, or the kernel when there are none.
+Every linear question goes through it except the biderivation system,
+which feeds the eliminator its rows one equation at a time.
 
 No tolerances anywhere: rank decisions are exact.
 """
@@ -22,7 +23,6 @@ from .scalars import GR_ONE, GR_ZERO, GaussRational
 
 Row = list[GaussRational]
 SparseRow = dict[int, GaussRational]
-Vector = Mapping[Hashable, GaussRational] | Sequence[GaussRational]
 
 
 def _subtract(row: dict, f: GaussRational, pivot: Mapping) -> None:
@@ -40,10 +40,11 @@ class SparseEliminator:
 
     Rows arrive as {column: coefficient} dicts; each is reduced against the
     pivot rows seen so far and kept (normalized) if independent.  For an
-    inhomogeneous system the right-hand side goes in column `ncols`: pivots
-    are taken at the smallest column, so a pivot there means the system is
+    inhomogeneous system target t goes in column `ncols + t`: pivots are
+    taken at the smallest column, so a pivot row whose lead is `>= ncols`
+    reads 0 = a combination of targets, and every target it holds is
     inconsistent.  After all rows are in, `kernel_basis` gives the
-    nullspace and `solve` one solution.
+    nullspace and `solve` one solution per target.
     """
 
     def __init__(self, ncols: int):
@@ -102,105 +103,49 @@ class SparseEliminator:
             basis.append(vec)
         return basis
 
-    def solve(self) -> SparseRow | None:
-        """One solution of the rows read as [A | b] with b in column
-        `ncols`, free variables at 0; None when the system is inconsistent."""
-        if self.ncols in self.pivot_rows:
-            return None
+    def solve(self, ntargets: int) -> list[SparseRow | None]:
+        """One solution per target of the rows read as [A | B], target t in
+        column `ncols + t`, free variables at 0; None for a target that is
+        inconsistent."""
+        ncols = self.ncols
         self._back_substitute()
-        return {
-            lead: row[self.ncols]
-            for lead, row in self.pivot_rows.items()
-            if self.ncols in row
-        }
+        rows = self.pivot_rows
+        inconsistent = {c for lead, row in rows.items() if lead >= ncols for c in row}
+        sols = [None if ncols + t in inconsistent else {} for t in range(ntargets)]
+        for lead, row in rows.items():
+            if lead < ncols:
+                for c, v in row.items():
+                    if c >= ncols and (sol := sols[c - ncols]) is not None:
+                        sol[lead] = v
+        return sols
 
 
 def _dense(vec: Mapping[int, GaussRational], ncols: int) -> Row:
     return [vec.get(c, GR_ZERO) for c in range(ncols)]
 
 
-def _nonzero(v: Vector) -> dict[Hashable, GaussRational]:
-    items = v.items() if isinstance(v, Mapping) else enumerate(v)
-    return {k: x for k, x in items if not x.is_zero()}
-
-
-class Span:
-    """span(w_0, ..., w_{m-1}) over Q(i), eliminated once.
-
-    A vector is a sequence of entries or a sparse {key: entry} mapping;
-    zero and dependent vectors are allowed.  Each w_j is stored as the row
-    [w_j | e_j]: its entries in one column per key that occurs (ncols of
-    them), a tag 1 in column ncols + j.  Every row the eliminator holds is then a combination of
-    these, with entry part sum_j tag_j w_j.  Reducing [v | 0] leaves a
-    residual r with entry part v + sum_j r_tag_j w_j; as pivots are taken
-    at the smallest column, v is in the span exactly when no entry column
-    is left in r, and then -r_tag are coordinates of v.
-    """
-
-    def __init__(self, vectors: Sequence[Vector]):
-        entries = [_nonzero(w) for w in vectors]
-        self._cols: dict[Hashable, int] = {}
-        for e in entries:
-            for key in e:
-                self._cols.setdefault(key, len(self._cols))
-        ncols = self._ncols = len(self._cols)
-        self._size = len(entries)
-        self._elim = SparseEliminator(ncols + self._size)
-        for j, e in enumerate(entries):
-            row = {self._cols[k]: x for k, x in e.items()}
-            row[ncols + j] = GR_ONE
-            self._elim.add_row(row)
-        self.dim = sum(1 for lead in self._elim.pivot_rows if lead < ncols)
-
-    def _tags(self, v: Vector) -> SparseRow | None:
-        """The tag part of the residual of [v | 0], or None when v is not
-        in the span."""
-        row = {}
-        for key, x in _nonzero(v).items():
-            c = self._cols.get(key)
-            if c is None:  # no spanning vector has an entry there
-                return None
-            row[c] = x
-        residual = self._elim.reduce(row)
-        if residual and min(residual) < self._ncols:
-            return None
-        return residual
-
-    def contains(self, v: Vector) -> bool:
-        return self._tags(v) is not None
-
-    def coordinates(self, v: Vector) -> Row | None:
-        """Coefficients x with sum_j x_j w_j = v, or None if v is not in
-        the span; unique when the spanning vectors are independent."""
-        tags = self._tags(v)
-        if tags is None:
-            return None
-        return [-tags.get(self._ncols + j, GR_ZERO) for j in range(self._size)]
-
-
 def solve_columns(
     columns: Sequence[Mapping[Hashable, GaussRational]],
-    target: Mapping[Hashable, GaussRational] | None,
-) -> Row | list[Row] | None:
-    """Exact solve of sum_j x_j columns[j] = target.
+    targets: Sequence[Mapping[Hashable, GaussRational]] | None,
+) -> list[Row | None]:
+    """Exact solve of sum_j x_j columns[j] = targets[t], every t in one
+    elimination.
 
-    Each unknown is a sparse column {equation_key: coefficient}; the
-    solvers key equations by (component, exps).  With a target, returns one
-    solution (free unknowns at 0) or None when there is none; with target
-    None, returns a basis of the kernel, one vector per free unknown with a
-    1 there.
+    Each unknown and each target is a sparse column {equation_key:
+    coefficient}; the solvers key equations by (component, exps), matrices
+    by entry index.  Returns one solution per target, free unknowns at 0
+    (the same as solving for that target alone), or None where the target
+    is not in the span of the columns.  With targets None, returns a basis
+    of the kernel, one vector per free unknown with a 1 there.
     """
     ncols = len(columns)
     rows: dict[Hashable, SparseRow] = {}
-    for j, col in enumerate(columns):
+    for j, col in enumerate([*columns, *(targets or ())]):
         for key, v in col.items():
             rows.setdefault(key, {})[j] = v
-    for key, v in (target or {}).items():
-        rows.setdefault(key, {})[ncols] = v
     elim = SparseEliminator(ncols)
     for row in rows.values():
         elim.add_row(row)
-    if target is None:
+    if targets is None:
         return [_dense(v, ncols) for v in elim.kernel_basis()]
-    sol = elim.solve()
-    return None if sol is None else _dense(sol, ncols)
+    return [None if s is None else _dense(s, ncols) for s in elim.solve(len(targets))]

@@ -167,5 +167,10 @@ class _Parser:
 
 
 def parse_poly(text: str, gens: GeneratorSet) -> Poly:
-    """Parse an inline expression into a Poly over the given generators."""
-    return _Parser(text, gens).parse()
+    """Parse an inline expression into a Poly over the given generators;
+    nesting beyond the interpreter's recursion limit is a ParseError."""
+    parser = _Parser(text, gens)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.toks.peek()[2]) from None

@@ -211,7 +211,7 @@ def find_hamiltonian(
         raise ValueError("inverse search requires theta-free dynamics")
     # Unknown j is the coefficient of basis[j]; its column holds Y_a(x^m).
     basis = monomials(len(gens), degree_cap)
-    sol = linalg.solve_columns(derivation_columns(fields, basis), coefficient_column(images))
+    [sol] = linalg.solve_columns(derivation_columns(fields, basis), [coefficient_column(images)])
     if sol is None:
         return None
     return Poly.from_coefficients(gens, basis, sol)
@@ -239,7 +239,7 @@ def find_poisson_tensor(
         comps[a], comps[b] = h.partial(gens.names[b]), -h.partial(gens.names[a])
         columns += shifted_columns(comps, basis)
     target = coefficient_column([delta.images[name] for name in gens.names])
-    sol = linalg.solve_columns(columns, target)
+    [sol] = linalg.solve_columns(columns, [target])
     if sol is None:
         return None
     nb = len(basis)

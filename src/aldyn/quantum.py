@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import SparseEliminator, Span, solve_columns
+from .linalg import SparseEliminator, solve_columns
 from .matrices import Mat, full_matrix_basis
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, to_float
 
@@ -50,11 +50,17 @@ def evolve(a: Mat, h: Mat, t: float) -> np.ndarray:
     return u @ a.to_numpy() @ u.conj().T
 
 
-class MatrixSubspace:
-    """A linear subspace of Mat_n with a verified independent basis, whose
-    flattened basis is eliminated once for every membership question."""
+def _vectors(mats: Sequence[Mat]) -> list[dict[int, GaussRational]]:
+    """Each matrix as a column keyed by its row-major entry index."""
+    return [dict(enumerate(m.flatten())) for m in mats]
 
-    __slots__ = ("n", "basis", "_span")
+
+class MatrixSubspace:
+    """A linear subspace of Mat_n with a verified independent basis; each
+    question about it is one exact solve for all the matrices it asks
+    about."""
+
+    __slots__ = ("n", "basis")
 
     def __init__(self, basis: Sequence[Mat]):
         basis = list(basis)
@@ -63,32 +69,34 @@ class MatrixSubspace:
         n = basis[0].n
         if any(b.n != n for b in basis):
             raise ValueError("mixed matrix sizes")
-        span = Span([b.flatten() for b in basis])
-        if span.dim != len(basis):
+        if solve_columns(_vectors(basis), None):
             raise ValueError("basis matrices are linearly dependent")
         self.n = n
         self.basis = basis
-        self._span = span
 
     def dimension(self) -> int:
         return len(self.basis)
 
+    def contains_each(self, mats: Sequence[Mat]) -> list[bool]:
+        """Membership of every matrix in mats, decided in one elimination."""
+        return [x is not None for x in solve_columns(_vectors(self.basis), _vectors(mats))]
+
     def contains(self, m: Mat) -> bool:
-        return self._span.contains(m.flatten())
+        return self.contains_each([m])[0]
 
     def is_product_closed(self) -> bool:
-        return all(self.contains(x @ y) for x in self.basis for y in self.basis)
+        return all(self.contains_each([x @ y for x in self.basis for y in self.basis]))
 
     def is_commutator_closed(self) -> bool:
         return all(
-            self.contains(commutator(x, y)) for x in self.basis for y in self.basis
+            self.contains_each([commutator(x, y) for x in self.basis for y in self.basis])
         )
 
     def span_equals(self, other: "MatrixSubspace") -> bool:
         return (
             self.n == other.n
             and self.dimension() == other.dimension()
-            and all(self.contains(b) for b in other.basis)
+            and all(self.contains_each(other.basis))
         )
 
     @staticmethod
@@ -149,9 +157,10 @@ class InvarianceReport:
 
 def invariance_check(h: Mat, space: MatrixSubspace) -> InvarianceReport:
     """Does ad_H map the subspace into itself?  Exact membership of [b, H]
-    per basis b."""
-    for b in space.basis:
-        if not space.contains(commutator(b, h)):
+    for every basis b, in one solve; the first b outside is the witness."""
+    images = space.contains_each([commutator(b, h) for b in space.basis])
+    for b, inside in zip(space.basis, images):
+        if not inside:
             return InvarianceReport(False, b)
     return InvarianceReport(True)
 

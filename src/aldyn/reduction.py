@@ -77,26 +77,30 @@ def invariant_subalgebra(
 
 
 def express_in_fields(
-    target: PolyDerivation,
+    targets: Sequence[PolyDerivation],
     fields: Sequence[PolyDerivation],
     ansatz_cap: int,
-) -> list[Poly] | None:
-    """Polynomial coefficients h^k (degree <= cap) with target = h^k Y_k."""
-    gens = target.gens
-    _require_theta_free(*target.images.values())
+) -> list[list[Poly] | None]:
+    """For each target, polynomial coefficients h^k (degree <= cap) with
+    target = h^k Y_k, or None; every target in one solve."""
+    gens = targets[0].gens
+    _require_theta_free(*(img for t in targets for img in t.images.values()))
     monos = monomials(len(gens), ansatz_cap)
     # Unknown (k, m) is the coefficient of m in h^k; its column is m Y_k.
     columns = []
     for y in fields:
         columns += shifted_columns([y.images[name] for name in gens.names], monos)
-    target_column = coefficient_column([target.images[name] for name in gens.names])
-    sol = linalg.solve_columns(columns, target_column)
-    if sol is None:
-        return None
+    sols = linalg.solve_columns(
+        columns,
+        [coefficient_column([t.images[name] for name in gens.names]) for t in targets],
+    )
     nm = len(monos)
     return [
-        Poly.from_coefficients(gens, monos, sol[k * nm : (k + 1) * nm])
-        for k in range(len(fields))
+        None if sol is None else [
+            Poly.from_coefficients(gens, monos, sol[k * nm : (k + 1) * nm])
+            for k in range(len(fields))
+        ]
+        for sol in sols
     ]
 
 
@@ -123,7 +127,9 @@ def _sample_points(gens: GeneratorSet) -> list[dict[str, GaussRational]]:
 
 
 def _value_vector(delta: PolyDerivation, point: Mapping[str, GaussRational]):
-    return [delta.images[n].evaluate_exact(point) for n in delta.gens.names]
+    return {
+        a: delta.images[n].evaluate_exact(point) for a, n in enumerate(delta.gens.names)
+    }
 
 
 @dataclass
@@ -146,26 +152,24 @@ def normalizer_check(
     """
     if delta.gens != dist.gens:
         raise GeneratorMismatch("dynamics over a different generator set")
-    coeffs = []
-    for j, y in enumerate(dist.fields):
-        b = commutator_der(delta, y)
-        sol = express_in_fields(b, dist.fields, ansatz_cap)
-        if sol is not None:
-            coeffs.append(sol)
-            continue
-        # Ansatz failed: look for a pointwise certificate.
-        for point in _sample_points(dist.gens):
-            values = linalg.Span([_value_vector(f, point) for f in dist.fields])
-            if not values.contains(_value_vector(b, point)):
-                return NormalizerReport(
-                    "non-member",
-                    witness={
-                        "field_index": j,
-                        "point": {k: str(v) for k, v in point.items()},
-                    },
-                )
-        return NormalizerReport("inconclusive")
-    return NormalizerReport("member", coefficients=coeffs)
+    brackets = [commutator_der(delta, y) for y in dist.fields]
+    coeffs = express_in_fields(brackets, dist.fields, ansatz_cap)
+    if None not in coeffs:
+        return NormalizerReport("member", coefficients=coeffs)
+    # Ansatz failed: look for a pointwise certificate.
+    j = coeffs.index(None)
+    for point in _sample_points(dist.gens):
+        values = [_value_vector(f, point) for f in dist.fields]
+        [inside] = linalg.solve_columns(values, [_value_vector(brackets[j], point)])
+        if inside is None:
+            return NormalizerReport(
+                "non-member",
+                witness={
+                    "field_index": j,
+                    "point": {k: str(v) for k, v in point.items()},
+                },
+            )
+    return NormalizerReport("inconclusive")
 
 
 def f_related_reduce(
@@ -197,13 +201,18 @@ def f_related_reduce(
         j = next(j for j, e in enumerate(m) if e)
         composed[m] = composed[m[:j] + (m[j] - 1,) + m[j + 1 :]] * components[j]
     columns = [coefficient_column([p]) for p in composed.values()]
-    images = {}
-    for i, fc in enumerate(components):
-        sol = linalg.solve_columns(columns, coefficient_column([apply(delta, fc)]))
-        if sol is None:
-            return None
-        images[target.names[i]] = Poly.from_coefficients(target, monos, sol)
-    return PolyDerivation(target, images)
+    sols = linalg.solve_columns(
+        columns, [coefficient_column([apply(delta, fc)]) for fc in components]
+    )
+    if None in sols:
+        return None
+    return PolyDerivation(
+        target,
+        {
+            name: Poly.from_coefficients(target, monos, sol)
+            for name, sol in zip(target.names, sols)
+        },
+    )
 
 
 class ConnectionP:
@@ -260,7 +269,7 @@ def find_connection(
     """Polynomial 1-forms dual to the spanning fields, or None.
 
     Solves i_{Y_j} alpha^k = delta^k_j with polynomial components of
-    degree <= cap, one exact linear system per form.
+    degree <= cap, every form in one exact solve.
     """
     gens = dist.gens
     monos = monomials(len(gens), degree_cap)
@@ -270,18 +279,17 @@ def find_connection(
     for name in gens.names:
         columns += shifted_columns([y.images[name] for y in dist.fields], monos)
     zero_exps = (0,) * len(gens)
+    sols = linalg.solve_columns(columns, [{(k, zero_exps): GR_ONE} for k in range(dist.rank)])
+    if None in sols:
+        return None
     nm = len(monos)
-    forms = []
-    for k in range(dist.rank):
-        sol = linalg.solve_columns(columns, {(k, zero_exps): GR_ONE})
-        if sol is None:
-            return None
-        forms.append(
-            {
-                name: Poly.from_coefficients(gens, monos, sol[a * nm : (a + 1) * nm])
-                for a, name in enumerate(gens.names)
-            }
-        )
+    forms = [
+        {
+            name: Poly.from_coefficients(gens, monos, sol[a * nm : (a + 1) * nm])
+            for a, name in enumerate(gens.names)
+        }
+        for sol in sols
+    ]
     return ConnectionP(dist, forms)
 
 
@@ -341,7 +349,7 @@ def split_dynamics(
             note="normalizer membership not certified within the ansatz cap",
         )
     if connection is None:
-        membership = express_in_fields(delta, dist.fields, ansatz_cap)
+        [membership] = express_in_fields([delta], dist.fields, ansatz_cap)
         if membership is not None:
             zero = PolyDerivation(delta.gens, {})
             return SplitResult(

@@ -96,6 +96,25 @@ def rational(x, where: str) -> Fraction:
     raise ValueError(f"{where}: {x!r} is not a rational")
 
 
+def _digits(n: int) -> str:
+    """str(n) at any size.  Halves of a number beyond 600 digits are
+    written apart, so the text does not depend on
+    ``sys.get_int_max_str_digits()`` (which is 0 or at least 640)."""
+    if n < 0:
+        return "-" + _digits(-n)
+    if n.bit_length() <= 1993:  # n < 2^1993 < 10^600
+        return str(n)
+    k = n.bit_length() * 3 // 20  # under half the digits, so hi > 0
+    hi, lo = divmod(n, 10**k)
+    return _digits(hi) + _digits(lo).zfill(k)
+
+
+def _text(x: Fraction) -> str:
+    """str(x), "p" or "p/q", at any size."""
+    num = _digits(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
+
+
 def _new(re_num: int, im_num: int, den: int) -> "GaussRational":
     """A GaussRational from a triple that is already normalised."""
     x = _object_new(GaussRational)
@@ -259,20 +278,20 @@ class GaussRational:
     def __str__(self) -> str:
         re, im = self.re, self.im
         if im == 0:
-            return str(re)
+            return _text(re)
         if re == 0:
             if im == 1:
                 return "i"
             if im == -1:
                 return "-i"
-            return f"{im}*i"
+            return f"{_text(im)}*i"
         sign = "+" if im > 0 else "-"
-        return f"({re}{sign}{abs(im)}*i)"
+        return f"({_text(re)}{sign}{_text(abs(im))}*i)"
 
     # -- json --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"re": str(self.re), "im": str(self.im)}
+        return {"re": _text(self.re), "im": _text(self.im)}
 
     @staticmethod
     def from_json(data: Mapping) -> "GaussRational":

@@ -26,6 +26,7 @@ LIBRARY_API = {
     "diffcalc.KForm.from_matrix",  # a degree-0 form from an algebra element
     "diffcalc.KForm.evaluate",  # w(X_1, ..., X_k)
     "quantum.MatrixSubspace.span_equals",  # criterion 08 compares commutants by span
+    "quantum.MatrixSubspace.contains",  # criterion 08's double-commutant containment
     "poisson.find_hamiltonian",  # the inverse searches that perfbench drives
     "poisson.find_poisson_tensor",
     "reduction.NormalizerReport.coefficients",  # the membership certificate perfbench reads

@@ -251,6 +251,24 @@ class TestStarCommands:
         assert code == EXIT_FAIL
         assert "theta^1 coefficient is i{f,g}: fail" in payload["verification"]
 
+    def test_coefficients_beyond_the_digit_limit_print_exactly(self, capsys):
+        """theta = 10^-3000: theta^2 has 6001 digits, beyond the default
+        int-to-str limit of 4300."""
+        code, payload, _ = run_json(
+            capsys, "star", "--f", "q^2", "--g", "p^2", "--theta", "1e-3000"
+        )
+        assert code == EXIT_OK
+        terms = {
+            tuple(t["exps"]): (c["re"], c["im"])
+            for t in payload["result"]["theta_substituted"]["terms"]
+            for c in t["coeff"]
+        }
+        assert terms == {
+            (0, 0): ("-1/2" + "0" * 6000, "0"),
+            (1, 1): ("0", "1/5" + "0" * 2999),
+            (2, 2): ("1", "0"),
+        }
+
     def test_theta_substitution(self, capsys):
         code, payload, _ = run_json(
             capsys, "star", "--f", "q", "--g", "p", "--theta", "2"
@@ -269,6 +287,24 @@ class TestFlowCommands:
         )
         assert code == EXIT_OK
         assert payload["result"]["text"] == "2*p + q"
+
+    def test_flow_beyond_the_digit_limit_prints_exactly(self, capsys):
+        """(q + t p)^3 at t = 10^-2000: t^3 has 6001 digits."""
+        code, payload, _ = run_json(
+            capsys, "flow", "--derivation", "free", "--f", "q^3", "--t", "1e-2000"
+        )
+        assert code == EXIT_OK
+        terms = {
+            tuple(t["exps"]): (c["re"], c["im"])
+            for t in payload["result"]["poly"]["terms"]
+            for c in t["coeff"]
+        }
+        assert terms == {
+            (3, 0): ("1", "0"),
+            (2, 1): ("3/1" + "0" * 2000, "0"),
+            (1, 2): ("3/1" + "0" * 4000, "0"),
+            (0, 3): ("1/1" + "0" * 6000, "0"),
+        }
 
     def test_quadratic_image_flows_exactly(self, capsys):
         """delta(q) = p^2 is nilpotent of order 2, so q flows to q + t p^2."""
@@ -731,6 +767,35 @@ class TestErrorHandling:
             main(argv)
         assert exc.value.code == EXIT_BAD_INPUT
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_deep_parentheses_are_bad_input(self, capsys):
+        deep = "(" * 200 + "q" + ")" * 200
+        code, out, err = run_cli(
+            capsys, "bracket", "--tensor", "canonical2", "--f", deep, "--g", "p"
+        )
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err.startswith("input error: /f: expression nested too deeply")
+
+    def test_deeply_nested_json_is_bad_input(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "jacobi", "--tensor", f"@{deep}")
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err == "input error: /tensor: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "command, small, large, where",
+        [("invariance", "--h", "--subspace", "/h"), ("evolve", "--h", "--a", "/a")],
+        ids=["invariance", "evolve"],
+    )
+    def test_matrix_size_mismatch_names_the_input(self, capsys, command, small, large, where):
+        h = json.dumps(Mat.identity(2).to_json())
+        m = Mat.identity(3).to_json()
+        big = json.dumps([m] if command == "invariance" else m)
+        extra = ["--t", "1"] if command == "evolve" else []
+        code, out, err = run_cli(capsys, command, small, h, large, big, *extra)
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert err.startswith(f"input error: {where}: a ")
 
     def test_a_huge_decimal_exponent_is_refused_at_once(self, capsys):
         """Read as a Fraction, 1e-10000000 would build 10^10000000 first."""

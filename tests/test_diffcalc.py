@@ -205,7 +205,7 @@ class TestBasis:
                 if k == l:
                     continue
                 m = commutator(basis.generators[l], basis.generators[k])
-                coords = solve_columns(columns, dict(enumerate(m.flatten())))
+                [coords] = solve_columns(columns, [dict(enumerate(m.flatten()))])
                 entry = [(j, c) for j, c in enumerate(coords) if not c.is_zero()]
                 if entry:
                     full[(k, l)] = entry
@@ -213,14 +213,14 @@ class TestBasis:
 
     @pytest.mark.parametrize("basis", [B2, B3, B4], ids=["N2", "N3", "N4"])
     def test_structure_matches_one_solve_per_commutator(self, basis):
-        # The basis eliminates its generators once; the reference solves
-        # the whole coordinate system again for every commutator.
+        # The basis solves for every commutator in one elimination; the
+        # reference solves the coordinate system again for each one.
         columns = [dict(enumerate(g.flatten())) for g in basis.generators]
         expected = {}
         for k in range(basis.dim):
             for l in range(k + 1, basis.dim):
                 m = commutator(basis.generators[l], basis.generators[k])
-                coords = solve_columns(columns, dict(enumerate(m.traceless_part().flatten())))
+                [coords] = solve_columns(columns, [dict(enumerate(m.traceless_part().flatten()))])
                 entry = [(j, c) for j, c in enumerate(coords) if not c.is_zero()]
                 if entry:
                     expected[(k, l)] = entry

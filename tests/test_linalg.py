@@ -1,4 +1,4 @@
-"""Exact linear algebra: the sparse eliminator, Span and solve_columns."""
+"""Exact linear algebra: the sparse eliminator and solve_columns."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,13 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from aldyn import linalg, quantum
-from aldyn.linalg import SparseEliminator, Span
+from aldyn.derivations import PolyDerivation
+from aldyn.diffcalc import DerivationBasis
+from aldyn.linalg import SparseEliminator
+from aldyn.matrices import Mat
 from aldyn.poisson import PoissonTensor, find_hamiltonian, hamiltonian_field
-from aldyn.poly import GeneratorSet
+from aldyn.poly import GeneratorSet, Poly
+from aldyn.reduction import Distribution, f_related_reduce, find_connection, normalizer_check
 from aldyn.scalars import GR_ZERO, GaussRational
 
 from conftest import random_gauss, random_poly
@@ -26,12 +30,12 @@ def _columns(m):
     return [{i: row[c] for i, row in enumerate(m)} for c in range(ncols)]
 
 
-def test_linalg_exports_one_eliminator_and_two_front_ends():
+def test_linalg_exports_one_eliminator_and_one_front_end():
     defined = {
         k for k, v in vars(linalg).items()
         if not k.startswith("_") and getattr(v, "__module__", None) == "aldyn.linalg"
     }
-    assert defined == {"SparseEliminator", "Span", "solve_columns"}
+    assert defined == {"SparseEliminator", "solve_columns"}
 
 
 def test_rref_identity():
@@ -47,7 +51,6 @@ def test_rref_identity():
 
 def test_rank_and_nullspace():
     m = [[g(1), g(2), g(3)], [g(2), g(4), g(6)]]
-    assert Span(m).dim == 1
     kernel = linalg.solve_columns(_columns(m), None)
     assert len(kernel) == 2
     for v in kernel:
@@ -65,33 +68,27 @@ def test_nullspace_of_empty_matrix():
 
 def test_solve_consistent_and_inconsistent():
     m = [[g(1), g(1)], [g(0), g(1)]]
-    x = linalg.solve_columns(_columns(m), dict(enumerate([g(3), g(1)])))
-    assert x == [g(2), g(1)]
+    x = linalg.solve_columns(_columns(m), [dict(enumerate([g(3), g(1)]))])
+    assert x == [[g(2), g(1)]]
     m2 = [[g(1), g(0)], [g(1), g(0)]]
-    assert linalg.solve_columns(_columns(m2), dict(enumerate([g(1), g(2)]))) is None
+    assert linalg.solve_columns(_columns(m2), [dict(enumerate([g(1), g(2)]))]) == [None]
 
 
 def test_solve_complex_entries():
     i = GaussRational.of(0, 1)
     m = [[i, g(0)], [g(0), g(2)]]
-    x = linalg.solve_columns(_columns(m), dict(enumerate([g(1), i])))
+    [x] = linalg.solve_columns(_columns(m), [dict(enumerate([g(1), i]))])
     assert x is not None
     assert x[0] == -i and x[1] == GaussRational.of(0, Fraction(1, 2))
 
 
-def test_in_span_and_span_equal():
-    v1, v2 = [g(1), g(0)], [g(0), g(1)]
-    assert Span([v1, v2]).contains([g(5), g(-3)])
-    assert not Span([v1]).contains([g(0), g(1)])
-    a, b = [v1, v2], [[g(1), g(1)], [g(1), g(-1)]]
-    assert Span(a).dim == Span(b).dim == Span(a + b).dim
-
-
-def test_coordinates_in_basis():
-    basis = [[g(1), g(1)], [g(0), g(1)]]
-    coords = Span(basis).coordinates([g(2), g(5)])
-    assert coords == [g(2), g(3)]
-    assert Span([[g(1), g(0)]]).coordinates([g(0), g(1)]) is None
+def test_membership_and_coordinates_in_one_call():
+    e1, e2 = {0: g(1)}, {1: g(1)}
+    assert linalg.solve_columns([e1, e2], [{0: g(5), 1: g(-3)}]) == [[g(5), g(-3)]]
+    # [1, 1] and [0, 1] as columns; [2, 5] is 2 [1, 1] + 3 [0, 1], [0, 1] is not in span [1, 0]
+    basis = [{0: g(1), 1: g(1)}, {1: g(1)}]
+    assert linalg.solve_columns(basis, [{0: g(2), 1: g(5)}, {}]) == [[g(2), g(3)], [g(0), g(0)]]
+    assert linalg.solve_columns([e1], [e2, e1, e2]) == [None, [g(1)], None]
 
 
 def _to_sympy(x: GaussRational):
@@ -150,7 +147,7 @@ def test_solve_columns_matches_sympy_inhomogeneous():
         columns = [
             {i: row[c] for i, row in enumerate(rows) if c in row} for c in range(ncols)
         ]
-        x = linalg.solve_columns(columns, dict(enumerate(b)))
+        [x] = linalg.solve_columns(columns, [dict(enumerate(b))])
         a = _sympy_matrix(rows, ncols)
         augmented = a.hstack(_sympy_matrix([{0: v} for v in b], 1))
         solvable = augmented.rank() == a.rank()
@@ -164,53 +161,118 @@ def test_solve_columns_matches_sympy_inhomogeneous():
     assert solvable_seen and unsolvable_seen
 
 
-def _combination(coeffs, vectors, ncols):
-    """sum_j coeffs[j] vectors[j] as a dense {column: value} dict."""
-    out = {c: GR_ZERO for c in range(ncols)}
+def _combination(coeffs, vectors):
+    """sum_j coeffs[j] vectors[j] as a sparse {key: value} dict."""
+    out = {}
     for a, w in zip(coeffs, vectors):
-        for c, x in w.items():
-            out[c] = out[c] + a * x
+        for key, x in w.items():
+            out[key] = out.get(key, GR_ZERO) + a * x
     return out
 
 
-def test_span_matches_sympy_rank_membership_coordinates():
-    """Span against sympy's QQ_I ranks: dim is rank A, contains(v) is
-    rank [A; v] == rank A, and every coordinate vector rebuilds v exactly.
-    The spanning sets include zero and dependent vectors, and odd trials
-    key the vectors by tuples instead of passing dense sequences."""
+def test_solve_columns_answers_many_targets_like_sympy():
+    """Many targets in one elimination against sympy's QQ_I ranks.  The
+    columns include a zero and a dependent one; each call mixes consistent
+    targets (combinations of the columns, the zero target) and inconsistent
+    ones (an entry in an equation no column reaches) with random ones.  A
+    target gets None exactly when rank [A | b] > rank A, each solution
+    rebuilds its target, and one call over the list equals one call per
+    target."""
     rng = random.Random(23)
-    members = strangers = 0
-    for trial in range(40):
+    for _ in range(40):
         rows, ncols = _random_sparse_system(rng)
-        some = rows[: rng.randint(1, len(rows))]
-        rows = rows + [{}, _combination([random_gauss(rng, 2) for _ in some], some, ncols)]
-        rng.shuffle(rows)
-        a = _sympy_matrix(rows, ncols)
-        targets = [
-            _combination([random_gauss(rng, 2) for _ in rows], rows, ncols) for _ in range(3)
-        ] + [
-            {c: random_gauss(rng, 2) for c in rng.sample(range(ncols), rng.randint(0, ncols))}
-            for _ in range(3)
+        nkeys = len(rows) + 1  # equation len(rows) is in no column
+        columns = [
+            {i: row[c] for i, row in enumerate(rows) if c in row} for c in range(ncols)
         ]
-        if trial % 2:
-            form = lambda w: {(c, "e"): x for c, x in w.items()}
-        else:
-            form = lambda w: [w.get(c, GR_ZERO) for c in range(ncols)]
-        span = Span([form(w) for w in rows])
-        assert span.dim == a.rank()
-        for v in targets:
-            inside = a.vstack(_sympy_matrix([v], ncols)).rank() == a.rank()
-            assert span.contains(form(v)) == inside
-            coords = span.coordinates(form(v))
-            assert (coords is not None) == inside
-            if coords is None:
-                strangers += 1
-                continue
-            members += 1
-            assert len(coords) == len(rows)
-            rebuilt = _combination(coords, rows, ncols)
-            assert all(rebuilt[c] == v.get(c, GR_ZERO) for c in range(ncols))
-    assert members and strangers
+        some = columns[: rng.randint(1, ncols)]
+        columns += [{}, _combination([random_gauss(rng, 2) for _ in some], some)]
+        rng.shuffle(columns)
+        targets = (
+            [{}, {len(rows): g(1)}]
+            + [_combination([random_gauss(rng, 2) for _ in columns], columns) for _ in range(2)]
+            + [
+                {i: random_gauss(rng, 2) for i in rng.sample(range(nkeys), rng.randint(1, nkeys))}
+                for _ in range(3)
+            ]
+        )
+        rng.shuffle(targets)
+        sols = linalg.solve_columns(columns, targets)
+        assert sols == [linalg.solve_columns(columns, [b])[0] for b in targets]
+        a = _sympy_matrix(columns, nkeys).transpose()
+        kinds = set()
+        for b, x in zip(targets, sols):
+            augmented = a.hstack(_sympy_matrix([b], nkeys).transpose())
+            assert (x is None) == (augmented.rank() > a.rank())
+            kinds.add(x is None)
+            if x is not None:
+                rebuilt = _combination(x, columns)
+                assert all(rebuilt.get(i, GR_ZERO) == b.get(i, GR_ZERO) for i in range(nkeys))
+        assert kinds == {True, False}
+
+
+# -- one elimination per question ---------------------------------------------
+
+
+def _gell_mann():
+    return lambda: DerivationBasis.gell_mann(4)
+
+
+_R4 = GeneratorSet.phase_space(2)
+_Q1, _Q2 = Poly.generator(_R4, "q1"), Poly.generator(_R4, "q2")
+# d/dq1 and d/dq2, and a dynamics that swaps them: [delta, d/dq1] = -d/dq2
+_DIST = Distribution([PolyDerivation(_R4, {name: Poly.one(_R4)}) for name in ("q1", "q2")])
+_SWAP = PolyDerivation(_R4, {"q1": _Q2, "q2": _Q1})
+
+
+def _connection():
+    return lambda: find_connection(_DIST, 2)
+
+
+def _push_forward():
+    return lambda: f_related_reduce(_SWAP, [_Q1, _Q2], 2)
+
+
+def _normalizer():
+    return lambda: normalizer_check(_SWAP, _DIST, 2).status == "member"
+
+
+def _product_closed():
+    return quantum.MatrixSubspace.block_algebra(3, 2).is_product_closed
+
+
+def _invariance():
+    space = quantum.MatrixSubspace.block_algebra(3, 2)
+    return lambda: quantum.invariance_check(Mat.diag([1, 2, 3]), space).ok
+
+
+@pytest.mark.parametrize(
+    "question, eliminations",
+    [
+        (_gell_mann, 2),  # independence, then every commutator
+        (_connection, 1),
+        (_push_forward, 1),
+        (_normalizer, 1),
+        (_product_closed, 1),
+        (_invariance, 1),
+    ],
+    ids=lambda x: x.__name__.strip("_") if callable(x) else str(x),
+)
+def test_each_question_is_one_elimination(monkeypatch, question, eliminations):
+    """Each solver asks all its targets at once: the SparseEliminator
+    constructions while one question is answered (its inputs built
+    beforehand)."""
+    ask = question()
+    built = []
+    init = SparseEliminator.__init__
+
+    def counting(self, ncols):
+        built.append(ncols)
+        init(self, ncols)
+
+    monkeypatch.setattr(SparseEliminator, "__init__", counting)
+    assert ask()
+    assert len(built) == eliminations
 
 
 # -- back-substitution against the quadratic sweep it replaced --------------
@@ -258,7 +320,7 @@ def test_indexed_back_substitution_on_random_systems(sweeps):
             cols = rng.sample(range(ncols + trial % 2), rng.randint(1, min(5, ncols)))
             elim.add_row({c: random_gauss(rng, 3) for c in cols})
         if trial % 2:
-            elim.solve()
+            elim.solve(1)
         else:
             elim.kernel_basis()
     assert len(sweeps) >= 15 and max(sweeps) >= 20

@@ -86,3 +86,9 @@ def test_round_trips_through_str():
         poly = parse_poly(text, GENS)
         again = parse_poly(str(poly), GENS)
         assert poly == again
+
+
+def test_nesting_reads_until_the_recursion_limit():
+    assert parse_poly("(" * 100 + "q" + ")" * 100, GENS) == Q
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly("(" * 2000 + "q" + ")" * 2000, GENS)

@@ -21,7 +21,7 @@ from aldyn.quantum import (
     invariance_check,
 )
 from aldyn.cli import _matrix_float_json
-from aldyn.linalg import Span
+from aldyn.linalg import solve_columns
 from aldyn.scalars import GR_I, GR_ZERO, GaussRational
 
 from conftest import random_hermitian, random_mat
@@ -232,7 +232,8 @@ class TestCommutant:
             candidates = []
             while len(candidates) < dim:
                 m = random_mat(rng, 3, span=2)
-                if not Span([c.flatten() for c in candidates]).contains(m.flatten()):
+                columns = [dict(enumerate(c.flatten())) for c in candidates]
+                if solve_columns(columns, [dict(enumerate(m.flatten()))]) == [None]:
                     candidates.append(m)
             space = MatrixSubspace(candidates)
             double = commutant(commutant(space))
@@ -254,8 +255,9 @@ class TestInvariance:
         rep = invariance_check(h, MatrixSubspace.block_algebra(4, 2))
         assert not rep.ok
         assert rep.witness is not None
-        vectors = [b.flatten() for b in MatrixSubspace.block_algebra(4, 2).basis]
-        assert not Span(vectors).contains(commutator(rep.witness, h).flatten())
+        columns = [dict(enumerate(b.flatten())) for b in MatrixSubspace.block_algebra(4, 2).basis]
+        image = dict(enumerate(commutator(rep.witness, h).flatten()))
+        assert solve_columns(columns, [image]) == [None]
 
     def test_identity_hamiltonian_passes_any_subspace(self):
         rng = random.Random(55)
@@ -313,11 +315,7 @@ class TestBiderivations:
         sols = biderivation_solver(n)
         assert len(sols) == 1
         cvec = commutator_bracket_vector(n)
-        keys = sorted(set(sols[0]) | set(cvec))
-        rows = [
-            [sols[0].get(k, GR_ZERO), cvec.get(k, GR_ZERO)] for k in keys
-        ]
-        assert Span(rows).dim == 1
+        assert cvec and solve_columns(sols, [cvec]) != [None]
 
     def test_commutator_satisfies_both_leibniz_rules(self):
         rng = random.Random(58)

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(i) and Q(i)[theta]."""
 
 import json
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -291,3 +292,22 @@ def test_poly_ring_results_are_valid(f, g, s, c, n):
     for p in results:
         assert_valid_poly(p)
     assert (f - f).is_zero() and f.scale(0).is_zero()
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_text_of_any_size_ignores_the_digit_limit(limit):
+    """Coefficients print the same under any int-to-str digit limit; the
+    reference text is written with the limit lifted."""
+    values = [
+        GaussRational.of(Fraction(-7, 10**5000), Fraction(3 * 10**700 + 1, 13)),
+        GaussRational.of(0, Fraction(2**9000 - 1, 3**4000)),
+        GaussRational.of(10**641),
+    ]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = [(str(x), x.to_json()) for x in values]
+        sys.set_int_max_str_digits(limit)
+        assert [(str(x), x.to_json()) for x in values] == expected
+    finally:
+        sys.set_int_max_str_digits(old)
