@@ -53,7 +53,7 @@ from .poly import GeneratorSet, Poly, check_budget, check_monomial_budget
 from .quantum import (
     InnerDerivation,
     MatrixSubspace,
-    biderivation_solver,
+    biderivation_system,
     block_split,
     commutant,
     commutator,
@@ -367,7 +367,7 @@ def cmd_commutant(args) -> Report:
         {"dimension": result.dimension(), "basis": result.to_json()},
         {
             "commutant closed under product and commutator":
-                result.is_product_closed() and result.is_commutator_closed(),
+                result.is_closed(),
         },
         lines=[f"commutant dimension: {result.dimension()}"],
     )
@@ -410,11 +410,19 @@ def cmd_blocksplit(args) -> Report:
 
 
 def cmd_biderivation(args) -> Report:
-    sols = biderivation_solver(args.n)
+    system = biderivation_system(args.n)
+    sols = system.kernel_basis()
     cvec = commutator_bracket_vector(args.n)
     in_span = len(sols) == 1 and linalg.solve_columns(sols, [cvec]) != [None]
     return Report(
-        {"n": args.n, "dimension": len(sols), "spanned_by_commutator": in_span},
+        {
+            "n": args.n,
+            "dimension": len(sols),
+            "spanned_by_commutator": in_span,
+            "equations": system.rows_read,
+            "unknowns": system.ncols,
+            "rank": len(system.pivot_rows),
+        },
         notes=[f"solution space dimension {len(sols)}"],
         lines=[
             f"bilinear Leibniz brackets on Mat_{args.n}: dimension {len(sols)}, "

@@ -1,76 +1,112 @@
 """Exact linear algebra over the field Q(i).
 
-One elimination algorithm, `SparseEliminator`: rows arrive as
-{column: coefficient} dicts and `reduce` subtracts pivot rows from them,
-pivoting on the smallest column; `add_row` keeps the residual as a new
-pivot row.  Back-substitution, indexed by column, gives the reduced
-row-echelon form, unique for a fixed column order, so solutions and kernel
-bases do not depend on the order the rows came in.
+One elimination algorithm, `SparseEliminator`, on Gaussian-integer rows:
+a row is a {column: (re, im)} dict of plain ints, and no Q(i) arithmetic
+runs while it eliminates.  Each pivot row is multiplied by the conjugate
+of its lead and kept primitive (its integer content divided out), so its
+lead is a positive int L.  A row r is reduced fraction-free (Bareiss,
+Math. Comp. 22 (1968)) against the pivot row P at its smallest column:
+r <- (L/g) r - (x/g) P, where x is r's entry there and g = gcd(L, re x,
+im x), and r's content is divided out again whenever it was scaled.
+Back-substitution, indexed by column, runs on the same rows and gives the
+reduced row-echelon form, unique for a fixed column order: `kernel_basis`
+and `solve` divide each entry by its row's lead once, at the end, so
+solutions and kernel bases do not depend on the order the rows came in.
 
-One front end, `solve_columns`: one unknown per sparse column, any number
-of targets answered by one elimination, or the kernel when there are none.
-Every linear question goes through it except the biderivation system,
-which feeds the eliminator its rows one equation at a time.
+One front end, `solve_columns`, and the one place where Q(i) coefficients
+become integer rows, each row cleared of its denominators by their lcm:
+one unknown per sparse column, any number of targets answered by one
+elimination, or the kernel when there are none.  Every linear question
+goes through it except the biderivation system, whose integer rows go to
+the eliminator one equation at a time.
 
 No tolerances anywhere: rank decisions are exact.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational
+from .scalars import GR_ONE, GR_ZERO, GaussRational, _norm
 
 Row = list[GaussRational]
 SparseRow = dict[int, GaussRational]
+IntRow = dict[int, tuple[int, int]]  # column -> (re, im) of a Gaussian integer
+
+_ZERO = (0, 0)
 
 
-def _subtract(row: dict, f: GaussRational, pivot: Mapping) -> None:
-    """row -= f * pivot in place, dropping entries that cancel."""
-    for c, v in pivot.items():
-        nv = row.get(c, GR_ZERO) - f * v
-        if nv.is_zero():
-            row.pop(c, None)
+def _make_primitive(row: IntRow) -> None:
+    """Divide the integer content of a nonzero row out, in place."""
+    g = 0
+    for x, y in row.values():
+        g = gcd(g, x, y)
+        if g == 1:
+            return
+    for c, (x, y) in row.items():
+        row[c] = (x // g, y // g)
+
+
+def _eliminate(row: IntRow, col: int, pivot: IntRow) -> None:
+    """Clear column `col` of `row` with the pivot row whose lead sits
+    there, fraction-free and in place, dropping entries that cancel."""
+    lead = pivot[col][0]
+    a, b = row[col]
+    g = gcd(lead, a, b)
+    m = lead // g
+    a //= g
+    b //= g
+    if m != 1:
+        for c, (x, y) in row.items():
+            row[c] = (m * x, m * y)
+    for c, (p, q) in pivot.items():
+        x, y = row.get(c, _ZERO)
+        x -= a * p - b * q
+        y -= a * q + b * p
+        if x or y:
+            row[c] = (x, y)
         else:
-            row[c] = nv
+            row.pop(c, None)
+    if m != 1 and row:
+        _make_primitive(row)
 
 
 class SparseEliminator:
     """Incremental exact elimination for sparse systems.
 
-    Rows arrive as {column: coefficient} dicts; each is reduced against the
-    pivot rows seen so far and kept (normalized) if independent.  For an
-    inhomogeneous system target t goes in column `ncols + t`: pivots are
-    taken at the smallest column, so a pivot row whose lead is `>= ncols`
-    reads 0 = a combination of targets, and every target it holds is
-    inconsistent.  After all rows are in, `kernel_basis` gives the
-    nullspace and `solve` one solution per target.
+    Rows arrive as Gaussian-integer {column: (re, im)} dicts; each is
+    reduced against the pivot rows seen so far and kept if independent.
+    For an inhomogeneous system target t goes in column `ncols + t`: pivots
+    are taken at the smallest column, so a pivot row whose lead is
+    `>= ncols` reads 0 = a combination of targets, and every target it
+    holds is inconsistent.  After all rows are in, `kernel_basis` gives
+    the nullspace and `solve` one solution per target; `rows_read` counts
+    the rows given and `len(pivot_rows)` is the rank.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: dict[int, SparseRow] = {}
+        self.rows_read = 0
+        self.pivot_rows: dict[int, IntRow] = {}
 
-    def reduce(self, row: Mapping[int, GaussRational]) -> SparseRow:
-        """A copy of `row` minus multiples of the pivot rows, reduced until
-        its smallest column has no pivot (empty when `row` is in the span
-        of the pivot rows)."""
-        row = {c: v for c, v in row.items() if not v.is_zero()}
+    def add_row(self, row: Mapping[int, tuple[int, int]]) -> None:
+        """Reduce a copy of `row` until its smallest column has no pivot;
+        a nonzero residual becomes the pivot row there."""
+        self.rows_read += 1
+        row = {c: v for c, v in row.items() if v[0] or v[1]}
         pivot_rows = self.pivot_rows
         while row:
             lead = min(row)
             pivot = pivot_rows.get(lead)
             if pivot is None:
-                break
-            _subtract(row, row[lead], pivot)
-        return row
-
-    def add_row(self, row: Mapping[int, GaussRational]) -> None:
-        row = self.reduce(row)
-        if row:
-            lead = min(row)
-            inv = GR_ONE / row[lead]
-            self.pivot_rows[lead] = {c: v * inv for c, v in row.items()}
+                a, b = row[lead]
+                if b or a < 0:  # times the conjugate: lead a^2 + b^2
+                    row = {c: (a * x + b * y, a * y - b * x) for c, (x, y) in row.items()}
+                _make_primitive(row)
+                pivot_rows[lead] = row
+                return
+            _eliminate(row, lead, pivot)
 
     def _back_substitute(self) -> None:
         """Clear every pivot column from the other pivot rows (full RREF).
@@ -78,14 +114,14 @@ class SparseEliminator:
         that hold no pivot any more, so the rows holding each pivot column
         are listed once, before the sweep."""
         rows = self.pivot_rows
-        holders: dict[int, list[SparseRow]] = {lead: [] for lead in rows}
+        holders: dict[int, list[IntRow]] = {lead: [] for lead in rows}
         for lead, row in rows.items():
             for c in row:
                 if c != lead and c in holders:
                     holders[c].append(row)
         for lead in sorted(holders, reverse=True):
             for other in holders[lead]:
-                _subtract(other, other[lead], rows[lead])
+                _eliminate(other, lead, rows[lead])
 
     def kernel_basis(self) -> list[SparseRow]:
         """Nullspace vectors as sparse dicts, one per free column, with a 1
@@ -97,9 +133,9 @@ class SparseEliminator:
                 continue
             vec = {fc: GR_ONE}
             for lead, row in self.pivot_rows.items():
-                coeff = row.get(fc)
-                if coeff is not None:
-                    vec[lead] = -coeff
+                v = row.get(fc)
+                if v is not None:
+                    vec[lead] = _norm(-v[0], -v[1], row[lead][0])
             basis.append(vec)
         return basis
 
@@ -114,9 +150,10 @@ class SparseEliminator:
         sols = [None if ncols + t in inconsistent else {} for t in range(ntargets)]
         for lead, row in rows.items():
             if lead < ncols:
-                for c, v in row.items():
+                den = row[lead][0]
+                for c, (x, y) in row.items():
                     if c >= ncols and (sol := sols[c - ncols]) is not None:
-                        sol[lead] = v
+                        sol[lead] = _norm(x, y, den)
         return sols
 
 
@@ -142,10 +179,14 @@ def solve_columns(
     rows: dict[Hashable, SparseRow] = {}
     for j, col in enumerate([*columns, *(targets or ())]):
         for key, v in col.items():
-            rows.setdefault(key, {})[j] = v
+            if not v.is_zero():
+                rows.setdefault(key, {})[j] = v
     elim = SparseEliminator(ncols)
     for row in rows.values():
-        elim.add_row(row)
+        den = lcm(*(v.den for v in row.values()))
+        elim.add_row(
+            {j: (v.re_num * (den // v.den), v.im_num * (den // v.den)) for j, v in row.items()}
+        )
     if targets is None:
         return [_dense(v, ncols) for v in elim.kernel_basis()]
     return [None if s is None else _dense(s, ncols) for s in elim.solve(len(targets))]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .linalg import SparseEliminator, solve_columns
 from .matrices import Mat, full_matrix_basis
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, to_float
+from .scalars import GR_I, GR_ZERO, GaussRational, to_float
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
@@ -84,13 +84,13 @@ class MatrixSubspace:
     def contains(self, m: Mat) -> bool:
         return self.contains_each([m])[0]
 
-    def is_product_closed(self) -> bool:
-        return all(self.contains_each([x @ y for x in self.basis for y in self.basis]))
-
-    def is_commutator_closed(self) -> bool:
-        return all(
-            self.contains_each([commutator(x, y) for x in self.basis for y in self.basis])
-        )
+    def is_closed(self) -> bool:
+        """Closure under products and commutators: every x y and [x, y] of
+        basis elements, decided in one elimination."""
+        basis = self.basis
+        products = {(i, j): x @ y for i, x in enumerate(basis) for j, y in enumerate(basis)}
+        brackets = [products[i, j] - products[j, i] for i, j in products]
+        return all(self.contains_each([*products.values(), *brackets]))
 
     def span_equals(self, other: "MatrixSubspace") -> bool:
         return (
@@ -214,15 +214,15 @@ def block_split(h: Mat, k: int) -> tuple[InnerDerivation, InnerDerivation]:
     return InnerDerivation(Mat(top)), InnerDerivation(Mat(bottom))
 
 
-def biderivation_solver(n: int) -> list[dict]:
-    """Solution space of brackets on Mat_n that are Leibniz in both slots.
+def biderivation_system(n: int) -> SparseEliminator:
+    """The eliminator holding every equation on brackets on Mat_n that are
+    Leibniz in both slots.
 
     Unknowns are the matrix values T[a][b] = {E_a, E_b} on the standard
-    basis; the two Leibniz rules on all basis triples give an extremely
-    sparse homogeneous system (at most three unknown entries per scalar
-    equation), eliminated exactly over Q(i).  Each solution is returned as
-    a sparse coefficient dict keyed by (a, b, g, h) for entry (g,h) of
-    {E_a, E_b}.
+    basis, n^6 of them, unknown (a, b, g, h) for entry (g,h) of {E_a, E_b};
+    the two Leibniz rules on all basis triples give an extremely sparse
+    homogeneous system (at most three unknown entries per scalar equation,
+    with small integer coefficients).
     """
     if n < 1:
         raise ValueError("matrix size n must be >= 1")
@@ -237,12 +237,13 @@ def biderivation_solver(n: int) -> list[dict]:
     def idx(i: int, j: int) -> int:
         return i * n + j
 
-    def add(row: dict, colid: int, val: GaussRational):
-        s = row.get(colid, GR_ZERO) + val
-        if s.is_zero():
-            row.pop(colid, None)
-        else:
-            row[colid] = s
+    def add(row: dict[int, int], colid: int, val: int):
+        row[colid] = row.get(colid, 0) + val
+
+    def equation(row: dict[int, int]):
+        row = {c: (v, 0) for c, v in row.items() if v}
+        if row:
+            elim.add_row(row)
 
     elim = SparseEliminator(ncols)
     pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -253,26 +254,31 @@ def biderivation_solver(n: int) -> list[dict]:
                 for g in range(n):
                     for h in range(n):
                         # {E_a E_b, E_c} = E_a {E_b, E_c} + {E_a, E_c} E_b
-                        row: dict[int, GaussRational] = {}
+                        row: dict[int, int] = {}
                         if aj == bi:
-                            add(row, col(idx(ai, bj), c, g, h), GR_ONE)
+                            add(row, col(idx(ai, bj), c, g, h), 1)
                         if g == ai:  # (E_a T[b][c])_{gh} = T[b][c]_{aj,h}
-                            add(row, col(b, c, aj, h), -GR_ONE)
+                            add(row, col(b, c, aj, h), -1)
                         if h == bj:  # (T[a][c] E_b)_{gh} = T[a][c]_{g,bi}
-                            add(row, col(a, c, g, bi), -GR_ONE)
-                        if row:
-                            elim.add_row(row)
+                            add(row, col(a, c, g, bi), -1)
+                        equation(row)
                         # {E_a, E_b E_c} = {E_a, E_b} E_c + E_b {E_a, E_c}
                         row = {}
                         if bj == ci:
-                            add(row, col(a, idx(bi, cj), g, h), GR_ONE)
+                            add(row, col(a, idx(bi, cj), g, h), 1)
                         if h == cj:  # (T[a][b] E_c)_{gh} = T[a][b]_{g,ci}
-                            add(row, col(a, b, g, ci), -GR_ONE)
+                            add(row, col(a, b, g, ci), -1)
                         if g == bi:  # (E_b T[a][c])_{gh} = T[a][c]_{bj,h}
-                            add(row, col(a, c, bj, h), -GR_ONE)
-                        if row:
-                            elim.add_row(row)
-    return elim.kernel_basis()
+                            add(row, col(a, c, bj, h), -1)
+                        equation(row)
+    return elim
+
+
+def biderivation_solver(n: int) -> list[dict]:
+    """Solution space of brackets on Mat_n that are Leibniz in both slots,
+    eliminated exactly: each solution is a sparse coefficient dict keyed as
+    the unknowns of `biderivation_system`."""
+    return biderivation_system(n).kernel_basis()
 
 
 def commutator_bracket_vector(n: int) -> dict:

@@ -450,8 +450,11 @@ class TestQuantumCommands:
     def test_biderivation(self, capsys):
         code, payload, _ = run_json(capsys, "biderivation", "--n", "2")
         assert code == EXIT_OK
-        assert payload["result"]["dimension"] == 1
-        assert payload["result"]["spanned_by_commutator"]
+        result = payload["result"]
+        assert result["dimension"] == 1
+        assert result["spanned_by_commutator"]
+        # the system solved: its nonzero equations, n^6 unknowns, rank n^6 - 1
+        assert (result["equations"], result["unknowns"], result["rank"]) == (384, 64, 63)
 
 
 class TestReductionCommands:

@@ -39,14 +39,28 @@ def test_linalg_exports_one_eliminator_and_one_front_end():
 
 
 def test_rref_identity():
-    m = [[g(1), g(0)], [g(0), g(1)]]
+    m = [[(1, 0), (0, 0)], [(0, 0), (1, 0)]]
     elim = SparseEliminator(2)
     for row in m:
         elim.add_row(dict(enumerate(row)))
     assert elim.kernel_basis() == []  # back-substitutes to the full RREF
     pivots = sorted(elim.pivot_rows)
     assert pivots == [0, 1]
-    assert [[elim.pivot_rows[p].get(c, GR_ZERO) for c in range(2)] for p in pivots] == m
+    assert [[elim.pivot_rows[p].get(c, (0, 0)) for c in range(2)] for p in pivots] == m
+
+
+def test_pivot_rows_are_primitive_with_positive_leads():
+    """(2+3i, 4-6i) and (-3, 6) become primitive rows over Z[i] led by a
+    positive int; their rational RREF is read by dividing by it."""
+    elim = SparseEliminator(3)
+    elim.add_row({0: (2, 3), 1: (4, -6)})
+    elim.add_row({1: (-3, 0), 2: (6, 0)})
+    assert elim.rows_read == 2
+    # (2+3i, 4-6i)(2-3i) = (13, -10-24i); (-3, 6)(-1)/3 = (1, -2)
+    assert elim.pivot_rows == {0: {0: (13, 0), 1: (-10, -24)}, 1: {1: (1, 0), 2: (-2, 0)}}
+    [vec] = elim.kernel_basis()
+    assert elim.pivot_rows[0] == {0: (13, 0), 2: (-20, -48)}
+    assert vec == {2: g(1), 0: GaussRational.of(Fraction(20, 13), Fraction(48, 13)), 1: g(2)}
 
 
 def test_rank_and_nullspace():
@@ -114,22 +128,107 @@ def _random_sparse_system(rng):
     return rows, ncols
 
 
+def _from_sympy(x) -> GaussRational:
+    return GaussRational.of(
+        Fraction(int(x.x.numerator), int(x.x.denominator)),
+        Fraction(int(x.y.numerator), int(x.y.denominator)),
+    )
+
+
+def _gaussian_integer_row(row, rng):
+    """`row` times the product of its denominators and a random nonzero
+    Gaussian integer, as a {column: (re, im)} row for the eliminator."""
+    factor = GaussRational.of(rng.choice([1, -1, 2, -3]), rng.choice([0, 0, 1, 3]))
+    for v in row.values():
+        factor = factor * GaussRational.of(v.den)
+    out = {}
+    for c, v in row.items():
+        w = v * factor
+        assert w.den == 1
+        out[c] = (w.re_num, w.im_num)
+    return out
+
+
 def test_eliminator_matches_sympy_homogeneous():
-    """Rank and kernel of the one elimination engine against sympy's
-    DomainMatrix over QQ_I, an independent exact implementation."""
+    """Rank, pivot rows and kernel of the one elimination engine against
+    sympy's DomainMatrix over QQ_I, an independent exact implementation:
+    each pivot row, divided by its positive integer lead, is a row of
+    sympy's RREF, whatever Gaussian integer each input row was scaled by."""
     rng = random.Random(99)
     for _ in range(40):
         rows, ncols = _random_sparse_system(rng)
         elim = SparseEliminator(ncols)
         for row in rows:
-            elim.add_row(row)
+            elim.add_row(_gaussian_integer_row(row, rng))
         a = _sympy_matrix(rows, ncols)
-        assert len(elim.pivot_rows) == a.rank()
+        assert len(elim.pivot_rows) == a.rank() and elim.rows_read == len(rows)
         kernel = elim.kernel_basis()
         assert len(kernel) == ncols - a.rank()
         for vec in kernel:
             product = a * _sympy_matrix([vec], ncols).transpose()
             assert product.is_zero_matrix
+        rref, pivots = a.rref()
+        assert sorted(elim.pivot_rows) == list(pivots)
+        for p, expected in zip(pivots, rref.to_list()):
+            row = elim.pivot_rows[p]
+            lead, im = row[p]
+            assert lead > 0 and im == 0
+            got = [GaussRational(Fraction(x, lead), Fraction(y, lead)) for x, y in
+                   (row.get(c, (0, 0)) for c in range(ncols))]
+            assert got == [_from_sympy(x) for x in expected]
+
+
+def _oracle_kernel(a, ncols):
+    """The canonical kernel basis read off sympy's RREF of a: one vector
+    per free column f, with 1 at f and -R[i][f] at the i-th pivot."""
+    rref, pivots = a.rref()
+    rows = rref.to_list()
+    return [
+        [g(1) if c == f else -_from_sympy(rows[pivots.index(c)][f]) if c in pivots else g(0)
+         for c in range(ncols)]
+        for f in range(ncols) if f not in pivots
+    ]
+
+
+def _oracle_solution(a, b, ncols):
+    """The solution of a x = b with free unknowns at 0 read off sympy's
+    RREF of [a | b], or None when b's column holds a pivot."""
+    rref, pivots = a.hstack(b).rref()
+    if ncols in pivots:
+        return None
+    rows = rref.to_list()
+    return [_from_sympy(rows[pivots.index(c)][ncols]) if c in pivots else g(0)
+            for c in range(ncols)]
+
+
+def test_kernel_and_solutions_equal_sympy_rref():
+    """Exact equality, not only A v = 0, with sympy's QQ_I RREF: the
+    canonical kernel basis and each solution of seeded systems whose
+    entries carry denominators and non-unit Gaussian leads such as 2+3i,
+    with consistent and inconsistent targets."""
+    rng = random.Random(2024)
+    leads = [g(2, 3), g(-1, 4), g(Fraction(3, 2), Fraction(-5, 7)), g(0, 6)]
+    kinds = set()
+    for _ in range(40):
+        rows, ncols = _random_sparse_system(rng)
+        for row in rows:
+            c = min(row, default=rng.randrange(ncols))
+            row[c] = rng.choice(leads)
+        columns = [
+            {i: row[c] for i, row in enumerate(rows) if c in row} for c in range(ncols)
+        ]
+        a = _sympy_matrix(rows, ncols)
+        assert linalg.solve_columns(columns, None) == _oracle_kernel(a, ncols)
+        x0 = [random_gauss(rng, 3) for _ in range(ncols)]
+        targets = [
+            {i: sum((v * x0[c] for c, v in row.items()), GR_ZERO) for i, row in enumerate(rows)},
+            {i: rng.choice(leads) * random_gauss(rng, 2) for i in range(len(rows))},
+        ]
+        sols = linalg.solve_columns(columns, targets)
+        for b, x in zip(targets, sols):
+            assert x == _oracle_solution(a, _sympy_matrix([{0: v} for v in b.values()], 1), ncols)
+            kinds.add(x is None)
+    assert kinds == {True, False}
 
 
 def test_solve_columns_matches_sympy_inhomogeneous():
@@ -237,8 +336,8 @@ def _normalizer():
     return lambda: normalizer_check(_SWAP, _DIST, 2).status == "member"
 
 
-def _product_closed():
-    return quantum.MatrixSubspace.block_algebra(3, 2).is_product_closed
+def _closed():
+    return quantum.MatrixSubspace.block_algebra(3, 2).is_closed
 
 
 def _invariance():
@@ -253,7 +352,7 @@ def _invariance():
         (_connection, 1),
         (_push_forward, 1),
         (_normalizer, 1),
-        (_product_closed, 1),
+        (_closed, 1),  # products and commutators
         (_invariance, 1),
     ],
     ids=lambda x: x.__name__.strip("_") if callable(x) else str(x),
@@ -284,7 +383,7 @@ def _quadratic_back_substitute(elim):
         row = elim.pivot_rows[lead]
         for other_lead, other in elim.pivot_rows.items():
             if other_lead < lead and lead in other:
-                linalg._subtract(other, other[lead], row)
+                linalg._eliminate(other, lead, row)
 
 
 def _layout(pivot_rows):
@@ -318,7 +417,7 @@ def test_indexed_back_substitution_on_random_systems(sweeps):
         elim = SparseEliminator(ncols)
         for _ in range(rng.randint(3, 50)):
             cols = rng.sample(range(ncols + trial % 2), rng.randint(1, min(5, ncols)))
-            elim.add_row({c: random_gauss(rng, 3) for c in cols})
+            elim.add_row(_gaussian_integer_row({c: random_gauss(rng, 3) for c in cols}, rng))
         if trial % 2:
             elim.solve(1)
         else:

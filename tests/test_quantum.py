@@ -222,8 +222,7 @@ class TestCommutant:
         rng = random.Random(53)
         space = MatrixSubspace([random_mat(rng, 3), random_mat(rng, 3)])
         result = commutant(space)
-        assert result.is_product_closed()
-        assert result.is_commutator_closed()
+        assert result.is_closed()
 
     def test_double_commutant_contains_original(self):
         rng = random.Random(54)
@@ -316,6 +315,15 @@ class TestBiderivations:
         assert len(sols) == 1
         cvec = commutator_bracket_vector(n)
         assert cvec and solve_columns(sols, [cvec]) != [None]
+
+    def test_solution_at_n4_is_a_multiple_of_the_commutator(self):
+        [sol] = biderivation_solver(4)
+        cvec = commutator_bracket_vector(4)
+        assert sol.keys() == cvec.keys()
+        assert all(type(v) is GaussRational for v in sol.values())
+        k = next(iter(cvec))
+        ratio = sol[k] / cvec[k]
+        assert all(sol[key] == ratio * v for key, v in cvec.items())
 
     def test_commutator_satisfies_both_leibniz_rules(self):
         rng = random.Random(58)
