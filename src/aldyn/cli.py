@@ -49,7 +49,7 @@ from .poisson import (
     jacobi_check,
     lie_poisson,
 )
-from .poly import GeneratorSet, Poly, check_budget, check_monomial_budget
+from .poly import DEFAULT_ANSATZ_CAP, GeneratorSet, Poly, check_budget, check_monomial_budget
 from .quantum import (
     InnerDerivation,
     MatrixSubspace,
@@ -63,7 +63,6 @@ from .quantum import (
     invariance_check,
 )
 from .reduction import (
-    DEFAULT_ANSATZ_CAP,
     ConnectionP,
     Distribution,
     connection_apply,

@@ -71,6 +71,10 @@ class PolyDerivation:
             images[gens.names[a]] = img
         return PolyDerivation(gens, images)
 
+    def components(self) -> list[Poly]:
+        """The images delta^a in generator order."""
+        return list(self.images.values())
+
     def __call__(self, f: Poly) -> Poly:
         return apply(self, f)
 

@@ -58,8 +58,7 @@ class StarAlgebraContext:
         zero = (0,) * len(gens)
         entries = []
         for a, row in enumerate(tensor.rows):
-            for b, name in enumerate(gens.names):
-                comp = row.images[name]
+            for b, comp in enumerate(row.components()):
                 if not comp.terms:
                     continue
                 c = comp.terms.get(zero)

@@ -7,9 +7,9 @@ with components along ``Poly.partial``): the Hamiltonian field X_H has the
 components X_H^a = Y_a(H), the bracket is {f, g} = X_g(f), a Casimir has
 X_C = 0, and Jacobi is the cyclic sum Y_a(Lambda^{bc}) + Y_b(Lambda^{ca}) +
 Y_c(Lambda^{ab}).  Lie-Poisson tensors read off 3d structure constants and the
-bounded-degree inverse searches (given a dynamics, find a Hamiltonian or a
-tensor by one exact sparse solve of Lambda^{ab} d_b H = delta^a over the
-monomial coefficients, columns by exponent arithmetic) complete the module.
+bounded-degree inverse searches complete the module: the Hamiltonian is a
+``poly.solve_preimage`` of the row fields, the tensor a
+``poly.solve_combination`` with one vector per pair a < b.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from . import linalg
 from .derivations import PolyDerivation, apply
-from .poly import GeneratorMismatch, GeneratorSet, Poly, check_budget, monomials
-from .poly import coefficient_column, derivation_columns, shifted_columns
+from .poly import DEFAULT_ANSATZ_CAP, GeneratorMismatch, GeneratorSet, Poly, check_budget
+from .poly import solve_combination, solve_preimage
 from .scalars import json_int, rational
-
-DEFAULT_INVERSE_DEGREE_CAP = 6
 
 
 class PoissonTensor:
@@ -192,7 +189,7 @@ def casimir_check(tensor: PoissonTensor, c: Poly) -> CasimirReport:
 def find_hamiltonian(
     tensor: PoissonTensor,
     delta: PolyDerivation,
-    degree_cap: int = DEFAULT_INVERSE_DEGREE_CAP,
+    degree_cap: int = DEFAULT_ANSATZ_CAP,
 ) -> Poly | None:
     """Search H of degree <= cap with X_H = delta, i.e. Lambda^{ab} d_b H =
     delta^a for all generators.
@@ -203,24 +200,20 @@ def find_hamiltonian(
     gens = tensor.gens
     if delta.gens != gens:
         raise GeneratorMismatch("dynamics over a different generator set")
-    fields = [[y.images[name] for name in gens.names] for y in tensor.rows]
+    fields = [y.components() for y in tensor.rows]
     if not all(y.is_theta_free() for field in fields for y in field):
         raise ValueError("inverse search requires theta-free tensors")
-    images = [delta.images[name] for name in gens.names]
+    images = delta.components()
     if not all(img.is_theta_free() for img in images):
         raise ValueError("inverse search requires theta-free dynamics")
-    # Unknown j is the coefficient of basis[j]; its column holds Y_a(x^m).
-    basis = monomials(len(gens), degree_cap)
-    [sol] = linalg.solve_columns(derivation_columns(fields, basis), [coefficient_column(images)])
-    if sol is None:
-        return None
-    return Poly.from_coefficients(gens, basis, sol)
+    [h] = solve_preimage(gens, fields, [images], degree_cap)
+    return h
 
 
 def find_poisson_tensor(
     delta: PolyDerivation,
     h: Poly,
-    degree_cap: int = DEFAULT_INVERSE_DEGREE_CAP,
+    degree_cap: int = DEFAULT_ANSATZ_CAP,
 ) -> PoissonTensor | None:
     """Search a tensor with polynomial components of degree <= cap making
     the given H a Hamiltonian for delta; the linear constraint
@@ -229,25 +222,18 @@ def find_poisson_tensor(
     gens = delta.gens
     if h.gens != gens:
         raise GeneratorMismatch("Hamiltonian over a different generator set")
-    basis = monomials(len(gens), degree_cap)
     pairs = list(combinations(range(len(gens)), 2))
-    # Unknown (pair a<b, m) is the coefficient of m in Lambda^{ab}; it adds
-    # m d_b H to component a and -m d_a H to component b.
-    columns = []
+    # Lambda^{ab} (a < b) adds Lambda^{ab} d_b H to component a and
+    # -Lambda^{ab} d_a H to component b.
+    vectors = []
     for a, b in pairs:
         comps = [Poly.zero(gens)] * len(gens)
         comps[a], comps[b] = h.partial(gens.names[b]), -h.partial(gens.names[a])
-        columns += shifted_columns(comps, basis)
-    target = coefficient_column([delta.images[name] for name in gens.names])
-    [sol] = linalg.solve_columns(columns, [target])
+        vectors.append(comps)
+    [sol] = solve_combination(gens, vectors, [delta.components()], degree_cap)
     if sol is None:
         return None
-    nb = len(basis)
-    comps = {
-        pair: Poly.from_coefficients(gens, basis, sol[pi * nb : (pi + 1) * nb])
-        for pi, pair in enumerate(pairs)
-    }
-    tensor = PoissonTensor(gens, comps)
+    tensor = PoissonTensor(gens, dict(zip(pairs, sol)))
     if not jacobi_check(tensor).ok:
         return None
     return tensor

@@ -1,10 +1,14 @@
-"""Sparse multivariate polynomials over Q(i)[theta].
+"""Sparse multivariate polynomials over Q(i)[theta], and the ansatz.
 
 Terms are stored as a dict from exponent tuples to ``Scalar`` coefficients,
 one slot per generator.  Exponents are non-negative except for angle-phase
 generators (u = e^{i theta} style), which carry Laurent exponents so that
 C[u, u^-1] is representable.  Values are immutable after construction and
 all operations are pure.
+
+Every bounded-degree search is ``solve_combination`` (sum_k h_k v_k = T) or
+``solve_preimage`` (Y_k(f) = T_k), which own the monomials, the columns, the
+one exact elimination and the read-back into ``Poly``s.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from math import comb
 from operator import add
 from typing import Mapping, Sequence
 
+from . import linalg
 from .scalars import GaussRational, RationalLike, Scalar, json_int
 
 GENERATOR_KINDS = ("plain", "position", "momentum", "angle-phase")
@@ -27,6 +32,9 @@ GENERATOR_KINDS = ("plain", "position", "momentum", "angle-phase")
 # built.  (`reduce` on R^2 at cap 300, C(302, 2) = 45,451 unknowns, peaked
 # at 174 MB RSS and 5.4 s under CPython 3.11 on x86-64.)
 MAX_UNKNOWNS = 50_000
+
+# Degree cap of the ansatz searches when the caller gives none.
+DEFAULT_ANSATZ_CAP = 4
 
 
 class GeneratorMismatch(ValueError):
@@ -146,7 +154,9 @@ def check_budget(where: str, size: int, what: str) -> None:
 
 def check_monomial_budget(where: str, n: int, cap: int) -> None:
     """``check_budget`` for ``monomials(n, cap)``, the unknowns of one
-    ansatz component."""
+    ansatz component; a negative cap is refused under the same name."""
+    if cap < 0:
+        raise ValueError(f"{where}: degree cap must be >= 0")
     if cap > 0:
         check_budget(where, comb(n + cap, n), f"C({n} + cap, {n}) unknowns per component")
 
@@ -203,6 +213,45 @@ def shifted_columns(polys: Sequence[Poly], monos: Sequence[tuple]) -> list[dict]
     ``coefficient_column(polys)`` shifted by m."""
     col = coefficient_column(polys).items()
     return [{(k, tuple(map(add, m, e))): c for (k, e), c in col} for m in monos]
+
+
+Vector = Sequence["Poly"]  # theta-free Polys, one per component
+
+
+def _solve_ansatz(gens, monos, columns, targets, count):
+    """The one ansatz layout: unknown (k, j), the coefficient of x^monos[j]
+    in the k-th polynomial, is column k * len(monos) + j; an equation is one
+    (component, exps) coefficient.  Every target is answered in one
+    elimination and read back as ``count`` Polys, or None; with targets
+    None, each kernel vector is read back."""
+    nm = len(monos)
+    tcols = None if targets is None else [coefficient_column(t) for t in targets]
+    return [
+        None if sol is None
+        else [Poly.from_coefficients(gens, monos, sol[k * nm : (k + 1) * nm]) for k in range(count)]
+        for sol in linalg.solve_columns(columns, tcols)
+    ]
+
+
+def solve_combination(
+    gens: GeneratorSet, vectors: Sequence[Vector], targets: Sequence[Vector], cap: int
+) -> list[list[Poly] | None]:
+    """For each target T, the h_k of degree <= cap with sum_k h_k vectors[k]
+    = T, or None when there are none."""
+    monos = monomials(len(gens), cap)
+    columns = [col for v in vectors for col in shifted_columns(v, monos)]
+    return _solve_ansatz(gens, monos, columns, targets, len(vectors))
+
+
+def solve_preimage(
+    gens: GeneratorSet, fields: Sequence[Vector], targets: Sequence[Vector] | None, cap: int
+) -> list[Poly | None]:
+    """For each target T, an f of degree <= cap with Y_k(f) = T[k] for the
+    fields Y_k = fields[k][b] d_b, or None when there is none; with targets
+    None, a basis of {f : every Y_k(f) = 0}, one vector per free monomial."""
+    monos = monomials(len(gens), cap)
+    sols = _solve_ansatz(gens, monos, derivation_columns(fields, monos), targets, 1)
+    return [None if sol is None else sol[0] for sol in sols]
 
 
 def _poly(gens: GeneratorSet, terms: dict[tuple, Scalar]) -> "Poly":

@@ -6,12 +6,11 @@ rejection), reduction along a polynomial map, polynomial connections dual
 to the spanning fields, and the split delta = delta^D + delta' with the
 commuting-decomposition verdict.
 
-Every existence question is answered by an exact sparse linear solve
-(``linalg.solve_columns``) over bounded-degree polynomial coefficients,
-one equation per (component, monomial) and one column per unknown built
-by exponent arithmetic (``poly.derivation_columns``/``shifted_columns``);
-when the ansatz fails without a pointwise certificate the honest answer
-is "inconclusive", never a guess.
+Every existence question but the push-forward (whose columns are composed
+monomials, solved by ``linalg.solve_columns``) is a bounded-degree ansatz
+of ``poly.solve_combination`` or ``poly.solve_preimage``; when the ansatz
+fails without a pointwise certificate the honest answer is "inconclusive",
+never a guess.
 """
 
 from __future__ import annotations
@@ -22,11 +21,9 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .derivations import PolyDerivation, apply, commutator_der
-from .poly import GeneratorMismatch, GeneratorSet, Poly, monomials
-from .poly import coefficient_column, derivation_columns, shifted_columns
-from .scalars import GR_ONE, GaussRational
-
-DEFAULT_ANSATZ_CAP = 4
+from .poly import DEFAULT_ANSATZ_CAP, GeneratorMismatch, GeneratorSet, Poly, monomials
+from .poly import coefficient_column, solve_combination, solve_preimage
+from .scalars import GaussRational
 
 
 def _require_theta_free(*polys: Poly):
@@ -65,13 +62,7 @@ def invariant_subalgebra(
     Exact kernel computation on the monomial coefficient space; basis
     vectors are normalized with leading coefficient one.
     """
-    gens = dist.gens
-    monos = monomials(len(gens), degree_cap)
-    columns = derivation_columns(
-        [[y.images[name] for name in gens.names] for y in dist.fields], monos
-    )
-    kernel = linalg.solve_columns(columns, None)
-    basis = [Poly.from_coefficients(gens, monos, vec) for vec in kernel]
+    basis = solve_preimage(dist.gens, [y.components() for y in dist.fields], None, degree_cap)
     basis.sort(key=lambda p: (p.total_degree(), sorted(p.terms)))
     return basis
 
@@ -83,25 +74,9 @@ def express_in_fields(
 ) -> list[list[Poly] | None]:
     """For each target, polynomial coefficients h^k (degree <= cap) with
     target = h^k Y_k, or None; every target in one solve."""
-    gens = targets[0].gens
-    _require_theta_free(*(img for t in targets for img in t.images.values()))
-    monos = monomials(len(gens), ansatz_cap)
-    # Unknown (k, m) is the coefficient of m in h^k; its column is m Y_k.
-    columns = []
-    for y in fields:
-        columns += shifted_columns([y.images[name] for name in gens.names], monos)
-    sols = linalg.solve_columns(
-        columns,
-        [coefficient_column([t.images[name] for name in gens.names]) for t in targets],
-    )
-    nm = len(monos)
-    return [
-        None if sol is None else [
-            Poly.from_coefficients(gens, monos, sol[k * nm : (k + 1) * nm])
-            for k in range(len(fields))
-        ]
-        for sol in sols
-    ]
+    rhs = [t.components() for t in targets]
+    _require_theta_free(*(img for t in rhs for img in t))
+    return solve_combination(targets[0].gens, [y.components() for y in fields], rhs, ansatz_cap)
 
 
 _SAMPLE_SEEDS = (
@@ -127,9 +102,7 @@ def _sample_points(gens: GeneratorSet) -> list[dict[str, GaussRational]]:
 
 
 def _value_vector(delta: PolyDerivation, point: Mapping[str, GaussRational]):
-    return {
-        a: delta.images[n].evaluate_exact(point) for a, n in enumerate(delta.gens.names)
-    }
+    return dict(enumerate(c.evaluate_exact(point) for c in delta.components()))
 
 
 @dataclass
@@ -245,14 +218,9 @@ class ConnectionP:
                     )
 
     def _contract_with(self, x: PolyDerivation, k: int) -> Poly:
-        gens = self.dist.gens
-        out = Poly.zero(gens)
-        for name in gens.names:
-            a = self.forms[k][name]
-            if a.is_zero():
-                continue
-            comp = x.images[name]
-            if not comp.is_zero():
+        out = Poly.zero(self.dist.gens)
+        for a, comp in zip(self.forms[k].values(), x.components()):
+            if a.terms and comp.terms:
                 out = out + a * comp
         return out
 
@@ -271,26 +239,16 @@ def find_connection(
     Solves i_{Y_j} alpha^k = delta^k_j with polynomial components of
     degree <= cap, every form in one exact solve.
     """
-    gens = dist.gens
-    monos = monomials(len(gens), degree_cap)
-    # Unknown (a, m) is the coefficient of m in alpha_a; its column holds
-    # m Y_j^a in equation (j, exps).
-    columns = []
-    for name in gens.names:
-        columns += shifted_columns([y.images[name] for y in dist.fields], monos)
-    zero_exps = (0,) * len(gens)
-    sols = linalg.solve_columns(columns, [{(k, zero_exps): GR_ONE} for k in range(dist.rank)])
+    gens, rank = dist.gens, dist.rank
+    # alpha^k = alpha^k_a dx^a: vector a holds Y_j^a for each field j, and
+    # target k is the unit vector delta^k_j.
+    vectors = list(zip(*(y.components() for y in dist.fields)))
+    one, zero = Poly.one(gens), Poly.zero(gens)
+    units = [[one if j == k else zero for j in range(rank)] for k in range(rank)]
+    sols = solve_combination(gens, vectors, units, degree_cap)
     if None in sols:
         return None
-    nm = len(monos)
-    forms = [
-        {
-            name: Poly.from_coefficients(gens, monos, sol[a * nm : (a + 1) * nm])
-            for a, name in enumerate(gens.names)
-        }
-        for sol in sols
-    ]
-    return ConnectionP(dist, forms)
+    return ConnectionP(dist, [dict(zip(gens.names, sol)) for sol in sols])
 
 
 def connection_apply(conn: ConnectionP, x: PolyDerivation) -> PolyDerivation:

@@ -1247,6 +1247,24 @@ def test_option_sizes_beyond_the_budget_are_bad_input(argv, where):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["reduce", "--input", _REDUCE_INPUT, "--degree-cap", "-1"], "--degree-cap"),
+        (["reduce", "--input", _REDUCE_INPUT, "--ansatz-cap", "-1"], "--ansatz-cap"),
+        (["connection", "--distribution", json.dumps([_DQ_JSON]), "--degree-cap", "-1"],
+         "--degree-cap"),
+        (["frelate", "--dynamics", "euler", "--map", "q*p", "--ansatz-cap", "-1"], "--ansatz-cap"),
+    ],
+    ids=["reduce-degree-cap", "reduce-ansatz-cap", "connection-degree-cap", "frelate-ansatz-cap"],
+)
+def test_negative_cap_names_its_option(capsys, argv, where):
+    """`reduce` reads two caps, so the error must say which one is negative."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err == f"input error: {where}: degree cap must be >= 0\n"
+
+
 def test_sizes_within_the_budget_run(capsys):
     argv = ["reduce", "--input", _REDUCE_INPUT, "--degree-cap", "12", "--json"]
     code, _, err = run_cli(capsys, *argv)

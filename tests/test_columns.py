@@ -30,6 +30,8 @@ from aldyn.poly import (
     derivation_columns,
     monomials,
     shifted_columns,
+    solve_combination,
+    solve_preimage,
 )
 from aldyn.reduction import (
     Distribution,
@@ -399,6 +401,42 @@ def test_find_poisson_tensor_matches_product_oracle(gens):
         assert (got and got.components) == (want and want.components)
         results.append(got)
     assert len(gens) > 2 or results[0] is not None
+
+
+def test_one_generator_poisson_tensor_has_no_unknowns():
+    """One generator gives no pair a < b, so no unknowns: only the zero
+    dynamics has a tensor, and it has no components."""
+    gens = GeneratorSet.plain(("x",))
+    x = Poly.generator(gens, "x")
+    moving = PolyDerivation(gens, {"x": x})
+    assert find_poisson_tensor(moving, x * x, 2) is None
+    assert old_find_poisson_tensor(moving, x * x, 2) is None
+    still = PolyDerivation(gens, {})
+    got = find_poisson_tensor(still, x * x, 2)
+    assert got.components == old_find_poisson_tensor(still, x * x, 2).components == {}
+
+
+@gen_sets
+def test_many_targets_are_answered_as_one_at_a_time(gens):
+    """Both ansatz searches give each target the solution it gets alone,
+    None for the one without a solution."""
+    rng = random.Random(len(gens) * 71 + gens.kinds.count("angle-phase"))
+    zero = Poly.zero(gens)
+    vectors = [_field(gens, rng).components()[:-1] + [zero] for _ in range(2)]
+    coeffs = [random_poly(gens, rng, degree=1, terms=2) for _ in vectors]
+    inside = [sum((c * v[a] for c, v in zip(coeffs, vectors)), zero) for a in range(len(gens))]
+    outside = [zero] * (len(gens) - 1) + [Poly.one(gens)]  # no vector reaches the last slot
+    targets = [inside, outside, [zero] * len(gens)]
+    got = solve_combination(gens, vectors, targets, 2)
+    assert got == [solve_combination(gens, vectors, [t], 2)[0] for t in targets]
+    assert got[0] is not None and got[1] is None
+    y = _field(gens, rng)
+    fields = [y.components()] * 2  # Y f = 1 and Y f = 0 at once has no solution
+    f = random_poly(gens, rng, degree=2, terms=3)  # inside the ansatz
+    targets = [[apply(y, f)] * 2, [Poly.one(gens), zero], [zero, zero]]
+    got = solve_preimage(gens, fields, targets, 2)
+    assert got == [solve_preimage(gens, fields, [t], 2)[0] for t in targets]
+    assert got[0] is not None and got[1] is None
 
 
 def _homogeneous(gens, rng, degree, terms=3):

@@ -12,9 +12,16 @@ from aldyn.derivations import PolyDerivation
 from aldyn.diffcalc import DerivationBasis
 from aldyn.linalg import SparseEliminator
 from aldyn.matrices import Mat
-from aldyn.poisson import PoissonTensor, find_hamiltonian, hamiltonian_field
+from aldyn.poisson import PoissonTensor, find_hamiltonian, find_poisson_tensor, hamiltonian_field
 from aldyn.poly import GeneratorSet, Poly
-from aldyn.reduction import Distribution, f_related_reduce, find_connection, normalizer_check
+from aldyn.reduction import (
+    Distribution,
+    express_in_fields,
+    f_related_reduce,
+    find_connection,
+    invariant_subalgebra,
+    normalizer_check,
+)
 from aldyn.scalars import GR_ZERO, GaussRational
 
 from conftest import random_gauss, random_poly
@@ -336,6 +343,27 @@ def _normalizer():
     return lambda: normalizer_check(_SWAP, _DIST, 2).status == "member"
 
 
+def _hamiltonian():
+    tensor = PoissonTensor.canonical(2)
+    delta = hamiltonian_field(tensor, _Q1 * _Q2)
+    return lambda: find_hamiltonian(tensor, delta, 2) is not None
+
+
+def _poisson_tensor():
+    h = _Q1 * _Q2
+    delta = hamiltonian_field(PoissonTensor.canonical(2), h)
+    return lambda: find_poisson_tensor(delta, h, 2) is not None
+
+
+def _invariants():
+    return lambda: invariant_subalgebra(_DIST, 2)
+
+
+def _express():
+    targets = [*_DIST.fields, PolyDerivation(_R4, {"q1": _Q2})]
+    return lambda: None not in express_in_fields(targets, _DIST.fields, 2)
+
+
 def _closed():
     return quantum.MatrixSubspace.block_algebra(3, 2).is_closed
 
@@ -352,7 +380,11 @@ def _invariance():
         (_connection, 1),
         (_push_forward, 1),
         (_normalizer, 1),
-        (_closed, 1),  # products and commutators
+        (_hamiltonian, 1),
+        (_poisson_tensor, 1),
+        (_invariants, 1),
+        (_express, 1),  # three targets
+        (_closed, 1),  # the d^2 products, which decide the commutators too
         (_invariance, 1),
     ],
     ids=lambda x: x.__name__.strip("_") if callable(x) else str(x),
