@@ -23,7 +23,8 @@ import sys
 import time
 
 from . import linalg
-from .demos import DEMOS, FLOAT_SAFETY, finite_float, rounding_bound
+from .demos import DEMOS, FLOAT_SAFETY, LINEAR_DYNAMICS, finite_float, rounding_bound
+from .demos import linear_dynamics
 from .derivations import (
     DEFAULT_NILPOTENCY_CUTOFF,
     NonTruncatingFlow,
@@ -76,10 +77,6 @@ from .report import EXIT_BAD_INPUT, Report
 from .scalars import GaussRational, Scalar, json_int, rational, to_float
 
 
-class InputError(ValueError):
-    """Malformed input (bad JSON, schema violation, parse error)."""
-
-
 def _load_json_arg(text: str, path: str):
     raw = text
     if text.startswith("@"):
@@ -87,13 +84,13 @@ def _load_json_arg(text: str, path: str):
             with open(text[1:], "r", encoding="utf-8") as fh:
                 raw = fh.read()
         except OSError as e:
-            raise InputError(f"{path}: cannot read file: {e}") from e
+            raise ValueError(f"{path}: cannot read file: {e}") from e
     try:
         return json.loads(raw)
     except json.JSONDecodeError as e:
-        raise InputError(f"{path}: invalid JSON: {e}") from e
+        raise ValueError(f"{path}: invalid JSON: {e}") from e
     except RecursionError:
-        raise InputError(f"{path}: JSON nested too deeply") from None
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _decode(path: str, fn, *args):
@@ -102,7 +99,7 @@ def _decode(path: str, fn, *args):
     except (
         AttributeError, KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError
     ) as e:
-        raise InputError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 TENSOR_PRESETS = {
@@ -124,24 +121,9 @@ def _load_tensor(spec: str) -> PoissonTensor:
     return _decode("/tensor", PoissonTensor.from_json, data)
 
 
-def _phase_space_derivation(images: dict[str, str]) -> PolyDerivation:
-    gens = GeneratorSet.phase_space(1)
-    return PolyDerivation(
-        gens, {k: parse_poly(v, gens) for k, v in images.items()}
-    )
-
-
-DERIVATION_PRESETS = {
-    "free": lambda: _phase_space_derivation({"q": "p"}),
-    "oscillator": lambda: _phase_space_derivation({"q": "p", "p": "-q"}),
-    "euler": lambda: _phase_space_derivation({"q": "q", "p": "p"}),
-    "rotation": lambda: _phase_space_derivation({"q": "-p", "p": "q"}),
-}
-
-
 def _load_derivation(spec: str, path: str = "/derivation") -> PolyDerivation:
-    if spec in DERIVATION_PRESETS:
-        return DERIVATION_PRESETS[spec]()
+    if spec in LINEAR_DYNAMICS:
+        return linear_dynamics(spec)
     data = _load_json_arg(spec, path)
     return _decode(path, PolyDerivation.from_json, data)
 
@@ -158,7 +140,7 @@ def _parse_expr(text: str, gens: GeneratorSet, path: str) -> Poly:
     try:
         return parse_poly(text, gens)
     except ParseError as e:
-        raise InputError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _poly_float_json(p: Poly) -> dict:
@@ -288,9 +270,9 @@ def cmd_flow(args) -> Report:
             lines=[f"e^(t d) f = {flow}"],
         )
     if args.t is None:
-        raise InputError("/t: linear flow needs a numeric --t")
+        raise ValueError("/t: linear flow needs a numeric --t")
     if not f.is_theta_free():
-        raise InputError("/f: linear flow needs a theta-free observable")
+        raise ValueError("/f: linear flow needs a theta-free observable")
     t = to_float(rational(args.t, "/t"), "/t")
     flow = flow_linear(d, t, f)
     return Report(
@@ -330,7 +312,7 @@ def cmd_evolve(args) -> Report:
     h = _decode("/h", Mat.from_json, _load_json_arg(args.h, "/h"))
     a = _decode("/a", Mat.from_json, _load_json_arg(args.a, "/a"))
     if a.n != h.n:
-        raise InputError(f"/a: a {a.n}x{a.n} matrix, /h is {h.n}x{h.n}")
+        raise ValueError(f"/a: a {a.n}x{a.n} matrix, /h is {h.n}x{h.n}")
     hn, an = h.to_numpy("/h"), a.to_numpy("/a")
     t = args.t
     result = evolve(a, h, t)
@@ -378,7 +360,7 @@ def cmd_invariance(args) -> Report:
         "/subspace", MatrixSubspace.from_json, _load_json_arg(args.subspace, "/subspace")
     )
     if h.n != space.n:
-        raise InputError(f"/h: a {h.n}x{h.n} matrix, /subspace holds {space.n}x{space.n} ones")
+        raise ValueError(f"/h: a {h.n}x{h.n} matrix, /subspace holds {space.n}x{space.n} ones")
     rep = invariance_check(h, space)
     checks = {"ad_H preserves the subspace": rep.ok}
     if rep.ok:
@@ -433,10 +415,10 @@ def cmd_biderivation(args) -> Report:
 def cmd_reduce(args) -> Report:
     data = _load_json_arg(args.input, "/input")
     if not isinstance(data, dict) or not {"dynamics", "distribution"} <= data.keys():
-        raise InputError("/input: needs an object with 'dynamics' and 'distribution'")
+        raise ValueError("/input: needs an object with 'dynamics' and 'distribution'")
     unknown = sorted(data.keys() - {"dynamics", "distribution", "connection"})
     if unknown:
-        raise InputError(f"/input/{unknown[0]}: unknown key")
+        raise ValueError(f"/input/{unknown[0]}: unknown key")
     delta = _decode("/input/dynamics", PolyDerivation.from_json, data["dynamics"])
     dist = _load_distribution(data["distribution"], "/input/distribution")
     check_monomial_budget("--degree-cap", len(delta.gens), args.degree_cap)
@@ -534,7 +516,7 @@ def _load_form(spec: str, path: str, basis: DerivationBasis | None = None) -> KF
     """A form from JSON; with a basis given, the form must name the same n."""
     data = _load_json_arg(spec, path)
     if basis is not None and _decode(path, lambda: json_int(data["n"], "n")) != basis.n:
-        raise InputError(f"{path}: forms over different algebras")
+        raise ValueError(f"{path}: forms over different algebras")
     return _decode(path, KForm.from_json, data, basis)
 
 
@@ -557,7 +539,7 @@ def cmd_wedge(args) -> Report:
 def _parse_coeff_vector(text: str, dim: int, path: str) -> list[GaussRational]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dim:
-        raise InputError(f"{path}: expected {dim} coefficients, got {len(parts)}")
+        raise ValueError(f"{path}: expected {dim} coefficients, got {len(parts)}")
     return [GaussRational.of(rational(p, path)) for p in parts]
 
 

@@ -4,6 +4,10 @@ Every demo is deterministic: random data is drawn from fixed seeds, so two
 runs produce identical payloads.  Each verdict is decided exactly; floats
 appear only where an exponential is evaluated (the oscillator's rotation,
 the printed angle-phase value u(t)).
+
+The named linear dynamics x -> c x (free, oscillator, euler, rotation) are
+one table of matrices, ``LINEAR_DYNAMICS``, which the demos and the CLI's
+derivation presets both read.
 """
 
 from __future__ import annotations
@@ -66,12 +70,26 @@ def rounding_bound(size: float) -> float:
     return FLOAT_SAFETY * sys.float_info.epsilon * size
 
 
+# Row a of c holds the image of generator a of phase_space(1) = (q, p).
+LINEAR_DYNAMICS = {
+    "free": ((0, 1), (0, 0)),
+    "oscillator": ((0, 1), (-1, 0)),
+    "euler": ((1, 0), (0, 1)),
+    "rotation": ((0, -1), (1, 0)),
+}
+
+
+def linear_dynamics(name: str) -> PolyDerivation:
+    """The derivation of ``LINEAR_DYNAMICS[name]`` on ``phase_space(1)``."""
+    return PolyDerivation.from_linear_map(GeneratorSet.phase_space(1), LINEAR_DYNAMICS[name])
+
+
 @_demo("free", t=rational, observable=str)
 def demo_free(t: str | None = None, observable: str = "q") -> Report:
     """Free dynamics: order-2 nilpotent generator, exact truncating flow."""
-    gens = GeneratorSet.phase_space(1)
-    q, p = Poly.generator(gens, "q"), Poly.generator(gens, "p")
-    free = PolyDerivation(gens, {"q": p})
+    free = linear_dynamics("free")
+    gens = free.gens
+    q = Poly.generator(gens, "q")
     order = nilpotency_order(free)
     f = parse_poly(observable, gens)
     flow = flow_nilpotent(free, f)
@@ -103,9 +121,9 @@ def demo_free(t: str | None = None, observable: str = "q") -> Report:
 @_demo("oscillator", t=rational)
 def demo_oscillator(t: str | None = None) -> Report:
     """Harmonic oscillator at omega = 1: rotation flow, conserved energy."""
-    gens = GeneratorSet.phase_space(1)
+    osc = linear_dynamics("oscillator")
+    gens = osc.gens
     q, p = Poly.generator(gens, "q"), Poly.generator(gens, "p")
-    osc = PolyDerivation(gens, {"q": p, "p": -q})
     t = math.pi / 2 if t is None else to_float(read_rational(t, "--t"), "--t")
     order = nilpotency_order(osc)
     flow_q = flow_linear(osc, t, q)
@@ -261,12 +279,10 @@ def demo_s_space() -> Report:
 def demo_wigner() -> Report:
     """Linear dynamics that cannot see whether the product commutes."""
     ctx = StarAlgebraContext.canonical(1)
-    cases = {
-        "free": [[0, 1], [0, 0]],
-        "oscillator": [[0, 1], [-1, 0]],
-        "euler": [[1, 0], [0, 1]],
+    reports = {
+        name: wigner_ambiguity_check(ctx, LINEAR_DYNAMICS[name])
+        for name in ("free", "oscillator", "euler")
     }
-    reports = {name: wigner_ambiguity_check(ctx, c) for name, c in cases.items()}
     expected_star = {"free": True, "oscillator": True, "euler": False}
     payload = {name: r.to_json() for name, r in reports.items()}
     checks = {

@@ -56,27 +56,18 @@ class PolyDerivation:
     def from_linear_map(gens: GeneratorSet, c: Sequence[Sequence]) -> "PolyDerivation":
         """Degree-zero homogeneous derivation x^a -> c^a_b x^b.
 
-        Rows of c are indexed like the generators; each entry is read by
-        ``Scalar.coerce``.
+        Rows of c are indexed like the generators; row a is the linear form
+        ``Poly.linear(gens, c[a])``.
         """
         n = len(gens)
-        images = {}
-        for a in range(n):
-            img = Poly.zero(gens)
-            for b in range(n):
-                coeff = Scalar.coerce(c[a][b])
-                if coeff.is_zero():
-                    continue
-                img = img + Poly.generator(gens, gens.names[b]).scale(coeff)
-            images[gens.names[a]] = img
+        if len(c) != n:
+            raise ValueError(f"a linear map on {n} generators takes {n} rows, got {len(c)}")
+        images = {name: Poly.linear(gens, row) for name, row in zip(gens.names, c)}
         return PolyDerivation(gens, images)
 
     def components(self) -> list[Poly]:
         """The images delta^a in generator order."""
         return list(self.images.values())
-
-    def __call__(self, f: Poly) -> Poly:
-        return apply(self, f)
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
@@ -174,7 +165,8 @@ def flow_nilpotent(delta: PolyDerivation, f: Poly) -> Poly:
 
 def flow_series_truncated(delta: PolyDerivation, f: Poly, order: int) -> tuple[Poly, bool]:
     """Partial sum of the exponential series up to t**order, in the
-    generators of delta and one more, t.
+    generators of delta and one more, the time t: the first of t, t_,
+    t__, ... that is not already a generator.
 
     For derivations outside the guaranteed-truncation class this is the
     honest offering: the caller names the order and the second return value
@@ -194,7 +186,10 @@ def flow_series_truncated(delta: PolyDerivation, f: Poly, order: int) -> tuple[P
         terms.update((exps + (k,), c.scale(inv)) for exps, c in term.terms.items())
         term = apply(delta, term)
         factorial *= k + 1
-    gens = GeneratorSet(delta.gens.names + ("t",), delta.gens.kinds + ("plain",))
+    t = "t"
+    while t in delta.gens:
+        t += "_"
+    gens = GeneratorSet(delta.gens.names + (t,), delta.gens.kinds + ("plain",))
     return Poly(gens, terms), term.is_zero()
 
 
@@ -277,17 +272,9 @@ def flow_linear(delta: PolyDerivation, t: complex, f: Poly) -> Poly:
     c = linear_coefficient_matrix(delta)
     etc = _expm(t * c)
     gens = delta.gens
-    images = {}
-    for a, name in enumerate(gens.names):
-        img = Poly.zero(gens)
-        for b in range(len(gens)):
-            z = etc[a, b]
-            if z == 0:
-                continue
-            img = img + Poly.generator(gens, gens.names[b]).scale(
-                GaussRational.from_complex(complex(z))
-            )
-        images[name] = img
+    images = {
+        name: Poly.linear(gens, [complex(z) for z in row]) for name, row in zip(gens.names, etc)
+    }
     return f.substitute(images)
 
 

@@ -19,7 +19,8 @@ contraction/Lie-derivative pair gives a Cartan calculus.
 
 The basis derivations act as A -> [A, X_j]; their Lie bracket is the
 operator commutator, whose structure constants therefore come from
-expanding [X_l, X_k] (note the order) in the matrix basis.
+expanding [X_l, X_k] (note the order) in the matrix basis, as the
+coordinates of ``quantum.MatrixSubspace``.
 
 d runs in Gaussian integers over one common denominator.  Each basis keeps
 the nonzero entries of every generator (at most N for a Gell-Mann matrix)
@@ -39,7 +40,7 @@ from typing import Mapping, Sequence
 from .linalg import solve_columns
 from .matrices import Mat, _mat
 from .poly import check_budget
-from .quantum import _vectors, commutator, commutator_columns
+from .quantum import MatrixSubspace, commutator, commutator_columns
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, _norm, json_int
 
 
@@ -67,28 +68,25 @@ class DerivationBasis:
 
     The count is N^2 - 1: ad is degenerate on the center, so the traceless
     matrices parametrize the derivations faithfully and the dual frame
-    condition stays non-degenerate.
+    condition stays non-degenerate.  The generators are checked as a
+    ``MatrixSubspace`` (one size, independent), and the structure constants
+    are its ``coordinates``.
     """
 
     __slots__ = ("n", "generators", "structure", "_den", "_gen_terms", "_d_alpha")
 
     def __init__(self, generators: Sequence[Mat]):
-        generators = list(generators)
-        if not generators:
+        if not generators:  # gell_mann(n) for n < 2, which the CLI can ask for
             raise ValueError("empty derivation basis")
-        n = generators[0].n
+        space = MatrixSubspace(generators)
+        n, generators = space.n, space.basis
         if len(generators) != n * n - 1:
             raise ValueError("derivation basis of B(C^N) has N^2 - 1 elements")
-        for g in generators:
-            if g.n != n:
-                raise ValueError("mixed matrix sizes")
-            if not g.trace().is_zero():
-                raise ValueError("basis generators must be traceless")
-        if solve_columns(_vectors(generators), None):
-            raise ValueError("basis generators must be linearly independent")
+        if any(not g.trace().is_zero() for g in generators):
+            raise ValueError("basis generators must be traceless")
         self.n = n
         self.generators = generators
-        self.structure = self._structure_constants()
+        self.structure = self._structure_constants(space)
         # (l, k, g) for each nonzero entry g = X_j[l][k], per generator j, and
         # d(alpha^m) as its terms (a, b, -c^m_ab), a < b, of alpha^a ^ alpha^b
         entries = [
@@ -126,7 +124,7 @@ class DerivationBasis:
     def dim(self) -> int:
         return len(self.generators)
 
-    def _structure_constants(self) -> dict:
+    def _structure_constants(self, space: MatrixSubspace) -> dict:
         """c^j_{kl} with [X_k, X_l] = c^j_{kl} X_j as operators.
 
         Since X(A) = [A, X_matrix], the operator bracket corresponds to the
@@ -137,9 +135,9 @@ class DerivationBasis:
         gens = self.generators
         pairs = [(k, l) for k in range(self.dim) for l in range(k + 1, self.dim)]
         # a commutator is traceless: its coordinates need no projection
-        brackets = _vectors([commutator(gens[l], gens[k]) for k, l in pairs])
+        brackets = [commutator(gens[l], gens[k]) for k, l in pairs]
         structure: dict[tuple[int, int], list[tuple[int, GaussRational]]] = {}
-        for (k, l), coords in zip(pairs, solve_columns(_vectors(gens), brackets)):
+        for (k, l), coords in zip(pairs, space.coordinates(brackets)):
             entry = [(j, c) for j, c in enumerate(coords) if not c.is_zero()]
             if entry:
                 structure[(k, l)] = entry

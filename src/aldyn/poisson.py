@@ -14,13 +14,13 @@ bounded-degree inverse searches complete the module: the Hamiltonian is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
 from .derivations import PolyDerivation, apply
 from .poly import DEFAULT_ANSATZ_CAP, GeneratorMismatch, GeneratorSet, Poly, check_budget
 from .poly import solve_combination, solve_preimage
+from .report import Verdict
 from .scalars import json_int, rational
 
 
@@ -106,22 +106,16 @@ def bracket(tensor: PoissonTensor, f: Poly, g: Poly) -> Poly:
     return apply(hamiltonian_field(tensor, g), f)
 
 
-@dataclass
-class JacobiReport:
-    ok: bool
-    witness: tuple[int, int, int] | None = None
-    residual: Poly | None = None
-
-
-def jacobi_check(tensor: PoissonTensor) -> JacobiReport:
+def jacobi_check(tensor: PoissonTensor) -> Verdict:
     """The cyclic sum Y_a(Lambda^{bc}) + Y_b(Lambda^{ca}) + Y_c(Lambda^{ab})
-    over all index triples a < b < c; the first nonzero one is the witness."""
+    over all index triples a < b < c; the first triple with a nonzero sum
+    is the witness, and that sum the residual."""
     y, lam = tensor.rows, tensor.component
     for a, b, c in combinations(range(tensor.dim), 3):
         residual = apply(y[a], lam(b, c)) + apply(y[b], lam(c, a)) + apply(y[c], lam(a, b))
         if not residual.is_zero():
-            return JacobiReport(False, (a, b, c), residual)
-    return JacobiReport(True)
+            return Verdict(False, (a, b, c), residual)
+    return Verdict(True)
 
 
 def hamiltonian_field(tensor: PoissonTensor, h: Poly) -> PolyDerivation:
@@ -143,14 +137,9 @@ def lie_poisson(c: Sequence[Sequence[Sequence]]) -> PoissonTensor:
     if any(c[i][j][k] != -c[j][i][k] for i in range(3) for j in range(3) for k in range(3)):
         raise ValueError("structure constants not antisymmetric in (i,j)")
     gens = GeneratorSet.plain(("x", "y", "z"))
-    comps = {}
-    for i, j in combinations(range(3), 2):
-        poly = Poly.zero(gens)
-        for k in range(3):
-            if c[i][j][k]:
-                poly = poly + Poly.generator(gens, gens.names[k]).scale(c[i][j][k])
-        comps[(i, j)] = poly
-    tensor = PoissonTensor(gens, comps)
+    tensor = PoissonTensor(
+        gens, {(i, j): Poly.linear(gens, c[i][j]) for i, j in combinations(range(3), 2)}
+    )
     if not jacobi_check(tensor).ok:
         raise ValueError("structure constants violate the Jacobi identity")
     return tensor
@@ -170,20 +159,14 @@ HEISENBERG = (
 ABELIAN = (((0, 0, 0),) * 3,) * 3
 
 
-@dataclass
-class CasimirReport:
-    ok: bool
-    witness: str | None = None
-    residual: Poly | None = None
-
-
-def casimir_check(tensor: PoissonTensor, c: Poly) -> CasimirReport:
+def casimir_check(tensor: PoissonTensor, c: Poly) -> Verdict:
     """Pass iff X_C = 0, i.e. {x^a, C} = 0 for every generator; the witness
-    is the first generator with a nonzero component of X_C."""
+    is the first generator with a nonzero component of X_C, and that
+    component the residual."""
     for name, r in hamiltonian_field(tensor, c).images.items():
         if not r.is_zero():
-            return CasimirReport(False, name, r)
-    return CasimirReport(True)
+            return Verdict(False, name, r)
+    return Verdict(True)
 
 
 def find_hamiltonian(

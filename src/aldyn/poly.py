@@ -4,7 +4,8 @@ Terms are stored as a dict from exponent tuples to ``Scalar`` coefficients,
 one slot per generator.  Exponents are non-negative except for angle-phase
 generators (u = e^{i theta} style), which carry Laurent exponents so that
 C[u, u^-1] is representable.  Values are immutable after construction and
-all operations are pure.
+all operations are pure.  A linear form sum_b c_b x_b, such as an image of
+a linear dynamics or a Lie-Poisson component, is ``Poly.linear``.
 
 Every bounded-degree search is ``solve_combination`` (sum_k h_k v_k = T) or
 ``solve_preimage`` (Y_k(f) = T_k), which own the monomials, the columns, the
@@ -312,6 +313,22 @@ class Poly:
             raise ValueError("negative powers need an angle-phase generator")
         exps = tuple(power if j == i else 0 for j in range(len(gens)))
         return Poly(gens, {exps: Scalar.one()})
+
+    @staticmethod
+    def linear(gens: GeneratorSet, coeffs: Sequence) -> "Poly":
+        """The linear form sum_b coeffs[b] x_b, one coefficient per
+        generator, each read by ``Scalar.coerce``."""
+        n = len(gens)
+        if len(coeffs) != n:
+            raise ValueError(
+                f"a linear form on {n} generators takes {n} coefficients, got {len(coeffs)}"
+            )
+        terms = {}
+        for b, c in enumerate(coeffs):
+            c = Scalar.coerce(c)
+            if not c.is_zero():
+                terms[(0,) * b + (1,) + (0,) * (n - b - 1)] = c
+        return _poly(gens, terms)
 
     @staticmethod
     def from_coefficients(

@@ -7,15 +7,19 @@ solver showing every bracket that is Leibniz in both slots is a central
 multiple of the commutator.  Hermiticity of a Hamiltonian is decided
 exactly (float JSON entries embed exactly), so only `evolve`, the one
 exponential, computes in floats.
+
+A `MatrixSubspace` answers every question about its span in one exact
+solve: membership, and the coordinates that also give the structure
+constants of `diffcalc.DerivationBasis`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .linalg import SparseEliminator, solve_columns
 from .matrices import Mat, full_matrix_basis
+from .report import Verdict
 from .scalars import GR_I, GR_ZERO, GaussRational, to_float
 
 
@@ -77,9 +81,14 @@ class MatrixSubspace:
     def dimension(self) -> int:
         return len(self.basis)
 
+    def coordinates(self, mats: Sequence[Mat]) -> list[list[GaussRational] | None]:
+        """The coordinates of every matrix in mats in the basis, or None for
+        one outside the span, all in one elimination."""
+        return solve_columns(_vectors(self.basis), _vectors(mats))
+
     def contains_each(self, mats: Sequence[Mat]) -> list[bool]:
         """Membership of every matrix in mats, decided in one elimination."""
-        return [x is not None for x in solve_columns(_vectors(self.basis), _vectors(mats))]
+        return [x is not None for x in self.coordinates(mats)]
 
     def contains(self, m: Mat) -> bool:
         return self.contains_each([m])[0]
@@ -148,20 +157,14 @@ def commutant(space: MatrixSubspace) -> MatrixSubspace:
     return MatrixSubspace([Mat.unflatten(v, space.n) for v in kernel])
 
 
-@dataclass
-class InvarianceReport:
-    ok: bool
-    witness: Mat | None = None
-
-
-def invariance_check(h: Mat, space: MatrixSubspace) -> InvarianceReport:
+def invariance_check(h: Mat, space: MatrixSubspace) -> Verdict:
     """Does ad_H map the subspace into itself?  Exact membership of [b, H]
     for every basis b, in one solve; the first b outside is the witness."""
     images = space.contains_each([commutator(b, h) for b in space.basis])
     for b, inside in zip(space.basis, images):
         if not inside:
-            return InvarianceReport(False, b)
-    return InvarianceReport(True)
+            return Verdict(False, b)
+    return Verdict(True)
 
 
 class InnerDerivation:

@@ -23,6 +23,7 @@ from . import linalg
 from .derivations import PolyDerivation, apply, commutator_der
 from .poly import DEFAULT_ANSATZ_CAP, GeneratorMismatch, GeneratorSet, Poly, monomials
 from .poly import coefficient_column, solve_combination, solve_preimage
+from .report import Verdict
 from .scalars import GaussRational
 
 
@@ -74,6 +75,8 @@ def express_in_fields(
 ) -> list[list[Poly] | None]:
     """For each target, polynomial coefficients h^k (degree <= cap) with
     target = h^k Y_k, or None; every target in one solve."""
+    if not targets:
+        return []
     rhs = [t.components() for t in targets]
     _require_theta_free(*(img for t in rhs for img in t))
     return solve_combination(targets[0].gens, [y.components() for y in fields], rhs, ansatz_cap)
@@ -346,21 +349,16 @@ def split_dynamics(
     )
 
 
-@dataclass
-class SubalgebraInvarianceReport:
-    ok: bool
-    witness: Poly | None = None
-
-
 def invariance_of_subalgebra(
     delta: PolyDerivation,
     basis: Sequence[Poly],
     dist: Distribution,
-) -> SubalgebraInvarianceReport:
-    """Is delta(f) still annihilated by every Y_j, for each basis f?"""
+) -> Verdict:
+    """Is delta(f) still annihilated by every Y_j, for each basis f?  The
+    first f whose image is not is the witness."""
     for f in basis:
         g = apply(delta, f)
         for y in dist.fields:
             if not apply(y, g).is_zero():
-                return SubalgebraInvarianceReport(False, f)
-    return SubalgebraInvarianceReport(True)
+                return Verdict(False, f)
+    return Verdict(True)

@@ -6,6 +6,10 @@ within an ansatz cap.  The status is read off the checks alone: "fail" if
 any check is False, else "inconclusive" if any is None, else "ok".  Each
 check renders as "<label>: pass|fail|inconclusive", after the free-text
 notes.
+
+An exact check that either holds or stops at its first counterexample
+returns a ``Verdict``: ``ok``, and on failure the ``witness`` and, where
+the check computes one, the nonzero ``residual`` found there.
 """
 
 from __future__ import annotations
@@ -18,6 +22,13 @@ EXIT_BAD_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 _VERDICT = {True: "pass", False: "fail", None: "inconclusive"}
+
+
+@dataclass
+class Verdict:
+    ok: bool
+    witness: object = None
+    residual: object = None
 
 
 @dataclass

@@ -315,6 +315,24 @@ class TestFlowCommands:
         code, payload, _ = run_json(capsys, "flow", "--derivation", d, "--f", "q", "--t", "3")
         assert payload["result"]["text"] == "q + 3*p^2"
 
+    def test_generator_named_t_keeps_its_name(self, capsys, tmp_path):
+        """With generators (t, x) the series runs in t_, and --t still
+        substitutes the time, not the generator t."""
+        gens = GeneratorSet.plain(["t", "x"])
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(PolyDerivation(gens, {"t": Poly.generator(gens, "x")}).to_json()))
+        argv = ["flow", "--derivation", f"@{d}", "--f", "t"]
+        code, payload, _ = run_json(capsys, *argv, "--t", "2")
+        assert code == EXIT_OK
+        assert payload["result"]["text"] == "2*x + t"
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == EXIT_OK
+        assert payload["result"]["text"] == "t + x*t_"
+        assert [g["name"] for g in payload["result"]["poly"]["generators"]] == ["t", "x", "t_"]
+        code, payload, _ = run_json(capsys, "flow", "--derivation", "free", "--f", "q")
+        assert payload["result"]["text"] == "q + p*t"
+        assert [g["name"] for g in payload["result"]["poly"]["generators"]] == ["q", "p", "t"]
+
     def test_laurent_observable_flows(self, capsys):
         """u^-2 I under d/dI keeps its negative power: u^-2 I + t u^-2."""
         d = json.dumps(PolyDerivation(AA, {"I": Poly.one(AA)}).to_json())

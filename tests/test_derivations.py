@@ -14,6 +14,7 @@ from aldyn.derivations import (
     apply,
     commutator_der,
     flow_action_angle,
+    flow_at,
     flow_linear,
     flow_nilpotent,
     flow_series_truncated,
@@ -193,6 +194,16 @@ class TestTruncatedSeries:
         )
         assert flow == expected
 
+    def test_time_variable_avoids_a_generator_named_t(self):
+        gens = GeneratorSet.plain(["t", "x", "t_"])
+        t, x = Poly.generator(gens, "t"), Poly.generator(gens, "x")
+        flow, exact = flow_series_truncated(PolyDerivation(gens, {"t": x}), t, order=3)
+        assert exact
+        assert flow.gens.names == ("t", "x", "t_", "t__")
+        time = Poly.generator(flow.gens, "t__")
+        assert flow == Poly.generator(flow.gens, "t") + time * Poly.generator(flow.gens, "x")
+        assert flow_at(flow, 2) == t + x.scale(2)
+
     def test_oscillator_partial_sum(self):
         flow, exact = flow_series_truncated(oscillator(), Q, order=2)
         assert not exact
@@ -331,6 +342,14 @@ class TestCommutator:
         lhs = apply(commutator_der(d1, d2), f)
         rhs = apply(d1, apply(d2, f)) - apply(d2, apply(d1, f))
         assert lhs == rhs
+
+
+def test_linear_map_needs_one_row_per_generator():
+    with pytest.raises(ValueError, match="takes 2 rows, got 1"):
+        PolyDerivation.from_linear_map(GENS, [[0, 1]])
+    with pytest.raises(ValueError, match="takes 2 coefficients, got 1"):
+        PolyDerivation.from_linear_map(GENS, [[0, 1], [0]])
+    assert PolyDerivation.from_linear_map(GENS, [[0, 1], [-1, 0]]) == oscillator()
 
 
 def test_json_round_trip():

@@ -291,6 +291,35 @@ class TestEvaluate:
             w.evaluate([x]).scale(two) + w.evaluate([y])
         )
 
+    @pytest.mark.parametrize("basis", [B2, B3], ids=["N2", "N3"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_unit_fields_read_value_and_every_slot_is_linear(self, basis, degree):
+        """On unit coordinate vectors evaluate is value: the stored
+        coefficient on sorted indices, signed by the sorting permutation on
+        permuted ones, zero on repeated ones; and it is linear in each field."""
+        rng = random.Random(150 + 10 * basis.n + degree)
+        w = random_form(basis, degree, rng)
+        units = [unit_field(basis, j) for j in range(basis.dim)]
+        for idx in itertools.product(range(basis.dim), repeat=degree):
+            got = w.evaluate([units[i] for i in idx])
+            assert got == w.value(idx)
+            if len(set(idx)) < degree:
+                assert got.is_zero()
+                continue
+            stored = w.coeffs.get(tuple(sorted(idx)), Mat.zero(basis.n))
+            inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+            assert got == (stored if inversions % 2 == 0 else -stored)
+
+        fields = [[random_gauss(rng) for _ in range(basis.dim)] for _ in range(degree)]
+        x, y = ([random_gauss(rng) for _ in range(basis.dim)] for _ in range(2))
+        c = random_gauss(rng)
+        combo = [c * a + b for a, b in zip(x, y)]
+        for slot in range(degree):
+            def at(v):
+                return w.evaluate(fields[:slot] + [v] + fields[slot + 1 :])
+
+            assert at(combo) == at(x).scale(c) + at(y)
+
 
 class TestWedge:
     def test_dual_pair(self):

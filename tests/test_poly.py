@@ -182,6 +182,21 @@ def test_grlex_term_order_is_canonical():
     assert exps == [(0, 0), (0, 1), (2, 0)]
 
 
+class TestLinear:
+    def test_sum_of_scaled_generators(self):
+        f = Poly.linear(GENS, [Fraction(1, 2), GaussRational.of(0, -3)])
+        assert f == Q.scale(Fraction(1, 2)) + P.scale(GaussRational.of(0, -3))
+
+    def test_zero_coefficients_leave_no_term(self):
+        assert Poly.linear(GENS, [0, 0]).is_zero()
+        assert Poly.linear(GENS, [0, 2.5]).terms == {(0, 1): Scalar.coerce(2.5)}
+
+    @pytest.mark.parametrize("coeffs", [[], [1], [1, 2, 3]])
+    def test_one_coefficient_per_generator(self, coeffs):
+        with pytest.raises(ValueError, match="takes 2 coefficients"):
+            Poly.linear(GENS, coeffs)
+
+
 def test_json_round_trip():
     rng = random.Random(7)
     for _ in range(10):

@@ -240,6 +240,15 @@ class TestCommutant:
                 assert double.contains(b)
 
 
+class TestCoordinates:
+    def test_combination_is_read_back_and_outside_is_none(self):
+        space = MatrixSubspace([SX, SY, SZ])
+        coeffs = [GaussRational.of(2), GaussRational.of(0, -1), GaussRational.of(Fraction(1, 3))]
+        m = SX.scale(coeffs[0]) + SY.scale(coeffs[1]) + SZ.scale(coeffs[2])
+        assert space.coordinates([m, Mat.identity(2)]) == [coeffs, None]
+        assert space.contains_each([m, Mat.identity(2)]) == [True, False]
+
+
 class TestInvariance:
     def test_block_diagonal_passes(self):
         h = Mat.from_rows(

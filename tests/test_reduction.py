@@ -302,3 +302,6 @@ class TestExpressInFields:
 
     def test_unsolvable_within_cap(self):
         assert express_in_fields([FREE], D_P.fields, 3) == [None]
+
+    def test_no_targets_give_no_answers(self):
+        assert express_in_fields([], D_Q.fields, 2) == []
