@@ -27,11 +27,17 @@ from .derivations import (
     flow_nilpotent,
     nilpotency_order,
 )
-from .diffcalc import DerivationBasis, KForm, exterior_d, exactness_obstruction
+from .diffcalc import (
+    DerivationBasis,
+    KForm,
+    check_gell_mann_size,
+    exactness_obstruction,
+    exterior_d,
+)
 from .matrices import Mat
 from .moyal import StarAlgebraContext, s_space_check, wigner_ambiguity_check
 from .parsing import parse_poly
-from .poly import GeneratorSet, Poly, check_budget
+from .poly import GeneratorSet, Poly
 from .quantum import InnerDerivation, MatrixSubspace, block_split, invariance_check
 from .report import Report
 from .scalars import Scalar, rational as read_rational, to_float
@@ -300,7 +306,7 @@ def demo_wigner() -> Report:
 @_demo("maurer-cartan", n=int)
 def demo_maurer_cartan(n: int = 2) -> Report:
     """Dual frame of the derivation basis: d alpha + alpha o bracket = 0."""
-    check_budget("--n", n**4, "n^4 generator entries")
+    check_gell_mann_size("--n", n)
     basis = DerivationBasis.gell_mann(n)
     mc_ok = True
     for j in range(basis.dim):

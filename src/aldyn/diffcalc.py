@@ -44,6 +44,15 @@ from .quantum import MatrixSubspace, commutator, commutator_columns
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, _norm, json_int
 
 
+def check_gell_mann_size(where: str, n: int) -> None:
+    """Raise a ValueError naming ``where`` (an option or a JSON field)
+    unless Mat_n has a Gell-Mann derivation basis, n >= 2, whose n^4
+    generator entries fit the budget of ``check_budget``."""
+    if n < 2:
+        raise ValueError(f"{where}: matrix size must be >= 2 for a derivation basis, got {n}")
+    check_budget(where, n**4, "n^4 generator entries")
+
+
 def gell_mann_basis(n: int) -> list[Mat]:
     """Traceless basis of Mat_n: symmetric, antisymmetric and diagonal parts.
 
@@ -76,8 +85,6 @@ class DerivationBasis:
     __slots__ = ("n", "generators", "structure", "_den", "_gen_terms", "_d_alpha")
 
     def __init__(self, generators: Sequence[Mat]):
-        if not generators:  # gell_mann(n) for n < 2, which the CLI can ask for
-            raise ValueError("empty derivation basis")
         space = MatrixSubspace(generators)
         n, generators = space.n, space.basis
         if len(generators) != n * n - 1:
@@ -286,7 +293,7 @@ class KForm:
     def from_json(data: Mapping, basis: DerivationBasis | None = None) -> "KForm":
         if basis is None:
             n = json_int(data["n"], "n")
-            check_budget("n", n**4, "n^4 generator entries")
+            check_gell_mann_size("n", n)
             basis = DerivationBasis.gell_mann(n)
         coeffs = {
             tuple(json_int(i, "idx") for i in entry["idx"]): Mat.from_json(entry["value"])

@@ -8,6 +8,15 @@ lead is a positive int L.  A row r is reduced fraction-free (Bareiss,
 Math. Comp. 22 (1968)) against the pivot row P at its smallest column:
 r <- (L/g) r - (x/g) P, where x is r's entry there and g = gcd(L, re x,
 im x), and r's content is divided out again whenever it was scaled.
+A primitive one-entry pivot row is {c: (1, 0)}, so L = g = 1 and the
+update only deletes column c.  Two fast paths give exactly that result
+without the update.  A row with the single entry {c: v} becomes the unit
+pivot {c: (1, 0)} when c holds no pivot, and reduces to nothing (it is
+counted in `rows_read`, nothing more) when v is 0 or c already holds a
+one-entry pivot.  Inside the reduction loop, a one-entry pivot deletes
+the row's entry at its column.  Systems made mostly of "unknown = 0"
+rows, such as the biderivation system, then pay the full update only
+against pivots of two or more entries.
 Back-substitution, indexed by column, runs on the same rows and gives the
 reduced row-echelon form, unique for a fixed column order: `kernel_basis`
 and `solve` divide each entry by its row's lead once, at the end, so
@@ -94,8 +103,17 @@ class SparseEliminator:
         """Reduce a copy of `row` until its smallest column has no pivot;
         a nonzero residual becomes the pivot row there."""
         self.rows_read += 1
-        row = {c: v for c, v in row.items() if v[0] or v[1]}
         pivot_rows = self.pivot_rows
+        if len(row) == 1:
+            [(c, (a, b))] = row.items()
+            pivot = pivot_rows.get(c)
+            if pivot is None:
+                if a or b:
+                    pivot_rows[c] = {c: (1, 0)}
+                return
+            if len(pivot) == 1:
+                return
+        row = {c: v for c, v in row.items() if v[0] or v[1]}
         while row:
             lead = min(row)
             pivot = pivot_rows.get(lead)
@@ -106,7 +124,10 @@ class SparseEliminator:
                 _make_primitive(row)
                 pivot_rows[lead] = row
                 return
-            _eliminate(row, lead, pivot)
+            if len(pivot) == 1:  # the unit pivot {lead: (1, 0)}
+                del row[lead]
+            else:
+                _eliminate(row, lead, pivot)
 
     def _back_substitute(self) -> None:
         """Clear every pivot column from the other pivot rows (full RREF).

@@ -218,61 +218,71 @@ def block_split(h: Mat, k: int) -> tuple[InnerDerivation, InnerDerivation]:
 
 def biderivation_system(n: int) -> SparseEliminator:
     """The eliminator holding every equation on brackets on Mat_n that are
-    Leibniz in both slots.
+    Leibniz in both slots; a ValueError naming --n when n is outside 1..4.
 
     Unknowns are the matrix values T[a][b] = {E_a, E_b} on the standard
-    basis, n^6 of them, unknown (a, b, g, h) for entry (g,h) of {E_a, E_b};
-    the two Leibniz rules on all basis triples give an extremely sparse
-    homogeneous system (at most three unknown entries per scalar equation,
-    with small integer coefficients).
+    basis E_a = E_{ai,aj}, a = ai*n + aj, n^6 of them: unknown (a, b, g, h),
+    entry (g, h) of T[a][b], is column (a*d + b)*d + g*n + h with d = n^2.
+    The two Leibniz rules on all basis triples give an extremely sparse
+    homogeneous system: each scalar equation is built once as a row of at
+    most three entries with small integer coefficients, and a row whose
+    terms all cancel is not given.
     """
-    if n < 1:
-        raise ValueError("matrix size n must be >= 1")
-    if n > 4:
-        raise ValueError("solver is sized for n <= 4")
+    if not 1 <= n <= 4:
+        raise ValueError(f"--n: matrix size must be in 1..4 for the biderivation solver, got {n}")
     d = n * n
-    ncols = d * d * n * n
-
-    def col(a: int, b: int, g: int, h: int) -> int:
-        return ((a * d + b) * n + g) * n + h
-
-    def idx(i: int, j: int) -> int:
-        return i * n + j
-
-    def add(row: dict[int, int], colid: int, val: int):
-        row[colid] = row.get(colid, 0) + val
-
-    def equation(row: dict[int, int]):
-        row = {c: (v, 0) for c, v in row.items() if v}
-        if row:
-            elim.add_row(row)
-
-    elim = SparseEliminator(ncols)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    for ai, aj in pairs:
-        for bi, bj in pairs:
-            for ci, cj in pairs:
-                a, b, c = idx(ai, aj), idx(bi, bj), idx(ci, cj)
+    elim = SparseEliminator(d * d * d)
+    add_row = elim.add_row
+    for a in range(d):
+        ai, aj = divmod(a, n)
+        for b in range(d):
+            bi, bj = divmod(b, n)
+            for c in range(d):
+                ci, cj = divmod(c, n)
+                # first columns of T[E_a E_b][c] and T[a][E_b E_c] (-1 where
+                # that product is 0) and of T[a][c], row aj of T[b][c] and
+                # column ci of T[a][b].  A term on a column the row already
+                # holds adds to it, and may cancel it (as when ai == aj == bi).
+                ab_c = ((ai * n + bj) * d + c) * d if aj == bi else -1
+                b_c = (b * d + c) * d + aj * n
+                a_c = (a * d + c) * d
+                a_bc = (a * d + bi * n + cj) * d if bj == ci else -1
+                a_b = (a * d + b) * d + ci
                 for g in range(n):
+                    gn = g * n
                     for h in range(n):
                         # {E_a E_b, E_c} = E_a {E_b, E_c} + {E_a, E_c} E_b
-                        row: dict[int, int] = {}
-                        if aj == bi:
-                            add(row, col(idx(ai, bj), c, g, h), 1)
+                        row = {}
+                        if ab_c >= 0:
+                            row[ab_c + gn + h] = (1, 0)
                         if g == ai:  # (E_a T[b][c])_{gh} = T[b][c]_{aj,h}
-                            add(row, col(b, c, aj, h), -1)
+                            k = b_c + h
+                            v = row.pop(k, (0, 0))[0] - 1
+                            if v:
+                                row[k] = (v, 0)
                         if h == bj:  # (T[a][c] E_b)_{gh} = T[a][c]_{g,bi}
-                            add(row, col(a, c, g, bi), -1)
-                        equation(row)
+                            k = a_c + gn + bi
+                            v = row.pop(k, (0, 0))[0] - 1
+                            if v:
+                                row[k] = (v, 0)
+                        if row:
+                            add_row(row)
                         # {E_a, E_b E_c} = {E_a, E_b} E_c + E_b {E_a, E_c}
                         row = {}
-                        if bj == ci:
-                            add(row, col(a, idx(bi, cj), g, h), 1)
+                        if a_bc >= 0:
+                            row[a_bc + gn + h] = (1, 0)
                         if h == cj:  # (T[a][b] E_c)_{gh} = T[a][b]_{g,ci}
-                            add(row, col(a, b, g, ci), -1)
+                            k = a_b + gn
+                            v = row.pop(k, (0, 0))[0] - 1
+                            if v:
+                                row[k] = (v, 0)
                         if g == bi:  # (E_b T[a][c])_{gh} = T[a][c]_{bj,h}
-                            add(row, col(a, c, bj, h), -1)
-                        equation(row)
+                            k = a_c + bj * n + h
+                            v = row.pop(k, (0, 0))[0] - 1
+                            if v:
+                                row[k] = (v, 0)
+                        if row:
+                            add_row(row)
     return elim
 
 

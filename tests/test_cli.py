@@ -473,6 +473,10 @@ class TestQuantumCommands:
         assert result["spanned_by_commutator"]
         # the system solved: its nonzero equations, n^6 unknowns, rank n^6 - 1
         assert (result["equations"], result["unknowns"], result["rank"]) == (384, 64, 63)
+        code, payload, _ = run_json(capsys, "biderivation", "--n", "3")
+        assert code == EXIT_OK
+        result = payload["result"]
+        assert (result["equations"], result["unknowns"], result["rank"]) == (8586, 729, 728)
 
 
 class TestReductionCommands:
@@ -1281,6 +1285,30 @@ def test_negative_cap_names_its_option(capsys, argv, where):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_BAD_INPUT and out == ""
     assert err == f"input error: {where}: degree cap must be >= 0\n"
+
+
+_DERIVATION_BASIS_SIZE = "matrix size must be >= 2 for a derivation basis, got {}"
+_BIDERIVATION_SIZE = "matrix size must be in 1..4 for the biderivation solver, got {}"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        *((["demo", "maurer-cartan", "--n", n], "--n: " + _DERIVATION_BASIS_SIZE.format(n))
+          for n in ("1", "0", "-1")),
+        (["dform", "--form", _gell_mann_form(1)], "/form: n: " + _DERIVATION_BASIS_SIZE.format(1)),
+        *((["biderivation", "--n", n], "--n: " + _BIDERIVATION_SIZE.format(n))
+          for n in ("5", "0", "-1")),
+    ],
+    ids=["demo-maurer-cartan-n1", "demo-maurer-cartan-n0", "demo-maurer-cartan-n-1", "dform-n1",
+         "biderivation-n5", "biderivation-n0", "biderivation-n-1"],
+)
+def test_matrix_sizes_out_of_range_name_the_option_and_rule(capsys, argv, error):
+    """A matrix size outside what the command can build is bad input that
+    names the option or JSON field and the allowed range."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err == f"input error: {error}\n"
 
 
 def test_sizes_within_the_budget_run(capsys):

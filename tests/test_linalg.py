@@ -238,6 +238,108 @@ def test_kernel_and_solutions_equal_sympy_rref():
     assert kinds == {True, False}
 
 
+# -- the one-entry fast paths against the general update and sympy ----------
+
+
+def _general_add_row(elim, row):
+    """`SparseEliminator.add_row` with no fast path: every row is reduced
+    by the fraction-free update, also against a one-entry pivot."""
+    elim.rows_read += 1
+    row = {c: v for c, v in row.items() if v[0] or v[1]}
+    while row:
+        lead = min(row)
+        pivot = elim.pivot_rows.get(lead)
+        if pivot is None:
+            a, b = row[lead]
+            if b or a < 0:
+                row = {c: (a * x + b * y, a * y - b * x) for c, (x, y) in row.items()}
+            linalg._make_primitive(row)
+            elim.pivot_rows[lead] = row
+            return
+        linalg._eliminate(row, lead, pivot)
+
+
+_VALUES = [(0, 0), (1, 0), (-1, 0), (3, 0), (-2, 5), (0, -4), (6, 9)]
+
+
+def _one_entry_heavy_row(rng, width):
+    """Mostly a single entry, 0 included, in one of `width` columns, so
+    that columns repeat; otherwise two to four nonzero entries."""
+    if rng.random() < 0.6:
+        return {rng.randrange(width): rng.choice(_VALUES)}
+    cols = rng.sample(range(width), rng.randint(2, min(4, width)))
+    return {c: rng.choice(_VALUES[1:]) for c in cols}
+
+
+def _meets(row, pivot_rows):
+    """(one-entry row?, what its smallest column holds: "zero" for a
+    one-entry row of value 0, else "none", "one" or "multi" by the length
+    of the pivot row there)."""
+    c = min(row)
+    pivot = pivot_rows.get(c)
+    if row == {c: (0, 0)}:
+        return True, "zero"
+    return len(row) == 1, "none" if pivot is None else "one" if len(pivot) == 1 else "multi"
+
+
+def _rational(rows, width):
+    return [{c: g(x, y) for c, (x, y) in row.items() if c < width} for row in rows]
+
+
+def test_fast_paths_equal_the_general_update_and_sympy_rref():
+    """Rows with one entry skip the fraction-free update: a fresh column
+    gets the unit pivot, a column holding a one-entry pivot is already
+    cleared.  On seeded systems built to hit both paths the pivot rows
+    equal those of the general update exactly, before and after
+    back-substitution, and the kernel and the solutions equal those read
+    off sympy's QQ_I RREF; a one-entry row in a target column makes that
+    target inconsistent."""
+    rng = random.Random(2525)
+    seen = set()
+    kinds = set()
+    for trial in range(60):
+        ncols = rng.randint(2, 9)
+        ntargets = 2 * (trial % 2)
+        width = ncols + ntargets
+        elim, oracle = SparseEliminator(ncols), SparseEliminator(ncols)
+        rows = [_one_entry_heavy_row(rng, width) for _ in range(rng.randint(10, 40))]
+        for row in rows:
+            seen.add(_meets(row, oracle.pivot_rows))
+            elim.add_row(row)
+            _general_add_row(oracle, row)
+        assert elim.pivot_rows == oracle.pivot_rows
+        assert elim.rows_read == oracle.rows_read == len(rows)
+        a = _sympy_matrix(_rational(rows, ncols), ncols)
+        if ntargets:
+            sols = elim.solve(ntargets)
+            oracle.solve(ntargets)
+            for t, x in enumerate(sols):
+                b = _sympy_matrix([{0: g(*row.get(ncols + t, (0, 0)))} for row in rows], 1)
+                expected = _oracle_solution(a, b, ncols)
+                assert (None if x is None else linalg._dense(x, ncols)) == expected
+                kinds.add(x is None)
+            for row in rows:
+                (c, v), *rest = row.items()
+                if not rest and c >= ncols and v != (0, 0):
+                    assert sols[c - ncols] is None
+                    seen.add((True, "target"))
+        else:
+            assert [linalg._dense(v, ncols) for v in elim.kernel_basis()] == _oracle_kernel(a, ncols)
+            oracle.kernel_basis()
+        assert elim.pivot_rows == oracle.pivot_rows
+        full = _sympy_matrix(_rational(rows, width), width)
+        rref, pivots = full.rref()
+        assert sorted(elim.pivot_rows) == list(pivots)
+        for p, expected in zip(pivots, rref.to_list()):
+            row = elim.pivot_rows[p]
+            lead = row[p][0]
+            assert [g(Fraction(x, lead), Fraction(y, lead)) for x, y in
+                    (row.get(c, (0, 0)) for c in range(width))] == [_from_sympy(x) for x in expected]
+    assert seen >= {(True, kind) for kind in ("zero", "none", "one", "multi", "target")}
+    assert (False, "one") in seen  # a longer row whose lead holds a one-entry pivot
+    assert kinds == {True, False}
+
+
 def test_solve_columns_matches_sympy_inhomogeneous():
     """Solvability of A x = b against the rank test rank [A | b] = rank A in
     sympy, and A x = b for every solution returned."""
@@ -461,6 +563,34 @@ def test_indexed_back_substitution_on_random_systems(sweeps):
 def test_indexed_back_substitution_on_biderivation_rows(sweeps, n, rank):
     assert len(quantum.biderivation_solver(n)) == 1
     assert sweeps == [rank]
+
+
+def test_biderivation_rows_reduce_against_no_one_entry_pivot(monkeypatch):
+    """A deterministic work count for biderivation_system(3), whose 8,586
+    rows are mostly one-entry: no fraction-free update runs against a
+    one-entry pivot (the general path alone made 9,769 such calls), the
+    other updates stay at 1,973, and the reduction loop takes 6,598 steps
+    (12,470 without the fast paths), read as the calls of min(row) that
+    pick each step's pivot column."""
+    updates = []
+    steps = []
+    eliminate = linalg._eliminate
+
+    def counting_eliminate(row, col, pivot):
+        updates.append(len(pivot))
+        eliminate(row, col, pivot)
+
+    def counting_min(row):
+        steps.append(None)
+        return min(row)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(linalg, "min", counting_min, raising=False)
+    system = quantum.biderivation_system(3)
+    assert (system.rows_read, len(system.pivot_rows)) == (8586, 728)
+    assert 1 not in updates
+    assert len(updates) == 1973
+    assert len(steps) == 6598
 
 
 def test_indexed_back_substitution_on_hamiltonian_search(sweeps):

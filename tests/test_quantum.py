@@ -12,6 +12,7 @@ from aldyn.quantum import (
     InnerDerivation,
     MatrixSubspace,
     biderivation_solver,
+    biderivation_system,
     block_split,
     commutant,
     commutator,
@@ -21,7 +22,7 @@ from aldyn.quantum import (
     invariance_check,
 )
 from aldyn.cli import _matrix_float_json
-from aldyn.linalg import solve_columns
+from aldyn.linalg import SparseEliminator, solve_columns
 from aldyn.scalars import GR_I, GR_ZERO, GaussRational
 
 from conftest import random_hermitian, random_mat
@@ -317,7 +318,82 @@ class TestInnerDerivation:
         assert d(SZ) == commutator(SZ, SX)
 
 
+def old_biderivation_system(n: int) -> SparseEliminator:
+    """The biderivation builder the one-pass builder replaced: an int dict
+    per equation through closures, converted to a Gaussian-integer row."""
+    if n < 1:
+        raise ValueError("matrix size n must be >= 1")
+    if n > 4:
+        raise ValueError("solver is sized for n <= 4")
+    d = n * n
+    ncols = d * d * n * n
+
+    def col(a: int, b: int, g: int, h: int) -> int:
+        return ((a * d + b) * n + g) * n + h
+
+    def idx(i: int, j: int) -> int:
+        return i * n + j
+
+    def add(row: dict[int, int], colid: int, val: int):
+        row[colid] = row.get(colid, 0) + val
+
+    def equation(row: dict[int, int]):
+        row = {c: (v, 0) for c, v in row.items() if v}
+        if row:
+            elim.add_row(row)
+
+    elim = SparseEliminator(ncols)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    for ai, aj in pairs:
+        for bi, bj in pairs:
+            for ci, cj in pairs:
+                a, b, c = idx(ai, aj), idx(bi, bj), idx(ci, cj)
+                for g in range(n):
+                    for h in range(n):
+                        # {E_a E_b, E_c} = E_a {E_b, E_c} + {E_a, E_c} E_b
+                        row: dict[int, int] = {}
+                        if aj == bi:
+                            add(row, col(idx(ai, bj), c, g, h), 1)
+                        if g == ai:  # (E_a T[b][c])_{gh} = T[b][c]_{aj,h}
+                            add(row, col(b, c, aj, h), -1)
+                        if h == bj:  # (T[a][c] E_b)_{gh} = T[a][c]_{g,bi}
+                            add(row, col(a, c, g, bi), -1)
+                        equation(row)
+                        # {E_a, E_b E_c} = {E_a, E_b} E_c + E_b {E_a, E_c}
+                        row = {}
+                        if bj == ci:
+                            add(row, col(a, idx(bi, cj), g, h), 1)
+                        if h == cj:  # (T[a][b] E_c)_{gh} = T[a][b]_{g,ci}
+                            add(row, col(a, b, g, ci), -1)
+                        if g == bi:  # (E_b T[a][c])_{gh} = T[a][c]_{bj,h}
+                            add(row, col(a, c, bj, h), -1)
+                        equation(row)
+    return elim
+
+
 class TestBiderivations:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_pass_builder_equals_the_old_builder(self, monkeypatch, n):
+        """The same rows, in the same order and entry order, give the same
+        rows_read, pivot rows after back-substitution and kernel."""
+        given = []
+        add_row = SparseEliminator.add_row
+
+        def recording(self, row):
+            given.append(list(row.items()))
+            add_row(self, row)
+
+        monkeypatch.setattr(SparseEliminator, "add_row", recording)
+        systems = []
+        for build in (old_biderivation_system, biderivation_system):
+            system = build(n)
+            systems.append((system.rows_read, given[:], system.kernel_basis(),
+                            [(lead, list(row.items())) for lead, row in system.pivot_rows.items()]))
+            given.clear()
+        old, new = systems
+        assert new == old
+        assert new[0] == len(new[1]) > 0
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_solution_space_is_commutator_line(self, n):
         sols = biderivation_solver(n)
