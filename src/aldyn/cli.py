@@ -54,7 +54,7 @@ from .poly import DEFAULT_ANSATZ_CAP, GeneratorSet, Poly, check_budget, check_mo
 from .quantum import (
     InnerDerivation,
     MatrixSubspace,
-    biderivation_system,
+    _mat_biderivations,
     block_split,
     commutant,
     commutator,
@@ -391,19 +391,20 @@ def cmd_blocksplit(args) -> Report:
 
 
 def cmd_biderivation(args) -> Report:
-    system = biderivation_system(args.n)
-    sols = system.kernel_basis()
+    sols, (equations, unknowns, rank) = _mat_biderivations(args.n)
     cvec = commutator_bracket_vector(args.n)
-    in_span = len(sols) == 1 and linalg.solve_columns(sols, [cvec]) != [None]
+    # the commutator vanishes on Mat_1, whose answer is then the zero space
+    in_span = len(sols) == (1 if cvec else 0) and None not in linalg.solve_columns(sols, [cvec])
     return Report(
         {
             "n": args.n,
             "dimension": len(sols),
             "spanned_by_commutator": in_span,
-            "equations": system.rows_read,
-            "unknowns": system.ncols,
-            "rank": len(system.pivot_rows),
+            "equations": equations,
+            "unknowns": unknowns,
+            "rank": rank,
         },
+        {"the solution space equals the span of the commutator bracket": in_span},
         notes=[f"solution space dimension {len(sols)}"],
         lines=[
             f"bilinear Leibniz brackets on Mat_{args.n}: dimension {len(sols)}, "

@@ -14,9 +14,10 @@ without the update.  A row with the single entry {c: v} becomes the unit
 pivot {c: (1, 0)} when c holds no pivot, and reduces to nothing (it is
 counted in `rows_read`, nothing more) when v is 0 or c already holds a
 one-entry pivot.  Inside the reduction loop, a one-entry pivot deletes
-the row's entry at its column.  Systems made mostly of "unknown = 0"
-rows, such as the biderivation system, then pay the full update only
-against pivots of two or more entries.
+the row's entry at its column.  The ansatz systems are made mostly of
+"unknown = 0" rows (about 480 of the 504 rows of a `find_hamiltonian`
+system on R^4 at cap 6 have one entry), and then pay the full update
+only against pivots of two or more entries.
 Back-substitution, indexed by column, runs on the same rows and gives the
 reduced row-echelon form, unique for a fixed column order: `kernel_basis`
 and `solve` divide each entry by its row's lead once, at the end, so
@@ -26,8 +27,7 @@ One front end, `solve_columns`, and the one place where Q(i) coefficients
 become integer rows, each row cleared of its denominators by their lcm:
 one unknown per sparse column, any number of targets answered by one
 elimination, or the kernel when there are none.  Every linear question
-goes through it except the biderivation system, whose integer rows go to
-the eliminator one equation at a time.
+goes through it.
 
 No tolerances anywhere: rank decisions are exact.
 """

@@ -3,21 +3,24 @@
 Inner derivations and Heisenberg evolution, commutants by exact linear
 solves, invariance of subalgebras under a Hamiltonian, the block split of
 a block-diagonal dynamics into commuting inner derivations, and the
-solver showing every bracket that is Leibniz in both slots is a central
-multiple of the commutator.  Hermiticity of a Hamiltonian is decided
-exactly (float JSON entries embed exactly), so only `evolve`, the one
-exponential, computes in floats.
+derivations and biderivations of any closed subspace.  Hermiticity of a
+Hamiltonian is decided exactly (float JSON entries embed exactly), so
+only `evolve`, the one exponential, computes in floats.
 
 A `MatrixSubspace` answers every question about its span in one exact
 solve: membership, and the coordinates that also give the structure
-constants of `diffcalc.DerivationBasis`.
+constants of `diffcalc.DerivationBasis` and its own `structure`.  Two
+small kernels on those follow, `derivations` and `biderivations`: on Mat_n
+the latter are the commutator line (Dirac's argument; Bresar, Taiwanese
+J. Math. 8 (2004) 361).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Sequence
 
-from .linalg import SparseEliminator, solve_columns
+from .linalg import solve_columns
 from .matrices import Mat, full_matrix_basis
 from .report import Verdict
 from .scalars import GR_I, GR_ZERO, GaussRational, to_float
@@ -93,12 +96,26 @@ class MatrixSubspace:
     def contains(self, m: Mat) -> bool:
         return self.contains_each([m])[0]
 
+    def structure(self) -> dict[tuple[int, int, int], GaussRational]:
+        """The nonzero structure constants c_ab^k of e_a e_b = sum_k c_ab^k
+        e_k, keyed (a, b, k), from all d^2 products in one elimination; a
+        ValueError when the span is not closed under products."""
+        d = self.dimension()
+        coords = self.coordinates([x @ y for x in self.basis for y in self.basis])
+        if None in coords:
+            raise ValueError("the span is not closed under products")
+        return {
+            (*divmod(ab, d), k): c
+            for ab, row in enumerate(coords) for k, c in enumerate(row) if not c.is_zero()
+        }
+
     def is_closed(self) -> bool:
-        """Closure under products and commutators: every x y of basis
-        elements, decided in one elimination.  A commutator x y - y x is a
-        difference of two products and the span is linear, so the products
-        decide the commutators too."""
-        return all(self.contains_each([x @ y for x in self.basis for y in self.basis]))
+        """Closure under products, so under commutators xy - yx: `structure` succeeds."""
+        try:
+            self.structure()
+        except ValueError:
+            return False
+        return True
 
     def span_equals(self, other: "MatrixSubspace") -> bool:
         return (
@@ -216,96 +233,77 @@ def block_split(h: Mat, k: int) -> tuple[InnerDerivation, InnerDerivation]:
     return InnerDerivation(Mat(top)), InnerDerivation(Mat(bottom))
 
 
-def biderivation_system(n: int) -> SparseEliminator:
-    """The eliminator holding every equation on brackets on Mat_n that are
-    Leibniz in both slots; a ValueError naming --n when n is outside 1..4.
+def derivations(space: MatrixSubspace) -> list[dict]:
+    """A basis of the derivations D(xy) = D(x) y + x D(y) of a closed space,
+    each as {(q, p): coordinate p of D(e_q)}: one kernel on d^2 unknowns.
+    Equation (a, b, m) is coordinate m of D(e_a e_b) - D(e_a) e_b - e_a D(e_b);
+    a constant c = c_ab^k enters it as c D(e_k)_x at (a, b, x), and through
+    D(e_x) e_b and e_a D(e_x) as -c D(e_x)_a at (x, b, k) and -c D(e_x)_b at
+    (a, x, k)."""
+    d = space.dimension()
+    columns = [defaultdict(GaussRational) for _ in range(d * d)]  # D(e_q)_p at q*d + p
+    for (a, b, k), c in space.structure().items():
+        for x in range(d):
+            columns[k * d + x][a, b, x] += c
+            columns[x * d + a][x, b, k] -= c
+            columns[x * d + b][a, x, k] -= c
+    kernel = solve_columns(columns, None)
+    return [{divmod(j, d): x for j, x in enumerate(v) if not x.is_zero()} for v in kernel]
 
-    Unknowns are the matrix values T[a][b] = {E_a, E_b} on the standard
-    basis E_a = E_{ai,aj}, a = ai*n + aj, n^6 of them: unknown (a, b, g, h),
-    entry (g, h) of T[a][b], is column (a*d + b)*d + g*n + h with d = n^2.
-    The two Leibniz rules on all basis triples give an extremely sparse
-    homogeneous system: each scalar equation is built once as a row of at
-    most three entries with small integer coefficients, and a row whose
-    terms all cancel is not given.
-    """
+
+def biderivations(space: MatrixSubspace) -> tuple[list[dict], tuple[int, int, int]]:
+    """A basis of the brackets B on a closed space that are Leibniz in both
+    slots, each as {(a, b, m): coordinate m of B(e_a, e_b)}, and the
+    (equations, unknowns, rank) of the system whose kernel it is.  B is
+    Leibniz in its first slot when each B(., e_b) is a derivation, and in its
+    second when each B(e_a, .) is: one kernel on the 2 d dim Der unknowns of
+    B(., e_b) = sum_s alpha_bs D_s and B(e_a, .) = sum_s beta_as D_s, over a
+    basis D_s of `derivations`."""
+    d = space.dimension()
+    ders = derivations(space)
+    alpha = [{(a, b, m): v for (a, m), v in der.items()} for b in range(d) for der in ders]
+    beta = [{(a, b, m): -v for (b, m), v in der.items()} for a in range(d) for der in ders]
+    columns = alpha + beta
+    kernel = solve_columns(columns, None)
+    brackets = []
+    for v in kernel:
+        bracket = defaultdict(GaussRational)
+        for x, col in zip(v, alpha):
+            if not x.is_zero():
+                for key, y in col.items():
+                    bracket[key] += x * y
+        brackets.append({key: x for key, x in bracket.items() if not x.is_zero()})
+    equations = len({key for col in columns for key in col})
+    return brackets, (equations, len(columns), len(columns) - len(kernel))
+
+
+def _mat_biderivations(n: int) -> tuple[list[dict], tuple[int, int, int]]:
+    """`biderivation_solver(n)` and its shape.  The space is a line (0 at
+    n = 1), so its vector scaled to 1 at its largest key is reduced."""
     if not 1 <= n <= 4:
         raise ValueError(f"--n: matrix size must be in 1..4 for the biderivation solver, got {n}")
     d = n * n
-    elim = SparseEliminator(d * d * d)
-    add_row = elim.add_row
-    for a in range(d):
-        ai, aj = divmod(a, n)
-        for b in range(d):
-            bi, bj = divmod(b, n)
-            for c in range(d):
-                ci, cj = divmod(c, n)
-                # first columns of T[E_a E_b][c] and T[a][E_b E_c] (-1 where
-                # that product is 0) and of T[a][c], row aj of T[b][c] and
-                # column ci of T[a][b].  A term on a column the row already
-                # holds adds to it, and may cancel it (as when ai == aj == bi).
-                ab_c = ((ai * n + bj) * d + c) * d if aj == bi else -1
-                b_c = (b * d + c) * d + aj * n
-                a_c = (a * d + c) * d
-                a_bc = (a * d + bi * n + cj) * d if bj == ci else -1
-                a_b = (a * d + b) * d + ci
-                for g in range(n):
-                    gn = g * n
-                    for h in range(n):
-                        # {E_a E_b, E_c} = E_a {E_b, E_c} + {E_a, E_c} E_b
-                        row = {}
-                        if ab_c >= 0:
-                            row[ab_c + gn + h] = (1, 0)
-                        if g == ai:  # (E_a T[b][c])_{gh} = T[b][c]_{aj,h}
-                            k = b_c + h
-                            v = row.pop(k, (0, 0))[0] - 1
-                            if v:
-                                row[k] = (v, 0)
-                        if h == bj:  # (T[a][c] E_b)_{gh} = T[a][c]_{g,bi}
-                            k = a_c + gn + bi
-                            v = row.pop(k, (0, 0))[0] - 1
-                            if v:
-                                row[k] = (v, 0)
-                        if row:
-                            add_row(row)
-                        # {E_a, E_b E_c} = {E_a, E_b} E_c + E_b {E_a, E_c}
-                        row = {}
-                        if a_bc >= 0:
-                            row[a_bc + gn + h] = (1, 0)
-                        if h == cj:  # (T[a][b] E_c)_{gh} = T[a][b]_{g,ci}
-                            k = a_b + gn
-                            v = row.pop(k, (0, 0))[0] - 1
-                            if v:
-                                row[k] = (v, 0)
-                        if g == bi:  # (E_b T[a][c])_{gh} = T[a][c]_{bj,h}
-                            k = a_c + bj * n + h
-                            v = row.pop(k, (0, 0))[0] - 1
-                            if v:
-                                row[k] = (v, 0)
-                        if row:
-                            add_row(row)
-    return elim
+    brackets, shape = biderivations(MatrixSubspace(full_matrix_basis(n)))
+    sols = []
+    for bracket in brackets:
+        last = bracket[max(bracket)]
+        sols.append({(a * d + b) * d + m: x / last for (a, b, m), x in bracket.items()})
+    return sols, shape
 
 
 def biderivation_solver(n: int) -> list[dict]:
     """Solution space of brackets on Mat_n that are Leibniz in both slots,
-    eliminated exactly: each solution is a sparse coefficient dict keyed as
-    the unknowns of `biderivation_system`."""
-    return biderivation_system(n).kernel_basis()
+    as sparse dicts on the n^6 unknowns T[a][b] = {E_a, E_b}, a = ai*n + aj
+    for E_a = E_{ai,aj}: entry (g, h) of T[a][b] is key (a*d + b)*d + g*n + h
+    with d = n^2.  A ValueError names --n when n is outside 1..4."""
+    return _mat_biderivations(n)[0]
 
 
 def commutator_bracket_vector(n: int) -> dict:
-    """The commutator bracket in the solver's coordinate layout."""
+    """The commutator bracket in the solver's coordinate layout: its n^6
+    entries [E_a, E_b]_gh in key order, the zero ones left out."""
     if n < 1:
         raise ValueError("matrix size n must be >= 1")
-    d = n * n
     basis = full_matrix_basis(n)
-    out = {}
-    for a in range(d):
-        for b in range(d):
-            c = commutator(basis[a], basis[b])
-            for g in range(n):
-                for h in range(n):
-                    v = c.entries[g][h]
-                    if not v.is_zero():
-                        out[((a * d + b) * n + g) * n + h] = v
-    return out
+    entries = [x for a in basis for b in basis for x in commutator(a, b).flatten()]
+    return {key: x for key, x in enumerate(entries) if not x.is_zero()}

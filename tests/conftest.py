@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from aldyn.linalg import SparseEliminator
 from aldyn.matrices import Mat
 from aldyn.poly import GeneratorSet, Poly
 from aldyn.scalars import GaussRational, Scalar
@@ -46,6 +47,63 @@ def random_mat(rng: random.Random, n: int, span: int = 3) -> Mat:
 def random_hermitian(rng: random.Random, n: int, span: int = 3) -> Mat:
     m = random_mat(rng, n, span)
     return m + m.conjugate_transpose()
+
+
+def old_biderivation_system(n: int) -> SparseEliminator:
+    """The reference system for `quantum.biderivation_solver(n)`: the two
+    Leibniz rules of a bracket on Mat_n on all basis triples, one row per
+    scalar equation on the n^6 unknowns T[a][b] = {E_a, E_b}, entry (g, h)
+    at column ((a*d + b)*n + g)*n + h with d = n^2.  Its 8,586 rows at
+    n = 3 are mostly one-entry ("unknown = 0"), which the eliminator's
+    tests count."""
+    if n < 1:
+        raise ValueError("matrix size n must be >= 1")
+    if n > 4:
+        raise ValueError("solver is sized for n <= 4")
+    d = n * n
+    ncols = d * d * n * n
+
+    def col(a: int, b: int, g: int, h: int) -> int:
+        return ((a * d + b) * n + g) * n + h
+
+    def idx(i: int, j: int) -> int:
+        return i * n + j
+
+    def add(row: dict[int, int], colid: int, val: int):
+        row[colid] = row.get(colid, 0) + val
+
+    def equation(row: dict[int, int]):
+        row = {c: (v, 0) for c, v in row.items() if v}
+        if row:
+            elim.add_row(row)
+
+    elim = SparseEliminator(ncols)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    for ai, aj in pairs:
+        for bi, bj in pairs:
+            for ci, cj in pairs:
+                a, b, c = idx(ai, aj), idx(bi, bj), idx(ci, cj)
+                for g in range(n):
+                    for h in range(n):
+                        # {E_a E_b, E_c} = E_a {E_b, E_c} + {E_a, E_c} E_b
+                        row: dict[int, int] = {}
+                        if aj == bi:
+                            add(row, col(idx(ai, bj), c, g, h), 1)
+                        if g == ai:  # (E_a T[b][c])_{gh} = T[b][c]_{aj,h}
+                            add(row, col(b, c, aj, h), -1)
+                        if h == bj:  # (T[a][c] E_b)_{gh} = T[a][c]_{g,bi}
+                            add(row, col(a, c, g, bi), -1)
+                        equation(row)
+                        # {E_a, E_b E_c} = {E_a, E_b} E_c + E_b {E_a, E_c}
+                        row = {}
+                        if bj == ci:
+                            add(row, col(a, idx(bi, cj), g, h), 1)
+                        if h == cj:  # (T[a][b] E_c)_{gh} = T[a][b]_{g,ci}
+                            add(row, col(a, b, g, ci), -1)
+                        if g == bi:  # (E_b T[a][c])_{gh} = T[a][c]_{bj,h}
+                            add(row, col(a, c, bj, h), -1)
+                        equation(row)
+    return elim
 
 
 @pytest.fixture

@@ -127,3 +127,19 @@ def test_every_public_name_is_read_or_library_api():
 def test_library_api_names_exist():
     defined, _ = _scan()
     assert sorted(LIBRARY_API - defined) == []
+
+
+def test_only_linalg_names_the_eliminator():
+    """Every linear question goes through `linalg.solve_columns`: no module
+    of `src/aldyn` but `linalg` names `SparseEliminator`, in an import or
+    anywhere else, so a second way into the eliminator cannot come back
+    unnoticed."""
+    naming = {
+        path.stem
+        for path in SRC.glob("*.py")
+        if any(
+            name == "SparseEliminator"
+            for _, name, _ in _references(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    }
+    assert naming == {"linalg"}

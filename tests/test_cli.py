@@ -471,12 +471,38 @@ class TestQuantumCommands:
         result = payload["result"]
         assert result["dimension"] == 1
         assert result["spanned_by_commutator"]
-        # the system solved: its nonzero equations, n^6 unknowns, rank n^6 - 1
-        assert (result["equations"], result["unknowns"], result["rank"]) == (384, 64, 63)
+        # the intersection system solved: its nonzero equations, 2 d dim Der
+        # unknowns (d = n^2, dim Der = n^2 - 1), rank one less
+        assert (result["equations"], result["unknowns"], result["rank"]) == (54, 24, 23)
         code, payload, _ = run_json(capsys, "biderivation", "--n", "3")
         assert code == EXIT_OK
         result = payload["result"]
-        assert (result["equations"], result["unknowns"], result["rank"]) == (8586, 729, 728)
+        assert (result["equations"], result["unknowns"], result["rank"]) == (558, 144, 143)
+
+    def test_biderivation_on_mat1_is_the_zero_space(self, capsys):
+        """The commutator vanishes on Mat_1, and so does the answer."""
+        code, payload, _ = run_json(capsys, "biderivation", "--n", "1")
+        assert code == EXIT_OK
+        result = payload["result"]
+        assert (result["dimension"], result["spanned_by_commutator"]) == (0, True)
+        assert (result["equations"], result["unknowns"], result["rank"]) == (0, 0, 0)
+
+    def test_biderivation_rejects_a_wrong_answer(self, capsys, monkeypatch):
+        """A solver that returns a two-vector space fails the span check."""
+        import aldyn.cli
+        from aldyn.quantum import _mat_biderivations
+        from aldyn.scalars import GR_ONE
+
+        def two_vectors(n):
+            sols, shape = _mat_biderivations(n)
+            return sols + [{0: GR_ONE}], shape
+
+        monkeypatch.setattr(aldyn.cli, "_mat_biderivations", two_vectors)
+        code, payload, _ = run_json(capsys, "biderivation", "--n", "2")
+        assert code == EXIT_FAIL
+        assert payload["status"] == "fail"
+        assert payload["result"]["dimension"] == 2
+        assert payload["result"]["spanned_by_commutator"] is False
 
 
 class TestReductionCommands:

@@ -24,7 +24,7 @@ from aldyn.reduction import (
 )
 from aldyn.scalars import GR_ZERO, GaussRational
 
-from conftest import random_gauss, random_poly
+from conftest import old_biderivation_system, random_gauss, random_poly
 
 
 def g(x, y=0):
@@ -561,12 +561,12 @@ def test_indexed_back_substitution_on_random_systems(sweeps):
 
 @pytest.mark.parametrize("n, rank", [(2, 63), (3, 728)])
 def test_indexed_back_substitution_on_biderivation_rows(sweeps, n, rank):
-    assert len(quantum.biderivation_solver(n)) == 1
+    assert len(old_biderivation_system(n).kernel_basis()) == 1
     assert sweeps == [rank]
 
 
 def test_biderivation_rows_reduce_against_no_one_entry_pivot(monkeypatch):
-    """A deterministic work count for biderivation_system(3), whose 8,586
+    """A deterministic work count for old_biderivation_system(3), whose 8,586
     rows are mostly one-entry: no fraction-free update runs against a
     one-entry pivot (the general path alone made 9,769 such calls), the
     other updates stay at 1,973, and the reduction loop takes 6,598 steps
@@ -586,7 +586,7 @@ def test_biderivation_rows_reduce_against_no_one_entry_pivot(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
     monkeypatch.setattr(linalg, "min", counting_min, raising=False)
-    system = quantum.biderivation_system(3)
+    system = old_biderivation_system(3)
     assert (system.rows_read, len(system.pivot_rows)) == (8586, 728)
     assert 1 not in updates
     assert len(updates) == 1973

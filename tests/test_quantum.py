@@ -6,26 +6,29 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from aldyn.matrices import Mat, full_matrix_basis
 from aldyn.quantum import (
     InnerDerivation,
     MatrixSubspace,
     biderivation_solver,
-    biderivation_system,
+    biderivations,
     block_split,
     commutant,
     commutator,
     commutator_bracket_vector,
+    derivations,
     evolve,
     heisenberg_derivative,
     invariance_check,
 )
 from aldyn.cli import _matrix_float_json
-from aldyn.linalg import SparseEliminator, solve_columns
+from aldyn.linalg import solve_columns
 from aldyn.scalars import GR_I, GR_ZERO, GaussRational
 
-from conftest import random_hermitian, random_mat
+from conftest import old_biderivation_system, random_hermitian, random_mat
 
 # The Pauli matrices sigma_x, sigma_y, sigma_z with exact entries.
 SX = Mat.from_rows([[0, 1], [1, 0]])
@@ -318,81 +321,191 @@ class TestInnerDerivation:
         assert d(SZ) == commutator(SZ, SX)
 
 
-def old_biderivation_system(n: int) -> SparseEliminator:
-    """The biderivation builder the one-pass builder replaced: an int dict
-    per equation through closures, converted to a Gaussian-integer row."""
-    if n < 1:
-        raise ValueError("matrix size n must be >= 1")
-    if n > 4:
-        raise ValueError("solver is sized for n <= 4")
-    d = n * n
-    ncols = d * d * n * n
+def _upper_triangular(n: int) -> MatrixSubspace:
+    return MatrixSubspace([Mat.basis_elt(n, i, j) for i in range(n) for j in range(i, n)])
 
-    def col(a: int, b: int, g: int, h: int) -> int:
-        return ((a * d + b) * n + g) * n + h
 
-    def idx(i: int, j: int) -> int:
-        return i * n + j
+def _commutant_of(*diagonal) -> MatrixSubspace:
+    return commutant(MatrixSubspace([Mat.diag(list(diagonal))]))
 
-    def add(row: dict[int, int], colid: int, val: int):
-        row[colid] = row.get(colid, 0) + val
 
-    def equation(row: dict[int, int]):
-        row = {c: (v, 0) for c, v in row.items() if v}
-        if row:
-            elim.add_row(row)
+def _unit_products(space: MatrixSubspace) -> dict:
+    """e_a e_b of a basis of matrix units, as the index of that basis
+    element or None where the product is 0: read off by Mat arithmetic and
+    lookup, with no elimination."""
+    index = {m: i for i, m in enumerate(space.basis)}
+    out = {}
+    for a, x in enumerate(space.basis):
+        for b, y in enumerate(space.basis):
+            p = x @ y
+            out[a, b] = None if p.is_zero() else index[p]
+    return out
 
-    elim = SparseEliminator(ncols)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    for ai, aj in pairs:
-        for bi, bj in pairs:
-            for ci, cj in pairs:
-                a, b, c = idx(ai, aj), idx(bi, bj), idx(ci, cj)
-                for g in range(n):
-                    for h in range(n):
-                        # {E_a E_b, E_c} = E_a {E_b, E_c} + {E_a, E_c} E_b
-                        row: dict[int, int] = {}
-                        if aj == bi:
-                            add(row, col(idx(ai, bj), c, g, h), 1)
-                        if g == ai:  # (E_a T[b][c])_{gh} = T[b][c]_{aj,h}
-                            add(row, col(b, c, aj, h), -1)
-                        if h == bj:  # (T[a][c] E_b)_{gh} = T[a][c]_{g,bi}
-                            add(row, col(a, c, g, bi), -1)
-                        equation(row)
-                        # {E_a, E_b E_c} = {E_a, E_b} E_c + E_b {E_a, E_c}
-                        row = {}
-                        if bj == ci:
-                            add(row, col(a, idx(bi, cj), g, h), 1)
-                        if h == cj:  # (T[a][b] E_c)_{gh} = T[a][b]_{g,ci}
-                            add(row, col(a, b, g, ci), -1)
-                        if g == bi:  # (E_b T[a][c])_{gh} = T[a][c]_{bj,h}
-                            add(row, col(a, c, bj, h), -1)
-                        equation(row)
-    return elim
+
+def _element(space: MatrixSubspace, coords: dict) -> Mat:
+    out = Mat.zero(space.n)
+    for m, x in coords.items():
+        out = out + space.basis[m].scale(x)
+    return out
+
+
+def _is_derivation(space: MatrixSubspace, der: dict) -> bool:
+    """D(e_a e_b) = D(e_a) e_b + e_a D(e_b) on all basis pairs, by Mat
+    arithmetic on a basis of matrix units."""
+    d, basis, zero = space.dimension(), space.basis, Mat.zero(space.n)
+    images = [_element(space, {p: x for (q, p), x in der.items() if q == a}) for a in range(d)]
+    for (a, b), ab in _unit_products(space).items():
+        lhs = zero if ab is None else images[ab]
+        if lhs != images[a] @ basis[b] + basis[a] @ images[b]:
+            return False
+    return True
+
+
+def _is_biderivation(space: MatrixSubspace, bracket: dict) -> bool:
+    """Both Leibniz rules on all basis triples, by Mat arithmetic on a basis
+    of matrix units."""
+    d, basis, zero = space.dimension(), space.basis, Mat.zero(space.n)
+    table = [
+        [_element(space, {m: x for (i, j, m), x in bracket.items() if (i, j) == (a, b)})
+         for b in range(d)]
+        for a in range(d)
+    ]
+    prod = _unit_products(space)
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                ab, bc = prod[a, b], prod[b, c]
+                # {e_a e_b, e_c} = e_a {e_b, e_c} + {e_a, e_c} e_b
+                if (zero if ab is None else table[ab][c]) != (
+                    basis[a] @ table[b][c] + table[a][c] @ basis[b]
+                ):
+                    return False
+                # {e_a, e_b e_c} = {e_a, e_b} e_c + e_b {e_a, e_c}
+                if (zero if bc is None else table[a][bc]) != (
+                    table[a][b] @ basis[c] + basis[b] @ table[a][c]
+                ):
+                    return False
+    return True
+
+
+def _derivation_system_rank(space: MatrixSubspace) -> int:
+    """The rank over sympy's QQ_I of the derivation system written on matrix
+    entries: unknown (q, p) is coordinate p of D(e_q), and equation
+    (a, b, g, h) is entry (g, h) of D(e_a e_b) - D(e_a) e_b - e_a D(e_b).
+    Matrix units have integer entries; rows of zeros are left out."""
+    d, n, basis = space.dimension(), space.n, space.basis
+    prod = _unit_products(space)
+    rows = []
+    for a in range(d):
+        for b in range(d):
+            cols = []
+            for q in range(d):
+                for p in range(d):
+                    term = Mat.zero(n)
+                    if prod[a, b] == q:
+                        term = term + basis[p]
+                    if a == q:
+                        term = term - basis[p] @ basis[b]
+                    if b == q:
+                        term = term - basis[a] @ basis[p]
+                    cols.append(term.flatten())
+            rows += [[QQ_I(int(col[e].re), 0) for col in cols] for e in range(n * n)
+                     if any(not col[e].is_zero() for col in cols)]
+    return DomainMatrix(rows, (len(rows), d * d), QQ_I).rank()
+
+
+class TestDerivations:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full_matrix_algebra_has_the_inner_ones(self, n):
+        assert len(derivations(MatrixSubspace(full_matrix_basis(n)))) == n * n - 1
+
+    @pytest.mark.parametrize(
+        "space, dim",
+        [(_upper_triangular(2), 2), (_upper_triangular(3), 5), (_upper_triangular(4), 9)],
+        ids=["T2", "T3", "T4"],
+    )
+    def test_upper_triangular(self, space, dim):
+        ders = derivations(space)
+        assert len(ders) == dim
+        assert all(_is_derivation(space, der) for der in ders)
+
+    @pytest.mark.parametrize(
+        "space",
+        [MatrixSubspace(full_matrix_basis(2)), MatrixSubspace(full_matrix_basis(3)),
+         _upper_triangular(3), _upper_triangular(4), _commutant_of(1, 1, 0),
+         _commutant_of(1, 2, 2, 2)],
+        ids=["M2", "M3", "T3", "T4", "diag110", "diag1222"],
+    )
+    def test_rank_matches_sympy(self, space):
+        ders = derivations(space)
+        assert all(_is_derivation(space, der) for der in ders)
+        d = space.dimension()
+        assert _derivation_system_rank(space) == d * d - len(ders)
+
+    def test_structure_refuses_a_span_not_closed(self):
+        space = MatrixSubspace([Mat.basis_elt(2, 0, 1), Mat.basis_elt(2, 1, 0)])
+        assert not space.is_closed()
+        with pytest.raises(ValueError):
+            space.structure()
+        with pytest.raises(ValueError):
+            derivations(space)
+
+    def test_structure_constants_of_pauli_span(self):
+        """sigma_x sigma_y = i sigma_z and sigma_x^2 = 1; zero constants are
+        left out."""
+        space = MatrixSubspace([Mat.identity(2), SX, SY, SZ])
+        c = space.structure()
+        assert c[1, 2, 3] == GR_I and (1, 2, 0) not in c
+        assert c[1, 1, 0] == GaussRational.of(1)
 
 
 class TestBiderivations:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_one_pass_builder_equals_the_old_builder(self, monkeypatch, n):
-        """The same rows, in the same order and entry order, give the same
-        rows_read, pivot rows after back-substitution and kernel."""
-        given = []
-        add_row = SparseEliminator.add_row
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_solver_equals_the_reference_system(self, n):
+        """The kernel of the n^6 system on both Leibniz rules, key for key
+        and value for value."""
+        assert biderivation_solver(n) == old_biderivation_system(n).kernel_basis()
 
-        def recording(self, row):
-            given.append(list(row.items()))
-            add_row(self, row)
+    def test_solver_scales_its_vector_to_a_1_at_the_largest_key(self, monkeypatch):
+        """Any multiple of the commutator comes back as the reduced basis."""
+        import aldyn.quantum
 
-        monkeypatch.setattr(SparseEliminator, "add_row", recording)
-        systems = []
-        for build in (old_biderivation_system, biderivation_system):
-            system = build(n)
-            systems.append((system.rows_read, given[:], system.kernel_basis(),
-                            [(lead, list(row.items())) for lead, row in system.pivot_rows.items()]))
-            given.clear()
-        old, new = systems
-        assert new == old
-        assert new[0] == len(new[1]) > 0
+        def doubled(space):
+            brackets, shape = biderivations(space)
+            return [{key: x + x for key, x in bracket.items()} for bracket in brackets], shape
+
+        monkeypatch.setattr(aldyn.quantum, "biderivations", doubled)
+        assert biderivation_solver(3) == old_biderivation_system(3).kernel_basis()
+
+    @pytest.mark.parametrize(
+        "space, dim",
+        [
+            (MatrixSubspace(full_matrix_basis(1)), 0),
+            (MatrixSubspace(full_matrix_basis(2)), 1),
+            (MatrixSubspace(full_matrix_basis(3)), 1),
+            (_upper_triangular(2), 4),
+            (_upper_triangular(3), 2),
+            (_upper_triangular(4), 2),
+            (_commutant_of(1, 1, 0), 1),
+            (_commutant_of(1, 1, 0, 0), 2),
+            (_commutant_of(1, 2, 2, 2), 1),
+            (_commutant_of(1, 2, 3), 0),
+        ],
+        ids=["M1", "M2", "M3", "T2", "T3", "T4", "diag110", "diag1100", "diag1222", "diag123"],
+    )
+    def test_dimension_and_both_leibniz_rules(self, space, dim):
+        brackets, (equations, unknowns, rank) = biderivations(space)
+        assert len(brackets) == dim == unknowns - rank
+        assert unknowns == 2 * space.dimension() * len(derivations(space))
+        assert all(_is_biderivation(space, bracket) for bracket in brackets)
+
+    def test_leibniz_check_refuses_the_anticommutator(self):
+        space = MatrixSubspace(full_matrix_basis(2))
+        anti = dict(space.structure())
+        for (a, b, m), c in space.structure().items():
+            anti[b, a, m] = anti.get((b, a, m), GR_ZERO) + c
+        assert not _is_biderivation(space, anti)
+        assert _is_biderivation(space, {})
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_solution_space_is_commutator_line(self, n):
