@@ -309,8 +309,8 @@ def _central_difference_bound(h_norm: float, a_norm: float, dt: float) -> float:
 def cmd_evolve(args) -> Report:
     import numpy as np
 
-    h = _decode("/h", Mat.from_json, _load_json_arg(args.h, "/h"))
-    a = _decode("/a", Mat.from_json, _load_json_arg(args.a, "/a"))
+    h = Mat.from_json(_load_json_arg(args.h, "/h"), "/h")
+    a = Mat.from_json(_load_json_arg(args.a, "/a"), "/a")
     if a.n != h.n:
         raise ValueError(f"/a: a {a.n}x{a.n} matrix, /h is {h.n}x{h.n}")
     hn, an = h.to_numpy("/h"), a.to_numpy("/a")
@@ -340,9 +340,7 @@ def cmd_evolve(args) -> Report:
 
 
 def cmd_commutant(args) -> Report:
-    space = _decode(
-        "/subspace", MatrixSubspace.from_json, _load_json_arg(args.subspace, "/subspace")
-    )
+    space = MatrixSubspace.from_json(_load_json_arg(args.subspace, "/subspace"), "/subspace")
     result = commutant(space)
     return Report(
         {"dimension": result.dimension(), "basis": result.to_json()},
@@ -355,10 +353,8 @@ def cmd_commutant(args) -> Report:
 
 
 def cmd_invariance(args) -> Report:
-    h = _decode("/h", Mat.from_json, _load_json_arg(args.h, "/h"))
-    space = _decode(
-        "/subspace", MatrixSubspace.from_json, _load_json_arg(args.subspace, "/subspace")
-    )
+    h = Mat.from_json(_load_json_arg(args.h, "/h"), "/h")
+    space = MatrixSubspace.from_json(_load_json_arg(args.subspace, "/subspace"), "/subspace")
     if h.n != space.n:
         raise ValueError(f"/h: a {h.n}x{h.n} matrix, /subspace holds {space.n}x{space.n} ones")
     rep = invariance_check(h, space)
@@ -374,7 +370,7 @@ def cmd_invariance(args) -> Report:
 
 
 def cmd_blocksplit(args) -> Report:
-    h = _decode("/h", Mat.from_json, _load_json_arg(args.h, "/h"))
+    h = Mat.from_json(_load_json_arg(args.h, "/h"), "/h")
     du, df = block_split(h, args.k)
     resummed = du + df == InnerDerivation(h)
     commuting = du.commutes_with(df)
@@ -394,7 +390,9 @@ def cmd_biderivation(args) -> Report:
     sols, (equations, unknowns, rank) = _mat_biderivations(args.n)
     cvec = commutator_bracket_vector(args.n)
     # the commutator vanishes on Mat_1, whose answer is then the zero space
-    in_span = len(sols) == (1 if cvec else 0) and None not in linalg.solve_columns(sols, [cvec])
+    in_span = len(sols) == (1 if cvec else 0) and None not in linalg.solve_columns(
+        [linalg.integer_column(s) for s in sols], [linalg.integer_column(cvec)]
+    )
     return Report(
         {
             "n": args.n,

@@ -145,8 +145,8 @@ class DerivationBasis:
         brackets = [commutator(gens[l], gens[k]) for k, l in pairs]
         structure: dict[tuple[int, int], list[tuple[int, GaussRational]]] = {}
         for (k, l), coords in zip(pairs, space.coordinates(brackets)):
-            entry = [(j, c) for j, c in enumerate(coords) if not c.is_zero()]
-            if entry:
+            if coords:
+                entry = list(coords.items())
                 structure[(k, l)] = entry
                 structure[(l, k)] = [(j, -c) for j, c in entry]
         return structure
@@ -296,8 +296,10 @@ class KForm:
             check_gell_mann_size("n", n)
             basis = DerivationBasis.gell_mann(n)
         coeffs = {
-            tuple(json_int(i, "idx") for i in entry["idx"]): Mat.from_json(entry["value"])
-            for entry in data["coeffs"]
+            tuple(json_int(i, "idx") for i in entry["idx"]): Mat.from_json(
+                entry["value"], f"coeffs/{k}/value"
+            )
+            for k, entry in enumerate(data["coeffs"])
         }
         return KForm(basis, json_int(data["degree"], "degree"), coeffs)
 
@@ -433,6 +435,6 @@ def exactness_obstruction(basis: DerivationBasis, j: int) -> ExactnessReport:
     if not 0 <= j < basis.dim:
         raise ValueError("index out of range")
     # Unknown A (n^2 entries); equations [A, X_k] = delta^j_k * identity.
-    target = {(j, r, r): GR_ONE for r in range(n)}
+    target = ({(j, r, r): (1, 0) for r in range(n)}, 1)
     [sol] = solve_columns(commutator_columns(basis.generators), [target])
     return ExactnessReport(solvable=sol is not None)

@@ -11,23 +11,31 @@ im x), and r's content is divided out again whenever it was scaled.
 A primitive one-entry pivot row is {c: (1, 0)}, so L = g = 1 and the
 update only deletes column c.  Two fast paths give exactly that result
 without the update.  A row with the single entry {c: v} becomes the unit
-pivot {c: (1, 0)} when c holds no pivot, and reduces to nothing (it is
-counted in `rows_read`, nothing more) when v is 0 or c already holds a
-one-entry pivot.  Inside the reduction loop, a one-entry pivot deletes
-the row's entry at its column.  The ansatz systems are made mostly of
-"unknown = 0" rows (about 480 of the 504 rows of a `find_hamiltonian`
-system on R^4 at cap 6 have one entry), and then pay the full update
-only against pivots of two or more entries.
+pivot {c: (1, 0)} when c holds no pivot, and reduces to nothing when v is
+0 or c already holds a one-entry pivot.  Inside the reduction loop, a
+one-entry pivot deletes the row's entry at its column.  The ansatz
+systems are made mostly of "unknown = 0" rows (about 480 of the 504 rows
+of a `find_hamiltonian` system on R^4 at cap 6 have one entry), and then
+pay the full update only against pivots of two or more entries.
 Back-substitution, indexed by column, runs on the same rows and gives the
 reduced row-echelon form, unique for a fixed column order: `kernel_basis`
 and `solve` divide each entry by its row's lead once, at the end, so
 solutions and kernel bases do not depend on the order the rows came in.
 
-One front end, `solve_columns`, and the one place where Q(i) coefficients
-become integer rows, each row cleared of its denominators by their lcm:
-one unknown per sparse column, any number of targets answered by one
-elimination, or the kernel when there are none.  Every linear question
-goes through it.
+One front end, `solve_columns`: one unknown per sparse column, any number
+of targets answered by one elimination, or the kernel when there are
+none.  Every linear question goes through it.  A column (or a target) is
+an `IntColumn`, Gaussian integers {key: (re, im)} over one positive int
+denominator, so Q(i) values become integers where the columns are built,
+each input cleared of its denominators once (`integer_column` for a
+caller that holds Q(i) values).  The answers do not depend on those
+denominators: scaling column j by den_j divides unknown j by den_j, and a
+target's solution scales with the target, so the pivot columns, the
+consistency of each target and the solution with free unknowns at 0 are
+those of the rational system.  Each entry of an answer is unscaled in the
+one normalisation that makes it, x_j = den_j x'_j / den_t, and a kernel
+vector keeps its 1 at its free column.  Answers are sparse {unknown:
+value} dicts of nonzero values in ascending unknown order.
 
 No tolerances anywhere: rank decisions are exact.
 """
@@ -37,11 +45,14 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational, _norm
+from .scalars import GR_ONE, GaussRational, _norm
 
-Row = list[GaussRational]
 SparseRow = dict[int, GaussRational]
 IntRow = dict[int, tuple[int, int]]  # column -> (re, im) of a Gaussian integer
+# Gaussian integers {key: (re, im)}, all nonzero, over one positive int
+# denominator: a column of `solve_columns`, with the value (re + im i) / den
+# at each key.
+IntColumn = tuple[Mapping[Hashable, tuple[int, int]], int]
 
 _ZERO = (0, 0)
 
@@ -90,19 +101,17 @@ class SparseEliminator:
     are taken at the smallest column, so a pivot row whose lead is
     `>= ncols` reads 0 = a combination of targets, and every target it
     holds is inconsistent.  After all rows are in, `kernel_basis` gives
-    the nullspace and `solve` one solution per target; `rows_read` counts
-    the rows given and `len(pivot_rows)` is the rank.
+    the nullspace and `solve` one solution per target, and
+    `len(pivot_rows)` is the rank.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows_read = 0
         self.pivot_rows: dict[int, IntRow] = {}
 
     def add_row(self, row: Mapping[int, tuple[int, int]]) -> None:
         """Reduce a copy of `row` until its smallest column has no pivot;
         a nonzero residual becomes the pivot row there."""
-        self.rows_read += 1
         pivot_rows = self.pivot_rows
         if len(row) == 1:
             [(c, (a, b))] = row.items()
@@ -144,70 +153,84 @@ class SparseEliminator:
             for other in holders[lead]:
                 _eliminate(other, lead, rows[lead])
 
-    def kernel_basis(self) -> list[SparseRow]:
-        """Nullspace vectors as sparse dicts, one per free column, with a 1
-        in that column."""
+    def kernel_basis(self, dens: Sequence[int]) -> list[SparseRow]:
+        """Nullspace vectors, one per free column with a 1 there.  Column j
+        holds dens[j] times the coefficients of unknown j, and each vector
+        is given in the unknowns."""
         self._back_substitute()
-        basis = []
-        for fc in range(self.ncols):
-            if fc in self.pivot_rows:
-                continue
-            vec = {fc: GR_ONE}
-            for lead, row in self.pivot_rows.items():
-                v = row.get(fc)
-                if v is not None:
-                    vec[lead] = _norm(-v[0], -v[1], row[lead][0])
-            basis.append(vec)
-        return basis
+        ncols = self.ncols
+        rows = self.pivot_rows
+        # Every other entry of a reduced pivot row sits in a free column
+        # right of its lead, so ascending leads give each vector in order.
+        basis: dict[int, SparseRow] = {fc: {} for fc in range(ncols) if fc not in rows}
+        for lead in sorted(rows):
+            row = rows[lead]
+            scale, value = dens[lead], row[lead][0]
+            for c, (x, y) in row.items():
+                if (vec := basis.get(c)) is not None:
+                    vec[lead] = _norm(-x * scale, -y * scale, value * dens[c])
+        for fc, vec in basis.items():
+            vec[fc] = GR_ONE
+        return list(basis.values())
 
-    def solve(self, ntargets: int) -> list[SparseRow | None]:
+    def solve(self, ntargets: int, dens: Sequence[int]) -> list[SparseRow | None]:
         """One solution per target of the rows read as [A | B], target t in
         column `ncols + t`, free variables at 0; None for a target that is
-        inconsistent."""
+        inconsistent.  Column c holds dens[c] times its values, so unknown j
+        of target t is dens[j] x'_j / dens[ncols + t] for the x' of the rows."""
         ncols = self.ncols
         self._back_substitute()
         rows = self.pivot_rows
         inconsistent = {c for lead, row in rows.items() if lead >= ncols for c in row}
         sols = [None if ncols + t in inconsistent else {} for t in range(ntargets)]
-        for lead, row in rows.items():
-            if lead < ncols:
-                den = row[lead][0]
-                for c, (x, y) in row.items():
-                    if c >= ncols and (sol := sols[c - ncols]) is not None:
-                        sol[lead] = _norm(x, y, den)
+        for lead in sorted(rows):
+            if lead >= ncols:
+                break
+            row = rows[lead]
+            scale, value = dens[lead], row[lead][0]
+            for c, (x, y) in row.items():
+                if c >= ncols and (sol := sols[c - ncols]) is not None:
+                    sol[lead] = _norm(x * scale, y * scale, value * dens[c])
         return sols
 
 
-def _dense(vec: Mapping[int, GaussRational], ncols: int) -> Row:
-    return [vec.get(c, GR_ZERO) for c in range(ncols)]
+def integer_column(values: Mapping[Hashable, GaussRational]) -> IntColumn:
+    """Q(i) values as an `IntColumn` over the lcm of their denominators,
+    zeros dropped."""
+    den = lcm(*(v.den for v in values.values()))
+    return {
+        key: (v.re_num * (den // v.den), v.im_num * (den // v.den))
+        for key, v in values.items() if v.re_num or v.im_num
+    }, den
 
 
 def solve_columns(
-    columns: Sequence[Mapping[Hashable, GaussRational]],
-    targets: Sequence[Mapping[Hashable, GaussRational]] | None,
-) -> list[Row | None]:
+    columns: Sequence[IntColumn], targets: Sequence[IntColumn] | None
+) -> list[SparseRow | None]:
     """Exact solve of sum_j x_j columns[j] = targets[t], every t in one
     elimination.
 
-    Each unknown and each target is a sparse column {equation_key:
-    coefficient}; the solvers key equations by (component, exps), matrices
-    by entry index.  Returns one solution per target, free unknowns at 0
-    (the same as solving for that target alone), or None where the target
-    is not in the span of the columns.  With targets None, returns a basis
-    of the kernel, one vector per free unknown with a 1 there.
+    Each unknown and each target is an `IntColumn` keyed by equation; the
+    solvers key equations by (component, exps), matrices by entry index.
+    Returns one sparse solution per target, free unknowns at 0 (the same as
+    solving for that target alone), or None where the target is not in the
+    span of the columns.  With targets None, returns a basis of the kernel,
+    one vector per free unknown with a 1 there.
     """
     ncols = len(columns)
-    rows: dict[Hashable, SparseRow] = {}
-    for j, col in enumerate([*columns, *(targets or ())]):
+    columns = [*columns, *(targets or ())]
+    rows: dict[Hashable, IntRow] = {}
+    for j, (col, _) in enumerate(columns):
         for key, v in col.items():
-            if not v.is_zero():
-                rows.setdefault(key, {})[j] = v
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {j: v}
+            else:
+                row[j] = v
     elim = SparseEliminator(ncols)
     for row in rows.values():
-        den = lcm(*(v.den for v in row.values()))
-        elim.add_row(
-            {j: (v.re_num * (den // v.den), v.im_num * (den // v.den)) for j, v in row.items()}
-        )
+        elim.add_row(row)
+    dens = [den for _, den in columns]
     if targets is None:
-        return [_dense(v, ncols) for v in elim.kernel_basis()]
-    return [None if s is None else _dense(s, ncols) for s in elim.solve(len(targets))]
+        return elim.kernel_basis(dens)
+    return elim.solve(len(targets), dens)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational, json_int
+from .scalars import GR_ONE, GR_ZERO, GaussRational, json_field, json_int, json_list, rational
 
 _object_new = object.__new__
 
@@ -154,10 +154,10 @@ class Mat:
         return [a for row in self.entries for a in row]
 
     @staticmethod
-    def unflatten(vec: Sequence[GaussRational], n: int) -> "Mat":
-        if len(vec) != n * n:
-            raise ValueError("vector length mismatch")
-        return Mat([[vec[i * n + j] for j in range(n)] for i in range(n)])
+    def unflatten(vec: Mapping[int, GaussRational], n: int) -> "Mat":
+        """The n x n matrix with entry vec[i * n + j] at (i, j), and 0 where
+        the sparse vec has none."""
+        return Mat([[vec.get(i * n + j, GR_ZERO) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
@@ -194,13 +194,24 @@ class Mat:
         return {"n": self.n, "entries": [[a.to_json() for a in row] for row in self.entries]}
 
     @staticmethod
-    def from_json(data: Mapping) -> "Mat":
+    def from_json(data, path: str = "matrix") -> "Mat":
         """{"n": n, "entries": rows of {"re", "im"} cells}; each part is read
-        by ``scalars.rational``."""
-        m = Mat([[GaussRational.from_json(cell) for cell in row] for row in data["entries"]])
-        if m.n != json_int(data["n"], "n"):
-            raise ValueError("matrix size field does not match the entries")
-        return m
+        by ``scalars.rational``.  Malformed input is a ValueError naming the
+        JSON path at fault, below `path`, the path of data."""
+        rows = json_list(json_field(data, "entries", path), f"{path}/entries")
+        entries = []
+        for i, row in enumerate(rows):
+            cells = []
+            for j, cell in enumerate(json_list(row, f"{path}/entries/{i}")):
+                at = f"{path}/entries/{i}/{j}"
+                re, im = json_field(cell, "re", at), json_field(cell, "im", at)
+                cells.append(GaussRational(rational(re, f"{at}/re"), rational(im, f"{at}/im")))
+            entries.append(cells)
+        if any(len(row) != len(entries) for row in entries):
+            raise ValueError(f"{path}/entries: matrix must be square")
+        if json_int(json_field(data, "n", path), f"{path}/n") != len(entries):
+            raise ValueError(f"{path}/n: matrix size field does not match the entries")
+        return Mat(entries)
 
 
 def full_matrix_basis(n: int) -> list[Mat]:

@@ -9,7 +9,12 @@ a linear dynamics or a Lie-Poisson component, is ``Poly.linear``.
 
 Every bounded-degree search is ``solve_combination`` (sum_k h_k v_k = T) or
 ``solve_preimage`` (Y_k(f) = T_k), which own the monomials, the columns, the
-one exact elimination and the read-back into ``Poly``s.
+one exact elimination and the read-back into ``Poly``s.  The columns are
+Gaussian integers over one denominator (``linalg.IntColumn``): each input
+(a vector of polynomials, or all the images of the fields) is cleared of
+its denominators once, and the column of a monomial is made of its
+integers at shifted exponents.  Solutions come back sparse, and only their
+nonzero coefficients become terms.
 """
 
 from __future__ import annotations
@@ -173,47 +178,57 @@ def monomials(n: int, cap: int) -> list[tuple]:
     return sorted(out, key=_grlex_key)
 
 
-def coefficient_column(components: Sequence[Poly]) -> dict[tuple, GaussRational]:
-    """{(component, exps): coefficient} over theta-free polynomials: the
-    column of one unknown, or the target, of a linear system on polynomial
-    coefficients (see ``linalg.solve_columns``)."""
-    return {
-        (a, exps): c.constant()
-        for a, p in enumerate(components)
-        for exps, c in p.terms.items()
-    }
+def coefficient_column(components: Sequence[Poly]) -> linalg.IntColumn:
+    """The coefficients {(component, exps): value} of theta-free
+    polynomials as one ``linalg.IntColumn``: the column of one unknown, or
+    the target, of a linear system on polynomial coefficients (see
+    ``linalg.solve_columns``)."""
+    return linalg.integer_column(
+        {(a, exps): c.constant() for a, p in enumerate(components) for exps, c in p.terms.items()}
+    )
 
 
 def derivation_columns(
     fields: Sequence[Sequence[Poly]], monos: Sequence[tuple]
-) -> list[dict[tuple, GaussRational]]:
+) -> list[linalg.IntColumn]:
     """For each monomial m, the column {(k, exps): coefficient} of
     fields[k](x^m) = sum_b m_b Y_k^b x^(m - e_b), where fields[k][b] = Y_k^b
     is theta-free.  For an angle-phase generator b the factor is i*m_b and
-    the exponent stays, as in ``Poly.partial``."""
+    the exponent stays, as in ``Poly.partial``.  The images Y_k^b are
+    cleared of their denominators once, so every column has the same one."""
+    parts = [(k, b, y) for k, field in enumerate(fields) for b, y in enumerate(field) if y.terms]
+    coeffs, den = coefficient_column([y for _, _, y in parts])
+    terms: list[list] = [[] for _ in parts]
+    for (i, e), v in coeffs.items():
+        terms[i].append((e, v))
     images = [
-        (k, b, y.gens.kinds[b] == "angle-phase", list(coefficient_column([y]).items()))
-        for k, field in enumerate(fields) for b, y in enumerate(field) if y.terms
+        (k, b, y.gens.kinds[b] == "angle-phase", image)
+        for (k, b, y), image in zip(parts, terms)
     ]
     columns = []
     for m in monos:
-        col: dict[tuple, GaussRational] = {}
-        for k, b, angle, terms in images:
-            if m[b]:
-                f = GaussRational(0, m[b]) if angle else GaussRational(m[b])
-                base = m if angle else m[:b] + (m[b] - 1,) + m[b + 1 :]
-                for (_, e), c in terms:
+        col: dict[tuple, tuple[int, int]] = {}
+        for k, b, angle, image in images:
+            f = m[b]
+            if f:
+                base = m if angle else m[:b] + (f - 1,) + m[b + 1 :]
+                for e, (re, im) in image:
+                    re, im = (-f * im, f * re) if angle else (f * re, f * im)
                     key = (k, tuple(map(add, base, e)))
-                    col[key] = col[key] + f * c if key in col else f * c
-        columns.append({key: v for key, v in col.items() if not v.is_zero()})
+                    if (old := col.get(key)) is not None:
+                        re += old[0]
+                        im += old[1]
+                    col[key] = (re, im)
+        columns.append(({key: v for key, v in col.items() if v[0] or v[1]}, den))
     return columns
 
 
-def shifted_columns(polys: Sequence[Poly], monos: Sequence[tuple]) -> list[dict]:
+def shifted_columns(polys: Sequence[Poly], monos: Sequence[tuple]) -> list[linalg.IntColumn]:
     """For each monomial m, the column of x^m * polys[k]: the exponents of
-    ``coefficient_column(polys)`` shifted by m."""
-    col = coefficient_column(polys).items()
-    return [{(k, tuple(map(add, m, e))): c for (k, e), c in col} for m in monos]
+    ``coefficient_column(polys)`` shifted by m, over its one denominator."""
+    col, den = coefficient_column(polys)
+    col = col.items()
+    return [({(k, tuple(map(add, m, e))): v for (k, e), v in col}, den) for m in monos]
 
 
 Vector = Sequence["Poly"]  # theta-free Polys, one per component
@@ -227,11 +242,17 @@ def _solve_ansatz(gens, monos, columns, targets, count):
     None, each kernel vector is read back."""
     nm = len(monos)
     tcols = None if targets is None else [coefficient_column(t) for t in targets]
-    return [
-        None if sol is None
-        else [Poly.from_coefficients(gens, monos, sol[k * nm : (k + 1) * nm]) for k in range(count)]
-        for sol in linalg.solve_columns(columns, tcols)
-    ]
+    out = []
+    for sol in linalg.solve_columns(columns, tcols):
+        if sol is None:
+            out.append(None)
+            continue
+        parts: list[dict] = [{} for _ in range(count)]
+        for j, c in sol.items():
+            k, i = divmod(j, nm)
+            parts[k][i] = c
+        out.append([Poly.from_coefficients(gens, monos, part) for part in parts])
+    return out
 
 
 def solve_combination(
@@ -332,11 +353,11 @@ class Poly:
 
     @staticmethod
     def from_coefficients(
-        gens: GeneratorSet, monos: Sequence[tuple], coeffs: Sequence[GaussRational]
+        gens: GeneratorSet, monos: Sequence[tuple], coeffs: Mapping[int, GaussRational]
     ) -> "Poly":
-        """sum_j coeffs[j] x^monos[j]: a solution vector read back as a Poly."""
-        terms = {m: Scalar.from_gauss(c) for m, c in zip(monos, coeffs) if not c.is_zero()}
-        return Poly(gens, terms)
+        """sum_j coeffs[j] x^monos[j] over the nonzero coefficients of a
+        sparse solution: a solution read back as a Poly."""
+        return _poly(gens, {monos[j]: Scalar.from_gauss(c) for j, c in coeffs.items()})
 
     # -- ring operations ---------------------------------------------
 

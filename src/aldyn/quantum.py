@@ -9,7 +9,10 @@ only `evolve`, the one exponential, computes in floats.
 
 A `MatrixSubspace` answers every question about its span in one exact
 solve: membership, and the coordinates that also give the structure
-constants of `diffcalc.DerivationBasis` and its own `structure`.  Two
+constants of `diffcalc.DerivationBasis` and its own `structure`.  Each
+matrix enters a solve as one integer column (`linalg.integer_column`),
+the commutator columns are built from integer entries cleared of their
+denominators once, and coordinates come back sparse.  Two
 small kernels on those follow, `derivations` and `biderivations`: on Mat_n
 the latter are the commutator line (Dirac's argument; Bresar, Taiwanese
 J. Math. 8 (2004) 361).
@@ -20,10 +23,10 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
-from .linalg import solve_columns
+from .linalg import IntColumn, integer_column, solve_columns
 from .matrices import Mat, full_matrix_basis
 from .report import Verdict
-from .scalars import GR_I, GR_ZERO, GaussRational, to_float
+from .scalars import GR_I, GR_ZERO, GaussRational, json_list, to_float
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
@@ -57,9 +60,9 @@ def evolve(a: Mat, h: Mat, t: float) -> np.ndarray:
     return u @ a.to_numpy() @ u.conj().T
 
 
-def _vectors(mats: Sequence[Mat]) -> list[dict[int, GaussRational]]:
+def _vectors(mats: Sequence[Mat]) -> list[IntColumn]:
     """Each matrix as a column keyed by its row-major entry index."""
-    return [dict(enumerate(m.flatten())) for m in mats]
+    return [integer_column(dict(enumerate(m.flatten()))) for m in mats]
 
 
 class MatrixSubspace:
@@ -84,9 +87,9 @@ class MatrixSubspace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, mats: Sequence[Mat]) -> list[list[GaussRational] | None]:
-        """The coordinates of every matrix in mats in the basis, or None for
-        one outside the span, all in one elimination."""
+    def coordinates(self, mats: Sequence[Mat]) -> list[dict[int, GaussRational] | None]:
+        """The nonzero coordinates {k: c_k} of every matrix in mats in the
+        basis, or None for one outside the span, all in one elimination."""
         return solve_columns(_vectors(self.basis), _vectors(mats))
 
     def contains_each(self, mats: Sequence[Mat]) -> list[bool]:
@@ -104,10 +107,7 @@ class MatrixSubspace:
         coords = self.coordinates([x @ y for x in self.basis for y in self.basis])
         if None in coords:
             raise ValueError("the span is not closed under products")
-        return {
-            (*divmod(ab, d), k): c
-            for ab, row in enumerate(coords) for k, c in enumerate(row) if not c.is_zero()
-        }
+        return {(*divmod(ab, d), k): c for ab, row in enumerate(coords) for k, c in row.items()}
 
     def is_closed(self) -> bool:
         """Closure under products, so under commutators xy - yx: `structure` succeeds."""
@@ -137,28 +137,45 @@ class MatrixSubspace:
         return [b.to_json() for b in self.basis]
 
     @staticmethod
-    def from_json(data) -> "MatrixSubspace":
-        return MatrixSubspace([Mat.from_json(m) for m in data])
+    def from_json(data, path: str = "subspace") -> "MatrixSubspace":
+        """A list of matrices (``Mat.from_json``); malformed input is a
+        ValueError naming `path`, the path of data, or the path below it."""
+        basis = [Mat.from_json(m, f"{path}/{i}") for i, m in enumerate(json_list(data, path))]
+        try:
+            return MatrixSubspace(basis)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
-def commutator_columns(mats: Sequence[Mat]) -> list[dict]:
+def commutator_columns(mats: Sequence[Mat]) -> list[IntColumn]:
     """Columns of the linear map f -> ([f, mats[t]])_t on Mat_n.
 
     One column per entry f_{pq} (row-major), keyed by (t, i, j) for entry
-    (i, j) of [E_pq, mats[t]] = E_pq m - m E_pq.
+    (i, j) of [E_pq, mats[t]] = E_pq m - m E_pq: row q of m moved to row p,
+    less column p of m moved to column q.  The matrices are cleared of their
+    denominators once, so every column has the same one.
     """
     n = mats[0].n
+    entries, den = integer_column(
+        {(t, i, j): a for t, m in enumerate(mats) for i, row in enumerate(m.entries)
+         for j, a in enumerate(row)}
+    )
+    rows = [[[] for _ in range(n)] for _ in mats]  # rows[t][i]: the (j, entry) of row i
+    cols = [[[] for _ in range(n)] for _ in mats]  # cols[t][j]: the (i, entry) of column j
+    for (t, i, j), v in entries.items():
+        rows[t][i].append((j, v))
+        cols[t][j].append((i, v))
     columns = []
     for p in range(n):
         for q in range(n):
-            col: dict[tuple[int, int, int], GaussRational] = {}
-            for t, m in enumerate(mats):
-                e = m.entries
-                for j in range(n):
-                    col[(t, p, j)] = e[q][j]
-                for i in range(n):
-                    col[(t, i, q)] = col.get((t, i, q), GR_ZERO) - e[i][p]
-            columns.append(col)
+            col: dict[tuple[int, int, int], tuple[int, int]] = {}
+            for t in range(len(mats)):
+                for j, v in rows[t][q]:
+                    col[t, p, j] = v
+                for i, (x, y) in cols[t][p]:
+                    old = col.get((t, i, q), (0, 0))
+                    col[t, i, q] = (old[0] - x, old[1] - y)
+            columns.append(({key: v for key, v in col.items() if v[0] or v[1]}, den))
     return columns
 
 
@@ -239,16 +256,24 @@ def derivations(space: MatrixSubspace) -> list[dict]:
     Equation (a, b, m) is coordinate m of D(e_a e_b) - D(e_a) e_b - e_a D(e_b);
     a constant c = c_ab^k enters it as c D(e_k)_x at (a, b, x), and through
     D(e_x) e_b and e_a D(e_x) as -c D(e_x)_a at (x, b, k) and -c D(e_x)_b at
-    (a, x, k)."""
+    (a, x, k).  The constants are cleared of their denominators once."""
     d = space.dimension()
-    columns = [defaultdict(GaussRational) for _ in range(d * d)]  # D(e_q)_p at q*d + p
-    for (a, b, k), c in space.structure().items():
-        for x in range(d):
-            columns[k * d + x][a, b, x] += c
-            columns[x * d + a][x, b, k] -= c
-            columns[x * d + b][a, x, k] -= c
+    constants, den = integer_column(space.structure())
+    sums = [defaultdict(lambda: [0, 0]) for _ in range(d * d)]  # D(e_q)_p at q*d + p
+    for (a, b, k), (x, y) in constants.items():
+        for e in range(d):
+            cell = sums[k * d + e][a, b, e]
+            cell[0] += x
+            cell[1] += y
+            cell = sums[e * d + a][e, b, k]
+            cell[0] -= x
+            cell[1] -= y
+            cell = sums[e * d + b][a, e, k]
+            cell[0] -= x
+            cell[1] -= y
+    columns = [({key: (x, y) for key, (x, y) in col.items() if x or y}, den) for col in sums]
     kernel = solve_columns(columns, None)
-    return [{divmod(j, d): x for j, x in enumerate(v) if not x.is_zero()} for v in kernel]
+    return [{divmod(j, d): x for j, x in v.items()} for v in kernel]
 
 
 def biderivations(space: MatrixSubspace) -> tuple[list[dict], tuple[int, int, int]]:
@@ -258,22 +283,29 @@ def biderivations(space: MatrixSubspace) -> tuple[list[dict], tuple[int, int, in
     Leibniz in its first slot when each B(., e_b) is a derivation, and in its
     second when each B(e_a, .) is: one kernel on the 2 d dim Der unknowns of
     B(., e_b) = sum_s alpha_bs D_s and B(e_a, .) = sum_s beta_as D_s, over a
-    basis D_s of `derivations`."""
+    basis D_s of `derivations`, each cleared of its denominators once."""
     d = space.dimension()
     ders = derivations(space)
-    alpha = [{(a, b, m): v for (a, m), v in der.items()} for b in range(d) for der in ders]
-    beta = [{(a, b, m): -v for (b, m), v in der.items()} for a in range(d) for der in ders]
+    ints = [integer_column(der) for der in ders]
+    alpha = [
+        ({(a, b, m): v for (a, m), v in der.items()}, den) for b in range(d) for der, den in ints
+    ]
+    beta = [
+        ({(a, b, m): (-x, -y) for (b, m), (x, y) in der.items()}, den)
+        for a in range(d) for der, den in ints
+    ]
     columns = alpha + beta
     kernel = solve_columns(columns, None)
     brackets = []
     for v in kernel:
         bracket = defaultdict(GaussRational)
-        for x, col in zip(v, alpha):
-            if not x.is_zero():
-                for key, y in col.items():
-                    bracket[key] += x * y
+        for j, x in v.items():
+            if j < len(alpha):  # alpha_bs at j = b * len(ders) + s
+                b, s = divmod(j, len(ders))
+                for (a, m), y in ders[s].items():
+                    bracket[a, b, m] += x * y
         brackets.append({key: x for key, x in bracket.items() if not x.is_zero()})
-    equations = len({key for col in columns for key in col})
+    equations = len({key for col, _ in columns for key in col})
     return brackets, (equations, len(columns), len(columns) - len(kernel))
 
 

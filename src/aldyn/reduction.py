@@ -104,8 +104,10 @@ def _sample_points(gens: GeneratorSet) -> list[dict[str, GaussRational]]:
     return points
 
 
-def _value_vector(delta: PolyDerivation, point: Mapping[str, GaussRational]):
-    return dict(enumerate(c.evaluate_exact(point) for c in delta.components()))
+def _value_vector(delta: PolyDerivation, point: Mapping[str, GaussRational]) -> linalg.IntColumn:
+    """The values of delta's components at a point, as one column."""
+    values = (c.evaluate_exact(point) for c in delta.components())
+    return linalg.integer_column(dict(enumerate(values)))
 
 
 @dataclass

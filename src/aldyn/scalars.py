@@ -68,6 +68,35 @@ def json_int(x, where: str) -> int:
     raise ValueError(f"{where}: {x!r} is not an integer")
 
 
+def _json_kind(x) -> str:
+    if isinstance(x, dict):
+        return "an object"
+    if isinstance(x, list):
+        return "a list"
+    if isinstance(x, str):
+        return "a string"
+    if isinstance(x, bool):
+        return "a boolean"
+    return "null" if x is None else "a number"
+
+
+def json_field(data, key: str, where: str):
+    """data[key] of a JSON object: a ValueError naming `where` (the path of
+    data) when data is not an object or has no `key`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object, got {_json_kind(data)}")
+    if key not in data:
+        raise ValueError(f'{where}: missing "{key}"')
+    return data[key]
+
+
+def json_list(data, where: str) -> list:
+    """data itself when it is a JSON list, else a ValueError naming `where`."""
+    if not isinstance(data, list):
+        raise ValueError(f"{where}: expected a list, got {_json_kind(data)}")
+    return data
+
+
 # The exponent of a decimal string, as Fraction reads it.  Fraction builds
 # 10^|e| first, which takes seconds for "1e-10000000".
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+from typing import Hashable, Mapping, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from aldyn.linalg import SparseEliminator
 from aldyn.matrices import Mat
 from aldyn.poly import GeneratorSet, Poly
-from aldyn.scalars import GaussRational, Scalar
+from aldyn.scalars import GR_ZERO, GaussRational, Scalar
 
 
 def random_gauss(rng: random.Random, span: int = 4) -> GaussRational:
@@ -104,6 +106,41 @@ def old_biderivation_system(n: int) -> SparseEliminator:
                             add(row, col(a, c, bj, h), -1)
                         equation(row)
     return elim
+
+
+def unit_kernel(elim: SparseEliminator) -> list[dict[int, GaussRational]]:
+    """The kernel basis of rows fed to the eliminator directly, each column
+    at scale 1."""
+    return elim.kernel_basis([1] * elim.ncols)
+
+
+def old_solve_columns(
+    columns: Sequence[Mapping[Hashable, GaussRational]],
+    targets: Sequence[Mapping[Hashable, GaussRational]] | None,
+) -> list[list[GaussRational] | None]:
+    """The reference for `linalg.solve_columns`: the front end that took
+    Q(i) columns, cleared each equation row of its denominators by their
+    lcm and padded every answer to a dense list."""
+    ncols = len(columns)
+    rows: dict[Hashable, dict[int, GaussRational]] = {}
+    for j, col in enumerate([*columns, *(targets or ())]):
+        for key, v in col.items():
+            if not v.is_zero():
+                rows.setdefault(key, {})[j] = v
+    elim = SparseEliminator(ncols)
+    for row in rows.values():
+        den = lcm(*(v.den for v in row.values()))
+        elim.add_row(
+            {j: (v.re_num * (den // v.den), v.im_num * (den // v.den)) for j, v in row.items()}
+        )
+
+    def dense(vec):
+        return [vec.get(c, GR_ZERO) for c in range(ncols)]
+
+    if targets is None:
+        return [dense(v) for v in unit_kernel(elim)]
+    units = [1] * (ncols + len(targets))
+    return [None if s is None else dense(s) for s in elim.solve(len(targets), units)]
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from aldyn.linalg import solve_columns
+from aldyn.linalg import integer_column, solve_columns
 from aldyn.derivations import (
     PolyDerivation,
     apply,
@@ -249,8 +249,8 @@ def test_criterion_08_commutant_correctness():
         basis = []
         while len(basis) < dim:
             m = random_mat(rng, 3, span=2)
-            columns = [dict(enumerate(b.flatten())) for b in basis]
-            if solve_columns(columns, [dict(enumerate(m.flatten()))]) == [None]:
+            columns = [integer_column(dict(enumerate(b.flatten()))) for b in basis]
+            if solve_columns(columns, [integer_column(dict(enumerate(m.flatten())))]) == [None]:
                 basis.append(m)
         space = MatrixSubspace(basis)
         double = commutant(commutant(space))
@@ -269,7 +269,8 @@ def test_criterion_09_biderivation_uniqueness():
         ok = ok and len(sols) == 1
         if sols:
             cvec = commutator_bracket_vector(n)
-            ok = ok and bool(cvec) and solve_columns(sols, [cvec]) != [None]
+            columns = [integer_column(s) for s in sols]
+            ok = ok and bool(cvec) and solve_columns(columns, [integer_column(cvec)]) != [None]
     elapsed = time.perf_counter() - start
     report(9, "biderivation space is the commutator line on Mat_2 and Mat_3", ok, elapsed)
     assert ok

@@ -1422,7 +1422,7 @@ def test_booleans_in_number_fields_are_bad_input(argv):
     "argv, where",
     [
         (["commutant", "--subspace", '[{"n":1,"entries":[[{"re":true,"im":"0"}]]}]'],
-         "/subspace: re: "),
+         "/subspace/0/entries/0/0/re: "),
         (["jacobi", "--tensor", _edited(_TENSOR_DOC, (*_TERM_PATH, "coeff", 0, "im"), False)],
          "/tensor: im: "),
         (["jacobi", "--tensor", json.dumps({"c": [[[True] * 3] * 3] * 3})], "/tensor: c: "),
@@ -1433,6 +1433,35 @@ def test_json_booleans_are_not_rationals(capsys, argv, where):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == EXIT_BAD_INPUT and out == ""
     assert where in err and "is not a rational" in err
+
+
+_ONE_BY_ONE = '{"n":1,"entries":[[{"re":1,"im":0}]]}'
+_MALFORMED_MATRICES = [
+    ('{"n":1,"entries":[[{"re":1}]]}', '/entries/0/0: missing "im"'),
+    ('{"n":1,"entries":[[1]]}', "/entries/0/0: expected an object, got a number"),
+    ("[[1]]", ": expected an object, got a list"),
+    ('{"n":1}', ': missing "entries"'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *((["commutant", "--subspace", f"[{m}]"], f"/subspace/0{where}") for m, where in
+          _MALFORMED_MATRICES),
+        *((["invariance", "--h", m, "--subspace", f"[{_ONE_BY_ONE}]"], f"/h{where}") for m, where
+          in _MALFORMED_MATRICES),
+        (["commutant", "--subspace", '{"n":1}'], "/subspace: expected a list, got an object"),
+    ],
+    ids=[*(f"commutant-{i}" for i in range(4)), *(f"invariance-h-{i}" for i in range(4)),
+         "commutant-object"],
+)
+def test_malformed_matrix_json_names_its_cell(capsys, argv, message):
+    """A matrix document with a cell or field missing or of the wrong JSON
+    type is bad input naming its path and what is missing or expected."""
+    for mode in ("--json", "--text"):
+        code, out, err = run_cli(capsys, *argv, mode)
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", f"input error: {message}\n")
 
 
 # Spellings of one rational: as an int, a string and a float; a float and

@@ -4,11 +4,13 @@ The oracles build each column the old way, one Poly per monomial:
 X_{x^m}^a = Lambda^{ab} d_b x^m for find_hamiltonian, ``bracket`` for the
 columns {x^a, x^m}, ``apply`` for invariant_subalgebra and
 ``Poly(m) * Y`` for express_in_fields, find_connection and
-find_poisson_tensor.  Columns and solver results must agree exactly, on
-angle-phase generators too.
+find_poisson_tensor.  Column values (numerators over the column's
+denominator, whichever denominator each side chose) and solver results
+must agree exactly, on angle-phase generators too.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -40,7 +42,7 @@ from aldyn.reduction import (
     find_connection,
     invariant_subalgebra,
 )
-from aldyn.scalars import GR_I, GR_ONE, Scalar
+from aldyn.scalars import GR_I, GR_ONE, GaussRational, Scalar
 
 from conftest import random_gauss, random_poly
 
@@ -74,6 +76,22 @@ def _field(gens, rng, **kw):
 
 def _mono(gens, m):
     return Poly(gens, {m: Scalar.one()})
+
+
+def _values(column):
+    """The Q(i) values {key: entry / den} of an integer column."""
+    entries, den = column
+    return {key: GaussRational(Fraction(x, den), Fraction(y, den)) for key, (x, y) in entries.items()}
+
+
+def _all_values(columns):
+    return [_values(col) for col in columns]
+
+
+def _part(sol, k, size):
+    """Unknowns k * size .. (k + 1) * size - 1 of a sparse solution,
+    renumbered from 0: the k-th polynomial of the ansatz layout."""
+    return {j - k * size: c for j, c in sol.items() if k * size <= j < (k + 1) * size}
 
 
 # -- the old builders ---------------------------------------------------------
@@ -148,7 +166,7 @@ def old_express_in_fields(target, fields, cap):
         return None
     nm = len(monos)
     return [
-        Poly.from_coefficients(gens, monos, sol[k * nm : (k + 1) * nm])
+        Poly.from_coefficients(gens, monos, _part(sol, k, nm))
         for k in range(len(fields))
     ]
 
@@ -164,12 +182,13 @@ def old_find_connection_forms(dist, cap):
     nm = len(monos)
     forms = []
     for k in range(dist.rank):
-        [sol] = linalg.solve_columns(columns, [{(k, (0,) * len(gens)): GR_ONE}])
+        target = linalg.integer_column({(k, (0,) * len(gens)): GR_ONE})
+        [sol] = linalg.solve_columns(columns, [target])
         if sol is None:
             return None
         forms.append(
             {
-                n: Poly.from_coefficients(gens, monos, sol[a * nm : (a + 1) * nm])
+                n: Poly.from_coefficients(gens, monos, _part(sol, a, nm))
                 for a, n in enumerate(gens.names)
             }
         )
@@ -180,7 +199,7 @@ def old_find_poisson_tensor(delta, h, cap):
     gens = delta.gens
     basis = monomials(len(gens), cap)
     pairs = list(combinations(range(len(gens)), 2))
-    partials = [coefficient_column([h.partial(n)]) for n in gens.names]
+    partials = [_values(coefficient_column([h.partial(n)])) for n in gens.names]
     columns = []
     for a, b in pairs:
         for m in basis:
@@ -189,7 +208,7 @@ def old_find_poisson_tensor(delta, h, cap):
                 col[(a, tuple(x + y for x, y in zip(m, exps)))] = c
             for (_, exps), c in partials[a].items():
                 col[(b, tuple(x + y for x, y in zip(m, exps)))] = -c
-            columns.append(col)
+            columns.append(linalg.integer_column(col))
     target = coefficient_column([delta.images[n] for n in gens.names])
     [sol] = linalg.solve_columns(columns, [target])
     if sol is None:
@@ -198,7 +217,7 @@ def old_find_poisson_tensor(delta, h, cap):
     tensor = PoissonTensor(
         gens,
         {
-            pair: Poly.from_coefficients(gens, basis, sol[i * nb : (i + 1) * nb])
+            pair: Poly.from_coefficients(gens, basis, _part(sol, i, nb))
             for i, pair in enumerate(pairs)
         },
     )
@@ -246,7 +265,8 @@ def test_bracket_columns_are_the_field_of_the_tensor(gens):
             ]
             for a, na in enumerate(gens.names)
         ]
-        assert derivation_columns(fields, monos) == old_bracket_columns(tensor, monos)
+        got = _all_values(derivation_columns(fields, monos))
+        assert got == _all_values(old_bracket_columns(tensor, monos))
 
 
 @gen_sets
@@ -257,10 +277,10 @@ def test_row_field_columns_are_hamiltonian_fields(gens):
     for _ in range(3):
         tensor = _random_tensor(gens, rng)
         rows = [[y.images[n] for n in gens.names] for y in tensor.rows]
-        got = derivation_columns(rows, monos)
-        assert got == old_field_columns(tensor, monos)
+        got = _all_values(derivation_columns(rows, monos))
+        assert got == _all_values(old_field_columns(tensor, monos))
         assert got == [
-            coefficient_column(list(hamiltonian_field(tensor, _mono(gens, m)).images.values()))
+            _values(coefficient_column(list(hamiltonian_field(tensor, _mono(gens, m)).images.values())))
             for m in monos
         ]
 
@@ -272,7 +292,8 @@ def test_derivation_columns_match_apply(gens):
     for _ in range(3):
         fields = [_field(gens, rng) for _ in range(2)]
         images = [[y.images[n] for n in gens.names] for y in fields]
-        assert derivation_columns(images, monos) == old_apply_columns(fields, monos)
+        got = _all_values(derivation_columns(images, monos))
+        assert got == _all_values(old_apply_columns(fields, monos))
 
 
 @gen_sets
@@ -281,14 +302,16 @@ def test_shifted_columns_match_products(gens):
     monos = monomials(len(gens), 3)
     for _ in range(3):
         polys = [_poly(gens, rng) for _ in range(3)] + [Poly.zero(gens)]
-        assert shifted_columns(polys, monos) == old_shifted_columns(polys, monos)
+        got = _all_values(shifted_columns(polys, monos))
+        assert got == _all_values(old_shifted_columns(polys, monos))
 
 
 def test_cancelling_terms_leave_no_entry():
     """Y = x d_x - y d_y: Y(x y) = x y - x y = 0 and Y(x^2 y) = 2 x^2 y - x^2 y."""
     gens = GeneratorSet.plain(("x", "y"))
     x, y = Poly.generator(gens, "x"), Poly.generator(gens, "y")
-    assert derivation_columns([[x, -y]], [(1, 1), (2, 1)]) == [{}, {(0, (2, 1)): GR_ONE}]
+    got = _all_values(derivation_columns([[x, -y]], [(1, 1), (2, 1)]))
+    assert got == [{}, {(0, (2, 1)): GR_ONE}]
 
 
 # -- solver results --------------------------------------------------------------

@@ -25,10 +25,10 @@ from aldyn.quantum import (
     invariance_check,
 )
 from aldyn.cli import _matrix_float_json
-from aldyn.linalg import solve_columns
+from aldyn.linalg import integer_column, solve_columns
 from aldyn.scalars import GR_I, GR_ZERO, GaussRational
 
-from conftest import old_biderivation_system, random_hermitian, random_mat
+from conftest import old_biderivation_system, random_hermitian, random_mat, unit_kernel
 
 # The Pauli matrices sigma_x, sigma_y, sigma_z with exact entries.
 SX = Mat.from_rows([[0, 1], [1, 0]])
@@ -235,8 +235,8 @@ class TestCommutant:
             candidates = []
             while len(candidates) < dim:
                 m = random_mat(rng, 3, span=2)
-                columns = [dict(enumerate(c.flatten())) for c in candidates]
-                if solve_columns(columns, [dict(enumerate(m.flatten()))]) == [None]:
+                columns = [integer_column(dict(enumerate(c.flatten()))) for c in candidates]
+                if solve_columns(columns, [integer_column(dict(enumerate(m.flatten())))]) == [None]:
                     candidates.append(m)
             space = MatrixSubspace(candidates)
             double = commutant(commutant(space))
@@ -249,7 +249,7 @@ class TestCoordinates:
         space = MatrixSubspace([SX, SY, SZ])
         coeffs = [GaussRational.of(2), GaussRational.of(0, -1), GaussRational.of(Fraction(1, 3))]
         m = SX.scale(coeffs[0]) + SY.scale(coeffs[1]) + SZ.scale(coeffs[2])
-        assert space.coordinates([m, Mat.identity(2)]) == [coeffs, None]
+        assert space.coordinates([m, Mat.identity(2)]) == [dict(enumerate(coeffs)), None]
         assert space.contains_each([m, Mat.identity(2)]) == [True, False]
 
 
@@ -267,8 +267,9 @@ class TestInvariance:
         rep = invariance_check(h, MatrixSubspace.block_algebra(4, 2))
         assert not rep.ok
         assert rep.witness is not None
-        columns = [dict(enumerate(b.flatten())) for b in MatrixSubspace.block_algebra(4, 2).basis]
-        image = dict(enumerate(commutator(rep.witness, h).flatten()))
+        basis = MatrixSubspace.block_algebra(4, 2).basis
+        columns = [integer_column(dict(enumerate(b.flatten()))) for b in basis]
+        image = integer_column(dict(enumerate(commutator(rep.witness, h).flatten())))
         assert solve_columns(columns, [image]) == [None]
 
     def test_identity_hamiltonian_passes_any_subspace(self):
@@ -464,7 +465,7 @@ class TestBiderivations:
     def test_solver_equals_the_reference_system(self, n):
         """The kernel of the n^6 system on both Leibniz rules, key for key
         and value for value."""
-        assert biderivation_solver(n) == old_biderivation_system(n).kernel_basis()
+        assert biderivation_solver(n) == unit_kernel(old_biderivation_system(n))
 
     def test_solver_scales_its_vector_to_a_1_at_the_largest_key(self, monkeypatch):
         """Any multiple of the commutator comes back as the reduced basis."""
@@ -475,7 +476,7 @@ class TestBiderivations:
             return [{key: x + x for key, x in bracket.items()} for bracket in brackets], shape
 
         monkeypatch.setattr(aldyn.quantum, "biderivations", doubled)
-        assert biderivation_solver(3) == old_biderivation_system(3).kernel_basis()
+        assert biderivation_solver(3) == unit_kernel(old_biderivation_system(3))
 
     @pytest.mark.parametrize(
         "space, dim",
@@ -512,7 +513,8 @@ class TestBiderivations:
         sols = biderivation_solver(n)
         assert len(sols) == 1
         cvec = commutator_bracket_vector(n)
-        assert cvec and solve_columns(sols, [cvec]) != [None]
+        columns = [integer_column(s) for s in sols]
+        assert cvec and solve_columns(columns, [integer_column(cvec)]) != [None]
 
     def test_solution_at_n4_is_a_multiple_of_the_commutator(self):
         [sol] = biderivation_solver(4)
