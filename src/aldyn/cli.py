@@ -74,7 +74,7 @@ from .reduction import (
     split_dynamics,
 )
 from .report import EXIT_BAD_INPUT, Report
-from .scalars import GaussRational, Scalar, json_int, rational, to_float
+from .scalars import GaussRational, Scalar, json_decode, json_field, json_int, rational, to_float
 
 
 def _load_json_arg(text: str, path: str):
@@ -93,15 +93,6 @@ def _load_json_arg(text: str, path: str):
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _decode(path: str, fn, *args):
-    try:
-        return fn(*args)
-    except (
-        AttributeError, KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError
-    ) as e:
-        raise ValueError(f"{path}: {e}") from e
-
-
 TENSOR_PRESETS = {
     "canonical2": lambda: PoissonTensor.canonical(1),
     "canonical4": lambda: PoissonTensor.canonical(2),
@@ -117,23 +108,23 @@ def _load_tensor(spec: str) -> PoissonTensor:
         return TENSOR_PRESETS[spec]()
     data = _load_json_arg(spec, "/tensor")
     if isinstance(data, dict) and "c" in data:
-        return _decode("/tensor", lie_poisson, data["c"])
-    return _decode("/tensor", PoissonTensor.from_json, data)
+        return json_decode("/tensor", lie_poisson, data["c"])
+    return PoissonTensor.from_json(data, "/tensor")
 
 
 def _load_derivation(spec: str, path: str = "/derivation") -> PolyDerivation:
     if spec in LINEAR_DYNAMICS:
         return linear_dynamics(spec)
     data = _load_json_arg(spec, path)
-    return _decode(path, PolyDerivation.from_json, data)
+    return json_decode(path, PolyDerivation.from_json, data)
 
 
 def _load_distribution(data, path: str) -> Distribution:
     fields = [
-        _decode(f"{path}/{i}", PolyDerivation.from_json, d)
-        for i, d in _decode(path, enumerate, data)
+        json_decode(f"{path}/{i}", PolyDerivation.from_json, d)
+        for i, d in json_decode(path, enumerate, data)
     ]
-    return _decode(path, Distribution, fields)
+    return json_decode(path, Distribution, fields)
 
 
 def _parse_expr(text: str, gens: GeneratorSet, path: str) -> Poly:
@@ -341,7 +332,11 @@ def cmd_evolve(args) -> Report:
 
 def cmd_commutant(args) -> Report:
     space = MatrixSubspace.from_json(_load_json_arg(args.subspace, "/subspace"), "/subspace")
+    n, k = space.n, space.dimension()
+    check_budget("/subspace", n**2 * k * n**2, "n^2 unknowns x k n^2 commutant equations")
     result = commutant(space)
+    d = result.dimension()
+    check_budget("/subspace", d**2 * n**2, "d^2 n^2 entries of the closure check's products")
     return Report(
         {"dimension": result.dimension(), "basis": result.to_json()},
         {
@@ -418,18 +413,18 @@ def cmd_reduce(args) -> Report:
     unknown = sorted(data.keys() - {"dynamics", "distribution", "connection"})
     if unknown:
         raise ValueError(f"/input/{unknown[0]}: unknown key")
-    delta = _decode("/input/dynamics", PolyDerivation.from_json, data["dynamics"])
+    delta = json_decode("/input/dynamics", PolyDerivation.from_json, data["dynamics"])
     dist = _load_distribution(data["distribution"], "/input/distribution")
     check_monomial_budget("--degree-cap", len(delta.gens), args.degree_cap)
     check_monomial_budget("--ansatz-cap", len(delta.gens), args.ansatz_cap)
     connection = None
     if data.get("connection"):
-        forms = _decode(
+        forms = json_decode(
             "/input/connection",
             lambda c: [{name: Poly.from_json(pj) for name, pj in form.items()} for form in c],
             data["connection"],
         )
-        connection = _decode("/input/connection", ConnectionP, dist, forms)
+        connection = json_decode("/input/connection", ConnectionP, dist, forms)
     basis = invariant_subalgebra(dist, args.degree_cap)
     split = split_dynamics(delta, dist, connection, args.ansatz_cap)
     norm = split.normalizer
@@ -514,9 +509,9 @@ def cmd_connection(args) -> Report:
 def _load_form(spec: str, path: str, basis: DerivationBasis | None = None) -> KForm:
     """A form from JSON; with a basis given, the form must name the same n."""
     data = _load_json_arg(spec, path)
-    if basis is not None and _decode(path, lambda: json_int(data["n"], "n")) != basis.n:
+    if basis is not None and json_int(json_field(data, "n", path), f"{path}/n") != basis.n:
         raise ValueError(f"{path}: forms over different algebras")
-    return _decode(path, KForm.from_json, data, basis)
+    return KForm.from_json(data, basis, path)
 
 
 def cmd_dform(args) -> Report:

@@ -25,10 +25,13 @@ coordinates of ``quantum.MatrixSubspace``.
 d runs in Gaussian integers over one common denominator.  Each basis keeps
 the nonzero entries of every generator (at most N for a Gell-Mann matrix)
 and the terms of every d(alpha^m), all scaled by the lcm of their
-denominators to (re, im) int pairs.  `exterior_d` brings the entries of
-every coefficient of its form over their own lcm, accumulates each output
-coefficient in two int lists of length N^2, and normalises each entry once
-over the product of the two denominators (form lcm x basis lcm).
+denominators to (re, im) int pairs.  `exterior_d` brings the numerators of
+every coefficient of its form (each a `Mat` over one denominator) over the
+lcm of those denominators, accumulates each output coefficient in two int
+lists of length N^2, and builds each output `Mat` from them over the
+product of the two denominators (form lcm x basis lcm), with one gcd.
+`wedge` and `contract` are `Mat` products, sums and scalings, which run on
+ints too.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import solve_columns
-from .matrices import Mat, _mat
+from .matrices import Mat, _reduced
 from .poly import check_budget
 from .quantum import MatrixSubspace, commutator, commutator_columns
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, _norm, json_int
+from .scalars import GR_I, GR_ONE, GaussRational, json_field, json_int, json_list
 
 
 def check_gell_mann_size(where: str, n: int) -> None:
@@ -94,34 +97,27 @@ class DerivationBasis:
         self.n = n
         self.generators = generators
         self.structure = self._structure_constants(space)
-        # (l, k, g) for each nonzero entry g = X_j[l][k], per generator j, and
         # d(alpha^m) as its terms (a, b, -c^m_ab), a < b, of alpha^a ^ alpha^b
-        entries = [
-            [
-                (l, k, x)
-                for l, row in enumerate(g.entries)
-                for k, x in enumerate(row)
-                if x.re_num or x.im_num
-            ]
-            for g in generators
-        ]
         d_alpha: list[list[tuple[int, int, GaussRational]]] = [[] for _ in generators]
         for (a, b), entry in self.structure.items():
             if a < b:
                 for m, c in entry:
                     d_alpha[m].append((a, b, -c))
-        # Both as (., ., re, im) Gaussian integers over one denominator.
-        den = lcm(*(x.den for terms in entries + d_alpha for *_, x in terms))
-
-        def scaled(terms):
-            return [
-                [(p, q, x.re_num * (den // x.den), x.im_num * (den // x.den)) for p, q, x in t]
-                for t in terms
-            ]
-
+        # Both as (., ., re, im) Gaussian integers over one denominator: the
+        # generators as (l, k, re, im) for each nonzero entry X_j[l][k].
+        den = lcm(*(g.den for g in generators), *(c.den for t in d_alpha for *_, c in t))
         self._den = den
-        self._gen_terms = scaled(entries)
-        self._d_alpha = scaled(d_alpha)
+        self._gen_terms = [
+            [
+                (*divmod(p, n), x * (den // g.den), y * (den // g.den))
+                for p, (x, y) in g.flatten()[0].items()
+            ]
+            for g in generators
+        ]
+        self._d_alpha = [
+            [(a, b, c.re_num * (den // c.den), c.im_num * (den // c.den)) for a, b, c in t]
+            for t in d_alpha
+        ]
 
     @staticmethod
     def gell_mann(n: int) -> "DerivationBasis":
@@ -290,18 +286,25 @@ class KForm:
         }
 
     @staticmethod
-    def from_json(data: Mapping, basis: DerivationBasis | None = None) -> "KForm":
+    def from_json(data, basis: DerivationBasis | None = None, path: str = "form") -> "KForm":
+        """{"degree", "n", "coeffs": [{"idx", "value"}]}, over `basis` or, if
+        None, the Gell-Mann basis of Mat_n.  Malformed input is a ValueError
+        naming the JSON path at fault, below `path`, the path of data."""
         if basis is None:
-            n = json_int(data["n"], "n")
-            check_gell_mann_size("n", n)
+            n = json_int(json_field(data, "n", path), f"{path}/n")
+            check_gell_mann_size(f"{path}/n", n)
             basis = DerivationBasis.gell_mann(n)
-        coeffs = {
-            tuple(json_int(i, "idx") for i in entry["idx"]): Mat.from_json(
-                entry["value"], f"coeffs/{k}/value"
-            )
-            for k, entry in enumerate(data["coeffs"])
-        }
-        return KForm(basis, json_int(data["degree"], "degree"), coeffs)
+        coeffs = {}
+        for k, entry in enumerate(json_list(json_field(data, "coeffs", path), f"{path}/coeffs")):
+            at = f"{path}/coeffs/{k}"
+            idx = json_list(json_field(entry, "idx", at), f"{at}/idx")
+            idx = tuple(json_int(i, f"{at}/idx/{p}") for p, i in enumerate(idx))
+            coeffs[idx] = Mat.from_json(json_field(entry, "value", at), f"{at}/value")
+        degree = json_int(json_field(data, "degree", path), f"{path}/degree")
+        try:
+            return KForm(basis, degree, coeffs)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def wedge(w1: KForm, w2: KForm) -> KForm:
@@ -330,13 +333,13 @@ def exterior_d(w: KForm) -> KForm:
     two-sum formula on fields (field actions plus bracket insertions);
     satisfies d(d w) = 0.
 
-    Computed on ints: the entries of every A_I over their common
-    denominator, the basis terms over the basis denominator, and each
-    output entry normalised once over the product of the two.
+    Computed on ints: the numerators of every A_I over the lcm of their
+    denominators, the basis terms over the basis denominator, and each
+    output coefficient built over the product of the two.
     """
     basis = w.basis
     n = basis.n
-    den = lcm(*(x.den for v in w.coeffs.values() for row in v.entries for x in row))
+    den = lcm(*(v.den for v in w.coeffs.values()))
     # sorted key -> (re, im) numerators of its coefficient, row-major
     acc: dict[tuple, tuple[list[int], list[int]]] = {}
 
@@ -350,14 +353,14 @@ def exterior_d(w: KForm) -> KForm:
         # A's nonzero entries over den: all of them at their flat position,
         # by column (with the row offset i n) and by row (with the column m)
         flat, cols, rows = [], [[] for _ in range(n)], [[] for _ in range(n)]
-        for i, row in enumerate(v.entries):
-            for m, x in enumerate(row):
-                if x.re_num or x.im_num:
-                    f = den // x.den
-                    re, im = x.re_num * f, x.im_num * f
-                    flat.append((i * n + m, re, im))
-                    cols[m].append((i * n, re, im))
-                    rows[i].append((m, re, im))
+        f = den // v.den
+        for q, (re, im) in enumerate(zip(v.re, v.im)):
+            if re or im:
+                re, im = re * f, im * f
+                i, m = divmod(q, n)
+                flat.append((q, re, im))
+                cols[m].append((q - m, re, im))
+                rows[i].append((m, re, im))
         # X_j(A) = [A, X_j]: each entry g = X_j[l][k] adds A[i][l] g to
         # entry (i, k) and subtracts g A[k][m] from entry (l, m)
         for j, terms in enumerate(basis._gen_terms):
@@ -390,11 +393,11 @@ def exterior_d(w: KForm) -> KForm:
                     out_re[q] += ar * cr - ai * ci
                     out_im[q] += ar * ci + ai * cr
     total = den * basis._den
-    out: dict[tuple, Mat] = {}
-    for key, (re, im) in acc.items():
-        if any(re) or any(im):
-            cells = [_norm(r, i, total) if r or i else GR_ZERO for r, i in zip(re, im)]
-            out[key] = _mat(tuple(tuple(cells[r : r + n]) for r in range(0, n * n, n)))
+    out = {
+        key: _reduced(n, tuple(re), tuple(im), total)
+        for key, (re, im) in acc.items()
+        if any(re) or any(im)
+    }
     return KForm(basis, w.degree + 1, out)
 
 

@@ -2,47 +2,92 @@
 imports numpy on demand.
 
 All algebraic decisions (ranks, commutants, solver systems) run on exact
-Gaussian-rational entries; only exponentials go through floating point.
+entries; only exponentials go through floating point.
 
-A ``Mat`` holds its entries as a tuple of row tuples.  The public
-constructor copies and checks its input; every arithmetic result (``+``,
-``-``, negation, ``@``, ``scale``, ``conjugate_transpose``) is built by the
-trusted ``_mat``, which takes a square tuple of tuples as it is.  ``@``
-lists the nonzero entries of each row of the right factor once per
-product and multiplies only nonzero pairs.
+A ``Mat`` is Gaussian-integer numerators over one denominator, as a
+``GaussRational`` is for one number: its size ``n``, row-major tuples
+``re`` and ``im`` of n^2 ints and one positive int ``den``, entry (i, j)
+being (re[i n + j] + im[i n + j] i) / den.  It is always in lowest terms,
+gcd(den, every numerator) == 1, so the zero matrix has den 1, every matrix
+has one representation, and ``==`` and ``hash`` compare the fields.
+
+Arithmetic runs on plain ints: ``+``, ``-``, negation, ``@``, ``scale``,
+``trace``, ``conjugate_transpose``, ``traceless_part``, ``is_zero`` and
+``flatten``/``unflatten``.  Each result is built by the trusted
+``_reduced``, which takes numerators and a denominator as they are and
+divides out their gcd, one per result.  ``@`` lists the nonzero entries of
+each row of the right factor once per product and multiplies only nonzero
+pairs.  ``entries`` is a read-only view, a tuple of row tuples of
+``GaussRational``, for printing, JSON and outside readers; no arithmetic
+reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Mapping, Sequence
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational, json_field, json_int, json_list, rational
+from .linalg import IntColumn
+from .scalars import GaussRational, _norm, json_field, json_int, json_list, rational
 
 _object_new = object.__new__
 
 
-def _mat(rows: tuple[tuple[GaussRational, ...], ...]) -> "Mat":
-    """A Mat that owns ``rows`` as given: a square tuple of tuples of
-    GaussRational (the arithmetic results)."""
+def _reduced(n: int, re: tuple[int, ...], im: tuple[int, ...], den: int) -> "Mat":
+    """The n x n Mat (re + im i) / den in lowest terms: ``re`` and ``im``
+    are row-major tuples of n^2 ints, owned as given, and den > 0."""
+    if den != 1:
+        g = gcd(den, *re, *im)
+        if g != 1:
+            re = tuple([x // g for x in re])
+            im = tuple([x // g for x in im])
+            den //= g
     m = _object_new(Mat)
-    m.n = len(rows)
-    m.entries = rows
+    m.n = n
+    m.re = re
+    m.im = im
+    m.den = den
     return m
 
 
-class Mat:
-    """Immutable n x n matrix with GaussRational entries."""
+def _sum(x: "Mat", y: "Mat", op) -> "Mat":
+    """x + y or x - y (op is ``add`` or ``sub``) over the lcm of the
+    denominators."""
+    x._check(y)
+    d, e = x.den, y.den
+    if d == e:
+        return _reduced(x.n, tuple(map(op, x.re, y.re)), tuple(map(op, x.im, y.im)), d)
+    den = lcm(d, e)
+    f, g = den // d, den // e
+    return _reduced(
+        x.n,
+        tuple([op(a * f, b * g) for a, b in zip(x.re, y.re)]),
+        tuple([op(a * f, b * g) for a, b in zip(x.im, y.im)]),
+        den,
+    )
 
-    __slots__ = ("n", "entries")
+
+class Mat:
+    """Immutable n x n matrix over Q(i): Gaussian-integer numerators over
+    one positive denominator, in lowest terms."""
+
+    __slots__ = ("n", "re", "im", "den")
 
     def __init__(self, entries: Sequence[Sequence[GaussRational]]):
-        rows = tuple(tuple(row) for row in entries)
+        rows = [list(row) for row in entries]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
+        cells = [x for row in rows for x in row]
+        # Every entry is in lowest terms, so over the lcm of their
+        # denominators the numerators are too.
+        den = lcm(*(x.den for x in cells))
         self.n = n
-        self.entries = rows
+        self.re = tuple([x.re_num * (den // x.den) for x in cells])
+        self.im = tuple([x.im_num * (den // x.den) for x in cells])
+        self.den = den
 
     # -- constructors ------------------------------------------------
 
@@ -52,76 +97,70 @@ class Mat:
 
     @staticmethod
     def zero(n: int) -> "Mat":
-        return _mat(((GR_ZERO,) * n,) * n)
+        zeros = (0,) * (n * n)
+        return _reduced(n, zeros, zeros, 1)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return _mat(
-            tuple(
-                tuple(GR_ONE if i == j else GR_ZERO for j in range(n))
-                for i in range(n)
-            )
-        )
+        return Mat.diag([1] * n)
 
     @staticmethod
     def basis_elt(n: int, i: int, j: int) -> "Mat":
-        rows = [[GR_ZERO] * n for _ in range(n)]
-        rows[i][j] = GR_ONE
-        return Mat(rows)
+        re = [0] * (n * n)
+        re[i * n + j] = 1
+        return _reduced(n, tuple(re), (0,) * (n * n), 1)
 
     @staticmethod
     def diag(values: Sequence) -> "Mat":
         n = len(values)
-        m = [[GR_ZERO] * n for _ in range(n)]
+        rows = [[GaussRational()] * n for _ in range(n)]
         for i, v in enumerate(values):
-            m[i][i] = GaussRational.coerce(v)
-        return Mat(m)
+            rows[i][i] = GaussRational.coerce(v)
+        return Mat(rows)
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        return _mat(
-            tuple(
-                tuple([a + b for a, b in zip(r1, r2)])
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        return _sum(self, other, add)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        return _mat(
-            tuple(
-                tuple([a - b for a, b in zip(r1, r2)])
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        return _sum(self, other, sub)
 
     def __neg__(self) -> "Mat":
-        return _mat(tuple(tuple([-a for a in row]) for row in self.entries))
+        return _reduced(self.n, tuple(map(neg, self.re)), tuple(map(neg, self.im)), self.den)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check(other)
         n = self.n
-        # (k, b) for each nonzero b = other[j][k], per row j
+        bre, bim = other.re, other.im
+        # (k, c, d) for each nonzero c + d i = other[j][k], per row j
         right = [
-            [(k, b) for k, b in enumerate(row) if b.re_num or b.im_num]
-            for row in other.entries
+            [(k, bre[jn + k], bim[jn + k]) for k in range(n) if bre[jn + k] or bim[jn + k]]
+            for jn in range(0, n * n, n)
         ]
-        out = []
-        for row in self.entries:
-            acc: list[GaussRational | None] = [None] * n
-            for a, nonzero in zip(row, right):
-                if nonzero and (a.re_num or a.im_num):
-                    for k, b in nonzero:
-                        s = acc[k]
-                        acc[k] = a * b if s is None else s + a * b
-            out.append(tuple([GR_ZERO if s is None else s for s in acc]))
-        return _mat(tuple(out))
+        are, aim = self.re, self.im
+        re, im = [0] * (n * n), [0] * (n * n)
+        p = 0  # the flat index of self[i][j]
+        for i_n in range(0, n * n, n):
+            for nonzero in right:
+                a, b = are[p], aim[p]
+                p += 1
+                if nonzero and (a or b):
+                    for k, c, d in nonzero:
+                        re[i_n + k] += a * c - b * d
+                        im[i_n + k] += a * d + b * c
+        return _reduced(n, tuple(re), tuple(im), self.den * other.den)
 
     def scale(self, c: GaussRational | int | Fraction) -> "Mat":
         c = GaussRational.coerce(c)
-        return _mat(tuple(tuple([a * c for a in row]) for row in self.entries))
+        p, q = c.re_num, c.im_num
+        if q:
+            re = tuple([a * p - b * q for a, b in zip(self.re, self.im)])
+            im = tuple([a * q + b * p for a, b in zip(self.re, self.im)])
+        else:
+            re = tuple([a * p for a in self.re])
+            im = tuple([b * p for b in self.im])
+        return _reduced(self.n, re, im, self.den * c.den)
 
     def _check(self, other: "Mat"):
         if self.n != other.n:
@@ -130,42 +169,69 @@ class Mat:
     # -- queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
+        return not any(self.re) and not any(self.im)
 
     def trace(self) -> GaussRational:
-        t = GR_ZERO
-        for i in range(self.n):
-            t = t + self.entries[i][i]
-        return t
+        step = self.n + 1
+        return _norm(sum(self.re[::step]), sum(self.im[::step]), self.den)
 
     def traceless_part(self) -> "Mat":
-        t = self.trace().scale(Fraction(1, self.n))
-        return self - Mat.identity(self.n).scale(t)
+        """A - (tr A / n) 1, as (n A - tr A 1) / n over n den."""
+        n, step = self.n, self.n + 1
+        tr_re, tr_im = sum(self.re[::step]), sum(self.im[::step])
+        re = [a * n for a in self.re]
+        im = [b * n for b in self.im]
+        for p in range(0, n * n, step):
+            re[p] -= tr_re
+            im[p] -= tr_im
+        return _reduced(n, tuple(re), tuple(im), self.den * n)
 
     def conjugate_transpose(self) -> "Mat":
-        return _mat(
-            tuple(tuple([a.conjugate() for a in col]) for col in zip(*self.entries))
-        )
+        n = self.n
+        re = tuple([a for j in range(n) for a in self.re[j::n]])
+        im = tuple([-b for j in range(n) for b in self.im[j::n]])
+        return _reduced(n, re, im, self.den)
 
     def is_hermitian(self) -> bool:
         return self == self.conjugate_transpose()
 
-    def flatten(self) -> list[GaussRational]:
-        return [a for row in self.entries for a in row]
+    def flatten(self) -> IntColumn:
+        """The entries as a `linalg.IntColumn` keyed by row-major index:
+        the nonzero (re, im) numerators over ``den``."""
+        return {p: (a, b) for p, (a, b) in enumerate(zip(self.re, self.im)) if a or b}, self.den
 
     @staticmethod
     def unflatten(vec: Mapping[int, GaussRational], n: int) -> "Mat":
         """The n x n matrix with entry vec[i * n + j] at (i, j), and 0 where
         the sparse vec has none."""
-        return Mat([[vec.get(i * n + j, GR_ZERO) for j in range(n)] for i in range(n)])
+        den = lcm(*(x.den for x in vec.values()))
+        re, im = [0] * (n * n), [0] * (n * n)
+        for p, x in vec.items():
+            f = den // x.den
+            re[p] = x.re_num * f
+            im[p] = x.im_num * f
+        return _reduced(n, tuple(re), tuple(im), den)
+
+    @property
+    def entries(self) -> tuple[tuple[GaussRational, ...], ...]:
+        """The entries as a tuple of row tuples of GaussRational: a view for
+        printing, JSON and outside readers, made on each read."""
+        n, den = self.n, self.den
+        cells = [_norm(a, b, den) for a, b in zip(self.re, self.im)]
+        return tuple(tuple(cells[p : p + n]) for p in range(0, n * n, n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.n == other.n and self.entries == other.entries
+        return (
+            self.n == other.n
+            and self.den == other.den
+            and self.re == other.re
+            and self.im == other.im
+        )
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.re, self.im, self.den))
 
     def __repr__(self) -> str:
         rows = "; ".join(
@@ -180,13 +246,17 @@ class Mat:
         of an entry beyond the float range."""
         import numpy as np
 
-        return np.array(
-            [
-                [a.to_complex(f"{path}/entries/{i}/{j}") for j, a in enumerate(row)]
+        n, den = self.n, self.den
+        try:
+            # int / int is correctly rounded, as in GaussRational.to_complex.
+            cells = [complex(a / den, b / den) for a, b in zip(self.re, self.im)]
+        except OverflowError:
+            cells = [
+                a.to_complex(f"{path}/entries/{i}/{j}")
                 for i, row in enumerate(self.entries)
-            ],
-            dtype=complex,
-        )
+                for j, a in enumerate(row)
+            ]
+        return np.array(cells, dtype=complex).reshape(n, n)
 
     # -- json --------------------------------------------------------
 

@@ -21,7 +21,7 @@ from .derivations import PolyDerivation, apply
 from .poly import DEFAULT_ANSATZ_CAP, GeneratorMismatch, GeneratorSet, Poly, check_budget
 from .poly import solve_combination, solve_preimage
 from .report import Verdict
-from .scalars import json_int, rational
+from .scalars import json_decode, json_field, json_int, json_list, rational
 
 
 class PoissonTensor:
@@ -83,22 +83,33 @@ class PoissonTensor:
         }
 
     @staticmethod
-    def from_json(data: Mapping) -> "PoissonTensor":
-        """``dim`` may be left out when ``generators`` is given; when both
-        are present they must agree."""
+    def from_json(data, path: str = "tensor") -> "PoissonTensor":
+        """{"generators" or "dim", "components": [{"a", "b", "poly"}]}.
+        ``dim`` may be left out when ``generators`` is given; when both are
+        present they must agree.  Malformed input is a ValueError naming the
+        JSON path at fault, below `path`, the path of data; the generator
+        list and each polynomial are named as a whole."""
+        entries = json_list(json_field(data, "components", path), f"{path}/components")
         if "generators" in data:
-            gens = GeneratorSet.from_json(data["generators"])
-            if "dim" in data and json_int(data["dim"], "dim") != len(gens):
-                raise ValueError(f"dim: {data['dim']!r} does not match the {len(gens)} generators")
+            gens = json_decode(f"{path}/generators", GeneratorSet.from_json, data["generators"])
+            if "dim" in data and json_int(data["dim"], f"{path}/dim") != len(gens):
+                raise ValueError(
+                    f"{path}/dim: {data['dim']!r} does not match the {len(gens)} generators"
+                )
         else:
-            dim = json_int(data["dim"], "dim")
-            check_budget("dim", dim * dim, "dim^2 row components")
+            dim = json_int(json_field(data, "dim", path), f"{path}/dim")
+            check_budget(f"{path}/dim", dim * dim, "dim^2 row components")
             gens = GeneratorSet.plain([f"x{i+1}" for i in range(dim)])
         comps = {}
-        for entry in data["components"]:
-            a, b = json_int(entry["a"], "a"), json_int(entry["b"], "b")
-            comps[(a, b)] = Poly.from_json(entry["poly"])
-        return PoissonTensor(gens, comps)
+        for k, entry in enumerate(entries):
+            at = f"{path}/components/{k}"
+            a = json_int(json_field(entry, "a", at), f"{at}/a")
+            b = json_int(json_field(entry, "b", at), f"{at}/b")
+            comps[(a, b)] = json_decode(f"{at}/poly", Poly.from_json, json_field(entry, "poly", at))
+        try:
+            return PoissonTensor(gens, comps)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def bracket(tensor: PoissonTensor, f: Poly, g: Poly) -> Poly:

@@ -10,9 +10,10 @@ only `evolve`, the one exponential, computes in floats.
 A `MatrixSubspace` answers every question about its span in one exact
 solve: membership, and the coordinates that also give the structure
 constants of `diffcalc.DerivationBasis` and its own `structure`.  Each
-matrix enters a solve as one integer column (`linalg.integer_column`),
-the commutator columns are built from integer entries cleared of their
-denominators once, and coordinates come back sparse.  Two
+matrix enters a solve as its own numerators over its denominator
+(`Mat.flatten`), the commutator columns are built from the numerators of
+all the matrices over the lcm of their denominators, and coordinates come
+back sparse.  The block queries read the numerators too.  Two
 small kernels on those follow, `derivations` and `biderivations`: on Mat_n
 the latter are the commutator line (Dirac's argument; Bresar, Taiwanese
 J. Math. 8 (2004) 361).
@@ -21,12 +22,13 @@ J. Math. 8 (2004) 361).
 from __future__ import annotations
 
 from collections import defaultdict
+from math import lcm
 from typing import Sequence
 
 from .linalg import IntColumn, integer_column, solve_columns
-from .matrices import Mat, full_matrix_basis
+from .matrices import Mat, _reduced, full_matrix_basis
 from .report import Verdict
-from .scalars import GR_I, GR_ZERO, GaussRational, json_list, to_float
+from .scalars import GR_I, GaussRational, json_list, to_float
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
@@ -60,11 +62,6 @@ def evolve(a: Mat, h: Mat, t: float) -> np.ndarray:
     return u @ a.to_numpy() @ u.conj().T
 
 
-def _vectors(mats: Sequence[Mat]) -> list[IntColumn]:
-    """Each matrix as a column keyed by its row-major entry index."""
-    return [integer_column(dict(enumerate(m.flatten()))) for m in mats]
-
-
 class MatrixSubspace:
     """A linear subspace of Mat_n with a verified independent basis; each
     question about it is one exact solve for all the matrices it asks
@@ -79,7 +76,7 @@ class MatrixSubspace:
         n = basis[0].n
         if any(b.n != n for b in basis):
             raise ValueError("mixed matrix sizes")
-        if solve_columns(_vectors(basis), None):
+        if solve_columns([b.flatten() for b in basis], None):
             raise ValueError("basis matrices are linearly dependent")
         self.n = n
         self.basis = basis
@@ -90,7 +87,7 @@ class MatrixSubspace:
     def coordinates(self, mats: Sequence[Mat]) -> list[dict[int, GaussRational] | None]:
         """The nonzero coordinates {k: c_k} of every matrix in mats in the
         basis, or None for one outside the span, all in one elimination."""
-        return solve_columns(_vectors(self.basis), _vectors(mats))
+        return solve_columns([b.flatten() for b in self.basis], [m.flatten() for m in mats])
 
     def contains_each(self, mats: Sequence[Mat]) -> list[bool]:
         """Membership of every matrix in mats, decided in one elimination."""
@@ -152,19 +149,21 @@ def commutator_columns(mats: Sequence[Mat]) -> list[IntColumn]:
 
     One column per entry f_{pq} (row-major), keyed by (t, i, j) for entry
     (i, j) of [E_pq, mats[t]] = E_pq m - m E_pq: row q of m moved to row p,
-    less column p of m moved to column q.  The matrices are cleared of their
-    denominators once, so every column has the same one.
+    less column p of m moved to column q.  The numerators of every matrix
+    are brought over the lcm of their denominators, the one denominator of
+    every column.
     """
     n = mats[0].n
-    entries, den = integer_column(
-        {(t, i, j): a for t, m in enumerate(mats) for i, row in enumerate(m.entries)
-         for j, a in enumerate(row)}
-    )
+    den = lcm(*(m.den for m in mats))
     rows = [[[] for _ in range(n)] for _ in mats]  # rows[t][i]: the (j, entry) of row i
     cols = [[[] for _ in range(n)] for _ in mats]  # cols[t][j]: the (i, entry) of column j
-    for (t, i, j), v in entries.items():
-        rows[t][i].append((j, v))
-        cols[t][j].append((i, v))
+    for t, m in enumerate(mats):
+        f = den // m.den
+        for p, (x, y) in m.flatten()[0].items():
+            i, j = divmod(p, n)
+            v = (x * f, y * f)
+            rows[t][i].append((j, v))
+            cols[t][j].append((i, v))
     columns = []
     for p in range(n):
         for q in range(n):
@@ -226,28 +225,27 @@ class InnerDerivation:
 
 
 def is_block_diagonal(h: Mat, k: int) -> bool:
-    for i in range(h.n):
-        for j in range(h.n):
-            if (i < k) != (j < k) and not h.entries[i][j].is_zero():
-                return False
-    return True
+    """No nonzero numerator of h outside its top-left k x k and bottom-right
+    (n - k) x (n - k) blocks."""
+    n = h.n
+    return not any(
+        h.re[p] or h.im[p] for p in range(n * n) if (p // n < k) != (p % n < k)
+    )
 
 
 def block_split(h: Mat, k: int) -> tuple[InnerDerivation, InnerDerivation]:
-    """Split ad_H of a block-diagonal H into the two commuting block parts."""
-    if not 0 < k < h.n:
+    """Split ad_H of a block-diagonal H into the two commuting block parts:
+    its first k rows are the top block, the others the bottom one."""
+    n = h.n
+    if not 0 < k < n:
         raise ValueError("need 0 < k < n")
     if not is_block_diagonal(h, k):
         raise ValueError(f"H is not block-diagonal at block size {k}")
-    top = [
-        [h.entries[i][j] if (i < k and j < k) else GR_ZERO for j in range(h.n)]
-        for i in range(h.n)
-    ]
-    bottom = [
-        [h.entries[i][j] if (i >= k and j >= k) else GR_ZERO for j in range(h.n)]
-        for i in range(h.n)
-    ]
-    return InnerDerivation(Mat(top)), InnerDerivation(Mat(bottom))
+    cut = k * n
+    below, above = (0,) * (n * n - cut), (0,) * cut
+    top = _reduced(n, h.re[:cut] + below, h.im[:cut] + below, h.den)
+    bottom = _reduced(n, above + h.re[cut:], above + h.im[cut:], h.den)
+    return InnerDerivation(top), InnerDerivation(bottom)
 
 
 def derivations(space: MatrixSubspace) -> list[dict]:
@@ -337,5 +335,7 @@ def commutator_bracket_vector(n: int) -> dict:
     if n < 1:
         raise ValueError("matrix size n must be >= 1")
     basis = full_matrix_basis(n)
-    entries = [x for a in basis for b in basis for x in commutator(a, b).flatten()]
+    entries = [
+        x for a in basis for b in basis for row in commutator(a, b).entries for x in row
+    ]
     return {key: x for key, x in enumerate(entries) if not x.is_zero()}

@@ -97,6 +97,18 @@ def json_list(data, where: str) -> list:
     return data
 
 
+def json_decode(where: str, reader, *args):
+    """reader(*args), for JSON input whose reader does not name the paths
+    below `where`: whatever error it raises on a malformed document is a
+    ValueError naming `where`."""
+    try:
+        return reader(*args)
+    except (
+        AttributeError, KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError
+    ) as e:
+        raise ValueError(f"{where}: {e}") from e
+
+
 # The exponent of a decimal string, as Fraction reads it.  Fraction builds
 # 10^|e| first, which takes seconds for "1e-10000000".
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
@@ -250,9 +262,6 @@ class GaussRational:
             raise ZeroDivisionError("division by zero GaussRational")
         t = other.den
         return _norm((a * c + b * d) * t, (b * c - a * d) * t, self.den * n)
-
-    def conjugate(self) -> "GaussRational":
-        return _new(self.re_num, -self.im_num, self.den)
 
     def scale(self, r: RationalLike) -> "GaussRational":
         r = _as_fraction(r)

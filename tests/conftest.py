@@ -13,7 +13,97 @@ from hypothesis import strategies as st
 from aldyn.linalg import SparseEliminator
 from aldyn.matrices import Mat
 from aldyn.poly import GeneratorSet, Poly
-from aldyn.scalars import GR_ZERO, GaussRational, Scalar
+from aldyn.scalars import GR_ONE, GR_ZERO, GaussRational, Scalar
+
+
+def _old_mat(rows: tuple[tuple[GaussRational, ...], ...]) -> "OldMat":
+    m = object.__new__(OldMat)
+    m.n = len(rows)
+    m.entries = rows
+    return m
+
+
+class OldMat:
+    """The reference for `matrices.Mat`: the matrix that held its entries as
+    a tuple of row tuples of GaussRational and did every operation with
+    GaussRational arithmetic."""
+
+    __slots__ = ("n", "entries")
+
+    def __init__(self, entries: Sequence[Sequence[GaussRational]]):
+        rows = tuple(tuple(row) for row in entries)
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError("matrix must be square")
+        self.n = len(rows)
+        self.entries = rows
+
+    @staticmethod
+    def identity(n: int) -> "OldMat":
+        return _old_mat(
+            tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(n)) for i in range(n))
+        )
+
+    def __add__(self, other: "OldMat") -> "OldMat":
+        return _old_mat(
+            tuple(tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.entries, other.entries))
+        )
+
+    def __sub__(self, other: "OldMat") -> "OldMat":
+        return _old_mat(
+            tuple(tuple([a - b for a, b in zip(r1, r2)]) for r1, r2 in zip(self.entries, other.entries))
+        )
+
+    def __neg__(self) -> "OldMat":
+        return _old_mat(tuple(tuple([-a for a in row]) for row in self.entries))
+
+    def __matmul__(self, other: "OldMat") -> "OldMat":
+        n = self.n
+        right = [
+            [(k, b) for k, b in enumerate(row) if b.re_num or b.im_num]
+            for row in other.entries
+        ]
+        out = []
+        for row in self.entries:
+            acc: list[GaussRational | None] = [None] * n
+            for a, nonzero in zip(row, right):
+                if nonzero and (a.re_num or a.im_num):
+                    for k, b in nonzero:
+                        s = acc[k]
+                        acc[k] = a * b if s is None else s + a * b
+            out.append(tuple([GR_ZERO if s is None else s for s in acc]))
+        return _old_mat(tuple(out))
+
+    def scale(self, c) -> "OldMat":
+        c = GaussRational.coerce(c)
+        return _old_mat(tuple(tuple([a * c for a in row]) for row in self.entries))
+
+    def is_zero(self) -> bool:
+        return all(a.is_zero() for row in self.entries for a in row)
+
+    def trace(self) -> GaussRational:
+        t = GR_ZERO
+        for i in range(self.n):
+            t = t + self.entries[i][i]
+        return t
+
+    def traceless_part(self) -> "OldMat":
+        t = self.trace().scale(Fraction(1, self.n))
+        return self - OldMat.identity(self.n).scale(t)
+
+    def conjugate_transpose(self) -> "OldMat":
+        return _old_mat(
+            tuple(tuple([GaussRational(a.re, -a.im) for a in col]) for col in zip(*self.entries))
+        )
+
+    def is_hermitian(self) -> bool:
+        return self.entries == self.conjugate_transpose().entries
+
+    def flatten(self) -> list[GaussRational]:
+        return [a for row in self.entries for a in row]
+
+    @staticmethod
+    def unflatten(vec: Mapping[int, GaussRational], n: int) -> "OldMat":
+        return OldMat([[vec.get(i * n + j, GR_ZERO) for j in range(n)] for i in range(n)])
 
 
 def random_gauss(rng: random.Random, span: int = 4) -> GaussRational:

@@ -249,8 +249,8 @@ def test_criterion_08_commutant_correctness():
         basis = []
         while len(basis) < dim:
             m = random_mat(rng, 3, span=2)
-            columns = [integer_column(dict(enumerate(b.flatten()))) for b in basis]
-            if solve_columns(columns, [integer_column(dict(enumerate(m.flatten())))]) == [None]:
+            columns = [b.flatten() for b in basis]
+            if solve_columns(columns, [m.flatten()]) == [None]:
                 basis.append(m)
         space = MatrixSubspace(basis)
         double = commutant(commutant(space))

@@ -30,7 +30,7 @@ from aldyn.demos import DEMOS
 from aldyn.derivations import PolyDerivation
 from aldyn.matrices import Mat
 from aldyn.poisson import ABELIAN, HEISENBERG, SU2, PoissonTensor
-from aldyn.poly import GeneratorSet, Poly
+from aldyn.poly import MAX_UNKNOWNS, GeneratorSet, Poly
 from aldyn.report import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, Report
 
 
@@ -605,6 +605,9 @@ class TestReductionCommands:
         assert f"/input/{key}: unknown key" in err
 
 
+_MATRIX_GOLDENS = json.loads((Path(__file__).parent / "golden" / "matrix_commands.json").read_text())
+
+
 class TestFormCommands:
     def form_json(self):
         from aldyn.diffcalc import DerivationBasis, KForm
@@ -626,6 +629,15 @@ class TestFormCommands:
         code, out, _ = run_cli(capsys, "dform", "--form", form, "--json")
         assert code == EXIT_OK
         assert out == (golden / "dform_n3_degree1.out").read_text()
+
+    @pytest.mark.parametrize("case", _MATRIX_GOLDENS, ids=[c["name"] for c in _MATRIX_GOLDENS])
+    def test_matrix_command_golden_output(self, capsys, case):
+        # --json stdout of commutant, invariance, blocksplit, wedge, contract,
+        # lieder, dform, biderivation and the matrix demos, recorded from the
+        # Mat that held GaussRational entries: pins every entry's
+        # normalisation, the key order and the exit code.
+        code, out, _ = run_cli(capsys, *case["argv"], "--json")
+        assert (code, out) == (case["code"], case["stdout"])
 
     def test_wedge(self, capsys):
         code, payload, _ = run_json(
@@ -1254,7 +1266,7 @@ def test_sizes_beyond_the_budget_are_bad_input(size):
     argv = ["jacobi", "--tensor", json.dumps({"dim": size, "components": []})]
     proc = run_python(["-c", _MAIN_UNDER_ULIMIT, *argv, "--json"])
     assert proc.returncode == EXIT_BAD_INPUT and proc.stdout == "", proc.stderr
-    assert "/tensor: dim: " in proc.stderr and "budget" in proc.stderr
+    assert "/tensor/dim: " in proc.stderr and "budget" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -1272,11 +1284,11 @@ def _gell_mann_form(n: int) -> str:
         (["connection", "--distribution", json.dumps([_DQ_JSON]), "--degree-cap", "100000000"],
          "--degree-cap: "),
         (["demo", "maurer-cartan", "--n", "100000"], "--n: "),
-        (["dform", "--form", _gell_mann_form(100000)], "/form: n: "),
+        (["dform", "--form", _gell_mann_form(100000)], "/form/n: "),
         (["wedge", "--form1", _gell_mann_form(100000), "--form2", _gell_mann_form(2)],
-         "/form1: n: "),
-        (["contract", "--form", _gell_mann_form(100000), "--x", "1"], "/form: n: "),
-        (["lieder", "--form", _gell_mann_form(100000), "--x", "1"], "/form: n: "),
+         "/form1/n: "),
+        (["contract", "--form", _gell_mann_form(100000), "--x", "1"], "/form/n: "),
+        (["lieder", "--form", _gell_mann_form(100000), "--x", "1"], "/form/n: "),
         (["star", "--f", "q1", "--g", "p1", "--pairs", "10000000"], "--pairs: "),
         (["starcomm", "--f", "q1", "--g", "p1", "--pairs", "10000000"], "--pairs: "),
     ],
@@ -1322,7 +1334,7 @@ _BIDERIVATION_SIZE = "matrix size must be in 1..4 for the biderivation solver, g
     [
         *((["demo", "maurer-cartan", "--n", n], "--n: " + _DERIVATION_BASIS_SIZE.format(n))
           for n in ("1", "0", "-1")),
-        (["dform", "--form", _gell_mann_form(1)], "/form: n: " + _DERIVATION_BASIS_SIZE.format(1)),
+        (["dform", "--form", _gell_mann_form(1)], "/form/n: " + _DERIVATION_BASIS_SIZE.format(1)),
         *((["biderivation", "--n", n], "--n: " + _BIDERIVATION_SIZE.format(n))
           for n in ("5", "0", "-1")),
     ],
@@ -1424,7 +1436,7 @@ def test_booleans_in_number_fields_are_bad_input(argv):
         (["commutant", "--subspace", '[{"n":1,"entries":[[{"re":true,"im":"0"}]]}]'],
          "/subspace/0/entries/0/0/re: "),
         (["jacobi", "--tensor", _edited(_TENSOR_DOC, (*_TERM_PATH, "coeff", 0, "im"), False)],
-         "/tensor: im: "),
+         "/tensor/components/0/poly: im: "),
         (["jacobi", "--tensor", json.dumps({"c": [[[True] * 3] * 3] * 3})], "/tensor: c: "),
     ],
     ids=["matrix-entry", "coefficient", "structure-constant"],
@@ -1462,6 +1474,66 @@ def test_malformed_matrix_json_names_its_cell(capsys, argv, message):
     for mode in ("--json", "--text"):
         code, out, err = run_cli(capsys, *argv, mode)
         assert (code, out, err) == (EXIT_BAD_INPUT, "", f"input error: {message}\n")
+
+
+_GOOD_FORM = json.dumps(_FORM_DOC)
+_BAD_CELL = {"n": 2, "entries": [[{"re": 1}, {"re": 0, "im": 0}], [{"re": 0, "im": 0}] * 2]}
+_MALFORMED_FORMS = [
+    ('{"n":2,"coeffs":[]}', ': missing "degree"'),
+    ('{"n":2,"degree":1,"coeffs":5}', "/coeffs: expected a list, got a number"),
+    ('{"n":2,"degree":1,"coeffs":[{"idx":[0]}]}', '/coeffs/0: missing "value"'),
+    (json.dumps({"n": 2, "degree": 1, "coeffs": [{"idx": [0], "value": _BAD_CELL}]}),
+     '/coeffs/0/value/entries/0/0: missing "im"'),
+    ("[1]", ": expected an object, got a list"),
+]
+_MALFORMED_TENSORS = [
+    ("[1]", ": expected an object, got a list"),
+    ('{"dim":2}', ': missing "components"'),
+    ('{"dim":2,"components":5}', "/components: expected a list, got a number"),
+    ('{"dim":2,"components":[{"a":0,"b":1}]}', '/components/0: missing "poly"'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *((["wedge", "--form1", m, "--form2", _GOOD_FORM], f"/form1{where}")
+          for m, where in _MALFORMED_FORMS),
+        *((["wedge", "--form1", _GOOD_FORM, "--form2", m], f"/form2{where}")
+          for m, where in _MALFORMED_FORMS),
+        *((["lieder", "--form", m, "--x", "1,0,0"], f"/form{where}") for m, where in _MALFORMED_FORMS),
+        *((["bracket", "--tensor", m, "--f", "q", "--g", "p"], f"/tensor{where}")
+          for m, where in _MALFORMED_TENSORS),
+        *((["casimir", "--tensor", m, "--c", "q"], f"/tensor{where}") for m, where in _MALFORMED_TENSORS),
+    ],
+    ids=[*(f"wedge-form1-{i}" for i in range(5)), *(f"wedge-form2-{i}" for i in range(5)),
+         *(f"lieder-{i}" for i in range(5)), *(f"bracket-{i}" for i in range(4)),
+         *(f"casimir-{i}" for i in range(4))],
+)
+def test_malformed_form_and_tensor_json_names_its_path(capsys, argv, message):
+    """A form or tensor document with a field missing or of the wrong JSON
+    type is bad input naming the path at fault, down to a matrix cell."""
+    for mode in ("--json", "--text"):
+        code, out, err = run_cli(capsys, *argv, mode)
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "subspace, what",
+    [
+        (Mat.from_rows([[(3 * i + 5 * j) % 7 - 3 for j in range(15)] for i in range(15)]),
+         "n^2 unknowns x k n^2 commutant equations"),
+        (Mat.identity(7), "d^2 n^2 entries of the closure check's products"),
+    ],
+    ids=["dense-15x15", "identity-7x7"],
+)
+def test_commutant_work_beyond_the_budget_is_bad_input(capsys, subspace, what):
+    """The commutant's n^2 unknowns x k n^2 equations, and the d^2 products of
+    n x n matrices that check its closure, are compared with
+    `poly.MAX_UNKNOWNS`: exit 2 naming /subspace."""
+    code, out, err = run_cli(capsys, "commutant", "--subspace", json.dumps([subspace.to_json()]))
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == f"input error: /subspace: {what} exceed the budget of {MAX_UNKNOWNS}\n"
 
 
 # Spellings of one rational: as an int, a string and a float; a float and

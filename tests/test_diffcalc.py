@@ -17,7 +17,7 @@ from aldyn.diffcalc import (
     lie_derivative,
     wedge,
 )
-from aldyn.linalg import integer_column, solve_columns
+from aldyn.linalg import solve_columns
 from aldyn.matrices import Mat
 from aldyn.quantum import commutator
 from aldyn.scalars import GR_ONE, GR_ZERO, GaussRational
@@ -198,14 +198,14 @@ class TestBasis:
     def test_structure_matches_full_double_loop(self, basis):
         # Only k < l is solved for; every ordered pair must agree with a
         # direct expansion of [M_l, M_k].
-        columns = [integer_column(dict(enumerate(g.flatten()))) for g in basis.generators]
+        columns = [g.flatten() for g in basis.generators]
         full = {}
         for k in range(basis.dim):
             for l in range(basis.dim):
                 if k == l:
                     continue
                 m = commutator(basis.generators[l], basis.generators[k])
-                [coords] = solve_columns(columns, [integer_column(dict(enumerate(m.flatten())))])
+                [coords] = solve_columns(columns, [m.flatten()])
                 entry = sorted(coords.items())
                 if entry:
                     full[(k, l)] = entry
@@ -215,12 +215,12 @@ class TestBasis:
     def test_structure_matches_one_solve_per_commutator(self, basis):
         # The basis solves for every commutator in one elimination; the
         # reference solves the coordinate system again for each one.
-        columns = [integer_column(dict(enumerate(g.flatten()))) for g in basis.generators]
+        columns = [g.flatten() for g in basis.generators]
         expected = {}
         for k in range(basis.dim):
             for l in range(k + 1, basis.dim):
                 m = commutator(basis.generators[l], basis.generators[k])
-                target = integer_column(dict(enumerate(m.traceless_part().flatten())))
+                target = m.traceless_part().flatten()
                 [coords] = solve_columns(columns, [target])
                 entry = sorted(coords.items())
                 if entry:

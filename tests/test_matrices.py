@@ -1,14 +1,25 @@
 """Exact matrices: size checks, the nonzero-entry product against a dense
-reference, and the tuple-of-tuples invariant of every arithmetic result."""
+reference, every operation against the GaussRational matrix it replaced
+(`conftest.OldMat`) and against sympy's QQ_I, the lowest-terms invariant of
+every result, the `entries` view, and the absence of GaussRational
+arithmetic from the integer paths."""
 
+import itertools
+import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
+from aldyn import diffcalc
 from aldyn.matrices import Mat
+from aldyn.quantum import commutator
 from aldyn.scalars import GR_I, GR_ZERO, GaussRational
 
-from conftest import random_gauss
+from conftest import OldMat, random_gauss
 
 
 def ref_matmul(x: Mat, y: Mat) -> Mat:
@@ -76,16 +87,31 @@ class TestMatmul:
         assert (x @ y).is_zero()
 
 
+def assert_lowest_terms(m: Mat):
+    """Row-major int tuples of n^2 numerators over one positive
+    denominator, with no common factor; the zero matrix has denominator 1."""
+    assert type(m.re) is tuple and type(m.im) is tuple
+    assert len(m.re) == len(m.im) == m.n * m.n
+    assert all(type(a) is int for a in m.re + m.im)
+    assert type(m.den) is int and m.den > 0
+    assert math.gcd(m.den, *m.re, *m.im) == 1
+    if m.is_zero():
+        assert m.den == 1
+
+
 class TestTrustedResults:
-    """Every arithmetic result is a tuple of row tuples of GaussRational,
-    equal to and hashing like the public construction of its values."""
+    """Every arithmetic result is in lowest terms, and its `entries` view
+    is a tuple of row tuples of GaussRational that rebuilds an equal matrix
+    with the same hash."""
 
     @staticmethod
     def assert_canonical(m: Mat):
-        assert type(m.entries) is tuple
-        assert all(type(row) is tuple and len(row) == m.n for row in m.entries)
-        assert all(type(a) is GaussRational for row in m.entries for a in row)
-        rebuilt = Mat.from_rows([list(row) for row in m.entries])
+        assert_lowest_terms(m)
+        entries = m.entries
+        assert type(entries) is tuple
+        assert all(type(row) is tuple and len(row) == m.n for row in entries)
+        assert all(type(a) is GaussRational for row in entries for a in row)
+        rebuilt = Mat.from_rows([list(row) for row in entries])
         assert m == rebuilt
         assert hash(m) == hash(rebuilt)
 
@@ -114,3 +140,163 @@ class TestTrustedResults:
         assert m.conjugate_transpose() == Mat(
             [[-GR_I, GaussRational.of(3, -4)], [GaussRational.of(2), GR_ZERO]]
         )
+
+
+# -- oracle: the GaussRational matrix and sympy's QQ_I ---------------------------
+
+# Denominators of 1, small primes and four-digit primes.
+DENOMINATOR_KINDS = {
+    "integer": (1,),
+    "small-primes": (1, 2, 3, 5, 7),
+    "four-digit-primes": (1009, 7919, 9973),
+    "mixed": (1, 2, 3, 1009, 7919),
+}
+
+
+def oracle_rows(rng: random.Random, n: int, dens, shape: str):
+    """n x n GaussRational rows, a third of them zero, with nonzero imaginary
+    parts, and a zero row, a zero column or all zeros for those shapes."""
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+    rows = [
+        [GR_ZERO if rng.random() < 1 / 3 else GaussRational(part(), part()) for _ in range(n)]
+        for _ in range(n)
+    ]
+    if shape in ("zero-row", "zero-row-col"):
+        rows[rng.randrange(n)] = [GR_ZERO] * n
+    if shape in ("zero-col", "zero-row-col"):
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = GR_ZERO
+    if shape == "zero":
+        rows = [[GR_ZERO] * n for _ in range(n)]
+    return rows
+
+
+SHAPES = ("dense", "zero-row", "zero-col", "zero-row-col", "zero")
+
+
+def oracle_pairs(n: int, kind: str):
+    """Seeded (Mat, OldMat) pairs of every shape."""
+    rng = random.Random(f"{n}-{kind}")
+    out = []
+    for shape in SHAPES:
+        for _ in range(2):
+            rows = oracle_rows(rng, n, DENOMINATOR_KINDS[kind], shape)
+            out.append((Mat(rows), OldMat(rows)))
+    return out, rng
+
+
+def same(new: Mat, old: OldMat) -> bool:
+    assert_lowest_terms(new)
+    return new.n == old.n and new.entries == old.entries
+
+
+def to_qq_i(x: GaussRational):
+    return QQ_I(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator))
+
+
+def to_sympy(m: Mat) -> DomainMatrix:
+    return DomainMatrix([[to_qq_i(x) for x in row] for row in m.entries], (m.n, m.n), QQ_I)
+
+
+@pytest.mark.parametrize("kind", list(DENOMINATOR_KINDS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+class TestAgainstTheGaussRationalMatrix:
+    def test_binary_operations(self, n, kind):
+        pairs, _ = oracle_pairs(n, kind)
+        for (x, ox), (y, oy) in itertools.product(pairs, repeat=2):
+            assert same(x + y, ox + oy)
+            assert same(x - y, ox - oy)
+            assert same(x @ y, ox @ oy)
+            assert same(commutator(x, y), ox @ oy - oy @ ox)
+            assert (x == y) == (ox.entries == oy.entries)
+
+    def test_unary_operations(self, n, kind):
+        pairs, rng = oracle_pairs(n, kind)
+        dens = DENOMINATOR_KINDS[kind]
+        scalars = [
+            0, 1, -3, Fraction(5, 7), GR_ZERO, GR_I,
+            GaussRational(Fraction(rng.randint(-9, 9), rng.choice(dens)), Fraction(1, 9973)),
+        ]
+        for x, ox in pairs:
+            assert same(-x, -ox)
+            assert same(x.conjugate_transpose(), ox.conjugate_transpose())
+            assert same(x.traceless_part(), ox.traceless_part())
+            for c in scalars:
+                assert same(x.scale(c), ox.scale(c))
+            assert x.trace() == ox.trace()
+            assert x.is_zero() == ox.is_zero()
+            assert x.is_hermitian() == ox.is_hermitian()
+            h, oh = x + x.conjugate_transpose(), ox + ox.conjugate_transpose()
+            assert h.is_hermitian() and oh.is_hermitian() and same(h, oh)
+
+    def test_flatten_and_unflatten(self, n, kind):
+        pairs, _ = oracle_pairs(n, kind)
+        for x, ox in pairs:
+            col, den = x.flatten()
+            values = {p: GaussRational(Fraction(a, den), Fraction(b, den)) for p, (a, b) in col.items()}
+            assert values == {p: v for p, v in enumerate(ox.flatten()) if not v.is_zero()}
+            assert list(col) == sorted(col) and all(a or b for a, b in col.values())
+            assert same(Mat.unflatten(values, n), OldMat.unflatten(values, n))
+            assert Mat.unflatten(values, n) == x
+
+    def test_products_traces_and_commutators_against_sympy(self, n, kind):
+        pairs, _ = oracle_pairs(n, kind)
+        for (x, _), (y, _) in itertools.product(pairs[::3], repeat=2):
+            sx, sy = to_sympy(x), to_sympy(y)
+            assert to_sympy(x @ y) == sx * sy
+            assert to_sympy(commutator(x, y)) == sx * sy - sy * sx
+            diagonal = sx.to_list()
+            assert to_qq_i(x.trace()) == sum((diagonal[i][i] for i in range(n)), QQ_I.zero)
+
+
+# -- work counts: no GaussRational arithmetic on the integer paths -----------------
+
+
+@pytest.fixture
+def gauss_calls(monkeypatch):
+    """Counts of calls to `scalars._norm`, wherever an aldyn module holds it,
+    and to GaussRational's +, - and *."""
+    counts = {"_norm": 0, "__add__": 0, "__sub__": 0, "__mul__": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("aldyn") and hasattr(module, "_norm"):
+            monkeypatch.setattr(module, "_norm", counting("_norm", module._norm))
+    for op in ("__add__", "__sub__", "__mul__"):
+        monkeypatch.setattr(GaussRational, op, counting(op, getattr(GaussRational, op)))
+    return counts
+
+
+def test_integer_paths_make_no_gauss_rationals(gauss_calls):
+    """`@`, `+`, `-`, `scale`, `commutator`, `exterior_d` and `wedge` on
+    seeded Gell-Mann N = 3 forms run on ints: none calls `_norm` or
+    GaussRational arithmetic.  Only the `entries` view makes GaussRationals."""
+    rng = random.Random(31)
+    basis = diffcalc.DerivationBasis.gell_mann(3)
+    x, y = dense_random_mat(rng, 3), sparse_random_mat(rng, 3)
+    c = random_gauss(rng)
+    forms = []
+    for degree in (0, 1, 2):
+        tuples = list(itertools.combinations(range(basis.dim), degree))
+        coeffs = {tuples[rng.randrange(len(tuples))]: dense_random_mat(rng, 3) for _ in range(3)}
+        forms.append(diffcalc.KForm(basis, degree, coeffs))
+    before = dict(gauss_calls)
+    x @ y, x + y, x - y, x.scale(c), x.scale(3), commutator(x, y)
+    for w in forms:
+        diffcalc.exterior_d(diffcalc.exterior_d(w))
+        for v in forms:
+            if w.degree + v.degree <= basis.dim:
+                diffcalc.wedge(w, v)
+    assert gauss_calls == before
+    x.entries
+    assert gauss_calls == {**before, "_norm": before["_norm"] + 9}

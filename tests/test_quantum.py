@@ -235,8 +235,8 @@ class TestCommutant:
             candidates = []
             while len(candidates) < dim:
                 m = random_mat(rng, 3, span=2)
-                columns = [integer_column(dict(enumerate(c.flatten()))) for c in candidates]
-                if solve_columns(columns, [integer_column(dict(enumerate(m.flatten())))]) == [None]:
+                columns = [c.flatten() for c in candidates]
+                if solve_columns(columns, [m.flatten()]) == [None]:
                     candidates.append(m)
             space = MatrixSubspace(candidates)
             double = commutant(commutant(space))
@@ -268,8 +268,8 @@ class TestInvariance:
         assert not rep.ok
         assert rep.witness is not None
         basis = MatrixSubspace.block_algebra(4, 2).basis
-        columns = [integer_column(dict(enumerate(b.flatten()))) for b in basis]
-        image = integer_column(dict(enumerate(commutator(rep.witness, h).flatten())))
+        columns = [b.flatten() for b in basis]
+        image = commutator(rep.witness, h).flatten()
         assert solve_columns(columns, [image]) == [None]
 
     def test_identity_hamiltonian_passes_any_subspace(self):
@@ -409,7 +409,7 @@ def _derivation_system_rank(space: MatrixSubspace) -> int:
                         term = term - basis[p] @ basis[b]
                     if b == q:
                         term = term - basis[a] @ basis[p]
-                    cols.append(term.flatten())
+                    cols.append([x for row in term.entries for x in row])
             rows += [[QQ_I(int(col[e].re), 0) for col in cols] for e in range(n * n)
                      if any(not col[e].is_zero() for col in cols)]
     return DomainMatrix(rows, (len(rows), d * d), QQ_I).rank()
