@@ -38,7 +38,7 @@ from .derivations import (
 from .diffcalc import DerivationBasis, KForm, contract, exterior_d, lie_derivative, wedge
 from .matrices import Mat
 from .moyal import StarAlgebraContext, star, star_commutator
-from .parsing import ParseError, parse_poly
+from .parsing import parse_poly
 from .poisson import (
     ABELIAN,
     HEISENBERG,
@@ -74,7 +74,8 @@ from .reduction import (
     split_dynamics,
 )
 from .report import EXIT_BAD_INPUT, Report
-from .scalars import GaussRational, Scalar, json_decode, json_field, json_int, rational, to_float
+from .scalars import GaussRational, Scalar, json_field, json_list, json_object, named, rational
+from .scalars import to_float
 
 
 def _load_json_arg(text: str, path: str):
@@ -108,30 +109,24 @@ def _load_tensor(spec: str) -> PoissonTensor:
         return TENSOR_PRESETS[spec]()
     data = _load_json_arg(spec, "/tensor")
     if isinstance(data, dict) and "c" in data:
-        return json_decode("/tensor", lie_poisson, data["c"])
+        return named("/tensor", lie_poisson, data["c"])
     return PoissonTensor.from_json(data, "/tensor")
 
 
 def _load_derivation(spec: str, path: str = "/derivation") -> PolyDerivation:
     if spec in LINEAR_DYNAMICS:
         return linear_dynamics(spec)
-    data = _load_json_arg(spec, path)
-    return json_decode(path, PolyDerivation.from_json, data)
+    return PolyDerivation.from_json(_load_json_arg(spec, path), path)
 
 
 def _load_distribution(data, path: str) -> Distribution:
-    fields = [
-        json_decode(f"{path}/{i}", PolyDerivation.from_json, d)
-        for i, d in json_decode(path, enumerate, data)
-    ]
-    return json_decode(path, Distribution, fields)
+    data = json_list(data, path)
+    fields = [PolyDerivation.from_json(d, f"{path}/{i}") for i, d in enumerate(data)]
+    return named(path, Distribution, fields)
 
 
 def _parse_expr(text: str, gens: GeneratorSet, path: str) -> Poly:
-    try:
-        return parse_poly(text, gens)
-    except ParseError as e:
-        raise ValueError(f"{path}: {e}") from e
+    return named(path, parse_poly, text, gens)
 
 
 def _poly_float_json(p: Poly) -> dict:
@@ -207,6 +202,8 @@ def cmd_hamfield(args) -> Report:
 
 def _star_operands(pairs: int, f: str, g: str) -> tuple[StarAlgebraContext, Poly, Poly]:
     """The canonical context on `pairs` pairs, with f and g parsed over it."""
+    if pairs < 1:
+        raise ValueError("--pairs: phase space needs at least one pair")
     check_budget("--pairs", (2 * pairs) ** 2, "(2 pairs)^2 tensor components")
     ctx = StarAlgebraContext.canonical(pairs)
     return ctx, _parse_expr(f, ctx.gens, "/f"), _parse_expr(g, ctx.gens, "/g")
@@ -275,6 +272,8 @@ def cmd_flow(args) -> Report:
 
 def cmd_nilpotency(args) -> Report:
     d = _load_derivation(args.derivation)
+    if args.cutoff < 1:
+        raise ValueError("--cutoff: cutoff must be >= 1")
     order = nilpotency_order(d, args.cutoff)
     payload = {
         "cutoff": args.cutoff,
@@ -366,6 +365,8 @@ def cmd_invariance(args) -> Report:
 
 def cmd_blocksplit(args) -> Report:
     h = Mat.from_json(_load_json_arg(args.h, "/h"), "/h")
+    if not 0 < args.k < h.n:
+        raise ValueError(f"--k: need 0 < k < n, and /h is {h.n}x{h.n}")
     du, df = block_split(h, args.k)
     resummed = du + df == InnerDerivation(h)
     commuting = du.commutes_with(df)
@@ -407,24 +408,22 @@ def cmd_biderivation(args) -> Report:
 
 
 def cmd_reduce(args) -> Report:
-    data = _load_json_arg(args.input, "/input")
-    if not isinstance(data, dict) or not {"dynamics", "distribution"} <= data.keys():
-        raise ValueError("/input: needs an object with 'dynamics' and 'distribution'")
+    data = json_object(_load_json_arg(args.input, "/input"), "/input")
     unknown = sorted(data.keys() - {"dynamics", "distribution", "connection"})
     if unknown:
         raise ValueError(f"/input/{unknown[0]}: unknown key")
-    delta = json_decode("/input/dynamics", PolyDerivation.from_json, data["dynamics"])
-    dist = _load_distribution(data["distribution"], "/input/distribution")
+    delta = PolyDerivation.from_json(json_field(data, "dynamics", "/input"), "/input/dynamics")
+    dist = _load_distribution(json_field(data, "distribution", "/input"), "/input/distribution")
     check_monomial_budget("--degree-cap", len(delta.gens), args.degree_cap)
     check_monomial_budget("--ansatz-cap", len(delta.gens), args.ansatz_cap)
     connection = None
     if data.get("connection"):
-        forms = json_decode(
-            "/input/connection",
-            lambda c: [{name: Poly.from_json(pj) for name, pj in form.items()} for form in c],
-            data["connection"],
-        )
-        connection = json_decode("/input/connection", ConnectionP, dist, forms)
+        at = "/input/connection"
+        forms = [
+            {n: Poly.from_json(p, f"{at}/{j}/{n}") for n, p in json_object(f, f"{at}/{j}").items()}
+            for j, f in enumerate(json_list(data["connection"], at))
+        ]
+        connection = named(at, ConnectionP, dist, forms)
     basis = invariant_subalgebra(dist, args.degree_cap)
     split = split_dynamics(delta, dist, connection, args.ansatz_cap)
     norm = split.normalizer
@@ -507,11 +506,8 @@ def cmd_connection(args) -> Report:
 
 
 def _load_form(spec: str, path: str, basis: DerivationBasis | None = None) -> KForm:
-    """A form from JSON; with a basis given, the form must name the same n."""
-    data = _load_json_arg(spec, path)
-    if basis is not None and json_int(json_field(data, "n", path), f"{path}/n") != basis.n:
-        raise ValueError(f"{path}: forms over different algebras")
-    return KForm.from_json(data, basis, path)
+    """A form from JSON, over `basis` if one is given."""
+    return KForm.from_json(_load_json_arg(spec, path), basis, path)
 
 
 def cmd_dform(args) -> Report:

@@ -40,7 +40,7 @@ from .parsing import parse_poly
 from .poly import GeneratorSet, Poly
 from .quantum import InnerDerivation, MatrixSubspace, block_split, invariance_check
 from .report import Report
-from .scalars import Scalar, rational as read_rational, to_float
+from .scalars import Scalar, named, rational as read_rational, to_float
 
 # name -> (demo, {parameter: argparse type}).  Each listed parameter is the
 # option --<parameter> of `aldyn demo <name>`, with the parameter's default.
@@ -97,7 +97,7 @@ def demo_free(t: str | None = None, observable: str = "q") -> Report:
     gens = free.gens
     q = Poly.generator(gens, "q")
     order = nilpotency_order(free)
-    f = parse_poly(observable, gens)
+    f = named("--observable", parse_poly, observable, gens)
     flow = flow_nilpotent(free, f)
     # derivative at t = 0 recovers the derivation
     d_at_0 = flow_at(flow.partial("t"), 0)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .poly import GeneratorMismatch, GeneratorSet, Poly, _poly
-from .scalars import GaussRational, RationalLike, Scalar, to_float
+from .scalars import GaussRational, RationalLike, Scalar, json_field, json_object, named, to_float
 
 DEFAULT_NILPOTENCY_CUTOFF = 16
 
@@ -49,7 +49,7 @@ class PolyDerivation:
             full[name] = img
         for name in images:
             if name not in gens:
-                raise KeyError(f"image given for unknown generator {name!r}")
+                raise ValueError(f"image given for unknown generator {name!r}")
         self.images = full
 
     @staticmethod
@@ -105,12 +105,15 @@ class PolyDerivation:
         }
 
     @staticmethod
-    def from_json(data: Mapping) -> "PolyDerivation":
-        images = {n: Poly.from_json(p) for n, p in data["images"].items()}
+    def from_json(data, path: str = "derivation") -> "PolyDerivation":
+        """{"images": {name: <Poly>, ...}} at the JSON path `path`."""
+        at = f"{path}/images"
+        images = json_object(json_field(data, "images", path), at)
+        images = {n: Poly.from_json(p, f"{at}/{n}") for n, p in images.items()}
         if not images:
-            raise ValueError("derivation needs at least one generator image")
+            raise ValueError(f"{at}: derivation needs at least one generator image")
         gens = next(iter(images.values())).gens
-        return PolyDerivation(gens, images)
+        return named(path, PolyDerivation, gens, images)
 
 
 def apply(delta: PolyDerivation, f: Poly) -> Poly:

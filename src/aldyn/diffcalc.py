@@ -44,7 +44,7 @@ from .linalg import solve_columns
 from .matrices import Mat, _reduced
 from .poly import check_budget
 from .quantum import MatrixSubspace, commutator, commutator_columns
-from .scalars import GR_I, GR_ONE, GaussRational, json_field, json_int, json_list
+from .scalars import GR_I, GR_ONE, GaussRational, json_field, json_int, json_list, named
 
 
 def check_gell_mann_size(where: str, n: int) -> None:
@@ -287,13 +287,16 @@ class KForm:
 
     @staticmethod
     def from_json(data, basis: DerivationBasis | None = None, path: str = "form") -> "KForm":
-        """{"degree", "n", "coeffs": [{"idx", "value"}]}, over `basis` or, if
-        None, the Gell-Mann basis of Mat_n.  Malformed input is a ValueError
-        naming the JSON path at fault, below `path`, the path of data."""
+        """{"degree", "n", "coeffs": [{"idx", "value"}]}, over `basis`, which
+        must be over Mat_n, or, if None, the Gell-Mann basis of Mat_n.
+        Malformed input is a ValueError naming the JSON path at fault, below
+        `path`, the path of data."""
+        n = json_int(json_field(data, "n", path), f"{path}/n")
         if basis is None:
-            n = json_int(json_field(data, "n", path), f"{path}/n")
             check_gell_mann_size(f"{path}/n", n)
             basis = DerivationBasis.gell_mann(n)
+        elif n != basis.n:
+            raise ValueError(f"{path}: forms over different algebras")
         coeffs = {}
         for k, entry in enumerate(json_list(json_field(data, "coeffs", path), f"{path}/coeffs")):
             at = f"{path}/coeffs/{k}"
@@ -301,10 +304,7 @@ class KForm:
             idx = tuple(json_int(i, f"{at}/idx/{p}") for p, i in enumerate(idx))
             coeffs[idx] = Mat.from_json(json_field(entry, "value", at), f"{at}/value")
         degree = json_int(json_field(data, "degree", path), f"{path}/degree")
-        try:
-            return KForm(basis, degree, coeffs)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+        return named(path, KForm, basis, degree, coeffs)
 
 
 def wedge(w1: KForm, w2: KForm) -> KForm:

@@ -30,7 +30,7 @@ from operator import add, neg, sub
 from typing import Mapping, Sequence
 
 from .linalg import IntColumn
-from .scalars import GaussRational, _norm, json_field, json_int, json_list, rational
+from .scalars import GaussRational, _norm, json_field, json_int, json_list
 
 _object_new = object.__new__
 
@@ -265,18 +265,17 @@ class Mat:
 
     @staticmethod
     def from_json(data, path: str = "matrix") -> "Mat":
-        """{"n": n, "entries": rows of {"re", "im"} cells}; each part is read
-        by ``scalars.rational``.  Malformed input is a ValueError naming the
-        JSON path at fault, below `path`, the path of data."""
+        """{"n": n, "entries": rows of {"re", "im"} cells}; each cell is read
+        by ``GaussRational.from_json``.  Malformed input is a ValueError
+        naming the JSON path at fault, below `path`, the path of data."""
         rows = json_list(json_field(data, "entries", path), f"{path}/entries")
-        entries = []
-        for i, row in enumerate(rows):
-            cells = []
-            for j, cell in enumerate(json_list(row, f"{path}/entries/{i}")):
-                at = f"{path}/entries/{i}/{j}"
-                re, im = json_field(cell, "re", at), json_field(cell, "im", at)
-                cells.append(GaussRational(rational(re, f"{at}/re"), rational(im, f"{at}/im")))
-            entries.append(cells)
+        entries = [
+            [
+                GaussRational.from_json(cell, f"{path}/entries/{i}/{j}")
+                for j, cell in enumerate(json_list(row, f"{path}/entries/{i}"))
+            ]
+            for i, row in enumerate(rows)
+        ]
         if any(len(row) != len(entries) for row in entries):
             raise ValueError(f"{path}/entries: matrix must be square")
         if json_int(json_field(data, "n", path), f"{path}/n") != len(entries):

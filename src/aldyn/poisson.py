@@ -21,7 +21,7 @@ from .derivations import PolyDerivation, apply
 from .poly import DEFAULT_ANSATZ_CAP, GeneratorMismatch, GeneratorSet, Poly, check_budget
 from .poly import solve_combination, solve_preimage
 from .report import Verdict
-from .scalars import json_decode, json_field, json_int, json_list, rational
+from .scalars import json_field, json_int, json_list, named, rational
 
 
 class PoissonTensor:
@@ -87,11 +87,10 @@ class PoissonTensor:
         """{"generators" or "dim", "components": [{"a", "b", "poly"}]}.
         ``dim`` may be left out when ``generators`` is given; when both are
         present they must agree.  Malformed input is a ValueError naming the
-        JSON path at fault, below `path`, the path of data; the generator
-        list and each polynomial are named as a whole."""
+        JSON path at fault, below `path`, the path of data."""
         entries = json_list(json_field(data, "components", path), f"{path}/components")
         if "generators" in data:
-            gens = json_decode(f"{path}/generators", GeneratorSet.from_json, data["generators"])
+            gens = GeneratorSet.from_json(data["generators"], f"{path}/generators")
             if "dim" in data and json_int(data["dim"], f"{path}/dim") != len(gens):
                 raise ValueError(
                     f"{path}/dim: {data['dim']!r} does not match the {len(gens)} generators"
@@ -105,11 +104,8 @@ class PoissonTensor:
             at = f"{path}/components/{k}"
             a = json_int(json_field(entry, "a", at), f"{at}/a")
             b = json_int(json_field(entry, "b", at), f"{at}/b")
-            comps[(a, b)] = json_decode(f"{at}/poly", Poly.from_json, json_field(entry, "poly", at))
-        try:
-            return PoissonTensor(gens, comps)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+            comps[(a, b)] = Poly.from_json(json_field(entry, "poly", at), f"{at}/poly")
+        return named(path, PoissonTensor, gens, comps)
 
 
 def bracket(tensor: PoissonTensor, f: Poly, g: Poly) -> Poly:
@@ -140,11 +136,16 @@ def lie_poisson(c: Sequence[Sequence[Sequence]]) -> PoissonTensor:
     """Linear tensor {x_i, x_j} = c[i][j][k] x_k on the generators x, y, z:
     the dual of the 3d Lie algebra [x_i, x_j] = c[i][j][k] x_k.
 
-    Each c[i][j][k] is read by ``scalars.rational``.  c must be 3x3x3,
-    antisymmetric in (i, j) and satisfy Jacobi, else ValueError."""
-    c = tuple(tuple(tuple(rational(x, "c") for x in row) for row in plane) for plane in c)
-    if len(c) != 3 or any(len(p) != 3 or any(len(r) != 3 for r in p) for p in c):
+    c must be 3x3x3 (nested lists or tuples), each c[i][j][k] is read by
+    ``scalars.rational``, and c must be antisymmetric in (i, j) and satisfy
+    Jacobi, else ValueError."""
+
+    def triple(x) -> bool:
+        return isinstance(x, (list, tuple)) and len(x) == 3
+
+    if not (triple(c) and all(triple(p) and all(triple(r) for r in p) for p in c)):
         raise ValueError("structure constants must be 3x3x3")
+    c = tuple(tuple(tuple(rational(x, "c") for x in row) for row in plane) for plane in c)
     if any(c[i][j][k] != -c[j][i][k] for i in range(3) for j in range(3) for k in range(3)):
         raise ValueError("structure constants not antisymmetric in (i,j)")
     gens = GeneratorSet.plain(("x", "y", "z"))

@@ -25,7 +25,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from . import linalg
-from .scalars import GaussRational, RationalLike, Scalar, json_int
+from .scalars import GaussRational, RationalLike, Scalar, json_field, json_int, json_list, named
 
 GENERATOR_KINDS = ("plain", "position", "momentum", "angle-phase")
 
@@ -54,6 +54,8 @@ class GeneratorSet:
 
     def __init__(self, names: Sequence[str], kinds: Sequence[str] | None = None):
         names = tuple(names)
+        if not all(isinstance(name, str) for name in names):
+            raise ValueError(f"generator names must be strings: {list(names)}")
         if len(set(names)) != len(names):
             raise ValueError(f"generator names must be distinct: {list(names)}")
         if kinds is None:
@@ -127,16 +129,17 @@ class GeneratorSet:
         return [{"name": n, "kind": k} for n, k in zip(self.names, self.kinds)]
 
     @staticmethod
-    def from_json(data) -> "GeneratorSet":
+    def from_json(data, path: str = "generators") -> "GeneratorSet":
+        """Names or {"name", "kind"} at the JSON path `path`; kind "plain" if left out."""
         names, kinds = [], []
-        for entry in data:
+        for i, entry in enumerate(json_list(data, path)):
             if isinstance(entry, str):
                 names.append(entry)
                 kinds.append("plain")
             else:
-                names.append(entry["name"])
+                names.append(json_field(entry, "name", f"{path}/{i}"))
                 kinds.append(entry.get("kind", "plain"))
-        return GeneratorSet(names, kinds)
+        return named(path, GeneratorSet, names, kinds)
 
 
 def _check_same_gens(a: "Poly", b: "Poly"):
@@ -577,12 +580,15 @@ class Poly:
         }
 
     @staticmethod
-    def from_json(data: Mapping) -> "Poly":
-        gens = GeneratorSet.from_json(data["generators"])
+    def from_json(data, path: str = "poly") -> "Poly":
+        """{"generators", "terms": [{"exps", "coeff"}]} at the JSON path `path`."""
+        gens = GeneratorSet.from_json(json_field(data, "generators", path), f"{path}/generators")
         terms: dict[tuple, Scalar] = {}
-        for entry in data["terms"]:
-            exps = tuple(json_int(e, "exps") for e in entry["exps"])
-            c = Scalar.from_json(entry["coeff"])
+        for k, entry in enumerate(json_list(json_field(data, "terms", path), f"{path}/terms")):
+            at = f"{path}/terms/{k}"
+            exps = json_list(json_field(entry, "exps", at), f"{at}/exps")
+            exps = tuple(json_int(e, f"{at}/exps/{p}") for p, e in enumerate(exps))
+            c = Scalar.from_json(json_field(entry, "coeff", at), f"{at}/coeff")
             prev = terms.get(exps)
             terms[exps] = c if prev is None else prev + c
-        return Poly(gens, terms)
+        return named(path, Poly, gens, terms)

@@ -28,7 +28,7 @@ from typing import Sequence
 from .linalg import IntColumn, integer_column, solve_columns
 from .matrices import Mat, _reduced, full_matrix_basis
 from .report import Verdict
-from .scalars import GR_I, GaussRational, json_list, to_float
+from .scalars import GR_I, GaussRational, json_list, named, to_float
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
@@ -138,10 +138,7 @@ class MatrixSubspace:
         """A list of matrices (``Mat.from_json``); malformed input is a
         ValueError naming `path`, the path of data, or the path below it."""
         basis = [Mat.from_json(m, f"{path}/{i}") for i, m in enumerate(json_list(data, path))]
-        try:
-            return MatrixSubspace(basis)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+        return named(path, MatrixSubspace, basis)
 
 
 def commutator_columns(mats: Sequence[Mat]) -> list[IntColumn]:

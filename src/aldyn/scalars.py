@@ -22,6 +22,13 @@ one reader, ``rational``.  Both
 types are treated as immutable; all arithmetic is exact.  A value that no
 finite float can hold leaves for floating point only as the
 ValueError of ``to_float``, which ``GaussRational.to_complex`` raises too.
+
+Every JSON reader (each ``from_json`` of aldyn) takes the JSON path of its
+document and checks each shape it reads through ``json_object``,
+``json_field``, ``json_list``, ``json_int`` and ``rational``, so malformed
+input is a ValueError naming the path at fault.  A constructor's own
+ValueError gets its path put in front by ``named``; no reader catches a
+Python error such as a TypeError or a KeyError.
 """
 
 from __future__ import annotations
@@ -80,12 +87,17 @@ def _json_kind(x) -> str:
     return "null" if x is None else "a number"
 
 
+def json_object(data, where: str) -> dict:
+    """data itself when it is a JSON object, else a ValueError naming `where`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object, got {_json_kind(data)}")
+    return data
+
+
 def json_field(data, key: str, where: str):
     """data[key] of a JSON object: a ValueError naming `where` (the path of
     data) when data is not an object or has no `key`."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object, got {_json_kind(data)}")
-    if key not in data:
+    if key not in json_object(data, where):
         raise ValueError(f'{where}: missing "{key}"')
     return data[key]
 
@@ -97,16 +109,13 @@ def json_list(data, where: str) -> list:
     return data
 
 
-def json_decode(where: str, reader, *args):
-    """reader(*args), for JSON input whose reader does not name the paths
-    below `where`: whatever error it raises on a malformed document is a
-    ValueError naming `where`."""
+def named(where: str, build, *args):
+    """build(*args); its ValueError is raised again with `where`, a JSON path or
+    an option, in front of the message."""
     try:
-        return reader(*args)
-    except (
-        AttributeError, KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError
-    ) as e:
-        raise ValueError(f"{where}: {e}") from e
+        return build(*args)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 # The exponent of a decimal string, as Fraction reads it.  Fraction builds
@@ -332,9 +341,10 @@ class GaussRational:
         return {"re": _text(self.re), "im": _text(self.im)}
 
     @staticmethod
-    def from_json(data: Mapping) -> "GaussRational":
-        """{"re": ..., "im": ...}, each part read by ``rational``."""
-        return GaussRational(rational(data["re"], "re"), rational(data["im"], "im"))
+    def from_json(data, path: str = "value") -> "GaussRational":
+        """{"re": ..., "im": ...} at the JSON path `path`, each part read by ``rational``."""
+        re, im = json_field(data, "re", path), json_field(data, "im", path)
+        return GaussRational(rational(re, f"{path}/re"), rational(im, f"{path}/im"))
 
 
 GR_ZERO = GaussRational()
@@ -515,11 +525,12 @@ class Scalar:
         ]
 
     @staticmethod
-    def from_json(data) -> "Scalar":
+    def from_json(data, path: str = "scalar") -> "Scalar":
+        """[{"theta": k, "re", "im"}, ...] at the JSON path `path`; theta 0 if left out."""
         terms = {}
-        for entry in data:
-            c = GaussRational.from_json(entry)
-            k = json_int(entry.get("theta", 0), "theta")
+        for i, entry in enumerate(json_list(data, path)):
+            c = GaussRational.from_json(entry, f"{path}/{i}")
+            k = json_int(entry.get("theta", 0), f"{path}/{i}/theta")
             if not c.is_zero():
                 terms[k] = terms.get(k, GR_ZERO) + c
-        return Scalar(terms)
+        return named(path, Scalar, terms)

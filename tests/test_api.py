@@ -143,3 +143,39 @@ def test_only_linalg_names_the_eliminator():
         )
     }
     assert naming == {"linalg"}
+
+
+# What an except clause may not name: Python's errors on a value of the
+# wrong type or shape, and the classes that catch everything.
+_CATCH_ALL = {"TypeError", "AttributeError", "KeyError", "Exception", "BaseException"}
+
+
+def _handlers(node, scope: str = ""):
+    """(scope, except clause) for each clause under node; scope is the
+    dotted name of the classes and functions around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            yield scope, child
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield from _handlers(child, inner)
+
+
+def test_no_handler_catches_python_errors():
+    """Malformed input is refused by the readers' checks, which name its
+    JSON path or option, never by catching what Python raises on it: no
+    except clause of `src/aldyn` is bare or names TypeError,
+    AttributeError, KeyError, Exception or BaseException, but the one in
+    `GeneratorSet.index`, which re-raises its KeyError with the name asked
+    for."""
+    catching = set()
+    for path in SRC.glob("*.py"):
+        for scope, handler in _handlers(ast.parse(path.read_text(encoding="utf-8"))):
+            if handler.type is None:
+                names = _CATCH_ALL
+            else:
+                names = {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+            if names & _CATCH_ALL:
+                catching.add(f"{path.stem}.{scope}")
+    assert catching == {"poly.GeneratorSet.index"}

@@ -1325,6 +1325,27 @@ def test_negative_cap_names_its_option(capsys, argv, where):
     assert err == f"input error: {where}: degree cap must be >= 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["nilpotency", "--derivation", "free", "--cutoff", "0"], "--cutoff: cutoff must be >= 1"),
+        (["star", "--f", "q", "--g", "p", "--pairs", "0"],
+         "--pairs: phase space needs at least one pair"),
+        (["starcomm", "--f", "q", "--g", "p", "--pairs", "0"],
+         "--pairs: phase space needs at least one pair"),
+        (["blocksplit", "--h", SIGMA_Z, "--k", "0"], "--k: need 0 < k < n, and /h is 2x2"),
+        (["demo", "free", "--observable", "x"],
+         "--observable: unknown name 'x'; generators are ['q', 'p'] (at position 0)"),
+    ],
+    ids=["nilpotency-cutoff", "star-pairs", "starcomm-pairs", "blocksplit-k", "demo-free-observable"],
+)
+def test_option_errors_name_their_option(capsys, argv, error):
+    """An option value the command cannot use is bad input naming the option."""
+    for mode in ("--json", "--text"):
+        code, out, err = run_cli(capsys, *argv, mode)
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", f"input error: {error}\n")
+
+
 _DERIVATION_BASIS_SIZE = "matrix size must be >= 2 for a derivation basis, got {}"
 _BIDERIVATION_SIZE = "matrix size must be in 1..4 for the biderivation solver, got {}"
 
@@ -1436,7 +1457,7 @@ def test_booleans_in_number_fields_are_bad_input(argv):
         (["commutant", "--subspace", '[{"n":1,"entries":[[{"re":true,"im":"0"}]]}]'],
          "/subspace/0/entries/0/0/re: "),
         (["jacobi", "--tensor", _edited(_TENSOR_DOC, (*_TERM_PATH, "coeff", 0, "im"), False)],
-         "/tensor/components/0/poly: im: "),
+         "/tensor/components/0/poly/terms/0/coeff/0/im: "),
         (["jacobi", "--tensor", json.dumps({"c": [[[True] * 3] * 3] * 3})], "/tensor: c: "),
     ],
     ids=["matrix-entry", "coefficient", "structure-constant"],
@@ -1505,14 +1526,103 @@ _MALFORMED_TENSORS = [
         *((["bracket", "--tensor", m, "--f", "q", "--g", "p"], f"/tensor{where}")
           for m, where in _MALFORMED_TENSORS),
         *((["casimir", "--tensor", m, "--c", "q"], f"/tensor{where}") for m, where in _MALFORMED_TENSORS),
+        (["wedge", "--form1", _GOOD_FORM, "--form2", _gell_mann_form(3)],
+         "/form2: forms over different algebras"),
     ],
     ids=[*(f"wedge-form1-{i}" for i in range(5)), *(f"wedge-form2-{i}" for i in range(5)),
          *(f"lieder-{i}" for i in range(5)), *(f"bracket-{i}" for i in range(4)),
-         *(f"casimir-{i}" for i in range(4))],
+         *(f"casimir-{i}" for i in range(4)), "wedge-different-n"],
 )
 def test_malformed_form_and_tensor_json_names_its_path(capsys, argv, message):
     """A form or tensor document with a field missing or of the wrong JSON
     type is bad input naming the path at fault, down to a matrix cell."""
+    for mode in ("--json", "--text"):
+        code, out, err = run_cli(capsys, *argv, mode)
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", f"input error: {message}\n")
+
+
+def _images(**polys) -> str:
+    return json.dumps({"images": polys})
+
+
+_QP = ["q", "p"]
+_CRASH = _images(q={"generators": [{"name": 5}, {"name": "q"}], "terms": [
+    {"exps": [1, 0], "coeff": [{"re": "1", "im": "0"}]}]})
+_FREE_DQ = {"dynamics": _FREE_DOC, "distribution": [_DQ_JSON]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["flow", "--f", "q", "--derivation", '{"images":[]}'],
+         "/derivation/images: expected an object, got a list"),
+        (["flow", "--f", "q", "--derivation", _images(q={"generators": _QP, "terms": [
+            {"exps": "10", "coeff": [{"re": "1", "im": "0"}]}]})],
+         "/derivation/images/q/terms/0/exps: expected a list, got a string"),
+        (["flow", "--f", "q", "--derivation", _CRASH],
+         "/derivation/images/q/generators: generator names must be strings: [5, 'q']"),
+        (["nilpotency", "--derivation", _images(q={"generators": _QP})],
+         '/derivation/images/q: missing "terms"'),
+        (["nilpotency", "--derivation", _images()],
+         "/derivation/images: derivation needs at least one generator image"),
+        (["nilpotency", "--derivation", _images(x=_DQ_JSON["images"]["q"])],
+         "/derivation: image given for unknown generator 'x'"),
+        (["frelate", "--map", "p", "--dynamics", _images(q={"generators": [{}], "terms": []})],
+         '/dynamics/images/q/generators/0: missing "name"'),
+        (["reduce", "--input", "[1]"], "/input: expected an object, got a list"),
+        (["reduce", "--input", json.dumps({"distribution": [_DQ_JSON], "extra": 1})],
+         "/input/extra: unknown key"),
+        (["reduce", "--input", json.dumps({"distribution": [_DQ_JSON]})],
+         '/input: missing "dynamics"'),
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "dynamics": 5})],
+         "/input/dynamics: expected an object, got a number"),
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "distribution": 5})],
+         "/input/distribution: expected a list, got a number"),
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "distribution": []})],
+         "/input/distribution: distribution needs at least one field"),
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "connection": 5})],
+         "/input/connection: expected a list, got a number"),
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "connection": [5]})],
+         "/input/connection/0: expected an object, got a number"),
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "connection": [{"q": 5}]})],
+         "/input/connection/0/q: expected an object, got a number"),
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "connection": [{}, {}]})],
+         "/input/connection: one dual 1-form per spanning field required"),
+        (["connection", "--distribution", '{"a":1}'], "/distribution: expected a list, got an object"),
+        (["connection", "--distribution", json.dumps([{"images": {"q": {
+            "generators": _QP, "terms": [{"exps": [1], "coeff": [{"re": "1", "im": "0"}]}]}}}])],
+         "/distribution/0/images/q: exponent vector length mismatch"),
+        (["bracket", "--f", "q", "--g", "p", "--tensor", '{"generators":"qp","components":[]}'],
+         "/tensor/generators: expected a list, got a string"),
+        (["bracket", "--f", "q", "--g", "p", "--tensor",
+          json.dumps({"generators": ["q", "q"], "components": []})],
+         "/tensor/generators: generator names must be distinct: ['q', 'q']"),
+        (["bracket", "--f", "q", "--g", "p", "--tensor",
+          _edited(_TENSOR_DOC, (*_TERM_PATH, "coeff"), 5)],
+         "/tensor/components/0/poly/terms/0/coeff: expected a list, got a number"),
+        (["bracket", "--f", "q", "--g", "p", "--tensor",
+          _edited(_TENSOR_DOC, (*_TERM_PATH, "coeff", 0, "theta"), -1)],
+         "/tensor/components/0/poly/terms/0/coeff: theta-exponent must be non-negative"),
+        (["bracket", "--f", "x", "--g", "y", "--tensor", '{"c":5}'],
+         "/tensor: structure constants must be 3x3x3"),
+        (["bracket", "--f", "x", "--g", "y", "--tensor", json.dumps({"c": [[[0] * 3] * 3] * 2})],
+         "/tensor: structure constants must be 3x3x3"),
+        (["bracket", "--f", "x", "--g", "y", "--tensor", json.dumps({"c": [[["x"] * 3] * 3] * 3})],
+         "/tensor: c: 'x' is not a rational"),
+    ],
+    ids=["flow-images-list", "flow-exps-string", "flow-name-not-string", "nilpotency-terms",
+         "nilpotency-no-image", "nilpotency-unknown-generator", "frelate-name", "reduce-list",
+         "reduce-unknown-key", "reduce-dynamics-missing", "reduce-dynamics", "reduce-distribution",
+         "reduce-distribution-empty", "reduce-connection", "reduce-connection-form",
+         "reduce-connection-component", "reduce-connection-rank", "connection-object",
+         "connection-exps-length", "bracket-generators", "bracket-generators-repeated",
+         "bracket-poly-coeff", "bracket-poly-theta", "bracket-c-number", "bracket-c-shape",
+         "bracket-c-entry"],
+)
+def test_malformed_poly_and_derivation_json_names_its_path(capsys, argv, message):
+    """A polynomial, derivation, distribution, connection or generator
+    document with a field missing, of the wrong JSON type or refused by its
+    constructor is bad input naming the path at fault."""
     for mode in ("--json", "--text"):
         code, out, err = run_cli(capsys, *argv, mode)
         assert (code, out, err) == (EXIT_BAD_INPUT, "", f"input error: {message}\n")
