@@ -17,7 +17,6 @@ ever printed in text mode.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
@@ -33,6 +32,7 @@ from .derivations import (
     flow_at,
     flow_linear,
     flow_nilpotent,
+    linear_coefficient_matrix,
     nilpotency_order,
 )
 from .diffcalc import DerivationBasis, KForm, contract, exterior_d, lie_derivative, wedge
@@ -262,6 +262,7 @@ def cmd_flow(args) -> Report:
     if not f.is_theta_free():
         raise ValueError("/f: linear flow needs a theta-free observable")
     t = to_float(rational(args.t, "/t"), "/t")
+    named("/derivation", linear_coefficient_matrix, d)  # flow_linear's linearity check, named
     flow = flow_linear(d, t, f)
     return Report(
         {"mode": "linear", "t": t, "poly_float": _poly_float_json(flow)},
@@ -304,12 +305,12 @@ def cmd_evolve(args) -> Report:
     if a.n != h.n:
         raise ValueError(f"/a: a {a.n}x{a.n} matrix, /h is {h.n}x{h.n}")
     hn, an = h.to_numpy("/h"), a.to_numpy("/a")
+    expected = named("/h", heisenberg_derivative, a, h).to_numpy()
     t = args.t
     result = evolve(a, h, t)
     # finite-difference check of the Heisenberg equation at t = 0
     dt = 1e-6
     fd = (evolve(a, h, dt) - evolve(a, h, -dt)) / (2 * dt)
-    expected = heisenberg_derivative(a, h).to_numpy()
     fd_err = float(np.max(np.abs(fd - expected)))
     fd_bound = _central_difference_bound(
         float(np.linalg.norm(hn, 2)), float(np.linalg.norm(an, 2)), dt
@@ -367,7 +368,7 @@ def cmd_blocksplit(args) -> Report:
     h = Mat.from_json(_load_json_arg(args.h, "/h"), "/h")
     if not 0 < args.k < h.n:
         raise ValueError(f"--k: need 0 < k < n, and /h is {h.n}x{h.n}")
-    du, df = block_split(h, args.k)
+    du, df = named("/h", block_split, h, args.k)
     resummed = du + df == InnerDerivation(h)
     commuting = du.commutes_with(df)
     return Report(
@@ -416,16 +417,15 @@ def cmd_reduce(args) -> Report:
     dist = _load_distribution(json_field(data, "distribution", "/input"), "/input/distribution")
     check_monomial_budget("--degree-cap", len(delta.gens), args.degree_cap)
     check_monomial_budget("--ansatz-cap", len(delta.gens), args.ansatz_cap)
-    connection = None
-    if data.get("connection"):
-        at = "/input/connection"
-        forms = [
-            {n: Poly.from_json(p, f"{at}/{j}/{n}") for n, p in json_object(f, f"{at}/{j}").items()}
-            for j, f in enumerate(json_list(data["connection"], at))
-        ]
-        connection = named(at, ConnectionP, dist, forms)
+    at = "/input/connection"
+    forms = [
+        {n: Poly.from_json(p, f"{at}/{j}/{n}") for n, p in json_object(f, f"{at}/{j}").items()}
+        for j, f in enumerate(json_list(data.get("connection", []), at))
+    ]
+    # [] or no "connection" means none is given
+    connection = named(at, ConnectionP, dist, forms) if forms else None
     basis = invariant_subalgebra(dist, args.degree_cap)
-    split = split_dynamics(delta, dist, connection, args.ansatz_cap)
+    split = named("/input/dynamics", split_dynamics, delta, dist, connection, args.ansatz_cap)
     norm = split.normalizer
     payload = {
         "invariant_basis": [b.to_json() for b in basis],
@@ -573,8 +573,10 @@ def cmd_casimir(args) -> Report:
 
 
 def cmd_demo(args) -> Report:
+    """Runs the demo on the options given; the demo's own defaults fill the rest."""
     demo, options = DEMOS[args.name]
-    return demo(**{name: getattr(args, name) for name in options})
+    given = vars(args)
+    return demo(**{name: given[name] for name in options if name in given})
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +653,8 @@ def _build_parser() -> argparse.ArgumentParser:
     demos = add("demo", cmd_demo).add_subparsers(dest="name", required=True)
     for name, (demo, options) in DEMOS.items():
         p = demos.add_parser(name, parents=[common], help=demo.__doc__)
-        params = inspect.signature(demo).parameters
         for option, type_ in options.items():
-            p.add_argument(f"--{option}", type=type_, default=params[option].default)
+            p.add_argument(f"--{option}", type=type_, default=argparse.SUPPRESS)
 
     return parser
 

@@ -36,7 +36,6 @@ ints too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -422,9 +421,13 @@ def lie_derivative(x_coeffs: Sequence[GaussRational], w: KForm) -> KForm:
     return out
 
 
-@dataclass
 class ExactnessReport:
-    solvable: bool               # the linear system dA = alpha^j
+    __slots__ = ("solvable",)
+
+    solvable: bool  # the linear system dA = alpha^j
+
+    def __init__(self, solvable: bool):
+        self.solvable = solvable
 
 
 def exactness_obstruction(basis: DerivationBasis, j: int) -> ExactnessReport:

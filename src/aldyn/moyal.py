@@ -32,7 +32,6 @@ linear dynamics live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import lcm
 from operator import lshift
@@ -219,14 +218,31 @@ def s_space_basis(gens: GeneratorSet) -> list[Poly]:
     return [Poly(gens, {e: Scalar.one()}) for e in monomials(len(gens), 2)]
 
 
-@dataclass
 class SSpaceReport:
+    __slots__ = ("dimension", "closed_poisson", "closed_star", "all_equal", "failures", "table")
+
     dimension: int
     closed_poisson: bool
     closed_star: bool
     all_equal: bool
-    failures: list = field(default_factory=list)
-    table: dict = field(default_factory=dict)  # (i, j) i<=j -> Poisson bracket Poly
+    failures: list
+    table: dict  # (i, j) i<=j -> Poisson bracket Poly
+
+    def __init__(
+        self,
+        dimension: int,
+        closed_poisson: bool,
+        closed_star: bool,
+        all_equal: bool,
+        failures: list | None = None,
+        table: dict | None = None,
+    ):
+        self.dimension = dimension
+        self.closed_poisson = closed_poisson
+        self.closed_star = closed_star
+        self.all_equal = all_equal
+        self.failures = [] if failures is None else failures
+        self.table = {} if table is None else table
 
     @property
     def ok(self) -> bool:
@@ -280,12 +296,25 @@ def s_space_check(ctx: StarAlgebraContext) -> SSpaceReport:
     return report
 
 
-@dataclass
 class WignerReport:
+    __slots__ = ("pointwise_leibniz", "symplectic_condition", "star_leibniz", "witness")
+
     pointwise_leibniz: bool
     symplectic_condition: bool
     star_leibniz: bool
-    witness: dict | None = None
+    witness: dict | None
+
+    def __init__(
+        self,
+        pointwise_leibniz: bool,
+        symplectic_condition: bool,
+        star_leibniz: bool,
+        witness: dict | None = None,
+    ):
+        self.pointwise_leibniz = pointwise_leibniz
+        self.symplectic_condition = symplectic_condition
+        self.star_leibniz = star_leibniz
+        self.witness = witness
 
     def to_json(self) -> dict:
         out = {

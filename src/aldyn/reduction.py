@@ -15,7 +15,6 @@ never a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -110,11 +109,22 @@ def _value_vector(delta: PolyDerivation, point: Mapping[str, GaussRational]) -> 
     return linalg.integer_column(dict(enumerate(values)))
 
 
-@dataclass
 class NormalizerReport:
+    __slots__ = ("status", "coefficients", "witness")
+
     status: str  # "member" | "non-member" | "inconclusive"
-    coefficients: list[list[Poly]] | None = None  # h_j^k per field j
-    witness: dict | None = None
+    coefficients: list[list[Poly]] | None  # h_j^k per field j
+    witness: dict | None
+
+    def __init__(
+        self,
+        status: str,
+        coefficients: list[list[Poly]] | None = None,
+        witness: dict | None = None,
+    ):
+        self.status = status
+        self.coefficients = coefficients
+        self.witness = witness
 
 
 def normalizer_check(
@@ -273,15 +283,34 @@ def connection_apply(conn: ConnectionP, x: PolyDerivation) -> PolyDerivation:
     return PolyDerivation(gens, images)
 
 
-@dataclass
 class SplitResult:
+    __slots__ = ("status", "normalizer", "delta_d", "delta_prime", "commuting", "case", "note")
+
     status: str  # "ok" | "non-member" | "inconclusive"
     normalizer: NormalizerReport
-    delta_d: PolyDerivation | None = None
-    delta_prime: PolyDerivation | None = None
-    commuting: bool | None = None
-    case: str | None = None  # "constants-of-motion" | "independent-motions" | "coupled"
-    note: str = ""
+    delta_d: PolyDerivation | None
+    delta_prime: PolyDerivation | None
+    commuting: bool | None
+    case: str | None  # "constants-of-motion" | "independent-motions" | "coupled"
+    note: str
+
+    def __init__(
+        self,
+        status: str,
+        normalizer: NormalizerReport,
+        delta_d: PolyDerivation | None = None,
+        delta_prime: PolyDerivation | None = None,
+        commuting: bool | None = None,
+        case: str | None = None,
+        note: str = "",
+    ):
+        self.status = status
+        self.normalizer = normalizer
+        self.delta_d = delta_d
+        self.delta_prime = delta_prime
+        self.commuting = commuting
+        self.case = case
+        self.note = note
 
 
 def split_dynamics(

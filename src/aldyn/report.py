@@ -14,8 +14,6 @@ the check computes one, the nonzero ``residual`` found there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
@@ -24,19 +22,38 @@ EXIT_INCONCLUSIVE = 3
 _VERDICT = {True: "pass", False: "fail", None: "inconclusive"}
 
 
-@dataclass
 class Verdict:
+    __slots__ = ("ok", "witness", "residual")
+
     ok: bool
-    witness: object = None
-    residual: object = None
+    witness: object
+    residual: object
+
+    def __init__(self, ok: bool, witness: object = None, residual: object = None):
+        self.ok = ok
+        self.witness = witness
+        self.residual = residual
 
 
-@dataclass
 class Report:
+    __slots__ = ("result", "checks", "notes", "lines")
+
     result: dict
-    checks: dict[str, bool | None] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)
+    checks: dict[str, bool | None]
+    notes: list[str]
+    lines: list[str]
+
+    def __init__(
+        self,
+        result: dict,
+        checks: dict[str, bool | None] | None = None,
+        notes: list[str] | None = None,
+        lines: list[str] | None = None,
+    ):
+        self.result = result
+        self.checks = {} if checks is None else checks
+        self.notes = [] if notes is None else notes
+        self.lines = [] if lines is None else lines
 
     @property
     def status(self) -> str:

@@ -29,6 +29,7 @@ from aldyn.cli import _build_parser, main
 from aldyn.demos import DEMOS
 from aldyn.derivations import PolyDerivation
 from aldyn.matrices import Mat
+from aldyn.parsing import parse_poly
 from aldyn.poisson import ABELIAN, HEISENBERG, SU2, PoissonTensor
 from aldyn.poly import MAX_UNKNOWNS, GeneratorSet, Poly
 from aldyn.report import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, Report
@@ -911,6 +912,18 @@ def test_no_module_level_numpy_import():
     assert top_level == []
 
 
+def test_cold_import_adds_no_dataclasses_inspect_or_numpy():
+    """`import aldyn.cli` in a fresh process adds none of these modules to
+    the ones a bare interpreter has already loaded (through `site`, say)."""
+    show = "import sys; print(*sorted(sys.modules))"
+    bare = run_python(["-c", show])
+    cold = run_python(["-c", f"import aldyn.cli; {show}"])
+    assert bare.returncode == cold.returncode == 0, bare.stderr + cold.stderr
+    added = set(cold.stdout.split()) - set(bare.stdout.split())
+    assert "aldyn.cli" in added
+    assert added & {"dataclasses", "inspect", "numpy"} == set()
+
+
 # The demos that evaluate an exponential in floats, and so need numpy.
 FLOAT_DEMOS = {"oscillator"}
 
@@ -1582,6 +1595,11 @@ _FREE_DQ = {"dynamics": _FREE_DOC, "distribution": [_DQ_JSON]}
          "/input/distribution: distribution needs at least one field"),
         (["reduce", "--input", json.dumps({**_FREE_DQ, "connection": 5})],
          "/input/connection: expected a list, got a number"),
+        # a falsy value is refused too, not read as no connection
+        *[(["reduce", "--input", json.dumps({**_FREE_DQ, "connection": value})],
+           f"/input/connection: expected a list, got {kind}")
+          for value, kind in [(0, "a number"), (False, "a boolean"), ("", "a string"),
+                              ({}, "an object"), (None, "null")]],
         (["reduce", "--input", json.dumps({**_FREE_DQ, "connection": [5]})],
          "/input/connection/0: expected an object, got a number"),
         (["reduce", "--input", json.dumps({**_FREE_DQ, "connection": [{"q": 5}]})],
@@ -1613,7 +1631,9 @@ _FREE_DQ = {"dynamics": _FREE_DOC, "distribution": [_DQ_JSON]}
     ids=["flow-images-list", "flow-exps-string", "flow-name-not-string", "nilpotency-terms",
          "nilpotency-no-image", "nilpotency-unknown-generator", "frelate-name", "reduce-list",
          "reduce-unknown-key", "reduce-dynamics-missing", "reduce-dynamics", "reduce-distribution",
-         "reduce-distribution-empty", "reduce-connection", "reduce-connection-form",
+         "reduce-distribution-empty", "reduce-connection", "reduce-connection-zero",
+         "reduce-connection-false", "reduce-connection-empty-string",
+         "reduce-connection-empty-object", "reduce-connection-null", "reduce-connection-form",
          "reduce-connection-component", "reduce-connection-rank", "connection-object",
          "connection-exps-length", "bracket-generators", "bracket-generators-repeated",
          "bracket-poly-coeff", "bracket-poly-theta", "bracket-c-number", "bracket-c-shape",
@@ -1623,6 +1643,56 @@ def test_malformed_poly_and_derivation_json_names_its_path(capsys, argv, message
     """A polynomial, derivation, distribution, connection or generator
     document with a field missing, of the wrong JSON type or refused by its
     constructor is bad input naming the path at fault."""
+    for mode in ("--json", "--text"):
+        code, out, err = run_cli(capsys, *argv, mode)
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", f"input error: {message}\n")
+
+
+def test_an_empty_or_absent_connection_is_none(capsys):
+    """`reduce` reads `"connection": []` as it reads a left-out key."""
+    runs = [
+        run_cli(capsys, "reduce", "--input", json.dumps(doc), "--json")
+        for doc in (_FREE_DQ, {**_FREE_DQ, "connection": []})
+    ]
+    assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+
+
+def _parsed_derivation(**images: str) -> dict:
+    return PolyDerivation(GENS, {k: parse_poly(v, GENS) for k, v in images.items()}).to_json()
+
+
+_THETA_DQ = [_parsed_derivation(q="theta")]
+_X_DYNAMICS = PolyDerivation.from_linear_map(GeneratorSet.plain(["x"]), [[1]]).to_json()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["blocksplit", "--h", SIGMA_X, "--k", "1"], "/h: H is not block-diagonal at block size 1"),
+        (["evolve", "--h", json.dumps(Mat.from_rows([[0, 1], [0, 0]]).to_json()),
+          "--a", SIGMA_Z, "--t", "1"], "/h: Hamiltonian must be Hermitian"),
+        (["flow", "--f", "q", "--t", "1",
+          "--derivation", json.dumps(_parsed_derivation(q="q^2"))],
+         "/derivation: image of 'q' is not homogeneous linear"),
+        (["flow", "--f", "q", "--t", "1",
+          "--derivation", json.dumps(_parsed_derivation(q="theta*p", p="-q"))],
+         "/derivation: linear flow needs theta-free coefficients"),
+        (["reduce", "--input",
+          json.dumps({**_FREE_DQ, "dynamics": _parsed_derivation(q="theta*p")})],
+         "/input/dynamics: reduction solvers require theta-free polynomials"),
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "distribution": _THETA_DQ})],
+         "/input/distribution: reduction solvers require theta-free polynomials"),
+        (["connection", "--distribution", json.dumps(_THETA_DQ)],
+         "/distribution: reduction solvers require theta-free polynomials"),
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "dynamics": _X_DYNAMICS})],
+         "/input/dynamics: dynamics over a different generator set"),
+    ],
+    ids=["blocksplit", "evolve", "flow-nonlinear", "flow-theta", "reduce-dynamics-theta",
+         "reduce-distribution-theta", "connection-theta", "reduce-dynamics-generators"],
+)
+def test_semantic_errors_name_their_input(capsys, argv, message):
+    """A document that reads well but that the command cannot use is bad
+    input naming the document at fault."""
     for mode in ("--json", "--text"):
         code, out, err = run_cli(capsys, *argv, mode)
         assert (code, out, err) == (EXIT_BAD_INPUT, "", f"input error: {message}\n")
@@ -1699,6 +1769,24 @@ class TestDemos:
         code, payload, _ = run_json(capsys, "demo", "action-angle", *argv)
         assert code == EXIT_OK
         assert payload["result"]["modulus_error"] < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_defaults_are_the_functions_own(capsys, name):
+    """A demo run with no options prints the same payload as one given every
+    option at the default of the demo function; a None default has no
+    spelling on the command line and stays unset."""
+    demo, options = DEMOS[name]
+    params = inspect.signature(demo).parameters
+    explicit = []
+    for option, type_ in options.items():
+        default = params[option].default
+        if default is not None:
+            assert type_(str(default)) == default
+            explicit += [f"--{option}", str(default)]
+    bare = run_cli(capsys, "demo", name, "--json")
+    assert bare[0] == EXIT_OK
+    assert run_cli(capsys, "demo", name, *explicit, "--json") == bare
 
 
 class TestDeterminism:
