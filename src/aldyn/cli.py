@@ -422,9 +422,10 @@ def cmd_reduce(args) -> Report:
         {n: Poly.from_json(p, f"{at}/{j}/{n}") for n, p in json_object(f, f"{at}/{j}").items()}
         for j, f in enumerate(json_list(data.get("connection", []), at))
     ]
+    # The first solve refuses theta-carrying fields, before a connection is built on them.
+    basis = named("/input/distribution", invariant_subalgebra, dist, args.degree_cap)
     # [] or no "connection" means none is given
     connection = named(at, ConnectionP, dist, forms) if forms else None
-    basis = invariant_subalgebra(dist, args.degree_cap)
     split = named("/input/dynamics", split_dynamics, delta, dist, connection, args.ansatz_cap)
     norm = split.normalizer
     payload = {
@@ -490,7 +491,7 @@ def cmd_frelate(args) -> Report:
 def cmd_connection(args) -> Report:
     dist = _load_distribution(_load_json_arg(args.distribution, "/distribution"), "/distribution")
     check_monomial_budget("--degree-cap", len(dist.gens), args.degree_cap)
-    conn = find_connection(dist, args.degree_cap)
+    conn = named("/distribution", find_connection, dist, args.degree_cap)
     if conn is None:
         return Report(
             {"found": False},

@@ -189,19 +189,16 @@ def find_hamiltonian(
     """Search H of degree <= cap with X_H = delta, i.e. Lambda^{ab} d_b H =
     delta^a for all generators.
 
-    Exact linear solve over the coefficient space; None when no polynomial
-    Hamiltonian of that degree exists.  Inputs must be theta-free.
+    Exact linear solve over the coefficient space, over Q(i) like every
+    exact search (``poly.coefficient_column`` refuses a theta-carrying
+    tensor or dynamics); None when no polynomial Hamiltonian of that degree
+    exists.
     """
     gens = tensor.gens
     if delta.gens != gens:
         raise GeneratorMismatch("dynamics over a different generator set")
     fields = [y.components() for y in tensor.rows]
-    if not all(y.is_theta_free() for field in fields for y in field):
-        raise ValueError("inverse search requires theta-free tensors")
-    images = delta.components()
-    if not all(img.is_theta_free() for img in images):
-        raise ValueError("inverse search requires theta-free dynamics")
-    [h] = solve_preimage(gens, fields, [images], degree_cap)
+    [h] = solve_preimage(gens, fields, [delta.components()], degree_cap)
     return h
 
 

@@ -185,10 +185,20 @@ def coefficient_column(components: Sequence[Poly]) -> linalg.IntColumn:
     """The coefficients {(component, exps): value} of theta-free
     polynomials as one ``linalg.IntColumn``: the column of one unknown, or
     the target, of a linear system on polynomial coefficients (see
-    ``linalg.solve_columns``)."""
-    return linalg.integer_column(
-        {(a, exps): c.constant() for a, p in enumerate(components) for exps, c in p.terms.items()}
-    )
+    ``linalg.solve_columns``).
+
+    This is the one theta gate of the exact searches, which solve over
+    Q(i), not Q(i)[theta]: every column and target passes through it, and
+    a coefficient that carries theta is refused here."""
+    try:
+        values = {
+            (a, exps): c.constant()
+            for a, p in enumerate(components)
+            for exps, c in p.terms.items()
+        }
+    except ValueError:
+        raise ValueError("exact searches need theta-free polynomials") from None
+    return linalg.integer_column(values)
 
 
 def derivation_columns(

@@ -6,11 +6,13 @@ rejection), reduction along a polynomial map, polynomial connections dual
 to the spanning fields, and the split delta = delta^D + delta' with the
 commuting-decomposition verdict.
 
-Every existence question but the push-forward (whose columns are composed
-monomials, solved by ``linalg.solve_columns``) is a bounded-degree ansatz
-of ``poly.solve_combination`` or ``poly.solve_preimage``; when the ansatz
-fails without a pointwise certificate the honest answer is "inconclusive",
-never a guess.
+Every existence question is a bounded-degree ansatz read back by
+``poly._solve_ansatz``: ``poly.solve_combination``, ``poly.solve_preimage``,
+or the push-forward's composed monomials.  When the ansatz fails without a
+pointwise certificate the honest answer is "inconclusive", never a guess.
+Like every exact search, these solve over Q(i): ``poly.coefficient_column``
+refuses a theta-carrying field, dynamics or map at the first solve that
+reads it.
 """
 
 from __future__ import annotations
@@ -21,15 +23,9 @@ from typing import Mapping, Sequence
 from . import linalg
 from .derivations import PolyDerivation, apply, commutator_der
 from .poly import DEFAULT_ANSATZ_CAP, GeneratorMismatch, GeneratorSet, Poly, monomials
-from .poly import coefficient_column, solve_combination, solve_preimage
+from .poly import _solve_ansatz, coefficient_column, solve_combination, solve_preimage
 from .report import Verdict
 from .scalars import GaussRational
-
-
-def _require_theta_free(*polys: Poly):
-    for p in polys:
-        if not p.is_theta_free():
-            raise ValueError("reduction solvers require theta-free polynomials")
 
 
 class Distribution:
@@ -45,7 +41,6 @@ class Distribution:
         for f in fields:
             if f.gens != gens:
                 raise GeneratorMismatch("fields over different generator sets")
-            _require_theta_free(*f.images.values())
         self.gens = gens
         self.fields = fields
 
@@ -77,7 +72,6 @@ def express_in_fields(
     if not targets:
         return []
     rhs = [t.components() for t in targets]
-    _require_theta_free(*(img for t in rhs for img in t))
     return solve_combination(targets[0].gens, [y.components() for y in fields], rhs, ansatz_cap)
 
 
@@ -136,7 +130,8 @@ def normalizer_check(
 
     Membership is certified by polynomial coefficients within the ansatz
     cap; non-membership by a sample point where [delta, Y_j] leaves the
-    pointwise span of the Y_k.  Anything else is inconclusive.
+    pointwise span of the Y_k, for the smallest such j at its first such
+    point.  Anything else is inconclusive.
     """
     if delta.gens != dist.gens:
         raise GeneratorMismatch("dynamics over a different generator set")
@@ -144,20 +139,23 @@ def normalizer_check(
     coeffs = express_in_fields(brackets, dist.fields, ansatz_cap)
     if None not in coeffs:
         return NormalizerReport("member", coefficients=coeffs)
-    # Ansatz failed: look for a pointwise certificate.
-    j = coeffs.index(None)
+    # Ansatz failed: look for a pointwise certificate.  Every unexpressed
+    # bracket is a target at each point; once bracket j has left the span,
+    # only the brackets before it are still asked about.
+    pending = [j for j, c in enumerate(coeffs) if c is None]
+    witness = None
     for point in _sample_points(dist.gens):
         values = [_value_vector(f, point) for f in dist.fields]
-        [inside] = linalg.solve_columns(values, [_value_vector(brackets[j], point)])
-        if inside is None:
-            return NormalizerReport(
-                "non-member",
-                witness={
-                    "field_index": j,
-                    "point": {k: str(v) for k, v in point.items()},
-                },
-            )
-    return NormalizerReport("inconclusive")
+        sols = linalg.solve_columns(values, [_value_vector(brackets[j], point) for j in pending])
+        if None in sols:
+            i = sols.index(None)
+            witness = {"field_index": pending[i], "point": {k: str(v) for k, v in point.items()}}
+            del pending[i:]
+            if not pending:
+                break
+    if witness is None:
+        return NormalizerReport("inconclusive")
+    return NormalizerReport("non-member", witness=witness)
 
 
 def f_related_reduce(
@@ -171,15 +169,16 @@ def f_related_reduce(
     Solves delta(F^i) = g_i(F^1, ..., F^k) exactly for polynomials g_i of
     degree <= cap; returns the derivation x_i -> g_i on the target
     generators x1..xk, or None when some component is not expressible
-    within the cap.  The components must be theta-free and over the
-    generators of delta.
+    within the cap.  The components must be over the generators of delta;
+    the columns and targets are read back by ``poly._solve_ansatz``, as in
+    every other polynomial search.
     """
     if not components:
         raise ValueError("map needs at least one component")
     gens = delta.gens
     if any(c.gens != gens for c in components):
         raise GeneratorMismatch("map over a different generator set")
-    _require_theta_free(*components)
+    coefficient_column(components)  # the map through the theta gate, at cap 0 too
     target = GeneratorSet.plain([f"x{i+1}" for i in range(len(components))])
     monos = monomials(len(target), ansatz_cap)
     # Composed basis: each target monomial m' becomes prod_j (F^j)^{m'_j},
@@ -189,18 +188,10 @@ def f_related_reduce(
         j = next(j for j, e in enumerate(m) if e)
         composed[m] = composed[m[:j] + (m[j] - 1,) + m[j + 1 :]] * components[j]
     columns = [coefficient_column([p]) for p in composed.values()]
-    sols = linalg.solve_columns(
-        columns, [coefficient_column([apply(delta, fc)]) for fc in components]
-    )
+    sols = _solve_ansatz(target, monos, columns, [[apply(delta, fc)] for fc in components], 1)
     if None in sols:
         return None
-    return PolyDerivation(
-        target,
-        {
-            name: Poly.from_coefficients(target, monos, sol)
-            for name, sol in zip(target.names, sols)
-        },
-    )
+    return PolyDerivation(target, {name: g for name, [g] in zip(target.names, sols)})
 
 
 class ConnectionP:
@@ -212,17 +203,15 @@ class ConnectionP:
         if len(forms) != dist.rank:
             raise ValueError("one dual 1-form per spanning field required")
         gens = dist.gens
-        normalized = []
         for form in forms:
-            comp = {}
-            for name in gens.names:
-                p = form.get(name, Poly.zero(gens))
+            for name, p in form.items():
+                if name not in gens:
+                    raise ValueError(f"form component given for unknown generator {name!r}")
                 if p.gens != gens:
                     raise GeneratorMismatch("form component over a different generator set")
-                comp[name] = p
-            normalized.append(comp)
         self.dist = dist
-        self.forms = normalized
+        zero = Poly.zero(gens)
+        self.forms = [{name: form.get(name, zero) for name in gens.names} for form in forms]
         for j, y in enumerate(dist.fields):
             for k in range(dist.rank):
                 pairing = self._contract_with(y, k)
@@ -325,10 +314,12 @@ def split_dynamics(
     report is returned with the split, and a non-member or uncertified
     dynamics is the split's status.  When delta is itself a polynomial
     combination of the spanning fields, P(delta) = delta for every
-    admissible connection and no explicit one is needed; otherwise a
-    connection is taken from the caller or searched for, and its absence
-    within the cap is reported as inconclusive.
+    admissible connection, given or not; otherwise a connection is taken
+    from the caller or searched for, and its absence within the cap is
+    reported as inconclusive.
     """
+    if connection is not None and connection.dist.gens != delta.gens:
+        raise GeneratorMismatch("connection over a different generator set")
     report = normalizer_check(delta, dist, ansatz_cap)
     if report.status == "non-member":
         return SplitResult(
@@ -340,27 +331,24 @@ def split_dynamics(
             report,
             note="normalizer membership not certified within the ansatz cap",
         )
+    [membership] = express_in_fields([delta], dist.fields, ansatz_cap)
+    if membership is not None:
+        return SplitResult(
+            "ok",
+            report,
+            delta_d=delta,
+            delta_prime=PolyDerivation(delta.gens, {}),
+            commuting=True,
+            case="constants-of-motion",
+            note="dynamics lies in the distribution; P(delta) = delta "
+            "for every admissible connection",
+        )
     if connection is None:
-        [membership] = express_in_fields([delta], dist.fields, ansatz_cap)
-        if membership is not None:
-            zero = PolyDerivation(delta.gens, {})
-            return SplitResult(
-                "ok",
-                report,
-                delta_d=delta,
-                delta_prime=zero,
-                commuting=True,
-                case="constants-of-motion",
-                note="dynamics lies in the distribution; P(delta) = delta "
-                "for every admissible connection",
-            )
         connection = find_connection(dist, ansatz_cap)
         if connection is None:
             return SplitResult(
                 "inconclusive", report, note="no polynomial connection within the degree cap"
             )
-    elif connection.dist.gens != delta.gens:
-        raise GeneratorMismatch("connection over a different generator set")
     delta_d = connection_apply(connection, delta)
     delta_prime = delta - delta_d
     commuting = commutator_der(delta_d, delta_prime).is_zero()

@@ -145,6 +145,25 @@ def test_only_linalg_names_the_eliminator():
     assert naming == {"linalg"}
 
 
+def test_only_float_and_star_paths_read_is_theta_free():
+    """The exact searches solve over Q(i), and `poly.coefficient_column`,
+    which every column and target passes through, is their one theta gate.
+    `is_theta_free` is read only where theta cannot enter otherwise:
+    `scalars` and `poly` (the gate's `Scalar.constant` and the Laurent unit
+    of `Poly.__pow__`), `derivations` and `cli` (the float flow), and `moyal`
+    (the star tensor and the s-space closure), so a copy of the rule in
+    `reduction` or `poisson` cannot come back unnoticed."""
+    reading = {
+        path.stem
+        for path in SRC.glob("*.py")
+        if any(
+            name == "is_theta_free"
+            for _, name, _ in _references(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    }
+    assert reading == {"scalars", "poly", "derivations", "cli", "moyal"}
+
+
 # What an except clause may not name: Python's errors on a value of the
 # wrong type or shape, and the classes that catch everything.
 _CATCH_ALL = {"TypeError", "AttributeError", "KeyError", "Exception", "BaseException"}

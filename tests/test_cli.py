@@ -1662,6 +1662,8 @@ def _parsed_derivation(**images: str) -> dict:
 
 
 _THETA_DQ = [_parsed_derivation(q="theta")]
+_THETA_DYNAMICS = _parsed_derivation(q="theta*p")
+_ONE, _ZERO = Poly.one(GENS).to_json(), Poly.zero(GENS).to_json()
 _X_DYNAMICS = PolyDerivation.from_linear_map(GeneratorSet.plain(["x"]), [[1]]).to_json()
 
 
@@ -1678,17 +1680,30 @@ _X_DYNAMICS = PolyDerivation.from_linear_map(GeneratorSet.plain(["x"]), [[1]]).t
           "--derivation", json.dumps(_parsed_derivation(q="theta*p", p="-q"))],
          "/derivation: linear flow needs theta-free coefficients"),
         (["reduce", "--input",
-          json.dumps({**_FREE_DQ, "dynamics": _parsed_derivation(q="theta*p")})],
-         "/input/dynamics: reduction solvers require theta-free polynomials"),
+          json.dumps({**_FREE_DQ, "dynamics": _THETA_DYNAMICS})],
+         "/input/dynamics: exact searches need theta-free polynomials"),
+        # the same dynamics with a connection given: the split still asks
+        # whether it lies in the distribution, so it is refused the same way
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "dynamics": _THETA_DYNAMICS,
+                                           "connection": [{"q": _ONE, "p": _ZERO}]})],
+         "/input/dynamics: exact searches need theta-free polynomials"),
         (["reduce", "--input", json.dumps({**_FREE_DQ, "distribution": _THETA_DQ})],
-         "/input/distribution: reduction solvers require theta-free polynomials"),
+         "/input/distribution: exact searches need theta-free polynomials"),
+        # the fields are refused before a connection is built on them
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "distribution": _THETA_DQ,
+                                           "connection": [{"q": _ONE}]})],
+         "/input/distribution: exact searches need theta-free polynomials"),
         (["connection", "--distribution", json.dumps(_THETA_DQ)],
-         "/distribution: reduction solvers require theta-free polynomials"),
+         "/distribution: exact searches need theta-free polynomials"),
         (["reduce", "--input", json.dumps({**_FREE_DQ, "dynamics": _X_DYNAMICS})],
          "/input/dynamics: dynamics over a different generator set"),
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "connection": [{"q": _ONE, "r": _ZERO}]})],
+         "/input/connection: form component given for unknown generator 'r'"),
     ],
     ids=["blocksplit", "evolve", "flow-nonlinear", "flow-theta", "reduce-dynamics-theta",
-         "reduce-distribution-theta", "connection-theta", "reduce-dynamics-generators"],
+         "reduce-dynamics-theta-connection", "reduce-distribution-theta",
+         "reduce-distribution-theta-connection", "connection-theta",
+         "reduce-dynamics-generators", "reduce-connection-unknown-generator"],
 )
 def test_semantic_errors_name_their_input(capsys, argv, message):
     """A document that reads well but that the command cannot use is bad

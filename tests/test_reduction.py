@@ -99,6 +99,21 @@ class TestNormalizer:
         rep = normalizer_check(PolyDerivation(GENS, {"q": Poly.one(GENS)}), Distribution([y]))
         assert rep.status == "inconclusive"
 
+    def test_verdict_does_not_depend_on_field_order(self):
+        # On x, y, z with delta = -x d_y - y d_z: [delta, d_x] = d_y lies in
+        # span{d_x, x d_y} wherever x != 0 but is no polynomial combination,
+        # while [delta, x d_y] = x d_z leaves the span at (1, 1, 1).  Either
+        # order certifies non-membership through the second bracket.
+        gens = GeneratorSet.plain(["x", "y", "z"])
+        x, y = Poly.generator(gens, "x"), Poly.generator(gens, "y")
+        delta = PolyDerivation(gens, {"y": -x, "z": -y})
+        dx = PolyDerivation(gens, {"x": Poly.one(gens)})
+        x_dy = PolyDerivation(gens, {"y": x})
+        for fields, j in (([dx, x_dy], 1), ([x_dy, dx], 0)):
+            rep = normalizer_check(delta, Distribution(fields), 4)
+            assert rep.status == "non-member"
+            assert rep.witness == {"field_index": j, "point": {"x": "1", "y": "1", "z": "1"}}
+
 
 class TestFRelated:
     def test_free_momentum_projection(self):
@@ -128,13 +143,17 @@ class TestFRelated:
             ([], ValueError),
             ([Poly.generator(GeneratorSet.plain(["x"]), "x")], GeneratorMismatch),
             ([Q.scale(Scalar.theta())], ValueError),
+            # FREE(theta p) = 0: no target carries theta, only the map does
+            ([P.scale(Scalar.theta())], ValueError),
         ],
-        ids=["empty", "other-generators", "theta"],
+        ids=["empty", "other-generators", "theta", "theta-annihilated"],
     )
     def test_map_is_checked(self, components, error):
-        """The map has components, over the dynamics' generators, theta-free."""
-        with pytest.raises(error):
-            f_related_reduce(FREE, components)
+        """The map has components, over the dynamics' generators, theta-free,
+        at every cap; at cap 0 no column is built from the map."""
+        for cap in (0, 4):
+            with pytest.raises(error):
+                f_related_reduce(FREE, components, cap)
 
     def test_pushforward_identity_on_composites(self):
         # when it exists, delta(F) = g(F) exactly
@@ -214,6 +233,15 @@ class TestSplit:
         res = split_dynamics(EULER, d_euler)
         assert res.status == "inconclusive"
         assert "connection" in res.note
+
+    def test_theta_dynamics_refused_with_or_without_connection(self):
+        # [theta p d_q, d_q] = 0, so the normalizer check alone reads no
+        # theta; asking whether delta lies in the distribution does.
+        delta = PolyDerivation(GENS, {"q": P.scale(Scalar.theta())})
+        conn = ConnectionP(D_Q, [{"q": Poly.one(GENS)}])
+        for connection in (None, conn):
+            with pytest.raises(ValueError, match="theta-free"):
+                split_dynamics(delta, D_Q, connection)
 
     def test_non_member_rejected(self):
         res = split_dynamics(FREE, D_P)
