@@ -50,7 +50,14 @@ from .poisson import (
     jacobi_check,
     lie_poisson,
 )
-from .poly import DEFAULT_ANSATZ_CAP, GeneratorSet, Poly, check_budget, check_monomial_budget
+from .poly import (
+    DEFAULT_ANSATZ_CAP,
+    GeneratorSet,
+    Poly,
+    check_budget,
+    check_monomial_budget,
+    coefficient_column,
+)
 from .quantum import (
     InnerDerivation,
     MatrixSubspace,
@@ -474,7 +481,9 @@ def cmd_frelate(args) -> Report:
         for i, c in enumerate(args.map.split(";"))
     ]
     check_monomial_budget("--ansatz-cap", len(comps), args.ansatz_cap)
-    reduced = f_related_reduce(delta, comps, args.ansatz_cap)
+    for i, c in enumerate(comps):  # each component through the theta gate, naming it
+        named(f"/map/{i}", coefficient_column, [c])
+    reduced = named("/dynamics", f_related_reduce, delta, comps, args.ansatz_cap)
     if reduced is None:
         return Report(
             {"reducible": False},

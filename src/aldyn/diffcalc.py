@@ -3,8 +3,9 @@
 A k-form is the sparse sum  sum_I A_I alpha^I  over strictly increasing
 index tuples I, with matrix coefficients A_I and alpha^I the wedge of the
 dual 1-forms alpha^i (alpha^i(X_j) = delta^i_j 1); `KForm.coeffs` maps I to
-A_I.  Every sign comes from one rule, `_sort_sign`: the sign of the
-permutation that sorts an index tuple, or None when an index repeats.
+A_I.  Every sign is that of the permutation that sorts an index tuple
+(`_sort_sign`, None when an index repeats); for an index inserted into a
+sorted tuple, the parity of its place, found by `bisect`.
 
   wedge      (A alpha^I) ^ (B alpha^J) = AB alpha^{I+J}
   d          d(A alpha^I) = sum_j X_j(A) alpha^j ^ alpha^I + A d(alpha^I),
@@ -23,26 +24,29 @@ expanding [X_l, X_k] (note the order) in the matrix basis, as the
 coordinates of ``quantum.MatrixSubspace``.
 
 d runs in Gaussian integers over one common denominator.  Each basis keeps
-the nonzero entries of every generator (at most N for a Gell-Mann matrix)
-and the terms of every d(alpha^m), all scaled by the lcm of their
-denominators to (re, im) int pairs.  `exterior_d` brings the numerators of
-every coefficient of its form (each a `Mat` over one denominator) over the
-lcm of those denominators, accumulates each output coefficient in two int
-lists of length N^2, and builds each output `Mat` from them over the
-product of the two denominators (form lcm x basis lcm), with one gcd.
-`wedge` and `contract` are `Mat` products, sums and scalings, which run on
-ints too.
+a table of A -> [A, X_j] per generator, which also gives the structure
+constants: for each flat entry q of A, the merged terms (q', t) it adds to
+[A, X_j], cancelling ones dropped, real and imaginary parts t in two lists,
+so a real or imaginary Gell-Mann entry costs two int products.  With the
+terms of every d(alpha^m) they are ints over the basis lcm.  `exterior_d`
+brings its coefficients over the lcm of their denominators, negates each
+once for the alpha^j that land at odd places, accumulates each output in
+two int lists of length N^2 and builds it over the product of the two
+denominators, with one gcd.  d, `wedge`, `contract`, `+`, `-` and `scale`
+build their results with the trusted `_kform`, which only drops zeros.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import solve_columns
 from .matrices import Mat, _reduced
 from .poly import check_budget
-from .quantum import MatrixSubspace, commutator, commutator_columns
+from .quantum import MatrixSubspace, commutator_columns
 from .scalars import GR_I, GR_ONE, GaussRational, json_field, json_int, json_list, named
 
 
@@ -84,7 +88,7 @@ class DerivationBasis:
     are its ``coordinates``.
     """
 
-    __slots__ = ("n", "generators", "structure", "_den", "_gen_terms", "_d_alpha")
+    __slots__ = ("n", "generators", "structure", "_den", "_ad", "_d_alpha")
 
     def __init__(self, generators: Sequence[Mat]):
         space = MatrixSubspace(generators)
@@ -95,24 +99,21 @@ class DerivationBasis:
             raise ValueError("basis generators must be traceless")
         self.n = n
         self.generators = generators
-        self.structure = self._structure_constants(space)
+        # the tables over the generators' lcm, then over the basis lcm
+        gden = lcm(*(g.den for g in generators))
+        self._ad = [_ad_table(g, gden // g.den) for g in generators]
+        self.structure = self._structure_constants(space, gden)
         # d(alpha^m) as its terms (a, b, -c^m_ab), a < b, of alpha^a ^ alpha^b
         d_alpha: list[list[tuple[int, int, GaussRational]]] = [[] for _ in generators]
         for (a, b), entry in self.structure.items():
             if a < b:
                 for m, c in entry:
                     d_alpha[m].append((a, b, -c))
-        # Both as (., ., re, im) Gaussian integers over one denominator: the
-        # generators as (l, k, re, im) for each nonzero entry X_j[l][k].
-        den = lcm(*(g.den for g in generators), *(c.den for t in d_alpha for *_, c in t))
+        # the tables and d(alpha^m), as (a, b, re, im), over one denominator
+        den = lcm(gden, *(c.den for t in d_alpha for *_, c in t))
+        if den != gden:
+            self._ad = [_ad_table(g, den // g.den) for g in generators]
         self._den = den
-        self._gen_terms = [
-            [
-                (*divmod(p, n), x * (den // g.den), y * (den // g.den))
-                for p, (x, y) in g.flatten()[0].items()
-            ]
-            for g in generators
-        ]
         self._d_alpha = [
             [(a, b, c.re_num * (den // c.den), c.im_num * (den // c.den)) for a, b, c in t]
             for t in d_alpha
@@ -126,18 +127,23 @@ class DerivationBasis:
     def dim(self) -> int:
         return len(self.generators)
 
-    def _structure_constants(self, space: MatrixSubspace) -> dict:
+    def _structure_constants(self, space: MatrixSubspace, gden: int) -> dict:
         """c^j_{kl} with [X_k, X_l] = c^j_{kl} X_j as operators.
 
         Since X(A) = [A, X_matrix], the operator bracket corresponds to the
-        reversed matrix commutator: [X_k, X_l] = ad-style derivation of
-        [M_l, M_k].  Only k < l is solved for, all pairs in one solve;
+        reversed matrix commutator [M_l, M_k], read off the table of M_k
+        (over ``gden``).  Only k < l is solved for, all pairs in one solve;
         (l, k) is the exact negative, as [M_k, M_l] = -[M_l, M_k].
         """
-        gens = self.generators
+        n, gens = self.n, self.generators
         pairs = [(k, l) for k in range(self.dim) for l in range(k + 1, self.dim)]
-        # a commutator is traceless: its coordinates need no projection
-        brackets = [commutator(gens[l], gens[k]) for k, l in pairs]
+        entries = [_entries(g, 1) for g in gens]
+        brackets = []
+        for k, l in pairs:
+            re, im = [0] * (n * n), [0] * (n * n)
+            _ad_into(self._ad[k], entries[l], re, im)
+            # a commutator is traceless: its coordinates need no projection
+            brackets.append(_reduced(n, tuple(re), tuple(im), gens[l].den * gden))
         structure: dict[tuple[int, int], list[tuple[int, GaussRational]]] = {}
         for (k, l), coords in zip(pairs, space.coordinates(brackets)):
             if coords:
@@ -145,6 +151,47 @@ class DerivationBasis:
                 structure[(k, l)] = entry
                 structure[(l, k)] = [(j, -c) for j, c in entry]
         return structure
+
+
+def _ad_table(g: Mat, f: int) -> list[tuple[list, list]]:
+    """A -> [A, g] as a map on flat entries, on the numerators of g times f:
+    for each source q = (r, c), the terms (q', t) with [A, g][q'] += A[q] t,
+    as the list of the real parts t and the list of the imaginary parts.
+    A[r][c] adds g[c][k] to entry (r, k) and -g[l][r] to entry (l, c); the
+    two meet only at (r, c), as g[c][c] - g[r][r], which is 0 on equal
+    diagonal values."""
+    n = g.n
+    parts = [[] for _ in range(n * n)], [[] for _ in range(n * n)]
+    for terms, values in zip(parts, (g.re, g.im)):
+        for p, x in enumerate(values):
+            if x and p % (n + 1):
+                l, k = divmod(p, n)
+                for m in range(n):
+                    terms[m * n + l].append((m * n + k, x * f))
+                    terms[k * n + m].append((l * n + m, -x * f))
+        diag = values[:: n + 1]
+        for q in range(n * n) if any(diag) else ():
+            r, c = divmod(q, n)
+            if diag[c] != diag[r]:
+                terms[q].append((q, (diag[c] - diag[r]) * f))
+    return list(zip(*parts))
+
+
+def _entries(a: Mat, f: int) -> list[tuple[int, int, int]]:
+    """The nonzero entries (q, re, im) of a at flat positions q, numerators times f."""
+    return [(q, x * f, y * f) for q, (x, y) in enumerate(zip(a.re, a.im)) if x or y]
+
+
+def _ad_into(table: list[tuple[list, list]], entries: list, out_re: list, out_im: list) -> None:
+    """out += [A, g], for the nonzero entries (q, re, im) of A and the table of g."""
+    for q, ar, ai in entries:
+        re_terms, im_terms = table[q]
+        for s, t in re_terms:
+            out_re[s] += ar * t
+            out_im[s] += ai * t
+        for s, t in im_terms:
+            out_re[s] -= ai * t
+            out_im[s] += ar * t
 
 
 def _sort_sign(idx: tuple) -> tuple[tuple, int] | None:
@@ -161,14 +208,25 @@ def _sort_sign(idx: tuple) -> tuple[tuple, int] | None:
 
 
 def _add(out: dict, idx: tuple, sign: int, value: Mat) -> None:
-    """out[idx] += sign * value; the KForm constructor drops zero sums."""
+    """out[idx] += sign * value; `_kform` drops zero sums."""
     term = value if sign > 0 else -value
     s = out.get(idx)
     out[idx] = term if s is None else s + term
 
 
+def _kform(basis: DerivationBasis, degree: int, coeffs: dict[tuple, Mat]) -> "KForm":
+    """The KForm of ``coeffs``, valid index tuples of ``degree`` and n x n
+    values taken as they are; only the zero values are dropped."""
+    w = object.__new__(KForm)
+    w.basis = basis
+    w.degree = degree
+    w.coeffs = {idx: v for idx, v in coeffs.items() if not v.is_zero()}
+    return w
+
+
 class KForm:
-    """Alternating algebra-valued form over a DerivationBasis."""
+    """Alternating algebra-valued form over a DerivationBasis.  The public
+    constructor checks every index tuple and value; ``_kform`` checks none."""
 
     __slots__ = ("basis", "degree", "coeffs")
 
@@ -222,15 +280,13 @@ class KForm:
         out = dict(self.coeffs)
         for idx, v in other.coeffs.items():
             _add(out, idx, 1, v)
-        return KForm(self.basis, self.degree, out)
+        return _kform(self.basis, self.degree, out)
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + other.scale(-GR_ONE)
 
     def scale(self, c: GaussRational) -> "KForm":
-        return KForm(
-            self.basis, self.degree, {i: v.scale(c) for i, v in self.coeffs.items()}
-        )
+        return _kform(self.basis, self.degree, {i: v.scale(c) for i, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -312,7 +368,7 @@ def wedge(w1: KForm, w2: KForm) -> KForm:
     Values multiply in the algebra, so the result is not graded-commutative
     in general; a degree-0 operand acts as left or right multiplication.
     """
-    if w1.basis.generators != w2.basis.generators:
+    if w1.basis is not w2.basis and w1.basis.generators != w2.basis.generators:
         raise ValueError("forms over different derivation bases")
     out: dict[tuple, Mat] = {}
     for i, a in w1.coeffs.items():
@@ -320,7 +376,7 @@ def wedge(w1: KForm, w2: KForm) -> KForm:
             sorted_sign = _sort_sign(i + j)
             if sorted_sign:
                 _add(out, *sorted_sign, a @ b)
-    return KForm(w1.basis, w1.degree + w2.degree, out)
+    return _kform(w1.basis, w1.degree + w2.degree, out)
 
 
 def exterior_d(w: KForm) -> KForm:
@@ -333,71 +389,50 @@ def exterior_d(w: KForm) -> KForm:
     satisfies d(d w) = 0.
 
     Computed on ints: the numerators of every A_I over the lcm of their
-    denominators, the basis terms over the basis denominator, and each
+    denominators, the basis tables over the basis denominator, and each
     output coefficient built over the product of the two.
     """
     basis = w.basis
     n = basis.n
+    nn = n * n
     den = lcm(*(v.den for v in w.coeffs.values()))
     # sorted key -> (re, im) numerators of its coefficient, row-major
-    acc: dict[tuple, tuple[list[int], list[int]]] = {}
-
-    def target(key: tuple) -> tuple[list[int], list[int]]:
-        s = acc.get(key)
-        if s is None:
-            s = acc[key] = ([0] * (n * n), [0] * (n * n))
-        return s
-
+    acc: dict[tuple, tuple[list[int], list[int]]] = defaultdict(lambda: ([0] * nn, [0] * nn))
     for idx, v in w.coeffs.items():
-        # A's nonzero entries over den: all of them at their flat position,
-        # by column (with the row offset i n) and by row (with the column m)
-        flat, cols, rows = [], [[] for _ in range(n)], [[] for _ in range(n)]
-        f = den // v.den
-        for q, (re, im) in enumerate(zip(v.re, v.im)):
-            if re or im:
-                re, im = re * f, im * f
-                i, m = divmod(q, n)
-                flat.append((q, re, im))
-                cols[m].append((q - m, re, im))
-                rows[i].append((m, re, im))
-        # X_j(A) = [A, X_j]: each entry g = X_j[l][k] adds A[i][l] g to
-        # entry (i, k) and subtracts g A[k][m] from entry (l, m)
-        for j, terms in enumerate(basis._gen_terms):
-            sorted_sign = _sort_sign((j,) + idx)
-            if not sorted_sign:
+        # A's nonzero entries over den, (q, re, im), and their negatives
+        pos = _entries(v, den // v.den)
+        neg = [(q, -re, -im) for q, re, im in pos]
+        # X_j(A) alpha^j ^ alpha^I, X_j(A) = [A, X_j] read off the table of X_j
+        for j, table in enumerate(basis._ad):
+            p = bisect_left(idx, j)
+            if idx[p : p + 1] == (j,):
                 continue
-            key, sign = sorted_sign
-            out_re, out_im = target(key)
-            for l, k, gr, gi in terms:
-                if sign < 0:
-                    gr, gi = -gr, -gi
-                for i_n, ar, ai in cols[l]:
-                    out_re[i_n + k] += ar * gr - ai * gi
-                    out_im[i_n + k] += ar * gi + ai * gr
-                l_n = l * n
-                for m, ar, ai in rows[k]:
-                    out_re[l_n + m] -= gr * ar - gi * ai
-                    out_im[l_n + m] -= gr * ai + gi * ar
-        # A d(alpha^I)
+            _ad_into(table, neg if p % 2 else pos, *acc[idx[:p] + (j,) + idx[p:]])
+        # A d(alpha^I): alpha^a ^ alpha^b moved to the front of the rest is even
         for p, m in enumerate(idx):
+            rest = idx[:p] + idx[p + 1 :]
             for a, b, cr, ci in basis._d_alpha[m]:
-                sorted_sign = _sort_sign(idx[:p] + (a, b) + idx[p + 1 :])
-                if not sorted_sign:
+                pa, pb = bisect_left(rest, a), bisect_left(rest, b)
+                if rest[pa : pa + 1] == (a,) or rest[pb : pb + 1] == (b,):
                     continue
-                key, sign = sorted_sign
-                if (sign if p % 2 == 0 else -sign) < 0:
+                if (p + pa + pb) % 2:
                     cr, ci = -cr, -ci
-                out_re, out_im = target(key)
-                for q, ar, ai in flat:
-                    out_re[q] += ar * cr - ai * ci
-                    out_im[q] += ar * ci + ai * cr
+                out_re, out_im = acc[rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]]
+                if cr:
+                    for q, ar, ai in pos:
+                        out_re[q] += ar * cr
+                        out_im[q] += ai * cr
+                if ci:
+                    for q, ar, ai in pos:
+                        out_re[q] -= ai * ci
+                        out_im[q] += ar * ci
     total = den * basis._den
     out = {
         key: _reduced(n, tuple(re), tuple(im), total)
         for key, (re, im) in acc.items()
         if any(re) or any(im)
     }
-    return KForm(basis, w.degree + 1, out)
+    return _kform(basis, w.degree + 1, out)
 
 
 def contract(x_coeffs: Sequence[GaussRational], w: KForm) -> KForm:
@@ -410,7 +445,7 @@ def contract(x_coeffs: Sequence[GaussRational], w: KForm) -> KForm:
             c = x_coeffs[i]
             if not c.is_zero():
                 _add(out, idx[:pos] + idx[pos + 1 :], -1 if pos % 2 else 1, v.scale(c))
-    return KForm(w.basis, w.degree - 1, out)
+    return _kform(w.basis, w.degree - 1, out)
 
 
 def lie_derivative(x_coeffs: Sequence[GaussRational], w: KForm) -> KForm:

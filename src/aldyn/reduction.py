@@ -195,7 +195,8 @@ def f_related_reduce(
 
 
 class ConnectionP:
-    """P = Y_j (x) alpha^j with the duality i_{Y_j} alpha^k = delta^k_j."""
+    """P = Y_j (x) alpha^j with the duality i_{Y_j} alpha^k = delta^k_j, for
+    theta-free forms alpha^k."""
 
     __slots__ = ("dist", "forms")
 
@@ -209,6 +210,7 @@ class ConnectionP:
                     raise ValueError(f"form component given for unknown generator {name!r}")
                 if p.gens != gens:
                     raise GeneratorMismatch("form component over a different generator set")
+            coefficient_column(list(form.values()))  # the forms through the theta gate
         self.dist = dist
         zero = Poly.zero(gens)
         self.forms = [{name: form.get(name, zero) for name in gens.names} for form in forms]

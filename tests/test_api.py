@@ -129,20 +129,25 @@ def test_library_api_names_exist():
     assert sorted(LIBRARY_API - defined) == []
 
 
+def _naming(wanted: str) -> set[str]:
+    """The modules of `src/aldyn` that name `wanted`, in an import or
+    anywhere else."""
+    return {
+        path.stem
+        for path in SRC.glob("*.py")
+        if any(
+            name == wanted
+            for _, name, _ in _references(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    }
+
+
 def test_only_linalg_names_the_eliminator():
     """Every linear question goes through `linalg.solve_columns`: no module
     of `src/aldyn` but `linalg` names `SparseEliminator`, in an import or
     anywhere else, so a second way into the eliminator cannot come back
     unnoticed."""
-    naming = {
-        path.stem
-        for path in SRC.glob("*.py")
-        if any(
-            name == "SparseEliminator"
-            for _, name, _ in _references(ast.parse(path.read_text(encoding="utf-8")))
-        )
-    }
-    assert naming == {"linalg"}
+    assert _naming("SparseEliminator") == {"linalg"}
 
 
 def test_only_float_and_star_paths_read_is_theta_free():
@@ -153,15 +158,15 @@ def test_only_float_and_star_paths_read_is_theta_free():
     of `Poly.__pow__`), `derivations` and `cli` (the float flow), and `moyal`
     (the star tensor and the s-space closure), so a copy of the rule in
     `reduction` or `poisson` cannot come back unnoticed."""
-    reading = {
-        path.stem
-        for path in SRC.glob("*.py")
-        if any(
-            name == "is_theta_free"
-            for _, name, _ in _references(ast.parse(path.read_text(encoding="utf-8")))
-        )
-    }
-    assert reading == {"scalars", "poly", "derivations", "cli", "moyal"}
+    assert _naming("is_theta_free") == {"scalars", "poly", "derivations", "cli", "moyal"}
+
+
+def test_only_diffcalc_builds_trusted_forms():
+    """`diffcalc._kform` takes index tuples and values as they are, which
+    holds only for the results of d, wedge, contract, +, - and scale: no
+    module of `src/aldyn` but `diffcalc` names it, so forms built elsewhere
+    go through the checks of the public `KForm`."""
+    assert _naming("_kform") == {"diffcalc"}
 
 
 # What an except clause may not name: Python's errors on a value of the

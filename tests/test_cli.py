@@ -1664,6 +1664,7 @@ def _parsed_derivation(**images: str) -> dict:
 _THETA_DQ = [_parsed_derivation(q="theta")]
 _THETA_DYNAMICS = _parsed_derivation(q="theta*p")
 _ONE, _ZERO = Poly.one(GENS).to_json(), Poly.zero(GENS).to_json()
+_THETA = parse_poly("theta", GENS).to_json()
 _X_DYNAMICS = PolyDerivation.from_linear_map(GeneratorSet.plain(["x"]), [[1]]).to_json()
 
 
@@ -1699,11 +1700,24 @@ _X_DYNAMICS = PolyDerivation.from_linear_map(GeneratorSet.plain(["x"]), [[1]]).t
          "/input/dynamics: dynamics over a different generator set"),
         (["reduce", "--input", json.dumps({**_FREE_DQ, "connection": [{"q": _ONE, "r": _ZERO}]})],
          "/input/connection: form component given for unknown generator 'r'"),
+        # i_Y alpha = 1 holds, but the split would carry theta into a
+        # theta-free dynamics: the forms pass the gate too
+        (["reduce", "--input", json.dumps({**_FREE_DQ, "dynamics": _parsed_derivation(q="p", p="p"),
+                                           "connection": [{"q": _ONE, "p": _THETA}]})],
+         "/input/connection: exact searches need theta-free polynomials"),
+        (["frelate", "--dynamics", "free", "--map", "theta*q"],
+         "/map/0: exact searches need theta-free polynomials"),
+        (["frelate", "--dynamics", "free", "--map", "q; p; theta*p"],
+         "/map/2: exact searches need theta-free polynomials"),
+        (["frelate", "--dynamics", json.dumps(_THETA_DYNAMICS), "--map", "q"],
+         "/dynamics: exact searches need theta-free polynomials"),
     ],
     ids=["blocksplit", "evolve", "flow-nonlinear", "flow-theta", "reduce-dynamics-theta",
          "reduce-dynamics-theta-connection", "reduce-distribution-theta",
          "reduce-distribution-theta-connection", "connection-theta",
-         "reduce-dynamics-generators", "reduce-connection-unknown-generator"],
+         "reduce-dynamics-generators", "reduce-connection-unknown-generator",
+         "reduce-connection-theta", "frelate-map-theta", "frelate-map-theta-third",
+         "frelate-dynamics-theta"],
 )
 def test_semantic_errors_name_their_input(capsys, argv, message):
     """A document that reads well but that the command cannot use is bad

@@ -535,6 +535,15 @@ class TestAgainstReference:
                     w2 = random_form(basis, deg2, rng, terms=2)
                     assert wedge(w1, w2) == ref_wedge(w1, w2), (deg1, deg2)
 
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_exterior_d_on_b4(self, degree):
+        # B(C^4): generators with three nonzero diagonal values, and tables
+        # with twice as many sources as on B(C^3)
+        rng = random.Random(160 + degree)
+        for _ in range(3):
+            w = random_form(B4, degree, rng)
+            assert exterior_d(w) == ref_exterior_d(w)
+
     @pytest.mark.parametrize("basis", [B2, B3, B4], ids=["N2", "N3", "N4"])
     def test_dual_forms(self, basis):
         duals = [KForm.dual_form(basis, j) for j in range(basis.dim)]
@@ -561,6 +570,60 @@ class TestAgainstReference:
         w = random_form(basis, 3, rng)
         for idx in itertools.product(range(basis.dim), repeat=3):
             assert w.value(idx) == ref_value(w, idx)
+
+
+def assert_valid(w: KForm):
+    """What the public constructor checks, and no zero value: each key a
+    strictly increasing tuple of `degree` ints in range, each value a
+    nonzero n x n Mat."""
+    for idx, v in w.coeffs.items():
+        assert type(idx) is tuple and len(idx) == w.degree, idx
+        assert all(type(i) is int and 0 <= i < w.basis.dim for i in idx), idx
+        assert all(a < b for a, b in zip(idx, idx[1:])), idx
+        assert isinstance(v, Mat) and v.n == w.basis.n and not v.is_zero(), (idx, v)
+
+
+class TestResultsAreValidForms:
+    """d, wedge, contract, +, - and scale build their results without the
+    public constructor's checks; each result still passes them."""
+
+    @pytest.mark.parametrize(
+        "basis", [B2, B3, B3_DENSE, B3_RATIONAL], ids=["N2", "N3", "N3-dense", "N3-rational"]
+    )
+    def test_operations(self, basis):
+        rng = random.Random(170 + basis.n)
+        x = [random_gauss(rng) for _ in range(basis.dim)]
+        for degree in range(3):
+            w = random_form(basis, degree, rng)
+            other = random_form(basis, degree, rng)
+            results = [exterior_d(w), w + other, w - other, w.scale(random_gauss(rng))]
+            results += [wedge(w, random_form(basis, d, rng, terms=2)) for d in range(3 - degree)]
+            if degree:
+                results.append(contract(x, w))
+            for r in results:
+                assert_valid(r)
+
+    @pytest.mark.parametrize("basis", [B2, B3], ids=["N2", "N3"])
+    def test_cancellations_leave_no_zero_value(self, basis):
+        rng = random.Random(180 + basis.n)
+        w = random_form(basis, 1, rng)
+        alpha = KForm.dual_form(basis, 1)
+        ident = KForm.from_matrix(basis, Mat.identity(basis.n))
+        x = unit_field(basis, 0)
+        cancelling = [
+            w - w,
+            w + w.scale(-GR_ONE),
+            w.scale(GR_ZERO),
+            wedge(alpha, alpha),
+            exterior_d(ident),
+            exterior_d(exterior_d(w)),
+            contract(x, contract(x, wedge(KForm.dual_form(basis, 0), alpha))),
+        ]
+        for r in cancelling:
+            assert_valid(r)
+            assert r.coeffs == {} and r.is_zero()
+        # part of d w - d w' cancels: the rest keeps no zero value
+        assert_valid(exterior_d(w) - exterior_d(w + alpha))
 
 
 class TestExactness:

@@ -198,6 +198,12 @@ class TestConnection:
         with pytest.raises(ValueError):
             ConnectionP(D_Q, [{"q": Q}])
 
+    def test_theta_form_refused(self):
+        # i_{d/dq} alpha = 1 holds: only the gate sees the theta in dp
+        form = {"q": Poly.one(GENS), "p": Poly.one(GENS).scale(Scalar.theta())}
+        with pytest.raises(ValueError, match="exact searches need theta-free polynomials"):
+            ConnectionP(D_Q, [form])
+
     def test_no_polynomial_connection_for_rotation(self):
         # i_Y alpha = 1 has no polynomial solution: the field vanishes at 0
         assert find_connection(D_ROT, 4) is None
