@@ -12,6 +12,14 @@ payload is canonical (sorted keys, fixed separators), strict JSON and
 byte-for-byte reproducible: a value no finite float can hold, as an option,
 a JSON entry or a float result, is malformed input.  Wall time is only
 ever printed in text mode.
+
+A cold process pays only for the command it runs.  At module level this
+module imports only the standard library, `report`, `scalars` and `demos`,
+which imports no more; each handler and demo imports the library functions
+it calls when it runs.  `main` builds the subparser of argv's first token
+alone, and under `demo` only the demo named next.  Only an argv that names
+no subcommand (`aldyn`, `aldyn --help`, a misspelt name) builds all of
+them, and `demo --help` every demo.
 """
 
 from __future__ import annotations
@@ -20,69 +28,21 @@ import argparse
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import linalg
-from .demos import DEMOS, FLOAT_SAFETY, LINEAR_DYNAMICS, finite_float, rounding_bound
-from .demos import linear_dynamics
-from .derivations import (
-    DEFAULT_NILPOTENCY_CUTOFF,
-    NonTruncatingFlow,
-    PolyDerivation,
-    apply,
-    flow_at,
-    flow_linear,
-    flow_nilpotent,
-    linear_coefficient_matrix,
-    nilpotency_order,
-)
-from .diffcalc import DerivationBasis, KForm, contract, exterior_d, lie_derivative, wedge
-from .matrices import Mat
-from .moyal import StarAlgebraContext, star, star_commutator
-from .parsing import parse_poly
-from .poisson import (
-    ABELIAN,
-    HEISENBERG,
-    SU2,
-    PoissonTensor,
-    bracket,
-    casimir_check,
-    hamiltonian_field,
-    jacobi_check,
-    lie_poisson,
-)
-from .poly import (
-    DEFAULT_ANSATZ_CAP,
-    GeneratorSet,
-    Poly,
-    check_budget,
-    check_monomial_budget,
-    coefficient_column,
-)
-from .quantum import (
-    InnerDerivation,
-    MatrixSubspace,
-    _mat_biderivations,
-    block_split,
-    commutant,
-    commutator,
-    commutator_bracket_vector,
-    evolve,
-    heisenberg_derivative,
-    invariance_check,
-)
-from .reduction import (
-    ConnectionP,
-    Distribution,
-    connection_apply,
-    f_related_reduce,
-    find_connection,
-    invariant_subalgebra,
-    invariance_of_subalgebra,
-    split_dynamics,
-)
+from .demos import DEMOS, FLOAT_SAFETY, LINEAR_DYNAMICS, finite_float, linear_dynamics
+from .demos import rounding_bound
 from .report import EXIT_BAD_INPUT, Report
 from .scalars import GaussRational, Scalar, json_field, json_list, json_object, named, rational
 from .scalars import to_float
+
+if TYPE_CHECKING:
+    from .derivations import PolyDerivation
+    from .diffcalc import DerivationBasis, KForm
+    from .moyal import StarAlgebraContext
+    from .poisson import PoissonTensor
+    from .poly import GeneratorSet, Poly
+    from .reduction import Distribution
 
 
 def _load_json_arg(text: str, path: str):
@@ -101,19 +61,19 @@ def _load_json_arg(text: str, path: str):
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-TENSOR_PRESETS = {
-    "canonical2": lambda: PoissonTensor.canonical(1),
-    "canonical4": lambda: PoissonTensor.canonical(2),
-    "canonical6": lambda: PoissonTensor.canonical(3),
-    "su2": lambda: lie_poisson(SU2),
-    "heisenberg": lambda: lie_poisson(HEISENBERG),
-    "abelian": lambda: lie_poisson(ABELIAN),
-}
-
-
 def _load_tensor(spec: str) -> PoissonTensor:
-    if spec in TENSOR_PRESETS:
-        return TENSOR_PRESETS[spec]()
+    from .poisson import ABELIAN, HEISENBERG, SU2, PoissonTensor, lie_poisson
+
+    presets = {
+        "canonical2": lambda: PoissonTensor.canonical(1),
+        "canonical4": lambda: PoissonTensor.canonical(2),
+        "canonical6": lambda: PoissonTensor.canonical(3),
+        "su2": lambda: lie_poisson(SU2),
+        "heisenberg": lambda: lie_poisson(HEISENBERG),
+        "abelian": lambda: lie_poisson(ABELIAN),
+    }
+    if spec in presets:
+        return presets[spec]()
     data = _load_json_arg(spec, "/tensor")
     if isinstance(data, dict) and "c" in data:
         return named("/tensor", lie_poisson, data["c"])
@@ -121,18 +81,25 @@ def _load_tensor(spec: str) -> PoissonTensor:
 
 
 def _load_derivation(spec: str, path: str = "/derivation") -> PolyDerivation:
+    from .derivations import PolyDerivation
+
     if spec in LINEAR_DYNAMICS:
         return linear_dynamics(spec)
     return PolyDerivation.from_json(_load_json_arg(spec, path), path)
 
 
 def _load_distribution(data, path: str) -> Distribution:
+    from .derivations import PolyDerivation
+    from .reduction import Distribution
+
     data = json_list(data, path)
     fields = [PolyDerivation.from_json(d, f"{path}/{i}") for i, d in enumerate(data)]
     return named(path, Distribution, fields)
 
 
 def _parse_expr(text: str, gens: GeneratorSet, path: str) -> Poly:
+    from .parsing import parse_poly
+
     return named(path, parse_poly, text, gens)
 
 
@@ -167,6 +134,8 @@ def _poly_result(r: Poly, theta: str | None) -> dict:
 
 
 def cmd_bracket(args) -> Report:
+    from .poisson import bracket
+
     tensor = _load_tensor(args.tensor)
     f = _parse_expr(args.f, tensor.gens, "/f")
     g = _parse_expr(args.g, tensor.gens, "/g")
@@ -179,6 +148,8 @@ def cmd_bracket(args) -> Report:
 
 
 def cmd_jacobi(args) -> Report:
+    from .poisson import jacobi_check
+
     tensor = _load_tensor(args.tensor)
     rep = jacobi_check(tensor)
     checks = {"cyclic sum vanishes on all triples": rep.ok}
@@ -197,6 +168,9 @@ def cmd_jacobi(args) -> Report:
 
 
 def cmd_hamfield(args) -> Report:
+    from .derivations import apply
+    from .poisson import hamiltonian_field
+
     tensor = _load_tensor(args.tensor)
     h = _parse_expr(args.h, tensor.gens, "/h")
     d = hamiltonian_field(tensor, h)
@@ -209,6 +183,9 @@ def cmd_hamfield(args) -> Report:
 
 def _star_operands(pairs: int, f: str, g: str) -> tuple[StarAlgebraContext, Poly, Poly]:
     """The canonical context on `pairs` pairs, with f and g parsed over it."""
+    from .moyal import StarAlgebraContext
+    from .poly import check_budget
+
     if pairs < 1:
         raise ValueError("--pairs: phase space needs at least one pair")
     check_budget("--pairs", (2 * pairs) ** 2, "(2 pairs)^2 tensor components")
@@ -217,6 +194,8 @@ def _star_operands(pairs: int, f: str, g: str) -> tuple[StarAlgebraContext, Poly
 
 
 def cmd_star(args) -> Report:
+    from .moyal import star
+
     ctx, f, g = _star_operands(args.pairs, args.f, args.g)
     r = star(ctx, f, g)
     limit_ok = r.theta_graded_part(0) == (f * g).theta_graded_part(0)
@@ -228,6 +207,9 @@ def cmd_star(args) -> Report:
 
 
 def cmd_starcomm(args) -> Report:
+    from .moyal import star, star_commutator
+    from .poisson import bracket
+
     ctx, f, g = _star_operands(args.pairs, args.f, args.g)
     r = star_commutator(ctx, f, g)
     # [f, g]_* = i theta {f, g} + O(theta^3), so the theta^1 part of the
@@ -249,6 +231,9 @@ def cmd_starcomm(args) -> Report:
 
 def cmd_flow(args) -> Report:
     """The exact series when it truncates, else the float linear flow."""
+    from .derivations import NonTruncatingFlow, flow_at, flow_linear, flow_nilpotent
+    from .derivations import linear_coefficient_matrix
+
     d = _load_derivation(args.derivation)
     f = _parse_expr(args.f, d.gens, "/f")
     try:
@@ -279,6 +264,8 @@ def cmd_flow(args) -> Report:
 
 
 def cmd_nilpotency(args) -> Report:
+    from .derivations import nilpotency_order
+
     d = _load_derivation(args.derivation)
     if args.cutoff < 1:
         raise ValueError("--cutoff: cutoff must be >= 1")
@@ -306,6 +293,9 @@ def _central_difference_bound(h_norm: float, a_norm: float, dt: float) -> float:
 
 def cmd_evolve(args) -> Report:
     import numpy as np
+
+    from .matrices import Mat
+    from .quantum import evolve, heisenberg_derivative
 
     h = Mat.from_json(_load_json_arg(args.h, "/h"), "/h")
     a = Mat.from_json(_load_json_arg(args.a, "/a"), "/a")
@@ -338,6 +328,9 @@ def cmd_evolve(args) -> Report:
 
 
 def cmd_commutant(args) -> Report:
+    from .poly import check_budget
+    from .quantum import MatrixSubspace, commutant
+
     space = MatrixSubspace.from_json(_load_json_arg(args.subspace, "/subspace"), "/subspace")
     n, k = space.n, space.dimension()
     check_budget("/subspace", n**2 * k * n**2, "n^2 unknowns x k n^2 commutant equations")
@@ -355,6 +348,9 @@ def cmd_commutant(args) -> Report:
 
 
 def cmd_invariance(args) -> Report:
+    from .matrices import Mat
+    from .quantum import MatrixSubspace, invariance_check
+
     h = Mat.from_json(_load_json_arg(args.h, "/h"), "/h")
     space = MatrixSubspace.from_json(_load_json_arg(args.subspace, "/subspace"), "/subspace")
     if h.n != space.n:
@@ -372,6 +368,9 @@ def cmd_invariance(args) -> Report:
 
 
 def cmd_blocksplit(args) -> Report:
+    from .matrices import Mat
+    from .quantum import InnerDerivation, block_split
+
     h = Mat.from_json(_load_json_arg(args.h, "/h"), "/h")
     if not 0 < args.k < h.n:
         raise ValueError(f"--k: need 0 < k < n, and /h is {h.n}x{h.n}")
@@ -391,11 +390,14 @@ def cmd_blocksplit(args) -> Report:
 
 
 def cmd_biderivation(args) -> Report:
+    from .linalg import integer_column, solve_columns
+    from .quantum import _mat_biderivations, commutator_bracket_vector
+
     sols, (equations, unknowns, rank) = _mat_biderivations(args.n)
     cvec = commutator_bracket_vector(args.n)
     # the commutator vanishes on Mat_1, whose answer is then the zero space
-    in_span = len(sols) == (1 if cvec else 0) and None not in linalg.solve_columns(
-        [linalg.integer_column(s) for s in sols], [linalg.integer_column(cvec)]
+    in_span = len(sols) == (1 if cvec else 0) and None not in solve_columns(
+        [integer_column(s) for s in sols], [integer_column(cvec)]
     )
     return Report(
         {
@@ -416,6 +418,11 @@ def cmd_biderivation(args) -> Report:
 
 
 def cmd_reduce(args) -> Report:
+    from .derivations import PolyDerivation
+    from .poly import Poly, check_monomial_budget
+    from .reduction import ConnectionP, invariance_of_subalgebra, invariant_subalgebra
+    from .reduction import split_dynamics
+
     data = json_object(_load_json_arg(args.input, "/input"), "/input")
     unknown = sorted(data.keys() - {"dynamics", "distribution", "connection"})
     if unknown:
@@ -475,6 +482,9 @@ def cmd_reduce(args) -> Report:
 
 
 def cmd_frelate(args) -> Report:
+    from .poly import check_monomial_budget, coefficient_column
+    from .reduction import f_related_reduce
+
     delta = _load_derivation(args.dynamics, "/dynamics")
     comps = [
         _parse_expr(c.strip(), delta.gens, f"/map/{i}")
@@ -498,6 +508,9 @@ def cmd_frelate(args) -> Report:
 
 
 def cmd_connection(args) -> Report:
+    from .poly import check_monomial_budget
+    from .reduction import connection_apply, find_connection
+
     dist = _load_distribution(_load_json_arg(args.distribution, "/distribution"), "/distribution")
     check_monomial_budget("--degree-cap", len(dist.gens), args.degree_cap)
     conn = named("/distribution", find_connection, dist, args.degree_cap)
@@ -517,10 +530,14 @@ def cmd_connection(args) -> Report:
 
 def _load_form(spec: str, path: str, basis: DerivationBasis | None = None) -> KForm:
     """A form from JSON, over `basis` if one is given."""
+    from .diffcalc import KForm
+
     return KForm.from_json(_load_json_arg(spec, path), basis, path)
 
 
 def cmd_dform(args) -> Report:
+    from .diffcalc import exterior_d
+
     w = _load_form(args.form, "/form")
     dw = exterior_d(w)
     return Report(
@@ -531,6 +548,8 @@ def cmd_dform(args) -> Report:
 
 
 def cmd_wedge(args) -> Report:
+    from .diffcalc import wedge
+
     w1 = _load_form(args.form1, "/form1")
     w = wedge(w1, _load_form(args.form2, "/form2", w1.basis))
     return Report({"form": w.to_json()}, lines=[f"wedge has degree {w.degree}"])
@@ -544,6 +563,8 @@ def _parse_coeff_vector(text: str, dim: int, path: str) -> list[GaussRational]:
 
 
 def cmd_contract(args) -> Report:
+    from .diffcalc import contract
+
     w = _load_form(args.form, "/form")
     x = _parse_coeff_vector(args.x, w.basis.dim, "/x")
     r = contract(x, w)
@@ -551,6 +572,10 @@ def cmd_contract(args) -> Report:
 
 
 def cmd_lieder(args) -> Report:
+    from .diffcalc import lie_derivative
+    from .matrices import Mat
+    from .quantum import commutator
+
     w = _load_form(args.form, "/form")
     x = _parse_coeff_vector(args.x, w.basis.dim, "/x")
     r = lie_derivative(x, w)
@@ -568,6 +593,8 @@ def cmd_lieder(args) -> Report:
 
 
 def cmd_casimir(args) -> Report:
+    from .poisson import casimir_check
+
     tensor = _load_tensor(args.tensor)
     c = _parse_expr(args.c, tensor.gens, "/c")
     rep = casimir_check(tensor, c)
@@ -594,7 +621,12 @@ def cmd_demo(args) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None, demo: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; when `command` names one, only its
+    subparser, and under `demo` only the demo `demo` when it names one.
+    The narrowed parser's usage line still lists every command, so for an
+    argv that starts with `command` and `demo` it prints what the full
+    parser prints."""
     # The format flags default to SUPPRESS so that a nested demo parser does
     # not reset a --json given before the demo name.
     common = argparse.ArgumentParser(add_help=False)
@@ -608,64 +640,84 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(as_json=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    names = []
 
-    def add(name: str, fn, *required: str) -> argparse.ArgumentParser:
+    def add(name: str, fn, *required: str) -> argparse.ArgumentParser | None:
+        """The subparser `name` with its required options, or None when
+        only another command is built."""
+        names.append(name)
+        if command not in (None, name):
+            return None
         p = sub.add_parser(name, parents=[common])
         for flag in required:
             p.add_argument(flag, required=True)
         p.set_defaults(fn=fn)
         return p
 
+    def caps(p: argparse.ArgumentParser, *flags: str):
+        from .poly import DEFAULT_ANSATZ_CAP
+
+        for flag in flags:
+            p.add_argument(flag, type=int, default=DEFAULT_ANSATZ_CAP)
+
     theta_help = "rational value substituted for theta"
 
-    add("bracket", cmd_bracket, "--tensor", "--f", "--g").add_argument("--theta", help=theta_help)
+    if p := add("bracket", cmd_bracket, "--tensor", "--f", "--g"):
+        p.add_argument("--theta", help=theta_help)
     add("jacobi", cmd_jacobi, "--tensor")
     add("hamfield", cmd_hamfield, "--tensor", "--h")
     for name, fn in (("star", cmd_star), ("starcomm", cmd_starcomm)):
-        p = add(name, fn, "--f", "--g")
-        p.add_argument("--pairs", type=int, default=1)
-        p.add_argument("--theta", help=theta_help)
+        if p := add(name, fn, "--f", "--g"):
+            p.add_argument("--pairs", type=int, default=1)
+            p.add_argument("--theta", help=theta_help)
 
-    p = add("flow", cmd_flow, "--f")
-    p.add_argument("--derivation", required=True, help="preset name or derivation JSON")
-    p.add_argument("--t", default=None)
+    if p := add("flow", cmd_flow, "--f"):
+        p.add_argument("--derivation", required=True, help="preset name or derivation JSON")
+        p.add_argument("--t", default=None)
 
-    add("nilpotency", cmd_nilpotency, "--derivation").add_argument(
-        "--cutoff", type=int, default=DEFAULT_NILPOTENCY_CUTOFF
-    )
+    if p := add("nilpotency", cmd_nilpotency, "--derivation"):
+        from .derivations import DEFAULT_NILPOTENCY_CUTOFF
 
-    add("evolve", cmd_evolve, "--h", "--a").add_argument("--t", type=finite_float, required=True)
+        p.add_argument("--cutoff", type=int, default=DEFAULT_NILPOTENCY_CUTOFF)
+
+    if p := add("evolve", cmd_evolve, "--h", "--a"):
+        p.add_argument("--t", type=finite_float, required=True)
 
     add("commutant", cmd_commutant, "--subspace")
     add("invariance", cmd_invariance, "--h", "--subspace")
-    add("blocksplit", cmd_blocksplit, "--h").add_argument("--k", type=int, required=True)
-    add("biderivation", cmd_biderivation).add_argument("--n", type=int, required=True)
+    if p := add("blocksplit", cmd_blocksplit, "--h"):
+        p.add_argument("--k", type=int, required=True)
+    if p := add("biderivation", cmd_biderivation):
+        p.add_argument("--n", type=int, required=True)
 
-    p = add("reduce", cmd_reduce, "--input")
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_ANSATZ_CAP)
-    p.add_argument("--ansatz-cap", type=int, default=DEFAULT_ANSATZ_CAP)
-
-    p = add("frelate", cmd_frelate, "--dynamics")
-    p.add_argument("--map", required=True, help="semicolon-separated component expressions")
-    p.add_argument("--ansatz-cap", type=int, default=DEFAULT_ANSATZ_CAP)
-
-    add("connection", cmd_connection, "--distribution").add_argument(
-        "--degree-cap", type=int, default=DEFAULT_ANSATZ_CAP
-    )
+    if p := add("reduce", cmd_reduce, "--input"):
+        caps(p, "--degree-cap", "--ansatz-cap")
+    if p := add("frelate", cmd_frelate, "--dynamics"):
+        p.add_argument("--map", required=True, help="semicolon-separated component expressions")
+        caps(p, "--ansatz-cap")
+    if p := add("connection", cmd_connection, "--distribution"):
+        caps(p, "--degree-cap")
     add("dform", cmd_dform, "--form")
     add("wedge", cmd_wedge, "--form1", "--form2")
     for name, fn in (("contract", cmd_contract), ("lieder", cmd_lieder)):
-        add(name, fn, "--form").add_argument(
-            "--x", required=True, help="comma-separated basis coefficients"
-        )
+        if p := add(name, fn, "--form"):
+            p.add_argument("--x", required=True, help="comma-separated basis coefficients")
     add("casimir", cmd_casimir, "--tensor", "--c")
 
-    demos = add("demo", cmd_demo).add_subparsers(dest="name", required=True)
-    for name, (demo, options) in DEMOS.items():
-        p = demos.add_parser(name, parents=[common], help=demo.__doc__)
-        for option, type_ in options.items():
-            p.add_argument(f"--{option}", type=type_, default=argparse.SUPPRESS)
+    if p := add("demo", cmd_demo):
+        demos = p.add_subparsers(dest="name", required=True)
+        for name in (demo,) if demo in DEMOS else DEMOS:
+            fn, options = DEMOS[name]
+            p = demos.add_parser(name, parents=[common], help=fn.__doc__)
+            for option, type_ in options.items():
+                p.add_argument(f"--{option}", type=type_, default=argparse.SUPPRESS)
 
+    if command not in (None, *names):
+        return _build_parser()
+    if command is not None:
+        # As a metavar, the list would also rename the argument in the
+        # full parser's "invalid choice" and "required" errors.
+        sub.metavar = "{" + ",".join(names) + "}"
     return parser
 
 
@@ -689,8 +741,8 @@ def _print_text(report: Report, elapsed_ms: float):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(*argv[:2]).parse_args(argv)
     start = time.perf_counter()
     try:
         report = args.fn(args)

@@ -8,39 +8,25 @@ the printed angle-phase value u(t)).
 The named linear dynamics x -> c x (free, oscillator, euler, rotation) are
 one table of matrices, ``LINEAR_DYNAMICS``, which the demos and the CLI's
 derivation presets both read.
+
+Each demo imports the library modules it uses when it runs, so the
+registry, its option types and ``LINEAR_DYNAMICS`` load with no more than
+``report`` and ``scalars``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .derivations import (
-    PolyDerivation,
-    apply,
-    flow_action_angle,
-    flow_at,
-    flow_linear,
-    flow_nilpotent,
-    nilpotency_order,
-)
-from .diffcalc import (
-    DerivationBasis,
-    KForm,
-    check_gell_mann_size,
-    exactness_obstruction,
-    exterior_d,
-)
-from .matrices import Mat
-from .moyal import StarAlgebraContext, s_space_check, wigner_ambiguity_check
-from .parsing import parse_poly
-from .poly import GeneratorSet, Poly
-from .quantum import InnerDerivation, MatrixSubspace, block_split, invariance_check
 from .report import Report
 from .scalars import Scalar, named, rational as read_rational, to_float
+
+if TYPE_CHECKING:
+    from .derivations import PolyDerivation
+    from .matrices import Mat
 
 # name -> (demo, {parameter: argparse type}).  Each listed parameter is the
 # option --<parameter> of `aldyn demo <name>`, with the parameter's default.
@@ -87,12 +73,19 @@ LINEAR_DYNAMICS = {
 
 def linear_dynamics(name: str) -> PolyDerivation:
     """The derivation of ``LINEAR_DYNAMICS[name]`` on ``phase_space(1)``."""
+    from .derivations import PolyDerivation
+    from .poly import GeneratorSet
+
     return PolyDerivation.from_linear_map(GeneratorSet.phase_space(1), LINEAR_DYNAMICS[name])
 
 
 @_demo("free", t=rational, observable=str)
 def demo_free(t: str | None = None, observable: str = "q") -> Report:
     """Free dynamics: order-2 nilpotent generator, exact truncating flow."""
+    from .derivations import apply, flow_at, flow_nilpotent, nilpotency_order
+    from .parsing import parse_poly
+    from .poly import Poly
+
     free = linear_dynamics("free")
     gens = free.gens
     q = Poly.generator(gens, "q")
@@ -127,6 +120,9 @@ def demo_free(t: str | None = None, observable: str = "q") -> Report:
 @_demo("oscillator", t=rational)
 def demo_oscillator(t: str | None = None) -> Report:
     """Harmonic oscillator at omega = 1: rotation flow, conserved energy."""
+    from .derivations import apply, flow_linear, nilpotency_order
+    from .poly import Poly
+
     osc = linear_dynamics("oscillator")
     gens = osc.gens
     q, p = Poly.generator(gens, "q"), Poly.generator(gens, "p")
@@ -173,6 +169,9 @@ def demo_oscillator(t: str | None = None) -> Report:
 @_demo("action-angle", t=rational, action=finite_float, theta0=finite_float)
 def demo_action_angle(t: str | None = None, action: float = 1.0, theta0: float = 0.0) -> Report:
     """Angle-phase flow u(t) = e^{i(tI + theta0)} from its exact eigen-equation."""
+    from .derivations import PolyDerivation, apply, flow_action_angle
+    from .poly import GeneratorSet, Poly
+
     gens = GeneratorSet.action_angle(1)
     u, action_gen = Poly.generator(gens, "u"), Poly.generator(gens, "I")
     d = PolyDerivation(gens, {"u": action_gen})
@@ -206,6 +205,10 @@ _BLOCK_N, _BLOCK_K, _BLOCK_SEED = 4, 2, 11
 
 
 def _seeded_block_hamiltonian(n: int, k: int) -> Mat:
+    import random
+
+    from .matrices import Mat
+
     rng = random.Random(_BLOCK_SEED)
 
     def rand_frac():
@@ -224,6 +227,9 @@ def _seeded_block_hamiltonian(n: int, k: int) -> Mat:
 @_demo("block-reduction")
 def demo_block_reduction() -> Report:
     """Quantum block reduction: invariance and the split of ad_H, exactly."""
+    from .matrices import Mat
+    from .quantum import InnerDerivation, MatrixSubspace, block_split, invariance_check
+
     n, k = _BLOCK_N, _BLOCK_K
     h = _seeded_block_hamiltonian(n, k)
     u_space = MatrixSubspace.block_algebra(n, k)
@@ -267,6 +273,8 @@ def demo_block_reduction() -> Report:
 @_demo("s-space")
 def demo_s_space() -> Report:
     """Degree<=2 polynomials on R^4: both brackets agree up to i theta."""
+    from .moyal import StarAlgebraContext, s_space_check
+
     ctx = StarAlgebraContext.canonical(2)
     report = s_space_check(ctx)
     checks = {
@@ -284,6 +292,8 @@ def demo_s_space() -> Report:
 @_demo("wigner")
 def demo_wigner() -> Report:
     """Linear dynamics that cannot see whether the product commutes."""
+    from .moyal import StarAlgebraContext, wigner_ambiguity_check
+
     ctx = StarAlgebraContext.canonical(1)
     reports = {
         name: wigner_ambiguity_check(ctx, LINEAR_DYNAMICS[name])
@@ -306,6 +316,10 @@ def demo_wigner() -> Report:
 @_demo("maurer-cartan", n=int)
 def demo_maurer_cartan(n: int = 2) -> Report:
     """Dual frame of the derivation basis: d alpha + alpha o bracket = 0."""
+    from .diffcalc import DerivationBasis, KForm, check_gell_mann_size, exactness_obstruction
+    from .diffcalc import exterior_d
+    from .matrices import Mat
+
     check_gell_mann_size("--n", n)
     basis = DerivationBasis.gell_mann(n)
     mc_ok = True

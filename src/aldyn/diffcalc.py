@@ -20,8 +20,8 @@ contraction/Lie-derivative pair gives a Cartan calculus.
 
 The basis derivations act as A -> [A, X_j]; their Lie bracket is the
 operator commutator, whose structure constants therefore come from
-expanding [X_l, X_k] (note the order) in the matrix basis, as the
-coordinates of ``quantum.MatrixSubspace``.
+expanding [X_l, X_k] (note the order) in the matrix basis, by one
+``linalg.solve_columns`` against the generators' columns.
 
 d runs in Gaussian integers over one common denominator.  Each basis keeps
 a table of A -> [A, X_j] per generator, which also gives the structure
@@ -85,7 +85,7 @@ class DerivationBasis:
     matrices parametrize the derivations faithfully and the dual frame
     condition stays non-degenerate.  The generators are checked as a
     ``MatrixSubspace`` (one size, independent), and the structure constants
-    are its ``coordinates``.
+    are the brackets' coordinates in them.
     """
 
     __slots__ = ("n", "generators", "structure", "_den", "_ad", "_d_alpha")
@@ -102,7 +102,7 @@ class DerivationBasis:
         # the tables over the generators' lcm, then over the basis lcm
         gden = lcm(*(g.den for g in generators))
         self._ad = [_ad_table(g, gden // g.den) for g in generators]
-        self.structure = self._structure_constants(space, gden)
+        self.structure = self._structure_constants(gden)
         # d(alpha^m) as its terms (a, b, -c^m_ab), a < b, of alpha^a ^ alpha^b
         d_alpha: list[list[tuple[int, int, GaussRational]]] = [[] for _ in generators]
         for (a, b), entry in self.structure.items():
@@ -127,13 +127,14 @@ class DerivationBasis:
     def dim(self) -> int:
         return len(self.generators)
 
-    def _structure_constants(self, space: MatrixSubspace, gden: int) -> dict:
+    def _structure_constants(self, gden: int) -> dict:
         """c^j_{kl} with [X_k, X_l] = c^j_{kl} X_j as operators.
 
         Since X(A) = [A, X_matrix], the operator bracket corresponds to the
         reversed matrix commutator [M_l, M_k], read off the table of M_k
-        (over ``gden``).  Only k < l is solved for, all pairs in one solve;
-        (l, k) is the exact negative, as [M_k, M_l] = -[M_l, M_k].
+        (over ``gden``) as a column over ``gens[l].den * gden``.  Only k < l
+        is solved for, all pairs in one solve against the generators'
+        columns; (l, k) is the exact negative, as [M_k, M_l] = -[M_l, M_k].
         """
         n, gens = self.n, self.generators
         pairs = [(k, l) for k in range(self.dim) for l in range(k + 1, self.dim)]
@@ -143,9 +144,11 @@ class DerivationBasis:
             re, im = [0] * (n * n), [0] * (n * n)
             _ad_into(self._ad[k], entries[l], re, im)
             # a commutator is traceless: its coordinates need no projection
-            brackets.append(_reduced(n, tuple(re), tuple(im), gens[l].den * gden))
+            column = {q: (x, y) for q, (x, y) in enumerate(zip(re, im)) if x or y}
+            brackets.append((column, gens[l].den * gden))
         structure: dict[tuple[int, int], list[tuple[int, GaussRational]]] = {}
-        for (k, l), coords in zip(pairs, space.coordinates(brackets)):
+        columns = [g.flatten() for g in gens]
+        for (k, l), coords in zip(pairs, solve_columns(columns, brackets)):
             if coords:
                 entry = list(coords.items())
                 structure[(k, l)] = entry

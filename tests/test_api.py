@@ -12,10 +12,21 @@ loads it:
 - any other member, as an attribute `.name` on any object.
 
 A demo registered with `@_demo` is read through `demos.DEMOS`.
+
+The last tests pin the lazy package: each name of `__all__` resolves, on
+first access, to its submodule's object, and `dir`, `from aldyn import
+<submodule>` and `from aldyn import *` behave as on an eager package.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
+
+import pytest
 
 import aldyn
 
@@ -203,3 +214,44 @@ def test_no_handler_catches_python_errors():
             if names & _CATCH_ALL:
                 catching.add(f"{path.stem}.{scope}")
     assert catching == {"poly.GeneratorSet.index"}
+
+
+def test_each_public_name_is_its_modules_object():
+    """The lazy package hands out the very object the defining submodule
+    holds, for each name of `__all__`."""
+    for name in aldyn.__all__:
+        obj = getattr(aldyn, name)
+        module = obj.__module__
+        assert module.startswith("aldyn."), name
+        assert getattr(importlib.import_module(module), name) is obj, name
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'nosuch'"):
+        aldyn.nosuch
+
+
+def test_from_imports_of_submodules_and_star():
+    from aldyn import moyal
+
+    assert isinstance(moyal, types.ModuleType) and moyal is sys.modules["aldyn.moyal"]
+    namespace = {}
+    exec("from aldyn import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(aldyn.__all__)
+
+
+def test_dir_covers_all_before_any_submodule_loads():
+    """In a fresh process, `dir(aldyn)` lists every name of `__all__` and
+    loads no submodule to do so."""
+    code = (
+        "import sys, aldyn; names = dir(aldyn); "
+        "print(sorted(set(aldyn.__all__) - set(names))); "
+        "print(sorted(m for m in sys.modules if m.startswith('aldyn.')))"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "[]"]

@@ -236,16 +236,17 @@ class TestStarCommands:
     ):
         """[f, g]_* = i theta {f, g} + O(theta^3) holds for any operands, so
         the leading-order check runs, and can fail, when they carry theta."""
-        import aldyn.cli as cli
+        import aldyn.moyal as moyal
         from aldyn.scalars import Scalar
 
         code, payload, _ = run_json(capsys, "starcomm", "--f", f, "--g", g)
         assert code == EXIT_OK
         assert "theta^1 coefficient is i{f,g}: pass" in payload["verification"]
 
-        real = cli.star_commutator
+        # The handler imports star_commutator when it runs, so it reads the patched one.
+        real = moyal.star_commutator
         monkeypatch.setattr(
-            cli, "star_commutator",
+            moyal, "star_commutator",
             lambda ctx, a, b: real(ctx, a, b) + Poly.constant(ctx.gens, Scalar.theta()),
         )
         code, payload, _ = run_json(capsys, "starcomm", "--f", f, "--g", g)
@@ -408,10 +409,10 @@ class TestQuantumCommands:
         assert line.endswith(f"(<= {bound:.2e}): pass")
 
     def test_evolve_self_check_rejects_wrong_evolution(self, capsys, monkeypatch):
-        import aldyn.cli as cli
+        import aldyn.quantum as quantum
 
-        real = cli.evolve
-        monkeypatch.setattr(cli, "evolve", lambda a, h, t: real(a, h, -t))
+        real = quantum.evolve
+        monkeypatch.setattr(quantum, "evolve", lambda a, h, t: real(a, h, -t))
         code, _, _ = run_cli(capsys, "evolve", *self.EVOLVE_STIFF)
         assert code == EXIT_FAIL
 
@@ -453,14 +454,14 @@ class TestQuantumCommands:
     def test_blocksplit_rejects_a_wrong_split(self, capsys, monkeypatch):
         """The re-sum check compares the split with ad_H itself, so a wrong
         bottom block fails it."""
-        import aldyn.cli
+        import aldyn.quantum
         from aldyn.quantum import InnerDerivation, block_split
 
         def wrong_bottom(h, k):
             top, _ = block_split(h, k)
             return top, InnerDerivation(Mat.diag([0, 0, 0, 1]))
 
-        monkeypatch.setattr(aldyn.cli, "block_split", wrong_bottom)
+        monkeypatch.setattr(aldyn.quantum, "block_split", wrong_bottom)
         h = Mat.from_rows([[1, 2, 0, 0], [2, -1, 0, 0], [0, 0, 3, 1], [0, 0, 1, 4]])
         code, payload, _ = run_json(capsys, "blocksplit", "--h", json.dumps(h.to_json()), "--k", "2")
         assert code == EXIT_FAIL
@@ -490,7 +491,7 @@ class TestQuantumCommands:
 
     def test_biderivation_rejects_a_wrong_answer(self, capsys, monkeypatch):
         """A solver that returns a two-vector space fails the span check."""
-        import aldyn.cli
+        import aldyn.quantum
         from aldyn.quantum import _mat_biderivations
         from aldyn.scalars import GR_ONE
 
@@ -498,7 +499,7 @@ class TestQuantumCommands:
             sols, shape = _mat_biderivations(n)
             return sols + [{0: GR_ONE}], shape
 
-        monkeypatch.setattr(aldyn.cli, "_mat_biderivations", two_vectors)
+        monkeypatch.setattr(aldyn.quantum, "_mat_biderivations", two_vectors)
         code, payload, _ = run_json(capsys, "biderivation", "--n", "2")
         assert code == EXIT_FAIL
         assert payload["status"] == "fail"
@@ -913,15 +914,31 @@ def test_no_module_level_numpy_import():
 
 
 def test_cold_import_adds_no_dataclasses_inspect_or_numpy():
-    """`import aldyn.cli` in a fresh process adds none of these modules to
-    the ones a bare interpreter has already loaded (through `site`, say)."""
+    """In fresh processes: `import aldyn` loads no submodule; `import
+    aldyn.cli` loads only the modules its parser needs, and none of
+    dataclasses, inspect or numpy beyond the ones a bare interpreter has
+    already loaded (through `site`, say); a cold `bracket` loads none of
+    the library modules it does not use."""
     show = "import sys; print(*sorted(sys.modules))"
-    bare = run_python(["-c", show])
-    cold = run_python(["-c", f"import aldyn.cli; {show}"])
-    assert bare.returncode == cold.returncode == 0, bare.stderr + cold.stderr
-    added = set(cold.stdout.split()) - set(bare.stdout.split())
-    assert "aldyn.cli" in added
-    assert added & {"dataclasses", "inspect", "numpy"} == set()
+    argv = ["bracket", "--tensor", "canonical2", "--f", "q^2", "--g", "p^3", "--json"]
+    runs = [
+        run_python(["-c", code])
+        for code in (
+            show,
+            f"import aldyn; {show}",
+            f"import aldyn.cli; {show}",
+            f"import aldyn.cli; aldyn.cli.main({argv!r}); {show}",
+        )
+    ]
+    assert [r.returncode for r in runs] == [0] * 4, "".join(r.stderr for r in runs)
+    bare, package, cold, bracket = (set(r.stdout.splitlines()[-1].split()) for r in runs)
+    aldyn_modules = lambda names: {m for m in names if m.split(".")[0] == "aldyn"}
+    assert aldyn_modules(package) == {"aldyn"}
+    assert aldyn_modules(cold) == {"aldyn", "aldyn.cli", "aldyn.report", "aldyn.scalars", "aldyn.demos"}
+    assert (cold - bare) & {"dataclasses", "inspect", "numpy"} == set()
+    assert json.loads(runs[3].stdout.splitlines()[0])["status"] == "ok"
+    unused = {f"aldyn.{m}" for m in ("moyal", "diffcalc", "quantum", "matrices", "reduction")}
+    assert bracket & unused == set()
 
 
 # The demos that evaluate an exponential in floats, and so need numpy.
@@ -1067,6 +1084,44 @@ def test_option_sets_are_pinned():
     demos = _subparsers(_subparsers(parser)["demo"])
     found.update((f"demo {name}", _options(p)) for name, p in demos.items())
     assert found == OPTION_SETS
+
+
+# Argvs whose output must not depend on how much of the parser is built.
+PARSER_ARGVS = [
+    [], ["--help"], ["nosuch"], ["bracket", "--help"], ["demo"], ["demo", "--help"],
+    ["demo", "nosuch"], ["demo", "--json", "free"], ["demo", "free", "--bogus"],
+    ["bracket", "--tensor", "su2", "--f", "x", "--g", "y", "extra"],
+]
+
+
+def _parse(parser: argparse.ArgumentParser, argv) -> tuple:
+    """(exit code, stdout, stderr, parsed options) of parsing argv; the exit
+    code is None and the options a dict when the parse succeeds."""
+    out, err = io.StringIO(), io.StringIO()
+    code, parsed = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_one_command_parser_prints_what_the_full_one_prints(argv):
+    """The parser `main` builds from argv's first two tokens parses, prints
+    and exits as the parser of every subcommand does."""
+    assert _parse(_build_parser(*argv[:2]), argv) == _parse(_build_parser(), argv)
+
+
+def test_a_command_builds_only_its_subparser():
+    full = _build_parser()
+    assert len(_subparsers(full)) == len(OPTION_SETS) - len(DEMOS)
+    assert set(_subparsers(_build_parser("bracket"))) == {"bracket"}
+    assert set(_subparsers(_build_parser("demo", "--json"))) == {"demo"}
+    assert set(_subparsers(_subparsers(_build_parser("demo", "--json"))["demo"])) == set(DEMOS)
+    assert set(_subparsers(_subparsers(_build_parser("demo", "free"))["demo"])) == {"free"}
+    assert set(_subparsers(_build_parser("nosuch"))) == set(_subparsers(full))
 
 
 # Each invocation reaches the code that reads its last option.
