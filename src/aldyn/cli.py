@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING
 from .demos import DEMOS, FLOAT_SAFETY, LINEAR_DYNAMICS, finite_float, linear_dynamics
 from .demos import rounding_bound
 from .report import EXIT_BAD_INPUT, Report
-from .scalars import GaussRational, Scalar, json_field, json_list, json_object, named, rational
-from .scalars import to_float
+from .scalars import GR_ZERO, GaussRational, Scalar, check_budget, json_field, json_list
+from .scalars import json_object, named, rational, to_float
 
 if TYPE_CHECKING:
     from .derivations import PolyDerivation
@@ -184,7 +184,6 @@ def cmd_hamfield(args) -> Report:
 def _star_operands(pairs: int, f: str, g: str) -> tuple[StarAlgebraContext, Poly, Poly]:
     """The canonical context on `pairs` pairs, with f and g parsed over it."""
     from .moyal import StarAlgebraContext
-    from .poly import check_budget
 
     if pairs < 1:
         raise ValueError("--pairs: phase space needs at least one pair")
@@ -292,8 +291,6 @@ def _central_difference_bound(h_norm: float, a_norm: float, dt: float) -> float:
 
 
 def cmd_evolve(args) -> Report:
-    import numpy as np
-
     from .matrices import Mat
     from .quantum import evolve, heisenberg_derivative
 
@@ -301,8 +298,12 @@ def cmd_evolve(args) -> Report:
     a = Mat.from_json(_load_json_arg(args.a, "/a"), "/a")
     if a.n != h.n:
         raise ValueError(f"/a: a {a.n}x{a.n} matrix, /h is {h.n}x{h.n}")
+    # the exact checks of the input come before the import of numpy
+    derivative = named("/h", heisenberg_derivative, a, h)
+    import numpy as np
+
     hn, an = h.to_numpy("/h"), a.to_numpy("/a")
-    expected = named("/h", heisenberg_derivative, a, h).to_numpy()
+    expected = derivative.to_numpy()
     t = args.t
     result = evolve(a, h, t)
     # finite-difference check of the Heisenberg equation at t = 0
@@ -328,7 +329,6 @@ def cmd_evolve(args) -> Report:
 
 
 def cmd_commutant(args) -> Report:
-    from .poly import check_budget
     from .quantum import MatrixSubspace, commutant
 
     space = MatrixSubspace.from_json(_load_json_arg(args.subspace, "/subspace"), "/subspace")
@@ -391,17 +391,27 @@ def cmd_blocksplit(args) -> Report:
 
 def cmd_biderivation(args) -> Report:
     from .linalg import integer_column, solve_columns
-    from .quantum import _mat_biderivations, commutator_bracket_vector
+    from .matrices import full_matrix_basis
+    from .quantum import MatrixSubspace, biderivations
 
-    sols, (equations, unknowns, rank) = _mat_biderivations(args.n)
-    cvec = commutator_bracket_vector(args.n)
+    n = args.n
+    if not 1 <= n <= 4:
+        raise ValueError(f"--n: matrix size must be in 1..4 for the biderivation solver, got {n}")
+    space = MatrixSubspace(full_matrix_basis(n))
+    sols, (equations, unknowns, rank) = biderivations(space)
+    # the commutator at (a, b, m) is c_ab^m - c_ba^m
+    bracket: dict[tuple, GaussRational] = {}
+    for (a, b, m), c in space.structure().items():
+        bracket[a, b, m] = bracket.get((a, b, m), GR_ZERO) + c
+        bracket[b, a, m] = bracket.get((b, a, m), GR_ZERO) - c
+    cvec = integer_column(bracket)
     # the commutator vanishes on Mat_1, whose answer is then the zero space
-    in_span = len(sols) == (1 if cvec else 0) and None not in solve_columns(
-        [integer_column(s) for s in sols], [integer_column(cvec)]
+    in_span = len(sols) == (1 if cvec[0] else 0) and None not in solve_columns(
+        [integer_column(s) for s in sols], [cvec]
     )
     return Report(
         {
-            "n": args.n,
+            "n": n,
             "dimension": len(sols),
             "spanned_by_commutator": in_span,
             "equations": equations,
@@ -411,7 +421,7 @@ def cmd_biderivation(args) -> Report:
         {"the solution space equals the span of the commutator bracket": in_span},
         notes=[f"solution space dimension {len(sols)}"],
         lines=[
-            f"bilinear Leibniz brackets on Mat_{args.n}: dimension {len(sols)}, "
+            f"bilinear Leibniz brackets on Mat_{n}: dimension {len(sols)}, "
             + ("spanned by the commutator" if in_span else "see payload"),
         ],
     )

@@ -24,16 +24,17 @@ expanding [X_l, X_k] (note the order) in the matrix basis, by one
 ``linalg.solve_columns`` against the generators' columns.
 
 d runs in Gaussian integers over one common denominator.  Each basis keeps
-a table of A -> [A, X_j] per generator, which also gives the structure
-constants: for each flat entry q of A, the merged terms (q', t) it adds to
-[A, X_j], cancelling ones dropped, real and imaginary parts t in two lists,
-so a real or imaginary Gell-Mann entry costs two int products.  With the
-terms of every d(alpha^m) they are ints over the basis lcm.  `exterior_d`
-brings its coefficients over the lcm of their denominators, negates each
-once for the alpha^j that land at odd places, accumulates each output in
-two int lists of length N^2 and builds it over the product of the two
-denominators, with one gcd.  d, `wedge`, `contract`, `+`, `-` and `scale`
-build their results with the trusted `_kform`, which only drops zeros.
+the ad table of every generator (`matrices._ad_table`, the one encoding of
+A -> [A, X_j]), which also gives the structure constants and the columns
+of `exactness_obstruction`: for each flat entry q of A, the terms (q', t)
+it adds to [A, X_j], real and imaginary parts t in two lists, so a real or
+imaginary Gell-Mann entry costs two int products.  With the terms of every
+d(alpha^m) they are ints over the basis lcm.  `exterior_d` brings its
+coefficients over the lcm of their denominators, negates each once for the
+alpha^j that land at odd places, accumulates each output in two int lists
+of length N^2 and builds it over the product of the two denominators, with
+one gcd.  d, `wedge`, `contract`, `+`, `-` and `scale` build their results
+with the trusted `_kform`, which only drops zeros.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import solve_columns
-from .matrices import Mat, _reduced
-from .poly import check_budget
-from .quantum import MatrixSubspace, commutator_columns
-from .scalars import GR_I, GR_ONE, GaussRational, json_field, json_int, json_list, named
+from .matrices import Mat, _ad_columns, _ad_into, _ad_table, _entries, _reduced
+from .quantum import MatrixSubspace
+from .scalars import GR_I, GR_ONE, GaussRational, check_budget, json_field, json_int, json_list
+from .scalars import named
 
 
 def check_gell_mann_size(where: str, n: int) -> None:
@@ -154,47 +155,6 @@ class DerivationBasis:
                 structure[(k, l)] = entry
                 structure[(l, k)] = [(j, -c) for j, c in entry]
         return structure
-
-
-def _ad_table(g: Mat, f: int) -> list[tuple[list, list]]:
-    """A -> [A, g] as a map on flat entries, on the numerators of g times f:
-    for each source q = (r, c), the terms (q', t) with [A, g][q'] += A[q] t,
-    as the list of the real parts t and the list of the imaginary parts.
-    A[r][c] adds g[c][k] to entry (r, k) and -g[l][r] to entry (l, c); the
-    two meet only at (r, c), as g[c][c] - g[r][r], which is 0 on equal
-    diagonal values."""
-    n = g.n
-    parts = [[] for _ in range(n * n)], [[] for _ in range(n * n)]
-    for terms, values in zip(parts, (g.re, g.im)):
-        for p, x in enumerate(values):
-            if x and p % (n + 1):
-                l, k = divmod(p, n)
-                for m in range(n):
-                    terms[m * n + l].append((m * n + k, x * f))
-                    terms[k * n + m].append((l * n + m, -x * f))
-        diag = values[:: n + 1]
-        for q in range(n * n) if any(diag) else ():
-            r, c = divmod(q, n)
-            if diag[c] != diag[r]:
-                terms[q].append((q, (diag[c] - diag[r]) * f))
-    return list(zip(*parts))
-
-
-def _entries(a: Mat, f: int) -> list[tuple[int, int, int]]:
-    """The nonzero entries (q, re, im) of a at flat positions q, numerators times f."""
-    return [(q, x * f, y * f) for q, (x, y) in enumerate(zip(a.re, a.im)) if x or y]
-
-
-def _ad_into(table: list[tuple[list, list]], entries: list, out_re: list, out_im: list) -> None:
-    """out += [A, g], for the nonzero entries (q, re, im) of A and the table of g."""
-    for q, ar, ai in entries:
-        re_terms, im_terms = table[q]
-        for s, t in re_terms:
-            out_re[s] += ar * t
-            out_im[s] += ai * t
-        for s, t in im_terms:
-            out_re[s] -= ai * t
-            out_im[s] += ar * t
 
 
 def _sort_sign(idx: tuple) -> tuple[tuple, int] | None:
@@ -479,6 +439,6 @@ def exactness_obstruction(basis: DerivationBasis, j: int) -> ExactnessReport:
     if not 0 <= j < basis.dim:
         raise ValueError("index out of range")
     # Unknown A (n^2 entries); equations [A, X_k] = delta^j_k * identity.
-    target = ({(j, r, r): (1, 0) for r in range(n)}, 1)
-    [sol] = solve_columns(commutator_columns(basis.generators), [target])
+    target = ({(j, r * n + r): (1, 0) for r in range(n)}, 1)
+    [sol] = solve_columns(_ad_columns(basis._ad, basis._den), [target])
     return ExactnessReport(solvable=sol is not None)

@@ -20,6 +20,13 @@ each row of the right factor once per product and multiplies only nonzero
 pairs.  ``entries`` is a read-only view, a tuple of row tuples of
 ``GaussRational``, for printing, JSON and outside readers; no arithmetic
 reads it.
+
+The map A -> [A, g] has one encoding, the ad table of g (``_ad_table``):
+for each flat entry q of A, the terms (q', t) that A[q] adds to [A, g],
+real and imaginary parts t in two lists, over a chosen denominator.
+``_ad_into`` applies a table to the nonzero entries of A (``_entries``),
+and ``_ad_columns`` reads the tables of g_1, ..., g_k as the columns of
+A -> ([A, g_t])_t, keyed (t, q').
 """
 
 from __future__ import annotations
@@ -286,3 +293,62 @@ class Mat:
 def full_matrix_basis(n: int) -> list[Mat]:
     """The standard basis E_ij of Mat_n, row-major."""
     return [Mat.basis_elt(n, i, j) for i in range(n) for j in range(n)]
+
+
+def _ad_table(g: Mat, f: int) -> list[tuple[list, list]]:
+    """A -> [A, g] as a map on flat entries, on the numerators of g times f:
+    for each source q = (r, c), the terms (q', t) with [A, g][q'] += A[q] t,
+    as the list of the real parts t and the list of the imaginary parts.
+    A[r][c] adds g[c][k] to entry (r, k) and -g[l][r] to entry (l, c); the
+    two meet only at (r, c), as g[c][c] - g[r][r], which is 0 on equal
+    diagonal values."""
+    n = g.n
+    parts = [[] for _ in range(n * n)], [[] for _ in range(n * n)]
+    for terms, values in zip(parts, (g.re, g.im)):
+        for p, x in enumerate(values):
+            if x and p % (n + 1):
+                l, k = divmod(p, n)
+                for m in range(n):
+                    terms[m * n + l].append((m * n + k, x * f))
+                    terms[k * n + m].append((l * n + m, -x * f))
+        diag = values[:: n + 1]
+        for q in range(n * n) if any(diag) else ():
+            r, c = divmod(q, n)
+            if diag[c] != diag[r]:
+                terms[q].append((q, (diag[c] - diag[r]) * f))
+    return list(zip(*parts))
+
+
+def _entries(a: Mat, f: int) -> list[tuple[int, int, int]]:
+    """The nonzero entries (q, re, im) of a at flat positions q, numerators times f."""
+    return [(q, x * f, y * f) for q, (x, y) in enumerate(zip(a.re, a.im)) if x or y]
+
+
+def _ad_into(table: list[tuple[list, list]], entries: list, out_re: list, out_im: list) -> None:
+    """out += [A, g], for the nonzero entries (q, re, im) of A and the table of g."""
+    for q, ar, ai in entries:
+        re_terms, im_terms = table[q]
+        for s, t in re_terms:
+            out_re[s] += ar * t
+            out_im[s] += ai * t
+        for s, t in im_terms:
+            out_re[s] -= ai * t
+            out_im[s] += ar * t
+
+
+def _ad_columns(tables: Sequence[list[tuple[list, list]]], den: int) -> list[IntColumn]:
+    """The columns of A -> ([A, g_t])_t over ``den``, from the ad tables of
+    the g_t over it: one column per flat entry q of A, keyed (t, q') for
+    entry q' of [A, g_t], the real and imaginary parts of each term joined.
+    A row of a table names each q' at most once per list, so no term is
+    summed."""
+    columns = [{} for _ in tables[0]]
+    for t, table in enumerate(tables):
+        for col, (re_terms, im_terms) in zip(columns, table):
+            if re_terms:
+                for s, x in re_terms:
+                    col[t, s] = (x, 0)
+            if im_terms:
+                for s, y in im_terms:
+                    col[t, s] = (col.get((t, s), (0, 0))[0], y)
+    return [(col, den) for col in columns]

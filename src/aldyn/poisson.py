@@ -18,10 +18,10 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .derivations import PolyDerivation, apply
-from .poly import DEFAULT_ANSATZ_CAP, GeneratorMismatch, GeneratorSet, Poly, check_budget
+from .poly import DEFAULT_ANSATZ_CAP, GeneratorMismatch, GeneratorSet, Poly
 from .poly import solve_combination, solve_preimage
 from .report import Verdict
-from .scalars import json_field, json_int, json_list, named, rational
+from .scalars import check_budget, json_field, json_int, json_list, named, rational
 
 
 class PoissonTensor:

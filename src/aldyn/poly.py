@@ -25,19 +25,10 @@ from operator import add
 from typing import Mapping, Sequence
 
 from . import linalg
-from .scalars import GaussRational, RationalLike, Scalar, json_field, json_int, json_list, named
+from .scalars import GaussRational, RationalLike, Scalar, check_budget, json_field, json_int
+from .scalars import json_list, named
 
 GENERATOR_KINDS = ("plain", "position", "momentum", "angle-phase")
-
-# Size budget for what input may ask to build: the most unknowns of one
-# ansatz component, C(n + cap, n) monomials of n generators up to total
-# degree cap; the most row components, dim^2, of a Poisson tensor read
-# without generators or built on `pairs` canonical pairs (dim = 2 pairs);
-# and the most generator entries, n^4, of the Gell-Mann basis of Mat_n.
-# Input sizes are compared with it (``check_budget``) before anything is
-# built.  (`reduce` on R^2 at cap 300, C(302, 2) = 45,451 unknowns, peaked
-# at 174 MB RSS and 5.4 s under CPython 3.11 on x86-64.)
-MAX_UNKNOWNS = 50_000
 
 # Degree cap of the ansatz searches when the caller gives none.
 DEFAULT_ANSATZ_CAP = 4
@@ -151,14 +142,6 @@ def _check_same_gens(a: "Poly", b: "Poly"):
 
 def _grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
-
-
-def check_budget(where: str, size: int, what: str) -> None:
-    """Raise a ValueError naming ``where`` (an option or a JSON field) when
-    the ``size`` items that input asks to build, described by ``what``, are
-    more than MAX_UNKNOWNS."""
-    if size > MAX_UNKNOWNS:
-        raise ValueError(f"{where}: {what} exceed the budget of {MAX_UNKNOWNS}")
 
 
 def check_monomial_budget(where: str, n: int, cap: int) -> None:

@@ -11,12 +11,14 @@ A `MatrixSubspace` answers every question about its span in one exact
 solve: membership, and the coordinates that also give the structure
 constants of `diffcalc.DerivationBasis` and its own `structure`.  Each
 matrix enters a solve as its own numerators over its denominator
-(`Mat.flatten`), the commutator columns are built from the numerators of
-all the matrices over the lcm of their denominators, and coordinates come
-back sparse.  The block queries read the numerators too.  Two
-small kernels on those follow, `derivations` and `biderivations`: on Mat_n
-the latter are the commutator line (Dirac's argument; Bresar, Taiwanese
-J. Math. 8 (2004) 361).
+(`Mat.flatten`), the columns of a commutant are read off the ad tables
+(`matrices._ad_table`) of the basis over the lcm of their denominators,
+and coordinates come back sparse.  The block queries read the numerators
+too.  Two small kernels on those follow, `derivations` and
+`biderivations`, each bracket in (a, b, m) coordinates, coordinate m of
+B(e_a, e_b): on Mat_n the latter are the line of the commutator, whose
+coordinates are c_ab^m - c_ba^m in the structure constants (Dirac's
+argument; Bresar, Taiwanese J. Math. 8 (2004) 361).
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from collections import defaultdict
 from math import lcm
 from typing import Sequence
 
-from .linalg import IntColumn, integer_column, solve_columns
-from .matrices import Mat, _reduced, full_matrix_basis
+from .linalg import integer_column, solve_columns
+from .matrices import Mat, _ad_columns, _ad_table, _reduced, full_matrix_basis
 from .report import Verdict
 from .scalars import GR_I, GaussRational, json_list, named, to_float
 
@@ -141,47 +143,15 @@ class MatrixSubspace:
         return named(path, MatrixSubspace, basis)
 
 
-def commutator_columns(mats: Sequence[Mat]) -> list[IntColumn]:
-    """Columns of the linear map f -> ([f, mats[t]])_t on Mat_n.
-
-    One column per entry f_{pq} (row-major), keyed by (t, i, j) for entry
-    (i, j) of [E_pq, mats[t]] = E_pq m - m E_pq: row q of m moved to row p,
-    less column p of m moved to column q.  The numerators of every matrix
-    are brought over the lcm of their denominators, the one denominator of
-    every column.
-    """
-    n = mats[0].n
-    den = lcm(*(m.den for m in mats))
-    rows = [[[] for _ in range(n)] for _ in mats]  # rows[t][i]: the (j, entry) of row i
-    cols = [[[] for _ in range(n)] for _ in mats]  # cols[t][j]: the (i, entry) of column j
-    for t, m in enumerate(mats):
-        f = den // m.den
-        for p, (x, y) in m.flatten()[0].items():
-            i, j = divmod(p, n)
-            v = (x * f, y * f)
-            rows[t][i].append((j, v))
-            cols[t][j].append((i, v))
-    columns = []
-    for p in range(n):
-        for q in range(n):
-            col: dict[tuple[int, int, int], tuple[int, int]] = {}
-            for t in range(len(mats)):
-                for j, v in rows[t][q]:
-                    col[t, p, j] = v
-                for i, (x, y) in cols[t][p]:
-                    old = col.get((t, i, q), (0, 0))
-                    col[t, i, q] = (old[0] - x, old[1] - y)
-            columns.append(({key: v for key, v in col.items() if v[0] or v[1]}, den))
-    return columns
-
-
 def commutant(space: MatrixSubspace) -> MatrixSubspace:
     """All f with [f, b] = 0 for every basis b, by an exact linear solve.
 
     The returned basis spans the full commutant; it is closed under
     products and commutators by construction.
     """
-    kernel = solve_columns(commutator_columns(space.basis), None)
+    den = lcm(*(b.den for b in space.basis))
+    tables = [_ad_table(b, den // b.den) for b in space.basis]
+    kernel = solve_columns(_ad_columns(tables, den), None)
     if not kernel:
         raise RuntimeError("commutant is never empty (identity commutes)")
     return MatrixSubspace([Mat.unflatten(v, space.n) for v in kernel])
@@ -304,35 +274,15 @@ def biderivations(space: MatrixSubspace) -> tuple[list[dict], tuple[int, int, in
     return brackets, (equations, len(columns), len(columns) - len(kernel))
 
 
-def _mat_biderivations(n: int) -> tuple[list[dict], tuple[int, int, int]]:
-    """`biderivation_solver(n)` and its shape.  The space is a line (0 at
-    n = 1), so its vector scaled to 1 at its largest key is reduced."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"--n: matrix size must be in 1..4 for the biderivation solver, got {n}")
-    d = n * n
-    brackets, shape = biderivations(MatrixSubspace(full_matrix_basis(n)))
-    sols = []
-    for bracket in brackets:
-        last = bracket[max(bracket)]
-        sols.append({(a * d + b) * d + m: x / last for (a, b, m), x in bracket.items()})
-    return sols, shape
-
-
 def biderivation_solver(n: int) -> list[dict]:
     """Solution space of brackets on Mat_n that are Leibniz in both slots,
     as sparse dicts on the n^6 unknowns T[a][b] = {E_a, E_b}, a = ai*n + aj
     for E_a = E_{ai,aj}: entry (g, h) of T[a][b] is key (a*d + b)*d + g*n + h
-    with d = n^2.  A ValueError names --n when n is outside 1..4."""
-    return _mat_biderivations(n)[0]
-
-
-def commutator_bracket_vector(n: int) -> dict:
-    """The commutator bracket in the solver's coordinate layout: its n^6
-    entries [E_a, E_b]_gh in key order, the zero ones left out."""
-    if n < 1:
-        raise ValueError("matrix size n must be >= 1")
-    basis = full_matrix_basis(n)
-    entries = [
-        x for a in basis for b in basis for row in commutator(a, b).entries for x in row
-    ]
-    return {key: x for key, x in enumerate(entries) if not x.is_zero()}
+    with d = n^2.  The space is a line (0 at n = 1), so its vector scaled to
+    1 at its largest key is reduced."""
+    d = n * n
+    sols = []
+    for bracket in biderivations(MatrixSubspace(full_matrix_basis(n)))[0]:
+        last = bracket[max(bracket)]
+        sols.append({(a * d + b) * d + m: x / last for (a, b, m), x in bracket.items()})
+    return sols

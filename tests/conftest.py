@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from aldyn.linalg import SparseEliminator
-from aldyn.matrices import Mat
+from aldyn.matrices import Mat, full_matrix_basis
 from aldyn.poly import GeneratorSet, Poly
 from aldyn.scalars import GR_ONE, GR_ZERO, GaussRational, Scalar
 
@@ -196,6 +196,48 @@ def old_biderivation_system(n: int) -> SparseEliminator:
                             add(row, col(a, c, bj, h), -1)
                         equation(row)
     return elim
+
+
+def old_commutator_columns(mats: Sequence[Mat]) -> list[tuple[dict, int]]:
+    """The reference for the commutant and exactness columns: the map
+    f -> ([f, mats[t]])_t on Mat_n built entry by entry, one column per
+    entry f_{pq} (row-major), keyed by (t, i, j) for entry (i, j) of
+    [E_pq, mats[t]] = E_pq m - m E_pq: row q of m moved to row p, less
+    column p of m moved to column q, over the lcm of the denominators."""
+    n = mats[0].n
+    den = lcm(*(m.den for m in mats))
+    rows = [[[] for _ in range(n)] for _ in mats]  # rows[t][i]: the (j, entry) of row i
+    cols = [[[] for _ in range(n)] for _ in mats]  # cols[t][j]: the (i, entry) of column j
+    for t, m in enumerate(mats):
+        f = den // m.den
+        for p, (x, y) in m.flatten()[0].items():
+            i, j = divmod(p, n)
+            v = (x * f, y * f)
+            rows[t][i].append((j, v))
+            cols[t][j].append((i, v))
+    columns = []
+    for p in range(n):
+        for q in range(n):
+            col: dict[tuple[int, int, int], tuple[int, int]] = {}
+            for t in range(len(mats)):
+                for j, v in rows[t][q]:
+                    col[t, p, j] = v
+                for i, (x, y) in cols[t][p]:
+                    old = col.get((t, i, q), (0, 0))
+                    col[t, i, q] = (old[0] - x, old[1] - y)
+            columns.append(({key: v for key, v in col.items() if v[0] or v[1]}, den))
+    return columns
+
+
+def old_commutator_bracket_vector(n: int) -> dict[int, GaussRational]:
+    """The commutator bracket on Mat_n in the layout of
+    `quantum.biderivation_solver`: its n^6 entries [E_a, E_b]_gh in key
+    order, (a*d + b)*d + g*n + h with d = n^2, the zero ones left out."""
+    basis = full_matrix_basis(n)
+    entries = [
+        x for a in basis for b in basis for row in (a @ b - b @ a).entries for x in row
+    ]
+    return {key: x for key, x in enumerate(entries) if not x.is_zero()}
 
 
 def unit_kernel(elim: SparseEliminator) -> list[dict[int, GaussRational]]:

@@ -30,7 +30,7 @@ from aldyn.diffcalc import (
     exactness_obstruction,
     exterior_d,
 )
-from aldyn.matrices import Mat
+from aldyn.matrices import Mat, full_matrix_basis
 from aldyn.moyal import (
     StarAlgebraContext,
     s_space_check,
@@ -42,11 +42,10 @@ from aldyn.poisson import SU2, PoissonTensor, bracket, lie_poisson
 from aldyn.poly import GeneratorSet, Poly
 from aldyn.quantum import (
     MatrixSubspace,
-    biderivation_solver,
+    biderivations,
     block_split,
     commutant,
     commutator,
-    commutator_bracket_vector,
     evolve,
     invariance_check,
 )
@@ -265,12 +264,18 @@ def test_criterion_09_biderivation_uniqueness():
     start = time.perf_counter()
     ok = True
     for n in (2, 3):
-        sols = biderivation_solver(n)
+        space = MatrixSubspace(full_matrix_basis(n))
+        sols, _ = biderivations(space)
         ok = ok and len(sols) == 1
         if sols:
-            cvec = commutator_bracket_vector(n)
+            # the commutator in the same (a, b, m) coordinates: c_ab^m - c_ba^m
+            cvec = {}
+            for (a, b, m), c in space.structure().items():
+                cvec[a, b, m] = cvec.get((a, b, m), GR_ZERO) + c
+                cvec[b, a, m] = cvec.get((b, a, m), GR_ZERO) - c
+            cvec = integer_column(cvec)
             columns = [integer_column(s) for s in sols]
-            ok = ok and bool(cvec) and solve_columns(columns, [integer_column(cvec)]) != [None]
+            ok = ok and bool(cvec[0]) and solve_columns(columns, [cvec]) != [None]
     elapsed = time.perf_counter() - start
     report(9, "biderivation space is the commutator line on Mat_2 and Mat_3", ok, elapsed)
     assert ok

@@ -38,7 +38,7 @@ LIBRARY_API = {
     "diffcalc.KForm.evaluate",  # w(X_1, ..., X_k)
     "quantum.MatrixSubspace.span_equals",  # criterion 08 compares commutants by span
     "quantum.MatrixSubspace.contains",  # criterion 08's double-commutant containment
-    "quantum.biderivation_solver",  # the solution space criterion 09 and perfbench check
+    "quantum.biderivation_solver",  # the n^6 solution space perfbench checks
     "poisson.find_hamiltonian",  # the inverse searches that perfbench drives
     "poisson.find_poisson_tensor",
     "reduction.NormalizerReport.coefficients",  # the membership certificate perfbench reads

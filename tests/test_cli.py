@@ -31,8 +31,9 @@ from aldyn.derivations import PolyDerivation
 from aldyn.matrices import Mat
 from aldyn.parsing import parse_poly
 from aldyn.poisson import ABELIAN, HEISENBERG, SU2, PoissonTensor
-from aldyn.poly import MAX_UNKNOWNS, GeneratorSet, Poly
+from aldyn.poly import GeneratorSet, Poly
 from aldyn.report import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, Report
+from aldyn.scalars import MAX_UNKNOWNS
 
 
 def run_cli(capsys, *argv):
@@ -492,14 +493,14 @@ class TestQuantumCommands:
     def test_biderivation_rejects_a_wrong_answer(self, capsys, monkeypatch):
         """A solver that returns a two-vector space fails the span check."""
         import aldyn.quantum
-        from aldyn.quantum import _mat_biderivations
+        from aldyn.quantum import biderivations
         from aldyn.scalars import GR_ONE
 
-        def two_vectors(n):
-            sols, shape = _mat_biderivations(n)
-            return sols + [{0: GR_ONE}], shape
+        def two_vectors(space):
+            brackets, shape = biderivations(space)
+            return brackets + [{(0, 0, 0): GR_ONE}], shape
 
-        monkeypatch.setattr(aldyn.quantum, "_mat_biderivations", two_vectors)
+        monkeypatch.setattr(aldyn.quantum, "biderivations", two_vectors)
         code, payload, _ = run_json(capsys, "biderivation", "--n", "2")
         assert code == EXIT_FAIL
         assert payload["status"] == "fail"
@@ -941,6 +942,31 @@ def test_cold_import_adds_no_dataclasses_inspect_or_numpy():
     assert bracket & unused == set()
 
 
+def test_cold_matrix_commands_load_only_what_they_use():
+    """In fresh processes: a cold `commutant` on a 2x2 subspace and a cold
+    `dform` on a Gell-Mann form load no `aldyn.poly`, and a cold `evolve` on
+    malformed or non-Hermitian input exits 2 without importing numpy."""
+    from aldyn.diffcalc import DerivationBasis, KForm
+
+    diag = json.dumps([Mat.diag([1, -1]).to_json()])
+    form = json.dumps(KForm.dual_form(DerivationBasis.gell_mann(3), 1).to_json())
+    nilpotent = json.dumps(Mat.from_rows([[0, 1], [0, 0]]).to_json())
+    cases = [
+        (["commutant", "--subspace", diag, "--json"], EXIT_OK, "aldyn.poly"),
+        (["dform", "--form", form, "--json"], EXIT_OK, "aldyn.poly"),
+        (["evolve", "--h", "x", "--a", "y", "--t", "1"], EXIT_BAD_INPUT, "numpy"),
+        (["evolve", "--h", nilpotent, "--a", nilpotent, "--t", "1"], EXIT_BAD_INPUT, "numpy"),
+    ]
+    bare = set(run_python(["-c", "import sys; print(*sorted(sys.modules))"]).stdout.split())
+    for argv, code, unused in cases:
+        run = run_python(
+            ["-c", f"import aldyn.cli, sys; print(aldyn.cli.main({argv!r}), *sorted(sys.modules))"]
+        )
+        exit_code, *modules = run.stdout.splitlines()[-1].split()
+        assert int(exit_code) == code, run.stderr
+        assert unused not in set(modules) - bare, argv[0]
+
+
 # The demos that evaluate an exponential in floats, and so need numpy.
 FLOAT_DEMOS = {"oscillator"}
 
@@ -1328,7 +1354,7 @@ _MAIN_UNDER_ULIMIT = (
 
 @pytest.mark.parametrize("size", [1000000, 1e308], ids=["tensor-dim-1000000", "tensor-dim-1e308"])
 def test_sizes_beyond_the_budget_are_bad_input(size):
-    """A tensor dim whose dim^2 components exceed `poly.MAX_UNKNOWNS` is
+    """A tensor dim whose dim^2 components exceed `scalars.MAX_UNKNOWNS` is
     refused before anything is built: exit 2 naming the field, no
     MemoryError."""
     argv = ["jacobi", "--tensor", json.dumps({"dim": size, "components": []})]
@@ -1367,7 +1393,7 @@ def _gell_mann_form(n: int) -> str:
 def test_option_sizes_beyond_the_budget_are_bad_input(argv, where):
     """Ansatz caps (C(n + cap, n) unknowns), a form's n (n^4 generator
     entries) and star pairs ((2 pairs)^2 components) are compared with
-    `poly.MAX_UNKNOWNS` before anything is built: exit 2 naming the option
+    `scalars.MAX_UNKNOWNS` before anything is built: exit 2 naming the option
     or JSON field, no MemoryError."""
     proc = run_python(["-c", _MAIN_UNDER_ULIMIT, *argv, "--json"])
     assert proc.returncode == EXIT_BAD_INPUT and proc.stdout == "", proc.stderr
@@ -1794,7 +1820,7 @@ def test_semantic_errors_name_their_input(capsys, argv, message):
 def test_commutant_work_beyond_the_budget_is_bad_input(capsys, subspace, what):
     """The commutant's n^2 unknowns x k n^2 equations, and the d^2 products of
     n x n matrices that check its closure, are compared with
-    `poly.MAX_UNKNOWNS`: exit 2 naming /subspace."""
+    `scalars.MAX_UNKNOWNS`: exit 2 naming /subspace."""
     code, out, err = run_cli(capsys, "commutant", "--subspace", json.dumps([subspace.to_json()]))
     assert (code, out) == (EXIT_BAD_INPUT, "")
     assert err == f"input error: /subspace: {what} exceed the budget of {MAX_UNKNOWNS}\n"

@@ -17,12 +17,12 @@ from aldyn.diffcalc import (
     lie_derivative,
     wedge,
 )
-from aldyn.linalg import solve_columns
-from aldyn.matrices import Mat
+from aldyn.linalg import integer_column, solve_columns
+from aldyn.matrices import Mat, _ad_columns
 from aldyn.quantum import commutator
 from aldyn.scalars import GR_ONE, GR_ZERO, GaussRational
 
-from conftest import random_gauss, random_mat
+from conftest import old_commutator_columns, random_gauss, random_mat
 
 B2 = DerivationBasis.gell_mann(2)
 B3 = DerivationBasis.gell_mann(3)
@@ -634,6 +634,30 @@ class TestExactness:
     def test_obstruction_on_b3(self):
         for j in range(B3.dim):
             assert not exactness_obstruction(B3, j).solvable
+
+    @pytest.mark.parametrize(
+        "basis", [B2, B3, B3_DENSE, B3_RATIONAL], ids=["N2", "N3", "N3-dense", "N3-rational"]
+    )
+    def test_obstruction_matches_the_entrywise_oracle(self, basis):
+        """The verdict for every j from the basis's ad tables equals that of
+        the entry-by-entry columns of its generators, key (k, i, j) read as
+        (k, i n + j); a consistent target, ([A, X_k])_k, gets the same
+        solution from both."""
+        n = basis.n
+        reference = old_commutator_columns(basis.generators)
+        columns = _ad_columns(basis._ad, basis._den)
+        for j in range(basis.dim):
+            [sol] = solve_columns(reference, [({(j, r, r): (1, 0) for r in range(n)}, 1)])
+            assert exactness_obstruction(basis, j).solvable is (sol is not None)
+        a = random_mat(random.Random(87), n)
+        image = {}  # entry p = i n + j of [A, X_k] at (k, p)
+        for k, g in enumerate(basis.generators):
+            cells = [x for row in commutator(a, g).entries for x in row]
+            image.update({(k, p): x for p, x in enumerate(cells)})
+        renamed = {(k, *divmod(p, n)): x for (k, p), x in image.items()}
+        [expected] = solve_columns(reference, [integer_column(renamed)])
+        assert expected is not None
+        assert solve_columns(columns, [integer_column(image)]) == [expected]
 
     def test_differentials_have_traceless_values(self):
         rng = random.Random(85)

@@ -3,13 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from aldyn.matrices import Mat, full_matrix_basis
+from aldyn.matrices import Mat, _ad_columns, _ad_table, full_matrix_basis
 from aldyn.quantum import (
     InnerDerivation,
     MatrixSubspace,
@@ -18,7 +19,6 @@ from aldyn.quantum import (
     block_split,
     commutant,
     commutator,
-    commutator_bracket_vector,
     derivations,
     evolve,
     heisenberg_derivative,
@@ -28,7 +28,8 @@ from aldyn.cli import _matrix_float_json
 from aldyn.linalg import integer_column, solve_columns
 from aldyn.scalars import GR_I, GR_ZERO, GaussRational
 
-from conftest import old_biderivation_system, random_hermitian, random_mat, unit_kernel
+from conftest import old_biderivation_system, old_commutator_bracket_vector, old_commutator_columns
+from conftest import random_gauss, random_hermitian, random_mat, unit_kernel
 
 # The Pauli matrices sigma_x, sigma_y, sigma_z with exact entries.
 SX = Mat.from_rows([[0, 1], [1, 0]])
@@ -242,6 +243,32 @@ class TestCommutant:
             double = commutant(commutant(space))
             for b in space.basis:
                 assert double.contains(b)
+
+    def test_columns_and_kernel_match_the_entrywise_oracle(self):
+        """The ad-table columns of a commutant are the entry-by-entry columns,
+        key (t, i, j) read as (t, i n + j), and give the same kernel, on
+        sparse complex matrices with mixed denominators."""
+        rng = random.Random(341)
+        for _ in range(100):
+            n, basis = rng.randint(1, 5), []
+            k = rng.randint(1, min(4, n * n))
+            while len(basis) < k:
+                m = Mat(
+                    [
+                        [random_gauss(rng, 3) if rng.random() < 0.3 else GR_ZERO for _ in range(n)]
+                        for _ in range(n)
+                    ]
+                )
+                if solve_columns([b.flatten() for b in basis], [m.flatten()]) == [None]:
+                    basis.append(m)
+            den = lcm(*(b.den for b in basis))
+            columns = _ad_columns([_ad_table(b, den // b.den) for b in basis], den)
+            reference = old_commutator_columns(basis)
+            assert columns == [
+                ({(t, i * n + j): v for (t, i, j), v in col.items()}, d) for col, d in reference
+            ]
+            kernel = solve_columns(reference, None)
+            assert commutant(MatrixSubspace(basis)).basis == [Mat.unflatten(v, n) for v in kernel]
 
 
 class TestCoordinates:
@@ -512,13 +539,13 @@ class TestBiderivations:
     def test_solution_space_is_commutator_line(self, n):
         sols = biderivation_solver(n)
         assert len(sols) == 1
-        cvec = commutator_bracket_vector(n)
+        cvec = old_commutator_bracket_vector(n)
         columns = [integer_column(s) for s in sols]
         assert cvec and solve_columns(columns, [integer_column(cvec)]) != [None]
 
     def test_solution_at_n4_is_a_multiple_of_the_commutator(self):
         [sol] = biderivation_solver(4)
-        cvec = commutator_bracket_vector(4)
+        cvec = old_commutator_bracket_vector(4)
         assert sol.keys() == cvec.keys()
         assert all(type(v) is GaussRational for v in sol.values())
         k = next(iter(cvec))
