@@ -268,6 +268,7 @@ def cmd_nilpotency(args) -> Report:
     d = _load_derivation(args.derivation)
     if args.cutoff < 1:
         raise ValueError("--cutoff: cutoff must be >= 1")
+    check_budget("--cutoff", args.cutoff, "applications of the derivation")
     order = nilpotency_order(d, args.cutoff)
     payload = {
         "cutoff": args.cutoff,

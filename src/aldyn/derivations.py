@@ -7,15 +7,16 @@ sum_a delta^a d_a.  For an angle-phase generator u = e^{i theta}, d_u is
 d/dtheta, so delta(u) = i u delta^u.  Flows come in three flavors:
 exact truncating series for nilpotent derivations, and, where only an
 exponential can give the answer, float matrix exponentials for linear
-derivations and pointwise values for the angle-phase case.  The
-angle-phase flow itself is decided exactly: delta'(u) = i I u and
-delta'(I) = 0 give e^{t delta'} u = e^{i t I} u.
+derivations (one pure-Python scaling-and-squaring Taylor series, no numpy)
+and pointwise values for the angle-phase case.  The angle-phase flow is
+decided exactly: delta'(u) = i I u, delta'(I) = 0 give e^{t delta'} u = e^{i t I} u.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -208,13 +209,11 @@ def flow_at(flow: Poly, t: RationalLike) -> Poly:
     return Poly(gens, terms)
 
 
-def linear_coefficient_matrix(delta: PolyDerivation) -> np.ndarray:
-    """The matrix c with delta(x^a) = c^a_b x^b; errors if not linear."""
-    import numpy as np
-
+def linear_coefficient_matrix(delta: PolyDerivation) -> list[list[complex]]:
+    """The rows of c with delta(x^a) = c^a_b x^b; errors if not linear."""
     gens = delta.gens
     n = len(gens)
-    c = np.zeros((n, n), dtype=complex)
+    c = [[0j] * n for _ in range(n)]
     for a, name in enumerate(gens.names):
         img = apply(delta, Poly.generator(gens, name))
         for exps, coeff in img.terms.items():
@@ -225,44 +224,40 @@ def linear_coefficient_matrix(delta: PolyDerivation) -> np.ndarray:
             if not coeff.is_theta_free():
                 raise ValueError("linear flow needs theta-free coefficients")
             b = next(i for i, e in enumerate(exps) if e == 1)
-            c[a, b] = coeff.constant().to_complex(f"image of {name!r}")
+            c[a][b] = coeff.constant().to_complex(f"image of {name!r}")
     return c
 
 
-_EXPM_TOL = 1e-12  # eigen-residual (relative) and last Taylor term of _expm
+def _norm(m: list[list[complex]]) -> float:
+    """The infinity norm of m by |re| + |im|, which never overflows as abs(complex) can."""
+    return max(sum(abs(z.real) + abs(z.imag) for z in row) for row in m)
 
 
-def _expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by eigendecomposition, series fallback; a
-    ValueError naming --t when m = t c or e^m is not a finite float matrix."""
-    import numpy as np
+def _matmul(x: list[list[complex]], y: list[list[complex]]) -> list[list[complex]]:
+    cols = list(zip(*y))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(m, ord=np.inf))
-        if not math.isfinite(norm):
-            raise ValueError("--t: t c is beyond the float range")
-        out = None
-        try:
-            w, v = np.linalg.eig(m)
-            vi = np.linalg.inv(v)
-            if np.linalg.norm(v @ np.diag(w) @ vi - m) <= _EXPM_TOL * max(1.0, np.linalg.norm(m)):
-                out = (v * np.exp(w)) @ vi
-        except np.linalg.LinAlgError:
-            pass
-        if out is None:
-            # Scaling and squaring on the Taylor series (small dense matrices only).
-            s = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
-            a = m * 0.5**s
-            out = np.eye(m.shape[0], dtype=complex)
-            term = np.eye(m.shape[0], dtype=complex)
-            for k in range(1, 40):
-                term = term @ a / k
-                out = out + term
-                if np.linalg.norm(term, ord=np.inf) < _EXPM_TOL:
-                    break
-            for _ in range(s):
-                out = out @ out
-    if not np.isfinite(out).all():
+
+def _expm(m: list[list[complex]]) -> list[list[complex]]:
+    """e^m by scaling and squaring on the Taylor series (Moler and Van Loan,
+    SIAM Rev. 45 (2003) 3): m / 2^s has norm below 1/2, its series runs until
+    a term no longer moves the sum, and the sum is squared s times.  A
+    ValueError naming --t when m = t c or e^m is not a finite float matrix;
+    e^m is invertible, so a zero row is underflow."""
+    norm = _norm(m)
+    if not math.isfinite(norm):
+        raise ValueError("--t: t c is beyond the float range")
+    s = max(0, math.frexp(norm)[1] + 1)
+    a = [[z * 0.5**s for z in row] for row in m]
+    term = out = [[complex(i == j) for j in range(len(m))] for i in range(len(m))]
+    k = 0
+    while _norm(term) > sys.float_info.epsilon * _norm(out):
+        k += 1
+        term = [[z / k for z in row] for row in _matmul(term, a)]
+        out = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(out, term)]
+    for _ in range(s):
+        out = _matmul(out, out)
+    if not all(cmath.isfinite(z) for row in out for z in row) or not all(map(any, out)):
         raise ValueError("--t: e^(t c) is beyond the float range")
     return out
 
@@ -273,11 +268,9 @@ def flow_linear(delta: PolyDerivation, t: complex, f: Poly) -> Poly:
     Coefficients of the result are floats embedded exactly in Q(i).
     """
     c = linear_coefficient_matrix(delta)
-    etc = _expm(t * c)
+    etc = _expm([[t * z for z in row] for row in c])
     gens = delta.gens
-    images = {
-        name: Poly.linear(gens, [complex(z) for z in row]) for name, row in zip(gens.names, etc)
-    }
+    images = {name: Poly.linear(gens, row) for name, row in zip(gens.names, etc)}
     return f.substitute(images)
 
 

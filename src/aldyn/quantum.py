@@ -69,7 +69,7 @@ class MatrixSubspace:
     question about it is one exact solve for all the matrices it asks
     about."""
 
-    __slots__ = ("n", "basis")
+    __slots__ = ("n", "basis", "_structure")
 
     def __init__(self, basis: Sequence[Mat]):
         basis = list(basis)
@@ -82,6 +82,7 @@ class MatrixSubspace:
             raise ValueError("basis matrices are linearly dependent")
         self.n = n
         self.basis = basis
+        self._structure = None
 
     def dimension(self) -> int:
         return len(self.basis)
@@ -100,13 +101,16 @@ class MatrixSubspace:
 
     def structure(self) -> dict[tuple[int, int, int], GaussRational]:
         """The nonzero structure constants c_ab^k of e_a e_b = sum_k c_ab^k
-        e_k, keyed (a, b, k), from all d^2 products in one elimination; a
-        ValueError when the span is not closed under products."""
-        d = self.dimension()
-        coords = self.coordinates([x @ y for x in self.basis for y in self.basis])
-        if None in coords:
-            raise ValueError("the span is not closed under products")
-        return {(*divmod(ab, d), k): c for ab, row in enumerate(coords) for k, c in row.items()}
+        e_k, keyed (a, b, k), from all d^2 products in one elimination made
+        once per space; a ValueError when the span is not closed under products."""
+        if self._structure is None:
+            d = self.dimension()
+            coords = self.coordinates([x @ y for x in self.basis for y in self.basis])
+            if None in coords:
+                raise ValueError("the span is not closed under products")
+            self._structure = {
+                (*divmod(ab, d), k): c for ab, row in enumerate(coords) for k, c in row.items()}
+        return dict(self._structure)
 
     def is_closed(self) -> bool:
         """Closure under products, so under commutators xy - yx: `structure` succeeds."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -273,6 +274,46 @@ def old_solve_columns(
         return [dense(v) for v in unit_kernel(elim)]
     units = [1] * (ncols + len(targets))
     return [None if s is None else dense(s) for s in elim.solve(len(targets), units)]
+
+
+OLD_EXPM_TOL = 1e-12  # eigen-residual (relative) and last Taylor term of old_expm
+
+
+def old_expm(m: np.ndarray) -> np.ndarray:
+    """The reference for `derivations._expm`: the matrix exponential by
+    eigendecomposition, accepted by its residual, with a scaling-and-squaring
+    Taylor fallback that stops at an absolute OLD_EXPM_TOL; a ValueError
+    naming --t when m = t c or e^m is not a finite float matrix."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(m, ord=np.inf))
+        if not math.isfinite(norm):
+            raise ValueError("--t: t c is beyond the float range")
+        out = None
+        try:
+            w, v = np.linalg.eig(m)
+            vi = np.linalg.inv(v)
+            if np.linalg.norm(v @ np.diag(w) @ vi - m) <= OLD_EXPM_TOL * max(1.0, np.linalg.norm(m)):
+                out = (v * np.exp(w)) @ vi
+        except np.linalg.LinAlgError:
+            pass
+        if out is None:
+            # Scaling and squaring on the Taylor series (small dense matrices only).
+            s = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
+            a = m * 0.5**s
+            out = np.eye(m.shape[0], dtype=complex)
+            term = np.eye(m.shape[0], dtype=complex)
+            for k in range(1, 40):
+                term = term @ a / k
+                out = out + term
+                if np.linalg.norm(term, ord=np.inf) < OLD_EXPM_TOL:
+                    break
+            for _ in range(s):
+                out = out @ out
+    if not np.isfinite(out).all():
+        raise ValueError("--t: e^(t c) is beyond the float range")
+    return out
 
 
 @pytest.fixture

@@ -482,6 +482,23 @@ class TestQuantumCommands:
         result = payload["result"]
         assert (result["equations"], result["unknowns"], result["rank"]) == (558, 144, 143)
 
+    def test_biderivation_solves_the_structure_once(self, capsys, monkeypatch):
+        """The kernels and the commutator check share one solve of the
+        structure constants, the d^2 = 16 products at n = 2."""
+        from aldyn.quantum import MatrixSubspace
+
+        solved = []
+        coordinates = MatrixSubspace.coordinates
+
+        def counted(space, mats):
+            solved.append(len(mats))
+            return coordinates(space, mats)
+
+        monkeypatch.setattr(MatrixSubspace, "coordinates", counted)
+        code, _, _ = run_json(capsys, "biderivation", "--n", "2")
+        assert code == EXIT_OK
+        assert solved == [16]
+
     def test_biderivation_on_mat1_is_the_zero_space(self, capsys):
         """The commutator vanishes on Mat_1, and so does the answer."""
         code, payload, _ = run_json(capsys, "biderivation", "--n", "1")
@@ -944,8 +961,10 @@ def test_cold_import_adds_no_dataclasses_inspect_or_numpy():
 
 def test_cold_matrix_commands_load_only_what_they_use():
     """In fresh processes: a cold `commutant` on a 2x2 subspace and a cold
-    `dform` on a Gell-Mann form load no `aldyn.poly`, and a cold `evolve` on
-    malformed or non-Hermitian input exits 2 without importing numpy."""
+    `dform` on a Gell-Mann form load no `aldyn.poly`, a cold `evolve` on
+    malformed or non-Hermitian input exits 2 without importing numpy, and
+    the float linear flow, in the oscillator demo and in `flow`, imports no
+    numpy either."""
     from aldyn.diffcalc import DerivationBasis, KForm
 
     diag = json.dumps([Mat.diag([1, -1]).to_json()])
@@ -956,6 +975,8 @@ def test_cold_matrix_commands_load_only_what_they_use():
         (["dform", "--form", form, "--json"], EXIT_OK, "aldyn.poly"),
         (["evolve", "--h", "x", "--a", "y", "--t", "1"], EXIT_BAD_INPUT, "numpy"),
         (["evolve", "--h", nilpotent, "--a", nilpotent, "--t", "1"], EXIT_BAD_INPUT, "numpy"),
+        (["demo", "oscillator", "--json"], EXIT_OK, "numpy"),
+        (["flow", "--derivation", "oscillator", "--f", "q", "--t", "1", "--json"], EXIT_OK, "numpy"),
     ]
     bare = set(run_python(["-c", "import sys; print(*sorted(sys.modules))"]).stdout.split())
     for argv, code, unused in cases:
@@ -966,9 +987,6 @@ def test_cold_matrix_commands_load_only_what_they_use():
         assert int(exit_code) == code, run.stderr
         assert unused not in set(modules) - bare, argv[0]
 
-
-# The demos that evaluate an exponential in floats, and so need numpy.
-FLOAT_DEMOS = {"oscillator"}
 
 _NUMPY_BLOCKED = """
 import contextlib, io, json, sys
@@ -993,8 +1011,8 @@ json.dump({name: run(argv) for name, argv in json.load(sys.stdin).items()}, sys.
 
 def test_exact_paths_run_with_numpy_blocked(capsys):
     """One cold process in which numpy cannot be imported runs every exact
-    subcommand and demo to the same stdout as a normal run; the oscillator
-    demo, which needs numpy, shows that the block holds."""
+    subcommand, the float linear flow and every demo to the same stdout as a
+    normal run; `evolve`, which needs numpy, shows that the block holds."""
     from aldyn.diffcalc import DerivationBasis, KForm
 
     form = json.dumps(KForm.dual_form(DerivationBasis.gell_mann(2), 0).to_json())
@@ -1005,13 +1023,14 @@ def test_exact_paths_run_with_numpy_blocked(capsys):
         "star": ["star", "--f", "q^2", "--g", "p^2"],
         "starcomm": ["starcomm", "--f", "q^3", "--g", "p^2"],
         "flow": ["flow", "--derivation", "free", "--f", "q^2", "--t", "3/2"],
+        "flow-linear": ["flow", "--derivation", "oscillator", "--f", "q", "--t", "1"],
         "hamfield": ["hamfield", "--tensor", "canonical2", "--h", "1/2*p^2"],
         "jacobi": ["jacobi", "--tensor", "su2"],
         "casimir": ["casimir", "--tensor", "su2", "--c", "x^2 + y^2 + z^2"],
         "biderivation-n2": ["biderivation", "--n", "2"],
         "biderivation-n3": ["biderivation", "--n", "3"],
         "commutant": ["commutant", "--subspace", full],
-        **{f"demo-{name}": ["demo", name] for name in DEMOS if name not in FLOAT_DEMOS},
+        **{f"demo-{name}": ["demo", name] for name in DEMOS},
         "reduce": ["reduce", "--input", _REDUCE_INPUT],
         "dform": ["dform", "--form", form],
         "invariance": ["invariance", "--h", json.dumps(Mat.diag([1, 2, 3, 4]).to_json()),
@@ -1021,11 +1040,11 @@ def test_exact_paths_run_with_numpy_blocked(capsys):
     exact = {name: [*argv, "--json"] for name, argv in exact.items()}
     proc = run_python(
         ["-c", _NUMPY_BLOCKED],
-        json.dumps({**exact, "demo-oscillator": ["demo", "oscillator", "--json"]}),
+        json.dumps({**exact, "evolve": ["evolve", "--h", SIGMA_X, "--a", SIGMA_Z, "--t", "1"]}),
     )
     assert proc.returncode == 0, proc.stderr
     blocked = json.loads(proc.stdout)
-    assert blocked.pop("demo-oscillator")[0] != EXIT_OK
+    assert blocked.pop("evolve")[0] != EXIT_OK
     expected = {name: list(run_cli(capsys, *argv)[:2]) for name, argv in exact.items()}
     assert {name: run[0] for name, run in expected.items()} == dict.fromkeys(exact, EXIT_OK)
     assert blocked == expected
@@ -1423,6 +1442,8 @@ def test_negative_cap_names_its_option(capsys, argv, where):
     "argv, error",
     [
         (["nilpotency", "--derivation", "free", "--cutoff", "0"], "--cutoff: cutoff must be >= 1"),
+        (["nilpotency", "--derivation", "oscillator", "--cutoff", "1000000000"],
+         f"--cutoff: applications of the derivation exceed the budget of {MAX_UNKNOWNS}"),
         (["star", "--f", "q", "--g", "p", "--pairs", "0"],
          "--pairs: phase space needs at least one pair"),
         (["starcomm", "--f", "q", "--g", "p", "--pairs", "0"],
@@ -1431,7 +1452,7 @@ def test_negative_cap_names_its_option(capsys, argv, where):
         (["demo", "free", "--observable", "x"],
          "--observable: unknown name 'x'; generators are ['q', 'p'] (at position 0)"),
     ],
-    ids=["nilpotency-cutoff", "star-pairs", "starcomm-pairs", "blocksplit-k", "demo-free-observable"],
+    ids=["nilpotency-cutoff", "nilpotency-cutoff-budget", "star-pairs", "starcomm-pairs", "blocksplit-k", "demo-free-observable"],
 )
 def test_option_errors_name_their_option(capsys, argv, error):
     """An option value the command cannot use is bad input naming the option."""

@@ -5,9 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from aldyn.demos import rounding_bound
 from aldyn.derivations import (
     NonTruncatingFlow,
     PolyDerivation,
@@ -21,9 +23,9 @@ from aldyn.derivations import (
     nilpotency_order,
 )
 from aldyn.poly import GeneratorSet, Poly
-from aldyn.scalars import Scalar
+from aldyn.scalars import GaussRational, Scalar
 
-from conftest import polys, random_poly
+from conftest import OLD_EXPM_TOL, old_expm, polys, random_gauss, random_poly
 
 GENS = GeneratorSet.phase_space(1)
 Q = Poly.generator(GENS, "q")
@@ -263,6 +265,59 @@ class TestFlowLinear:
         d = PolyDerivation(GENS, {"q": Q * P})
         with pytest.raises(ValueError):
             flow_linear(d, 1.0, Q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_old_exponential_on_gaussian_rational_maps(self, n):
+        rng = random.Random(n)
+        for _ in range(25):
+            c = [[random_gauss(rng) for _ in range(n)] for _ in range(n)]
+            _check_against_old_expm(c, _seeded_t(rng))
+
+    @pytest.mark.parametrize(
+        "c, exact",
+        [
+            ([[1, 1], [0, 1]], lambda t: [[math.exp(t), t * math.exp(t)], [0, math.exp(t)]]),
+            ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], lambda t: [[1, t, t * t / 2], [0, 1, t], [0, 0, 1]]),
+            ([[3, 0], [0, -3]], lambda t: [[math.exp(3 * t), 0], [0, math.exp(-3 * t)]]),
+        ],
+        ids=["defective", "nilpotent", "diagonal"],
+    )
+    def test_matches_the_old_exponential_and_the_closed_form(self, c, exact):
+        """On maps with a closed-form exponential the flow is also within
+        rounding of that form, where the old one's Taylor stop is not."""
+        rng = random.Random(len(c))
+        for _ in range(25):
+            t = _seeded_t(rng)
+            new, size = _check_against_old_expm(c, t)
+            assert _max_diff(new, exact(t)) <= rounding_bound(size), (t, new)
+
+
+def _seeded_t(rng: random.Random) -> float:
+    return rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 0.5)
+
+
+def _inf_norm(m) -> float:
+    return max(sum(abs(z) for z in row) for row in m)
+
+
+def _max_diff(m1, m2) -> float:
+    return max(abs(x - y) for r1, r2 in zip(m1, m2) for x, y in zip(r1, r2))
+
+
+def _check_against_old_expm(c, t: float):
+    """The matrix of e^{t delta} x^a from `flow_linear` for delta = c, within
+    the first-order errors of both exponentials of `old_expm`: rounding, and
+    the old one's eigen-residual and Taylor stop, relative OLD_EXPM_TOL; each
+    grows with |t c| |e^{t c}|, the size it returns."""
+    gens = GeneratorSet.plain([f"x{i}" for i in range(len(c))])
+    flows = [flow_linear(PolyDerivation.from_linear_map(gens, c), t, Poly.generator(gens, a))
+             for a in gens.names]
+    new = [[f.coefficient({b: 1}).constant().to_complex() for b in gens.names] for f in flows]
+    tc = [[t * GaussRational.coerce(z).to_complex() for z in row] for row in c]
+    old = old_expm(np.array(tc)).tolist()
+    size = max(1.0, _inf_norm(tc)) * _inf_norm(old)
+    assert _max_diff(new, old) <= rounding_bound(size) + OLD_EXPM_TOL * size, (c, t)
+    return new, size
 
 
 class TestActionAngle:
