@@ -5,7 +5,7 @@ index tuples I, with matrix coefficients A_I and alpha^I the wedge of the
 dual 1-forms alpha^i (alpha^i(X_j) = delta^i_j 1); `KForm.coeffs` maps I to
 A_I.  Every sign is that of the permutation that sorts an index tuple
 (`_sort_sign`, None when an index repeats); for an index inserted into a
-sorted tuple, the parity of its place, found by `bisect`.
+sorted tuple, the parity of its place.
 
   wedge      (A alpha^I) ^ (B alpha^J) = AB alpha^{I+J}
   d          d(A alpha^I) = sum_j X_j(A) alpha^j ^ alpha^I + A d(alpha^I),
@@ -23,29 +23,36 @@ operator commutator, whose structure constants therefore come from
 expanding [X_l, X_k] (note the order) in the matrix basis, by one
 ``linalg.solve_columns`` against the generators' columns.
 
-d runs in Gaussian integers over one common denominator.  Each basis keeps
-the ad table of every generator (`matrices._ad_table`, the one encoding of
-A -> [A, X_j]), which also gives the structure constants and the columns
-of `exactness_obstruction`: for each flat entry q of A, the terms (q', t)
-it adds to [A, X_j], real and imaginary parts t in two lists, so a real or
-imaginary Gell-Mann entry costs two int products.  With the terms of every
-d(alpha^m) they are ints over the basis lcm.  `exterior_d` brings its
-coefficients over the lcm of their denominators, negates each once for the
-alpha^j that land at odd places, accumulates each output in two int lists
-of length N^2 and builds it over the product of the two denominators, with
-one gcd.  d, `wedge`, `contract`, `+`, `-` and `scale` build their results
-with the trusted `_kform`, which only drops zeros.
+d, `wedge` and `contract` run in Gaussian integers.  Each call brings the
+numerators of its forms' coefficients over the lcm of their denominators,
+adds every term into two int lists of length N^2 per output index tuple
+(`_accumulators`), and builds each output coefficient once, with one gcd
+(`_reduced_form`): `wedge` over the product of its two lcms, `contract`
+over the lcm of the field's coordinates times the form's, and d over the
+form's lcm times the basis lcm.
+
+Each basis builds the ad table of every generator once
+(`matrices._ad_table`, the one encoding of A -> [A, X_j], two flat lists of
+triples (q, q', t), so a real or imaginary Gell-Mann entry costs two int
+products), reads the structure constants off them and scales them, with
+the terms of every d(alpha^m), to the basis lcm.  For each index tuple I
+that d meets, the basis keeps a plan (`DerivationBasis._plan`): the output
+tuple of each alpha^j ^ alpha^I with the table of X_j, negated where
+alpha^j lands at an odd place, and the output tuples of d(alpha^I) with
+their constants summed and signed.  So a call searches for no place or
+sign, and its table loops run inline.  d, `wedge`, `contract`, `+`, `-`
+and `scale` build their results with the trusted `_kform`, which only
+drops zeros.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import solve_columns
-from .matrices import Mat, _ad_columns, _ad_into, _ad_table, _entries, _reduced
+from .matrices import Mat, _ad_column, _ad_columns, _ad_table, _reduced
 from .quantum import MatrixSubspace
 from .scalars import GR_I, GR_ONE, GaussRational, check_budget, json_field, json_int, json_list
 from .scalars import named
@@ -89,7 +96,7 @@ class DerivationBasis:
     are the brackets' coordinates in them.
     """
 
-    __slots__ = ("n", "generators", "structure", "_den", "_ad", "_d_alpha")
+    __slots__ = ("n", "generators", "structure", "_den", "_ad", "_neg_ad", "_d_alpha", "_plans")
 
     def __init__(self, generators: Sequence[Mat]):
         space = MatrixSubspace(generators)
@@ -100,7 +107,7 @@ class DerivationBasis:
             raise ValueError("basis generators must be traceless")
         self.n = n
         self.generators = generators
-        # the tables over the generators' lcm, then over the basis lcm
+        # the tables over the generators' lcm, then scaled to the basis lcm
         gden = lcm(*(g.den for g in generators))
         self._ad = [_ad_table(g, gden // g.den) for g in generators]
         self.structure = self._structure_constants(gden)
@@ -113,12 +120,18 @@ class DerivationBasis:
         # the tables and d(alpha^m), as (a, b, re, im), over one denominator
         den = lcm(gden, *(c.den for t in d_alpha for *_, c in t))
         if den != gden:
-            self._ad = [_ad_table(g, den // g.den) for g in generators]
+            f = den // gden
+            self._ad = [
+                tuple([(q, s, t * f) for q, s, t in terms] for terms in table)
+                for table in self._ad
+            ]
         self._den = den
         self._d_alpha = [
             [(a, b, c.re_num * (den // c.den), c.im_num * (den // c.den)) for a, b, c in t]
             for t in d_alpha
         ]
+        self._neg_ad: list[tuple[list, list] | None] = [None] * len(generators)
+        self._plans: dict[tuple, tuple[list, list]] = {}
 
     @staticmethod
     def gell_mann(n: int) -> "DerivationBasis":
@@ -137,16 +150,10 @@ class DerivationBasis:
         is solved for, all pairs in one solve against the generators'
         columns; (l, k) is the exact negative, as [M_k, M_l] = -[M_l, M_k].
         """
-        n, gens = self.n, self.generators
+        gens = self.generators
         pairs = [(k, l) for k in range(self.dim) for l in range(k + 1, self.dim)]
-        entries = [_entries(g, 1) for g in gens]
-        brackets = []
-        for k, l in pairs:
-            re, im = [0] * (n * n), [0] * (n * n)
-            _ad_into(self._ad[k], entries[l], re, im)
-            # a commutator is traceless: its coordinates need no projection
-            column = {q: (x, y) for q, (x, y) in enumerate(zip(re, im)) if x or y}
-            brackets.append((column, gens[l].den * gden))
+        # a commutator is traceless: its coordinates need no projection
+        brackets = [_ad_column(self._ad[k], gens[l], gden) for k, l in pairs]
         structure: dict[tuple[int, int], list[tuple[int, GaussRational]]] = {}
         columns = [g.flatten() for g in gens]
         for (k, l), coords in zip(pairs, solve_columns(columns, brackets)):
@@ -155,6 +162,45 @@ class DerivationBasis:
                 structure[(k, l)] = entry
                 structure[(l, k)] = [(j, -c) for j, c in entry]
         return structure
+
+    def _plan(self, idx: tuple) -> tuple[list, list]:
+        """What d(A alpha^idx) adds to each output key, made once per index
+        tuple and kept on the basis: (key, table) for each
+        X_j(A) alpha^j ^ alpha^idx, the table of X_j negated where alpha^j
+        lands at an odd place, and (key, cr, ci) for the terms of
+        A d(alpha^idx), the constants of one key summed and signed."""
+        plan = self._plans.get(idx)
+        if plan is not None:
+            return plan
+        ad_terms = []
+        p = 0  # the place of alpha^j in the sorted key
+        for j, table in enumerate(self._ad):
+            if p < len(idx) and idx[p] == j:
+                p += 1
+                continue
+            if p % 2:
+                table = self._neg_ad[j]
+                if table is None:
+                    table = tuple([(q, s, -t) for q, s, t in terms] for terms in self._ad[j])
+                    self._neg_ad[j] = table
+            ad_terms.append((idx[:p] + (j,) + idx[p:], table))
+        # A d(alpha^idx): alpha^a ^ alpha^b moved to the front of the rest is even
+        constants: dict[tuple, tuple[int, int]] = {}
+        for p, m in enumerate(idx):
+            rest = idx[:p] + idx[p + 1 :]
+            for a, b, cr, ci in self._d_alpha[m]:
+                if a in rest or b in rest:
+                    continue
+                pa = bisect_left(rest, a)
+                pb = bisect_left(rest, b, pa)
+                key = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
+                if (p + pa + pb) % 2:
+                    cr, ci = -cr, -ci
+                c = constants.get(key)
+                constants[key] = (cr, ci) if c is None else (c[0] + cr, c[1] + ci)
+        d_terms = [(key, cr, ci) for key, (cr, ci) in constants.items() if cr or ci]
+        plan = self._plans[idx] = (ad_terms, d_terms)
+        return plan
 
 
 def _sort_sign(idx: tuple) -> tuple[tuple, int] | None:
@@ -168,13 +214,6 @@ def _sort_sign(idx: tuple) -> tuple[tuple, int] | None:
             if a > b:
                 sign = -sign
     return tuple(sorted(idx)), sign
-
-
-def _add(out: dict, idx: tuple, sign: int, value: Mat) -> None:
-    """out[idx] += sign * value; `_kform` drops zero sums."""
-    term = value if sign > 0 else -value
-    s = out.get(idx)
-    out[idx] = term if s is None else s + term
 
 
 def _kform(basis: DerivationBasis, degree: int, coeffs: dict[tuple, Mat]) -> "KForm":
@@ -242,7 +281,8 @@ class KForm:
         self._compat(other)
         out = dict(self.coeffs)
         for idx, v in other.coeffs.items():
-            _add(out, idx, 1, v)
+            s = out.get(idx)
+            out[idx] = v if s is None else s + v
         return _kform(self.basis, self.degree, out)
 
     def __sub__(self, other: "KForm") -> "KForm":
@@ -325,21 +365,92 @@ class KForm:
         return named(path, KForm, basis, degree, coeffs)
 
 
+def _accumulators(acc: dict, key: tuple, nn: int) -> tuple[list[int], list[int]]:
+    """The (re, im) int lists of length nn that accumulate output ``key``."""
+    out = acc.get(key)
+    if out is None:
+        out = acc[key] = ([0] * nn, [0] * nn)
+    return out
+
+
+def _add_scaled(out: tuple[list[int], list[int]], are, aim, cr: int, ci: int) -> None:
+    """out += (cr + ci i) A, for the numerators (are, aim) of A, in place."""
+    out_re, out_im = out
+    if cr:
+        for q in range(len(are)):
+            x, y = are[q], aim[q]
+            out_re[q] += x * cr - y * ci
+            out_im[q] += x * ci + y * cr
+    else:  # an imaginary constant, as for a basis of Hermitian generators
+        for q in range(len(are)):
+            out_re[q] -= aim[q] * ci
+            out_im[q] += are[q] * ci
+
+
+def _reduced_form(basis: DerivationBasis, degree: int, acc: dict, den: int) -> "KForm":
+    """The form whose coefficient at each key of ``acc`` is its (re, im)
+    numerators over ``den``, one `_reduced` per nonzero key."""
+    n = basis.n
+    coeffs = {
+        key: _reduced(n, tuple(re), tuple(im), den)
+        for key, (re, im) in acc.items()
+        if any(re) or any(im)
+    }
+    return _kform(basis, degree, coeffs)
+
+
 def wedge(w1: KForm, w2: KForm) -> KForm:
     """(A alpha^I) ^ (B alpha^J) = AB alpha^{I+J}, summed over stored terms.
 
     Values multiply in the algebra, so the result is not graded-commutative
     in general; a degree-0 operand acts as left or right multiplication.
+
+    Computed on ints: the numerators of the A_I over the lcm d1 of their
+    denominators and of the B_J over the lcm d2 of theirs, each product
+    added into the int lists of its sorted key, and each output built over
+    d1 * d2.
     """
     if w1.basis is not w2.basis and w1.basis.generators != w2.basis.generators:
         raise ValueError("forms over different derivation bases")
-    out: dict[tuple, Mat] = {}
+    n = w1.basis.n
+    nn = n * n
+    d1 = lcm(*(v.den for v in w1.coeffs.values()))
+    d2 = lcm(*(v.den for v in w2.coeffs.values()))
+    # the nonzero entries (k, re, im) of each row of each B over d2
+    rights = []
+    for j, b in w2.coeffs.items():
+        f = d2 // b.den
+        bre, bim = b.re, b.im
+        rows = []
+        for p in range(0, nn, n):
+            row = []
+            for k in range(n):
+                if bre[p + k] or bim[p + k]:
+                    row.append((k, bre[p + k] * f, bim[p + k] * f))
+            rows.append(row)
+        rights.append((j, rows))
+    acc: dict[tuple, tuple[list[int], list[int]]] = {}
     for i, a in w1.coeffs.items():
-        for j, b in w2.coeffs.items():
+        # the nonzero entries (row offset, column, re, im) of A over d1
+        f = d1 // a.den
+        are, aim = a.re, a.im
+        left = []
+        for p in range(nn):
+            if are[p] or aim[p]:
+                left.append((p - p % n, p % n, are[p] * f, aim[p] * f))
+        for j, rows in rights:
             sorted_sign = _sort_sign(i + j)
-            if sorted_sign:
-                _add(out, *sorted_sign, a @ b)
-    return _kform(w1.basis, w1.degree + w2.degree, out)
+            if sorted_sign is None:
+                continue
+            key, sign = sorted_sign
+            re, im = _accumulators(acc, key, nn)
+            for r, col, x, y in left:
+                if sign < 0:
+                    x, y = -x, -y
+                for k, c, d in rows[col]:
+                    re[r + k] += x * c - y * d
+                    im[r + k] += x * d + y * c
+    return _reduced_form(w1.basis, w1.degree + w2.degree, acc, d1 * d2)
 
 
 def exterior_d(w: KForm) -> KForm:
@@ -352,63 +463,65 @@ def exterior_d(w: KForm) -> KForm:
     satisfies d(d w) = 0.
 
     Computed on ints: the numerators of every A_I over the lcm of their
-    denominators, the basis tables over the basis denominator, and each
-    output coefficient built over the product of the two.
+    denominators, the basis tables and constants over the basis
+    denominator, read through the basis's plan for I, and each output
+    coefficient built over the product of the two.
     """
     basis = w.basis
-    n = basis.n
-    nn = n * n
+    nn = basis.n * basis.n
     den = lcm(*(v.den for v in w.coeffs.values()))
-    # sorted key -> (re, im) numerators of its coefficient, row-major
-    acc: dict[tuple, tuple[list[int], list[int]]] = defaultdict(lambda: ([0] * nn, [0] * nn))
+    # the memo lookup of `_plan` and `_accumulators` run inline on this hot path
+    plans = basis._plans
+    acc: dict[tuple, tuple[list[int], list[int]]] = {}
     for idx, v in w.coeffs.items():
-        # A's nonzero entries over den, (q, re, im), and their negatives
-        pos = _entries(v, den // v.den)
-        neg = [(q, -re, -im) for q, re, im in pos]
+        ad_terms, d_terms = plans.get(idx) or basis._plan(idx)
+        f = den // v.den
+        are, aim = (v.re, v.im) if f == 1 else ([x * f for x in v.re], [y * f for y in v.im])
         # X_j(A) alpha^j ^ alpha^I, X_j(A) = [A, X_j] read off the table of X_j
-        for j, table in enumerate(basis._ad):
-            p = bisect_left(idx, j)
-            if idx[p : p + 1] == (j,):
-                continue
-            _ad_into(table, neg if p % 2 else pos, *acc[idx[:p] + (j,) + idx[p:]])
-        # A d(alpha^I): alpha^a ^ alpha^b moved to the front of the rest is even
-        for p, m in enumerate(idx):
-            rest = idx[:p] + idx[p + 1 :]
-            for a, b, cr, ci in basis._d_alpha[m]:
-                pa, pb = bisect_left(rest, a), bisect_left(rest, b)
-                if rest[pa : pa + 1] == (a,) or rest[pb : pb + 1] == (b,):
-                    continue
-                if (p + pa + pb) % 2:
-                    cr, ci = -cr, -ci
-                out_re, out_im = acc[rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]]
-                if cr:
-                    for q, ar, ai in pos:
-                        out_re[q] += ar * cr
-                        out_im[q] += ai * cr
-                if ci:
-                    for q, ar, ai in pos:
-                        out_re[q] -= ai * ci
-                        out_im[q] += ar * ci
-    total = den * basis._den
-    out = {
-        key: _reduced(n, tuple(re), tuple(im), total)
-        for key, (re, im) in acc.items()
-        if any(re) or any(im)
-    }
-    return _kform(basis, w.degree + 1, out)
+        for key, (re_terms, im_terms) in ad_terms:
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = ([0] * nn, [0] * nn)
+            out_re, out_im = out
+            for q, s, t in re_terms:
+                out_re[s] += are[q] * t
+                out_im[s] += aim[q] * t
+            for q, s, t in im_terms:
+                out_re[s] -= aim[q] * t
+                out_im[s] += are[q] * t
+        # A d(alpha^I)
+        for key, cr, ci in d_terms:
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = ([0] * nn, [0] * nn)
+            _add_scaled(out, are, aim, cr, ci)
+    return _reduced_form(basis, w.degree + 1, acc, den * basis._den)
 
 
 def contract(x_coeffs: Sequence[GaussRational], w: KForm) -> KForm:
-    """Interior product i_X along a derivation given in basis coordinates."""
+    """Interior product i_X along a derivation given in basis coordinates.
+
+    Computed on ints: the coordinates over the lcm dx of their
+    denominators, the values over the lcm dw of theirs, each term added
+    into the int lists of its key, and each output built over dx * dw.
+    """
     if w.degree == 0:
         raise ValueError("cannot contract a degree-0 form")
-    out: dict[tuple, Mat] = {}
+    dx = lcm(*(c.den for c in x_coeffs))
+    xs = [(c.re_num * (dx // c.den), c.im_num * (dx // c.den)) for c in x_coeffs]
+    dw = lcm(*(v.den for v in w.coeffs.values()))
+    nn = w.basis.n * w.basis.n
+    acc: dict[tuple, tuple[list[int], list[int]]] = {}
     for idx, v in w.coeffs.items():
+        f = dw // v.den
         for pos, i in enumerate(idx):
-            c = x_coeffs[i]
-            if not c.is_zero():
-                _add(out, idx[:pos] + idx[pos + 1 :], -1 if pos % 2 else 1, v.scale(c))
-    return _kform(w.basis, w.degree - 1, out)
+            cr, ci = xs[i]
+            if not (cr or ci):
+                continue
+            sf = -f if pos % 2 else f
+            cr, ci = cr * sf, ci * sf
+            _add_scaled(_accumulators(acc, idx[:pos] + idx[pos + 1 :], nn), v.re, v.im, cr, ci)
+    return _reduced_form(w.basis, w.degree - 1, acc, dx * dw)
 
 
 def lie_derivative(x_coeffs: Sequence[GaussRational], w: KForm) -> KForm:
@@ -440,5 +553,5 @@ def exactness_obstruction(basis: DerivationBasis, j: int) -> ExactnessReport:
         raise ValueError("index out of range")
     # Unknown A (n^2 entries); equations [A, X_k] = delta^j_k * identity.
     target = ({(j, r * n + r): (1, 0) for r in range(n)}, 1)
-    [sol] = solve_columns(_ad_columns(basis._ad, basis._den), [target])
+    [sol] = solve_columns(_ad_columns(basis._ad, n, basis._den), [target])
     return ExactnessReport(solvable=sol is not None)

@@ -22,11 +22,14 @@ pairs.  ``entries`` is a read-only view, a tuple of row tuples of
 reads it.
 
 The map A -> [A, g] has one encoding, the ad table of g (``_ad_table``):
-for each flat entry q of A, the terms (q', t) that A[q] adds to [A, g],
-real and imaginary parts t in two lists, over a chosen denominator.
-``_ad_into`` applies a table to the nonzero entries of A (``_entries``),
-and ``_ad_columns`` reads the tables of g_1, ..., g_k as the columns of
-A -> ([A, g_t])_t, keyed (t, q').
+two flat lists of triples (q, q', t), [A, g][q'] += A[q] t, the real parts
+t in one and the imaginary parts in the other, on the numerators of g
+times a chosen factor.  It is built from the nonzero entries of g only,
+so an E_ij has 2n triples.  ``_ad_column`` applies a table to the dense
+numerators of A and gives [A, g] as an integer column, and
+``_ad_columns`` reads the tables of g_1, ..., g_k as the columns of
+A -> ([A, g_t])_t, keyed (t, q').  `diffcalc.exterior_d` runs the same
+triples inline.
 """
 
 from __future__ import annotations
@@ -295,60 +298,70 @@ def full_matrix_basis(n: int) -> list[Mat]:
     return [Mat.basis_elt(n, i, j) for i in range(n) for j in range(n)]
 
 
-def _ad_table(g: Mat, f: int) -> list[tuple[list, list]]:
+def _ad_table(g: Mat, f: int) -> tuple[list, list]:
     """A -> [A, g] as a map on flat entries, on the numerators of g times f:
-    for each source q = (r, c), the terms (q', t) with [A, g][q'] += A[q] t,
-    as the list of the real parts t and the list of the imaginary parts.
-    A[r][c] adds g[c][k] to entry (r, k) and -g[l][r] to entry (l, c); the
-    two meet only at (r, c), as g[c][c] - g[r][r], which is 0 on equal
-    diagonal values."""
+    the triples (q, q', t) with [A, g][q'] += A[q] t, as the list of the
+    real parts t and the list of the imaginary parts, built from the
+    nonzero entries of g only.  A[r][c] adds g[c][k] to entry (r, k) and
+    -g[l][r] to entry (l, c); the two meet only at q = q' = (r, c), as
+    g[c][c] - g[r][r], one triple that is left out on equal diagonal
+    values.  So each list names each (q, q') at most once."""
     n = g.n
-    parts = [[] for _ in range(n * n)], [[] for _ in range(n * n)]
-    for terms, values in zip(parts, (g.re, g.im)):
+    nn = n * n
+    step = n + 1
+    rows = range(0, nn, n)
+    tables = [], []
+    for terms, values in zip(tables, (g.re, g.im)):
         for p, x in enumerate(values):
-            if x and p % (n + 1):
+            if x and p % step:
                 l, k = divmod(p, n)
-                for m in range(n):
-                    terms[m * n + l].append((m * n + k, x * f))
-                    terms[k * n + m].append((l * n + m, -x * f))
-        diag = values[:: n + 1]
-        for q in range(n * n) if any(diag) else ():
-            r, c = divmod(q, n)
-            if diag[c] != diag[r]:
-                terms[q].append((q, (diag[c] - diag[r]) * f))
-    return list(zip(*parts))
+                x *= f
+                # A[m][l] -> [A, g][m][k] += x;  A[k][m] -> [A, g][l][m] -= x
+                terms += [(mn + l, mn + k, x) for mn in rows]
+                kn, ln = k * n, l * n
+                terms += [(kn + m, ln + m, -x) for m in range(n)]
+        diag = values[::step]
+        for c, x in enumerate(diag):
+            if x:
+                # q = (r, c) for every r of another value, and q = (c, r) for
+                # every r of value 0; a (c, r) whose r has a nonzero value is
+                # met in the pass over r
+                for r, y in enumerate(diag):
+                    if y != x:
+                        q = r * n + c
+                        terms.append((q, q, (x - y) * f))
+                    if not y:
+                        q = c * n + r
+                        terms.append((q, q, -x * f))
+    return tables
 
 
-def _entries(a: Mat, f: int) -> list[tuple[int, int, int]]:
-    """The nonzero entries (q, re, im) of a at flat positions q, numerators times f."""
-    return [(q, x * f, y * f) for q, (x, y) in enumerate(zip(a.re, a.im)) if x or y]
+def _ad_column(table: tuple[list, list], a: Mat, den: int) -> IntColumn:
+    """[A, g] as an `IntColumn` over ``a.den * den``, from the table of g over
+    ``den``, applied to the dense numerators of A."""
+    are, aim = a.re, a.im
+    re, im = [0] * len(are), [0] * len(are)
+    re_terms, im_terms = table
+    for q, s, t in re_terms:
+        re[s] += are[q] * t
+        im[s] += aim[q] * t
+    for q, s, t in im_terms:
+        re[s] -= aim[q] * t
+        im[s] += are[q] * t
+    return {s: (x, y) for s, (x, y) in enumerate(zip(re, im)) if x or y}, a.den * den
 
 
-def _ad_into(table: list[tuple[list, list]], entries: list, out_re: list, out_im: list) -> None:
-    """out += [A, g], for the nonzero entries (q, re, im) of A and the table of g."""
-    for q, ar, ai in entries:
-        re_terms, im_terms = table[q]
-        for s, t in re_terms:
-            out_re[s] += ar * t
-            out_im[s] += ai * t
-        for s, t in im_terms:
-            out_re[s] -= ai * t
-            out_im[s] += ar * t
-
-
-def _ad_columns(tables: Sequence[list[tuple[list, list]]], den: int) -> list[IntColumn]:
-    """The columns of A -> ([A, g_t])_t over ``den``, from the ad tables of
-    the g_t over it: one column per flat entry q of A, keyed (t, q') for
-    entry q' of [A, g_t], the real and imaginary parts of each term joined.
-    A row of a table names each q' at most once per list, so no term is
-    summed."""
-    columns = [{} for _ in tables[0]]
-    for t, table in enumerate(tables):
-        for col, (re_terms, im_terms) in zip(columns, table):
-            if re_terms:
-                for s, x in re_terms:
-                    col[t, s] = (x, 0)
-            if im_terms:
-                for s, y in im_terms:
-                    col[t, s] = (col.get((t, s), (0, 0))[0], y)
+def _ad_columns(tables: Sequence[tuple[list, list]], n: int, den: int) -> list[IntColumn]:
+    """The columns of A -> ([A, g_t])_t on Mat_n over ``den``, from the ad
+    tables of the g_t over it: one column per flat entry q of A, keyed
+    (t, q') for entry q' of [A, g_t], the real and imaginary parts of each
+    term joined.  A table list names each (q, q') at most once, so no term
+    is summed."""
+    columns = [{} for _ in range(n * n)]
+    for t, (re_terms, im_terms) in enumerate(tables):
+        for q, s, x in re_terms:
+            columns[q][t, s] = (x, 0)
+        for q, s, y in im_terms:
+            col = columns[q]
+            col[t, s] = (col.get((t, s), (0, 0))[0], y)
     return [(col, den) for col in columns]

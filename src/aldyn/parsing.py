@@ -12,13 +12,41 @@ Grammar (whitespace-insensitive):
 like ``3`` or ``1/2``, with a nonzero denominator.  Every other name must
 be a generator of the supplied set.  Caret powers must be integers,
 negative only on a Laurent unit (one theta-free term on angle-phase
-generators, see ``Poly.__pow__``).
+generators, see ``Poly.__pow__``), and the terms a power can have are held
+to ``scalars.MAX_UNKNOWNS`` (``check_budget``) before it is expanded.
 """
 
 from __future__ import annotations
 
+from . import scalars
 from .poly import GeneratorSet, Poly
-from .scalars import Scalar, rational
+from .scalars import Scalar, check_budget, rational
+
+
+def _capped_comb(a: int, b: int, cap: int) -> int:
+    """C(a, b), or, when it is above cap, the first of the partial products
+    C(a, 1), C(a, 2), ..., which grow up to b = a / 2, to pass cap."""
+    b = min(b, a - b)
+    c = 1
+    for i in range(b):
+        c = c * (a - i) // (i + 1)
+        if c > cap:
+            break
+    return c
+
+
+def _power_terms(base: Poly, exp: int, cap: int) -> int:
+    """A bound on the terms of base^exp, exp >= 2, exact up to cap: a k-term
+    base has at most C(exp + k - 1, k - 1) (the multisets of exp of its
+    terms), and one in n generators at most C(exp * deg + n, n) (the
+    monomials of degree <= exp * deg), deg the degree of base divided by its
+    largest monomial factor, so that negative Laurent exponents count too."""
+    exps = list(base.terms)
+    low = [min(column) for column in zip(*exps)]
+    used = [v for v, column in enumerate(zip(*exps)) if max(column) > low[v]]
+    deg = max(sum(e[v] - low[v] for v in used) for e in exps)
+    k, n = len(exps), len(used)
+    return min(_capped_comb(exp + k - 1, k - 1, cap), _capped_comb(exp * deg + n, n, cap))
 
 
 class ParseError(ValueError):
@@ -123,6 +151,9 @@ class _Parser:
             self.toks.next()
             exp = self._signed_int()
             try:
+                if exp > 1 and len(base.terms) > 1:
+                    terms = _power_terms(base, exp, scalars.MAX_UNKNOWNS)
+                    check_budget(f"^{exp}", terms, f"the {terms} possible terms of the power")
                 return base**exp
             except ValueError as exc:
                 raise ParseError(str(exc), pos) from None

@@ -410,8 +410,9 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def scale(self, c: Scalar | GaussRational | RationalLike) -> "Poly":

@@ -11,9 +11,10 @@ A `MatrixSubspace` answers every question about its span in one exact
 solve: membership, and the coordinates that also give the structure
 constants of `diffcalc.DerivationBasis` and its own `structure`.  Each
 matrix enters a solve as its own numerators over its denominator
-(`Mat.flatten`), the columns of a commutant are read off the ad tables
-(`matrices._ad_table`) of the basis over the lcm of their denominators,
-and coordinates come back sparse.  The block queries read the numerators
+(`Mat.flatten`), the columns of a commutant are read off the flat ad
+tables (`matrices._ad_table`) of the basis over the lcm of their
+denominators, the images [b, H] of `invariance_check` off the one table of
+H, and coordinates come back sparse.  The block queries read the numerators
 too.  Two small kernels on those follow, `derivations` and
 `biderivations`, each bracket in (a, b, m) coordinates, coordinate m of
 B(e_a, e_b): on Mat_n the latter are the line of the commutator, whose
@@ -28,7 +29,7 @@ from math import lcm
 from typing import Sequence
 
 from .linalg import integer_column, solve_columns
-from .matrices import Mat, _ad_columns, _ad_table, _reduced, full_matrix_basis
+from .matrices import Mat, _ad_column, _ad_columns, _ad_table, _reduced, full_matrix_basis
 from .report import Verdict
 from .scalars import GR_I, GaussRational, json_list, named, to_float
 
@@ -155,7 +156,7 @@ def commutant(space: MatrixSubspace) -> MatrixSubspace:
     """
     den = lcm(*(b.den for b in space.basis))
     tables = [_ad_table(b, den // b.den) for b in space.basis]
-    kernel = solve_columns(_ad_columns(tables, den), None)
+    kernel = solve_columns(_ad_columns(tables, space.n, den), None)
     if not kernel:
         raise RuntimeError("commutant is never empty (identity commutes)")
     return MatrixSubspace([Mat.unflatten(v, space.n) for v in kernel])
@@ -163,10 +164,16 @@ def commutant(space: MatrixSubspace) -> MatrixSubspace:
 
 def invariance_check(h: Mat, space: MatrixSubspace) -> Verdict:
     """Does ad_H map the subspace into itself?  Exact membership of [b, H]
-    for every basis b, in one solve; the first b outside is the witness."""
-    images = space.contains_each([commutator(b, h) for b in space.basis])
-    for b, inside in zip(space.basis, images):
-        if not inside:
+    for every basis b, each read off the one ad table of H, in one solve;
+    the first b outside is the witness."""
+    if h.n != space.n:
+        raise ValueError(f"matrix size mismatch: {space.n} vs {h.n}")
+    table = _ad_table(h, 1)
+    images = solve_columns(
+        [b.flatten() for b in space.basis], [_ad_column(table, b, h.den) for b in space.basis]
+    )
+    for b, image in zip(space.basis, images):
+        if image is None:
             return Verdict(False, b)
     return Verdict(True)
 

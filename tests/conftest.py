@@ -230,6 +230,30 @@ def old_commutator_columns(mats: Sequence[Mat]) -> list[tuple[dict, int]]:
     return columns
 
 
+def old_ad_table(g: Mat, f: int) -> list[tuple[list, list]]:
+    """The reference for `matrices._ad_table`: the nested table that walked
+    every one of the n^2 source entries.  For each source q = (r, c), the
+    terms (q', t) with [A, g][q'] += A[q] t, as the list of the real parts t
+    and the list of the imaginary parts, on the numerators of g times f.
+    A[r][c] adds g[c][k] to entry (r, k) and -g[l][r] to entry (l, c); the
+    two meet only at (r, c), as g[c][c] - g[r][r]."""
+    n = g.n
+    parts = [[] for _ in range(n * n)], [[] for _ in range(n * n)]
+    for terms, values in zip(parts, (g.re, g.im)):
+        for p, x in enumerate(values):
+            if x and p % (n + 1):
+                l, k = divmod(p, n)
+                for m in range(n):
+                    terms[m * n + l].append((m * n + k, x * f))
+                    terms[k * n + m].append((l * n + m, -x * f))
+        diag = values[:: n + 1]
+        for q in range(n * n) if any(diag) else ():
+            r, c = divmod(q, n)
+            if diag[c] != diag[r]:
+                terms[q].append((q, (diag[c] - diag[r]) * f))
+    return list(zip(*parts))
+
+
 def old_commutator_bracket_vector(n: int) -> dict[int, GaussRational]:
     """The commutator bracket on Mat_n in the layout of
     `quantum.biderivation_solver`: its n^6 entries [E_a, E_b]_gh in key

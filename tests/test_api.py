@@ -180,6 +180,22 @@ def test_only_diffcalc_builds_trusted_forms():
     assert _naming("_kform") == {"diffcalc"}
 
 
+def test_only_the_matrix_calculus_names_the_ad_table():
+    """A -> [A, g] has one encoding, the flat ad table of `matrices`: no
+    module of `src/aldyn` but `matrices` (which defines it), `quantum`
+    (commutants and invariance) and `diffcalc` (d, the structure constants
+    and exactness) names `_ad_table`, so a second encoding of the commutator
+    map cannot come back unnoticed."""
+    defining = {
+        path.stem
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_ad_table"
+    }
+    assert defining == {"matrices"}
+    assert _naming("_ad_table") == {"quantum", "diffcalc"}
+
+
 # What an except clause may not name: Python's errors on a value of the
 # wrong type or shape, and the classes that catch everything.
 _CATCH_ALL = {"TypeError", "AttributeError", "KeyError", "Exception", "BaseException"}

@@ -1420,6 +1420,20 @@ def test_option_sizes_beyond_the_budget_are_bad_input(argv, where):
     assert "Traceback" not in proc.stderr
 
 
+def test_power_beyond_the_budget_is_bad_input(capsys):
+    """The terms a caret power can have are compared with
+    `scalars.MAX_UNKNOWNS` before it is expanded: (q+p)^100000 (100,001
+    terms) is bad input naming the option, not a run of minutes."""
+    code, out, err = run_cli(
+        capsys, "bracket", "--tensor", "canonical2", "--f", "(q+p)^100000", "--g", "q"
+    )
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err == (
+        "input error: /f: ^100000: the 100001 possible terms of the power exceed the budget"
+        f" of {MAX_UNKNOWNS} (at position 5)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, where",
     [

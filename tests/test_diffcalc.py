@@ -138,6 +138,41 @@ def ref_evaluate(w: KForm, fields) -> Mat:
     return out
 
 
+def ref_contract(x, w: KForm) -> KForm:
+    """(i_X w)(X_J) = w(X, X_J) = sum_i x_i w(X_i, X_J), on every (k-1)-subset J."""
+    basis = w.basis
+    out = {}
+    for idx in itertools.combinations(range(basis.dim), w.degree - 1):
+        total = Mat.zero(basis.n)
+        for i, c in enumerate(x):
+            total = total + ref_value(w, (i,) + idx).scale(c)
+        out[idx] = total
+    return KForm(basis, w.degree - 1, out)
+
+
+# 40-bit numerators over pairwise coprime denominators: the common
+# denominator of a form is their product, not any one of them.
+COPRIME = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091,
+           10093, 10099, 10103, 10111, 10133, 10139, 10141, 10151, 10159]
+
+
+def tall_coprime_form(basis: DerivationBasis, degree: int, rng: random.Random, primes) -> KForm:
+    """Up to two terms, each a matrix of four entries with 40-bit numerators
+    over the next prime of ``primes``."""
+    n = basis.n
+    tuples = list(itertools.combinations(range(basis.dim), degree))
+    coeffs = {}
+    for idx in rng.sample(tuples, min(2, len(tuples))):
+        rows = [[GR_ZERO] * n for _ in range(n)]
+        for i, m in rng.sample(list(itertools.product(range(n), repeat=2)), 4):
+            q = next(primes)
+            rows[i][m] = GaussRational.of(
+                Fraction(rng.randint(-2**40, 2**40), q), Fraction(rng.randint(-2**40, 2**40), q)
+            )
+        coeffs[idx] = Mat(rows)
+    return KForm(basis, degree, coeffs)
+
+
 def recombined_gell_mann(n: int) -> list[Mat]:
     """The traceless basis X'_j = sum_{i >= j} (i - j + 1) X_i of Gell-Mann
     matrices X_i: a unit upper-triangular integer recombination, so still a
@@ -495,22 +530,7 @@ class TestAgainstReference:
     )
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_exterior_d_on_tall_coprime_entries(self, basis, degree):
-        # 40-bit numerators over pairwise coprime denominators: the common
-        # denominator of the form is their product, not any one of them.
-        rng = random.Random(140 + degree)
-        primes = iter([10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091,
-                       10093, 10099, 10103, 10111, 10133, 10139, 10141, 10151, 10159])
-        tuples = list(itertools.combinations(range(basis.dim), degree))
-        coeffs = {}
-        for idx in rng.sample(tuples, min(2, len(tuples))):
-            rows = [[GR_ZERO] * 3 for _ in range(3)]
-            for i, m in rng.sample(list(itertools.product(range(3), repeat=2)), 4):
-                q = next(primes)
-                rows[i][m] = GaussRational.of(
-                    Fraction(rng.randint(-2**40, 2**40), q), Fraction(rng.randint(-2**40, 2**40), q)
-                )
-            coeffs[idx] = Mat(rows)
-        w = KForm(basis, degree, coeffs)
+        w = tall_coprime_form(basis, degree, random.Random(140 + degree), iter(COPRIME))
         dw = exterior_d(w)
         assert dw == ref_exterior_d(w)
         assert_lowest_terms(dw)
@@ -525,7 +545,9 @@ class TestAgainstReference:
             assert d0.degree == degree + 1 and d0.coeffs == {}
         assert exterior_d(KForm.from_matrix(basis, Mat.identity(basis.n))).coeffs == {}
 
-    @pytest.mark.parametrize("basis", [B2, B3], ids=["N2", "N3"])
+    @pytest.mark.parametrize(
+        "basis", [B2, B3, B3_DENSE, B3_RATIONAL], ids=["N2", "N3", "N3-dense", "N3-rational"]
+    )
     def test_wedge(self, basis):
         rng = random.Random(100 + basis.n)
         for deg1 in range(4):
@@ -533,7 +555,51 @@ class TestAgainstReference:
                 for _ in range(2):
                     w1 = random_form(basis, deg1, rng, terms=2)
                     w2 = random_form(basis, deg2, rng, terms=2)
-                    assert wedge(w1, w2) == ref_wedge(w1, w2), (deg1, deg2)
+                    w = wedge(w1, w2)
+                    assert w == ref_wedge(w1, w2), (deg1, deg2)
+                    assert_lowest_terms(w)
+
+    @pytest.mark.parametrize(
+        "basis", [B3, B3_DENSE, B3_RATIONAL], ids=["N3", "N3-dense", "N3-rational"]
+    )
+    @pytest.mark.parametrize("degrees", [(0, 0), (0, 2), (1, 1), (2, 1)])
+    def test_wedge_on_tall_coprime_entries(self, basis, degrees):
+        rng, primes = random.Random(150 + sum(degrees)), iter(COPRIME)
+        w1, w2 = (tall_coprime_form(basis, degree, rng, primes) for degree in degrees)
+        w = wedge(w1, w2)
+        assert w == ref_wedge(w1, w2)
+        assert_lowest_terms(w)
+        assert max(x.den for v in w.coeffs.values() for row in v.entries for x in row) > 10**8
+
+    @pytest.mark.parametrize(
+        "basis", [B2, B3, B3_DENSE, B3_RATIONAL], ids=["N2", "N3", "N3-dense", "N3-rational"]
+    )
+    def test_contract(self, basis):
+        rng = random.Random(190 + basis.n)
+        for degree in range(1, 4):
+            for _ in range(2):
+                w = random_form(basis, degree, rng)
+                x = [random_gauss(rng) if rng.random() < 0.6 else GR_ZERO for _ in range(basis.dim)]
+                r = contract(x, w)
+                assert r == ref_contract(x, w), degree
+                assert_lowest_terms(r)
+
+    @pytest.mark.parametrize(
+        "basis", [B3, B3_DENSE, B3_RATIONAL], ids=["N3", "N3-dense", "N3-rational"]
+    )
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_contract_on_tall_coprime_entries(self, basis, degree):
+        rng, primes = random.Random(200 + degree), iter(COPRIME)
+        w = tall_coprime_form(basis, degree, rng, primes)
+        x = []
+        for _ in range(basis.dim):
+            q = next(primes)
+            x.append(GaussRational.of(
+                Fraction(rng.randint(-2**40, 2**40), q), Fraction(rng.randint(-2**40, 2**40), q)
+            ))
+        r = contract(x, w)
+        assert r == ref_contract(x, w)
+        assert_lowest_terms(r)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_exterior_d_on_b4(self, degree):
@@ -645,7 +711,7 @@ class TestExactness:
         solution from both."""
         n = basis.n
         reference = old_commutator_columns(basis.generators)
-        columns = _ad_columns(basis._ad, basis._den)
+        columns = _ad_columns(basis._ad, basis.n, basis._den)
         for j in range(basis.dim):
             [sol] = solve_columns(reference, [({(j, r, r): (1, 0) for r in range(n)}, 1)])
             assert exactness_obstruction(basis, j).solvable is (sol is not None)

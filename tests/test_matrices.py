@@ -15,11 +15,11 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from aldyn import diffcalc
-from aldyn.matrices import Mat
+from aldyn.matrices import Mat, _ad_column, _ad_table
 from aldyn.quantum import commutator
-from aldyn.scalars import GR_I, GR_ZERO, GaussRational
+from aldyn.scalars import GR_I, GR_ZERO, GaussRational, _norm
 
-from conftest import OldMat, random_gauss
+from conftest import OldMat, old_ad_table, random_gauss
 
 
 def ref_matmul(x: Mat, y: Mat) -> Mat:
@@ -254,6 +254,57 @@ class TestAgainstTheGaussRationalMatrix:
 
 
 # -- work counts: no GaussRational arithmetic on the integer paths -----------------
+
+
+def ad_cases(n: int, rng: random.Random):
+    """Every E_ij and i E_ij, diagonal matrices with repeated, zero and
+    distinct values, a dense complex matrix, a rational one and zero."""
+    for p in range(n * n):
+        e = Mat.basis_elt(n, *divmod(p, n))
+        yield e
+        yield e.scale(GR_I)
+    yield Mat.diag([rng.choice((0, 1, -2)) for _ in range(n)])
+    yield Mat.diag([GaussRational.of(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)])
+    yield Mat([[random_gauss(rng) for _ in range(n)] for _ in range(n)])
+    yield Mat([[GaussRational.of(Fraction(rng.randint(-9, 9), rng.choice((1, 7, 9973))))
+                for _ in range(n)] for _ in range(n)])
+    yield Mat.zero(n)
+
+
+def nested_triples(table) -> tuple[list, list]:
+    """The terms of a nested table (one (re, im) pair of term lists per
+    source q) as sorted flat (q, q', t) triples."""
+    return tuple(
+        sorted((q, s, t) for q, terms in enumerate(part) for s, t in terms) for part in zip(*table)
+    )
+
+
+class TestAdTable:
+    """The flat table built from the nonzero entries of g equals the dense
+    walk over all n^2 sources it replaced, term for term."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_flat_table_equals_the_dense_walk(self, n):
+        rng = random.Random(430 + n)
+        for g in ad_cases(n, rng):
+            for f in (1, 3, 10007):
+                re_terms, im_terms = _ad_table(g, f)
+                assert (sorted(re_terms), sorted(im_terms)) == nested_triples(old_ad_table(g, f))
+                for terms in (re_terms, im_terms):
+                    assert all(t for _, _, t in terms)
+                    assert len({(q, s) for q, s, _ in terms}) == len(terms)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_ad_column_is_the_commutator(self, n):
+        rng = random.Random(440 + n)
+        cases = list(ad_cases(n, rng))
+        for g in cases:
+            table = _ad_table(g, 1)
+            for a in cases[-4:]:
+                col, den = _ad_column(table, a, g.den)
+                image = Mat.unflatten({s: _norm(x, y, den) for s, (x, y) in col.items()}, n)
+                assert image == commutator(a, g)
+                assert all(x or y for x, y in col.values())
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from aldyn import scalars
 from aldyn.parsing import ParseError, parse_poly
 from aldyn.poly import GeneratorSet, Poly
 from aldyn.scalars import Scalar
@@ -92,3 +93,35 @@ def test_nesting_reads_until_the_recursion_limit():
     assert parse_poly("(" * 100 + "q" + ")" * 100, GENS) == Q
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_poly("(" * 2000 + "q" + ")" * 2000, GENS)
+
+
+@pytest.mark.parametrize(
+    "base, largest, terms",
+    [
+        ("(q + p)", 199, 200),
+        ("(1 + q + p)", 18, 190),
+        ("(q + q^2 + q^3)", 99, 199),
+        ("(q*p + 2*q^2*p)", 199, 200),
+    ],
+    ids=["two-terms", "three-terms-two-generators", "one-generator", "common-factor"],
+)
+def test_power_budget_boundary(monkeypatch, base, largest, terms):
+    """The terms a power can have are bounded before it is expanded: the
+    largest exponent within the budget (here 200) runs, its power has as
+    many terms as the bound allows, and the next exponent is refused."""
+    monkeypatch.setattr(scalars, "MAX_UNKNOWNS", 200)
+    power = parse_poly(f"{base}^{largest}", GENS)
+    assert power == parse_poly(base, GENS) ** largest
+    assert len(power.terms) == terms
+    refused = rf"^\^{largest + 1}: the \d+ possible terms of the power exceed the budget of 200"
+    with pytest.raises(ParseError, match=refused):
+        parse_poly(f"{base}^{largest + 1}", GENS)
+
+
+def test_huge_power_is_refused_before_it_is_expanded():
+    with pytest.raises(ParseError, match="the 100001 possible terms of the power exceed"):
+        parse_poly("(q+p)^100000", GENS)
+    # a one-term base, or a power of 0 or 1, has one term whatever the exponent
+    assert len(parse_poly("(2*q)^100000", GENS).terms) == 1
+    assert parse_poly("(q+p)^0", GENS) == Poly.one(GENS)
+    assert parse_poly("(q+p)^1", GENS) == Q + P

@@ -262,7 +262,7 @@ class TestCommutant:
                 if solve_columns([b.flatten() for b in basis], [m.flatten()]) == [None]:
                     basis.append(m)
             den = lcm(*(b.den for b in basis))
-            columns = _ad_columns([_ad_table(b, den // b.den) for b in basis], den)
+            columns = _ad_columns([_ad_table(b, den // b.den) for b in basis], n, den)
             reference = old_commutator_columns(basis)
             assert columns == [
                 ({(t, i * n + j): v for (t, i, j), v in col.items()}, d) for col, d in reference
@@ -303,6 +303,36 @@ class TestInvariance:
         rng = random.Random(55)
         space = MatrixSubspace([random_mat(rng, 3), random_mat(rng, 3)])
         assert invariance_check(Mat.identity(3), space).ok
+
+    def test_verdict_and_witness_equal_the_commutator_route(self):
+        """The images [b, H] read off the one ad table of H give the verdict
+        and the witness of the commutators b H - H b, for complex Hermitian H
+        with denominators, on random spans (not invariant), the traceless
+        matrices (invariant, with complex images), the span of 1 and H, and
+        the span of 1 and a random matrix (whose witness is not first)."""
+        rng = random.Random(56)
+        for n in (2, 3, 4):
+            for _ in range(4):
+                scale = GaussRational.of(Fraction(1, rng.choice((1, 3, 7))))
+                h = random_hermitian(rng, n).scale(scale)
+                traceless = [
+                    Mat.basis_elt(n, *divmod(p, n)).traceless_part() for p in range(1, n * n)
+                ]
+                spaces = [
+                    MatrixSubspace([random_mat(rng, n) for _ in range(rng.randint(1, n))]),
+                    MatrixSubspace(traceless),
+                    MatrixSubspace([Mat.identity(n), h]),
+                    MatrixSubspace([Mat.identity(n), random_mat(rng, n)]),
+                ]
+                for space in spaces:
+                    inside = space.contains_each([commutator(b, h) for b in space.basis])
+                    witness = next((b for b, ok in zip(space.basis, inside) if not ok), None)
+                    rep = invariance_check(h, space)
+                    assert rep.ok is (witness is None) and rep.witness == witness
+
+    def test_size_mismatch_is_refused(self):
+        with pytest.raises(ValueError, match="^matrix size mismatch: 2 vs 3$"):
+            invariance_check(Mat.identity(3), MatrixSubspace([SX, SZ]))
 
 
 class TestBlockSplit:
